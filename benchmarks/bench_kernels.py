@@ -20,11 +20,11 @@ per-batch setup (code packing, flat-tree gather tables) that the
 scalar loop does not have; the headline speedup compares each
 backend's best configuration.  The alignment leg runs on a read
 subset, asserts byte-identical SAM, and -- now that the vector path
-routes the per-chain CIGAR production through the batched wavefront
-traceback (``batched_sw_traceback``) -- its ``align.reads_per_sec``
-is a gated ledger metric alongside seeding: the ``--threshold 0.0``
-diff fails whenever vector ``align`` is not strictly faster than
-scalar on this workload.
+routes CIGAR production through the batched wavefront traceback
+(``batched_sw_traceback``, swept over the (read, window) lanes of a
+whole batch) -- its ``align.reads_per_sec`` is a gated ledger metric
+alongside seeding: the ``--threshold 0.0`` diff fails whenever vector
+``align`` is not strictly faster than scalar on this workload.
 """
 
 import json
@@ -47,10 +47,12 @@ N_ALIGN = 120
 #: Acceptance floor: vector seeding throughput vs the scalar oracle,
 #: best batch size each (ISSUE 8 requires >= 3x on this workload).
 MIN_SEED_SPEEDUP = 3.0
-#: Acceptance floor for the SAM path: the batched wavefront traceback
-#: plus batched seeding must beat the scalar aligner end to end
-#: (ISSUE 9); the ledger gate additionally requires strictly > 1.0.
-MIN_ALIGN_SPEEDUP = 1.1
+#: Acceptance floor for the SAM path: batched seeding plus the packed
+#: wavefront traceback (the lanes of a whole 64-read batch per sweep,
+#: ISSUE 13) measured 5.5-9.9x the scalar aligner over five runs on a
+#: host whose speed drifts up to 2x within a run; the floor leaves that
+#: drift as margin.  The ledger gate additionally requires > 1.0.
+MIN_ALIGN_SPEEDUP = 3.0
 
 
 def _time_best(fn, rounds=ROUNDS):

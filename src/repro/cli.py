@@ -602,19 +602,8 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     replayed record matches what a full vector batch recorded for this
     read field-for-field.
     """
-    from repro.extend.pipeline import ReadAligner
-    from repro.kernels import (
-        KernelBatchStats,
-        batched_banded_sw,
-        batched_sw_traceback,
-        seed_batch,
-        vector_decline_reason,
-    )
-    from repro.parallel.scheduler import (
-        instrumented_align_sam,
-        instrumented_seed_batch,
-        instrumented_seed_read,
-    )
+    from repro.kernels import vector_decline_reason
+    from repro.parallel import map_batches, pack_batch
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
@@ -626,47 +615,20 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
             print(f"vector replay unavailable ({reason}); "
                   f"falling back to scalar", file=sys.stderr)
             kernels = "scalar"
+    if args.task == "seed":
+        params = SeedingParams(min_seed_len=args.min_seed_len,
+                               max_hits_per_seed=args.max_hits)
+    else:
+        params = SeedingParams(min_seed_len=args.min_seed_len)
     telemetry.reset()
     telemetry.enable()
     try:
-        engine.reset_stats()
-        engine.begin_batch([read.codes])
-        if args.task == "seed":
-            params = SeedingParams(min_seed_len=args.min_seed_len,
-                                   max_hits_per_seed=args.max_hits)
-            if kernels == "vector":
-                instrumented_seed_batch(engine, [read.name],
-                                        [read.codes], params)
-            else:
-                instrumented_seed_read(engine, read.name, read.codes,
-                                       params)
-        else:
-            params = SeedingParams(min_seed_len=args.min_seed_len)
-            vec = kernels == "vector"
-            aligner = ReadAligner(engine.index.reference, engine,
-                                  params=params,
-                                  sw_batch=batched_banded_sw if vec
-                                  else None,
-                                  tb_batch=batched_sw_traceback if vec
-                                  else None)
-            if vec:
-                # One-read replica of the scheduler's vector align
-                # batch: batched seeding under a probe, then the
-                # instrumented extension with the read's seed counters
-                # and wall share folded in.
-                probe = telemetry.read_probe()
-                stats = KernelBatchStats(1)
-                seeded = seed_batch(engine, [read.codes], params,
-                                    stats=stats)
-                shares = stats.wall_shares(telemetry.probe_ms(probe))
-                instrumented_align_sam(
-                    aligner, read.codes, read.name, read.quality,
-                    seeding=seeded[0],
-                    seed_counters=stats.read_counters(0),
-                    seed_ms=float(shares[0]))
-            else:
-                instrumented_align_sam(aligner, read.codes, read.name,
-                                       read.quality)
+        # A one-read batch through the scheduler's own in-process
+        # runner: the same capture hooks, and (vector) the same packed
+        # extension path, as the run that wrote the record.
+        list(map_batches(("local", engine), args.task,
+                         {"params": params, "kernels": kernels},
+                         [pack_batch([read])], ParallelConfig(workers=1)))
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()

@@ -79,10 +79,11 @@ def _encode_trees(
     blobs = bytearray(index.trees_region.size)
     bases = np.empty(len(codes), dtype=np.int64)
     sizes = np.empty(len(codes), dtype=np.int64)
+    blob_sizes = _blob_sizes(index)
     for i, code in enumerate(codes):
         root = index.roots[code]
         base = index.tree_base[code]
-        blob_size = _blob_size(index, code)
+        blob_size = blob_sizes[code]
         encoded = encode_tree(root, blob_size,
                               index.config.prefix_merging)
         blobs[base:base + blob_size] = encoded
@@ -193,12 +194,13 @@ def save_ert(index: ErtIndex, path: PathLike) -> None:
     np.savez_compressed(path, **arrays)
 
 
-def _blob_size(index: ErtIndex, code: int) -> int:
-    """Size of one tree's blob: distance to the next base (or region end)."""
-    base = index.tree_base[code]
-    larger = [b for b in index.tree_base.values() if b > base]
-    end = min(larger) if larger else index.trees_region.size
-    return end - base
+def _blob_sizes(index: ErtIndex) -> "dict[int, int]":
+    """Every tree's blob size: the distance from its base to the next
+    larger base (or the region end), from one sort of the bases."""
+    starts = sorted(set(index.tree_base.values()))
+    end_of = dict(zip(starts, starts[1:] + [index.trees_region.size]))
+    return {code: end_of[base] - base
+            for code, base in index.tree_base.items()}
 
 
 def load_ert(path: PathLike) -> ErtIndex:

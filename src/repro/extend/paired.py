@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.extend.chaining import chain_seeds
 from repro.extend.pipeline import ReadAligner
 from repro.extend.sam import (
     SamRecord,
@@ -25,7 +24,7 @@ from repro.extend.sam import (
     unmapped_record,
 )
 from repro.extend.traceback import banded_sw_traceback
-from repro.seeding.algorithm import SeedingResult, seed_read
+from repro.seeding.algorithm import SeedingResult
 from repro.sequence.alphabet import decode, revcomp_codes
 from repro.sequence.reference import Strand
 
@@ -61,19 +60,15 @@ class PairedAligner:
 
     # -- candidate generation -------------------------------------------
 
-    def _candidates(self, read: np.ndarray,
-                    seeding: "SeedingResult | None" = None
-                    ) -> "list[Placement]":
-        aligner = self.aligner
-        result = seeding if seeding is not None \
-            else seed_read(aligner.engine, read, aligner.params)
-        chains = chain_seeds(result.all_seeds)
-        out = [Placement(score, strand, position, cigar)
-               for score, strand, position, cigar
-               in aligner._trace_chains(read,
-                                        chains[:self.max_candidates])]
-        out.sort(key=lambda p: -p.score)
-        return out
+    def _candidates(self, reads: "list[np.ndarray]",
+                    seedings: "list | None" = None
+                    ) -> "list[list[Placement]]":
+        """Every read's placements, best first, through the aligner's
+        one traceback path (both mates of every pair in one batch)."""
+        return [sorted((Placement(*candidate) for candidate in candidates),
+                       key=lambda p: -p.score)
+                for candidates in self.aligner.extend_batch(
+                    reads, seedings, max_chains=self.max_candidates)]
 
     # -- pairing ----------------------------------------------------------
 
@@ -127,8 +122,30 @@ class PairedAligner:
                    seeding1: "SeedingResult | None" = None,
                    seeding2: "SeedingResult | None" = None
                    ) -> "tuple[SamRecord, SamRecord]":
-        cand1 = self._candidates(first, seeding=seeding1)
-        cand2 = self._candidates(second, seeding=seeding2)
+        """The one-pair call of :meth:`align_pairs`."""
+        rec1, rec2 = self.align_pairs([first, second], [name],
+                                      [quality1, quality2],
+                                      [seeding1, seeding2])
+        return rec1, rec2
+
+    def align_pairs(self, reads: "list[np.ndarray]", names: "list[str]",
+                    qualities: "list[str]",
+                    seedings: "list | None" = None) -> "list[SamRecord]":
+        """Align interleaved ``reads`` (mate1, mate2, ...; one name per
+        pair); two records per pair, in input order."""
+        candidates = self._candidates(reads, seedings)
+        records: "list[SamRecord]" = []
+        for i, name in enumerate(names):
+            records += self._pair(
+                reads[2 * i], reads[2 * i + 1], candidates[2 * i],
+                candidates[2 * i + 1], name, qualities[2 * i],
+                qualities[2 * i + 1])
+        return records
+
+    def _pair(self, first: np.ndarray, second: np.ndarray,
+              cand1: "list[Placement]", cand2: "list[Placement]",
+              name: str, quality1: str, quality2: str
+              ) -> "tuple[SamRecord, SamRecord]":
         if cand1 and not cand2:
             rescued = self._rescue(second, cand1[0])
             if rescued:

@@ -89,21 +89,22 @@ class ReadAligner:
         self.sw_batch = sw_batch
         #: Optional batched *traceback* kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
-        #: batched_sw_traceback`.  When set, the SAM paths
-        #: (:meth:`align_sam`, :meth:`align_sam_multi`, and the paired
-        #: candidate sweep) trace all of a read's surviving chains in
-        #: one wavefront call instead of one scalar traceback per chain
-        #: -- same records byte for byte.  Injected alongside
+        #: batched_sw_traceback`.  When set, :meth:`extend_batch` (the
+        #: SAM paths and the paired candidate sweep) traces the
+        #: surviving chains of every read of a batch in one wavefront
+        #: call per read length instead of one scalar traceback per
+        #: chain -- same records byte for byte.  Injected alongside
         #: ``sw_batch`` for the same layering reason.
         self.tb_batch = tb_batch
         self._text = reference.both_strands
         # One workspace per aligner: the SW kernel's row buffers are
         # reused across every extension instead of allocated per call.
         self._sw_workspace = SwWorkspace()
-        #: Per-read counters for the most recent SAM alignment, populated
-        #: only while telemetry is enabled.  The parallel scheduler folds
-        #: these into the read's exemplar record.
-        self.read_stats: "dict[str, int]" = {}
+        #: Per-read counters of the most recent :meth:`extend_batch`,
+        #: one dict per read in read order, populated only while
+        #: telemetry is enabled.  The parallel scheduler folds these
+        #: into the reads' exemplar records.
+        self.read_stats: "list[dict[str, int]]" = []
 
     def align(self, read: np.ndarray, name: str = "read",
               seeding: "SeedingResult | None" = None) -> AlignmentOutcome:
@@ -139,26 +140,16 @@ class ReadAligner:
         return AlignmentOutcome(alignment=best, n_seeds=len(seeds),
                                 n_chains=len(chains), workload=workload)
 
-    def _begin_read_stats(self, seeds, chains) -> None:
-        if not telemetry.enabled():
-            return
-        self.read_stats = {
-            "seeds": len(seeds),
-            "seed_hits": sum(s.hit_count for s in seeds),
-            "chains": len(chains),
-            "sw_extensions": 0,
-            "sw_cells": 0,
-        }
-
     def _record_read_metrics(self, n_seeds: int, n_chains: int,
-                             mapped: bool) -> None:
+                             mapped: bool,
+                             limit: "int | None" = None) -> None:
         if not telemetry.enabled():
             return
         telemetry.count("align.reads")
         telemetry.count("align.reads_mapped", int(mapped))
         telemetry.count("align.chains", n_chains)
         telemetry.count("align.chains_extended",
-                        min(n_chains, self.max_chains_extended))
+                        min(n_chains, limit or self.max_chains_extended))
         telemetry.observe("align.seeds_per_read", n_seeds)
         telemetry.observe("align.chains_per_read", n_chains)
 
@@ -277,33 +268,38 @@ class ReadAligner:
     def align_sam(self, read: np.ndarray, name: str = "read",
                   quality: str = "",
                   seeding: "SeedingResult | None" = None) -> SamRecord:
-        """Align one read and emit a SAM record with a real CIGAR.
+        """Align one read and emit a SAM record with a real CIGAR: the
+        one-read call of :meth:`align_sam_batch`."""
+        return self.align_sam_batch([read], [name], [quality],
+                                    [seeding])[0]
+
+    def align_sam_batch(self, reads: "list[np.ndarray]",
+                        names: "list[str]", qualities: "list[str]",
+                        seedings: "list | None" = None
+                        ) -> "list[SamRecord]":
+        """One SAM record per read, in read order.
 
         The best and runner-up chains are both extended with the
         traceback kernel so mapping quality can reflect uniqueness.
-        ``seeding`` injects a precomputed seeding result (the batched
-        kernel path); the record is identical either way.
+        ``seedings`` injects precomputed seeding results (the batched
+        kernel path); the records are identical either way.
         """
-        with telemetry.span("align"):
-            result = seeding if seeding is not None \
-                else seed_read(self.engine, read, self.params)
-            with telemetry.span("chain"):
-                chains = chain_seeds(result.all_seeds)
-            self._begin_read_stats(result.all_seeds, chains)
+        records = []
+        for read, name, quality, candidates in zip(
+                reads, names, qualities,
+                self.extend_batch(reads, seedings)):
             quality = quality or "I" * int(read.size)
-            with telemetry.span("extend"):
-                candidates = self._trace_chains(
-                    read, chains[:self.max_chains_extended])
-            self._record_read_metrics(len(result.all_seeds), len(chains),
-                                      mapped=bool(candidates))
-        if not candidates:
-            return unmapped_record(name, decode(read), quality)
-        candidates.sort(key=lambda c: -c[0])
-        best_score, strand, position, cigar = candidates[0]
-        runner_up = candidates[1][0] if len(candidates) > 1 else 0
-        mapq = mapq_from_scores(best_score, runner_up, int(read.size))
-        return mapped_record(name, decode(read), quality, self.reference,
-                             strand, position, cigar, best_score, mapq)
+            if not candidates:
+                records.append(unmapped_record(name, decode(read), quality))
+                continue
+            candidates.sort(key=lambda c: -c[0])
+            best_score, strand, position, cigar = candidates[0]
+            runner_up = candidates[1][0] if len(candidates) > 1 else 0
+            mapq = mapq_from_scores(best_score, runner_up, int(read.size))
+            records.append(mapped_record(
+                name, decode(read), quality, self.reference, strand,
+                position, cigar, best_score, mapq))
+        return records
 
     def align_sam_multi(self, read: np.ndarray, name: str = "read",
                         quality: str = "", max_secondary: int = 3,
@@ -313,18 +309,8 @@ class ReadAligner:
         (FLAG 0x100) for distinct runner-up placements, as read aligners
         do for multi-mapping reads in repeats."""
         from dataclasses import replace as _replace
-        with telemetry.span("align"):
-            result = seeding if seeding is not None \
-                else seed_read(self.engine, read, self.params)
-            with telemetry.span("chain"):
-                chains = chain_seeds(result.all_seeds)
-            self._begin_read_stats(result.all_seeds, chains)
-            quality = quality or "I" * int(read.size)
-            with telemetry.span("extend"):
-                candidates = self._trace_chains(
-                    read, chains[:self.max_chains_extended])
-            self._record_read_metrics(len(result.all_seeds), len(chains),
-                                      mapped=bool(candidates))
+        candidates = self.extend_batch([read], [seeding])[0]
+        quality = quality or "I" * int(read.size)
         if not candidates:
             return [unmapped_record(name, decode(read), quality)]
         candidates.sort(key=lambda c: -c[0])
@@ -349,6 +335,59 @@ class ReadAligner:
                 records.append(_replace(rec, flag=rec.flag | 0x100))
         return records
 
+    def extend_batch(self, reads: "list[np.ndarray]",
+                     seedings: "list | None" = None,
+                     max_chains: "int | None" = None) -> "list[list]":
+        """Chain, window and trace every read of a batch: the one
+        traceback path behind the SAM and paired-end entry points.
+
+        Returns each read's candidates ``(score, strand, position,
+        cigar)`` in chain order.  The unit of extension work is the
+        *lane* -- one (read, window) pair -- so the windows of all reads
+        are set up first (in read, then chain order: telemetry and
+        :attr:`read_stats` come out as a read-by-read loop would leave
+        them), traced together, and finalized in the same order.
+        """
+        limit = self.max_chains_extended if max_chains is None \
+            else max_chains
+        observed = telemetry.enabled()
+        self.read_stats = []
+        lanes: "list[tuple[int, int, np.ndarray]]" = []
+        candidates: "list[list]" = [[] for _ in reads]
+        with telemetry.span("align"):
+            seeds = [(seeding if seeding is not None
+                      else seed_read(self.engine, read, self.params)
+                      ).all_seeds
+                     for read, seeding
+                     in zip(reads, seedings or [None] * len(reads))]
+            with telemetry.span("chain"):
+                chains = [chain_seeds(read_seeds) for read_seeds in seeds]
+            with telemetry.span("extend"):
+                for i, read in enumerate(reads):
+                    if observed:
+                        self.read_stats.append({
+                            "seeds": len(seeds[i]),
+                            "seed_hits": sum(s.hit_count
+                                             for s in seeds[i]),
+                            "chains": len(chains[i]),
+                            "sw_extensions": 0, "sw_cells": 0})
+                    for chain in chains[i][:limit]:
+                        prepared = self._prepare_trace(read, chain)
+                        if prepared is not None:
+                            lanes.append((i, *prepared))
+                for (i, ref_begin, _), traced in zip(
+                        lanes, self._trace_lanes(reads, lanes)):
+                    candidate = self._finalize_trace(traced, ref_begin)
+                    if candidate is not None:
+                        candidates[i].append(candidate)
+            if observed:
+                for read_seeds, read_chains, found in zip(seeds, chains,
+                                                          candidates):
+                    self._record_read_metrics(
+                        len(read_seeds), len(read_chains), bool(found),
+                        limit)
+        return candidates
+
     def _prepare_trace(self, read: np.ndarray, chain: Chain):
         """Window setup + telemetry for one chain's traceback, or
         ``None`` when the window is too short to bother extending."""
@@ -362,10 +401,9 @@ class ReadAligner:
             telemetry.observe("align.band_bp", self.band)
             telemetry.observe("align.window_bp", int(window.size))
             telemetry.count("align.sw_extensions")
-            stats = self.read_stats
-            stats["sw_extensions"] = stats.get("sw_extensions", 0) + 1
-            stats["sw_cells"] = (stats.get("sw_cells", 0)
-                                 + int(window.size) * self.band)
+            stats = self.read_stats[-1]
+            stats["sw_extensions"] += 1
+            stats["sw_cells"] += int(window.size) * self.band
         return ref_begin, window
 
     def _finalize_trace(self, traced, ref_begin: int):
@@ -386,38 +424,30 @@ class ReadAligner:
         cigar_str = "".join(f"{length}{op}" for op, length in cigar)
         return traced.score, hit.strand, hit.start, cigar_str
 
-    def _trace_chain(self, read: np.ndarray, chain: Chain):
-        prepared = self._prepare_trace(read, chain)
-        if prepared is None:
-            return None
-        ref_begin, window = prepared
-        traced = banded_sw_traceback(read, window, self.scheme, self.band,
-                                     workspace=self._sw_workspace)
-        return self._finalize_trace(traced, ref_begin)
+    def _trace_lanes(self, reads: "list[np.ndarray]",
+                     lanes: "list[tuple[int, int, np.ndarray]]"):
+        """Trace every ``(read index, ref_begin, window)`` lane.
 
-    def _trace_chains(self, read: np.ndarray, chains: "list[Chain]"):
-        """Traceback candidates for a read's chains, in chain order.
-
-        With :attr:`tb_batch` set, every surviving window goes through
-        one batched wavefront call; otherwise one scalar traceback per
-        chain.  Window setup and telemetry run in chain order either
-        way, so the candidate list -- and every counter -- is identical.
+        Without :attr:`tb_batch`, one scalar traceback per lane (the
+        byte-identity oracle).  With it, lanes are bucketed by read
+        length -- a sweep needs one query length -- and each bucket goes
+        to the kernel as one ``(lanes, m)`` query block, whatever reads
+        its lanes came from.
         """
         if self.tb_batch is None:
-            return [c for c in (self._trace_chain(read, chain)
-                                for chain in chains) if c is not None]
-        begins: "list[int]" = []
-        windows: "list[np.ndarray]" = []
-        for chain in chains:
-            prepared = self._prepare_trace(read, chain)
-            if prepared is None:
-                continue
-            begins.append(prepared[0])
-            windows.append(prepared[1])
-        if not windows:
-            return []
-        traced = self.tb_batch(read, windows, self.scheme, self.band,
-                               workspace=self._sw_workspace)
-        return [c for c in (self._finalize_trace(tr, ref_begin)
-                            for tr, ref_begin in zip(traced, begins))
-                if c is not None]
+            return [banded_sw_traceback(reads[i], window, self.scheme,
+                                        self.band,
+                                        workspace=self._sw_workspace)
+                    for i, _, window in lanes]
+        buckets: "dict[int, list[int]]" = {}
+        for slot, (i, _, _) in enumerate(lanes):
+            buckets.setdefault(int(reads[i].size), []).append(slot)
+        traced: "list" = [None] * len(lanes)
+        for slots in buckets.values():
+            block = np.stack([reads[lanes[slot][0]] for slot in slots])
+            for slot, result in zip(slots, self.tb_batch(
+                    block, [lanes[slot][2] for slot in slots],
+                    self.scheme, self.band,
+                    workspace=self._sw_workspace)):
+                traced[slot] = result
+        return traced

@@ -14,8 +14,9 @@ batched multi-read traversal:
 * :mod:`repro.kernels.sw` -- anti-diagonal wavefront banded
   Smith-Waterman over a batch of extension windows.
 * :mod:`repro.kernels.traceback` -- the same wavefront sweep with
-  band-relative traceback pointer planes and a per-lane walk-back, so
-  the SAM paths (CIGAR production) batch too.
+  band-relative traceback pointer planes and a per-lane walk-back, over
+  (read, window) lanes packed across the reads of a batch, so the SAM
+  paths (CIGAR production) batch too.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
   sweeps count into plain ndarrays and flush the metrics registry once
   per batch, so vector mode runs fully observed with the hot loops

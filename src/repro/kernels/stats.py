@@ -125,14 +125,18 @@ class KernelBatchStats:
         return {name: int(getattr(self, attr)[i])
                 for name, attr in PER_READ_COUNTERS}
 
-    def wall_shares(self, batch_ms: float) -> np.ndarray:
+    def wall_shares(self, batch_ms: float,
+                    work: "object | None" = None) -> np.ndarray:
         """Apportion one batch-level wall time across the reads.
 
-        Weighted by ``1 + walk_steps`` so heavy reads surface in the
-        slowlog while zero-work reads still get a nonzero share; the
-        shares sum to ``batch_ms``.
+        Weighted by ``1 + work`` -- per-read ``walk_steps`` unless the
+        caller supplies another per-read work column (the scheduler
+        passes ``sw_cells`` for the extension part of an align batch) --
+        so heavy reads surface in the slowlog while zero-work reads
+        still get a nonzero share; the shares sum to ``batch_ms``.
         """
-        weights = 1.0 + self.walk_steps.astype(np.float64)
+        weights = 1.0 + np.asarray(
+            self.walk_steps if work is None else work, dtype=np.float64)
         return batch_ms * weights / float(weights.sum())
 
     # -- the one registry touch per batch ------------------------------

@@ -1,9 +1,11 @@
 """Anti-diagonal wavefront banded Smith-Waterman *with traceback* over a
-batch of targets.
+batch of lanes.
 
-:func:`batched_sw_traceback` aligns one query against ``B`` target
-windows at once and returns exactly what ``B`` calls to
-:func:`repro.extend.traceback.banded_sw_traceback` would -- same scores,
+A lane is one (query, target window) pair.  :func:`batched_sw_traceback`
+sweeps ``B`` lanes at once -- each with its own query row of a ``(B, m)``
+block, or all sharing one 1-D query (the broadcast case of the same
+code) -- and returns exactly what ``B`` calls to
+:func:`repro.extend.traceback.banded_sw_traceback` would: same scores,
 same coordinates, same CIGAR tuples.  It is the output-producing sibling
 of :func:`repro.kernels.sw.batched_banded_sw`: the H/E/F recurrences are
 swept by the same anti-diagonal wavefront over rotating ``(B, m + 1)``
@@ -39,12 +41,18 @@ loop at small batch sizes:
   lane after the sweep, replacing per-diagonal max/argmax/compare
   bookkeeping.
 
-Like the batched walk kernel, tiny batches fall back to a scalar
-dispatch loop: below :data:`MIN_WAVEFRONT_LANES` lanes the per-diagonal
-numpy call overhead exceeds the scalar kernel's per-row loop, so the
-batch entry point simply calls the scalar kernel per target (trivially
-identical output).  The crossover was measured on the tracked benchmark
-workload (101 bp reads, band 41).
+The ~200 per-diagonal numpy calls of a sweep cost the same whether
+they carry 3 lanes or 64, so the per-lane cost falls steeply with the
+lane count (101 bp reads, band 41: 2.2 ms at B = 3, 1.0 ms at B = 8,
+0.29 ms at B = 64, 0.23 ms at B = 128).  Callers therefore pack lanes
+from *different reads* of a batch into one call
+(:meth:`repro.extend.pipeline.ReadAligner.extend_batch`), and the entry
+point splits the lanes evenly into sweeps of at most
+:data:`MAX_WAVEFRONT_LANES`.  A call whose total
+lane count is below :data:`MIN_WAVEFRONT_LANES` -- in a packed run only
+a one-read batch such as ``ert-repro explain --read-id``, or a read
+whose length no other read of its batch shares -- is not worth a sweep
+and goes to the scalar kernel lane by lane (trivially identical output).
 """
 
 from __future__ import annotations
@@ -73,6 +81,13 @@ from repro.extend.traceback import (
 #: loop (numpy call overhead on ~band-wide diagonals dominates); the
 #: batch entry point dispatches to the scalar kernel instead.
 MIN_WAVEFRONT_LANES = 3
+#: Most lanes one sweep carries, sized by memory: a lane owns seven
+#: rotating rows, a band-relative H plane (int64) and three pointer
+#: planes (int8) -- (7 (m + 1) + (m + 1) width) * 8 + 3 (m + 1) width
+#: bytes, 53 kB at m = 101, band = 41 -- so 64 lanes keep a sweep's
+#: planes near 3.4 MB and the process's peak RSS where the per-read
+#: sweeps left it; 128 lanes are 1.3x faster per lane but add 6 MB.
+MAX_WAVEFRONT_LANES = 64
 
 
 def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
@@ -81,37 +96,56 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
                          workspace: "SwWorkspace | None" = None,
                          min_lanes: "int | None" = None
                          ) -> "list[TracedAlignment]":
-    """Banded local alignment with CIGAR of ``query`` vs each target.
+    """Banded local alignment with CIGAR, one lane per target.
 
-    Equivalent to ``[banded_sw_traceback(query, t, scheme, band,
-    workspace) for t in targets]``, computed wavefront-parallel across
-    the batch.  ``min_lanes`` overrides the scalar-dispatch crossover
-    (the equivalence tests pin it to 1 to force the wavefront path on
-    small batches).
+    ``query`` is a ``(B, m)`` block holding lane ``b``'s query in row
+    ``b``, or one 1-D query shared by every lane.  Equivalent to
+    ``[banded_sw_traceback(query_b, t, scheme, band, workspace) for
+    query_b, t in lanes]``, computed wavefront-parallel in evenly split
+    sweeps of at most :data:`MAX_WAVEFRONT_LANES` lanes.  ``min_lanes``
+    overrides the scalar-dispatch crossover (the equivalence tests pin
+    it to 1 to force the wavefront path on small batches).
     """
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
         raise ValueError("band must be at least 1")
     workspace = workspace or SwWorkspace()
-    q = np.asarray(query, dtype=np.int16)
-    m = int(q.size)
     B = len(targets)
+    q = np.asarray(query, dtype=np.int16)
+    if q.ndim == 2 and q.shape[0] != B:
+        raise ValueError("a query block needs one row per target")
+    m = int(q.shape[-1])
     if B == 0:
         return []
+    q = np.broadcast_to(q, (B, m))
+    t16 = [np.asarray(t, dtype=np.int16) for t in targets]
     floor = MIN_WAVEFRONT_LANES if min_lanes is None else min_lanes
-    n_arr = np.array([int(np.asarray(t).size) for t in targets],
-                     dtype=np.int64)
-    n_max = int(n_arr.max())
-    if B < floor or m == 0 or n_max == 0:
+    if B < floor or m == 0 or max(t.size for t in t16) == 0:
         # Batch-granularity bookkeeping only (no-ops while telemetry is
         # off): which batches the wavefront declined, and why.
         telemetry.count("kernels.sw_scalar_batches")
         if B < floor:
             telemetry.count("kernels.fallback_scalar.lanes")
-        return [banded_sw_traceback(query, t, scheme, band,
-                                    workspace=workspace) for t in targets]
-    # Plane-fill fraction of this dispatch: real target columns over
-    # the (B, widest-lane) rectangle the rotating planes pay for.
+        return [banded_sw_traceback(q[b], t, scheme, band,
+                                    workspace=workspace)
+                for b, t in enumerate(t16)]
+    sweeps = -(-B // MAX_WAVEFRONT_LANES)
+    out: "list[TracedAlignment]" = []
+    for k in range(sweeps):
+        lo, hi = k * B // sweeps, (k + 1) * B // sweeps
+        out += _sweep(q[lo:hi], t16[lo:hi], scheme, band, workspace)
+    return out
+
+
+def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
+           band: int, workspace: SwWorkspace) -> "list[TracedAlignment]":
+    """One wavefront sweep: lane ``b`` aligns row ``b`` of the ``(B, m)``
+    int16 block ``q`` against ``t16[b]``."""
+    B, m = q.shape
+    n_arr = np.array([t.size for t in t16], dtype=np.int64)
+    n_max = int(n_arr.max())
+    # Plane-fill fraction of this sweep: real target columns over the
+    # (B, widest-lane) rectangle the rotating planes pay for.
     telemetry.observe("kernels.wavefront_fill",
                       float(n_arr.sum()) / (B * n_max),
                       edges=FRACTION_EDGES)
@@ -120,11 +154,8 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
 
     # Targets padded with a sentinel that can never equal a base code.
     tpad = np.full((B, n_max + 1), 127, dtype=np.int64)
-    t16: "list[np.ndarray]" = []
-    for b, t in enumerate(targets):
-        tb = np.asarray(t, dtype=np.int16)
-        t16.append(tb)
-        tpad[b, :tb.size] = tb
+    for b, t in enumerate(t16):
+        tpad[b, :t.size] = t
     q64 = q.astype(np.int64)
 
     # Seven rotating (B, m + 1) wavefront planes plus one full
@@ -194,7 +225,7 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
         t_hi = d - 1 - i_lo
         t_lo = d - 2 - i_hi
         tview = tpad[:, t_hi:t_lo if t_lo >= 0 else None:-1]
-        sub = np.where(tview == q64[i_lo - 1:i_hi][None, :],
+        sub = np.where(tview == q64[:, i_lo - 1:i_hi],
                        match, mismatch)
         diag = h_m2[:, i_lo - 1:i_hi] + sub
         h_new = np.maximum(np.maximum(diag, 0),
@@ -256,6 +287,6 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
             continue
         best_i, r = divmod(int(flat_best[b]), width)
         best_j = r + best_i - half
-        out.append(walk_back(q, t16[b], h_ptr[b], e_open[b], f_open[b],
+        out.append(walk_back(q[b], t16[b], h_ptr[b], e_open[b], f_open[b],
                              score, best_i, best_j, half, m))
     return out

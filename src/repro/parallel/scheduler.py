@@ -243,64 +243,78 @@ def instrumented_seed_batch(engine: SeedingEngine,
 
 
 def instrumented_align_sam(aligner: ReadAligner, read: Any, name: str,
-                           quality: str,
-                           seeding: Any = None,
-                           seed_counters: "dict[str, int] | None" = None,
-                           seed_ms: float = 0.0) -> SamRecord:
+                           quality: str) -> SamRecord:
     """``ReadAligner.align_sam`` plus per-read exemplar capture (engine
     deltas + the aligner's per-read extension stats: SW cells, seeds,
-    chains).
-
-    The vector path injects its precomputed ``seeding`` result together
-    with that read's kernel-counter column and wall-time share from the
-    batched seeding sweep (``seed_counters``/``seed_ms``); the exemplar
-    then covers seed+extend exactly like a scalar one and is tagged
-    ``kernels="vector"`` so ``ert-repro explain`` replays it through the
-    vector kernels.
-    """
+    chains)."""
     probe = telemetry.read_probe()
     if probe is None:
-        return aligner.align_sam(read, name, quality, seeding=seeding)
+        return aligner.align_sam(read, name, quality)
     before = aligner.engine.stats.as_dict()
-    record = aligner.align_sam(read, name, quality, seeding=seeding)
+    record = aligner.align_sam(read, name, quality)
     counters = _read_counter_delta(aligner.engine, before)
-    counters.update(aligner.read_stats)
-    if seed_counters is None:
-        telemetry.record_read(probe, name, counters, task="align")
-    else:
-        counters.update(seed_counters)
-        telemetry.record_read(probe, name, counters, task="align",
-                              wall_ms=telemetry.probe_ms(probe) + seed_ms,
-                              kernels="vector")
+    counters.update(aligner.read_stats[0])
+    telemetry.record_read(probe, name, counters, task="align")
     return record
 
 
 def instrumented_align_pair(paired: PairedAligner, read1: Any, read2: Any,
                             name: str, quality1: str,
-                            quality2: str,
-                            seeding1: Any = None, seeding2: Any = None,
-                            seed_counters: "dict[str, int] | None" = None,
-                            seed_ms: float = 0.0) -> "list[SamRecord]":
+                            quality2: str) -> "list[SamRecord]":
     """``PairedAligner.align_pair`` plus one exemplar per *pair* (the
-    scheduling unit of the paired path).  Vector-path parameters mirror
-    :func:`instrumented_align_sam`, with ``seed_counters``/``seed_ms``
-    already merged/summed over both mates."""
+    scheduling unit of the paired path)."""
     probe = telemetry.read_probe()
     if probe is None:
-        return paired.align_pair(read1, read2, name, quality1, quality2,
-                                 seeding1=seeding1, seeding2=seeding2)
+        return paired.align_pair(read1, read2, name, quality1, quality2)
     engine = paired.aligner.engine
     before = engine.stats.as_dict()
-    records = paired.align_pair(read1, read2, name, quality1, quality2,
-                                seeding1=seeding1, seeding2=seeding2)
-    counters = _read_counter_delta(engine, before)
-    if seed_counters is None:
-        telemetry.record_read(probe, name, counters, task="align-pe")
-    else:
-        counters.update(seed_counters)
-        telemetry.record_read(probe, name, counters, task="align-pe",
-                              wall_ms=telemetry.probe_ms(probe) + seed_ms,
-                              kernels="vector")
+    records = paired.align_pair(read1, read2, name, quality1, quality2)
+    telemetry.record_read(probe, name, _read_counter_delta(engine, before),
+                          task="align-pe")
+    return records
+
+
+def instrumented_extend_batch(aligner: ReadAligner, reads: "list[Any]",
+                              names: "Sequence[str]", task: str,
+                              extend: "Callable[[list[Any]], list[SamRecord]]"
+                              ) -> "list[SamRecord]":
+    """The vector SAM path of a whole batch: batched seeding, then the
+    packed extension ``extend(seedings)`` (``align_sam_batch`` or
+    ``align_pairs`` over ``aligner``), plus exemplar capture.
+
+    Observed and dark runs take the same calls.  As in
+    :func:`instrumented_seed_batch`, one probe brackets the batch: the
+    seeding part is apportioned by ``1 + walk_steps``, the extension
+    part by ``1 + sw_cells``, and each of ``names`` -- a read, or a pair
+    of consecutive reads -- gets one exemplar holding its reads' summed
+    shares, extension stats and kernel counter columns, tagged
+    ``kernels="vector"`` so ``ert-repro explain`` replays it through the
+    same path.
+    """
+    probe = telemetry.read_probe()
+    stats = KernelBatchStats(len(reads))
+    seeded = seed_batch(aligner.engine, reads, aligner.params, stats=stats)
+    seed_ms = telemetry.probe_ms(probe)
+    records = extend(seeded)
+    if probe is None:
+        return records
+    per_read = aligner.read_stats
+    shares = stats.wall_shares(seed_ms) + stats.wall_shares(
+        telemetry.probe_ms(probe) - seed_ms,
+        [read["sw_cells"] for read in per_read])
+    group = len(reads) // len(names)
+
+    def make_counters(e: int) -> "dict[str, int]":
+        counters: "dict[str, int]" = {}
+        for i in range(e * group, (e + 1) * group):
+            for key, value in {**per_read[i],
+                               **stats.read_counters(i)}.items():
+                counters[key] = counters.get(key, 0) + value
+        return counters
+
+    telemetry.record_reads(probe, list(names),
+                           shares.reshape(-1, group).sum(axis=1).tolist(),
+                           make_counters, task=task, kernels="vector")
     return records
 
 
@@ -378,29 +392,11 @@ class _AlignRunner:
 
     def _vector_batch(self, batch: ReadBatch,
                       reads: "list[Any]") -> "list[SamRecord]":
-        """Batched seeding, then per-read extension through the
-        instrumented wrapper -- each exemplar merges the read's kernel
-        counters and seed wall-time share from the batch sweep, so the
-        slowlog covers seed+extend exactly like the scalar path."""
-        engine = self.aligner.engine
-        probe = telemetry.read_probe()
-        if probe is None:
-            seeded = seed_batch(engine, reads, self.aligner.params)
-            return [self.aligner.align_sam(read, name, quality,
-                                           seeding=seeding)
-                    for name, quality, read, seeding
-                    in zip(batch.names, batch.qualities, reads, seeded)]
-        stats = KernelBatchStats(len(reads))
-        seeded = seed_batch(engine, reads, self.aligner.params,
-                            stats=stats)
-        shares = stats.wall_shares(telemetry.probe_ms(probe))
-        return [instrumented_align_sam(
-                    self.aligner, read, name, quality, seeding=seeding,
-                    seed_counters=stats.read_counters(i),
-                    seed_ms=float(shares[i]))
-                for i, (name, quality, read, seeding)
-                in enumerate(zip(batch.names, batch.qualities, reads,
-                                 seeded))]
+        """Batched seeding, then one packed extension of every read."""
+        return instrumented_extend_batch(
+            self.aligner, reads, batch.names, "align",
+            lambda seeded: self.aligner.align_sam_batch(
+                reads, batch.names, batch.qualities, seeded))
 
 
 class _AlignPairsRunner:
@@ -421,49 +417,25 @@ class _AlignPairsRunner:
 
     def __call__(self, batch: ReadBatch) -> "list[SamRecord]":
         reads = batch.reads()
-        engine = self.paired.aligner.engine
+        paired = self.paired
+        engine = paired.aligner.engine
         engine.begin_batch(reads)
-        seeded: "list[Any] | None" = None
-        stats: "KernelBatchStats | None" = None
-        shares: Any = None
+        names = [name.split("/")[0] for name in batch.names[0::2]]
         if self.vector:
             reason = vector_decline_reason(engine)
             if reason is None:
-                probe = telemetry.read_probe()
-                if probe is None:
-                    seeded = seed_batch(engine, reads,
-                                        self.paired.aligner.params)
-                else:
-                    stats = KernelBatchStats(len(reads))
-                    seeded = seed_batch(engine, reads,
-                                        self.paired.aligner.params,
-                                        stats=stats)
-                    shares = stats.wall_shares(telemetry.probe_ms(probe))
-            else:
-                telemetry.count("kernels.fallback_scalar." + reason)
+                # One exemplar per pair: both mates' shares and counter
+                # columns summed.
+                return instrumented_extend_batch(
+                    paired.aligner, reads, names, "align-pe",
+                    lambda seeded: paired.align_pairs(
+                        reads, names, batch.qualities, seeded))
+            telemetry.count("kernels.fallback_scalar." + reason)
         records: "list[SamRecord]" = []
-        for i in range(0, len(reads), 2):
-            name = batch.names[i].split("/")[0]
-            if seeded is not None:
-                # One exemplar per pair, so the pair's seed counters are
-                # the sum of both mates' accumulator columns.
-                merged: "dict[str, int] | None" = None
-                seed_ms = 0.0
-                if stats is not None:
-                    first = stats.read_counters(i)
-                    second = stats.read_counters(i + 1)
-                    merged = {key: first[key] + second[key]
-                              for key in first}
-                    seed_ms = float(shares[i] + shares[i + 1])
-                records.extend(instrumented_align_pair(
-                    self.paired, reads[i], reads[i + 1], name,
-                    batch.qualities[i], batch.qualities[i + 1],
-                    seeding1=seeded[i], seeding2=seeded[i + 1],
-                    seed_counters=merged, seed_ms=seed_ms))
-                continue
+        for i, name in enumerate(names):
             records.extend(instrumented_align_pair(
-                self.paired, reads[i], reads[i + 1], name,
-                batch.qualities[i], batch.qualities[i + 1]))
+                paired, reads[2 * i], reads[2 * i + 1], name,
+                batch.qualities[2 * i], batch.qualities[2 * i + 1]))
         return records
 
 

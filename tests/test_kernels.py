@@ -573,6 +573,60 @@ def test_batched_traceback_reused_workspace():
                                  workspace=workspace)
 
 
+def test_batched_traceback_per_lane_queries_fuzzed():
+    """A ``(B, m)`` query block -- every lane its own read, windows of
+    unequal length in one sweep -- against one scalar call per lane, at
+    lane counts on either side of the sweep cap (63/64/65: one sweep,
+    one full sweep, two evenly split ones)."""
+    from repro.kernels.traceback import MAX_WAVEFRONT_LANES
+
+    assert MAX_WAVEFRONT_LANES == 64
+    rng = np.random.default_rng(6465)
+    workspace = SwWorkspace()
+    m, band = 24, 9
+    for B, sweeps in ((1, 1), (2, 1), (5, 1), (63, 1), (64, 1), (65, 2),
+                      (130, 3)):
+        queries = rng.integers(0, 4, size=(B, m)).astype(np.uint8)
+        targets = []
+        for b in range(B):
+            kind = b % 4
+            if kind == 0:    # the lane's own query, planted with noise
+                target = np.concatenate(
+                    [rng.integers(0, 4, size=int(rng.integers(0, 6))),
+                     queries[b], rng.integers(0, 4, size=3)])
+                target[int(rng.integers(0, target.size))] = \
+                    int(rng.integers(0, 4))
+            elif kind == 1:  # the query with a deletion
+                target = np.concatenate([queries[b][:9], queries[b][12:]])
+            elif kind == 2:  # a *neighbouring* lane's query
+                target = queries[(b + 1) % B].copy()
+            else:            # random, any length down to one base
+                target = rng.integers(
+                    0, 4, size=int(rng.integers(1, m + band)))
+            targets.append(target.astype(np.uint8))
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            got = batched_sw_traceback(queries, targets, DEFAULT_SCHEME,
+                                       band, workspace=workspace,
+                                       min_lanes=1)
+            fill = telemetry.snapshot()["histograms"][
+                "kernels.wavefront_fill"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert fill["count"] == sweeps, B
+        want = [banded_sw_traceback(queries[b], targets[b],
+                                    DEFAULT_SCHEME, band)
+                for b in range(B)]
+        assert got == want, B
+    # Below the crossover a block dispatches scalar, lane by lane.
+    assert batched_sw_traceback(queries[:2], targets[:2],
+                                DEFAULT_SCHEME, band) == want[:2]
+    with pytest.raises(ValueError):
+        batched_sw_traceback(queries[:3], targets[:2])
+
+
 def test_batched_traceback_rejects_bad_band():
     with pytest.raises(ValueError):
         batched_sw_traceback(np.zeros(4, dtype=np.uint8),
