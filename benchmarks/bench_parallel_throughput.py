@@ -1,10 +1,10 @@
 """Tracked throughput benchmark for the repro.parallel batch engine.
 
 Emits ``BENCH_parallel.json`` at the repository root -- a machine-
-readable record of reads/sec for the legacy per-read loop, the batch
-API's serial fast path, and the worker pool at 1/2/4 workers, plus a
-batch-size sweep -- so the performance trajectory of the parallel layer
-is tracked across PRs.
+readable record of reads/sec for the batch API's serial fast path and
+the worker pool at 1/2/4 workers, plus a batch-size sweep and the
+vector-kernel legs -- so the performance trajectory of the parallel
+layer is tracked across PRs.
 
 Numbers are machine-dependent by nature: ``cpu_count`` and a platform
 fingerprint are recorded in the payload, and pool speedups only
@@ -15,8 +15,8 @@ annotated ``"invalid_on_this_host"`` -- the run-ledger's metric
 flattening (:func:`repro.ledger.flatten_metrics`) drops such subtrees
 instead of recording misleading numbers.  The assertions pin what must
 hold everywhere -- byte-identical output across every configuration
-and a serial fast path at least on par with the per-read loop -- and
-leave scaling claims to the JSON trajectory.
+and a vector walk clearly ahead of the scalar serial path -- and leave
+scaling claims to the JSON trajectory.
 """
 
 import json
@@ -24,10 +24,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core import ErtSeedingEngine
 from repro.ledger import env_fingerprint
 from repro.parallel import ParallelConfig, seed_reads
-from repro.seeding import seed_read
 
 from conftest import record_result
 
@@ -53,42 +51,8 @@ def _time_best(fn, rounds=ROUNDS):
     return best, result
 
 
-def _time_best_paired(fn_a, fn_b, rounds=ROUNDS):
-    """Best-of-N for two contenders, rounds interleaved A/B/A/B.
-
-    Timing all of A's rounds before all of B's bakes host load drift
-    into the A/B ratio (the second contender runs on a systematically
-    different machine state); alternating rounds exposes both to the
-    same drift, which is what makes a recorded ratio of the two
-    meaningful on a shared box.  One untimed warm-up of each filters
-    first-touch effects.
-    """
-    fn_a()
-    fn_b()
-    best_a = best_b = float("inf")
-    result_a = result_b = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result_a = fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        result_b = fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return (best_a, result_a), (best_b, result_b)
-
-
 def test_parallel_throughput_trajectory(ert_index, reads, params):
     n_reads = len(reads)
-
-    def legacy_loop():
-        engine = ErtSeedingEngine(ert_index)
-        lines = []
-        for i, read in enumerate(reads):
-            for seed in seed_read(engine, read, params).all_seeds:
-                hits = ",".join(str(h) for h in seed.hits)
-                lines.append(f"read_{i}\t{seed.read_start}\t{seed.length}"
-                             f"\t{seed.hit_count}\t{hits}\n")
-        return lines
 
     def run(workers, batch_size=64, kernels=None):
         config = ParallelConfig(workers=workers, batch_size=batch_size,
@@ -96,11 +60,7 @@ def test_parallel_throughput_trajectory(ert_index, reads, params):
         lines, _stats = seed_reads(ert_index, reads, params, config)
         return lines
 
-    # The headline ratio (serial fast path vs the legacy loop) gets the
-    # paired interleaved measurement; everything else is a standalone
-    # best-of-N.
-    (legacy_s, _), (serial_s, serial_lines) = _time_best_paired(
-        legacy_loop, lambda: run(1), rounds=5)
+    serial_s, serial_lines = _time_best(lambda: run(1), rounds=5)
 
     by_workers = {1: {"seconds": serial_s,
                       "reads_per_sec": n_reads / serial_s}}
@@ -168,10 +128,6 @@ def test_parallel_throughput_trajectory(ert_index, reads, params):
         "env": env_fingerprint(),
         "note": ("pool speedups require cpu_count > 1; compare "
                  "reads_per_sec across PRs on like-for-like hardware"),
-        "legacy_per_read_loop": {
-            "seconds": legacy_s,
-            "reads_per_sec": n_reads / legacy_s,
-        },
         "workers": {str(w): row for w, row in by_workers.items()},
         "batch_size_sweep_workers1": {
             str(b): row for b, row in by_batch.items()},
@@ -180,8 +136,6 @@ def test_parallel_throughput_trajectory(ert_index, reads, params):
         "speedup_vs_serial": {
             str(w): row["reads_per_sec"] / serial_rps
             for w, row in measured.items()},
-        "serial_fast_path_vs_legacy":
-            serial_rps / (n_reads / legacy_s),
         "vector_serial_vs_scalar_serial":
             by_vector[1]["reads_per_sec"] / serial_rps,
     }
@@ -189,9 +143,6 @@ def test_parallel_throughput_trajectory(ert_index, reads, params):
                           + "\n")
 
     rows = [f"{'config':<24}{'reads/sec':>12}{'vs serial':>12}"]
-    rows.append(f"{'legacy per-read loop':<24}"
-                f"{n_reads / legacy_s:>12.1f}"
-                f"{(n_reads / legacy_s) / serial_rps:>12.2f}")
     for workers, row in by_workers.items():
         if "reads_per_sec" not in row:
             rows.append(f"{f'{workers} worker(s)':<24}"
@@ -209,11 +160,9 @@ def test_parallel_throughput_trajectory(ert_index, reads, params):
         f"parallel seeding throughput (cpu_count={CPU_COUNT})\n"
         + "\n".join(rows))
 
-    # What must hold on any machine: identical output (asserted above),
-    # sane positive rates, and a serial fast path that does not regress
-    # against the legacy loop (10% tolerance for timer noise).
+    # What must hold on any machine: identical output (asserted above)
+    # and sane positive rates.
     assert all(row["reads_per_sec"] > 0 for row in measured.values())
-    assert serial_rps >= 0.9 * (n_reads / legacy_s)
     # The batched vector walk must clearly beat the scalar serial path
     # (bench_kernels.py gates the full 3x acceptance floor).
     assert by_vector[1]["reads_per_sec"] >= 1.5 * serial_rps

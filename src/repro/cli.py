@@ -602,19 +602,12 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     replayed record matches what a full vector batch recorded for this
     read field-for-field.
     """
-    from repro.kernels import vector_decline_reason
     from repro.parallel import map_batches, pack_batch
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
     engine = ErtSeedingEngine(load_index_cached(args.index),
                               gather_limit=500)
-    if kernels == "vector":
-        reason = vector_decline_reason(engine)
-        if reason is not None:
-            print(f"vector replay unavailable ({reason}); "
-                  f"falling back to scalar", file=sys.stderr)
-            kernels = "scalar"
     if args.task == "seed":
         params = SeedingParams(min_seed_len=args.min_seed_len,
                                max_hits_per_seed=args.max_hits)

@@ -83,9 +83,10 @@ class ReadAligner:
         #: of :func:`repro.kernels.sw.batched_banded_sw`.  When set,
         #: :meth:`align` extends all of a read's SW-bound chains in one
         #: wavefront call instead of one row-wise SW per chain -- same
-        #: scores, same coordinates.  Injected by callers (the parallel
-        #: scheduler, the CLI) because the extend layer sits below
-        #: ``repro.kernels`` in the import DAG.
+        #: scores, same coordinates.  Injected by callers because the
+        #: extend layer sits below ``repro.kernels`` in the import DAG
+        #: (the parallel scheduler does not: its SAM paths never reach
+        #: :meth:`align`).
         self.sw_batch = sw_batch
         #: Optional batched *traceback* kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
@@ -93,8 +94,9 @@ class ReadAligner:
         #: SAM paths and the paired candidate sweep) traces the
         #: surviving chains of every read of a batch in one wavefront
         #: call per read length instead of one scalar traceback per
-        #: chain -- same records byte for byte.  Injected alongside
-        #: ``sw_batch`` for the same layering reason.
+        #: chain -- same records byte for byte.  Injected (by the
+        #: parallel scheduler under ``--kernels vector``) for the same
+        #: layering reason as ``sw_batch``.
         self.tb_batch = tb_batch
         self._text = reference.both_strands
         # One workspace per aligner: the SW kernel's row buffers are
@@ -281,8 +283,9 @@ class ReadAligner:
 
         The best and runner-up chains are both extended with the
         traceback kernel so mapping quality can reflect uniqueness.
-        ``seedings`` injects precomputed seeding results (the batched
-        kernel path); the records are identical either way.
+        ``seedings`` injects precomputed seeding results (the parallel
+        scheduler seeds a batch before extending it); the records are
+        identical either way.
         """
         records = []
         for read, name, quality, candidates in zip(
@@ -429,16 +432,18 @@ class ReadAligner:
         """Trace every ``(read index, ref_begin, window)`` lane.
 
         Without :attr:`tb_batch`, one scalar traceback per lane (the
-        byte-identity oracle).  With it, lanes are bucketed by read
-        length -- a sweep needs one query length -- and each bucket goes
-        to the kernel as one ``(lanes, m)`` query block, whatever reads
-        its lanes came from.
+        byte-identity oracle), produced lazily so the caller finalizes
+        each lane as it is traced instead of holding a batch's worth of
+        tracebacks.  With it, lanes are bucketed by read length -- a
+        sweep needs one query length -- and each bucket goes to the
+        kernel as one ``(lanes, m)`` query block, whatever reads its
+        lanes came from.
         """
         if self.tb_batch is None:
-            return [banded_sw_traceback(reads[i], window, self.scheme,
+            return (banded_sw_traceback(reads[i], window, self.scheme,
                                         self.band,
                                         workspace=self._sw_workspace)
-                    for i, _, window in lanes]
+                    for i, _, window in lanes)
         buckets: "dict[int, list[int]]" = {}
         for slot, (i, _, _) in enumerate(lanes):
             buckets.setdefault(int(reads[i].size), []).append(slot)

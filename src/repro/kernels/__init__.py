@@ -33,12 +33,8 @@ from __future__ import annotations
 import os
 
 from repro.kernels.flat import FlatTrees, flat_trees
-from repro.kernels.seeding import (
-    seed_batch,
-    vector_decline_reason,
-    vector_ready,
-)
-from repro.kernels.stats import KernelBatchStats
+from repro.kernels.seeding import seed_batch, vector_decline_reason
+from repro.kernels.stats import KernelBatchStats, wall_shares
 from repro.kernels.sw import batched_banded_sw
 from repro.kernels.traceback import batched_sw_traceback
 
@@ -64,7 +60,7 @@ __all__ = [
     "flat_trees",
     "seed_batch",
     "vector_decline_reason",
-    "vector_ready",
+    "wall_shares",
     "batched_banded_sw",
     "batched_sw_traceback",
     "KERNEL_CHOICES",

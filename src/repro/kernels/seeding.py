@@ -82,12 +82,6 @@ def vector_decline_reason(engine: "object") -> "str | None":
     return None
 
 
-def vector_ready(engine: "object") -> bool:
-    """Can this engine's seeding run through the batched kernels with
-    output identical to the scalar oracle?"""
-    return vector_decline_reason(engine) is None
-
-
 class _WalkOut:
     """Batched :meth:`ErtSeedingEngine._walk` results (one row per job)."""
 

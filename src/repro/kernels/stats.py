@@ -68,6 +68,16 @@ PER_READ_COUNTERS = (
 )
 
 
+def wall_shares(batch_ms: float, work: "object") -> np.ndarray:
+    """Apportion one batch-level wall time across the reads of a batch,
+    weighted by ``1 + work`` (a per-read work column: ``walk_steps`` for
+    a seeding sweep, ``sw_cells`` for the extension of an align batch),
+    so heavy reads surface in the slowlog while zero-work reads still
+    get a nonzero share; the shares sum to ``batch_ms``."""
+    weights = 1.0 + np.asarray(work, dtype=np.float64)
+    return batch_ms * weights / float(weights.sum())
+
+
 class KernelBatchStats:
     """Plain accumulators for one ``seed_batch`` invocation.
 
@@ -124,20 +134,6 @@ class KernelBatchStats:
         """The kernel counter column for read ``i`` (exemplar payload)."""
         return {name: int(getattr(self, attr)[i])
                 for name, attr in PER_READ_COUNTERS}
-
-    def wall_shares(self, batch_ms: float,
-                    work: "object | None" = None) -> np.ndarray:
-        """Apportion one batch-level wall time across the reads.
-
-        Weighted by ``1 + work`` -- per-read ``walk_steps`` unless the
-        caller supplies another per-read work column (the scheduler
-        passes ``sw_cells`` for the extension part of an align batch) --
-        so heavy reads surface in the slowlog while zero-work reads
-        still get a nonzero share; the shares sum to ``batch_ms``.
-        """
-        weights = 1.0 + np.asarray(
-            self.walk_steps if work is None else work, dtype=np.float64)
-        return batch_ms * weights / float(weights.sum())
 
     # -- the one registry touch per batch ------------------------------
 

@@ -48,11 +48,14 @@ import os
 import time
 import warnings
 from collections import deque
+from contextlib import ExitStack
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pickle import PicklingError
 from typing import Any, Callable, Iterable, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.logging import get_logger
@@ -63,11 +66,11 @@ from repro.extend.pipeline import ReadAligner
 from repro.extend.sam import SamRecord
 from repro.kernels import (
     KernelBatchStats,
-    batched_banded_sw,
     batched_sw_traceback,
     resolve_kernels,
     seed_batch,
     vector_decline_reason,
+    wall_shares,
 )
 from repro.memsim.trace import MemoryTracer
 from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
@@ -164,298 +167,154 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Per-read exemplar capture
+# The batch runner (constructed once per worker, or per serial run)
 # ----------------------------------------------------------------------
-#
-# Capture lives here, not inside seed_read()/align_sam(): the runners
-# are the one place that knows the read *name* (the exemplar identity)
-# and runs identically on the serial fast path and inside pool workers.
-# Each helper costs exactly one telemetry flag check when disabled and
-# never touches the payload, so output stays byte-identical with
-# exemplars on or off.
 
 
-def _read_counter_delta(engine: SeedingEngine,
-                        before: "dict[str, int]") -> "dict[str, int]":
-    after = engine.stats.as_dict()
-    return {name: value - before.get(name, 0)
-            for name, value in after.items()}
+def _seed_line(name: str, seed: Any) -> str:
+    """One seed as the CLI's TSV line."""
+    hits = ",".join(str(h) for h in seed.hits)
+    return (f"{name}\t{seed.read_start}\t{seed.length}"
+            f"\t{seed.hit_count}\t{hits}\n")
 
 
-def instrumented_seed_read(engine: SeedingEngine, name: str, read: Any,
-                           params: SeedingParams) -> Any:
-    """``seed_read`` plus per-read exemplar capture: engine counter
-    deltas, seed/hit totals, and memsim bytes when a memory tracer is
-    attached to the engine's index (``ert-repro explain`` reuses this
-    exact helper, which is what makes its replayed counters comparable
-    to the recorded record field-for-field)."""
-    probe = telemetry.read_probe()
-    if probe is None:
-        return seed_read(engine, read, params)
-    before = engine.stats.as_dict()
-    tracer = getattr(getattr(engine, "index", None), "tracer", None)
-    bytes_before = tracer.total_bytes if tracer is not None else 0
-    result = seed_read(engine, read, params)
-    counters = _read_counter_delta(engine, before)
-    counters["seeds"] = len(result.all_seeds)
-    counters["seed_hits"] = sum(s.hit_count for s in result.all_seeds)
-    if tracer is not None:
-        counters["memsim_bytes"] = tracer.total_bytes - bytes_before
-    telemetry.record_read(probe, name, counters, task="seed")
-    return result
+class _BatchRunner:
+    """The per-batch body of every task: seed the batch, build the
+    payload through the backend-neutral batch entry points, capture the
+    reads' exemplars.
 
-
-def instrumented_seed_batch(engine: SeedingEngine,
-                            names: "Sequence[str]",
-                            reads: "Sequence[Any]",
-                            params: SeedingParams) -> "list[Any]":
-    """``seed_batch`` plus per-read exemplar capture derived from the
-    batch accumulators.
-
-    The vector sweep cannot probe per read (its hot loops are
-    telemetry-call-free by construction), so capture works the other way
-    around: one wall-clock probe brackets the whole batch, the kernels
-    count per-read work into a :class:`~repro.kernels.stats.
-    KernelBatchStats`, and afterwards each read gets an exemplar whose
-    counters are its accumulator column and whose wall time is its
-    work-weighted share of the batch.  Offers happen in input order, so
-    the reservoir/slowlog are reproducible at any worker count, same as
-    the scalar path.  Callers must have checked
-    :func:`~repro.kernels.seeding.vector_decline_reason` first.
+    ``kernels`` decides one thing only -- how a batch gets its seeds
+    (one ``seed_batch`` sweep, or the ``seed_read`` oracle read by
+    read).  Everything after seeding is the same code for both backends
+    and runs identically observed or dark, in the serial loop and inside
+    pool workers; the scalar backend stays the byte-identity oracle
+    because it is this runner with the other seeder and ``tb_batch=None``
+    (one ``banded_sw_traceback`` per lane).
     """
-    probe = telemetry.read_probe()
-    if probe is None:
-        return seed_batch(engine, reads, params)
-    stats = KernelBatchStats(len(reads))
-    results = seed_batch(engine, reads, params, stats=stats)
-    shares = stats.wall_shares(telemetry.probe_ms(probe)).tolist()
 
-    def make_counters(i: int) -> "dict[str, int]":
-        counters = stats.read_counters(i)
-        all_seeds = results[i].all_seeds
-        counters["seeds"] = len(all_seeds)
-        counters["seed_hits"] = sum(s.hit_count for s in all_seeds)
-        return counters
-
-    telemetry.record_reads(probe, list(names), shares, make_counters,
-                           task="seed", kernels="vector")
-    return results
-
-
-def instrumented_align_sam(aligner: ReadAligner, read: Any, name: str,
-                           quality: str) -> SamRecord:
-    """``ReadAligner.align_sam`` plus per-read exemplar capture (engine
-    deltas + the aligner's per-read extension stats: SW cells, seeds,
-    chains)."""
-    probe = telemetry.read_probe()
-    if probe is None:
-        return aligner.align_sam(read, name, quality)
-    before = aligner.engine.stats.as_dict()
-    record = aligner.align_sam(read, name, quality)
-    counters = _read_counter_delta(aligner.engine, before)
-    counters.update(aligner.read_stats[0])
-    telemetry.record_read(probe, name, counters, task="align")
-    return record
-
-
-def instrumented_align_pair(paired: PairedAligner, read1: Any, read2: Any,
-                            name: str, quality1: str,
-                            quality2: str) -> "list[SamRecord]":
-    """``PairedAligner.align_pair`` plus one exemplar per *pair* (the
-    scheduling unit of the paired path)."""
-    probe = telemetry.read_probe()
-    if probe is None:
-        return paired.align_pair(read1, read2, name, quality1, quality2)
-    engine = paired.aligner.engine
-    before = engine.stats.as_dict()
-    records = paired.align_pair(read1, read2, name, quality1, quality2)
-    telemetry.record_read(probe, name, _read_counter_delta(engine, before),
-                          task="align-pe")
-    return records
-
-
-def instrumented_extend_batch(aligner: ReadAligner, reads: "list[Any]",
-                              names: "Sequence[str]", task: str,
-                              extend: "Callable[[list[Any]], list[SamRecord]]"
-                              ) -> "list[SamRecord]":
-    """The vector SAM path of a whole batch: batched seeding, then the
-    packed extension ``extend(seedings)`` (``align_sam_batch`` or
-    ``align_pairs`` over ``aligner``), plus exemplar capture.
-
-    Observed and dark runs take the same calls.  As in
-    :func:`instrumented_seed_batch`, one probe brackets the batch: the
-    seeding part is apportioned by ``1 + walk_steps``, the extension
-    part by ``1 + sw_cells``, and each of ``names`` -- a read, or a pair
-    of consecutive reads -- gets one exemplar holding its reads' summed
-    shares, extension stats and kernel counter columns, tagged
-    ``kernels="vector"`` so ``ert-repro explain`` replays it through the
-    same path.
-    """
-    probe = telemetry.read_probe()
-    stats = KernelBatchStats(len(reads))
-    seeded = seed_batch(aligner.engine, reads, aligner.params, stats=stats)
-    seed_ms = telemetry.probe_ms(probe)
-    records = extend(seeded)
-    if probe is None:
-        return records
-    per_read = aligner.read_stats
-    shares = stats.wall_shares(seed_ms) + stats.wall_shares(
-        telemetry.probe_ms(probe) - seed_ms,
-        [read["sw_cells"] for read in per_read])
-    group = len(reads) // len(names)
-
-    def make_counters(e: int) -> "dict[str, int]":
-        counters: "dict[str, int]" = {}
-        for i in range(e * group, (e + 1) * group):
-            for key, value in {**per_read[i],
-                               **stats.read_counters(i)}.items():
-                counters[key] = counters.get(key, 0) + value
-        return counters
-
-    telemetry.record_reads(probe, list(names),
-                           shares.reshape(-1, group).sum(axis=1).tolist(),
-                           make_counters, task=task, kernels="vector")
-    return records
-
-
-# ----------------------------------------------------------------------
-# Per-batch task runners (constructed inside each worker)
-# ----------------------------------------------------------------------
-
-
-class _SeedRunner:
-    """Three-round seeding; emits the CLI's TSV lines verbatim."""
-
-    def __init__(self, engine: SeedingEngine,
+    def __init__(self, engine: SeedingEngine, task: str,
                  options: "dict[str, Any]") -> None:
         self.engine = engine
-        self.params: SeedingParams = options["params"]
+        self.task = task
+        self.params: SeedingParams = options.get("params") \
+            or SeedingParams()
         self.vector = options.get("kernels") == "vector"
+        if task in ("align", "align-pe"):
+            self.aligner = ReadAligner(
+                engine.index.reference,  # type: ignore[attr-defined]
+                engine, params=self.params,
+                tb_batch=batched_sw_traceback if self.vector else None)
+        if task == "align-pe":
+            self.paired = PairedAligner(self.aligner,
+                                        insert_mean=options["insert_mean"],
+                                        insert_sd=options["insert_sd"])
 
-    def __call__(self, batch: ReadBatch) -> "list[str]":
+    def __call__(self, batch: ReadBatch) -> "list[Any]":
+        reads = batch.reads()
+        self.engine.begin_batch(reads)
+        if self.task == "traffic":
+            return [self._traffic(reads)]
+        names: "Sequence[str]" = batch.names
+        probe = telemetry.read_probe()
+        seeded, seed_ms, seed_counters, kernels = self._seed(reads, probe)
+        payload: "list[Any]"
+        if self.task == "seed":
+            payload = [_seed_line(name, seed)
+                       for name, result in zip(names, seeded)
+                       for seed in result.all_seeds]
+        elif self.task == "align":
+            payload = self.aligner.align_sam_batch(
+                reads, names, batch.qualities, seeded)
+        else:
+            names = [name.split("/")[0] for name in names[0::2]]
+            payload = self.paired.align_pairs(reads, names,
+                                              batch.qualities, seeded)
+        if probe is None:
+            return payload
+        # Exemplar capture lives here, not in seed_read()/extend_batch():
+        # the runner is the one place that knows the read *names*, and it
+        # never touches the payload, so output is byte-identical observed
+        # or dark.  Seeding wall time comes per read from the seeder; the
+        # rest of the probe (chain + extend) is apportioned by
+        # ``1 + sw_cells``.  One exemplar per name: a read, or a pair
+        # with its mates' shares and counters summed.
+        extension = self.aligner.read_stats if self.task != "seed" else []
+        shares = seed_ms
+        if extension:
+            shares = seed_ms + wall_shares(
+                telemetry.probe_ms(probe) - float(seed_ms.sum()),
+                [row["sw_cells"] for row in extension])
+        group = 2 if self.task == "align-pe" else 1
+
+        def make_counters(e: int) -> "dict[str, int]":
+            counters: "dict[str, int]" = {}
+            for i in range(e * group, (e + 1) * group):
+                seeds = seeded[i].all_seeds
+                row = extension[i] if extension else {
+                    "seeds": len(seeds),
+                    "seed_hits": sum(s.hit_count for s in seeds)}
+                for key, value in {**row, **seed_counters(i)}.items():
+                    counters[key] = counters.get(key, 0) + value
+            return counters
+
+        telemetry.record_reads(
+            probe, list(names),
+            shares.reshape(-1, group).sum(axis=1).tolist(), make_counters,
+            task=self.task, kernels=kernels)
+        return payload
+
+    def _seed(self, reads: "list[Any]", probe: "int | None") -> Tuple[
+            "list[Any]", Any, "Callable[[int], dict[str, int]]",
+            "str | None"]:
+        """Seed the batch: the results, each read's seeding wall ms and
+        counter row (meaningful only under a live ``probe``), and the
+        backend tag ``ert-repro explain`` replays an exemplar through.
+
+        The vector sweep cannot probe per read (its hot loops are
+        telemetry-call-free by construction): it counts per-read work
+        into a :class:`~repro.kernels.stats.KernelBatchStats`, whose
+        columns are the counter rows and whose ``walk_steps`` apportion
+        the sweep's wall time.  The scalar oracle is measured read by
+        read: probe readings and engine-counter deltas.  This is the one
+        place in ``repro.parallel`` that decides -- and counts -- a
+        decline of the vector kernels.
+        """
         engine = self.engine
-        reads = batch.reads()
-        engine.begin_batch(reads)
-        lines: "list[str]" = []
         if self.vector:
             reason = vector_decline_reason(engine)
             if reason is None:
-                # Whole-batch vectorized walk through the instrumented
-                # wrapper, so the exemplar reservoir/slowlog survive
-                # vector mode; per-read results come back in input
-                # order, so the TSV stream is byte-identical.
-                for name, result in zip(
-                        batch.names,
-                        instrumented_seed_batch(engine, batch.names,
-                                                reads, self.params)):
-                    for seed in result.all_seeds:
-                        hits = ",".join(str(h) for h in seed.hits)
-                        lines.append(
-                            f"{name}\t{seed.read_start}\t{seed.length}"
-                            f"\t{seed.hit_count}\t{hits}\n")
-                return lines
+                stats = KernelBatchStats(len(reads))
+                results = seed_batch(engine, reads, self.params,
+                                     stats=stats)
+                return (results,
+                        wall_shares(telemetry.probe_ms(probe),
+                                    stats.walk_steps),
+                        stats.read_counters, "vector")
             telemetry.count("kernels.fallback_scalar." + reason)
-        for name, read in zip(batch.names, reads):
-            result = instrumented_seed_read(engine, name, read,
-                                            self.params)
-            for seed in result.all_seeds:
-                hits = ",".join(str(h) for h in seed.hits)
-                lines.append(f"{name}\t{seed.read_start}\t{seed.length}"
-                             f"\t{seed.hit_count}\t{hits}\n")
-        return lines
+        results = []
+        marks = [0.0]
+        snaps = [engine.stats.as_dict()]
+        for read in reads:
+            results.append(seed_read(engine, read, self.params))
+            if probe is not None:
+                marks.append(telemetry.probe_ms(probe))
+                snaps.append(engine.stats.as_dict())
 
+        def deltas(i: int) -> "dict[str, int]":
+            return {name: value - snaps[i].get(name, 0)
+                    for name, value in snaps[i + 1].items()}
 
-class _AlignRunner:
-    """Single-end alignment to SAM records."""
+        return results, np.diff(marks), deltas, None
 
-    def __init__(self, engine: SeedingEngine,
-                 options: "dict[str, Any]") -> None:
-        reference = engine.index.reference  # type: ignore[attr-defined]
-        self.vector = options.get("kernels") == "vector"
-        self.aligner = ReadAligner(
-            reference, engine, params=options.get("params"),
-            sw_batch=batched_banded_sw if self.vector else None,
-            tb_batch=batched_sw_traceback if self.vector else None)
-
-    def __call__(self, batch: ReadBatch) -> "list[SamRecord]":
-        reads = batch.reads()
-        engine = self.aligner.engine
-        engine.begin_batch(reads)
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                return self._vector_batch(batch, reads)
-            telemetry.count("kernels.fallback_scalar." + reason)
-        return [instrumented_align_sam(self.aligner, read, name, quality)
-                for name, quality, read
-                in zip(batch.names, batch.qualities, reads)]
-
-    def _vector_batch(self, batch: ReadBatch,
-                      reads: "list[Any]") -> "list[SamRecord]":
-        """Batched seeding, then one packed extension of every read."""
-        return instrumented_extend_batch(
-            self.aligner, reads, batch.names, "align",
-            lambda seeded: self.aligner.align_sam_batch(
-                reads, batch.names, batch.qualities, seeded))
-
-
-class _AlignPairsRunner:
-    """Paired-end alignment over interleaved (mate1, mate2) batches."""
-
-    def __init__(self, engine: SeedingEngine,
-                 options: "dict[str, Any]") -> None:
-        reference = engine.index.reference  # type: ignore[attr-defined]
-        self.vector = options.get("kernels") == "vector"
-        self.paired = PairedAligner(
-            ReadAligner(reference, engine, params=options.get("params"),
-                        sw_batch=batched_banded_sw if self.vector
-                        else None,
-                        tb_batch=batched_sw_traceback if self.vector
-                        else None),
-            insert_mean=options["insert_mean"],
-            insert_sd=options["insert_sd"])
-
-    def __call__(self, batch: ReadBatch) -> "list[SamRecord]":
-        reads = batch.reads()
-        paired = self.paired
-        engine = paired.aligner.engine
-        engine.begin_batch(reads)
-        names = [name.split("/")[0] for name in batch.names[0::2]]
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                # One exemplar per pair: both mates' shares and counter
-                # columns summed.
-                return instrumented_extend_batch(
-                    paired.aligner, reads, names, "align-pe",
-                    lambda seeded: paired.align_pairs(
-                        reads, names, batch.qualities, seeded))
-            telemetry.count("kernels.fallback_scalar." + reason)
-        records: "list[SamRecord]" = []
-        for i, name in enumerate(names):
-            records.extend(instrumented_align_pair(
-                paired, reads[2 * i], reads[2 * i + 1], name,
-                batch.qualities[2 * i], batch.qualities[2 * i + 1]))
-        return records
-
-
-class _TrafficRunner:
-    """Seeding under a fresh per-batch memory tracer; totals are exactly
-    additive across batches (per-read accounting, no cross-read state)."""
-
-    def __init__(self, engine: SeedingEngine,
-                 options: "dict[str, Any]") -> None:
-        self.engine = engine
-        self.params: SeedingParams = options["params"]
-
-    def __call__(self, batch: ReadBatch) \
+    def _traffic(self, reads: "list[Any]") \
             -> "tuple[int, int, dict[str, tuple[int, int]]]":
+        """Seeding under a fresh per-batch memory tracer; totals are
+        exactly additive across batches (per-read accounting, no
+        cross-read state)."""
         index = self.engine.index  # type: ignore[attr-defined]
         tracer = MemoryTracer()
         index.attach_tracer(tracer)
         try:
-            reads = batch.reads()
-            self.engine.begin_batch(reads)
             for read in reads:
                 seed_read(self.engine, read, self.params)
         finally:
@@ -463,14 +322,6 @@ class _TrafficRunner:
         by_phase = {phase: (stats.requests, stats.bytes)
                     for phase, stats in tracer.by_phase.items()}
         return tracer.total_requests, tracer.total_bytes, by_phase
-
-
-_RUNNERS: "dict[str, Callable[[SeedingEngine, dict[str, Any]], Any]]" = {
-    "seed": _SeedRunner,
-    "align": _AlignRunner,
-    "align-pe": _AlignPairsRunner,
-    "traffic": _TrafficRunner,
-}
 
 
 # ----------------------------------------------------------------------
@@ -481,21 +332,20 @@ _RUNNERS: "dict[str, Callable[[SeedingEngine, dict[str, Any]], Any]]" = {
 _WORKER: "dict[str, Any]" = {}
 
 
-def _make_engine(spec: EngineSpec) -> SeedingEngine:
+def _resolve_engine(spec: EngineSpec) -> SeedingEngine:
+    """The engine a spec names, in this process: ``shm`` specs attach
+    the parent-owned segment (in a worker's initializer, and on the
+    degraded in-process path, where the segment is still live);
+    ``local`` and ``pickle`` specs carry the engine itself."""
     kind = spec[0]
-    if kind == "local":
+    if kind in ("local", "pickle"):
         return spec[1]
     if kind == "shm":
         _, name, size, gather_limit = spec
-        recorder = telemetry.recorder()
-        recorder.begin("shm.attach", {"segment": name, "bytes": size})
-        try:
+        with telemetry.recorder().scope("shm.attach", {"segment": name,
+                                                       "bytes": size}):
             index = attach_index(name, size)
-        finally:
-            recorder.end("shm.attach")
         return ErtSeedingEngine(index, gather_limit=gather_limit)
-    if kind == "pickle":
-        return spec[1]
     raise ValueError(f"unknown engine spec kind {kind!r}")
 
 
@@ -518,9 +368,8 @@ def _worker_init(spec: EngineSpec, task: str, options: "dict[str, Any]",
     if events_epoch is not None:
         telemetry.start_recording(events_epoch)
     with telemetry.recorder().scope("worker.init"):
-        engine = _make_engine(spec)
-        _WORKER["runner"] = _RUNNERS[task](engine, options)
-    _WORKER["engine"] = engine
+        _WORKER["runner"] = _BatchRunner(_resolve_engine(spec), task,
+                                         options)
     _WORKER["telemetry"] = telemetry_on
     _WORKER["events"] = events_epoch is not None
     _WORKER["fault"] = fault
@@ -550,19 +399,25 @@ def _trip_injected_fault(fault: "dict[str, Any] | None") -> None:
         raise RuntimeError("injected batch fault")
 
 
-def _run_batch(batch: ReadBatch, batch_index: int) -> BatchResult:
-    _trip_injected_fault(_WORKER.get("fault"))
-    engine: SeedingEngine = _WORKER["engine"]
+def _run_batch(batch: ReadBatch, batch_index: int,
+               state: "dict[str, Any]" = _WORKER) -> BatchResult:
+    """One batch through a runner: the pool task (``state`` is this
+    worker's ``_WORKER``) and the body of the in-process loop, whose
+    state holds a runner only -- no fault hook, and telemetry records
+    live in the parent, so no snapshot ships."""
+    _trip_injected_fault(state.get("fault"))
+    runner: _BatchRunner = state["runner"]
+    engine = runner.engine
     engine.reset_stats()
-    if _WORKER["telemetry"]:
+    observed = state.get("telemetry", False)
+    if observed:
         telemetry.reset()
-    recorder = telemetry.recorder()
-    with recorder.scope("batch", {"index": batch_index,
-                                  "reads": len(batch.names)}):
-        payload = _WORKER["runner"](batch)
+    with telemetry.recorder().scope("batch", {"index": batch_index,
+                                              "reads": len(batch.names)}):
+        payload = runner(batch)
     snap: "dict[str, Any] | None" = (telemetry.snapshot()
-                                     if _WORKER["telemetry"] else None)
-    if _WORKER.get("events"):
+                                     if observed else None)
+    if state.get("events"):
         # The drained worker track rides back inside the snapshot slot of
         # the existing wire tuple; merge_snapshot absorbs it in the
         # parent even when metrics are disabled.
@@ -699,30 +554,15 @@ def _classify_failure(exc: BaseException,
         f"{exc!r}", batch_index)
 
 
-def _fallback_engine(spec: EngineSpec) -> SeedingEngine:
-    """In-process engine for the degraded path: attach the (still live)
-    parent-owned segment for shm specs, reuse the engine otherwise."""
-    if spec[0] == "shm":
-        _, name, size, gather_limit = spec
-        return ErtSeedingEngine(attach_index(name, size),
-                                gather_limit=gather_limit)
-    return spec[1]
-
-
-def _serial_batches(engine: SeedingEngine, task: str,
+def _serial_batches(spec: EngineSpec, task: str,
                     options: "dict[str, Any]",
                     batches: "Iterable[ReadBatch]") \
         -> "Iterator[BatchResult]":
     """The in-process loop shared by the serial fast path and the
     degraded-mode fallback."""
-    runner = _RUNNERS[task](engine, options)
-    recorder = telemetry.recorder()
+    state = {"runner": _BatchRunner(_resolve_engine(spec), task, options)}
     for index, batch in enumerate(batches):
-        engine.reset_stats()
-        with recorder.scope("batch", {"index": index,
-                                      "reads": len(batch.names)}):
-            payload = runner(batch)
-        yield payload, engine.stats.as_dict(), None
+        yield _run_batch(batch, index, state)
 
 
 def _degrade_to_serial(spec: EngineSpec, task: str,
@@ -743,7 +583,7 @@ def _degrade_to_serial(spec: EngineSpec, task: str,
     telemetry.count("parallel.fallback_serial")
     _log.error("pool.degrade_serial", task=task, reason=str(cause),
                remaining_batches=len(batches))
-    return _serial_batches(_fallback_engine(spec), task, options, batches)
+    return _serial_batches(spec, task, options, batches)
 
 
 def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
@@ -854,58 +694,55 @@ def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
     already byte-exact and no partial batch has been yielded.  An
     optional :class:`~repro.telemetry.progress.ProgressReporter` gets
     in-flight depth and crash notifications (completed-read counts are
-    the consumer's job -- see :func:`_aggregate`).
+    the consumer's job -- see :func:`_map_reads`).
     """
     workers = config.resolved_workers()
     if workers <= 1 or spec[0] == "local":
-        yield from _serial_batches(_make_engine(spec), task, options,
-                                   batches)
+        yield from _serial_batches(spec, task, options, batches)
         return
     yield from _pool_map(spec, task, options, list(batches), config,
                          workers, reporter)
 
 
-def _aggregate(results: "Iterable[BatchResult]",
-               batches: "Sequence[ReadBatch] | None" = None,
+def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
+               reads: "Sequence[object]", config: ParallelConfig,
+               chunk_size: int,
                reporter: "ProgressReporter | None" = None) \
         -> "tuple[list[Any], EngineStats]":
-    """Collect payloads in order; fold stats and worker telemetry.
+    """The body of every entry point: pack ``reads`` into batches of
+    ``chunk_size``, hand the engine to the workers, map, and merge the
+    per-batch results in submission order.
 
-    Worker snapshots merge keyed by submission order, so gauges resolve
-    to the highest batch index deterministically -- the same value a
-    serial run would leave behind -- at any worker count.  When the
-    submitted ``batches`` are provided alongside a ``reporter``, each
-    merged batch advances the heartbeat by its read count.
+    One worker runs on ``engine`` itself.  A pool gets an ERT engine's
+    index through shared memory (published once, attached zero-copy) and
+    any other engine type pickled once per worker -- never once per
+    batch.  Payloads concatenate, stats fold into one
+    :class:`EngineStats`, and worker snapshots merge keyed by submission
+    order, so gauges resolve to the highest batch index -- the value a
+    serial run would leave behind -- at any worker count; each merged
+    batch advances the ``reporter`` heartbeat by its read count.
     """
-    payloads: "list[Any]" = []
+    batches = [pack_batch(chunk) for chunk in iter_chunks(reads, chunk_size)]
+    payload: "list[Any]" = []
     stats = EngineStats()
-    for order, (payload, stat_delta, snap) in enumerate(results):
-        payloads.append(payload)
-        stats.add_dict(stat_delta)
-        if snap is not None:
-            telemetry.merge_snapshot(snap, order=order)
-        if reporter is not None and batches is not None:
-            reporter.advance(len(batches[order].names))
-    return payloads, stats
-
-
-def _execute_over_index(index: ErtIndex, task: str,
-                        options: "dict[str, Any]",
-                        batches: "list[ReadBatch]", config: ParallelConfig,
-                        gather_limit: int = 500,
-                        reporter: "ProgressReporter | None" = None) \
-        -> "tuple[list[Any], EngineStats]":
-    workers = config.resolved_workers()
-    if workers <= 1:
-        engine = ErtSeedingEngine(index, gather_limit=gather_limit)
-        return _aggregate(map_batches(("local", engine), task, options,
-                                      batches, config, reporter),
-                          batches, reporter)
-    with SharedIndexBuffer(index) as shared:
-        spec: EngineSpec = ("shm", shared.name, shared.size, gather_limit)
-        return _aggregate(map_batches(spec, task, options, batches, config,
-                                      reporter),
-                          batches, reporter)
+    with ExitStack() as stack:
+        spec: EngineSpec
+        if config.resolved_workers() <= 1:
+            spec = ("local", engine)
+        elif isinstance(engine, ErtSeedingEngine):
+            shared = stack.enter_context(SharedIndexBuffer(engine.index))
+            spec = ("shm", shared.name, shared.size, engine.gather_limit)
+        else:
+            spec = ("pickle", engine)
+        for order, (items, stat_delta, snap) in enumerate(map_batches(
+                spec, task, options, batches, config, reporter)):
+            payload.extend(items)
+            stats.add_dict(stat_delta)
+            if snap is not None:
+                telemetry.merge_snapshot(snap, order=order)
+            if reporter is not None:
+                reporter.advance(len(batches[order].names))
+    return payload, stats
 
 
 # ----------------------------------------------------------------------
@@ -922,14 +759,10 @@ def seed_reads(index: ErtIndex, reads: "Sequence[object]",
     """Seed ``reads`` in batches; returns the CLI's TSV lines (one per
     seed, newline-terminated, in input order) plus aggregated stats."""
     config = config or ParallelConfig()
-    options: "dict[str, Any]" = {"params": params or SeedingParams(),
-                                 "kernels": config.resolved_kernels()}
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, config.batch_size)]
-    per_batch, stats = _execute_over_index(index, "seed", options, batches,
-                                           config, gather_limit,
-                                           reporter=reporter)
-    return [line for lines in per_batch for line in lines], stats
+    return _map_reads(
+        ErtSeedingEngine(index, gather_limit=gather_limit), "seed",
+        {"params": params, "kernels": config.resolved_kernels()},
+        reads, config, config.batch_size, reporter)
 
 
 def align_reads(index: ErtIndex, reads: "Sequence[object]",
@@ -940,14 +773,10 @@ def align_reads(index: ErtIndex, reads: "Sequence[object]",
     """Align ``reads`` to SAM records, byte-identical to the serial
     per-read loop, in input order."""
     config = config or ParallelConfig()
-    options: "dict[str, Any]" = {"params": params or SeedingParams(),
-                                 "kernels": config.resolved_kernels()}
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, config.batch_size)]
-    per_batch, stats = _execute_over_index(index, "align", options,
-                                           batches, config,
-                                           reporter=reporter)
-    return [rec for recs in per_batch for rec in recs], stats
+    return _map_reads(
+        ErtSeedingEngine(index), "align",
+        {"params": params, "kernels": config.resolved_kernels()},
+        reads, config, config.batch_size, reporter)
 
 
 def align_pairs(index: ErtIndex, reads: "Sequence[object]",
@@ -964,50 +793,25 @@ def align_pairs(index: ErtIndex, reads: "Sequence[object]",
     if len(reads) % 2:
         raise ValueError("interleaved read set must hold an even count")
     config = config or ParallelConfig()
-    options: "dict[str, Any]" = {"params": params or SeedingParams(),
-                                 "kernels": config.resolved_kernels(),
-                                 "insert_mean": insert_mean,
-                                 "insert_sd": insert_sd}
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, 2 * config.batch_size)]
-    per_batch, stats = _execute_over_index(index, "align-pe", options,
-                                           batches, config,
-                                           reporter=reporter)
-    return [rec for recs in per_batch for rec in recs], stats
+    return _map_reads(
+        ErtSeedingEngine(index), "align-pe",
+        {"params": params, "kernels": config.resolved_kernels(),
+         "insert_mean": insert_mean, "insert_sd": insert_sd},
+        reads, config, 2 * config.batch_size, reporter)
 
 
 def traffic_totals(engine: SeedingEngine, reads: "Sequence[object]",
                    params: "SeedingParams | None" = None,
                    config: "ParallelConfig | None" = None) \
         -> "tuple[int, int, dict[str, tuple[int, int]]]":
-    """Aggregate per-batch memory-traffic totals over the pool.
-
-    ERT engines ship their index through shared memory; other engine
-    types fall back to pickling the engine once per worker (still one
-    copy per worker, never one per batch).
-    """
+    """Aggregate per-batch memory-traffic totals over the pool."""
     config = config or ParallelConfig()
-    options: "dict[str, Any]" = {"params": params or SeedingParams()}
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, config.batch_size)]
-    workers = config.resolved_workers()
-    if workers <= 1:
-        results, _ = _aggregate(map_batches(("local", engine), "traffic",
-                                            options, batches, config))
-    elif isinstance(engine, ErtSeedingEngine):
-        with SharedIndexBuffer(engine.index) as shared:
-            spec: EngineSpec = ("shm", shared.name, shared.size,
-                                engine.gather_limit)
-            results, _ = _aggregate(map_batches(spec, "traffic", options,
-                                                batches, config))
-    else:
-        results, _ = _aggregate(map_batches(("pickle", engine), "traffic",
-                                            options, batches, config))
-    requests = sum(r[0] for r in results)
-    nbytes = sum(r[1] for r in results)
+    results, _ = _map_reads(engine, "traffic", {"params": params}, reads,
+                            config, config.batch_size)
     by_phase: "dict[str, tuple[int, int]]" = {}
     for _, _, phases in results:
         for phase, (preq, pbytes) in phases.items():
             prev = by_phase.get(phase, (0, 0))
             by_phase[phase] = (prev[0] + preq, prev[1] + pbytes)
-    return requests, nbytes, by_phase
+    return (sum(r[0] for r in results), sum(r[1] for r in results),
+            by_phase)

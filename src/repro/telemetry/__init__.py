@@ -356,8 +356,9 @@ def record_reads(token: "int | None", read_ids: "list[str]",
                  wall_ms: "list[float]", make_counters: "object",
                  task: str = "seed",
                  kernels: "str | None" = None) -> None:
-    """Batch form of :func:`record_read` for the vector kernel drivers:
-    one call captures exemplars for a whole batch against one probe.
+    """Batch form of :func:`record_read`, what the scheduler's batch
+    runner calls: one call captures exemplars for a whole batch against
+    one probe.
 
     Produces exactly the state per-read :func:`record_read` calls
     would -- same reservoir membership (the RNG advances once per

@@ -4,7 +4,7 @@ Aggregate metrics (histograms, counters) answer *how much*; when a p99
 moves they cannot answer *which reads* moved it.  This module keeps a
 small, bounded set of per-read records -- read id, wall time, and the
 counter deltas that read produced (seeding rounds, reseed/LEP work, seed
-hits, SW cells, memsim bytes when a tracer is attached) -- so a latency
+hits, SW cells) -- so a latency
 regression comes with named, replayable evidence (`ert-repro explain`).
 
 Two capture policies run side by side in :class:`ExemplarCollector`:

@@ -28,10 +28,16 @@ from repro.kernels import (
     resolve_kernels,
     seed_batch,
     vector_decline_reason,
-    vector_ready,
 )
 from repro.memsim.trace import MemoryTracer
-from repro.parallel import ParallelConfig, align_pairs, align_reads, seed_reads
+from repro.parallel import (
+    ParallelConfig,
+    align_pairs,
+    align_reads,
+    map_batches,
+    pack_batch,
+    seed_reads,
+)
 from repro.seeding.algorithm import seed_read
 
 
@@ -115,7 +121,6 @@ def test_seed_batch_matches_scalar_under_tight_hit_cap(ert_index, reference,
 
 def test_vector_ready_gates(ert_index, ert, fmd):
     engine = ErtSeedingEngine(ert_index)
-    assert vector_ready(engine)
     assert vector_decline_reason(engine) is None
     # Telemetry is deliberately NOT a decline reason any more: the
     # vector path runs fully observed through batch-flushed
@@ -123,7 +128,6 @@ def test_vector_ready_gates(ert_index, ert, fmd):
     telemetry.reset()
     telemetry.enable()
     try:
-        assert vector_ready(engine)
         assert vector_decline_reason(engine) is None
     finally:
         telemetry.disable()
@@ -133,13 +137,11 @@ def test_vector_ready_gates(ert_index, ert, fmd):
     tracer = MemoryTracer()
     ert_index.attach_tracer(tracer)
     try:
-        assert not vector_ready(engine)
         assert vector_decline_reason(engine) == "tracer"
     finally:
         ert_index.attach_tracer(None)
-    assert vector_ready(engine)
+    assert vector_decline_reason(engine) is None
     assert vector_decline_reason(fmd) == "engine"
-    assert not vector_ready(fmd)
 
 
 def test_seed_batch_falls_back_when_ineligible(ert_index, read_codes,
@@ -337,16 +339,25 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
     are stripped from exemplar records, hence the ``.get(..., 0)``.
     """
     from repro.kernels.stats import PER_READ_COUNTERS
-    from repro.parallel.scheduler import instrumented_seed_batch
+    from repro.sequence.simulate import Read
+
+    def seed_observed(engine, batch_reads):
+        """One vector seed batch through the scheduler's in-process
+        runner (what `ert-repro explain` drives)."""
+        list(map_batches(("local", engine), "seed",
+                         {"params": params, "kernels": "vector"},
+                         [pack_batch(batch_reads)],
+                         ParallelConfig(workers=1)))
 
     rng = np.random.default_rng(99)
-    fuzz = _fuzz_reads(reference, rng, 48)
-    names = [f"f{i}" for i in range(len(fuzz))]
+    fuzz = [Read(name=f"f{i}", codes=codes)
+            for i, codes in enumerate(_fuzz_reads(reference, rng, 48))]
+    names = [read.name for read in fuzz]
     engine = ErtSeedingEngine(ert_index)
     telemetry.reset()
     telemetry.enable()
     try:
-        instrumented_seed_batch(engine, names, fuzz, params)
+        seed_observed(engine, fuzz)
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -366,7 +377,7 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
         telemetry.reset()
         telemetry.enable()
         try:
-            instrumented_seed_batch(single, [names[i]], [fuzz[i]], params)
+            seed_observed(single, [fuzz[i]])
             alone = telemetry.snapshot()["exemplars"]["reservoir"][0]
         finally:
             telemetry.disable()

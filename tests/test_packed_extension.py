@@ -18,7 +18,7 @@ from repro.core import ErtSeedingEngine, save_ert
 from repro.extend.paired import PairedAligner
 from repro.extend.pipeline import ReadAligner
 from repro.kernels import batched_sw_traceback
-from repro.parallel import ParallelConfig, align_reads
+from repro.parallel import ParallelConfig, align_pairs, align_reads
 from repro.sequence import write_fastq
 
 
@@ -148,16 +148,21 @@ def test_observed_packed_run_is_dark_identical_and_explainable(workspace,
     assert "vector kernels" in out.out
 
 
+@pytest.mark.parametrize("task", ["align", "align-pe"])
 def test_packed_exemplars_carry_the_scalar_extension_counters(
-        ert_index, reads, params):
-    """Each read's ``chains`` / ``sw_extensions`` / ``sw_cells`` are the
-    same whether its lanes were traced alone (scalar) or packed with
-    other reads'; 25 reads fit the reservoir, so every read is kept."""
+        ert_index, reads, params, task):
+    """Each read's -- or pair's, mates summed -- ``chains`` /
+    ``sw_extensions`` / ``sw_cells`` are the same whether its lanes were
+    traced alone (scalar) or packed with other reads'; 25 reads fit the
+    reservoir, so every one is kept."""
+    run = align_reads if task == "align" else align_pairs
+    reads = reads[:len(reads) - len(reads) % 2]
+
     def exemplars(kernels):
         telemetry.reset()
         telemetry.enable()
         try:
-            records, _ = align_reads(
+            records, _ = run(
                 ert_index, reads, params,
                 config=ParallelConfig(workers=1, batch_size=10,
                                       kernels=kernels))
@@ -165,6 +170,7 @@ def test_packed_exemplars_carry_the_scalar_extension_counters(
         finally:
             telemetry.disable()
             telemetry.reset()
+        assert {rec["task"] for rec in kept} == {task}
         keys = ("seeds", "seed_hits", "chains", "sw_extensions", "sw_cells")
         return records, {rec["read_id"]: {key: rec["counters"].get(key, 0)
                                           for key in keys}
@@ -173,6 +179,20 @@ def test_packed_exemplars_carry_the_scalar_extension_counters(
     scalar_records, scalar = exemplars("scalar")
     vector_records, vector = exemplars("vector")
     assert vector_records == scalar_records
-    assert len(scalar) == len(reads)
+    assert len(scalar) == len(reads) // (2 if task == "align-pe" else 1)
     assert vector == scalar
     assert sum(c["sw_cells"] for c in vector.values()) > 0
+
+
+def test_scalar_and_vector_profiles_have_the_same_root_spans(workspace):
+    """``--kernels`` only picks the seeder: either backend seeds a batch
+    under a root ``seed`` span, then extends it under ``align``."""
+    def roots(kernels):
+        metrics = workspace / f"{kernels}.metrics.json"
+        _run(workspace, "align", "reads.fq", f"{kernels}.spans.sam",
+             "--kernels", kernels, "--workers", "1",
+             "--metrics-out", str(metrics))
+        return {path.split("/")[0]
+                for path in json.loads(metrics.read_text())["spans"]}
+
+    assert roots("scalar") == roots("vector") == {"seed", "align"}

@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.core import ErtSeedingEngine
 from repro.parallel import (
     BatchTaskError,
     BatchTimeoutError,
@@ -28,8 +29,6 @@ from repro.parallel import (
     WorkerCrashError,
     attach_index,
     default_retries,
-    iter_chunks,
-    pack_batch,
     seed_reads,
 )
 from repro.parallel import scheduler as sched
@@ -59,12 +58,9 @@ def shm_leak_check():
 
 def _run_seed(index, reads, params, config, fault):
     """``seed_reads`` with a fault injected into the workers."""
-    options = {"params": params, "fault": fault}
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, config.batch_size)]
-    per_batch, stats = sched._execute_over_index(index, "seed", options,
-                                                 batches, config)
-    return [line for lines in per_batch for line in lines], stats
+    return sched._map_reads(ErtSeedingEngine(index), "seed",
+                            {"params": params, "fault": fault}, reads,
+                            config, config.batch_size)
 
 
 # ----------------------------------------------------------------------

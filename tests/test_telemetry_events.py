@@ -7,9 +7,9 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.core import ErtSeedingEngine
 from repro.parallel import ParallelConfig
 from repro.parallel import scheduler as sched
-from repro.parallel.batch import iter_chunks, pack_batch
 from repro.telemetry.events import (
     TimelineRecorder,
     _repair_pairs,
@@ -264,17 +264,16 @@ def _seed_with_trace(ert_index, reads, params, config, fault=None):
     options = {"params": params}
     if fault is not None:
         options["fault"] = fault
-    batches = [pack_batch(chunk)
-               for chunk in iter_chunks(reads, config.batch_size)]
     epoch = telemetry.start_recording()
     try:
-        per_batch, _ = sched._execute_over_index(ert_index, "seed",
-                                                 options, batches, config)
+        lines, _ = sched._map_reads(ErtSeedingEngine(ert_index), "seed",
+                                    options, reads, config,
+                                    config.batch_size)
     finally:
         telemetry.stop_recording()
     doc = trace_document(telemetry.recorder().tracks(), epoch)
     telemetry.recorder().clear()
-    return [line for lines in per_batch for line in lines], doc
+    return lines, doc
 
 
 def test_serial_run_trace_is_valid(ert_index, read_codes, params):
