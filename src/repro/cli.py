@@ -67,6 +67,7 @@ from repro.core import (
     load_ert,
     save_ert,
 )
+from repro.core.io import IndexFormatError
 from repro.extend import write_sam
 from repro.kernels import KERNEL_CHOICES, resolve_kernels
 from repro.parallel import (
@@ -779,7 +780,12 @@ _COMMANDS = {
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except IndexFormatError as exc:
+        # Whatever subcommand opened the index: one line, no traceback.
+        print(f"ert-repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

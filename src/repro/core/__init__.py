@@ -16,6 +16,10 @@
 * :mod:`repro.core.reuse` -- the §III-C k-mer-reuse batched pipeline.
 * :mod:`repro.core.census` -- hit-distribution and tree-shape statistics
   (paper Figs 8 and the §III-E depth claims).
+* :mod:`repro.core.serialize`, :mod:`repro.core.arena`,
+  :mod:`repro.core.io` -- what an index is stored as: the per-tree wire
+  format, the structure-of-arrays arena the batched kernels walk, and
+  the archive / shared-buffer formats that hold both.
 """
 
 from repro.core.builder import build_ert

@@ -182,7 +182,8 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
         tree_base[code] = trees_bytes
         trees_bytes += blob
 
-    tables = {code: None for code in table_codes}
+    # Filled below: a jump table is precomputed by walking the index.
+    tables: "dict[int, list[JumpEntry]]" = {code: [] for code in table_codes}
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
@@ -191,7 +192,7 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
         layout_stats=layout_stats, space=space)
 
     for code in table_codes:
-        index.tables[code] = _build_jump_table(index, code)
+        tables[code] = _build_jump_table(index, code)
     return index
 
 
@@ -240,21 +241,31 @@ def _occurrences_via_fmd(
 
 
 def _build_jump_table(index: ErtIndex, code: int) -> "list[JumpEntry]":
-    """Precompute the walk outcome of every x-character suffix (§III-E)."""
+    """Precompute the walk outcome of every x-character suffix (§III-E).
+
+    A loaded index calls this when a walk first reaches the k-mer, maybe
+    with a tracer or reuse cache attached; the precomputation is no
+    modelled access, so both are set aside while its cursors run.
+    """
     x = index.config.table_x
     entries = []
-    for subcode in range(4 ** x):
-        cursor = TreeCursor(index, code, enter_root=False)
-        matched = 0
-        bits = 0
-        for j in range(x):
-            c = (subcode >> (2 * (x - 1 - j))) & 3
-            if not cursor.advance(c):
-                break
-            if cursor.count_changed:
-                bits |= 1 << j
-            matched += 1
-        state = cursor.snapshot() if matched == x else None
-        entries.append(JumpEntry(matched=matched, lep_bits=bits,
-                                 state=state, count=cursor.count))
+    tracer, reuse_cache = index.tracer, index.reuse_cache
+    index.tracer = index.reuse_cache = None
+    try:
+        for subcode in range(4 ** x):
+            cursor = TreeCursor(index, code, enter_root=False)
+            matched = 0
+            bits = 0
+            for j in range(x):
+                c = (subcode >> (2 * (x - 1 - j))) & 3
+                if not cursor.advance(c):
+                    break
+                if cursor.count_changed:
+                    bits |= 1 << j
+                matched += 1
+            state = cursor.snapshot() if matched == x else None
+            entries.append(JumpEntry(matched=matched, lep_bits=bits,
+                                     state=state, count=cursor.count))
+    finally:
+        index.tracer, index.reuse_cache = tracer, reuse_cache
     return entries

@@ -15,6 +15,12 @@ An :class:`ErtIndex` owns:
 * an optional :class:`~repro.memsim.cache.CacheModel` standing in for the
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
+A *built* index holds every tree and jump table as objects.  A *loaded*
+one (:mod:`repro.core.io`) holds the payload it was opened from
+(:class:`StoredTrees`) and makes node objects and jump tables per k-mer,
+on first access (:class:`LazyByCode`): the batched kernels walk the
+stored arena (:mod:`repro.core.arena`) and never ask for one.
+
 All memory traffic funnels through :meth:`ErtIndex.trace` with the phase
 tags of Fig 13: ``index_lookup``, ``table_lookup``, ``tree_root``,
 ``tree_traversal``, ``leaf_gather``, ``ref_fetch``.
@@ -24,15 +30,26 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+)
 
 import numpy as np
 
 from repro.core.config import ErtConfig
-from repro.core.layout import LayoutStats
+from repro.core.layout import LayoutStats, layout_tree
 from repro.core.nodes import Node
 from repro.memsim.cache import CacheModel
 from repro.memsim.trace import AddressSpace, MemoryTracer
 from repro.sequence.reference import Reference
+
+if TYPE_CHECKING:
+    from repro.core.arena import FlatTrees
 
 PHASE_INDEX = "index_lookup"
 PHASE_TABLE = "table_lookup"
@@ -71,17 +88,71 @@ class JumpEntry:
     count: int
 
 
+_T = TypeVar("_T")
+
+
+class LazyByCode(Mapping[int, _T]):
+    """Per-k-mer objects of a loaded index, made on first access.
+
+    ``make(code)`` runs once for each code that is asked for and its
+    result is kept; length, membership and iteration (in the order
+    ``codes`` was given) never call it.
+    """
+
+    def __init__(self, codes: "Iterable[int]",
+                 make: "Callable[[int], _T]") -> None:
+        self._made: "dict[int, _T | None]" = dict.fromkeys(codes)
+        self._make = make
+
+    def __getitem__(self, code: int) -> _T:
+        made = self._made[code]
+        if made is None:
+            made = self._made[code] = self._make(code)
+        return made
+
+    def __contains__(self, code: object) -> bool:
+        return code in self._made
+
+    def __iter__(self) -> "Iterator[int]":
+        return iter(self._made)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+
+@dataclass(frozen=True)
+class StoredTrees:
+    """The serialized trees a loaded index was opened from.
+
+    ``blobs`` is the trees region (every tree's wire-format blob at its
+    ``bases`` offset, ``sizes`` bytes long, for the k-mers ``codes``);
+    ``arena()`` reads the columns of the flat arena stored next to it
+    (:func:`repro.core.arena.flat_trees` calls it, once).  Keeping them
+    lets :func:`repro.core.io.index_to_buffer` re-frame a loaded index
+    without encoding a tree.
+    """
+
+    codes: np.ndarray
+    bases: np.ndarray
+    sizes: np.ndarray
+    blobs: np.ndarray
+    arena: "Callable[[], Mapping[str, np.ndarray]]"
+
+
 class ErtIndex:
-    """Container for a built ERT (see :func:`repro.core.builder.build_ert`)."""
+    """Container for an ERT, built (:func:`repro.core.builder.build_ert`)
+    or loaded (:mod:`repro.core.io`)."""
 
     def __init__(self, reference: Reference, config: ErtConfig,
                  entry_kind: np.ndarray, lep_bits: np.ndarray,
                  prefix_len: np.ndarray, kmer_count: np.ndarray,
-                 roots: "dict[int, Node]", tree_base: "dict[int, int]",
-                 tables: "dict[int, list[JumpEntry]]",
+                 roots: "Mapping[int, Node]", tree_base: "dict[int, int]",
+                 tables: "Mapping[int, list[JumpEntry]]",
                  prefix_counts: "list[np.ndarray]",
-                 trees_bytes: int, layout_stats: LayoutStats,
-                 space: "AddressSpace | None" = None) -> None:
+                 trees_bytes: int,
+                 layout_stats: "LayoutStats | None" = None,
+                 space: "AddressSpace | None" = None,
+                 stored: "StoredTrees | None" = None) -> None:
         self.reference = reference
         self.config = config
         self.text = reference.both_strands
@@ -93,7 +164,10 @@ class ErtIndex:
         self.tree_base = tree_base
         self.tables = tables
         self.prefix_counts = prefix_counts
-        self.layout_stats = layout_stats
+        self._layout_stats = layout_stats
+        self.stored = stored
+        #: Cache slot of :func:`repro.core.arena.flat_trees`.
+        self.flat: "FlatTrees | None" = None
         self.tracer: "MemoryTracer | None" = None
         self.reuse_cache: "CacheModel | None" = None
 
@@ -110,6 +184,20 @@ class ErtIndex:
             "ref.packed", (self.text.size + 3) // 4)
         # Second-level tables are laid out densely in registration order.
         self._table_slot = {code: i for i, code in enumerate(sorted(tables))}
+
+    @property
+    def layout_stats(self) -> LayoutStats:
+        """Tile statistics of the serialized forest.  The builder
+        collects them as it lays the trees out; a loaded index lays its
+        trees out again (decoding every one) the first time this is
+        read -- offsets come out identical, the layout being a pure
+        function of the tree shape."""
+        if self._layout_stats is None:
+            stats = LayoutStats()
+            for root in self.roots.values():
+                layout_tree(root, self.config, stats)
+            self._layout_stats = stats
+        return self._layout_stats
 
     # ------------------------------------------------------------------
     # Traffic

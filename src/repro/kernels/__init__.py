@@ -5,8 +5,10 @@ per Python-level call; these kernels advance a whole batch of reads (or
 extension jobs) per numpy operation instead, in the spirit of EXMA's
 batched multi-read traversal:
 
-* :mod:`repro.kernels.flat` -- a structure-of-arrays (gather-friendly)
-  form of the radix trees, compiled once per index.
+* :mod:`repro.core.arena` -- the structure-of-arrays (gather-friendly)
+  form of the radix trees every kernel here walks: part of the index
+  payload, so a loaded index hands it over as stored
+  (``flat_trees``, re-exported here).
 * :mod:`repro.kernels.walk` -- the lane-masked batched tree walk: one
   fancy-indexing step advances every live lane by one character.
 * :mod:`repro.kernels.seeding` -- the three seeding rounds driven as
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import os
 
-from repro.kernels.flat import FlatTrees, flat_trees
+from repro.core.arena import FlatTrees, flat_trees
 from repro.kernels.seeding import seed_batch, vector_decline_reason
 from repro.kernels.stats import KernelBatchStats, wall_shares
 from repro.kernels.sw import batched_banded_sw

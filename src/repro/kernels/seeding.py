@@ -39,15 +39,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.core.engine import ErtSeedingEngine
-from repro.core.index import EntryKind
-from repro.kernels.flat import (
+from repro.core.arena import (
     KIND_DIVERGE,
     KIND_LEAF,
     KIND_UNIFORM,
     FlatTrees,
     flat_trees,
 )
+from repro.core.engine import ErtSeedingEngine
+from repro.core.index import EntryKind
 from repro.kernels.stats import KernelBatchStats
 from repro.kernels.walk import Lanes, drain, step
 from repro.seeding.algorithm import (

@@ -3,7 +3,7 @@
 A :class:`Lanes` object holds the walk state of many concurrent tree
 walks as parallel arrays (one row per lane).  :func:`step` advances every
 lane in an index set using numpy gathers over the
-:class:`~repro.kernels.flat.FlatTrees` arena -- the vectorized
+:class:`~repro.core.arena.FlatTrees` arena -- the vectorized
 equivalent of :meth:`repro.core.walker.TreeCursor.advance` -- but at
 *node-run* granularity, which is exactly where the ERT's multi-character
 lookup (§III-A2) pays off for a software kernel too:
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.flat import KIND_DIVERGE, KIND_LEAF, KIND_UNIFORM, FlatTrees
+from repro.core.arena import KIND_DIVERGE, KIND_LEAF, KIND_UNIFORM, FlatTrees
 
 
 class Lanes:

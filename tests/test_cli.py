@@ -240,3 +240,36 @@ def test_seed_output_matches_library(workspace):
         name, start, length, count, _ = line.split("\t")
         got.append((name, int(start), int(length), int(count)))
     assert got == expected
+
+
+def test_build_index_writes_exactly_the_path_it_reports(workspace, capsys):
+    """``--out idx`` (no ``.npz``) must create ``idx`` -- numpy's savez
+    used to append the suffix, so the reported path did not exist."""
+    root, ref, reads, _index = workspace
+    bare = root / "idx"
+    assert main(["build-index", "--reference", str(ref), "--k", "5",
+                 "--max-seed-len", "100", "--out", str(bare)]) == 0
+    assert f"saved to {bare}" in capsys.readouterr().out
+    assert bare.is_file() and not (root / "idx.npz").exists()
+    assert main(["seed", "--index", str(bare), "--reads", str(reads),
+                 "--min-seed-len", "12",
+                 "--out", str(root / "seeds-bare.tsv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "align-pe",
+                                     "index-stats"])
+def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
+                                                      capsys, command):
+    _root, _ref, reads, index = workspace
+    raw = index.read_bytes()
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(raw[:len(raw) // 2])
+    argv = [command, "--index", str(cut)]
+    if command != "index-stats":
+        argv += ["--reads", str(reads), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro {command}: {cut}: ")
+    assert "Traceback" not in captured.err
