@@ -75,7 +75,6 @@ from repro.checks.engine import (
 )
 from repro.checks.pragmas import FilePragmas, parse_pragmas
 from repro.checks.report import render_json, render_text, report_as_dict
-from repro.checks.sarif import render_sarif
 from repro.checks.violations import Violation
 
 # Importing the rule modules registers every built-in rule.
@@ -97,7 +96,6 @@ __all__ = [
     "parse_pragmas",
     "register",
     "render_json",
-    "render_sarif",
     "render_text",
     "report_as_dict",
     "run_checks",

@@ -1,25 +1,20 @@
 """The ``ert-repro check`` subcommand.
 
 Exit codes: 0 clean, 1 violations found, 2 bad invocation (argparse,
-unknown rule ids, unreadable/malformed baseline).
-Kept separate from :mod:`repro.cli` so ``python -m repro.checks.cli``
-works on a tree where the heavy numeric packages will not even import.
+unknown rule ids).
+Kept separate from :mod:`repro.cli`, which hands ``check`` to
+:func:`main` and imports this package for no other subcommand, so
+``python -m repro.checks.cli`` works on a tree where the heavy numeric
+packages will not even import.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List
 
-from repro.checks.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.checks.engine import (
     DEFAULT_EXCLUDES,
     ProjectRule,
@@ -28,29 +23,19 @@ from repro.checks.engine import (
     run_checks,
 )
 from repro.checks.report import render_json, render_text
-from repro.checks.sarif import render_sarif
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
 
-def _positive_jobs(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("--jobs must be >= 0")
-    return jobs
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``check`` arguments (shared by the standalone entry
-    point and the ``ert-repro`` subcommand)."""
+    """Attach the ``check`` arguments."""
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help=f"files or directories to check "
              f"(default: {' '.join(DEFAULT_PATHS)})")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text); sarif emits a SARIF 2.1.0 "
-             "document for code-scanning upload")
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default: text)")
     parser.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)")
@@ -58,20 +43,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--exclude", action="append", default=None, metavar="GLOB",
         help=f"extra path patterns to skip (defaults always apply: "
              f"{', '.join(DEFAULT_EXCLUDES)})")
-    parser.add_argument(
-        "--jobs", type=_positive_jobs, default=1, metavar="N",
-        help="parallelize the per-file pass over N worker processes "
-             "(0 = cpu count; output is identical at any N)")
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"waive the violations recorded in FILE "
-             f"(see --update-baseline; conventional name: "
-             f"{DEFAULT_BASELINE})")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current violations to the baseline file "
-             "(--baseline FILE, default ./checks-baseline.json) and "
-             "exit 0")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue (respects --rules and "
@@ -129,27 +100,9 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _list_rules(rules, args.format)
     excludes = DEFAULT_EXCLUDES + tuple(args.exclude or ())
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    report = run_checks(args.paths, rules=rules, excludes=excludes,
-                        jobs=jobs)
-    if args.update_baseline:
-        baseline_path = args.baseline or DEFAULT_BASELINE
-        entries = write_baseline(baseline_path, report)
-        print(f"baseline: {entries} entr{'y' if entries == 1 else 'ies'} "
-              f"({len(report.violations)} violation(s)) -> "
-              f"{baseline_path}")
-        return 0
-    if args.baseline:
-        try:
-            allowed = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        apply_baseline(report, allowed)
+    report = run_checks(args.paths, rules=rules, excludes=excludes)
     if args.format == "json":
         print(render_json(report))
-    elif args.format == "sarif":
-        print(render_sarif(report, rules))
     else:
         print(render_text(report))
     return 0 if report.ok else 1

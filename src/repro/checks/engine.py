@@ -9,11 +9,10 @@ requested paths and aggregates a :class:`CheckReport`.
 
 The runner makes **two passes**.  Pass 1 visits every file
 independently: it runs the per-file rules and reduces the file to a
-picklable :class:`FileScan` (violations + a
+:class:`FileScan` (violations + a
 :class:`~repro.checks.symbols.ModuleSummary` of its functions, call
-sites, and rule-relevant facts).  Because pass 1 carries no AST state
-across files, ``run_checks(jobs=N)`` can farm it out to worker
-processes and still produce byte-identical reports.  Pass 2 assembles
+sites, and rule-relevant facts), carrying no AST state across files.
+Pass 2 assembles
 the summaries into a :class:`~repro.checks.callgraph.ProjectGraph` and
 runs every registered :class:`ProjectRule` over it -- the whole-program
 rules (ERT012-ERT016) that need cross-file facts like transitive
@@ -28,7 +27,7 @@ import ast
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
 
 from repro.checks.pragmas import FilePragmas, parse_pragmas
 from repro.checks.violations import Violation
@@ -247,9 +246,6 @@ class CheckReport:
     violations: "List[Violation]" = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Violations waived by a ``--baseline`` file (see
-    #: :mod:`repro.checks.baseline`); 0 when no baseline is applied.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -264,8 +260,7 @@ class CheckReport:
 
 @dataclass
 class FileScan:
-    """Pass-1 result for one file.  Picklable, so ``--jobs`` workers can
-    ship it back to the parent process."""
+    """Pass-1 result for one file."""
 
     path: str
     module: "str | None"
@@ -381,22 +376,6 @@ def check_file(path: str, rules: "Iterable[Rule] | None" = None
     return check_source(path, source, rules)
 
 
-def _scan_file_task(task: "Tuple[str, Optional[Tuple[str, ...]]]") -> FileScan:
-    """Pass-1 worker body for ``run_checks(jobs=N)``.
-
-    Rule objects are not pickled -- workers re-select rules by id from
-    their own registry (importing :mod:`repro.checks` populates it under
-    both fork and spawn start methods).
-    """
-    path, rule_ids = task
-    import repro.checks  # noqa: F401  (registers the rule set)
-    rule_list = all_rules()
-    if rule_ids is not None:
-        wanted = set(rule_ids)
-        rule_list = [rule for rule in rule_list if rule.id in wanted]
-    return scan_file(path, rule_list)
-
-
 def iter_python_files(paths: "Iterable[str]",
                       excludes: "tuple[str, ...]" = DEFAULT_EXCLUDES
                       ) -> "Iterator[str]":
@@ -432,31 +411,12 @@ def iter_python_files(paths: "Iterable[str]",
 
 def run_checks(paths: "Iterable[str]",
                rules: "Iterable[Rule] | None" = None,
-               excludes: "tuple[str, ...]" = DEFAULT_EXCLUDES,
-               jobs: int = 1) -> CheckReport:
-    """Run both passes over every Python file under ``paths``.
-
-    ``jobs > 1`` parallelizes pass 1 across processes.  ``pool.map``
-    preserves input order and pass 2 runs in the parent over the sorted
-    scan list, so the report is byte-identical at any ``jobs`` value.
-    """
+               excludes: "tuple[str, ...]" = DEFAULT_EXCLUDES
+               ) -> CheckReport:
+    """Run both passes over every Python file under ``paths``."""
     rule_list = all_rules() if rules is None else list(rules)
-    files = list(iter_python_files(paths, excludes))
-    scans: "List[FileScan]"
-    if jobs > 1 and len(files) > 1:
-        import concurrent.futures
-        rule_ids = tuple(rule.id for rule in rule_list)
-        tasks = [(path, rule_ids) for path in files]
-        # The checker cannot route through repro.parallel's audited pool
-        # layer: repro.checks imports nothing else from repro so it can
-        # lint a broken tree (see the ERT005 layering table).  Pass 1 is
-        # a stateless map() over files, the narrow case a raw pool is
-        # safe for.
-        with concurrent.futures.ProcessPoolExecutor(  # repro: allow(ERT008)
-                max_workers=min(jobs, len(files))) as pool:
-            scans = list(pool.map(_scan_file_task, tasks, chunksize=4))
-    else:
-        scans = [scan_file(path, rule_list) for path in files]
+    scans = [scan_file(path, rule_list)
+             for path in iter_python_files(paths, excludes)]
     report = CheckReport(files_checked=len(scans))
     for scan in scans:
         report.violations.extend(scan.violations)

@@ -7,7 +7,6 @@ import json
 from repro.checks.engine import CheckReport
 
 #: Schema version of the JSON document; bump on incompatible change.
-#: v2 added the ``baselined`` count (violations waived by --baseline).
 JSON_SCHEMA_VERSION = 2
 
 
@@ -23,8 +22,6 @@ def render_text(report: CheckReport) -> str:
         summary = (f"ok: {report.files_checked} file(s) clean")
     if report.suppressed:
         summary += f" ({report.suppressed} suppressed by pragma)"
-    if report.baselined:
-        summary += f" ({report.baselined} baselined)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -36,7 +33,6 @@ def report_as_dict(report: CheckReport) -> "dict[str, object]":
         "files_checked": report.files_checked,
         "violation_count": len(report.violations),
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "counts": report.counts_by_rule(),
         "violations": [v.as_dict() for v in report.violations],
     }

@@ -616,11 +616,9 @@ _STREAM_WRITES = frozenset({
 })
 
 #: Modules allowed to talk to the console: the CLI entry points (their
-#: whole job is console I/O) and the progress reporter (the one
-#: sanctioned stderr heartbeat, see repro/telemetry/progress.py).
+#: whole job is console I/O).
 _CONSOLE_MODULES = (
     "repro.cli", "repro.checks.cli", "repro.ledger.cli",
-    "repro.telemetry.progress",
 )
 
 
@@ -631,18 +629,16 @@ class DirectOutputRule(Rule):
     A ``print()`` or ``sys.stderr.write()`` buried in the seeding or
     scheduler stack corrupts machine-consumed stdout (the ``seed`` TSV
     stream), interleaves unreadably under the worker pool, and bypasses
-    both the rate-limited progress reporter and the telemetry event
-    stream -- the two sanctioned ways to surface run state.  Status
-    belongs in telemetry events/metrics; user-facing text belongs in the
-    CLI modules; live heartbeats belong in
-    :class:`repro.telemetry.progress.ProgressReporter`.
+    the telemetry event stream and :mod:`repro.logging` -- the
+    sanctioned ways to surface run state.  Status belongs in telemetry
+    events/metrics; user-facing text belongs in the CLI modules.
     """
 
     id = "ERT010"
-    title = "direct console output outside the CLI / progress reporter"
+    title = "direct console output outside the CLI"
     rationale = ("library prints corrupt machine-readable stdout and "
-                 "bypass the progress reporter and telemetry; console "
-                 "I/O lives in the CLI modules only")
+                 "bypass telemetry; console I/O lives in the CLI "
+                 "modules only")
     scope = ("repro",)
     exclude_scope = _CONSOLE_MODULES
 
@@ -656,16 +652,15 @@ class DirectOutputRule(Rule):
                 yield src.violation(
                     self.id, node,
                     "print() in library code; emit telemetry events/"
-                    "metrics, or surface status through the CLI or the "
-                    "progress reporter (docs/observability.md)")
+                    "metrics, or surface status through the CLI "
+                    "(docs/observability.md)")
                 continue
             qual = src.qualified_name(node.func)
             if qual in _STREAM_WRITES:
                 yield src.violation(
                     self.id, node,
                     f"{qual}() in library code; console streams belong "
-                    f"to the CLI modules and the progress reporter "
-                    f"(docs/observability.md)")
+                    f"to the CLI modules (docs/observability.md)")
 
 
 # ----------------------------------------------------------------------

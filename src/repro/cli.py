@@ -7,7 +7,7 @@ align many times):
 * ``build-index``  -- construct an ERT and persist it (.npz);
 * ``index-stats``  -- census of a persisted index (Fig 8 / §III-A3 data);
 * ``seed``         -- three-round seeding, one TSV line per seed;
-* ``align``        -- full pipeline to SAM;
+* ``align`` / ``align-pe`` -- full pipeline to SAM;
 * ``report``       -- render a saved telemetry snapshot as a profile
   (or re-export it as OpenMetrics text with ``--format openmetrics``);
 * ``explain``      -- replay one read through the serial engine with
@@ -17,30 +17,35 @@ align many times):
 * ``ledger``       -- record benchmark runs and gate on throughput
   regressions (:mod:`repro.ledger`, see docs/observability.md).
 
-``seed``, ``align``, ``align-pe`` and ``compare`` take ``--profile``
-(print a per-stage wall-clock/counter report), ``--metrics-out FILE``
-(write the full telemetry snapshot; ``--metrics-format openmetrics``
-switches the file from JSON to Prometheus-scrapable OpenMetrics text),
-``--slowlog FILE`` (append the per-read exemplar sample -- reservoir
-plus top-K slowest -- as JSONL), ``--log-jsonl FILE`` /
-``--log-level`` (structured operational logs: scheduler, fault
-recovery, shared-memory lifecycle) and ``--trace-out FILE`` (record a
-timeline and write Chrome/Perfetto ``trace_event`` JSON -- open it at
-https://ui.perfetto.dev).  The read-driven commands also take
-``--progress`` (a rate-limited stderr heartbeat: reads/s, batches in
-flight, crashes survived, ETA).
+``check`` and ``ledger`` are handed, before any parser is built, to the
+``main(argv)`` of :mod:`repro.checks.cli` / :mod:`repro.ledger.cli`;
+this module imports neither package.
 
-``seed``, ``align``, ``align-pe`` and ``compare`` take ``--workers N``
-and ``--batch-size M``: reads stream through the :mod:`repro.parallel`
-batch scheduler (shared-memory index, order-preserving merge), so the
-output is byte-identical to a serial run at any worker count.  The
-default worker count comes from ``$REPRO_WORKERS`` (else 1).  With
-workers > 1 they also take ``--retries R`` (per-batch retry budget
-after a worker crash or batch timeout; default ``$REPRO_RETRIES``,
-else 2) and ``--batch-timeout SEC``; see the failure model in
-``docs/performance.md``.  ``--kernels vector`` (default
+``seed``, ``align`` and ``align-pe`` are one run path (:func:`_cmd_run`):
+load the index, parse the reads, call the :mod:`repro.parallel` entry
+point, write, print a summary line.  They and ``compare`` take
+``--profile`` (print a per-stage wall-clock/counter report),
+``--metrics-out FILE`` (write the full telemetry snapshot as JSON;
+``report --format openmetrics`` converts it to Prometheus text),
+``--slowlog FILE`` (append the per-read exemplar sample -- reservoir
+plus top-K slowest -- as JSONL), ``--log-jsonl FILE`` (structured
+operational logs: scheduler, fault recovery, shared-memory lifecycle)
+and ``--trace-out FILE`` (record a timeline and write Chrome/Perfetto
+``trace_event`` JSON -- open it at https://ui.perfetto.dev).
+
+The same four take ``--workers N`` and ``--batch-size M``: reads stream
+through the :mod:`repro.parallel` batch scheduler (shared-memory index,
+order-preserving merge), so the output is byte-identical at any worker
+count.  The default worker count comes from ``$REPRO_WORKERS`` (else
+1).  With workers > 1 they also take ``--retries R`` (per-batch retry
+budget after a worker crash or batch timeout; default
+``$REPRO_RETRIES``, else 2) and ``--batch-timeout SEC``; see the failure
+model in ``docs/performance.md``.  ``--kernels vector`` (default
 ``$REPRO_KERNELS``, else scalar) routes seeding through the batched
 numpy kernels (:mod:`repro.kernels`) with byte-identical output.
+
+A malformed index, FASTA or FASTQ file ends in one
+``ert-repro <command>: <message>`` line on stderr and exit status 2.
 
 Every subcommand is a thin shell over the library API, so everything it
 does is equally available programmatically.
@@ -49,15 +54,12 @@ does is equally available programmatically.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import os
 import sys
-import zlib
 
 from repro import logging as repro_logging
 from repro import telemetry
-from repro.checks import cli as checks_cli
-from repro.ledger import cli as ledger_cli
 from repro.core import (
     ErtConfig,
     ErtSeedingEngine,
@@ -85,6 +87,20 @@ from repro.sequence import (
     write_fasta,
     write_fastq,
 )
+from repro.sequence.alphabet import AlphabetError
+from repro.sequence.io import FastaError
+
+#: Subcommands that live in their own module: ``main`` hands them the
+#: rest of the command line before building this module's parser, so a
+#: read-driven run never imports the linter or the ledger.
+_DELEGATED = {
+    "check": ("repro.checks.cli",
+              "run the repo's static-analysis rules (non-zero exit on "
+              "violations)"),
+    "ledger": ("repro.ledger.cli",
+               "record benchmark runs and gate on throughput regressions "
+               "(non-zero exit on a regression)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--max-hits", type=int, default=500)
     seed.add_argument("--out", default="-")
     _add_telemetry_args(seed)
-    _add_progress_arg(seed)
     _add_parallel_args(seed)
 
     align = sub.add_parser("align", help="align reads to SAM")
@@ -137,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("--min-seed-len", type=int, default=19)
     align.add_argument("--out", required=True)
     _add_telemetry_args(align)
-    _add_progress_arg(align)
     _add_parallel_args(align)
 
     align_pe = sub.add_parser(
@@ -150,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     align_pe.add_argument("--insert-sd", type=int, default=50)
     align_pe.add_argument("--out", required=True)
     _add_telemetry_args(align_pe)
-    _add_progress_arg(align_pe)
     _add_parallel_args(align_pe)
 
     report = sub.add_parser(
@@ -201,15 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(compare)
     _add_parallel_args(compare)
 
-    check = sub.add_parser(
-        "check", help="run the repo's static-analysis rules "
-                      "(non-zero exit on violations)")
-    checks_cli.configure_parser(check)
-
-    ledger = sub.add_parser(
-        "ledger", help="record benchmark runs and gate on throughput "
-                       "regressions (non-zero exit on a regression)")
-    ledger_cli.configure_parser(ledger)
+    # Listed for ``ert-repro --help`` only; ``main`` never parses them.
+    for name, (_module, summary) in _DELEGATED.items():
+        sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
@@ -219,13 +226,9 @@ def _add_telemetry_args(parser) -> None:
         help="collect telemetry and print a per-stage profile")
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
-        help="collect telemetry and write the snapshot as JSON")
-    parser.add_argument(
-        "--metrics-format", choices=("json", "openmetrics"),
-        default="json",
-        help="--metrics-out format: json (default, consumable by "
-             "'report') or openmetrics (Prometheus exposition text "
-             "with per-bucket exemplars)")
+        help="collect telemetry and write the snapshot as JSON "
+             "('report --format openmetrics' converts it to Prometheus "
+             "exposition text)")
     parser.add_argument(
         "--slowlog", default=None, metavar="FILE",
         help="sample per-read exemplars and append them (reservoir + "
@@ -236,20 +239,10 @@ def _add_telemetry_args(parser) -> None:
         help="append structured operational logs (scheduler, fault "
              "recovery, shared-memory lifecycle) to FILE as JSONL")
     parser.add_argument(
-        "--log-level", choices=repro_logging.LEVELS, default="info",
-        help="minimum level for --log-jsonl (default info)")
-    parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="record a timeline and write Chrome/Perfetto trace_event "
              "JSON (open at https://ui.perfetto.dev); includes "
              "per-worker tracks at --workers > 1")
-
-
-def _add_progress_arg(parser) -> None:
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="print a rate-limited stderr heartbeat (reads/s, batches "
-             "in flight, worker crashes, ETA)")
 
 
 def _positive_int(label):
@@ -333,7 +326,7 @@ def _parallel_config(args) -> ParallelConfig:
     return ParallelConfig(workers=args.workers, batch_size=args.batch_size,
                           retries=args.retries,
                           batch_timeout=args.batch_timeout,
-                          kernels=getattr(args, "kernels", None))
+                          kernels=args.kernels)
 
 
 def _telemetry_begin(args) -> bool:
@@ -347,8 +340,7 @@ def _telemetry_begin(args) -> bool:
         telemetry.reset()
         telemetry.enable()
     if args.log_jsonl:
-        repro_logging.configure(path=args.log_jsonl,
-                                level=args.log_level)
+        repro_logging.configure(path=args.log_jsonl)
     if args.trace_out:
         telemetry.start_recording()
     return active
@@ -384,15 +376,9 @@ def _telemetry_finish(args, active: bool, title: str,
     telemetry.disable()
     snap = telemetry.snapshot()
     if args.metrics_out:
-        if args.metrics_format == "openmetrics":
-            with open(args.metrics_out, "w") as handle:
-                handle.write(telemetry.render_openmetrics(snap))
-            print(f"wrote OpenMetrics exposition to {args.metrics_out}",
-                  file=sys.stderr)
-        else:
-            telemetry.write_json(args.metrics_out, snap)
-            print(f"wrote telemetry snapshot to {args.metrics_out}",
-                  file=sys.stderr)
+        telemetry.write_json(args.metrics_out, snap)
+        print(f"wrote telemetry snapshot to {args.metrics_out}",
+              file=sys.stderr)
     if args.slowlog:
         exemplars = snap.get("exemplars", {})
         _write_slowlog(args.slowlog, exemplars)
@@ -402,14 +388,6 @@ def _telemetry_finish(args, active: bool, title: str,
     if args.profile:
         print(telemetry.render_profile(snap, title=title),
               file=profile_stream or sys.stdout)
-
-
-def _make_reporter(args, total: int) -> "telemetry.ProgressReporter | None":
-    """A live heartbeat when ``--progress`` was given (forced on even
-    without a TTY -- asking for it means wanting the lines in a log)."""
-    if not getattr(args, "progress", False):
-        return None
-    return telemetry.ProgressReporter(total=total, force=True)
 
 
 def _cmd_simulate_genome(args) -> int:
@@ -465,122 +443,83 @@ def _cmd_index_stats(args) -> int:
     return 0
 
 
-def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w")
+# ----------------------------------------------------------------------
+# The read-driven run: seed / align / align-pe
+# ----------------------------------------------------------------------
+#
+# One skeleton (`_cmd_run`); a command is its scheduler entry point, its
+# output writer and its summary line.
 
 
-#: One-entry index cache keyed by (abspath, inode, mtime_ns, size,
-#: content fingerprint): repeated subcommand invocations in one process
-#: (tests, notebooks, compare sweeps) reload only when the file actually
-#: changed.
-_INDEX_CACHE: "dict[tuple, object]" = {}
-
-_FINGERPRINT_PAGE = 4096
-
-
-def _index_fingerprint(path, size):
-    """CRC of the file's first and last page.
-
-    Stat alone is not enough for the cache key: on filesystems with
-    coarse mtime granularity a same-size rewrite within one tick is
-    invisible to ``(mtime_ns, size)``, and the cache would serve the
-    stale index.  Hashing two pages is O(1) in file size and catches any
-    rewrite that touches the header or the trailing payload.
-    """
-    with open(path, "rb") as fh:
-        crc = zlib.crc32(fh.read(_FINGERPRINT_PAGE))
-        if size > _FINGERPRINT_PAGE:
-            fh.seek(max(_FINGERPRINT_PAGE, size - _FINGERPRINT_PAGE))
-            crc = zlib.crc32(fh.read(_FINGERPRINT_PAGE), crc)
-    return crc
-
-
-def load_index_cached(path):
-    """Load a persisted ERT, reusing the in-process copy while the file
-    is unchanged (same resolved path, inode, size, mtime and first/last
-    page content)."""
-    stat = os.stat(path)
-    key = (os.path.abspath(path), stat.st_ino, stat.st_mtime_ns,
-           stat.st_size, _index_fingerprint(path, stat.st_size))
-    index = _INDEX_CACHE.get(key)
-    if index is None:
-        _INDEX_CACHE.clear()
-        index = _INDEX_CACHE.setdefault(key, load_ert(path))
-    return index
-
-
-def _cmd_seed(args) -> int:
-    index = load_index_cached(args.index)
-    reads = read_fastq(args.reads)
+def _seed_entry(args, index, reads, config):
     params = SeedingParams(min_seed_len=args.min_seed_len,
                            max_hits_per_seed=args.max_hits)
-    active = _telemetry_begin(args)
-    reporter = _make_reporter(args, len(reads))
-    lines, stats = seed_reads(index, reads, params,
-                              config=_parallel_config(args),
-                              reporter=reporter)
-    if reporter is not None:
-        reporter.finish()
-    out = _open_out(args.out)
+    return seed_reads(index, reads, params, config=config)
+
+
+def _align_entry(args, index, reads, config):
+    return align_reads(index, reads,
+                       SeedingParams(min_seed_len=args.min_seed_len),
+                       config=config)
+
+
+def _align_pe_entry(args, index, reads, config):
+    if len(reads) % 2:
+        raise SystemExit("interleaved FASTQ must hold an even read count")
+    return align_pairs(index, reads,
+                       SeedingParams(min_seed_len=args.min_seed_len),
+                       insert_mean=args.insert_mean,
+                       insert_sd=args.insert_sd, config=config)
+
+
+def _write_tsv(path, _reference, lines) -> None:
+    out = sys.stdout if path == "-" else open(path, "w")
     try:
         out.write("read\tstart\tlength\thit_count\thits\n")
-        for line in lines:
-            out.write(line)
+        out.writelines(lines)
     finally:
         if out is not sys.stdout:
             out.close()
-    n_seeds = len(lines)
+
+
+def _seed_summary(args, reads, lines, stats) -> str:
     truncated = stats.truncated_hit_lists
     clipped = (f" ({truncated} hit lists truncated by "
                f"--max-hits {args.max_hits})" if truncated else "")
-    print(f"seeded {len(reads)} reads -> {n_seeds} seeds{clipped}",
-          file=sys.stderr)
-    # With TSV on stdout the profile must not corrupt it.
-    _telemetry_finish(args, active, title=f"seed profile ({args.reads})",
+    return f"seeded {len(reads)} reads -> {len(lines)} seeds{clipped}"
+
+
+def _align_summary(args, reads, records, _stats) -> str:
+    mapped = sum(1 for rec in records if not rec.flag & 0x4)
+    return f"aligned {len(reads)} reads ({mapped} mapped) -> {args.out}"
+
+
+def _align_pe_summary(args, reads, records, _stats) -> str:
+    proper = sum(1 for rec in records if rec.flag & 0x2) // 2
+    return (f"aligned {len(reads) // 2} pairs ({proper} proper) -> "
+            f"{args.out}")
+
+
+_RUNS = {
+    "seed": (_seed_entry, _write_tsv, _seed_summary),
+    "align": (_align_entry, write_sam, _align_summary),
+    "align-pe": (_align_pe_entry, write_sam, _align_pe_summary),
+}
+
+
+def _cmd_run(args) -> int:
+    entry, write, summary = _RUNS[args.command]
+    index = load_ert(args.index)
+    reads = read_fastq(args.reads)
+    active = _telemetry_begin(args)
+    results, stats = entry(args, index, reads, _parallel_config(args))
+    write(args.out, index.reference, results)
+    print(summary(args, reads, results, stats), file=sys.stderr)
+    # With the output on stdout the profile must not corrupt it.
+    _telemetry_finish(args, active,
+                      title=f"{args.command} profile ({args.reads})",
                       profile_stream=sys.stderr if args.out == "-"
                       else sys.stdout)
-    return 0
-
-
-def _cmd_align(args) -> int:
-    index = load_index_cached(args.index)
-    reference = index.reference
-    reads = read_fastq(args.reads)
-    active = _telemetry_begin(args)
-    reporter = _make_reporter(args, len(reads))
-    records, _stats = align_reads(
-        index, reads, SeedingParams(min_seed_len=args.min_seed_len),
-        config=_parallel_config(args), reporter=reporter)
-    if reporter is not None:
-        reporter.finish()
-    write_sam(args.out, reference, records)
-    mapped = sum(1 for rec in records if not rec.flag & 0x4)
-    print(f"aligned {len(reads)} reads ({mapped} mapped) -> {args.out}",
-          file=sys.stderr)
-    _telemetry_finish(args, active, title=f"align profile ({args.reads})")
-    return 0
-
-
-def _cmd_align_pe(args) -> int:
-    index = load_index_cached(args.index)
-    reference = index.reference
-    reads = read_fastq(args.reads)
-    if len(reads) % 2:
-        raise SystemExit("interleaved FASTQ must hold an even read count")
-    active = _telemetry_begin(args)
-    reporter = _make_reporter(args, len(reads))
-    records, _stats = align_pairs(
-        index, reads, SeedingParams(min_seed_len=args.min_seed_len),
-        insert_mean=args.insert_mean, insert_sd=args.insert_sd,
-        config=_parallel_config(args), reporter=reporter)
-    if reporter is not None:
-        reporter.finish()
-    write_sam(args.out, reference, records)
-    proper = sum(1 for rec in records if rec.flag & 0x2) // 2
-    print(f"aligned {len(reads) // 2} pairs ({proper} proper) -> "
-          f"{args.out}", file=sys.stderr)
-    _telemetry_finish(args, active,
-                      title=f"align-pe profile ({args.reads})")
     return 0
 
 
@@ -607,8 +546,7 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
-    engine = ErtSeedingEngine(load_index_cached(args.index),
-                              gather_limit=500)
+    engine = ErtSeedingEngine(load_ert(args.index), gather_limit=500)
     if args.task == "seed":
         params = SeedingParams(min_seed_len=args.min_seed_len,
                                max_hits_per_seed=args.max_hits)
@@ -731,29 +669,11 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-#: Built comparison indexes keyed by (reference identity, k): one FMD
-#: and one ERT build per configuration, however many times ``compare``
-#: (or a sweep over it) runs in this process.  Engines are constructed
-#: fresh per call -- they carry mutable stats -- but share the cached
-#: indexes, and both indexes share the one loaded reference object.
-_COMPARE_INDEX_CACHE: "dict[tuple, tuple]" = {}
-
-
 def _comparison_engines(reference, k):
-    import zlib
-
     from repro.fmindex import FmdConfig, FmdIndex, FmdSeedingEngine
 
-    key = (reference.name, len(reference),
-           zlib.crc32(reference.codes.tobytes()), k)
-    cached = _COMPARE_INDEX_CACHE.get(key)
-    if cached is None:
-        _COMPARE_INDEX_CACHE.clear()
-        fmd_index = FmdIndex(reference, FmdConfig.bwa_mem2())
-        ert_index = build_ert(reference, ErtConfig(k=k, max_seed_len=151))
-        cached = _COMPARE_INDEX_CACHE.setdefault(
-            key, (reference, fmd_index, ert_index))
-    _reference, fmd_index, ert_index = cached
+    fmd_index = FmdIndex(reference, FmdConfig.bwa_mem2())
+    ert_index = build_ert(reference, ErtConfig(k=k, max_seed_len=151))
     return [
         ("BWA-MEM2 (FMD)", FmdSeedingEngine(fmd_index),
          fmd_index.index_bytes()["total"]),
@@ -767,23 +687,25 @@ _COMMANDS = {
     "simulate-reads": _cmd_simulate_reads,
     "build-index": _cmd_build_index,
     "index-stats": _cmd_index_stats,
-    "seed": _cmd_seed,
-    "align": _cmd_align,
-    "align-pe": _cmd_align_pe,
+    "seed": _cmd_run,
+    "align": _cmd_run,
+    "align-pe": _cmd_run,
     "report": _cmd_report,
     "explain": _cmd_explain,
     "compare": _cmd_compare,
-    "check": checks_cli.run,
-    "ledger": ledger_cli.run,
 }
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _DELEGATED:
+        module = importlib.import_module(_DELEGATED[argv[0]][0])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except IndexFormatError as exc:
-        # Whatever subcommand opened the index: one line, no traceback.
+    except (IndexFormatError, FastaError, AlphabetError) as exc:
+        # Whatever subcommand read the file: one line, no traceback.
         print(f"ert-repro {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ Exit codes: ``record`` and ``show`` return 0 on success; ``diff``
 returns 0 when no throughput regression is flagged, 1 when one is
 (that non-zero exit is the CI gate), and 2 on bad invocation (unknown
 benchmark, unreadable inputs).  Kept separate from :mod:`repro.cli`
-so ``python -m repro.ledger.cli`` works standalone.
+(which hands ``ledger`` to :func:`main`) so ``python -m
+repro.ledger.cli`` works standalone.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ def _workload_pair(text: str) -> "tuple[str, Any]":
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``ledger`` arguments (shared by the standalone entry
-    point and the ``ert-repro`` subcommand)."""
+    """Attach the ``ledger`` arguments."""
     sub = parser.add_subparsers(dest="ledger_command", required=True)
 
     record = sub.add_parser(

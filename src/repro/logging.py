@@ -4,10 +4,9 @@ Rule ERT010 bans ad-hoc console writes in library code, and ERT011 bans
 routing events through the stdlib ``logging`` root handlers (whose
 global, import-order-sensitive configuration is exactly what a
 deterministic pipeline must not depend on).  This module is the one
-approved path -- alongside :class:`repro.telemetry.progress.
-ProgressReporter` for the human heartbeat -- for library subsystems
-(the batch scheduler, the fault-recovery path, the shared-memory
-lifecycle) to emit machine-readable operational events.
+approved path for library subsystems (the batch scheduler, the
+fault-recovery path, the shared-memory lifecycle) to emit
+machine-readable operational events.
 
 Design points:
 

@@ -31,6 +31,10 @@ from dataclasses import dataclass
 #: ``$REPRO_RETRIES`` decides: survive two transient faults per batch.
 DEFAULT_RETRIES = 2
 
+#: Growth of the sleep between successive respawns after one batch's
+#: repeated failures.
+BACKOFF_FACTOR = 2.0
+
 
 class ParallelExecutionError(RuntimeError):
     """Base of every failure the batch scheduler can surface.
@@ -102,7 +106,7 @@ class RetryPolicy:
 
     retries: int = DEFAULT_RETRIES
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
+    backoff_factor: float = BACKOFF_FACTOR
     batch_timeout: "float | None" = None
 
     @property

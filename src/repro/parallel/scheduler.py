@@ -9,10 +9,10 @@ Execution model (tentpole of the parallel layer):
   attachment (``("shm", name, size, gather_limit)``, zero-copy) or a
   pickled engine (``("pickle", engine)``, for index types without a flat
   buffer form);
-* at most ``max_inflight`` batches are outstanding; results are consumed
-  strictly in submission order, so concatenating per-batch payloads
-  reproduces the serial output **byte for byte** regardless of worker
-  finishing order;
+* at most :data:`INFLIGHT_PER_WORKER` batches per worker are
+  outstanding; results are consumed strictly in submission order, so
+  concatenating per-batch payloads reproduces the serial output **byte
+  for byte** regardless of worker finishing order;
 * every batch returns ``(payload, stats delta, telemetry snapshot)``;
   the parent folds stats into one :class:`~repro.seeding.engine.
   EngineStats` and merges worker telemetry into the live registry, so
@@ -87,7 +87,6 @@ from repro.parallel.faults import (
 from repro.parallel.shm import SharedIndexBuffer, attach_index
 from repro.seeding.algorithm import SeedingParams, seed_read
 from repro.seeding.engine import EngineStats, SeedingEngine
-from repro.telemetry.progress import ProgressReporter
 
 #: One batch's wire result: payload, engine-stats delta, telemetry
 #: snapshot delta (None in serial mode, where telemetry records live).
@@ -98,6 +97,10 @@ EngineSpec = Tuple[Any, ...]
 #: Structured operational events (pool lifecycle, faults, degradation);
 #: a no-op unless the run configured `repro.logging` (--log-jsonl).
 _log = get_logger("parallel.scheduler")
+
+#: Batches kept outstanding per worker: one running, one queued behind
+#: it, so a worker never idles waiting for the parent to submit.
+INFLIGHT_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -115,11 +118,9 @@ class ParallelConfig:
 
     workers: "int | None" = None
     batch_size: int = 64
-    max_inflight: "int | None" = None
     retries: "int | None" = None
     batch_timeout: "float | None" = None
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     #: Multiprocessing start method for the pool ("fork"/"spawn"/
     #: "forkserver"); None defers to the platform default.  Output and
     #: merged telemetry are identical either way -- spawn just pays a
@@ -140,16 +141,13 @@ class ParallelConfig:
         return resolve_kernels(self.kernels)
 
     def resolved_inflight(self, workers: int) -> int:
-        if self.max_inflight is not None:
-            return max(1, self.max_inflight)
-        return 2 * workers
+        return INFLIGHT_PER_WORKER * workers
 
     def resolved_policy(self) -> RetryPolicy:
         retries = (self.retries if self.retries is not None
                    else default_retries())
         return RetryPolicy(retries=max(0, retries),
                            backoff_s=self.backoff_s,
-                           backoff_factor=self.backoff_factor,
                            batch_timeout=self.batch_timeout)
 
 
@@ -588,8 +586,7 @@ def _degrade_to_serial(spec: EngineSpec, task: str,
 
 def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
               batches: "Sequence[ReadBatch]",
-              config: ParallelConfig, workers: int,
-              reporter: "ProgressReporter | None" = None) \
+              config: ParallelConfig, workers: int) \
         -> "Iterator[BatchResult]":
     """The fault-tolerant pool path behind :func:`map_batches`."""
     policy = config.resolved_policy()
@@ -618,8 +615,6 @@ def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
                     next_index, batch, manager.submit(batch, next_index)))
                 next_index += 1
                 recorder.counter("parallel.inflight", len(pending))
-            if reporter is not None:
-                reporter.set_inflight(len(pending))
             head = pending[0]
             try:
                 result = head.future.result(timeout=policy.batch_timeout)
@@ -648,8 +643,6 @@ def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
                 telemetry.count("parallel.batch_timeouts")
             elif isinstance(failure, WorkerCrashError):
                 telemetry.count("parallel.worker_crashes")
-                if reporter is not None:
-                    reporter.crash()
             if not failure.retryable or head.failures >= policy.max_attempts:
                 raise failure
             with telemetry.span("parallel.recovery"):
@@ -681,34 +674,28 @@ def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
 
 def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
                 batches: "Iterable[ReadBatch]",
-                config: ParallelConfig,
-                reporter: "ProgressReporter | None" = None) \
-        -> "Iterator[BatchResult]":
+                config: ParallelConfig) -> "Iterator[BatchResult]":
     """Run ``batches`` through the worker pool, yielding results in
-    submission order with at most ``max_inflight`` outstanding.
+    submission order with at most :data:`INFLIGHT_PER_WORKER` per worker
+    outstanding.
 
     With one worker (or a ``local`` spec) everything runs in-process over
     the same batch units -- the serial fast path.  Pool failures are
     classified, retried and degraded per the module docstring; when a
     typed error escapes this generator, every consumed prefix result was
-    already byte-exact and no partial batch has been yielded.  An
-    optional :class:`~repro.telemetry.progress.ProgressReporter` gets
-    in-flight depth and crash notifications (completed-read counts are
-    the consumer's job -- see :func:`_map_reads`).
+    already byte-exact and no partial batch has been yielded.
     """
     workers = config.resolved_workers()
     if workers <= 1 or spec[0] == "local":
         yield from _serial_batches(spec, task, options, batches)
         return
     yield from _pool_map(spec, task, options, list(batches), config,
-                         workers, reporter)
+                         workers)
 
 
 def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
                reads: "Sequence[object]", config: ParallelConfig,
-               chunk_size: int,
-               reporter: "ProgressReporter | None" = None) \
-        -> "tuple[list[Any], EngineStats]":
+               chunk_size: int) -> "tuple[list[Any], EngineStats]":
     """The body of every entry point: pack ``reads`` into batches of
     ``chunk_size``, hand the engine to the workers, map, and merge the
     per-batch results in submission order.
@@ -719,8 +706,7 @@ def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
     batch.  Payloads concatenate, stats fold into one
     :class:`EngineStats`, and worker snapshots merge keyed by submission
     order, so gauges resolve to the highest batch index -- the value a
-    serial run would leave behind -- at any worker count; each merged
-    batch advances the ``reporter`` heartbeat by its read count.
+    serial run would leave behind -- at any worker count.
     """
     batches = [pack_batch(chunk) for chunk in iter_chunks(reads, chunk_size)]
     payload: "list[Any]" = []
@@ -735,13 +721,11 @@ def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
         else:
             spec = ("pickle", engine)
         for order, (items, stat_delta, snap) in enumerate(map_batches(
-                spec, task, options, batches, config, reporter)):
+                spec, task, options, batches, config)):
             payload.extend(items)
             stats.add_dict(stat_delta)
             if snap is not None:
                 telemetry.merge_snapshot(snap, order=order)
-            if reporter is not None:
-                reporter.advance(len(batches[order].names))
     return payload, stats
 
 
@@ -753,8 +737,7 @@ def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
 def seed_reads(index: ErtIndex, reads: "Sequence[object]",
                params: "SeedingParams | None" = None,
                config: "ParallelConfig | None" = None,
-               gather_limit: int = 500,
-               reporter: "ProgressReporter | None" = None) \
+               gather_limit: int = 500) \
         -> "tuple[list[str], EngineStats]":
     """Seed ``reads`` in batches; returns the CLI's TSV lines (one per
     seed, newline-terminated, in input order) plus aggregated stats."""
@@ -762,13 +745,12 @@ def seed_reads(index: ErtIndex, reads: "Sequence[object]",
     return _map_reads(
         ErtSeedingEngine(index, gather_limit=gather_limit), "seed",
         {"params": params, "kernels": config.resolved_kernels()},
-        reads, config, config.batch_size, reporter)
+        reads, config, config.batch_size)
 
 
 def align_reads(index: ErtIndex, reads: "Sequence[object]",
                 params: "SeedingParams | None" = None,
-                config: "ParallelConfig | None" = None,
-                reporter: "ProgressReporter | None" = None) \
+                config: "ParallelConfig | None" = None) \
         -> "tuple[list[SamRecord], EngineStats]":
     """Align ``reads`` to SAM records, byte-identical to the serial
     per-read loop, in input order."""
@@ -776,14 +758,13 @@ def align_reads(index: ErtIndex, reads: "Sequence[object]",
     return _map_reads(
         ErtSeedingEngine(index), "align",
         {"params": params, "kernels": config.resolved_kernels()},
-        reads, config, config.batch_size, reporter)
+        reads, config, config.batch_size)
 
 
 def align_pairs(index: ErtIndex, reads: "Sequence[object]",
                 params: "SeedingParams | None" = None,
                 insert_mean: int = 350, insert_sd: int = 50,
-                config: "ParallelConfig | None" = None,
-                reporter: "ProgressReporter | None" = None) \
+                config: "ParallelConfig | None" = None) \
         -> "tuple[list[SamRecord], EngineStats]":
     """Align interleaved paired-end ``reads`` (mate1, mate2, ...).
 
@@ -797,7 +778,7 @@ def align_pairs(index: ErtIndex, reads: "Sequence[object]",
         ErtSeedingEngine(index), "align-pe",
         {"params": params, "kernels": config.resolved_kernels(),
          "insert_mean": insert_mean, "insert_sd": insert_sd},
-        reads, config, 2 * config.batch_size, reporter)
+        reads, config, 2 * config.batch_size)
 
 
 def traffic_totals(engine: SeedingEngine, reads: "Sequence[object]",

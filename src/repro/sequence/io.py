@@ -75,13 +75,16 @@ def read_fastq(path) -> "list[Read]":
         header, seq, plus, quality = lines[i:i + 4]
         if not header.startswith("@"):
             raise FastaError(f"FASTQ record {i // 4} missing '@' header")
+        name = header[1:].split()
+        if not name:
+            raise FastaError(f"FASTQ record {i // 4} has an empty name")
         if not plus.startswith("+"):
             raise FastaError(f"FASTQ record {i // 4} missing '+' separator")
         if len(seq) != len(quality):
             raise FastaError(
                 f"FASTQ record {i // 4} sequence/quality length mismatch")
-        reads.append(Read(name=header[1:].split()[0],
-                          codes=encode(seq), quality=quality))
+        reads.append(Read(name=name[0], codes=encode(seq),
+                          quality=quality))
     return reads
 
 

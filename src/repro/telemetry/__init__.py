@@ -8,8 +8,8 @@ process-wide place to put numbers:
   bucketed histograms;
 * a span tracer (:mod:`repro.telemetry.spans`): nested wall-clock stage
   timings with exclusive-time accounting;
-* exporters (:mod:`repro.telemetry.export`): JSON / JSONL snapshots and
-  the human-readable per-stage profile.
+* exporters (:mod:`repro.telemetry.export`): JSON snapshots and the
+  human-readable per-stage profile.
 
 **Telemetry is off by default** and everything routes through one
 module-level flag.  While disabled, :func:`span` returns a shared no-op
@@ -45,7 +45,6 @@ from repro.telemetry.export import (
     render_slowlog,
     render_spans,
     write_json,
-    write_jsonl,
     write_trace,
 )
 from repro.telemetry.openmetrics import parse_openmetrics, render_openmetrics
@@ -59,7 +58,6 @@ from repro.telemetry.metrics import (
     bucket_percentile,
     sanitize,
 )
-from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.spans import NoopSpan, SpanStat, Tracer
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NoopSpan",
-    "ProgressReporter",
     "READ_WALL_MS_EDGES",
     "SpanStat",
     "TimelineRecorder",
@@ -114,7 +111,6 @@ __all__ = [
     "trace_events",
     "tracer",
     "write_json",
-    "write_jsonl",
     "write_trace",
 ]
 

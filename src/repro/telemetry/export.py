@@ -6,10 +6,9 @@ A telemetry *snapshot* is the plain-dict form produced by
     {"counters": {...}, "gauges": {...}, "histograms": {...},
      "spans": {...}}
 
-This module writes snapshots as JSON (one run per file) or JSONL (one
-labelled run per line, for benchmark trajectories), reads them back, and
-renders the per-stage table behind ``ert-repro report`` and the CLI's
-``--profile`` flag.  Everything here is standard-library only so the
+This module writes snapshots as JSON (one run per file), reads them
+back, and renders the per-stage table behind ``ert-repro report`` and
+the CLI's ``--profile`` flag.  Everything here is standard-library only so the
 telemetry package never drags the analysis stack into hot paths.
 """
 
@@ -29,14 +28,6 @@ def write_json(path, snapshot: dict) -> None:
     with open(path, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def write_jsonl(path, snapshot: dict, label: str = "") -> None:
-    """Append one snapshot as a single JSONL record tagged ``label``."""
-    record = {"label": label}
-    record.update(snapshot)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_trace(path, document: dict) -> None:

@@ -207,7 +207,6 @@ def test_json_report_schema():
     assert doc["violation_count"] == len(doc["violations"]) == 2
     assert doc["counts"] == {"ERT006": 2}
     assert isinstance(doc["suppressed"], int)
-    assert doc["baselined"] == 0
     for violation in doc["violations"]:
         assert set(violation) == {"rule", "path", "line", "col", "message"}
         assert violation["rule"] == "ERT006"
@@ -352,150 +351,8 @@ def test_project_violation_suppressed_by_callee_file_pragma():
     assert suppressed == 1
 
 
-def test_run_checks_jobs_output_is_deterministic():
-    """Parallel pass 1 must produce a byte-identical report."""
-    paths = [FIXTURES]
-    serial = run_checks(paths, excludes=())
-    parallel = run_checks(paths, excludes=(), jobs=2)
-    assert serial.violations == parallel.violations
-    assert serial.files_checked == parallel.files_checked
-    assert serial.suppressed == parallel.suppressed
-
-
 # ----------------------------------------------------------------------
-# SARIF export
-# ----------------------------------------------------------------------
-
-
-def test_sarif_document_structure():
-    from repro.checks import render_sarif
-    report = run_checks([fixture("ert006_fail.py")], excludes=())
-    doc = json.loads(render_sarif(report))
-    assert doc["version"] == "2.1.0"
-    assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-    (run,) = doc["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "ert-repro-check"
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert list(RULE_IDS) == rule_ids
-    for descriptor in driver["rules"]:
-        assert descriptor["shortDescription"]["text"]
-        assert descriptor["fullDescription"]["text"]
-        assert descriptor["properties"]["pragma"] == (
-            f"# repro: allow({descriptor['id']})")
-    assert len(run["results"]) == 2
-    for result in run["results"]:
-        assert result["ruleId"] == "ERT006"
-        assert result["message"]["text"]
-        assert rule_ids[result["ruleIndex"]] == "ERT006"
-        (location,) = result["locations"]
-        physical = location["physicalLocation"]
-        assert physical["artifactLocation"]["uri"].endswith(
-            "ert006_fail.py")
-        assert "\\" not in physical["artifactLocation"]["uri"]
-        assert physical["region"]["startLine"] >= 1
-        assert physical["region"]["startColumn"] >= 1
-    assert run["properties"]["filesChecked"] == 1
-
-
-def test_sarif_includes_parse_rule_descriptor_on_demand(tmp_path):
-    from repro.checks import render_sarif
-    broken = tmp_path / "broken.py"
-    broken.write_text("def f(:\n")
-    report = run_checks([str(broken)], excludes=())
-    doc = json.loads(render_sarif(report))
-    (run,) = doc["runs"]
-    rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert "PARSE" in rule_ids
-    (result,) = run["results"]
-    assert result["ruleId"] == "PARSE"
-
-
-def test_cli_sarif_format(capsys):
-    assert checks_main(["--format", "sarif",
-                        fixture("ert006_fail.py")]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == "2.1.0"
-    assert len(doc["runs"][0]["results"]) == 2
-
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-
-VIOLATING_SNIPPET = (
-    "def f(x=[]):\n"
-    "    return x\n"
-    "\n"
-    "\n"
-    "def g(y={}):\n"
-    "    return y\n"
-)
-
-
-def test_baseline_waives_recorded_violations(tmp_path):
-    from repro.checks.baseline import (apply_baseline, load_baseline,
-                                       write_baseline)
-    target = tmp_path / "debt.py"
-    target.write_text(VIOLATING_SNIPPET)
-    baseline_path = tmp_path / "checks-baseline.json"
-    report = run_checks([str(target)], excludes=())
-    assert len(report.violations) == 2
-    assert write_baseline(str(baseline_path), report) == 2
-    # Same tree: everything is waived, and the waiver count is visible.
-    fresh = run_checks([str(target)], excludes=())
-    apply_baseline(fresh, load_baseline(str(baseline_path)))
-    assert fresh.ok
-    assert fresh.baselined == 2
-    assert report_as_dict(fresh)["baselined"] == 2
-    # New debt on top: only the new violation survives the baseline.
-    target.write_text(VIOLATING_SNIPPET + "\n\ndef h(z=[]):\n    return z\n")
-    grown = run_checks([str(target)], excludes=())
-    apply_baseline(grown, load_baseline(str(baseline_path)))
-    assert [v.line for v in grown.violations] == [9]
-    assert grown.baselined == 2
-
-
-def test_baseline_survives_line_moves(tmp_path):
-    from repro.checks.baseline import apply_baseline, load_baseline, \
-        write_baseline
-    target = tmp_path / "debt.py"
-    target.write_text(VIOLATING_SNIPPET)
-    baseline_path = tmp_path / "b.json"
-    write_baseline(str(baseline_path), run_checks([str(target)],
-                                                  excludes=()))
-    # Push everything down two lines; fingerprints must still match.
-    target.write_text("# a comment\nX = 1\n" + VIOLATING_SNIPPET)
-    moved = run_checks([str(target)], excludes=())
-    apply_baseline(moved, load_baseline(str(baseline_path)))
-    assert moved.ok
-    assert moved.baselined == 2
-
-
-def test_cli_baseline_roundtrip(tmp_path, capsys):
-    target = tmp_path / "debt.py"
-    target.write_text(VIOLATING_SNIPPET)
-    baseline_path = tmp_path / "checks-baseline.json"
-    # Record the debt ...
-    assert checks_main(["--baseline", str(baseline_path),
-                        "--update-baseline", str(target)]) == 0
-    assert "2 entries" in capsys.readouterr().out
-    # ... and the very next gated run is green, with the debt visible.
-    assert checks_main(["--baseline", str(baseline_path),
-                        str(target)]) == 0
-    assert "(2 baselined)" in capsys.readouterr().out
-
-
-def test_cli_rejects_malformed_baseline(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"version\": 999}")
-    assert checks_main(["--baseline", str(bad),
-                        fixture("ert006_pass.py")]) == 2
-    assert "cannot load baseline" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# CLI: --list-rules filtering/json and --jobs
+# CLI: --list-rules filtering/json
 # ----------------------------------------------------------------------
 
 
@@ -518,23 +375,6 @@ def test_cli_list_rules_json(capsys):
     assert by_id["ERT015"]["scope"] == ["repro.parallel"]
     assert by_id["ERT013"]["pragma"] == "# repro: allow(ERT013)"
     assert by_id["ERT013"]["title"]
-
-
-def test_cli_jobs_matches_serial_output(capsys):
-    # Explicitly named files bypass the default fixture exclude.
-    targets = [fixture("ert001_fail.py"), fixture("ert006_fail.py"),
-               fixture("ert012_fail.py"), fixture("ert016_fail.py")]
-    assert checks_main(targets) == 1
-    serial_out = capsys.readouterr().out
-    assert checks_main(targets + ["--jobs", "2"]) == 1
-    parallel_out = capsys.readouterr().out
-    assert serial_out == parallel_out
-
-
-def test_cli_rejects_negative_jobs():
-    with pytest.raises(SystemExit) as excinfo:
-        checks_main(["--jobs", "-1", fixture("ert006_pass.py")])
-    assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------

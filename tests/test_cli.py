@@ -1,5 +1,9 @@
 """End-to-end CLI tests (the index-once / align-many workflow)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -174,49 +178,6 @@ def test_repro_workers_garbage_values(workspace, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("read\t")
 
 
-def test_index_cache_detects_same_size_rewrite(tmp_path, monkeypatch):
-    """The PR-3 cache key was (abspath, mtime_ns, size): a same-size
-    in-place rewrite within one mtime tick served the stale index.  The
-    content fingerprint in the key must detect the rewrite even with
-    identical size, inode and mtime."""
-    import os
-
-    import repro.cli as cli_mod
-
-    target = tmp_path / "index.npz"
-    page = cli_mod._FINGERPRINT_PAGE
-    target.write_bytes(b"A" * (3 * page))
-    stat = os.stat(target)
-
-    loads = []
-    monkeypatch.setattr(cli_mod, "load_ert",
-                        lambda path: loads.append(str(path)) or object())
-    cli_mod._INDEX_CACHE.clear()
-    first = cli_mod.load_index_cached(str(target))
-    assert len(loads) == 1
-    # Cache hit while the file is untouched.
-    assert cli_mod.load_index_cached(str(target)) is first
-    assert len(loads) == 1
-
-    def rewrite_in_place(data):
-        # Same size, same inode (no truncate-and-replace), and the
-        # original mtime pinned back -- only the bytes differ.
-        with open(target, "r+b") as fh:
-            fh.write(data)
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-
-    # A change in the first page misses the cache...
-    rewrite_in_place(b"B" * page + b"A" * (2 * page))
-    second = cli_mod.load_index_cached(str(target))
-    assert len(loads) == 2, "stale index served after first-page rewrite"
-    assert second is not first
-    # ... and so does a change confined to the last page.
-    rewrite_in_place(b"B" * (2 * page) + b"C" * page)
-    third = cli_mod.load_index_cached(str(target))
-    assert len(loads) == 3, "stale index served after last-page rewrite"
-    assert third is not second
-
-
 def test_seed_output_matches_library(workspace):
     """The CLI must produce exactly what the library produces."""
     from repro.core import ErtSeedingEngine, load_ert
@@ -273,3 +234,96 @@ def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"ert-repro {command}: {cut}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "align-pe"])
+@pytest.mark.parametrize("text", [
+    "@\nACGTACGTACGT\n+\nIIIIIIIIIIII\n",            # bare '@' header
+    "@r1\nACGTACGTACGT\n+\n",                         # 3-line record
+    "@r1\nACGTNCGTACGT\n+\nIIIIIIIIIIII\n",          # N in a read
+], ids=["bare-at", "three-lines", "non-acgt"])
+def test_malformed_reads_are_one_line_and_exit_two(workspace, tmp_path,
+                                                   capsys, command, text):
+    _root, _ref, _reads, index = workspace
+    bad = tmp_path / "bad.fq"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--index", str(index), "--reads", str(bad),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro {command}: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_sequence_before_first_fasta_header_is_a_typed_error(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "bad.fa"
+    bad.write_text("ACGT\n>late\nACGT\n")
+    out = tmp_path / "idx.npz"
+    assert main(["build-index", "--reference", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("ert-repro build-index: sequence data before first "
+                   "FASTA header\n")
+    assert not out.exists()
+
+
+#: What a read-driven subcommand shares with the other two; anything
+#: else on it is that command's own I/O.
+SHARED_RUN_OPTIONS = {
+    "--profile", "--metrics-out", "--slowlog", "--log-jsonl",
+    "--trace-out", "--workers", "--batch-size", "--retries",
+    "--batch-timeout", "--kernels",
+}
+OWN_OPTIONS = {
+    "seed": {"--index", "--reads", "--min-seed-len", "--max-hits",
+             "--out"},
+    "align": {"--index", "--reads", "--min-seed-len", "--out"},
+    "align-pe": {"--index", "--reads", "--min-seed-len", "--insert-mean",
+                 "--insert-sd", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_run_subcommand_option_surface_is_pinned(command):
+    """A new knob on the run path has to be added here on purpose."""
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command")
+    options = {flag for action in subparsers.choices[command]._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+    assert options == SHARED_RUN_OPTIONS | OWN_OPTIONS[command]
+
+
+def test_cli_import_leaves_checks_and_ledger_unloaded():
+    code = (
+        "import sys, repro.cli\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.split('.')[:2] in (['repro', 'checks'],\n"
+        "                                  ['repro', 'ledger'])]\n"
+        "assert not loaded, loaded\n"
+        "assert repro.cli.main(['check', '--list-rules']) == 0\n"
+        "assert 'repro.checks.cli' in sys.modules\n"
+        "try:\n"
+        "    repro.cli.main(['ledger', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert 'repro.ledger.cli' in sys.modules\n")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert "ERT001" in proc.stdout
+    assert "usage: ert-repro ledger" in proc.stdout
+
+
+def test_top_level_help_lists_delegated_subcommands(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert "check " in out and "ledger " in out

@@ -305,7 +305,6 @@ def test_default_workers_reads_environment(monkeypatch):
 
 def test_parallel_config_inflight_default():
     assert ParallelConfig().resolved_inflight(4) == 8
-    assert ParallelConfig(max_inflight=3).resolved_inflight(4) == 3
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.telemetry import (
     render_profile,
     sanitize,
     write_json,
-    write_jsonl,
 )
 
 
@@ -261,18 +260,6 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "metrics.json"
     write_json(path, snap)
     assert load_snapshot(path) == snap
-
-
-def test_jsonl_appends_labelled_records(tmp_path):
-    snap = _sample_snapshot()
-    path = tmp_path / "metrics.jsonl"
-    write_jsonl(path, snap, label="run1")
-    write_jsonl(path, snap, label="run2")
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    records = [json.loads(line) for line in lines]
-    assert [r["label"] for r in records] == ["run1", "run2"]
-    assert records[0]["counters"] == snap["counters"]
 
 
 def test_load_snapshot_fills_missing_sections(tmp_path):

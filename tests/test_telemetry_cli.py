@@ -126,16 +126,21 @@ def test_seed_reports_truncated_hit_lists(workspace, tmp_path, capsys):
 
 
 def test_metrics_format_openmetrics_writes_parseable_text(workspace,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          capsys):
+    """The one OpenMetrics path: ``--metrics-out`` JSON converted by
+    ``report --format openmetrics`` keeps families and exemplars."""
     from repro.telemetry import parse_openmetrics
 
     _root, reads, index = workspace
-    metrics = tmp_path / "metrics.om"
+    metrics = tmp_path / "metrics.json"
     assert main(["seed", "--index", str(index), "--reads", str(reads),
                  "--min-seed-len", "12", "--out", str(tmp_path / "s.tsv"),
-                 "--metrics-out", str(metrics),
-                 "--metrics-format", "openmetrics"]) == 0
-    text = metrics.read_text()
+                 "--metrics-out", str(metrics)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--metrics", str(metrics),
+                 "--format", "openmetrics"]) == 0
+    text = capsys.readouterr().out
     assert text.endswith("# EOF\n")
     doc = parse_openmetrics(text)
     families = doc["families"]
