@@ -20,7 +20,7 @@ per-batch setup (code packing, flat-tree gather tables) that the
 scalar loop does not have; the headline speedup compares each
 backend's best configuration.  The alignment leg runs on a read
 subset, asserts byte-identical SAM, and -- now that the vector path
-routes CIGAR production through the batched wavefront traceback
+routes CIGAR production through the batched row-scan traceback
 (``batched_sw_traceback``, swept over the (read, window) lanes of a
 whole batch) -- its ``align.reads_per_sec`` is a gated ledger metric
 alongside seeding: the ``--threshold 0.0`` diff fails whenever vector
@@ -48,10 +48,10 @@ N_ALIGN = 120
 #: best batch size each (ISSUE 8 requires >= 3x on this workload).
 MIN_SEED_SPEEDUP = 3.0
 #: Acceptance floor for the SAM path: batched seeding plus the packed
-#: wavefront traceback (the lanes of a whole 64-read batch per sweep,
-#: ISSUE 13) measured 5.5-9.9x the scalar aligner over five runs on a
-#: host whose speed drifts up to 2x within a run; the floor leaves that
-#: drift as margin.  The ledger gate additionally requires > 1.0.
+#: row-scan traceback (the lanes of a whole 64-read batch, at most 128
+#: per sweep) measured 11.0-12.8x the scalar aligner over three runs on
+#: a host whose speed drifts up to 2x within a run; the floor leaves
+#: that drift as margin.  The ledger gate additionally requires > 1.0.
 MIN_ALIGN_SPEEDUP = 3.0
 
 

@@ -317,8 +317,9 @@ def _add_parallel_args(parser) -> None:
     parser.add_argument(
         "--kernels", choices=KERNEL_CHOICES, default=None,
         help="seeding/extension kernels: scalar (the per-read oracle) "
-             "or vector (batched numpy walks + wavefront SW; "
-             "byte-identical output).  Default: $REPRO_KERNELS, else "
+             "or vector (batched numpy walks + row-scan SW "
+             "traceback; byte-identical output).  Default: "
+             "$REPRO_KERNELS, else "
              "scalar")
 
 

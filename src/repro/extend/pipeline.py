@@ -92,7 +92,7 @@ class ReadAligner:
         #: convention of :func:`repro.kernels.traceback.
         #: batched_sw_traceback`.  When set, :meth:`extend_batch` (the
         #: SAM paths and the paired candidate sweep) traces the
-        #: surviving chains of every read of a batch in one wavefront
+        #: surviving chains of every read of a batch in one kernel
         #: call per read length instead of one scalar traceback per
         #: chain -- same records byte for byte.  Injected (by the
         #: parallel scheduler under ``--kernels vector``) for the same

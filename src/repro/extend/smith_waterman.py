@@ -67,26 +67,30 @@ class SwWorkspace:
         a, b, c, d = self._rows
         return a[:n + 1], b[:n + 1], c[:n + 1], d[:n + 1]
 
-    def grid(self, planes: int, rows: int, cols: int) -> np.ndarray:
-        """An int64 ``(planes, rows, cols)`` block for the wavefront
-        kernel's rotating diagonal buffers (contents unspecified);
-        grown on demand and reused across calls like :meth:`rows`."""
+    def grid(self, planes: int, rows: int, cols: int,
+             dtype=np.int64) -> np.ndarray:
+        """A ``(planes, rows, cols)`` block of ``dtype`` for a batched
+        kernel's rows and score planes (contents unspecified); reused
+        across calls like :meth:`rows`, and allocated afresh when a
+        call needs more cells or another dtype than the last one left
+        -- one block is resident, never one per dtype."""
         need = planes * rows * cols
-        if self._grid is None or self._grid.size < need:
-            self._grid = np.empty(max(need, 4096), dtype=np.int64)
+        if self._grid is None or self._grid.dtype != dtype \
+                or self._grid.size < need:
+            self._grid = np.empty(max(need, 4096), dtype=dtype)
         return self._grid[:need].reshape(planes, rows, cols)
 
-    def ptr_planes(self, b: int, rows: int, cols: int) \
+    def ptr_planes(self, planes: int, rows: int, cols: int) \
             -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Traceback pointer planes for the batched traceback kernel:
-        one int8 ``(b, rows, cols)`` plane (H pointers) plus two bool
-        planes of the same shape (E/F gap-open flags), carved from one
-        persistent byte buffer (contents unspecified) and grown on
+        one int8 ``(planes, rows, cols)`` block (H pointers) plus two
+        bool blocks of the same shape (E/F gap-open flags), carved from
+        one persistent byte buffer (contents unspecified) and grown on
         demand like :meth:`rows` / :meth:`grid`."""
-        need = 3 * b * rows * cols
+        need = 3 * planes * rows * cols
         if self._planes is None or self._planes.size < need:
             self._planes = np.empty(max(need, 4096), dtype=np.int8)
-        block = self._planes[:need].reshape(3, b, rows, cols)
+        block = self._planes[:need].reshape(3, planes, rows, cols)
         return block[0], block[1].view(np.bool_), block[2].view(np.bool_)
 
 

@@ -172,7 +172,7 @@ def walk_back(q: np.ndarray, t: np.ndarray, h_ptr: np.ndarray,
         -> TracedAlignment:
     """Walk band-relative pointer planes back from the best cell.
 
-    Shared by the scalar kernel above and the batched wavefront kernel
+    Shared by the scalar kernel above and the batched row-scan kernel
     (:func:`repro.kernels.traceback.batched_sw_traceback`), which fills
     per-lane planes of the same layout -- sharing the walk is what makes
     their CIGARs identical by construction.

@@ -15,10 +15,11 @@ batched multi-read traversal:
   batched walks; byte-identical seeds to the scalar oracle.
 * :mod:`repro.kernels.sw` -- anti-diagonal wavefront banded
   Smith-Waterman over a batch of extension windows.
-* :mod:`repro.kernels.traceback` -- the same wavefront sweep with
-  band-relative traceback pointer planes and a per-lane walk-back, over
-  (read, window) lanes packed across the reads of a batch, so the SAM
-  paths (CIGAR production) batch too.
+* :mod:`repro.kernels.traceback` -- banded Smith-Waterman *with
+  traceback* as a row scan (the band swept row by row, F by one
+  prefix-max scan per row) filling band-relative pointer planes, then a
+  per-lane walk-back, over (read, window) lanes packed across the reads
+  of a batch, so the SAM paths (CIGAR production) batch too.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
   sweeps count into plain ndarrays and flush the metrics registry once
   per batch, so vector mode runs fully observed with the hot loops

@@ -1,93 +1,102 @@
-"""Anti-diagonal wavefront banded Smith-Waterman *with traceback* over a
-batch of lanes.
+"""Row-scan banded Smith-Waterman *with traceback* over a batch of lanes.
 
 A lane is one (query, target window) pair.  :func:`batched_sw_traceback`
 sweeps ``B`` lanes at once -- each with its own query row of a ``(B, m)``
 block, or all sharing one 1-D query (the broadcast case of the same
 code) -- and returns exactly what ``B`` calls to
 :func:`repro.extend.traceback.banded_sw_traceback` would: same scores,
-same coordinates, same CIGAR tuples.  It is the output-producing sibling
-of :func:`repro.kernels.sw.batched_banded_sw`: the H/E/F recurrences are
-swept by the same anti-diagonal wavefront over rotating ``(B, m + 1)``
-planes, but every in-band cell additionally records its traceback state
-into band-relative pointer planes -- ``h_ptr`` (int8: stop / diagonal /
-from-E / from-F) plus ``e_open`` / ``f_open`` (bool: did the gap state
-open here or extend?) of shape ``(B, m + 1, width)``, carved from the
-caller's :class:`~repro.extend.smith_waterman.SwWorkspace` -- in the
-same layout the scalar kernel builds row by row.  After the sweep, each
-lane's alignment is recovered by the *shared* walk-back
-(:func:`repro.extend.traceback.walk_back`), so the CIGARs are identical
-to the scalar kernel's by construction, not merely by test.
+same coordinates, same CIGAR tuples.
 
-Three departures from :func:`~repro.kernels.sw.batched_banded_sw` keep
-the per-diagonal numpy call count low enough to beat the scalar row
-loop at small batch sizes:
+The sweep runs in the scalar kernel's own geometry, row by row, on
+band-relative rows: row ``i`` holds columns ``j = i - half + r``,
+``r = 0 .. 2 half``, lanes innermost, so every operand of a row is one
+contiguous ``(2 half + 1, B)`` block.  ``E`` and the diagonal term come
+from the previous row as the scalar kernel computes them, ``H0 =
+max(diag, E, 0)``, and the scalar kernel's per-cell F loop is one
+prefix-max scan::
 
-* **Boundary pinning instead of masking.**  The scalar kernel's
-  out-of-band reads (H as 0, E/F as ``NEG_INF``) are materialized by
-  pinning the one plane column on either side of each diagonal's
-  written span, so the recurrences are straight slice arithmetic with
-  no per-diagonal ``ok``-mask construction or ``np.where`` repairs.
-  (This is the wavefront analogue of the rotating-row pinning in
-  :func:`repro.extend.traceback.banded_sw_traceback`.)
-* **Strided flat writes.**  A diagonal maps to band-relative pointer
-  cells ``(i, half + d - 2i)``; on the flattened ``(m + 1) * width``
-  plane those sit at a constant stride of ``width - 2``, so each
-  pointer plane takes one basic-slice write per diagonal instead of a
-  fancy-indexed scatter.
-* **Post-sweep best search.**  H values are also streamed into a full
-  band-relative plane; the best cell (first row-major occurrence of
-  the maximum -- the scalar tie-break) is one masked ``argmax`` per
-  lane after the sweep, replacing per-diagonal max/argmax/compare
-  bookkeeping.
+    F[c] = ext c + max_{c' <= c} G[c'],   G[0] = open,
+                                          G[c] = H0[c-1] + open - ext c
 
-The ~200 per-diagonal numpy calls of a sweep cost the same whether
-they carry 3 lanes or 64, so the per-lane cost falls steeply with the
-lane count (101 bp reads, band 41: 2.2 ms at B = 3, 1.0 ms at B = 8,
-0.29 ms at B = 64, 0.23 ms at B = 128).  Callers therefore pack lanes
-from *different reads* of a batch into one call
-(:meth:`repro.extend.pipeline.ReadAligner.extend_batch`), and the entry
-point splits the lanes evenly into sweeps of at most
-:data:`MAX_WAVEFRONT_LANES`.  A call whose total
-lane count is below :data:`MIN_WAVEFRONT_LANES` -- in a packed run only
-a one-read batch such as ``ert-repro explain --read-id``, or a read
-whose length no other read of its batch shares -- is not worth a sweep
-and goes to the scalar kernel lane by lane (trivially identical output).
+``F[c] = max(H[c-1] + open, F[c-1] + ext)`` with ``H[c-1] = max(H0[c-1],
+F[c-1])`` unrolls to that form whenever ``gap_open <= gap_extend``: the
+``F[c-1] + open`` the true ``H[c-1]`` would add never beats ``F[c-1] +
+ext``, and ``G[0]`` is the out-of-band ``H = 0`` left of the row (any
+other scheme goes to the scalar kernel).  ``H = max(H0, F)``; pointers
+(stop / diagonal / E / F, in that priority), ``e_open`` and ``f_open``
+are then elementwise on the true ``H`` / ``E`` / ``F``, written into
+band-relative pointer planes of the layout the scalar kernel fills, and
+each lane's alignment is recovered by the *shared* walk-back
+(:func:`repro.extend.traceback.walk_back`): the CIGARs are identical to
+the scalar kernel's by construction, not merely by test.
+
+A row is ~25 numpy calls.  There is no boundary bookkeeping: cells left
+of the matrix (``j <= 0``) and beyond a lane's target are computed
+against a sentinel base that matches nothing, so every term there is
+negative and ``H`` is the 0 the scalar kernel pins, and no cell feeds
+one with a smaller ``j``; the column right of the band is pinned once
+per sweep.  Row ``i - 1`` of the band-relative ``H`` plane *is* the
+previous row, row ``i`` holds the substitution scores until ``H``
+overwrites them, and the best cell is searched there after the sweep.
+
+Planes and rows are int16 when every intermediate fits (``m match`` and
+``width |penalty|`` below 2^14, -2^14 standing in for ``NEG_INF``) and
+int32 otherwise -- computed from ``m`` and the scheme, one code path.
+The row loop costs nearly the same for 3 lanes as for 128 (101 bp reads,
+band 41, sweep + walk-back per lane: 0.61 ms at B = 3, 0.26 ms at B = 8,
+0.070 ms at B = 64, 0.050 ms at B = 128; scalar kernel 2.2 ms), so
+callers pack lanes from *different reads* of a batch into one call
+(:meth:`repro.extend.pipeline.ReadAligner.extend_batch`), split evenly
+here into sweeps of at most :data:`MAX_WAVEFRONT_LANES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import telemetry
 from repro.telemetry.metrics import FRACTION_EDGES
 from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME,
-    NEG_INF,
-    ScoringScheme,
-    SwWorkspace,
-)
+    DEFAULT_SCHEME, ScoringScheme, SwWorkspace)
 from repro.extend.traceback import (
-    _DIAG,
-    _FROM_E,
-    _FROM_F,
-    _STOP,
-    TracedAlignment,
-    banded_sw_traceback,
-    walk_back,
-)
+    _STOP, TracedAlignment, banded_sw_traceback, walk_back)
 
-#: Below this many lanes the wavefront sweep loses to the scalar row
-#: loop (numpy call overhead on ~band-wide diagonals dominates); the
-#: batch entry point dispatches to the scalar kernel instead.
-MIN_WAVEFRONT_LANES = 3
-#: Most lanes one sweep carries, sized by memory: a lane owns seven
-#: rotating rows, a band-relative H plane (int64) and three pointer
-#: planes (int8) -- (7 (m + 1) + (m + 1) width) * 8 + 3 (m + 1) width
-#: bytes, 53 kB at m = 101, band = 41 -- so 64 lanes keep a sweep's
-#: planes near 3.4 MB and the process's peak RSS where the per-read
-#: sweeps left it; 128 lanes are 1.3x faster per lane but add 6 MB.
-MAX_WAVEFRONT_LANES = 64
+#: Below this many lanes the batch entry point dispatches to the scalar
+#: kernel.  Measured at m = 101, band = 41 (median of 300 interleaved
+#: calls, sweep vs scalar row loop): 1.30 vs 1.81 ms at B = 1, 1.71 vs
+#: 4.34 ms at B = 2, 1.82 vs 6.77 ms at B = 3 -- a sweep of one lane
+#: already wins, so no call is declined for its lane count.
+MIN_WAVEFRONT_LANES = 1
+#: Most lanes one sweep carries, sized by memory: a lane owns a
+#: band-relative H plane (int16), three pointer planes (int8) and 13
+#: band-wide rows -- ((m + 1) (2 + 3) + 26) width bytes, 22.5 kB at
+#: m = 101, band = 41 -- so 128 lanes keep a sweep's planes at 2.9 MB.
+MAX_WAVEFRONT_LANES = 128
+
+#: Target padding: a base code no query holds, so cells outside a
+#: lane's target score as mismatches.
+_SENTINEL = 127
+
+
+def _neg_inf(dtype) -> int:
+    """``NEG_INF`` stand-in of ``dtype``: half its range, so adding one
+    penalty never wraps and every real E/F (>= ``gap_open``) beats it."""
+    return int(np.iinfo(dtype).min) // 2
+
+
+def _plane_dtype(m: int, width: int, scheme: ScoringScheme):
+    """The narrowest dtype the row scan can run in, or ``None`` when it
+    cannot carry ``scheme`` (``gap_open > gap_extend`` breaks the scan;
+    scores past int32 break everything)."""
+    reach = max(m * scheme.match,
+                width * -min(scheme.mismatch, scheme.gap_open,
+                             scheme.gap_extend))
+    if scheme.gap_open <= scheme.gap_extend:
+        for dtype in (np.int16, np.int32):
+            if reach < -_neg_inf(dtype):
+                return dtype
+    return None
 
 
 def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
@@ -101,10 +110,10 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     ``query`` is a ``(B, m)`` block holding lane ``b``'s query in row
     ``b``, or one 1-D query shared by every lane.  Equivalent to
     ``[banded_sw_traceback(query_b, t, scheme, band, workspace) for
-    query_b, t in lanes]``, computed wavefront-parallel in evenly split
+    query_b, t in lanes]``, computed lane-parallel in evenly split
     sweeps of at most :data:`MAX_WAVEFRONT_LANES` lanes.  ``min_lanes``
     overrides the scalar-dispatch crossover (the equivalence tests pin
-    it to 1 to force the wavefront path on small batches).
+    it to 1 to force the row scan on small batches).
     """
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
@@ -120,12 +129,16 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     q = np.broadcast_to(q, (B, m))
     t16 = [np.asarray(t, dtype=np.int16) for t in targets]
     floor = MIN_WAVEFRONT_LANES if min_lanes is None else min_lanes
-    if B < floor or m == 0 or max(t.size for t in t16) == 0:
+    dtype = _plane_dtype(m, 2 * (band // 2) + 2, scheme)
+    if B < floor or dtype is None or m == 0 \
+            or max(t.size for t in t16) == 0:
         # Batch-granularity bookkeeping only (no-ops while telemetry is
-        # off): which batches the wavefront declined, and why.
+        # off): which batches the row scan declined, and why.
         telemetry.count("kernels.sw_scalar_batches")
         if B < floor:
             telemetry.count("kernels.fallback_scalar.lanes")
+        elif dtype is None:
+            telemetry.count("kernels.fallback_scalar.scheme")
         return [banded_sw_traceback(q[b], t, scheme, band,
                                     workspace=workspace)
                 for b, t in enumerate(t16)]
@@ -133,160 +146,147 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     out: "list[TracedAlignment]" = []
     for k in range(sweeps):
         lo, hi = k * B // sweeps, (k + 1) * B // sweeps
-        out += _sweep(q[lo:hi], t16[lo:hi], scheme, band, workspace)
+        out += _sweep(q[lo:hi], t16[lo:hi], scheme, band, workspace,
+                      dtype)
     return out
 
 
 def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
-           band: int, workspace: SwWorkspace) -> "list[TracedAlignment]":
-    """One wavefront sweep: lane ``b`` aligns row ``b`` of the ``(B, m)``
-    int16 block ``q`` against ``t16[b]``."""
+           band: int, workspace: SwWorkspace, dtype
+           ) -> "list[TracedAlignment]":
+    """One row sweep in ``dtype``: lane ``b`` aligns row ``b`` of the
+    ``(B, m)`` int16 block ``q`` against ``t16[b]``."""
     B, m = q.shape
     n_arr = np.array([t.size for t in t16], dtype=np.int64)
     n_max = int(n_arr.max())
-    # Plane-fill fraction of this sweep: real target columns over the
-    # (B, widest-lane) rectangle the rotating planes pay for.
+    # Fill fraction: real target columns over the (B, n_max) rectangle.
     telemetry.observe("kernels.wavefront_fill",
                       float(n_arr.sum()) / (B * n_max),
                       edges=FRACTION_EDGES)
     half = band // 2
     width = 2 * half + 2
-
-    # Targets padded with a sentinel that can never equal a base code.
-    tpad = np.full((B, n_max + 1), 127, dtype=np.int64)
-    for b, t in enumerate(t16):
-        tpad[b, :t.size] = t
-    q64 = q.astype(np.int64)
-
-    # Seven rotating (B, m + 1) wavefront planes plus one full
-    # band-relative H plane (the post-sweep best search), carved as
-    # contiguous chunks of one workspace block.
-    cols = m + 1
-    plane = cols * width
-    block = workspace.grid(1, 1, B * (7 * cols + plane))[0, 0]
-    h_m2 = block[0 * B * cols:1 * B * cols].reshape(B, cols)
-    h_m1 = block[1 * B * cols:2 * B * cols].reshape(B, cols)
-    h_cur = block[2 * B * cols:3 * B * cols].reshape(B, cols)
-    e_m1 = block[3 * B * cols:4 * B * cols].reshape(B, cols)
-    e_cur = block[4 * B * cols:5 * B * cols].reshape(B, cols)
-    f_m1 = block[5 * B * cols:6 * B * cols].reshape(B, cols)
-    f_cur = block[6 * B * cols:7 * B * cols].reshape(B, cols)
-    h_all = block[7 * B * cols:].reshape(B, plane)
-    h_m2[:] = 0
-    h_m1[:] = 0
-    e_m1[:] = NEG_INF
-    f_m1[:] = NEG_INF
-    h_all[:] = 0
-
-    h_ptr, e_open, f_open = workspace.ptr_planes(B, cols, width)
-    ptr_flat = h_ptr.reshape(B, plane)
-    eopen_flat = e_open.reshape(B, plane)
-    fopen_flat = f_open.reshape(B, plane)
-    # The walk-back provably never reads an unwritten cell (every
-    # positive H/E/F value implies an in-band, already-swept source),
-    # but a zeroed H-pointer plane turns any future regression into a
-    # deterministic early stop rather than garbage-driven output.
-    h_ptr[:] = _STOP
-
-    match = scheme.match
-    mismatch = scheme.mismatch
+    w = width - 1                # in-band columns of a row
+    rows = min(m, n_max + half)  # past it the band has left every target
+    neg = _neg_inf(dtype)
     open_ = scheme.gap_open
     ext = scheme.gap_extend
-    stride = width - 2  # flat step between successive rows of a diagonal
 
-    for d in range(2, m + n_max + 1):
-        i_lo = max(1, (d - half + 1) // 2, d - n_max)
-        i_hi = min(m, (d + half) // 2, d - 1)
-        if i_lo > i_hi:
-            if d - n_max > min(m, (d + half) // 2) \
-                    or (d - half + 1) // 2 > m:
-                break  # the band has left the matrix for good
-            # Parity gap (band 1): no in-band cell on this diagonal, but
-            # later diagonals still read it -- fill with the boundary
-            # values a masked kernel would have substituted, and rotate.
-            h_cur[:] = 0
-            e_cur[:] = NEG_INF
-            f_cur[:] = NEG_INF
-            h_m2, h_m1, h_cur = h_m1, h_cur, h_m2
-            e_m1, e_cur = e_cur, e_m1
-            f_m1, f_cur = f_cur, f_m1
-            continue
+    # One typed block, carved into (k, B) pieces: the H plane, nine
+    # band-wide rows (E of two rows, five scratch, two per-column
+    # constants) and the scan's two ping-pong buffers (``w`` rows of
+    # NEG above ``w`` rows of data, so a shifted read needs no edge).
+    plane = (m + 1) * width
+    block = workspace.grid(1, plane + 9 * width + 4 * w, B,
+                           dtype=dtype)[0]
+    h_all = block[:plane].reshape(m + 1, width, B)
+    band_rows = block[plane:plane + 9 * width].reshape(9, width, B)
+    e_prev, e_cur = band_rows[:2]
+    open_e, diag, h0, f_row, h_left, g_step, f_step = band_rows[2:, :w]
+    scan_rows = block[plane + 9 * width:].reshape(2, 2 * w, B)
 
-        # All source reads are plain slices: boundary pinning (below)
-        # already planted H = 0 / E,F = NEG_INF in the one column on
-        # either side of the previous diagonals' written spans, which is
-        # exactly as far as any in-band cell can reach.
-        e_new = np.maximum(h_m1[:, i_lo - 1:i_hi] + open_,
-                           e_m1[:, i_lo - 1:i_hi] + ext)
-        f_new = np.maximum(h_m1[:, i_lo:i_hi + 1] + open_,
-                           f_m1[:, i_lo:i_hi + 1] + ext)
-        # Match term: target index j - 1 = d - 1 - i runs *down* as the
-        # row runs up, a negative-step slice of the padded target block.
-        t_hi = d - 1 - i_lo
-        t_lo = d - 2 - i_hi
-        tview = tpad[:, t_hi:t_lo if t_lo >= 0 else None:-1]
-        sub = np.where(tview == q64[:, i_lo - 1:i_hi],
-                       match, mismatch)
-        diag = h_m2[:, i_lo - 1:i_hi] + sub
-        h_new = np.maximum(np.maximum(diag, 0),
-                           np.maximum(e_new, f_new))
+    h_ptr, e_open, f_open = workspace.ptr_planes(m + 1, width, B)
+    # The walk-back provably never reads an unwritten cell (a positive
+    # H/E/F implies an in-band, already-swept source); zeroing h_ptr
+    # turns any future regression into a deterministic early stop.
+    h_ptr[:] = _STOP
 
-        h_cur[:, i_lo:i_hi + 1] = h_new
-        e_cur[:, i_lo:i_hi + 1] = e_new
-        f_cur[:, i_lo:i_hi + 1] = f_new
-        # Boundary pinning for the next two diagonals' readers.
-        h_cur[:, i_lo - 1] = 0
-        e_cur[:, i_lo - 1] = NEG_INF
-        f_cur[:, i_lo - 1] = NEG_INF
-        if i_hi < m:
-            h_cur[:, i_hi + 1] = 0
-            e_cur[:, i_hi + 1] = NEG_INF
-            f_cur[:, i_hi + 1] = NEG_INF
+    # Substitution scores into rows 1..rows of the H plane: cell (i, r)
+    # compares query base i - 1 with target base i - 1 - half + r, a
+    # sliding window over targets padded by ``half`` sentinels on the
+    # left (e_open's rows serve as the compare's scratch).
+    t_pad = np.full((B, max(m + 2 * half, half + n_max)), _SENTINEL,
+                    dtype=np.int16)
+    for b, t in enumerate(t16):
+        t_pad[b, half:half + t.size] = t
+    windows = sliding_window_view(np.ascontiguousarray(t_pad.T), w,
+                                  axis=0)[:rows].transpose(0, 2, 1)
+    same = e_open[1:rows + 1, :w]
+    np.equal(windows, np.ascontiguousarray(q.T)[:rows, None, :], out=same)
+    sub = h_all[1:rows + 1, :w]
+    np.multiply(same, dtype(scheme.match - scheme.mismatch), out=sub)
+    sub += scheme.mismatch
 
-        # Pointer cells (i, half + d - 2i) sit at constant flat stride
-        # width - 2; priority order is stop, diagonal, E, then F, same
-        # as the scalar kernel's per-cell chain.
-        start = i_lo * stride + half + d
-        sl = slice(start, start + (i_hi - i_lo + 1) * max(stride, 1),
-                   max(stride, 1))
-        ptr_flat[:, sl] = np.where(
-            h_new == 0, _STOP,
-            np.where(h_new == diag, _DIAG,
-                     np.where(h_new == e_new, _FROM_E, _FROM_F)))
-        eopen_flat[:, sl] = h_m1[:, i_lo - 1:i_hi] + open_ \
-            >= e_m1[:, i_lo - 1:i_hi] + ext
-        fopen_flat[:, sl] = h_m1[:, i_lo:i_hi + 1] + open_ \
-            >= f_m1[:, i_lo:i_hi + 1] + ext
-        h_all[:, sl] = h_new
+    # Boundaries, set once: row 0 and the column right of the band read
+    # as H = 0 / E = NEG; G[0] = open survives every scan step.
+    h_all[0] = 0
+    h_all[1:rows + 1, w] = 0
+    e_prev[:] = neg
+    e_cur[w] = neg
+    scan_rows[:, :w] = neg
+    scan_rows[:, w] = open_
+    h_left[0] = open_
+    steps = np.arange(w, dtype=dtype)[:, None]
+    g_step[:] = open_ - ext * steps
+    f_step[:] = ext * steps
+    # The scan's doubling steps s = 1, 2, 4, .. < w, alternating
+    # buffers: (source, source shifted by s, destination).
+    scan = [(scan_rows[k % 2, w:], scan_rows[k % 2, w - (1 << k):-(1 << k)],
+             scan_rows[1 - k % 2, w:])
+            for k in range((w - 1).bit_length())]
+    g_tail = scan_rows[0, w + 1:]
+    g_max = scan_rows[len(scan) % 2, w:]
+    # Pointer scratch: comparisons as int8 0/1 so they add and multiply.
+    flags = np.empty((3, w, B), dtype=np.bool_)
+    not_diag, not_e, nonzero = flags
+    not_diag8, not_e8, nonzero8 = flags.view(np.int8)
 
-        h_m2, h_m1, h_cur = h_m1, h_cur, h_m2
-        e_m1, e_cur = e_cur, e_m1
-        f_m1, f_cur = f_cur, f_m1
+    for i in range(1, rows + 1):
+        up = h_all[i - 1]
+        h_row = h_all[i, :w]
+        e_row = e_cur[:w]
+        # E and the diagonal term, from the previous row.
+        np.add(up[1:], open_, out=open_e)
+        np.add(e_prev[1:], ext, out=e_row)
+        np.maximum(open_e, e_row, out=e_row)
+        np.equal(e_row, open_e, out=e_open[i, :w])
+        np.add(up[:w], h_row, out=diag)
+        np.maximum(diag, e_row, out=h0)
+        np.maximum(h0, 0, out=h0)
+        # F by prefix-max scan, then the true H.
+        np.add(h0[:-1], g_step[1:], out=g_tail)
+        for a, shifted, o in scan:
+            np.maximum(a, shifted, out=o)
+        np.add(g_max, f_step, out=f_row)
+        np.maximum(h0, f_row, out=h_row)
+        np.add(h_row[:-1], open_, out=h_left[1:])
+        np.equal(f_row, h_left, out=f_open[i, :w])
+        # Pointer: 0 stop, else 1 diag, else 2 from-E, else 3 from-F
+        # = nonzero * (1 + not_diag * (1 + not_e)).
+        np.not_equal(h_row, diag, out=not_diag)
+        np.not_equal(h_row, e_row, out=not_e)
+        np.not_equal(h_row, 0, out=nonzero)
+        np.add(not_e8, 1, out=not_e8)
+        np.multiply(not_e8, not_diag8, out=not_e8)
+        np.add(not_e8, 1, out=not_e8)
+        np.multiply(not_e8, nonzero8, out=h_ptr[i, :w])
+        e_prev, e_cur = e_cur, e_prev
 
-    # Best cell per lane: the plane was zeroed, only in-band cells were
-    # written, and flat order is row-major in (i, j) -- so a masked
-    # first-occurrence argmax reproduces the scalar kernel's strict-
-    # improvement scan exactly.  The mask removes cells beyond each
-    # lane's own target (written from sentinel padding).
-    i_idx = np.arange(cols, dtype=np.int64)
-    j_grid = (i_idx[:, None] - half
-              + np.arange(width, dtype=np.int64)[None, :]).reshape(plane)
-    scores = np.where(j_grid[None, :] <= n_arr[:, None], h_all, 0)
-    flat_best = scores.argmax(axis=1)
-    best = scores[np.arange(B), flat_best]
+    # Best cell per lane: first row-major occurrence of the maximum
+    # over the lane's own cells (the scalar kernel's strict-improvement
+    # scan).  Cells left of the matrix are 0 by construction; cells
+    # beyond a lane's own target exist only in rows past n - half, and
+    # are zeroed there.
+    swept = h_all[:rows + 1]
+    first = max(1, int(n_arr.min()) - half + 1)
+    if first <= rows:
+        j_grid = (np.arange(first, rows + 1)[:, None] - half
+                  + np.arange(width)[None, :])
+        swept[first:] *= j_grid[:, :, None] <= n_arr[None, None, :]
+    best_i = swept.max(axis=1).argmax(axis=0)
+    lanes = np.arange(B)
+    best_rows = swept[best_i, :, lanes]
+    best_r = best_rows.argmax(axis=1)
+    best = best_rows[lanes, best_r]
 
     out: "list[TracedAlignment]" = []
-    empty = None
+    empty = TracedAlignment(0, 0, 0, 0, 0, (("S", m),))
     for b in range(B):
         score = int(best[b])
         if score <= 0:
-            if empty is None:
-                empty = TracedAlignment(
-                    0, 0, 0, 0, 0, (("S", m),) if m else ())
             out.append(empty)
             continue
-        best_i, r = divmod(int(flat_best[b]), width)
-        best_j = r + best_i - half
-        out.append(walk_back(q[b], t16[b], h_ptr[b], e_open[b], f_open[b],
-                             score, best_i, best_j, half, m))
+        i = int(best_i[b])
+        out.append(walk_back(q[b], t16[b], h_ptr[:, :, b],
+                             e_open[:, :, b], f_open[:, :, b], score, i,
+                             int(best_r[b]) + i - half, half, m))
     return out

@@ -10,6 +10,8 @@ error-heavy, reverse-complement) and band-edge SW geometries.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import ErtSeedingEngine
@@ -29,6 +31,7 @@ from repro.kernels import (
     seed_batch,
     vector_decline_reason,
 )
+from repro.kernels.traceback import MAX_WAVEFRONT_LANES, _plane_dtype
 from repro.memsim.trace import MemoryTracer
 from repro.parallel import (
     ParallelConfig,
@@ -482,20 +485,22 @@ def test_batched_sw_equal_score_tie_positions():
 
 
 # ----------------------------------------------------------------------
-# Batched wavefront traceback vs the scalar kernel
+# Batched row-scan traceback vs the scalar kernel
 # ----------------------------------------------------------------------
 
 
 def _assert_tb_batch_matches(query, targets, scheme, band, workspace=None):
-    # min_lanes=1 forces the wavefront path even for tiny batches, so
-    # these cases never silently test the scalar fallback against
-    # itself.  TracedAlignment equality covers score, all four
-    # coordinates, and the CIGAR tuple; the string is checked on top
-    # because it is what reaches the SAM records.
+    # min_lanes=1 forces the row scan even for tiny batches, so these
+    # cases never silently test the scalar fallback against itself.
+    # ``query`` is one shared 1-D query or a (B, m) block.
+    # TracedAlignment equality covers score, all four coordinates, and
+    # the CIGAR tuple; the string is checked on top because it is what
+    # reaches the SAM records.
     batched = batched_sw_traceback(query, targets, scheme, band,
                                    workspace=workspace, min_lanes=1)
-    for target, got in zip(targets, batched):
-        want = banded_sw_traceback(query, target, scheme, band)
+    queries = np.broadcast_to(query, (len(targets), np.shape(query)[-1]))
+    for lane_query, target, got in zip(queries, targets, batched):
+        want = banded_sw_traceback(lane_query, target, scheme, band)
         assert got == want
         assert got.cigar_string() == want.cigar_string()
 
@@ -539,6 +544,15 @@ def test_batched_traceback_gap_heavy_and_unaligned():
     for band in (9, 31, 41):
         for sch in (DEFAULT_SCHEME, scheme):
             _assert_tb_batch_matches(base, targets, sch, band)
+    # A deletion as wide as the band, under gaps cheap enough to take
+    # it: one row's F run crosses all 41 columns (the scan's last
+    # doubling step), from the band's left edge to its right.
+    cheap = ScoringScheme(match=2, mismatch=-4, gap_open=-1, gap_extend=-1)
+    read = rng.integers(0, 3, size=101).astype(np.uint8)
+    crossing = np.concatenate([read[20:50], np.full(40, 3),
+                               read[50:]]).astype(np.uint8)
+    _assert_tb_batch_matches(read, [crossing, read], cheap, 41)
+    assert ("D", 40) in banded_sw_traceback(read, crossing, cheap, 41).cigar
 
 
 def test_batched_traceback_homopolymer_ties():
@@ -561,42 +575,58 @@ def test_batched_traceback_empty_inputs_and_fallback():
         got = batched_sw_traceback(q, targets, min_lanes=1)
         want = [banded_sw_traceback(q, t) for t in targets]
         assert got == want
-    # Below the crossover the entry point dispatches scalar; results
-    # are identical either way.
+    # A floor above the lane count dispatches scalar; results are
+    # identical either way.
     q = np.zeros(4, dtype=np.uint8)
-    assert batched_sw_traceback(q, targets[:1]) \
+    assert batched_sw_traceback(q, targets[:1], min_lanes=2) \
         == [banded_sw_traceback(q, targets[0])]
 
 
 def test_batched_traceback_reused_workspace():
-    """One workspace across batches of different shapes and bands: the
-    carved planes shrink, grow, and must never leak stale pointers."""
+    """One workspace across sweeps whose lane count, query length,
+    widest target, band and plane dtype all shrink and grow: the carved
+    planes must never leak a stale cell, and a block that served an
+    int16 sweep must be regrown for an int32 one, not reinterpreted."""
     workspace = SwWorkspace()
     rng = np.random.default_rng(55)
-    for band in (41, 3, 17):
-        m = int(rng.integers(5, 90))
-        query = rng.integers(0, 4, size=m).astype(np.uint8)
-        targets = [rng.integers(0, 4, size=int(rng.integers(1, 120)))
-                   .astype(np.uint8) for _ in range(5)]
-        targets.append(np.concatenate(
-            [targets[0][:3], query]).astype(np.uint8))
-        _assert_tb_batch_matches(query, targets, DEFAULT_SCHEME, band,
+    wide = ScoringScheme(match=200, mismatch=-300, gap_open=-500,
+                         gap_extend=-100)
+    dtypes = []
+    for band, scheme, B, m in ((41, DEFAULT_SCHEME, 6, 88),
+                               (3, DEFAULT_SCHEME, 2, 9),
+                               (17, wide, 9, 101),
+                               (41, DEFAULT_SCHEME, 3, 30),
+                               (8, wide, 1, 101),
+                               (41, DEFAULT_SCHEME, 12, 101)):
+        dtypes.append(_plane_dtype(m, 2 * (band // 2) + 2, scheme))
+        queries = rng.integers(0, 4, size=(B, m)).astype(np.uint8)
+        targets = [rng.integers(0, 4, size=int(rng.integers(1, 150)))
+                   .astype(np.uint8) for _ in range(B)]
+        targets[0] = np.concatenate(
+            [targets[0][:3], queries[0]]).astype(np.uint8)
+        _assert_tb_batch_matches(queries, targets, scheme, band,
                                  workspace=workspace)
+    assert dtypes == [np.int16, np.int16, np.int32, np.int16, np.int32,
+                      np.int16]
+    small = workspace.grid(1, 8, 8, dtype=np.int16)
+    grown = workspace.grid(1, 8, 8, dtype=np.int32)
+    assert grown.dtype == np.int32 and grown.shape == (1, 8, 8)
+    assert not np.shares_memory(small, grown)
+    assert workspace.grid(2, 3, 4).dtype == np.int64
 
 
 def test_batched_traceback_per_lane_queries_fuzzed():
     """A ``(B, m)`` query block -- every lane its own read, windows of
     unequal length in one sweep -- against one scalar call per lane, at
-    lane counts on either side of the sweep cap (63/64/65: one sweep,
-    one full sweep, two evenly split ones)."""
-    from repro.kernels.traceback import MAX_WAVEFRONT_LANES
-
-    assert MAX_WAVEFRONT_LANES == 64
+    lane counts on either side of the sweep cap (cap - 1, cap, cap + 1,
+    2 cap + 2: one sweep, one full sweep, two and three evenly split
+    ones)."""
+    cap = MAX_WAVEFRONT_LANES
     rng = np.random.default_rng(6465)
     workspace = SwWorkspace()
     m, band = 24, 9
-    for B, sweeps in ((1, 1), (2, 1), (5, 1), (63, 1), (64, 1), (65, 2),
-                      (130, 3)):
+    for B, sweeps in ((1, 1), (2, 1), (5, 1), (cap - 1, 1), (cap, 1),
+                      (cap + 1, 2), (2 * cap + 2, 3)):
         queries = rng.integers(0, 4, size=(B, m)).astype(np.uint8)
         targets = []
         for b in range(B):
@@ -631,11 +661,102 @@ def test_batched_traceback_per_lane_queries_fuzzed():
                                     DEFAULT_SCHEME, band)
                 for b in range(B)]
         assert got == want, B
-    # Below the crossover a block dispatches scalar, lane by lane.
+    # Under the default floor too.
     assert batched_sw_traceback(queries[:2], targets[:2],
                                 DEFAULT_SCHEME, band) == want[:2]
     with pytest.raises(ValueError):
         batched_sw_traceback(queries[:3], targets[:2])
+
+
+def _edited_copy(query, rng, edits):
+    """``query`` with ``edits`` planted substitutions / insertions /
+    deletions / homopolymer runs (possibly empty afterwards)."""
+    bases = [int(x) for x in query]
+    for _ in range(edits):
+        kind = int(rng.integers(0, 4))
+        at = int(rng.integers(0, len(bases) + 1))
+        run = int(rng.integers(1, 9))
+        if kind == 0 and bases:
+            bases[min(at, len(bases) - 1)] = int(rng.integers(0, 4))
+        elif kind == 1:
+            bases[at:at] = [int(x) for x in rng.integers(0, 4, size=run)]
+        elif kind == 2:
+            del bases[at:at + run]
+        else:
+            bases[at:at] = [bases[at - 1] if at else 0] * run
+    return bases
+
+
+@settings(max_examples=150, deadline=None)
+@given(match=st.integers(1, 5), mismatch=st.integers(-6, -1),
+       gap_extend=st.integers(-4, -1), open_minus_extend=st.integers(-6, 0),
+       band=st.integers(1, 45), m=st.integers(1, 120),
+       lanes=st.integers(1, 7), period=st.sampled_from((0, 1, 2, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_traceback_matches_scalar_property(
+        match, mismatch, gap_extend, open_minus_extend, band, m, lanes,
+        period, seed):
+    """Row scan == one scalar call per lane, over every scheme with
+    ``gap_open <= gap_extend`` (``==`` is the edge of the scan's
+    exactness argument), odd and even bands, per-lane query blocks of
+    random / homopolymer / period-2 / period-4 sequence, and targets of
+    length 1 .. m + band + 5 cut from the edited query."""
+    scheme = ScoringScheme(match, mismatch, gap_extend + open_minus_extend,
+                           gap_extend)
+    rng = np.random.default_rng(seed)
+    if period:
+        queries = np.stack([np.resize(rng.integers(0, 4, size=period), m)
+                            for _ in range(lanes)])
+    else:
+        queries = rng.integers(0, 4, size=(lanes, m))
+    queries = queries.astype(np.uint8)
+    targets = []
+    for b in range(lanes):
+        lead = [int(x) for x in
+                rng.integers(0, 4, size=int(rng.integers(0, band + 3)))]
+        bases = (lead + _edited_copy(queries[b], rng,
+                                     int(rng.integers(0, 5)))
+                 )[:int(rng.integers(1, m + band + 6))]
+        targets.append(np.array(bases or [0], dtype=np.uint8))
+    _assert_tb_batch_matches(queries, targets, scheme, band)
+
+
+def test_batched_traceback_int32_planes():
+    """A scheme whose scores outgrow int16 (m * match >= 2^14) sweeps in
+    int32 and still equals the scalar kernel lane for lane."""
+    wide = ScoringScheme(match=200, mismatch=-300, gap_open=-500,
+                         gap_extend=-100)
+    m, band = 101, 41
+    assert _plane_dtype(m, band + 1, DEFAULT_SCHEME) is np.int16
+    assert _plane_dtype(m, band + 1, wide) is np.int32
+    rng = np.random.default_rng(1 << 14)
+    queries = rng.integers(0, 4, size=(8, m)).astype(np.uint8)
+    targets = [np.array(
+        [int(x) for x in rng.integers(0, 4, size=b)]
+        + _edited_copy(queries[b], rng, b % 4), dtype=np.uint8)
+        for b in range(8)]
+    _assert_tb_batch_matches(queries, targets, wide, band)
+
+
+def test_batched_traceback_scheme_outside_the_scan():
+    """``gap_open > gap_extend`` breaks the prefix-max form of F: the
+    batch goes to the scalar kernel, says so, and matches the oracle."""
+    steep = ScoringScheme(match=1, mismatch=-1, gap_open=-1,
+                          gap_extend=-3)
+    rng = np.random.default_rng(13)
+    queries = rng.integers(0, 4, size=(5, 40)).astype(np.uint8)
+    targets = [np.array(_edited_copy(q, rng, 3), dtype=np.uint8)
+               for q in queries]
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        _assert_tb_batch_matches(queries, targets, steep, 21)
+        snap = telemetry.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert snap["counters"]["kernels.fallback_scalar.scheme"] == 1
+    assert "kernels.wavefront_fill" not in snap["histograms"]
 
 
 def test_batched_traceback_rejects_bad_band():
