@@ -48,32 +48,14 @@ def _attach(engine):
 
 def measure_traffic(engine, reads, params: "SeedingParams | None" = None,
                     name: "str | None" = None,
-                    driver=None, workers: "int | None" = None,
-                    batch_size: int = 64) -> TrafficProfile:
+                    driver=None) -> TrafficProfile:
     """Seed ``reads`` and return the traffic profile.
 
     With ``driver`` given (a :class:`~repro.core.reuse.KmerReuseDriver`),
     the batch goes through the three-phase reuse pipeline instead of
-    per-read seeding.  With ``workers > 1`` (and no driver), reads go
-    through the :mod:`repro.parallel` scheduler; per-batch tracer totals
-    are exactly additive, so the profile equals the serial one.
+    per-read seeding.
     """
     params = params or SeedingParams()
-    if driver is None and workers is not None and workers > 1:
-        from repro.parallel import ParallelConfig, traffic_totals
-
-        requests, nbytes, by_phase = traffic_totals(
-            engine, reads, params,
-            ParallelConfig(workers=workers, batch_size=batch_size))
-        profile = TrafficProfile(
-            name=name or engine.name,
-            reads=len(reads),
-            requests_total=requests,
-            bytes_total=nbytes,
-            by_phase=dict(sorted(by_phase.items())),
-        )
-        _publish_metrics(profile)
-        return profile
     index = _attach(engine if driver is None else driver.engine)
     tracer = MemoryTracer()
     index.attach_tracer(tracer)

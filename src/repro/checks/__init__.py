@@ -28,23 +28,16 @@ ERT009    no broad ``except`` swallowing pool submit/result failures
           inside ``repro.parallel`` (re-raise through the taxonomy).
 ERT010    no ``print``/stdout/stderr writes from library code.
 ERT011    no stdlib ``logging`` in ``repro`` (use ``repro.logging``).
-ERT012    *project*: telemetry calls in *transitively* hot code --
-          ``# repro: hot`` flows through the call graph to helpers.
-ERT013    *project*: per-element Python loops over ndarrays anywhere in
-          the hot closure (the vectorization gate).
-ERT014    *project*: buffer allocation inside loops in hot code (reuse
-          a workspace, cf. ``SwWorkspace``).
-ERT015    *project*: shm creates must register in ``_LIVE_SEGMENTS``
-          with a construction-failure unlink; attaches must close.
-ERT016    *project*: callables crossing a pool boundary must be
-          module-level (no lambdas, closures, or bound methods).
+ERT015    ``repro.parallel``: a function that creates a shm segment
+          registers it in ``_LIVE_SEGMENTS`` and unlinks it on
+          construction failure; one that attaches closes on failure.
+ERT016    callables crossing a pool boundary must be module-level (no
+          lambdas, closures, or bound methods).
+ERT017    no telemetry call inside a loop of ``repro.kernels`` (the
+          vector kernels flush once per batch).
 ========  ==============================================================
 
-Rules marked *project* run in a second, whole-program pass: pass 1
-summarizes every file (symbols, call sites, facts -- see
-:mod:`repro.checks.symbols`), pass 2 assembles a conservative call
-graph (:mod:`repro.checks.callgraph`) and checks cross-file invariants
-over it.
+Every rule is a per-file AST check: one pass, no cross-file state.
 
 False positives are silenced in place with ``# repro: allow(ERT0NN)``
 line pragmas (or ``# repro: allow-file(ERT0NN)`` for whole modules whose
@@ -59,8 +52,6 @@ from __future__ import annotations
 
 from repro.checks.engine import (
     CheckReport,
-    FileScan,
-    ProjectRule,
     Rule,
     SourceFile,
     all_rules,
@@ -69,9 +60,6 @@ from repro.checks.engine import (
     iter_python_files,
     register,
     run_checks,
-    run_project_rules,
-    scan_file,
-    scan_source,
 )
 from repro.checks.pragmas import FilePragmas, parse_pragmas
 from repro.checks.report import render_json, render_text, report_as_dict
@@ -79,13 +67,10 @@ from repro.checks.violations import Violation
 
 # Importing the rule modules registers every built-in rule.
 from repro.checks import rules as _rules  # noqa: F401  (registration side effect)
-from repro.checks import project_rules as _project_rules  # noqa: F401
 
 __all__ = [
     "CheckReport",
     "FilePragmas",
-    "FileScan",
-    "ProjectRule",
     "Rule",
     "SourceFile",
     "Violation",
@@ -99,7 +84,4 @@ __all__ = [
     "render_text",
     "report_as_dict",
     "run_checks",
-    "run_project_rules",
-    "scan_file",
-    "scan_source",
 ]

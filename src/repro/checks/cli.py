@@ -17,7 +17,6 @@ from typing import List
 
 from repro.checks.engine import (
     DEFAULT_EXCLUDES,
-    ProjectRule,
     Rule,
     all_rules,
     run_checks,
@@ -71,8 +70,6 @@ def _list_rules(rules: "List[Rule]", fmt: str) -> int:
             "id": rule.id,
             "title": rule.title,
             "rationale": rule.rationale,
-            "kind": "project" if isinstance(rule, ProjectRule)
-                    else "file",
             "scope": list(rule.scope) if rule.scope else None,
             "exclude_scope": list(rule.exclude_scope),
             "pragma": f"# repro: allow({rule.id})",
@@ -83,9 +80,7 @@ def _list_rules(rules: "List[Rule]", fmt: str) -> int:
         scope = ", ".join(rule.scope) if rule.scope else "everywhere"
         if rule.exclude_scope:
             scope += f" (except {', '.join(rule.exclude_scope)})"
-        kind = "project" if isinstance(rule, ProjectRule) else "file"
         print(f"{rule.id}  {rule.title}")
-        print(f"        pass:   {kind}")
         print(f"        scope:  {scope}")
         print(f"        pragma: # repro: allow({rule.id})")
         print(f"        why:    {rule.rationale}")

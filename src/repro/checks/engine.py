@@ -7,18 +7,9 @@ an import-alias table for resolving dotted names, and the pragma index.
 Rules are small classes registered by id; :func:`run_checks` walks the
 requested paths and aggregates a :class:`CheckReport`.
 
-The runner makes **two passes**.  Pass 1 visits every file
-independently: it runs the per-file rules and reduces the file to a
-:class:`FileScan` (violations + a
-:class:`~repro.checks.symbols.ModuleSummary` of its functions, call
-sites, and rule-relevant facts), carrying no AST state across files.
-Pass 2 assembles
-the summaries into a :class:`~repro.checks.callgraph.ProjectGraph` and
-runs every registered :class:`ProjectRule` over it -- the whole-program
-rules (ERT012-ERT016) that need cross-file facts like transitive
-hotness or shm create/unlink pairing.  Suppression stays file-local:
-a project-rule violation is silenced by the pragmas of the file it
-points into.
+Every rule sees one file at a time: a file's violations depend on
+nothing outside it, and its pragmas are the only thing that suppresses
+them.
 """
 
 from __future__ import annotations
@@ -27,14 +18,10 @@ import ast
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.checks.pragmas import FilePragmas, parse_pragmas
 from repro.checks.violations import Violation
-
-if TYPE_CHECKING:  # pragma: no cover -- avoid an import cycle at runtime
-    from repro.checks.callgraph import ProjectGraph
-    from repro.checks.symbols import ModuleSummary
 
 #: Paths matching any of these (fnmatch, against ``/``-separated paths)
 #: are skipped by default; the fixture corpus deliberately violates every
@@ -197,26 +184,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program rules (the pass-2 checks).
-
-    A project rule sees the assembled
-    :class:`~repro.checks.callgraph.ProjectGraph` instead of one file at
-    a time, so it can reason about cross-file facts: hot status flowing
-    through calls, a segment created in one function and unlinked in
-    another.  ``scope``/``exclude_scope`` still apply -- the engine
-    filters each emitted violation by the logical module of the file it
-    points into, and per-file pragmas suppress it the same way they
-    suppress per-file rules.
-    """
-
-    def check(self, src: SourceFile) -> "Iterable[Violation]":
-        return ()
-
-    def check_project(self, graph: "ProjectGraph") -> "Iterable[Violation]":
-        raise NotImplementedError
-
-
 def _matches_any(module: str, prefixes: "tuple[str, ...]") -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
 
@@ -258,42 +225,20 @@ class CheckReport:
         return dict(sorted(counts.items()))
 
 
-@dataclass
-class FileScan:
-    """Pass-1 result for one file."""
-
-    path: str
-    module: "str | None"
-    violations: "List[Violation]" = field(default_factory=list)
-    suppressed: int = 0
-    pragmas: "FilePragmas | None" = None
-    #: Symbol summary for pass 2; None when the file failed to parse.
-    summary: "ModuleSummary | None" = None
-
-
-def scan_source(path: str, source: str,
-                rules: "Iterable[Rule] | None" = None,
-                module: "str | None" = None) -> FileScan:
-    """Pass 1 over one in-memory source: per-file rules + summary."""
-    from repro.checks.symbols import summarize
+def check_source(path: str, source: str,
+                 rules: "Iterable[Rule] | None" = None,
+                 module: "str | None" = None
+                 ) -> "Tuple[List[Violation], int]":
+    """Check one in-memory source; returns (violations, suppressed_count)."""
     try:
         src = SourceFile(path, source, module=module)
     except SyntaxError as exc:
-        pragmas = parse_pragmas(source)
-        return FileScan(
-            path=path,
-            module=pragmas.module_override or module
-            or module_name_for_path(path),
-            violations=[Violation(path=path, line=exc.lineno or 0,
-                                  col=(exc.offset or 0) or 1,
-                                  rule=PARSE_RULE,
-                                  message=f"syntax error: {exc.msg}")],
-            suppressed=0, pragmas=pragmas, summary=None)
+        return [Violation(path=path, line=exc.lineno or 0,
+                          col=(exc.offset or 0) or 1, rule=PARSE_RULE,
+                          message=f"syntax error: {exc.msg}")], 0
     violations: "List[Violation]" = []
     suppressed = 0
     for rule in (all_rules() if rules is None else rules):
-        if isinstance(rule, ProjectRule):
-            continue
         if not rule.applies_to(src.module):
             continue
         for violation in rule.check(src):
@@ -303,69 +248,7 @@ def scan_source(path: str, source: str,
             else:
                 violations.append(violation)
     violations.sort()
-    return FileScan(path=path, module=src.module, violations=violations,
-                    suppressed=suppressed, pragmas=src.pragmas,
-                    summary=summarize(src))
-
-
-def scan_file(path: str, rules: "Iterable[Rule] | None" = None) -> FileScan:
-    """Pass 1 over one file on disk."""
-    with open(path, encoding="utf-8", errors="replace") as handle:
-        source = handle.read()
-    return scan_source(path, source, rules)
-
-
-def run_project_rules(scans: "List[FileScan]",
-                      rules: "Iterable[Rule] | None" = None
-                      ) -> "Tuple[List[Violation], int]":
-    """Pass 2: assemble the graph and run every project rule.
-
-    Each violation is scoped and suppressed against the file it points
-    into -- a ``# repro: allow(ERT013)`` next to the loop silences the
-    project rule exactly like a per-file one.
-    """
-    from repro.checks.callgraph import build_graph
-    rule_list = all_rules() if rules is None else list(rules)
-    project_rules = [r for r in rule_list if isinstance(r, ProjectRule)]
-    if not project_rules:
-        return [], 0
-    summaries = [scan.summary for scan in scans if scan.summary is not None]
-    graph = build_graph(summaries)
-    by_path: "Dict[str, FileScan]" = {scan.path: scan for scan in scans}
-    violations: "List[Violation]" = []
-    suppressed = 0
-    for rule in project_rules:
-        for violation in rule.check_project(graph):
-            scan = by_path.get(violation.path)
-            if scan is None:
-                continue
-            if not rule.applies_to(scan.module):
-                continue
-            if scan.pragmas is not None and scan.pragmas.allows(
-                    violation.rule, violation.line,
-                    violation.end_line or violation.line):
-                suppressed += 1
-            else:
-                violations.append(violation)
-    violations.sort()
     return violations, suppressed
-
-
-def check_source(path: str, source: str,
-                 rules: "Iterable[Rule] | None" = None,
-                 module: "str | None" = None
-                 ) -> "Tuple[List[Violation], int]":
-    """Check one in-memory source; returns (violations, suppressed_count).
-
-    Runs both passes over the single file, so project rules whose facts
-    are file-local (every fixture pair) work through this entry point.
-    """
-    rule_list = all_rules() if rules is None else list(rules)
-    scan = scan_source(path, source, rule_list, module=module)
-    project_violations, project_suppressed = run_project_rules(
-        [scan], rule_list)
-    violations = sorted(scan.violations + project_violations)
-    return violations, scan.suppressed + project_suppressed
 
 
 def check_file(path: str, rules: "Iterable[Rule] | None" = None
@@ -413,17 +296,13 @@ def run_checks(paths: "Iterable[str]",
                rules: "Iterable[Rule] | None" = None,
                excludes: "tuple[str, ...]" = DEFAULT_EXCLUDES
                ) -> CheckReport:
-    """Run both passes over every Python file under ``paths``."""
+    """Check every Python file under ``paths``."""
     rule_list = all_rules() if rules is None else list(rules)
-    scans = [scan_file(path, rule_list)
-             for path in iter_python_files(paths, excludes)]
-    report = CheckReport(files_checked=len(scans))
-    for scan in scans:
-        report.violations.extend(scan.violations)
-        report.suppressed += scan.suppressed
-    project_violations, project_suppressed = run_project_rules(
-        scans, rule_list)
-    report.violations.extend(project_violations)
-    report.suppressed += project_suppressed
+    report = CheckReport()
+    for path in iter_python_files(paths, excludes):
+        violations, suppressed = check_file(path, rule_list)
+        report.files_checked += 1
+        report.violations.extend(violations)
+        report.suppressed += suppressed
     report.violations.sort()
     return report

@@ -167,8 +167,8 @@ class RawClockRule(Rule):
     title = "raw clock call outside repro.telemetry"
     rationale = "all stage timing flows through the span tracer"
     scope = ("repro",)
-    # repro.logging timestamps its records and rate-limits on a
-    # monotonic clock; like the telemetry package it owns its clocks.
+    # repro.logging timestamps its records; like the telemetry package
+    # it owns its clock.
     exclude_scope = ("repro.telemetry", "repro.logging")
 
     def check(self, src: SourceFile) -> "Iterator[Violation]":
@@ -486,17 +486,25 @@ class HotLoopTelemetryRule(Rule):
 # ERT008 -- worker pools / shared memory outside repro.parallel
 # ----------------------------------------------------------------------
 
-_POOL_CALLS = frozenset({
+#: Qualified names constructing a shared-memory segment.
+_SHM_CTORS = frozenset({
+    "multiprocessing.shared_memory.SharedMemory",
+    "shared_memory.SharedMemory",
+})
+
+#: Qualified names constructing a worker pool.
+_POOL_CTORS = frozenset({
     "concurrent.futures.ProcessPoolExecutor",
     "concurrent.futures.process.ProcessPoolExecutor",
     "multiprocessing.Pool",
     "multiprocessing.pool.Pool",
+})
+
+_POOL_CALLS = _POOL_CTORS | _SHM_CTORS | {
     "multiprocessing.Process",
     "multiprocessing.process.Process",
     "multiprocessing.context.Process",
-    "multiprocessing.shared_memory.SharedMemory",
-    "shared_memory.SharedMemory",
-})
+}
 
 
 @register
@@ -690,15 +698,15 @@ class StdlibLoggingRule(Rule):
     repository bans (compare ERT002's global RNG).  It also writes to
     stderr by default, bypassing ERT010's console discipline, and its
     records are unstructured text.  Library code emits operational
-    events through :mod:`repro.logging` (structured JSONL,
-    rate-limited, off unless the CLI turns it on) instead.
+    events through :mod:`repro.logging` (structured JSONL, off unless
+    the CLI turns it on) instead.
     """
 
     id = "ERT011"
     title = "stdlib logging used in library code"
     rationale = ("the root-handler tree is import-order-sensitive global "
                  "state and writes unstructured text to stderr; "
-                 "repro.logging is the structured, rate-limited path")
+                 "repro.logging is the structured path")
     scope = ("repro",)
 
     def check(self, src: SourceFile) -> "Iterator[Violation]":
@@ -716,6 +724,175 @@ class StdlibLoggingRule(Rule):
                     f"logging root handlers; emit structured events "
                     f"through repro.logging instead "
                     f"(docs/observability.md)")
+
+
+# ----------------------------------------------------------------------
+# ERT015 / ERT016 -- shm lifecycle and pool-boundary callables
+# ----------------------------------------------------------------------
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _outer_functions(
+        src: SourceFile
+) -> "Iterator[ast.FunctionDef | ast.AsyncFunctionDef]":
+    """Module-level functions and the methods of module-level classes.
+    ERT015/ERT016 judge each of these as one unit, nested ``def``s and
+    lambdas included -- their code runs only if the enclosing function
+    runs it."""
+    for stmt in getattr(src.tree, "body", []):
+        if isinstance(stmt, _FUNCTION_NODES):
+            yield stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, _FUNCTION_NODES):
+                    yield sub
+
+
+def _cleanup_calls(func: ast.AST) -> "set[str]":
+    """Method names called from ``func``'s except handlers and finally
+    blocks -- the paths that run when construction or use fails."""
+    names: "set[str]" = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler):
+            body = node.body
+        elif isinstance(node, ast.Try):
+            body = node.finalbody
+        else:
+            continue
+        for stmt in body:
+            for sub in ast.walk(stmt):
+                if (isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)):
+                    names.add(sub.func.attr)
+    return names
+
+
+def _registers_segment(func: ast.AST) -> bool:
+    """Does ``func`` store into ``_LIVE_SEGMENTS[...]``?"""
+    return any(isinstance(target, ast.Subscript)
+               and isinstance(target.value, ast.Name)
+               and target.value.id == "_LIVE_SEGMENTS"
+               for node in ast.walk(func) if isinstance(node, ast.Assign)
+               for target in node.targets)
+
+
+@register
+class ShmLifecycleRule(Rule):
+    """ERT015: a segment is registered and unlinked by the function that
+    creates it; an attach closes on failure.
+
+    The discipline is :class:`repro.parallel.shm.SharedIndexBuffer`'s:
+    everything the rule asks for is in the function holding the
+    ``SharedMemory(...)`` call, so one function's AST decides it.
+    """
+
+    id = "ERT015"
+    title = "unpaired shared-memory lifecycle"
+    rationale = (
+        "A SharedMemory segment is a kernel object: created but not "
+        "registered in _LIVE_SEGMENTS it escapes the atexit sweep, and "
+        "without a construction-failure unlink handler an exception "
+        "between create and register leaks /dev/shm until reboot.  "
+        "Attach sides must close on failure or the fd leaks per batch.")
+    scope = ("repro.parallel",)
+
+    def check(self, src: SourceFile) -> "Iterator[Violation]":
+        for func in _outer_functions(src):
+            sites = [node for node in ast.walk(func)
+                     if isinstance(node, ast.Call)
+                     and src.qualified_name(node.func) in _SHM_CTORS]
+            if not sites:
+                continue
+            cleanup = _cleanup_calls(func)
+            missing: "list[str]" = []
+            if not _registers_segment(func):
+                missing.append("registration in _LIVE_SEGMENTS")
+            if "unlink" not in cleanup:
+                missing.append("a construction-failure unlink handler")
+            for call in sites:
+                creates = any(kw.arg == "create"
+                              and isinstance(kw.value, ast.Constant)
+                              and kw.value.value is True
+                              for kw in call.keywords)
+                if creates and missing:
+                    yield src.violation(
+                        self.id, call,
+                        f"SharedMemory(create=True) in {func.name}() lacks "
+                        f"{' and '.join(missing)} (cf. SharedIndexBuffer)")
+                elif not creates and "close" not in cleanup:
+                    yield src.violation(
+                        self.id, call,
+                        f"SharedMemory attach in {func.name}() has no "
+                        f"close path on failure; wrap the use in "
+                        f"try/except and close the segment "
+                        f"(cf. attach_index)")
+
+
+@register
+class PoolCaptureSafetyRule(Rule):
+    """ERT016: only module-level functions cross a pool boundary.
+
+    Checked where the callable is handed over: the first argument of a
+    ``.submit(...)`` call and the ``initializer=`` of a pool
+    constructor.
+    """
+
+    id = "ERT016"
+    title = "capture-unsafe callable crossing a pool boundary"
+    rationale = (
+        "submit() pickles its callable: a lambda fails outright under "
+        "the spawn start method, a nested def drags the enclosing "
+        "frame's captures along, and a bound method ships its whole "
+        "receiver -- potentially an index-sized object -- to every "
+        "worker.  Pool-crossing callables must be module-level "
+        "functions taking explicit, picklable arguments.")
+    scope = ("repro",)
+
+    def check(self, src: SourceFile) -> "Iterator[Violation]":
+        for func in _outer_functions(src):
+            nested = {node.name for node in ast.walk(func)
+                      if isinstance(node, _FUNCTION_NODES)
+                      and node is not func}
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                handed: "list[ast.expr]" = []
+                if (isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "submit" and call.args):
+                    handed.append(call.args[0])
+                if src.qualified_name(call.func) in _POOL_CTORS:
+                    handed.extend(kw.value for kw in call.keywords
+                                  if kw.arg == "initializer")
+                for arg in handed:
+                    message = self._unsafe(arg, nested)
+                    if message is not None:
+                        yield src.violation(self.id, call, message)
+
+    @staticmethod
+    def _unsafe(arg: ast.expr, nested: "set[str]") -> "str | None":
+        if isinstance(arg, ast.Lambda):
+            return ("lambda submitted to an executor; lambdas do not "
+                    "pickle under spawn -- pass a module-level function "
+                    "with explicit arguments")
+        if isinstance(arg, ast.Name) and arg.id in nested:
+            return (f"nested function '{arg.id}' submitted to an "
+                    f"executor; it closes over the enclosing frame -- "
+                    f"hoist it to module level and pass its inputs "
+                    f"explicitly")
+        if isinstance(arg, ast.Attribute):
+            parts: "list[str]" = []
+            node: ast.expr = arg
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in ("self", "cls"):
+                bound = ".".join([node.id] + parts[::-1])
+                return (f"bound method {bound} submitted to an executor; "
+                        f"pickling it ships the entire receiver to the "
+                        f"worker -- pass a module-level function and the "
+                        f"fields it needs")
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -787,7 +964,9 @@ __all__ = [
     "ImportLayeringRule",
     "IntegerAccountingRule",
     "KernelLoopTelemetryRule",
+    "PoolCaptureSafetyRule",
     "RawClockRule",
+    "ShmLifecycleRule",
     "StdlibLoggingRule",
     "SwallowedPoolFailureRule",
     "UnseededRandomRule",

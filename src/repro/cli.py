@@ -33,14 +33,14 @@ operational logs: scheduler, fault recovery, shared-memory lifecycle)
 and ``--trace-out FILE`` (record a timeline and write Chrome/Perfetto
 ``trace_event`` JSON -- open it at https://ui.perfetto.dev).
 
-The same four take ``--workers N`` and ``--batch-size M``: reads stream
-through the :mod:`repro.parallel` batch scheduler (shared-memory index,
-order-preserving merge), so the output is byte-identical at any worker
-count.  The default worker count comes from ``$REPRO_WORKERS`` (else
-1).  With workers > 1 they also take ``--retries R`` (per-batch retry
-budget after a worker crash or batch timeout; default
-``$REPRO_RETRIES``, else 2) and ``--batch-timeout SEC``; see the failure
-model in ``docs/performance.md``.  ``--kernels vector`` (default
+The three run commands take ``--workers N`` and ``--batch-size M``:
+reads stream through the :mod:`repro.parallel` batch scheduler
+(shared-memory index, order-preserving merge), so the output is
+byte-identical at any worker count.  The default worker count comes
+from ``$REPRO_WORKERS`` (else 1).  With workers > 1 they also take
+``--retries R`` (per-batch retry budget after a worker crash or batch
+timeout; default ``$REPRO_RETRIES``, else 2) and ``--batch-timeout
+SEC``; see the failure model in ``docs/performance.md``.  ``--kernels vector`` (default
 ``$REPRO_KERNELS``, else scalar) routes seeding through the batched
 numpy kernels (:mod:`repro.kernels`) with byte-identical output.
 
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--k", type=int, default=8)
     compare.add_argument("--min-seed-len", type=int, default=19)
     _add_telemetry_args(compare)
-    _add_parallel_args(compare)
 
     # Listed for ``ert-repro --help`` only; ``main`` never parses them.
     for name, (_module, summary) in _DELEGATED.items():
@@ -650,9 +649,7 @@ def _cmd_compare(args) -> int:
     rows = []
     profiles = {}
     for name, engine, size in _comparison_engines(reference, args.k):
-        profile = measure_traffic(engine, reads, params, name=name,
-                                  workers=args.workers,
-                                  batch_size=args.batch_size)
+        profile = measure_traffic(engine, reads, params, name=name)
         profiles[name] = profile
         rows.append([name, profile.requests_per_read, profile.kb_per_read,
                      size / 1024])

@@ -137,6 +137,7 @@ class ErtSeedingEngine(SeedingEngine):
     # Core walk
     # ------------------------------------------------------------------
 
+    # repro: hot -- called by _walk for every k-mer window.
     def _kmer_entry(self, seq: np.ndarray, start: int,
                     min_hits: int) -> "tuple[int, int, list[int]]":
         """Resolve the k-mer window at ``start``.

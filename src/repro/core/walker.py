@@ -46,6 +46,7 @@ class WalkState:
 class TreeCursor:
     """Character-at-a-time walk over one k-mer's radix tree."""
 
+    # repro: hot -- one cursor per walk that leaves the k-mer window.
     def __init__(self, index: ErtIndex, code: int, min_hits: int = 1,
                  stats: "EngineStats | None" = None,
                  enter_root: bool = True) -> None:
@@ -71,6 +72,7 @@ class TreeCursor:
     # Traffic helpers
     # ------------------------------------------------------------------
 
+    # repro: hot -- one call per cursor.
     def _enter_root(self, root: Node) -> None:
         # A unique k-mer's single reference pointer lives inline in the
         # 8-byte index entry (Fig 4, early path compression at the root),
@@ -81,8 +83,9 @@ class TreeCursor:
             if self.stats is not None:
                 self.stats.tree_root_fetches += 1
 
-    # repro: hot -- one call per node fetch; counters live in the stats
-    # struct the engine passes in, flushed to telemetry per batch.
+    # One call per node fetch; counters live in the stats struct the
+    # engine passes in, flushed to telemetry per batch.
+    # repro: hot
     def _emit_node(self, node: Node, phase: str) -> None:
         """Fetch a node: one access per cache line it spans that is not
         the line most recently touched."""
@@ -98,6 +101,7 @@ class TreeCursor:
                              phase, self.index.trees_region.name)
         self._last_line = last
 
+    # repro: hot -- one call per character matched against the text.
     def _emit_ref(self, text_pos: int) -> None:
         line = (text_pos // 4) // LINE
         if line != self._last_ref_line:
@@ -110,6 +114,7 @@ class TreeCursor:
     # Walking
     # ------------------------------------------------------------------
 
+    # repro: hot -- called by advance for every character.
     def _settle(self, phase: str) -> None:
         """Descend through nodes whose data is exhausted (deferred fetch)."""
         while True:
@@ -172,6 +177,7 @@ class TreeCursor:
                          pending=self.pending, depth=self.depth,
                          count=self.count)
 
+    # repro: hot -- one call per jump-table landing in _walk.
     def restore(self, state: WalkState, emit: bool = True,
                 phase: str = PHASE_TRAVERSAL) -> None:
         """Land on a precomputed state (jump-table fast path).

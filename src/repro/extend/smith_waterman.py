@@ -51,6 +51,7 @@ class SwWorkspace:
 
     __slots__ = ("_rows", "_cap", "_grid", "_planes")
 
+    # repro: hot -- banded_smith_waterman makes one when handed none.
     def __init__(self) -> None:
         self._rows: "tuple[np.ndarray, ...] | None" = None
         self._cap = 0

@@ -77,7 +77,7 @@ def banded_sw_traceback(query: np.ndarray, target: np.ndarray,
 
     # Two rotating H/E row pairs from the caller's workspace; refilling
     # them beats the fresh (n + 1) allocations the per-row loop used to
-    # make (the same ERT014 reuse rule the score-only kernel follows).
+    # make (the same reuse the score-only kernel follows).
     workspace = workspace or SwWorkspace()
     h_prev, e_prev, h_cur, e_cur = workspace.rows(n)
     h_prev[:] = 0

@@ -1,11 +1,10 @@
-"""The ``ert-repro ledger`` subcommand: record / diff / show.
+"""The ``ert-repro ledger`` subcommand: record / diff.
 
-Exit codes: ``record`` and ``show`` return 0 on success; ``diff``
-returns 0 when no throughput regression is flagged, 1 when one is
-(that non-zero exit is the CI gate), and 2 on bad invocation (unknown
-benchmark, unreadable inputs).  Kept separate from :mod:`repro.cli`
-(which hands ``ledger`` to :func:`main`) so ``python -m
-repro.ledger.cli`` works standalone.
+Exit codes: ``record`` returns 0 on success; ``diff`` returns 0 when no
+throughput regression is flagged, 1 when one is (that non-zero exit is
+the CI gate), and 2 on bad invocation (unknown benchmark, unreadable
+inputs).  Kept separate from :mod:`repro.cli` (which hands ``ledger`` to
+:func:`main`) so ``python -m repro.ledger.cli`` works standalone.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                       help="fractional throughput drop that counts as a "
                            f"regression (default {DEFAULT_THRESHOLD})")
 
-    show = sub.add_parser("show", help="print recent ledger entries")
-    show.add_argument("--ledger", default=DEFAULT_LEDGER_PATH,
-                      metavar="FILE")
-    show.add_argument("--benchmark", default=None,
-                      help="restrict to one benchmark")
-    show.add_argument("--last", type=int, default=10, metavar="N",
-                      help="entries to show per benchmark (default 10)")
-
 
 def _cmd_record(args: argparse.Namespace) -> int:
     metrics: "dict[str, float]" = {}
@@ -189,39 +180,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    try:
-        records = read_ledger(args.ledger)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    names = ([args.benchmark] if args.benchmark is not None
-             else benchmarks_in(records))
-    if not records:
-        print(f"{args.ledger}: empty ledger")
-        return 0
-    for name in names:
-        runs = last_runs(records, name, n=max(1, args.last))
-        if not runs:
-            print(f"{name}: no runs recorded")
-            continue
-        print(f"== {name} ({len(runs)} shown) ==")
-        for rec in runs:
-            metrics = rec.get("metrics", {}) or {}
-            highlight = ", ".join(
-                f"{metric}={metrics[metric]:,.6g}"
-                for metric in sorted(metrics)[:4])
-            more = f" (+{len(metrics) - 4} more)" if len(metrics) > 4 \
-                else ""
-            print(f"  {rec.get('recorded_at', '?')} "
-                  f"[{rec.get('label', '')}] {highlight}{more}")
-    return 0
-
-
 _SUBCOMMANDS = {
     "record": _cmd_record,
     "diff": _cmd_diff,
-    "show": _cmd_show,
 }
 
 

@@ -60,6 +60,7 @@ class CacheModel:
         # Each set is an OrderedDict tag -> None, most recent last.
         self._sets = [OrderedDict() for _ in range(self.n_sets)]
 
+    # repro: hot -- called by lookup for every memory request.
     def _locate(self, addr: int) -> "tuple[int, int]":
         line = addr // self.line_size
         return line % self.n_sets, line // self.n_sets

@@ -78,6 +78,7 @@ class DramModel:
         # Next cycle each channel's data bus is free (for latency modelling).
         self._channel_free = [0] * self.config.channels
 
+    # repro: hot -- called by access for every line transfer.
     def _map(self, addr: int) -> "tuple[int, int, int]":
         """Map a byte address to (channel, bank, row).
 

@@ -13,8 +13,6 @@ Entry points:
 
 * :func:`seed_reads` / :func:`align_reads` / :func:`align_pairs` -- the
   CLI's ``seed`` / ``align`` / ``align-pe`` workloads;
-* :func:`traffic_totals` -- batched memory-traffic measurement for
-  ``compare`` (:func:`repro.analysis.datavol.measure_traffic`);
 * :class:`ParallelConfig` / :func:`default_workers` -- ``--workers`` /
   ``--batch-size`` / ``$REPRO_WORKERS`` resolution;
 * :mod:`repro.parallel.faults` -- the typed failure taxonomy
@@ -49,7 +47,6 @@ from repro.parallel.scheduler import (
     default_workers,
     map_batches,
     seed_reads,
-    traffic_totals,
 )
 from repro.parallel.shm import SharedIndexBuffer, attach_index
 
@@ -73,5 +70,4 @@ __all__ = [
     "map_batches",
     "pack_batch",
     "seed_reads",
-    "traffic_totals",
 ]

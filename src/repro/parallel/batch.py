@@ -47,8 +47,7 @@ def pack_batch(reads: "Sequence[object]") -> ReadBatch:
 
     Accepts either :class:`repro.sequence.simulate.Read`-like objects
     (``.name`` / ``.codes`` / ``.quality``) or bare code arrays (which
-    get empty names/qualities) -- the latter is the
-    :func:`repro.analysis.datavol.measure_traffic` calling convention.
+    get empty names/qualities), as ``benchmarks/`` hands them over.
     """
     names: "list[str]" = []
     qualities: "list[str]" = []

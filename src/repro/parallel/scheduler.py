@@ -5,10 +5,8 @@ Execution model (tentpole of the parallel layer):
 
 * the parent packs reads into :class:`~repro.parallel.batch.ReadBatch`
   units and submits them to a ``ProcessPoolExecutor`` whose workers were
-  initialized once with an *engine spec* -- either a shared-memory index
-  attachment (``("shm", name, size, gather_limit)``, zero-copy) or a
-  pickled engine (``("pickle", engine)``, for index types without a flat
-  buffer form);
+  initialized once with an *engine spec* -- a shared-memory index
+  attachment (``("shm", name, size, gather_limit)``, zero-copy);
 * at most :data:`INFLIGHT_PER_WORKER` batches per worker are
   outstanding; results are consumed strictly in submission order, so
   concatenating per-batch payloads reproduces the serial output **byte
@@ -72,7 +70,6 @@ from repro.kernels import (
     vector_decline_reason,
     wall_shares,
 )
-from repro.memsim.trace import MemoryTracer
 from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
 from repro.parallel.faults import (
     BatchSerializationError,
@@ -86,7 +83,7 @@ from repro.parallel.faults import (
 )
 from repro.parallel.shm import SharedIndexBuffer, attach_index
 from repro.seeding.algorithm import SeedingParams, seed_read
-from repro.seeding.engine import EngineStats, SeedingEngine
+from repro.seeding.engine import EngineStats
 
 #: One batch's wire result: payload, engine-stats delta, telemetry
 #: snapshot delta (None in serial mode, where telemetry records live).
@@ -140,9 +137,6 @@ class ParallelConfig:
     def resolved_kernels(self) -> str:
         return resolve_kernels(self.kernels)
 
-    def resolved_inflight(self, workers: int) -> int:
-        return INFLIGHT_PER_WORKER * workers
-
     def resolved_policy(self) -> RetryPolicy:
         retries = (self.retries if self.retries is not None
                    else default_retries())
@@ -190,7 +184,7 @@ class _BatchRunner:
     (one ``banded_sw_traceback`` per lane).
     """
 
-    def __init__(self, engine: SeedingEngine, task: str,
+    def __init__(self, engine: ErtSeedingEngine, task: str,
                  options: "dict[str, Any]") -> None:
         self.engine = engine
         self.task = task
@@ -199,8 +193,7 @@ class _BatchRunner:
         self.vector = options.get("kernels") == "vector"
         if task in ("align", "align-pe"):
             self.aligner = ReadAligner(
-                engine.index.reference,  # type: ignore[attr-defined]
-                engine, params=self.params,
+                engine.index.reference, engine, params=self.params,
                 tb_batch=batched_sw_traceback if self.vector else None)
         if task == "align-pe":
             self.paired = PairedAligner(self.aligner,
@@ -210,8 +203,6 @@ class _BatchRunner:
     def __call__(self, batch: ReadBatch) -> "list[Any]":
         reads = batch.reads()
         self.engine.begin_batch(reads)
-        if self.task == "traffic":
-            return [self._traffic(reads)]
         names: "Sequence[str]" = batch.names
         probe = telemetry.read_probe()
         seeded, seed_ms, seed_counters, kernels = self._seed(reads, probe)
@@ -304,23 +295,6 @@ class _BatchRunner:
 
         return results, np.diff(marks), deltas, None
 
-    def _traffic(self, reads: "list[Any]") \
-            -> "tuple[int, int, dict[str, tuple[int, int]]]":
-        """Seeding under a fresh per-batch memory tracer; totals are
-        exactly additive across batches (per-read accounting, no
-        cross-read state)."""
-        index = self.engine.index  # type: ignore[attr-defined]
-        tracer = MemoryTracer()
-        index.attach_tracer(tracer)
-        try:
-            for read in reads:
-                seed_read(self.engine, read, self.params)
-        finally:
-            index.attach_tracer(None)
-        by_phase = {phase: (stats.requests, stats.bytes)
-                    for phase, stats in tracer.by_phase.items()}
-        return tracer.total_requests, tracer.total_bytes, by_phase
-
 
 # ----------------------------------------------------------------------
 # Worker lifecycle
@@ -330,13 +304,13 @@ class _BatchRunner:
 _WORKER: "dict[str, Any]" = {}
 
 
-def _resolve_engine(spec: EngineSpec) -> SeedingEngine:
-    """The engine a spec names, in this process: ``shm`` specs attach
+def _resolve_engine(spec: EngineSpec) -> ErtSeedingEngine:
+    """The engine a spec names, in this process: a ``shm`` spec attaches
     the parent-owned segment (in a worker's initializer, and on the
-    degraded in-process path, where the segment is still live);
-    ``local`` and ``pickle`` specs carry the engine itself."""
+    degraded in-process path, where the segment is still live); a
+    ``local`` spec carries the engine itself."""
     kind = spec[0]
-    if kind in ("local", "pickle"):
+    if kind == "local":
         return spec[1]
     if kind == "shm":
         _, name, size, gather_limit = spec
@@ -514,11 +488,6 @@ class _PoolManager:
         self.kill()
         self.spawn()
 
-    def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
 
 class _PendingBatch:
     """Submission-order bookkeeping for one in-flight batch."""
@@ -603,7 +572,7 @@ def _pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
     except PoolUnavailableError as exc:
         yield from _degrade_to_serial(spec, task, options, batches, exc)
         return
-    max_inflight = config.resolved_inflight(workers)
+    max_inflight = INFLIGHT_PER_WORKER * workers
     pending: "deque[_PendingBatch]" = deque()
     next_index = 0
     try:
@@ -693,17 +662,17 @@ def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
                          workers)
 
 
-def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
+def _map_reads(engine: ErtSeedingEngine, task: str,
+               options: "dict[str, Any]",
                reads: "Sequence[object]", config: ParallelConfig,
                chunk_size: int) -> "tuple[list[Any], EngineStats]":
     """The body of every entry point: pack ``reads`` into batches of
     ``chunk_size``, hand the engine to the workers, map, and merge the
     per-batch results in submission order.
 
-    One worker runs on ``engine`` itself.  A pool gets an ERT engine's
-    index through shared memory (published once, attached zero-copy) and
-    any other engine type pickled once per worker -- never once per
-    batch.  Payloads concatenate, stats fold into one
+    One worker runs on ``engine`` itself.  A pool gets the engine's
+    index through shared memory (published once, attached zero-copy),
+    never once per batch.  Payloads concatenate, stats fold into one
     :class:`EngineStats`, and worker snapshots merge keyed by submission
     order, so gauges resolve to the highest batch index -- the value a
     serial run would leave behind -- at any worker count.
@@ -715,11 +684,9 @@ def _map_reads(engine: SeedingEngine, task: str, options: "dict[str, Any]",
         spec: EngineSpec
         if config.resolved_workers() <= 1:
             spec = ("local", engine)
-        elif isinstance(engine, ErtSeedingEngine):
+        else:
             shared = stack.enter_context(SharedIndexBuffer(engine.index))
             spec = ("shm", shared.name, shared.size, engine.gather_limit)
-        else:
-            spec = ("pickle", engine)
         for order, (items, stat_delta, snap) in enumerate(map_batches(
                 spec, task, options, batches, config)):
             payload.extend(items)
@@ -779,20 +746,3 @@ def align_pairs(index: ErtIndex, reads: "Sequence[object]",
         {"params": params, "kernels": config.resolved_kernels(),
          "insert_mean": insert_mean, "insert_sd": insert_sd},
         reads, config, 2 * config.batch_size)
-
-
-def traffic_totals(engine: SeedingEngine, reads: "Sequence[object]",
-                   params: "SeedingParams | None" = None,
-                   config: "ParallelConfig | None" = None) \
-        -> "tuple[int, int, dict[str, tuple[int, int]]]":
-    """Aggregate per-batch memory-traffic totals over the pool."""
-    config = config or ParallelConfig()
-    results, _ = _map_reads(engine, "traffic", {"params": params}, reads,
-                            config, config.batch_size)
-    by_phase: "dict[str, tuple[int, int]]" = {}
-    for _, _, phases in results:
-        for phase, (preq, pbytes) in phases.items():
-            prev = by_phase.get(phase, (0, 0))
-            by_phase[phase] = (prev[0] + preq, prev[1] + pbytes)
-    return (sum(r[0] for r in results), sum(r[1] for r in results),
-            by_phase)

@@ -7,6 +7,7 @@ the one regression the rule set was built around: reintroducing the
 PR-1 ``id(read)`` cache-key bug must trip ERT001.
 """
 
+import ast
 import json
 import os
 import re
@@ -30,10 +31,8 @@ from repro.checks.engine import CheckReport, module_name_for_path
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "checks")
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULE_IDS = ("ERT001", "ERT002", "ERT003", "ERT004", "ERT005", "ERT006",
-            "ERT007", "ERT008", "ERT009", "ERT010", "ERT011", "ERT012",
-            "ERT013", "ERT014", "ERT015", "ERT016", "ERT017")
-#: Rules that run in the whole-program pass (ProjectRule subclasses).
-PROJECT_RULE_IDS = ("ERT012", "ERT013", "ERT014", "ERT015", "ERT016")
+            "ERT007", "ERT008", "ERT009", "ERT010", "ERT011", "ERT015",
+            "ERT016", "ERT017")
 
 
 def fixture(name):
@@ -270,85 +269,173 @@ def test_ert_repro_check_subcommand():
 
 
 # ----------------------------------------------------------------------
-# The whole-program pass (ERT012-ERT016)
+# ERT007 over the scalar oracle's hot functions
+# ----------------------------------------------------------------------
+
+#: Every function the scalar walk, score-only SW and the memsim models
+#: run per character / node / request.  Each carries its own
+#: ``# repro: hot``: ERT007 looks at one function at a time.
+HOT_FUNCTIONS = (
+    ("core/engine.py", "_walk"),
+    ("core/engine.py", "_kmer_entry"),
+    ("core/walker.py", "__init__"),
+    ("core/walker.py", "_enter_root"),
+    ("core/walker.py", "_emit_node"),
+    ("core/walker.py", "_emit_ref"),
+    ("core/walker.py", "_settle"),
+    ("core/walker.py", "advance"),
+    ("core/walker.py", "restore"),
+    ("extend/smith_waterman.py", "banded_smith_waterman"),
+    ("extend/smith_waterman.py", "__init__"),
+    ("memsim/cache.py", "lookup"),
+    ("memsim/cache.py", "_locate"),
+    ("memsim/dram.py", "access"),
+    ("memsim/dram.py", "_map"),
+)
+
+
+@pytest.mark.parametrize("relpath,name", HOT_FUNCTIONS)
+def test_ert007_flags_telemetry_planted_in_hot_function(relpath, name):
+    path = os.path.join(REPO, "src", "repro", relpath)
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    lines = source.splitlines(keepends=True)
+    pragmas = parse_pragmas(source)
+    hot = [node for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.FunctionDef) and node.name == name
+           and pragmas.is_hot(node.lineno)]
+    assert len(hot) == 1, f"{relpath}: no single hot {name}()"
+    first = hot[0].body[0]
+    indent = " " * first.col_offset
+    lines.insert(first.lineno - 1, f"{indent}telemetry.count('planted')\n")
+    violations, _ = check_source(path, "".join(lines))
+    ert007 = [v for v in violations if v.rule == "ERT007"]
+    assert [v.line for v in ert007] == [first.lineno]
+    assert f"{name}()" in ert007[0].message
+
+
+# ----------------------------------------------------------------------
+# ERT015 / ERT016: each looks at the one function holding the call
+# ----------------------------------------------------------------------
+
+SHM_HEADER = (
+    "# repro: module(repro.parallel.fake)\n"
+    "from multiprocessing import shared_memory\n"
+    "_LIVE_SEGMENTS = {}\n"
+)
+
+
+def ert015_messages(body):
+    violations, _ = check_source("snippet.py", SHM_HEADER + body)
+    assert {v.rule for v in violations} <= {"ERT015"}
+    return [v.message for v in violations]
+
+
+def test_ert015_create_without_registration():
+    (message,) = ert015_messages(
+        "def publish(payload):\n"
+        "    seg = shared_memory.SharedMemory(create=True, size=8)\n"
+        "    try:\n"
+        "        seg.buf[:8] = payload\n"
+        "    except BaseException:\n"
+        "        seg.unlink()\n"
+        "        raise\n"
+        "    return seg\n")
+    assert "publish() lacks registration in _LIVE_SEGMENTS " in message
+
+
+def test_ert015_create_without_cleanup_unlink():
+    (message,) = ert015_messages(
+        "def publish(payload):\n"
+        "    seg = shared_memory.SharedMemory(create=True, size=8)\n"
+        "    seg.buf[:8] = payload\n"
+        "    _LIVE_SEGMENTS[seg.name] = seg\n"
+        "    seg.unlink()\n")  # not on a failure path
+    assert "lacks a construction-failure unlink handler " in message
+
+
+def test_ert015_attach_without_close():
+    (message,) = ert015_messages(
+        "def attach(name):\n"
+        "    seg = shared_memory.SharedMemory(name=name)\n"
+        "    return bytes(seg.buf[:4])\n")
+    assert "attach() has no close path on failure" in message
+    assert ert015_messages(
+        "def attach(name):\n"
+        "    seg = shared_memory.SharedMemory(name=name)\n"
+        "    try:\n"
+        "        return bytes(seg.buf[:4])\n"
+        "    finally:\n"
+        "        seg.close()\n") == []
+
+
+def test_ert015_is_scoped_to_repro_parallel():
+    source = (SHM_HEADER.replace("repro.parallel.fake", "repro.core.fake")
+              + "def attach(name):\n"
+                "    return shared_memory.SharedMemory(name=name)\n")
+    violations, _ = check_source("snippet.py", source)
+    assert [v.rule for v in violations] == ["ERT008"]
+
+
+def ert016_messages(body):
+    violations, _ = check_source(
+        "snippet.py", "# repro: module(repro.analysis.fake)\n" + body)
+    assert {v.rule for v in violations} <= {"ERT016"}
+    return [v.message for v in violations]
+
+
+def test_ert016_lambda_nested_def_and_bound_method():
+    assert "lambda submitted" in ert016_messages(
+        "def go(pool, xs):\n"
+        "    return pool.submit(lambda: sum(xs))\n")[0]
+    assert "nested function 'run'" in ert016_messages(
+        "def go(pool, xs):\n"
+        "    def run():\n"
+        "        return sum(xs)\n"
+        "    return pool.submit(run)\n")[0]
+    assert "bound method self.index.lookup " in ert016_messages(
+        "class Dispatcher:\n"
+        "    def go(self, pool, xs):\n"
+        "        return pool.submit(self.index.lookup, xs)\n")[0]
+
+
+def test_ert016_accepts_module_level_function():
+    assert ert016_messages(
+        "def run(xs):\n"
+        "    return sum(xs)\n"
+        "def go(pool, xs):\n"
+        "    return pool.submit(run, xs)\n") == []
+
+
+def test_ert016_covers_pool_initializer():
+    source = (
+        "# repro: module(repro.parallel.fake)\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def _init(spec):\n"
+        "    return spec\n"
+        "class Manager:\n"
+        "    def spawn(self, spec):\n"
+        "        return ProcessPoolExecutor(\n"
+        "            initializer={initializer}, initargs=(spec,))\n")
+    bad, _ = check_source("snippet.py",
+                          source.format(initializer="self._init"))
+    assert [v.rule for v in bad] == ["ERT016"]
+    assert "bound method self._init " in bad[0].message
+    good, _ = check_source("snippet.py", source.format(initializer="_init"))
+    assert good == []
+
+
+# ----------------------------------------------------------------------
+# docs/static_analysis.md documents exactly the registered rules
 # ----------------------------------------------------------------------
 
 
-def test_project_rules_are_project_pass():
-    from repro.checks import ProjectRule
-    kinds = {rule.id: isinstance(rule, ProjectRule) for rule in all_rules()}
-    for rule_id in RULE_IDS:
-        assert kinds[rule_id] == (rule_id in PROJECT_RULE_IDS)
-
-
-def test_ert012_reaches_unannotated_callee():
-    """The acceptance criterion: the hot bit crosses a call edge into a
-    helper that carries no ``# repro: hot`` annotation of its own."""
-    path = fixture("ert012_fail.py")
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    violations, _ = check_file(path)
-    assert [v.rule for v in violations] == ["ERT012"]
-    violation = violations[0]
-    # The violation is inside consume(), which is not annotated ...
-    assert "consume()" in violation.message
-    lines = source.splitlines()
-    def_line = next(i for i, text in enumerate(lines, 1)
-                    if text.startswith("def consume"))
-    assert "hot" not in lines[def_line - 2]
-    assert def_line < violation.line
-    # ... and the message names the hot root and the call chain.
-    assert "walk()" in violation.message
-    assert "->" in violation.message
-
-
-def test_project_rules_cross_module(tmp_path):
-    """Hot caller in one file, telemetry helper in another: only the
-    assembled project graph can connect them."""
-    pkg = tmp_path / "proj"
-    pkg.mkdir()
-    (pkg / "hotpath.py").write_text(
-        "# repro: module(repro.core.fake_hot)\n"
-        "from repro.core.fake_util import emit\n"
-        "\n"
-        "\n"
-        "# repro: hot\n"
-        "def walk(nodes):\n"
-        "    for node in nodes:\n"
-        "        emit(node)\n"
-    )
-    (pkg / "util.py").write_text(
-        "# repro: module(repro.core.fake_util)\n"
-        "from repro import telemetry\n"
-        "\n"
-        "\n"
-        "def emit(node):\n"
-        "    telemetry.count('nodes')\n"
-    )
-    report = run_checks([str(pkg)], excludes=())
-    assert [v.rule for v in report.violations] == ["ERT012"]
-    assert report.violations[0].path.endswith("util.py")
-    assert "fake_hot.walk()" in report.violations[0].message
-
-
-def test_project_violation_suppressed_by_callee_file_pragma():
-    source = (
-        "# repro: module(repro.core.fake)\n"
-        "from repro import telemetry\n"
-        "\n"
-        "\n"
-        "# repro: hot\n"
-        "def walk(nodes):\n"
-        "    for node in nodes:\n"
-        "        consume(node)\n"
-        "\n"
-        "\n"
-        "def consume(node):\n"
-        "    telemetry.count('n')  # repro: allow(ERT012)\n"
-    )
-    violations, suppressed = check_source("snippet.py", source)
-    assert violations == []
-    assert suppressed == 1
+def test_docs_have_one_section_per_registered_rule():
+    with open(os.path.join(REPO, "docs", "static_analysis.md"),
+              encoding="utf-8") as handle:
+        headings = re.findall(r"^### (ERT\d{3})\b", handle.read(),
+                              flags=re.MULTILINE)
+    assert sorted(headings) == [rule.id for rule in all_rules()]
 
 
 # ----------------------------------------------------------------------
@@ -357,24 +444,24 @@ def test_project_violation_suppressed_by_callee_file_pragma():
 
 
 def test_cli_list_rules_respects_rules_filter(capsys):
-    assert checks_main(["--list-rules", "--rules", "ERT005,ERT013"]) == 0
+    assert checks_main(["--list-rules", "--rules", "ERT005,ERT016"]) == 0
     out = capsys.readouterr().out
-    assert "ERT005" in out and "ERT013" in out
+    assert "ERT005" in out and "ERT016" in out
     assert "ERT001" not in out
     assert "# repro: allow(ERT005)" in out
 
 
 def test_cli_list_rules_json(capsys):
     assert checks_main(["--list-rules", "--format", "json",
-                        "--rules", "ERT013,ERT015"]) == 0
+                        "--rules", "ERT015,ERT016"]) == 0
     catalogue = json.loads(capsys.readouterr().out)
-    assert [entry["id"] for entry in catalogue] == ["ERT013", "ERT015"]
+    assert [entry["id"] for entry in catalogue] == ["ERT015", "ERT016"]
     by_id = {entry["id"]: entry for entry in catalogue}
-    assert by_id["ERT013"]["kind"] == "project"
-    assert by_id["ERT013"]["scope"] == ["repro"]
+    assert "kind" not in by_id["ERT016"]
+    assert by_id["ERT016"]["scope"] == ["repro"]
     assert by_id["ERT015"]["scope"] == ["repro.parallel"]
-    assert by_id["ERT013"]["pragma"] == "# repro: allow(ERT013)"
-    assert by_id["ERT013"]["title"]
+    assert by_id["ERT016"]["pragma"] == "# repro: allow(ERT016)"
+    assert by_id["ERT016"]["title"]
 
 
 # ----------------------------------------------------------------------
@@ -387,26 +474,6 @@ def test_repository_tree_is_clean():
                          os.path.join(REPO, "tests"),
                          os.path.join(REPO, "benchmarks")])
     assert report.ok, "\n".join(v.format() for v in report.violations)
-
-
-def test_ert013_repo_clean_without_pragmas():
-    """ERT013 (hot-path allocations) holds across src/repro with zero
-    suppressions: the two ``allow(ERT013)`` pragmas the SW kernel once
-    carried were removed when its per-call buffers were hoisted into
-    ``SwWorkspace``, so neither a fresh violation nor a reintroduced
-    pragma may land."""
-    src = os.path.join(REPO, "src", "repro")
-    report = run_checks([src])
-    ert013 = [v for v in report.violations if v.rule == "ERT013"]
-    assert not ert013, "\n".join(v.format() for v in ert013)
-    for path in iter_python_files([src]):
-        with open(path) as handle:
-            pragmas = parse_pragmas(handle.read())
-        allowed = set(pragmas.file_allows)
-        for rules in pragmas.line_allows.values():
-            allowed |= set(rules)
-        assert "ERT013" not in allowed, \
-            f"# repro: allow(ERT013) pragma reintroduced in {path}"
 
 
 def test_ert017_repo_clean_without_pragmas():

@@ -127,6 +127,17 @@ def test_compare(workspace, capsys):
     assert "data-efficiency gain" in out
 
 
+def test_compare_takes_no_scheduler_flags(workspace, capsys):
+    """``compare`` traces reads in-process, one engine at a time: a
+    scheduler flag is an argparse error, not a silently ignored one."""
+    _root, ref, reads, _index = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--reference", str(ref), "--reads", str(reads),
+              "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_workers_flag_rejects_zero_and_negative(workspace, capsys):
     _root, _ref, reads, index = workspace
     for bad in ("0", "-2", "abc"):

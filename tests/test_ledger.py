@@ -295,22 +295,7 @@ def test_cli_record_unreadable_inputs_exit_two(tmp_path, capsys):
     assert not os.path.exists(ledger)
 
 
-def test_cli_show(tmp_path, capsys):
-    ledger = str(tmp_path / "ledger.jsonl")
-    assert ledger_main(["show", "--ledger", ledger]) == 0
-    assert "empty ledger" in capsys.readouterr().out
-    for rate in (100.0, 99.0):
-        ledger_main(["record", "--ledger", ledger, "--benchmark", "seed",
-                     "--label", "ci",
-                     "--metric", f"reads_per_sec={rate}"])
-    capsys.readouterr()
-    assert ledger_main(["show", "--ledger", ledger, "--last", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "== seed (1 shown) ==" in out and "reads_per_sec=99" in out
-
-
 def test_cli_corrupt_ledger_exits_two(tmp_path, capsys):
     ledger = tmp_path / "ledger.jsonl"
     ledger.write_text("garbage\n")
     assert ledger_main(["diff", "--ledger", str(ledger)]) == 2
-    assert ledger_main(["show", "--ledger", str(ledger)]) == 2

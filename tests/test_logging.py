@@ -1,5 +1,5 @@
-"""Structured JSONL logging: off-by-default contract, level filtering,
-the rate limiter, and the dropped-records summary at shutdown."""
+"""Structured JSONL logging: off-by-default contract, record shape,
+sink lifecycle."""
 
 import io
 import json
@@ -40,25 +40,11 @@ def test_records_are_one_json_object_per_line():
     assert isinstance(first["ts"], float)
 
 
-def test_level_filtering():
-    stream = io.StringIO()
-    rlog.configure(stream=stream, level="warn")
-    log = rlog.get_logger("s")
-    log.debug("d")
-    log.info("i")
-    log.warn("w")
-    log.error("e")
-    assert [r["level"] for r in _records(stream)] == ["warn", "error"]
-
-
 def test_unknown_level_rejected():
     stream = io.StringIO()
     rlog.configure(stream=stream)
     with pytest.raises(ValueError):
         rlog.get_logger("s").log("fatal", "boom")
-    rlog.shutdown()
-    with pytest.raises(ValueError):
-        rlog.configure(stream=io.StringIO(), level="loud")
 
 
 def test_configure_requires_exactly_one_destination(tmp_path):
@@ -78,38 +64,6 @@ def test_path_sink_appends_and_closes_on_shutdown(tmp_path):
     rlog.shutdown()
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [e["event"] for e in events] == ["first", "second"]
-
-
-def test_rate_limit_counts_drops_and_emits_summary():
-    stream = io.StringIO()
-    clock_now = [0.0]  # frozen clock: no token refill between emits
-    rlog.configure(stream=stream, max_per_sec=5,
-                   clock=lambda: clock_now[0])
-    log = rlog.get_logger("s")
-    for i in range(20):
-        log.info("tick", i=i)
-    records = _records(stream)
-    assert len(records) == 5  # burst capacity == rate
-    rlog.shutdown()
-    summary = _records(stream)[-1]
-    assert summary["event"] == "records.dropped"
-    assert summary["dropped"] == 15
-    assert summary["emitted"] == 5
-
-
-def test_rate_limit_refills_over_time():
-    stream = io.StringIO()
-    clock_now = [0.0]
-    rlog.configure(stream=stream, max_per_sec=2,
-                   clock=lambda: clock_now[0])
-    log = rlog.get_logger("s")
-    log.info("a")
-    log.info("b")
-    log.info("dropped")
-    clock_now[0] += 1.0  # +2 tokens
-    log.info("c")
-    log.info("d")
-    assert [r["event"] for r in _records(stream)] == ["a", "b", "c", "d"]
 
 
 def test_shutdown_without_drops_writes_no_summary():

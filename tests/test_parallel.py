@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.analysis.datavol import measure_traffic
 from repro.core import ErtConfig, ErtSeedingEngine, build_ert
 from repro.core.io import index_to_buffer
 from repro.core.serialize import trees_equal
@@ -104,17 +103,6 @@ def test_batch_size_does_not_change_output(ert_index, read_set, params):
         config = ParallelConfig(workers=1, batch_size=batch_size)
         lines, _ = seed_reads(ert_index, read_set[:40], params, config)
         assert lines == baseline, f"batch_size={batch_size} diverged"
-
-
-def test_traffic_profile_identical_across_pool(ert_index, read_set, params):
-    codes = [r.codes for r in read_set[:60]]
-    engine = ErtSeedingEngine(ert_index)
-    one = measure_traffic(engine, codes, params, name="ert")
-    two = measure_traffic(ErtSeedingEngine(ert_index), codes,
-                          params, name="ert", workers=2, batch_size=16)
-    assert one.requests_total == two.requests_total
-    assert one.bytes_total == two.bytes_total
-    assert one.by_phase == two.by_phase
 
 
 def test_pool_telemetry_matches_serial_counters(ert_index, read_set,
@@ -301,10 +289,6 @@ def test_default_workers_reads_environment(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
     with pytest.warns(RuntimeWarning, match="REPRO_WORKERS"):
         assert default_workers() == 1
-
-
-def test_parallel_config_inflight_default():
-    assert ParallelConfig().resolved_inflight(4) == 8
 
 
 # ----------------------------------------------------------------------
