@@ -168,6 +168,8 @@ class ErtIndex:
         self.stored = stored
         #: Cache slot of :func:`repro.core.arena.flat_trees`.
         self.flat: "FlatTrees | None" = None
+        #: Cache slot of :func:`repro.kernels.walk.arena_cursor`.
+        self.cursor: "object | None" = None
         self.tracer: "MemoryTracer | None" = None
         self.reuse_cache: "CacheModel | None" = None
 

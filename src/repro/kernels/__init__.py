@@ -9,10 +9,12 @@ batched multi-read traversal:
   form of the radix trees every kernel here walks: part of the index
   payload, so a loaded index hands it over as stored
   (``flat_trees``, re-exported here).
-* :mod:`repro.kernels.walk` -- the lane-masked batched tree walk: one
-  fancy-indexing step advances every live lane by one character.
-* :mod:`repro.kernels.seeding` -- the three seeding rounds driven as
-  batched walks; byte-identical seeds to the scalar oracle.
+* :mod:`repro.kernels.walk` -- the lane-masked batched tree walk (one
+  fancy-indexing step advances every live lane by one node run), and
+  the scalar arena cursor for walks that are one dependency chain.
+* :mod:`repro.kernels.seeding` -- the three seeding rounds: rounds 1-2
+  as lane sets, LAST as one chain per read; byte-identical seeds to the
+  scalar oracle.
 * :mod:`repro.kernels.sw` -- anti-diagonal wavefront banded
   Smith-Waterman over a batch of extension windows.
 * :mod:`repro.kernels.traceback` -- banded Smith-Waterman *with

@@ -3,8 +3,11 @@
 :func:`seed_batch` produces, for a whole batch of reads, exactly the
 :class:`~repro.seeding.types.SeedingResult` list the scalar
 :func:`~repro.seeding.algorithm.seed_read` loop would -- byte-identical
-seeds -- but drives every walk as a lane set through
-:mod:`repro.kernels.walk` instead of one Python call per character.
+seeds -- through :mod:`repro.kernels.walk` instead of one Python call
+per character: rounds 1-2 (pivot waves, backward batches, reseeding)
+are sets of independent walks and run as lane sets; round 3 (LAST) is
+one dependency chain per read -- each launch starts where the previous
+one ended or died -- and runs as a scalar walk over the arena cursor.
 
 Where the two paths differ internally, the difference is proven
 output-invariant:
@@ -39,17 +42,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.core.arena import (
-    KIND_DIVERGE,
-    KIND_LEAF,
-    KIND_UNIFORM,
-    FlatTrees,
-    flat_trees,
-)
+from repro.core.arena import FlatTrees, flat_trees
 from repro.core.engine import ErtSeedingEngine
 from repro.core.index import EntryKind
 from repro.kernels.stats import KernelBatchStats
-from repro.kernels.walk import Lanes, drain, step
+from repro.kernels.walk import Lanes, arena_cursor, drain, last_chain
 from repro.seeding.algorithm import (
     SeedingParams,
     _make_seed,
@@ -499,214 +496,46 @@ def _seed_batch_vector(engine: "ErtSeedingEngine",
                 f"LAST with min_len={params.min_seed_len} below k={k}: "
                 f"the ERT cannot observe counts for matches shorter than "
                 f"its k-mer")
-        text = index.text
-        max_intv = params.max_mem_intv
         min_len = params.min_seed_len
-        rows3 = [i for i in active if min_len <= int(sizes[i])]
-        if rows3:
-            A = len(rows3)
-            r_ids = np.array(rows3, dtype=np.int64)
-            r_sz = sizes[r_ids]
-            r_off = offs[r_ids]
-            # Every launch position a LAST scan could ever visit is known
-            # up front (x in [0, n - min_len]); resolve their k-mers in
-            # one batch.  A launch whose k-mer is not fully present fails
-            # immediately (matched < k <= min_len) and the scalar loop
-            # just advances x by one -- so only "viable" positions with a
-            # full k-mer ever start a lane, and the next launch for a
-            # read is a searchsorted away.
-            jcounts = r_sz - min_len + 1
-            jb = np.zeros(A + 1, dtype=np.int64)
-            np.cumsum(jcounts, out=jb[1:])
-            jr = np.repeat(np.arange(A, dtype=np.int64), jcounts)
-            jxa = np.arange(int(jb[A]), dtype=np.int64) - jb[jr]
-            jstarts = r_off[jr] + jxa
-            jcode = _resolve_codes(flat, fwd, jstarts,
-                                   np.full(jr.size, k, dtype=np.int64))
-            jok = index.prefix_len[jcode].astype(np.int64) >= k
-            jroot = flat.roots[jcode]
-            jcnt = index.kmer_count[jcode].astype(np.int64)
-            viable: "list[list[int]]" = []
-            vroot: "list[list[int]]" = []
-            vcount: "list[list[int]]" = []
-            for a in range(A):
-                sl = slice(int(jb[a]), int(jb[a + 1]))
-                m = jok[sl]
-                viable.append(jxa[sl][m].tolist())
-                vroot.append(jroot[sl][m].tolist())
-                vcount.append(jcnt[sl][m].tolist())
-            engine.stats.index_lookups += int(jr.size)
+        # Every launch position a LAST scan could ever visit is known up
+        # front (x in [0, n - min_len]); their k-mer codes come from one
+        # rolling pack of the concatenated batch (min_len >= k, so no
+        # window straddles a read boundary).  A launch whose k-mer is
+        # not fully present fails immediately (matched < k <= min_len)
+        # and the scalar loop just advances x by one -- so only "viable"
+        # positions with a full k-mer ever start a walk.
+        ids = np.array(active, dtype=np.int64)
+        A = len(active)
+        jcounts = sizes[ids] - min_len + 1
+        jb = np.zeros(A + 1, dtype=np.int64)
+        np.cumsum(jcounts, out=jb[1:])
+        jr = np.repeat(np.arange(A, dtype=np.int64), jcounts)
+        jx = np.arange(int(jb[A]), dtype=np.int64) - jb[jr]
+        weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        codes = np.lib.stride_tricks.sliding_window_view(fwd, k) @ weights
+        jcode = codes[offs[ids][jr] + jx]
+        engine.stats.index_lookups += int(jr.size)
+        v = np.nonzero(index.prefix_len[jcode] >= k)[0]
+        vcode = jcode[v]
+        vx = jx[v].tolist()
+        vroot = flat.roots[vcode].tolist()
+        vcount = index.kmer_count[vcode].tolist()
+        vb = np.searchsorted(v, jb).tolist()
 
-            lanes = Lanes(A)
-            lanes.stop[:] = r_off + r_sz
-            launch_x = np.zeros(A, dtype=np.int64)
-            start_abs = np.zeros(A, dtype=np.int64)
-            lx = np.zeros(A, dtype=np.int64)
-            # 0 = needs a (re)launch, 1 = walking, 2 = done.
-            mode = np.zeros(A, dtype=np.int64)
-
-            def _emit(row: int, end_rel: int) -> None:
-                i = rows3[row]
-                _cache_forward(engine, flat, keys[i],
-                               int(launch_x[row]), end_rel,
-                               int(lanes.nid[row]),
-                               int(lanes.count[row]), stats, i)
+        # LAST is a per-read dependency chain (each launch starts where
+        # the previous one ended or died), not a lane set: one scalar
+        # walk per read over the arena cursor.
+        cursor = arena_cursor(index)
+        seq = fwd.astype(np.uint8).tobytes()
+        for a, i in enumerate(active):
+            emits, steps, launches = last_chain(
+                cursor, seq, int(offs[i]), int(offs[i + 1]), vx, vroot,
+                vcount, vb[a], vb[a + 1], min_len, params.max_mem_intv)
+            stats.walk_steps[i] += steps
+            stats.last_launches[i] = launches
+            for x, end, nid, count in emits:
+                _cache_forward(engine, flat, keys[i], x, end, nid, count,
+                               stats, i)
                 results[i].last_seeds.append(
-                    _make_seed(engine, reads[i],
-                               Mem(int(launch_x[row]), end_rel), params))
-                lx[row] = end_rel
-
-            vptr = [0] * A
-
-            def _launch(row: int) -> bool:
-                # Launch positions are visited monotonically, so a
-                # per-read pointer into the viable list replaces a
-                # binary search.
-                v = viable[row]
-                p = vptr[row]
-                t = int(lx[row])
-                while p < len(v) and v[p] < t:
-                    p += 1
-                vptr[row] = p
-                if p == len(v):
-                    mode[row] = 2
-                    return False
-                x = v[p]
-                lx[row] = x
-                launch_x[row] = x
-                stats.last_launches[rows3[row]] += 1
-                start_abs[row] = int(r_off[row]) + x
-                lanes.nid[row] = vroot[row][p]
-                lanes.within[row] = 0
-                lanes.depth[row] = 0
-                lanes.count[row] = vcount[row][p]
-                lanes.cur[row] = start_abs[row] + k
-                mode[row] = 1
-                return True
-
-            def _finish_scalar(row: int) -> None:
-                # Drive one read's remaining LAST chain to completion
-                # with per-lane Python steps: once only a few deep-repeat
-                # stragglers remain, per-round vector overhead costs more
-                # than the walk itself.  Same transitions as the vector
-                # loop below, with the node-run advance inlined
-                # (min_hits is always 1 in LAST, so any existing child
-                # is accepted).
-                stop = int(lanes.stop[row])
-                while True:
-                    if mode[row] == 0 and not _launch(row):
-                        return
-                    cur = int(lanes.cur[row])
-                    base = int(start_abs[row])
-                    count = int(lanes.count[row])
-                    if cur - base >= min_len and count < max_intv:
-                        _emit(row, int(launch_x[row]) + (cur - base))
-                        mode[row] = 0
-                        continue
-                    if cur >= stop:
-                        lx[row] += 1
-                        mode[row] = 0
-                        continue
-                    nid = int(lanes.nid[row])
-                    kind = int(flat.kind[nid])
-                    if kind == KIND_DIVERGE:
-                        ch = int(flat.children[nid, int(fwd[cur])])
-                        if ch < 0:
-                            lx[row] += 1
-                            mode[row] = 0
-                            continue
-                        lanes.nid[row] = ch
-                        lanes.within[row] = 0
-                        lanes.count[row] = int(flat.count[ch])
-                        lanes.depth[row] += 1
-                        lanes.cur[row] = cur + 1
-                        lanes.steps[row] += 1
-                        continue
-                    rem = stop - cur
-                    if kind == KIND_LEAF:
-                        t0 = (int(flat.leaf_text0[nid]) + k
-                              + int(lanes.depth[row]))
-                        w = min(rem, int(text.size) - t0)
-                        ref = text[t0:t0 + w] if w > 0 else None
-                        need = rem
-                    else:  # uniform
-                        within = int(lanes.within[row])
-                        urem = int(flat.chars_len[nid]) - within
-                        w = min(urem, rem)
-                        c0 = int(flat.chars_off[nid]) + within
-                        ref = flat.chars_pool[c0:c0 + w] if w > 0 else None
-                        need = w
-                    run = 0
-                    if w > 0:
-                        neq = np.nonzero(fwd[cur:cur + w] != ref)[0]
-                        run = int(neq[0]) if neq.size else w
-                    lanes.within[row] += run
-                    lanes.depth[row] += run
-                    lanes.cur[row] = cur + run
-                    lanes.steps[row] += run
-                    if kind == KIND_UNIFORM and run == urem:
-                        lanes.nid[row] = int(flat.child[nid])
-                        lanes.within[row] = 0
-                    if (count < max_intv
-                            and cur + run - base >= min_len):
-                        _emit(row, int(launch_x[row]) + min_len)
-                        mode[row] = 0
-                        continue
-                    if run < need:
-                        lx[row] += 1
-                        mode[row] = 0
-
-            while True:
-                left = np.nonzero(mode != 2)[0]
-                if left.size <= 16:
-                    for row in left:
-                        _finish_scalar(int(row))
-                    break
-                for row in np.nonzero(mode == 0)[0]:
-                    _launch(int(row))
-                idx = np.nonzero(mode == 1)[0]
-                if not idx.size:
-                    break
-                length = lanes.cur[idx] - start_abs[idx]
-                emit = (length >= min_len) & (lanes.count[idx] < max_intv)
-                for off in np.nonzero(emit)[0]:
-                    row = int(idx[off])
-                    _emit(row, int(launch_x[row] + length[off]))
-                mode[idx[emit]] = 0
-                idx = idx[~emit]
-                if not idx.size:
-                    continue
-                at_end = lanes.cur[idx] >= lanes.stop[idx]
-                lx[idx[at_end]] += 1
-                mode[idx[at_end]] = 0
-                idx = idx[~at_end]
-                if not idx.size:
-                    continue
-                stats.occ_live += int(idx.size)
-                stats.occ_slots += A
-                stats.wave_rounds += 1
-                adv, ok, _changed, is_run = step(flat, text, fwd,
-                                                 lanes, idx)
-                lanes.cur[idx] += adv
-                lanes.steps[idx] += adv
-                # Mid-run crossing of min_len: the hit count is constant
-                # inside a LEAF/UNIFORM run, so if the run survived past
-                # min_len with count < max_intv the scalar loop's
-                # per-character check would have emitted exactly at
-                # length == min_len (the boundary check above already
-                # handled length >= min_len at the run start, so these
-                # lanes entered the run short).  DIVERGE steps advance
-                # one character and are re-checked at the loop top with
-                # their updated count, matching the scalar order.
-                after = lanes.cur[idx] - start_abs[idx]
-                cross = (is_run & (lanes.count[idx] < max_intv)
-                         & (after >= min_len))
-                for off in np.nonzero(cross)[0]:
-                    row = int(idx[off])
-                    _emit(row, int(launch_x[row]) + min_len)
-                mode[idx[cross]] = 0
-                dead = ~ok & ~cross
-                lx[idx[dead]] += 1
-                mode[idx[dead]] = 0
-            np.add.at(stats.walk_steps, r_ids, lanes.steps)
+                    _make_seed(engine, reads[i], Mem(x, end), params))
     return results

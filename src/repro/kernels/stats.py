@@ -22,9 +22,10 @@ Two families come out of one accumulator set:
   for one read, which is what the scheduler feeds through the exemplar
   capture hooks so the reservoir/slowlog survive ``--kernels vector``.
 
-Accumulation is unconditional (it is a handful of vector adds per wave
-round); only the flush consults the telemetry flag, so dark runs pay no
-registry traffic and observed runs stay byte-identical to dark ones.
+Accumulation is unconditional (it is a handful of vector adds per walk
+dispatch and two stores per LAST chain); only the flush consults the
+telemetry flag, so dark runs pay no registry traffic and observed runs
+stay byte-identical to dark ones.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ class KernelBatchStats:
     One row per read in the batch (input order); scalars for the
     batch-level quantities.  Nothing here touches the registry -- see
     :meth:`flush`.
+
+    ``wave_rounds`` / ``occ_live`` / ``occ_slots`` describe the lane
+    sets only, i.e. rounds 1-2 (pivot waves, backward batches, reseed
+    walks).  Round 3 (LAST) is a per-read chain with no lanes to occupy:
+    it writes ``last_launches[i]`` once per read and adds its advances
+    to ``walk_steps[i]``.
     """
 
     __slots__ = ("n_reads", "walk_steps", "gather_nodes", "gather_bytes",
@@ -92,9 +99,10 @@ class KernelBatchStats:
 
     def __init__(self, n_reads: int) -> None:
         self.n_reads = n_reads
-        #: Characters consumed by tree-walk advances, per read (the
-        #: vector loop and the scalar straggler finisher count the same
-        #: quantity, so the column is batch-composition invariant).
+        #: Characters consumed by tree-walk advances, per read (lane
+        #: steps of rounds 1-2 plus the LAST chain's; a read's walks do
+        #: not depend on its batch mates, so the column is
+        #: batch-composition invariant).
         self.walk_steps = np.zeros(n_reads, dtype=np.int64)
         #: Leaf-pool gathers performed (cache preseeds), per read.
         self.gather_nodes = np.zeros(n_reads, dtype=np.int64)
@@ -103,16 +111,16 @@ class KernelBatchStats:
         self.gather_bytes = np.zeros(n_reads, dtype=np.int64)
         #: Round-2 reseed pivots launched, per read.
         self.reseed_launches = np.zeros(n_reads, dtype=np.int64)
-        #: Round-3 LAST lanes launched, per read.
+        #: Round-3 LAST launches made, per read.
         self.last_launches = np.zeros(n_reads, dtype=np.int64)
         #: Reads skipped for length (scalar parity:
         #: ``seeding.short_reads_skipped``).
         self.short_reads = 0
         #: Batched walk dispatches driven (pivot waves, backward
-        #: batches, LAST step rounds).
+        #: batches, reseed walks).
         self.wave_rounds = 0
         #: Lane-occupancy accumulators: live lanes stepped vs lane slots
-        #: allocated, summed over every walk round in the batch.
+        #: allocated, summed over every walk round of those dispatches.
         self.occ_live = 0
         self.occ_slots = 0
 

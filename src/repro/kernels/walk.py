@@ -1,4 +1,11 @@
-"""The batched lane-masked ERT walk.
+"""The two walks over the flat arena: lane sets and single chains.
+
+Independent walks -- a wave of forward pivots, every backward search of
+a batch -- run as a lane set (:class:`Lanes`, :func:`step`,
+:func:`drain`).  A walk whose every launch depends on where the last one
+ended -- one read's LAST scan -- has no width to vectorize over and runs
+as a plain Python chain over an :class:`ArenaCursor`
+(:func:`last_chain`).
 
 A :class:`Lanes` object holds the walk state of many concurrent tree
 walks as parallel arrays (one row per lane).  :func:`step` advances every
@@ -28,7 +35,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.arena import KIND_DIVERGE, KIND_LEAF, KIND_UNIFORM, FlatTrees
+from repro.core.arena import (
+    KIND_DIVERGE,
+    KIND_LEAF,
+    KIND_UNIFORM,
+    FlatTrees,
+    flat_trees,
+)
+from repro.core.index import ErtIndex
 
 
 class Lanes:
@@ -68,7 +82,7 @@ def _step_small(flat: FlatTrees, text: np.ndarray, seq: np.ndarray,
                 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """:func:`step` for a handful of lanes: per-lane Python dispatch is
     cheaper than ~30 numpy ops once the batch has drained down to a few
-    stragglers (deep-repeat LAST scans, late drain rounds)."""
+    stragglers (late drain rounds of a pivot wave)."""
     adv = np.zeros(idx.size, dtype=np.int64)
     ok = np.zeros(idx.size, dtype=bool)
     changed = np.zeros(idx.size, dtype=bool)
@@ -259,3 +273,147 @@ def drain(flat: FlatTrees, text: np.ndarray, seq: np.ndarray,
         return empty, empty
     return (np.concatenate(lep_lane_parts),
             np.concatenate(lep_pos_parts))
+
+
+class ArenaCursor:
+    """Scalar accessors over the arena, for walks that are one
+    dependency chain rather than a lane set (:func:`last_chain`).
+
+    The integer columns are ``memoryview``s of the arena's own arrays --
+    zero-copy, valid on the read-only shm-attached columns of a pool
+    worker -- so indexing one yields a Python ``int`` with no numpy
+    scalar in between; the reference text and the chars pool are
+    ``bytes``, so a LEAF/UNIFORM run is one slice comparison.  Built
+    once per index (:func:`arena_cursor`), never per batch.
+    """
+
+    __slots__ = ("k", "kind", "children", "count", "child", "chars_off",
+                 "chars_len", "leaf_text0", "chars", "text")
+
+    def __init__(self, flat: FlatTrees, text: np.ndarray) -> None:
+        self.k = flat.k
+        self.kind = memoryview(flat.kind)
+        #: ``children[4 * nid + c]``: the ``(n, 4)`` column, flattened.
+        self.children = memoryview(flat.children.reshape(-1))
+        self.count = memoryview(flat.count)
+        self.child = memoryview(flat.child)
+        self.chars_off = memoryview(flat.chars_off)
+        self.chars_len = memoryview(flat.chars_len)
+        self.leaf_text0 = memoryview(flat.leaf_text0)
+        self.chars = flat.chars_pool.astype(np.uint8).tobytes()
+        self.text = text.astype(np.uint8).tobytes()
+
+
+def arena_cursor(index: ErtIndex) -> ArenaCursor:
+    """The scalar cursor of ``index`` (cached on it, like the arena)."""
+    cursor = index.cursor
+    if not isinstance(cursor, ArenaCursor):
+        cursor = index.cursor = ArenaCursor(flat_trees(index), index.text)
+    return cursor
+
+
+# repro: hot -- one call per read, one iteration per node visit.
+def last_chain(cursor: ArenaCursor, seq: bytes, base: int, stop: int,
+               vx: "list[int]", vroot: "list[int]", vcount: "list[int]",
+               p: int, p_end: int, min_len: int, max_intv: int
+               ) -> "tuple[list[tuple[int, int, int, int]], int, int]":
+    """One read's whole LAST scan (``ErtSeedingEngine.last_seed`` driven
+    by ``seed_read``'s round 3) as a single chain over ``cursor``.
+
+    The read is ``seq[base:stop]``.  ``vx[p:p_end]`` are its viable
+    launch offsets in ascending order -- the positions whose k-mer is
+    fully present; any other launch fails at once and the scan moves on
+    by one -- with the root node and k-mer count of each in
+    ``vroot``/``vcount``.  A launch walks until the match is at least
+    ``min_len`` long with fewer than ``max_intv`` hits (emit, relaunch
+    at its end) or dies (relaunch one past its start).  Hit counts are
+    constant inside a LEAF/UNIFORM run, so a run that carries a match
+    across ``min_len`` with few enough hits emits at exactly
+    ``min_len``, where the scalar cursor's per-character check would.
+
+    Returns ``(emits, steps, launches)``: ``(start, end, nid, count)``
+    per emitted seed (read-relative interval, node and hit count for
+    the cache preseed), characters consumed by advances, and launches
+    made.  ``min_hits`` is 1 throughout LAST, so every existing child
+    is accepted.
+    """
+    k = cursor.k
+    kind = cursor.kind
+    children = cursor.children
+    counts = cursor.count
+    child = cursor.child
+    chars_off = cursor.chars_off
+    chars_len = cursor.chars_len
+    leaf_text0 = cursor.leaf_text0
+    chars = cursor.chars
+    text = cursor.text
+    emits: "list[tuple[int, int, int, int]]" = []
+    steps = 0
+    launches = 0
+    nxt = 0  # lowest offset the next launch may start at
+    while True:
+        # Launch offsets are visited monotonically: a pointer into the
+        # viable list, not a search.
+        while p < p_end and vx[p] < nxt:
+            p += 1
+        if p == p_end:
+            return emits, steps, launches
+        x = vx[p]
+        launches += 1
+        start = base + x
+        nid = vroot[p]
+        count = vcount[p]
+        within = 0
+        depth = 0
+        cur = start + k
+        nxt = x + 1  # unless this launch emits
+        while True:
+            if count < max_intv and cur - start >= min_len:
+                nxt = x + (cur - start)
+                emits.append((x, nxt, nid, count))
+                break
+            if cur >= stop:
+                break
+            node_kind = kind[nid]
+            if node_kind == KIND_DIVERGE:
+                ch = children[4 * nid + seq[cur]]
+                if ch < 0:
+                    break
+                nid = ch
+                count = counts[ch]
+                within = 0
+                depth += 1
+                cur += 1
+                steps += 1
+                continue
+            if node_kind == KIND_LEAF:
+                r0 = leaf_text0[nid] + k + depth
+                need = stop - cur
+                w = min(need, len(text) - r0)
+                ref = text
+            else:  # KIND_UNIFORM
+                r0 = chars_off[nid] + within
+                need = w = min(chars_len[nid] - within, stop - cur)
+                ref = chars
+            run = 0
+            if w > 0:
+                mine = seq[cur:cur + w]
+                theirs = ref[r0:r0 + w]
+                if mine == theirs:
+                    run = w
+                else:  # first mismatch; they differ, so this ends
+                    while mine[run] == theirs[run]:
+                        run += 1
+            within += run
+            depth += run
+            cur += run
+            steps += run
+            if node_kind == KIND_UNIFORM and within == chars_len[nid]:
+                nid = child[nid]
+                within = 0
+            if count < max_intv and cur - start >= min_len:
+                nxt = x + min_len
+                emits.append((x, nxt, nid, count))
+                break
+            if run < need:
+                break

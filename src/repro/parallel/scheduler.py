@@ -165,7 +165,7 @@ def default_workers() -> int:
 
 def _seed_line(name: str, seed: Any) -> str:
     """One seed as the CLI's TSV line."""
-    hits = ",".join(str(h) for h in seed.hits)
+    hits = ",".join(map(str, seed.hits))
     return (f"{name}\t{seed.read_start}\t{seed.length}"
             f"\t{seed.hit_count}\t{hits}\n")
 
