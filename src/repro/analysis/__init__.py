@@ -13,7 +13,6 @@ this package:
 
 from repro.analysis.datavol import TrafficProfile, measure_traffic
 from repro.analysis.divergence import DivergenceReport, measure_divergence
-from repro.analysis.qc import SeedingQc, seeding_qc
 from repro.analysis.report import format_table
 from repro.analysis.roofline import CpuSystem, OpCosts, cpu_throughput
 
@@ -21,11 +20,9 @@ __all__ = [
     "CpuSystem",
     "DivergenceReport",
     "OpCosts",
-    "SeedingQc",
     "TrafficProfile",
     "cpu_throughput",
     "format_table",
     "measure_divergence",
     "measure_traffic",
-    "seeding_qc",
 ]

@@ -8,8 +8,7 @@ align many times):
 * ``index-stats``  -- census of a persisted index (Fig 8 / §III-A3 data);
 * ``seed``         -- three-round seeding, one TSV line per seed;
 * ``align`` / ``align-pe`` -- full pipeline to SAM;
-* ``report``       -- render a saved telemetry snapshot as a profile
-  (or re-export it as OpenMetrics text with ``--format openmetrics``);
+* ``report``       -- render a saved telemetry snapshot as a profile;
 * ``explain``      -- replay one read through the serial engine with
   full instrumentation and print its cost attribution;
 * ``check``        -- run the repository's static-analysis rules
@@ -25,8 +24,8 @@ this module imports neither package.
 load the index, parse the reads, call the :mod:`repro.parallel` entry
 point, write, print a summary line.  They and ``compare`` take
 ``--profile`` (print a per-stage wall-clock/counter report),
-``--metrics-out FILE`` (write the full telemetry snapshot as JSON;
-``report --format openmetrics`` converts it to Prometheus text),
+``--metrics-out FILE`` (write the full telemetry snapshot as JSON, the
+input of ``report`` and ``ledger record --metrics``),
 ``--slowlog FILE`` (append the per-read exemplar sample -- reservoir
 plus top-K slowest -- as JSONL), ``--log-jsonl FILE`` (structured
 operational logs: scheduler, fault recovery, shared-memory lifecycle)
@@ -44,7 +43,8 @@ SEC``; see the failure model in ``docs/performance.md``.  ``--kernels vector`` (
 ``$REPRO_KERNELS``, else scalar) routes seeding through the batched
 numpy kernels (:mod:`repro.kernels`) with byte-identical output.
 
-A malformed index, FASTA or FASTQ file ends in one
+A malformed index, FASTA or FASTQ file -- and a missing or malformed
+``report --metrics`` / ``explain --slowlog`` file -- ends in one
 ``ert-repro <command>: <message>`` line on stderr and exit status 2.
 
 Every subcommand is a thin shell over the library API, so everything it
@@ -171,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "file) as a per-stage profile")
     report.add_argument("--metrics", required=True,
                         help="JSON file written by --metrics-out")
-    report.add_argument("--format", choices=("profile", "openmetrics"),
-                        default="profile",
-                        help="profile (default, human-readable tables) or "
-                             "openmetrics (Prometheus exposition text)")
 
     explain = sub.add_parser(
         "explain",
@@ -226,8 +222,7 @@ def _add_telemetry_args(parser) -> None:
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="collect telemetry and write the snapshot as JSON "
-             "('report --format openmetrics' converts it to Prometheus "
-             "exposition text)")
+             "('ert-repro report' renders it)")
     parser.add_argument(
         "--slowlog", default=None, metavar="FILE",
         help="sample per-read exemplars and append them (reservoir + "
@@ -524,10 +519,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    snap = telemetry.load_snapshot(args.metrics)
-    if args.format == "openmetrics":
-        sys.stdout.write(telemetry.render_openmetrics(snap))
-        return 0
+    try:
+        snap = telemetry.load_snapshot(args.metrics)
+    except (OSError, ValueError) as exc:
+        print(f"ert-repro report: cannot read --metrics {args.metrics}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     print(telemetry.render_profile(snap, title=f"telemetry report "
                                                f"({args.metrics})"))
     return 0
@@ -576,6 +573,8 @@ def _load_slowlog_entry(path, read_id: str, task: str) -> "dict | None":
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("not a slowlog record: " + line[:40])
             if record.get("read_id") == read_id and \
                     record.get("task") == task:
                 entry = record
@@ -593,9 +592,14 @@ def _cmd_explain(args) -> int:
     # same path for the counters to be comparable.  Without a slowlog
     # to consult, fall back to the usual $REPRO_KERNELS resolution so
     # an explain run in a vector environment replays vector.
-    recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
-                                    args.task)
-                if args.slowlog else None)
+    try:
+        recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
+                                        args.task)
+                    if args.slowlog else None)
+    except (OSError, ValueError) as exc:
+        print(f"ert-repro explain: cannot read --slowlog {args.slowlog}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     kernels = (args.kernels or (recorded or {}).get("kernels")
                or resolve_kernels())
     rec = _explain_replay(args, reads[0], kernels=kernels)

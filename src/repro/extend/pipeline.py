@@ -166,9 +166,7 @@ class ReadAligner:
         window = self._text[ref_begin:ref_begin + window_len]
         if window.size < n // 2:
             return None
-        if telemetry.enabled():
-            telemetry.observe("align.band_bp", self.band)
-            telemetry.observe("align.window_bp", int(window.size))
+        telemetry.observe("align.window_bp", int(window.size))
 
         score = None
         if self.edit_check_first:
@@ -220,9 +218,7 @@ class ReadAligner:
             window = self._text[ref_begin:ref_begin + n + self.band]
             if window.size < n // 2:
                 continue
-            if telemetry.enabled():
-                telemetry.observe("align.band_bp", self.band)
-                telemetry.observe("align.window_bp", int(window.size))
+            telemetry.observe("align.window_bp", int(window.size))
             score = None
             end_pos = None
             if self.edit_check_first:
@@ -401,7 +397,6 @@ class ReadAligner:
         if window.size < n // 2:
             return None
         if telemetry.enabled():
-            telemetry.observe("align.band_bp", self.band)
             telemetry.observe("align.window_bp", int(window.size))
             telemetry.count("align.sw_extensions")
             stats = self.read_stats[-1]

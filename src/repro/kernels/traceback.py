@@ -62,11 +62,13 @@ from repro.extend.smith_waterman import (
 from repro.extend.traceback import (
     _STOP, TracedAlignment, banded_sw_traceback, walk_back)
 
-#: Below this many lanes the batch entry point dispatches to the scalar
-#: kernel.  Measured at m = 101, band = 41 (median of 300 interleaved
-#: calls, sweep vs scalar row loop): 1.30 vs 1.81 ms at B = 1, 1.71 vs
-#: 4.34 ms at B = 2, 1.82 vs 6.77 ms at B = 3 -- a sweep of one lane
-#: already wins, so no call is declined for its lane count.
+#: Fewest lanes a sweep is worth.  Measured at m = 101, band = 41
+#: (median of 300 interleaved calls, sweep vs scalar row loop): 1.30 vs
+#: 1.81 ms at B = 1, 1.71 vs 4.34 ms at B = 2, 1.82 vs 6.77 ms at B = 3
+#: -- a sweep of one lane already wins, so no call is declined for its
+#: lane count and nothing here reads this.  It stays a name only because
+#: ``benchmarks/pipeline/layers.py`` imports it; it goes with that
+#: import (ROADMAP 1(a)).
 MIN_WAVEFRONT_LANES = 1
 #: Most lanes one sweep carries, sized by memory: a lane owns a
 #: band-relative H plane (int16), three pointer planes (int8) and 13
@@ -102,8 +104,7 @@ def _plane_dtype(m: int, width: int, scheme: ScoringScheme):
 def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
                          scheme: "ScoringScheme | None" = None,
                          band: int = 41,
-                         workspace: "SwWorkspace | None" = None,
-                         min_lanes: "int | None" = None
+                         workspace: "SwWorkspace | None" = None
                          ) -> "list[TracedAlignment]":
     """Banded local alignment with CIGAR, one lane per target.
 
@@ -111,9 +112,7 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     ``b``, or one 1-D query shared by every lane.  Equivalent to
     ``[banded_sw_traceback(query_b, t, scheme, band, workspace) for
     query_b, t in lanes]``, computed lane-parallel in evenly split
-    sweeps of at most :data:`MAX_WAVEFRONT_LANES` lanes.  ``min_lanes``
-    overrides the scalar-dispatch crossover (the equivalence tests pin
-    it to 1 to force the row scan on small batches).
+    sweeps of at most :data:`MAX_WAVEFRONT_LANES` lanes.
     """
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
@@ -128,16 +127,11 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
         return []
     q = np.broadcast_to(q, (B, m))
     t16 = [np.asarray(t, dtype=np.int16) for t in targets]
-    floor = MIN_WAVEFRONT_LANES if min_lanes is None else min_lanes
     dtype = _plane_dtype(m, 2 * (band // 2) + 2, scheme)
-    if B < floor or dtype is None or m == 0 \
-            or max(t.size for t in t16) == 0:
-        # Batch-granularity bookkeeping only (no-ops while telemetry is
-        # off): which batches the row scan declined, and why.
-        telemetry.count("kernels.sw_scalar_batches")
-        if B < floor:
-            telemetry.count("kernels.fallback_scalar.lanes")
-        elif dtype is None:
+    if dtype is None or m == 0 or max(t.size for t in t16) == 0:
+        if dtype is None:
+            # A scheme the row scan cannot carry (a no-op while
+            # telemetry is off); empty inputs are not counted.
             telemetry.count("kernels.fallback_scalar.scheme")
         return [banded_sw_traceback(q[b], t, scheme, band,
                                     workspace=workspace)

@@ -673,9 +673,8 @@ def _map_reads(engine: ErtSeedingEngine, task: str,
     One worker runs on ``engine`` itself.  A pool gets the engine's
     index through shared memory (published once, attached zero-copy),
     never once per batch.  Payloads concatenate, stats fold into one
-    :class:`EngineStats`, and worker snapshots merge keyed by submission
-    order, so gauges resolve to the highest batch index -- the value a
-    serial run would leave behind -- at any worker count.
+    :class:`EngineStats`, and worker snapshots merge in submission
+    order.
     """
     batches = [pack_batch(chunk) for chunk in iter_chunks(reads, chunk_size)]
     payload: "list[Any]" = []
@@ -687,12 +686,12 @@ def _map_reads(engine: ErtSeedingEngine, task: str,
         else:
             shared = stack.enter_context(SharedIndexBuffer(engine.index))
             spec = ("shm", shared.name, shared.size, engine.gather_limit)
-        for order, (items, stat_delta, snap) in enumerate(map_batches(
-                spec, task, options, batches, config)):
+        for items, stat_delta, snap in map_batches(
+                spec, task, options, batches, config):
             payload.extend(items)
             stats.add_dict(stat_delta)
             if snap is not None:
-                telemetry.merge_snapshot(snap, order=order)
+                telemetry.merge_snapshot(snap)
     return payload, stats
 
 

@@ -8,8 +8,11 @@ process-wide place to put numbers:
   bucketed histograms;
 * a span tracer (:mod:`repro.telemetry.spans`): nested wall-clock stage
   timings with exclusive-time accounting;
-* exporters (:mod:`repro.telemetry.export`): JSON snapshots and the
-  human-readable per-stage profile.
+* per-read exemplars (:mod:`repro.telemetry.exemplars`) and a timeline
+  recorder (:mod:`repro.telemetry.events`), behind ``--slowlog`` /
+  ``explain`` and ``--trace-out``;
+* exporters (:mod:`repro.telemetry.export`): JSON snapshots and traces,
+  and the human-readable per-stage profile -- the only ways out.
 
 **Telemetry is off by default** and everything routes through one
 module-level flag.  While disabled, :func:`span` returns a shared no-op
@@ -32,7 +35,7 @@ Typical use::
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from contextlib import nullcontext
 
 from repro.telemetry.events import TimelineRecorder, trace_document
 from repro.telemetry.exemplars import (
@@ -42,35 +45,26 @@ from repro.telemetry.exemplars import (
 from repro.telemetry.export import (
     load_snapshot,
     render_profile,
-    render_slowlog,
-    render_spans,
     write_json,
     write_trace,
 )
-from repro.telemetry.openmetrics import parse_openmetrics, render_openmetrics
 from repro.telemetry.metrics import (
     DEFAULT_EDGES,
     FRACTION_EDGES,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_percentile,
     sanitize,
 )
-from repro.telemetry.spans import NoopSpan, SpanStat, Tracer
+from repro.telemetry.spans import Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_EDGES",
     "ExemplarCollector",
     "FRACTION_EDGES",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NoopSpan",
     "READ_WALL_MS_EDGES",
-    "SpanStat",
     "TimelineRecorder",
     "Tracer",
     "add_counters",
@@ -87,19 +81,13 @@ __all__ = [
     "merge_snapshot",
     "observe",
     "observe_bucketed",
-    "observe_many",
-    "parse_openmetrics",
     "probe_ms",
     "read_probe",
-    "record_read",
     "record_reads",
     "recorder",
     "recording",
     "registry",
-    "render_openmetrics",
     "render_profile",
-    "render_slowlog",
-    "render_spans",
     "reset",
     "sanitize",
     "set_gauge",
@@ -108,7 +96,6 @@ __all__ = [
     "start_recording",
     "stop_recording",
     "trace_document",
-    "trace_events",
     "tracer",
     "write_json",
     "write_trace",
@@ -125,7 +112,9 @@ _recorder = TimelineRecorder()
 #: every span also lands B/E events in the recorder.
 _tracer = Tracer(events=_recorder)
 _exemplars = ExemplarCollector()
-_NOOP_SPAN = NoopSpan()
+#: Handed out for every ``span()`` call while telemetry is off, so the
+#: disabled cost is one flag check and two empty calls.
+_NOOP_SPAN = nullcontext()
 
 
 def enable() -> None:
@@ -234,12 +223,6 @@ def current_trace() -> dict:
     return trace_document(_recorder.tracks(), _recorder.epoch_ns)
 
 
-def trace_events() -> "list[dict]":
-    """Chrome ``trace_event`` dicts for everything recorded (own ring
-    plus absorbed worker tracks)."""
-    return current_trace()["traceEvents"]
-
-
 # ----------------------------------------------------------------------
 # Recording helpers -- each is a no-op after one flag check when disabled.
 # ----------------------------------------------------------------------
@@ -283,15 +266,6 @@ def observe(name: str, value: float,
         _registry.histogram(name, edges).observe(value)
 
 
-def observe_many(name: str, values: "object",
-                 edges: "tuple[float, ...] | None" = None) -> None:
-    """Record every value of an iterable into histogram ``name`` in one
-    call -- the batch-flush path for per-lane accumulator columns (the
-    vector kernels hand whole ndarrays here at span boundaries)."""
-    if _enabled:
-        _registry.histogram(name, edges).observe_many(values)
-
-
 def observe_bucketed(name: str, counts: "list[int]", total: float,
                      lo: float, hi: float,
                      edges: "tuple[float, ...] | None" = None) -> None:
@@ -305,7 +279,7 @@ def observe_bucketed(name: str, counts: "list[int]", total: float,
 
 def read_probe() -> "int | None":
     """Open a per-read exemplar probe: returns a clock token to pass to
-    :func:`record_read`, or ``None`` while telemetry is disabled (the
+    :func:`record_reads`, or ``None`` while telemetry is disabled (the
     disabled path costs one flag check; callers skip their counter
     bookkeeping entirely on ``None``)."""
     if not _enabled:
@@ -323,58 +297,27 @@ def probe_ms(token: "int | None") -> float:
     return _exemplars.elapsed_ms(token)
 
 
-def record_read(token: "int | None", read_id: str,
-                counters: "dict[str, int] | None" = None,
-                task: str = "seed",
-                wall_ms: "float | None" = None,
-                kernels: "str | None" = None) -> "dict | None":
-    """Close a :func:`read_probe`: capture the read's exemplar record
-    (reservoir + slowlog), observe its wall time into the
-    ``read.wall_ms`` histogram, and pin the record to that histogram
-    bucket as an OpenMetrics exemplar.  Returns the record, or ``None``
-    when the probe was disabled.
-
-    ``wall_ms`` overrides the probe-derived wall time (a batch driver
-    records many reads against one probe, passing each read's share);
-    ``kernels`` tags the record with the backend (``"vector"``) so
-    ``ert-repro explain`` replays it through the same path."""
-    if token is None or not _enabled:
-        return None
-    rec = _exemplars.record(read_id, token, counters, task=task,
-                            wall_ms=wall_ms, kernels=kernels)
-    hist = _registry.histogram("read.wall_ms", READ_WALL_MS_EDGES)
-    hist.observe(rec["wall_ms"])
-    hist.attach_exemplar(rec["wall_ms"], {"read_id": rec["read_id"]})
-    return rec
-
-
 def record_reads(token: "int | None", read_ids: "list[str]",
                  wall_ms: "list[float]", make_counters: "object",
                  task: str = "seed",
                  kernels: "str | None" = None) -> None:
-    """Batch form of :func:`record_read`, what the scheduler's batch
-    runner calls: one call captures exemplars for a whole batch against
-    one probe.
+    """Close a :func:`read_probe` for a whole batch -- the one exemplar
+    capture entry point, called by the scheduler's batch runner: offer
+    every read (``wall_ms[i]`` its share of the probe) to the reservoir
+    and the slowlog and observe its wall time into ``read.wall_ms``.
+    ``kernels`` tags the records with the backend (``"vector"``) so
+    ``ert-repro explain`` replays them through the same path.
 
-    Produces exactly the state per-read :func:`record_read` calls
-    would -- same reservoir membership (the RNG advances once per
-    offer), same slowlog, same ``read.wall_ms`` histogram and bucket
-    exemplars (latest read per bucket wins) -- but record dicts are
-    only materialized for kept reads, and ``make_counters(i)`` is only
-    invoked for those, which is what holds observed-vector overhead to
-    the kernel telemetry budget."""
+    Leaves exactly the state one :meth:`ExemplarCollector.record` per
+    read would, but builds a record -- and calls ``make_counters(i)`` --
+    only for kept reads, which is what holds observed-vector overhead
+    to the kernel telemetry budget."""
     if token is None or not _enabled:
         return
     _exemplars.record_batch(read_ids, wall_ms, make_counters,
                             task=task, kernels=kernels)
-    hist = _registry.histogram("read.wall_ms", READ_WALL_MS_EDGES)
-    hist.observe_many(wall_ms)
-    last_per_bucket: "dict[int, int]" = {}
-    edges = hist.edges
-    for i, wall in enumerate(wall_ms):
-        last_per_bucket[bisect_left(edges, wall)] = i
-    for i in last_per_bucket.values():
-        hist.attach_exemplar(wall_ms[i], {"read_id": read_ids[i]})
+    _registry.histogram("read.wall_ms",
+                        READ_WALL_MS_EDGES).observe_many(wall_ms)
 
 
 def snapshot() -> dict:
@@ -386,22 +329,21 @@ def snapshot() -> dict:
     return data
 
 
-def merge_snapshot(data: dict, order: "int | None" = None) -> None:
+def merge_snapshot(data: dict) -> None:
     """Fold a snapshot produced elsewhere -- typically by a
     :mod:`repro.parallel` worker process -- into the live registry and
     tracer: counters and histograms add, span aggregates merge per path,
-    gauges resolve by ``order`` (the snapshot's batch submission index;
-    highest order wins, so merged gauges are deterministic under
-    out-of-order worker completion) or last-write-wins when ``order`` is
-    omitted.  Timeline tracks (the ``"timeline"`` key a worker's
-    :func:`drain_timeline` attaches) are absorbed whenever recording is
-    on, even if metrics are disabled.  Otherwise a no-op while telemetry
-    is disabled, so schedulers can call it unconditionally."""
+    exemplars re-offer, gauges are last-write-wins (an in-process kind:
+    no pool worker sets one).  Timeline tracks (the ``"timeline"`` key
+    a worker's :func:`drain_timeline` attaches) are absorbed whenever
+    recording is on, even if metrics are disabled.  Otherwise a no-op
+    while telemetry is disabled, so schedulers can call it
+    unconditionally."""
     if _recorder.recording:
         _recorder.absorb(data.get("timeline"))
     if not _enabled:
         return
-    _registry.merge_snapshot(data, order=order)
+    _registry.merge_snapshot(data)
     _tracer.merge_snapshot(data.get("spans", {}))
     worker_exemplars = data.get("exemplars")
     if worker_exemplars:

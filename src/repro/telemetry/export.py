@@ -19,10 +19,6 @@ import json
 from repro.telemetry.metrics import bucket_percentile
 
 
-SNAPSHOT_KEYS = ("counters", "gauges", "histograms", "spans",
-                 "exemplars")
-
-
 def write_json(path, snapshot: dict) -> None:
     """Write one snapshot as an indented JSON document."""
     with open(path, "w") as handle:
@@ -40,31 +36,17 @@ def write_trace(path, document: dict) -> None:
         handle.write("\n")
 
 
-def load_trace(path) -> dict:
-    """Read back a trace written by :func:`write_trace` (accepts both
-    the object form and a bare event array)."""
-    with open(path) as handle:
-        data = json.load(handle)
-    if isinstance(data, list):
-        return {"traceEvents": data}
-    if not isinstance(data, dict) or "traceEvents" not in data:
-        raise ValueError(f"{path}: not a trace_event document")
-    return data
-
-
 def load_snapshot(path) -> dict:
     """Read a snapshot written by :func:`write_json` (missing sections
     are filled in empty, so partial files still render)."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a telemetry snapshot")
-    for key in SNAPSHOT_KEYS:
-        # ``exemplars`` is an optional section -- snapshots carry it only
-        # when reads were sampled, so loading must not invent the key or
-        # write/load would stop round-tripping.
-        if key != "exemplars":
-            data.setdefault(key, {})
+        raise ValueError("not a telemetry snapshot (no JSON object)")
+    # ``exemplars`` is optional -- present only when reads were sampled
+    # -- so loading must not invent it or write/load stops round-tripping.
+    for key in ("counters", "gauges", "histograms", "spans"):
+        data.setdefault(key, {})
     return data
 
 
@@ -91,7 +73,7 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:,.2f}"
 
 
-def render_spans(spans: dict) -> str:
+def _render_spans(spans: dict) -> str:
     """Per-stage timing table: indentation mirrors span nesting and the
     ``% root`` column is relative to each stage's top-level ancestor."""
     if not spans:
@@ -121,7 +103,7 @@ def render_profile(snapshot: dict, title: "str | None" = None) -> str:
     if title:
         parts.append(title)
     parts.append("== per-stage wall clock ==")
-    parts.append(render_spans(snapshot.get("spans", {})))
+    parts.append(_render_spans(snapshot.get("spans", {})))
     counters = snapshot.get("counters", {})
     if counters:
         parts.append("")
@@ -152,9 +134,6 @@ def render_profile(snapshot: dict, title: "str | None" = None) -> str:
                    f"{hist['max']:g}" if hist["max"] is not None
                    else "-"]
             for q in (0.50, 0.90, 0.99, 0.999):
-                # Recompute from the buckets rather than trusting stored
-                # p50/p90/p99/p99.9 keys, so snapshots written before
-                # the percentile columns existed still render.
                 value = bucket_percentile(
                     hist["edges"], hist["counts"], count,
                     hist["min"], hist["max"], q)
@@ -167,11 +146,11 @@ def render_profile(snapshot: dict, title: "str | None" = None) -> str:
     if exemplars.get("slowest"):
         parts.append("")
         parts.append("== slowest reads (exemplar slowlog) ==")
-        parts.append(render_slowlog(exemplars))
+        parts.append(_render_slowlog(exemplars))
     return "\n".join(parts)
 
 
-def render_slowlog(exemplars: dict, limit: int = 10) -> str:
+def _render_slowlog(exemplars: dict, limit: int = 10) -> str:
     """Table view of the exemplar slowlog: the top recorded reads by
     wall time, with the counters that explain the cost.  Feed any read
     id shown here to ``ert-repro explain`` for the full breakdown."""

@@ -68,8 +68,7 @@ class Histogram:
     overflow bucket, so ``len(counts) == len(edges) + 1``.
     """
 
-    __slots__ = ("edges", "counts", "count", "total", "min", "max",
-                 "exemplars")
+    __slots__ = ("edges", "counts", "count", "total", "min", "max")
 
     def __init__(self, edges: "tuple[float, ...] | None" = None) -> None:
         edges = tuple(edges) if edges is not None else DEFAULT_EDGES
@@ -83,9 +82,6 @@ class Histogram:
         self.total = 0.0
         self.min = None
         self.max = None
-        # Bucket index -> {"value": float, "labels": {...}}: one exemplar
-        # per bucket, latest wins (OpenMetrics exposition semantics).
-        self.exemplars: "dict[int, dict]" = {}
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.edges, value)] += 1
@@ -97,12 +93,8 @@ class Histogram:
             self.max = value
 
     def observe_many(self, values: "object") -> None:
-        """Observe every value in ``values`` (any iterable of numbers).
-
-        This is the batch-flush path for the vector kernels: the sweep
-        accumulates per-lane quantities in plain ndarrays and the driver
-        lands the whole column in one call, so the hot loops never touch
-        the registry (rules ERT007/ERT017)."""
+        """Observe every value in ``values`` (any iterable of numbers):
+        how ``record_reads`` lands a batch's per-read wall times."""
         for value in values:
             self.observe(float(value))
 
@@ -136,16 +128,6 @@ class Histogram:
         if self.max is None or hi > self.max:
             self.max = hi
 
-    def attach_exemplar(self, value: float,
-                        labels: "dict[str, str]") -> None:
-        """Pin a labelled exemplar ("this specific read produced this
-        observation") to the bucket that ``value`` lands in.  Latest
-        write per bucket wins; exporters render it next to the bucket
-        line (OpenMetrics ``# {labels} value`` syntax)."""
-        self.exemplars[bisect_left(self.edges, value)] = {
-            "value": float(value),
-            "labels": {str(k): str(v) for k, v in labels.items()}}
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -176,29 +158,18 @@ class Histogram:
         if other_max is not None and (self.max is None
                                       or other_max > self.max):
             self.max = other_max
-        for bucket, exemplar in data.get("exemplars", {}).items():
-            # Incoming wins, matching attach_exemplar's latest-wins rule
-            # under the scheduler's in-submission-order merge.  JSON
-            # round-trips turn the int bucket keys into strings.
-            self.exemplars[int(bucket)] = exemplar
 
     def as_dict(self) -> dict:
-        data = {
+        """The buckets and extremes; percentiles are derived from these
+        wherever they are shown (:func:`bucket_percentile`)."""
+        return {
             "edges": list(self.edges),
             "counts": list(self.counts),
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-            "p99.9": self.percentile(0.999),
         }
-        if self.exemplars:
-            data["exemplars"] = {str(bucket): exemplar for bucket,
-                                 exemplar in sorted(self.exemplars.items())}
-        return data
 
 
 def bucket_percentile(edges, counts, count, lo, hi, q) -> "float | None":
@@ -251,9 +222,6 @@ class MetricsRegistry:
         self.counters: "dict[str, Counter]" = {}
         self.gauges: "dict[str, Gauge]" = {}
         self.histograms: "dict[str, Histogram]" = {}
-        # Highest merge order seen per gauge (see merge_snapshot): keyed
-        # separately so live gauge.set() calls stay order-free.
-        self._gauge_orders: "dict[str, int]" = {}
 
     # -- accessors -----------------------------------------------------
 
@@ -286,30 +254,17 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
-        self._gauge_orders.clear()
 
-    def merge_snapshot(self, data: dict, order: "int | None" = None) -> None:
+    def merge_snapshot(self, data: dict) -> None:
         """Fold a :meth:`snapshot` -- typically produced in another
         process by a :mod:`repro.parallel` worker -- into the live
-        metrics: counters add, histograms merge bucket-wise, gauges
-        resolve by ``order``.
-
-        ``order`` is the snapshot's submission index (the batch number in
-        a parallel run): for each gauge the snapshot with the *highest*
-        order wins, regardless of merge call sequence, so the merged
-        value is the one a serial run would have left behind -- stable at
-        any worker count.  Without ``order`` gauges fall back to
-        last-write-wins (and take precedence over any ordered value seen
-        so far, matching plain gauge semantics)."""
+        metrics: counters add, histograms merge bucket-wise, gauges are
+        last-write-wins (no pool worker sets one: gauges come from the
+        in-process model runs)."""
         for name, value in data.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in data.get("gauges", {}).items():
-            if order is None:
-                self._gauge_orders.pop(name, None)
-                self.gauge(name).set(value)
-            elif order >= self._gauge_orders.get(name, -1):
-                self._gauge_orders[name] = order
-                self.gauge(name).set(value)
+            self.gauge(name).set(value)
         for name, hist in data.get("histograms", {}).items():
             self.histogram(name, tuple(hist["edges"])).merge(hist)
 

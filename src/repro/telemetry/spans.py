@@ -162,16 +162,3 @@ class Tracer:
         return {path: stat.as_dict()
                 for path, stat in sorted(self.stats.items())}
 
-
-class NoopSpan:
-    """The disabled-mode span: enter/exit do nothing.  A single shared
-    instance is handed out for every ``span()`` call while telemetry is
-    off, so the disabled cost is one flag check and two empty calls."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None

@@ -16,4 +16,5 @@ def sweep(lanes, stats):
 def flush(stats):
     telemetry.add_counters({"kernels.walk_steps": stats.walk_steps,
                             "kernels.wave_rounds": stats.wave_rounds})
-    telemetry.observe_many("kernels.lane_occupancy", stats.fractions)
+    telemetry.observe("kernels.lane_occupancy",
+                      stats.occ_live / stats.occ_slots)

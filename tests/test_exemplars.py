@@ -1,6 +1,6 @@
 """Per-read exemplar sampling: reservoir determinism, slowlog top-K,
-cross-process merge, and the histogram exemplar attachment behind the
-OpenMetrics ``# {...}`` annotations."""
+cross-process merge, and the ``read.wall_ms`` histogram the capture
+entry point feeds."""
 
 import pytest
 
@@ -117,13 +117,13 @@ def test_merge_order_determinism():
 
 
 # ----------------------------------------------------------------------
-# Module-level wiring: read_probe / record_read
+# Module-level wiring: read_probe / record_reads
 # ----------------------------------------------------------------------
 
 
 def test_read_probe_is_none_while_disabled():
     assert telemetry.read_probe() is None
-    assert telemetry.record_read(None, "r") is None
+    telemetry.record_reads(None, ["r"], [1.0], lambda i: {})
     assert "exemplars" not in telemetry.snapshot()
 
 
@@ -131,49 +131,39 @@ def test_record_read_feeds_histogram_and_exemplar():
     telemetry.enable()
     token = telemetry.read_probe()
     assert token is not None
-    rec = telemetry.record_read(token, "read_7", {"seeds": 4})
-    assert rec["read_id"] == "read_7"
+    telemetry.record_reads(token, ["read_7"], [0.75],
+                           lambda i: {"seeds": 4, "zero": 0})
     snap = telemetry.snapshot()
     assert snap["exemplars"]["count"] == 1
+    assert snap["exemplars"]["slowest"] == [
+        {"read_id": "read_7", "task": "seed", "wall_ms": 0.75,
+         "counters": {"seeds": 4}}]
     hist = snap["histograms"]["read.wall_ms"]
-    assert hist["count"] == 1
+    assert hist["count"] == 1 and hist["total"] == 0.75
     assert tuple(hist["edges"]) == READ_WALL_MS_EDGES
-    exemplars = hist["exemplars"]
-    (bucket, exemplar), = exemplars.items()
-    assert exemplar["labels"] == {"read_id": "read_7"}
-    assert exemplar["value"] == rec["wall_ms"]
 
 
 def test_snapshot_merge_round_trip_through_merge_snapshot():
     telemetry.enable()
     token = telemetry.read_probe()
-    telemetry.record_read(token, "worker_read", {"seeds": 2})
+    telemetry.record_reads(token, ["worker_read"], [2.0],
+                           lambda i: {"seeds": 2})
     shipped = telemetry.snapshot()
     telemetry.reset()
     telemetry.enable()
-    telemetry.merge_snapshot(shipped, order=0)
+    telemetry.merge_snapshot(shipped)
     merged = telemetry.snapshot()
     assert merged["exemplars"]["count"] == 1
     assert merged["exemplars"]["slowest"][0]["read_id"] == "worker_read"
     assert merged["histograms"]["read.wall_ms"]["count"] == 1
-    assert merged["histograms"]["read.wall_ms"]["exemplars"]
-
-
-def test_histogram_as_dict_reports_p999():
-    telemetry.enable()
-    for value in range(1, 1001):
-        telemetry.observe("h", value, edges=(10, 100, 500, 900, 990))
-    hist = telemetry.snapshot()["histograms"]["h"]
-    assert "p99.9" in hist
-    assert hist["p99"] <= hist["p99.9"] <= hist["max"]
 
 
 def test_record_reads_bulk_matches_per_read_capture():
-    """The vector drivers' bulk offer path (`record_reads`) must leave
-    the collector and the wall-time histogram in exactly the state 500
-    individual `record_read` calls would: same reservoir membership
-    (the RNG advances once per offer either way), same slowlog, same
-    bucket exemplars (latest read per bucket wins)."""
+    """The scheduler's bulk offer path (`record_reads`) must leave the
+    collector and the wall-time histogram in exactly the state 500
+    individual `ExemplarCollector.record` + `observe` calls would: same
+    reservoir membership (the RNG advances once per offer either way),
+    same slowlog, same buckets."""
     import random
 
     ids = [f"r{i}" for i in range(500)]
@@ -185,8 +175,9 @@ def test_record_reads_bulk_matches_per_read_capture():
     telemetry.enable()
     probe = telemetry.read_probe()
     for i, read_id in enumerate(ids):
-        telemetry.record_read(probe, read_id, rows[i], task="seed",
-                              wall_ms=walls[i], kernels="vector")
+        telemetry.exemplars().record(read_id, probe, rows[i], task="seed",
+                                     wall_ms=walls[i], kernels="vector")
+        telemetry.observe("read.wall_ms", walls[i], READ_WALL_MS_EDGES)
     per_read = telemetry.snapshot()
     telemetry.reset()
     telemetry.enable()

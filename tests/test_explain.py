@@ -120,3 +120,21 @@ def test_explain_read_missing_from_slowlog_exits_2(workspace, tmp_path,
                  "--read-id", entry["read_id"],
                  "--min-seed-len", "12", "--slowlog", str(empty)])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n"],
+                         ids=["missing", "garbled", "non-object"])
+def test_explain_unreadable_slowlog_is_one_line_exit_2(workspace, tmp_path,
+                                                       capsys, content):
+    slowlog = tmp_path / "bad.jsonl"
+    if content is not None:
+        slowlog.write_text(content)
+    entry = _slow_entries(workspace["seed_log"])[0]
+    code = main(["explain", "--index", workspace["index"],
+                 "--reads", workspace["reads"],
+                 "--read-id", entry["read_id"],
+                 "--min-seed-len", "12", "--slowlog", str(slowlog)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ert-repro explain: ") and err.count("\n") == 1
+    assert str(slowlog) in err

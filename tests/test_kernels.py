@@ -616,14 +616,13 @@ def test_batched_sw_equal_score_tie_positions():
 
 
 def _assert_tb_batch_matches(query, targets, scheme, band, workspace=None):
-    # min_lanes=1 forces the row scan even for tiny batches, so these
-    # cases never silently test the scalar fallback against itself.
-    # ``query`` is one shared 1-D query or a (B, m) block.
+    # ``query`` is one shared 1-D query or a (B, m) block; every lane
+    # count takes the row scan.
     # TracedAlignment equality covers score, all four coordinates, and
     # the CIGAR tuple; the string is checked on top because it is what
     # reaches the SAM records.
     batched = batched_sw_traceback(query, targets, scheme, band,
-                                   workspace=workspace, min_lanes=1)
+                                   workspace=workspace)
     queries = np.broadcast_to(query, (len(targets), np.shape(query)[-1]))
     for lane_query, target, got in zip(queries, targets, batched):
         want = banded_sw_traceback(lane_query, target, scheme, band)
@@ -698,14 +697,9 @@ def test_batched_traceback_empty_inputs_and_fallback():
     # Empty query / all-empty targets take the scalar dispatch and must
     # still match the oracle shape-for-shape.
     for q in (empty_q, np.zeros(4, dtype=np.uint8)):
-        got = batched_sw_traceback(q, targets, min_lanes=1)
+        got = batched_sw_traceback(q, targets)
         want = [banded_sw_traceback(q, t) for t in targets]
         assert got == want
-    # A floor above the lane count dispatches scalar; results are
-    # identical either way.
-    q = np.zeros(4, dtype=np.uint8)
-    assert batched_sw_traceback(q, targets[:1], min_lanes=2) \
-        == [banded_sw_traceback(q, targets[0])]
 
 
 def test_batched_traceback_reused_workspace():
@@ -775,8 +769,7 @@ def test_batched_traceback_per_lane_queries_fuzzed():
         telemetry.enable()
         try:
             got = batched_sw_traceback(queries, targets, DEFAULT_SCHEME,
-                                       band, workspace=workspace,
-                                       min_lanes=1)
+                                       band, workspace=workspace)
             fill = telemetry.snapshot()["histograms"][
                 "kernels.wavefront_fill"]
         finally:

@@ -328,34 +328,6 @@ def test_telemetry_merge_snapshot_folds_counters_and_spans():
     assert snap["spans"]["phase"]["count"] == 4
 
 
-def test_merge_snapshot_gauges_resolve_by_batch_order():
-    """Out-of-order worker completion must not decide gauge values:
-    whatever snapshot carries the highest submission order wins, no
-    matter the merge call sequence (so --metrics-out is stable at any
-    worker count)."""
-    def gauge_snap(value):
-        return {"counters": {}, "gauges": {"merge.gauge": value},
-                "histograms": {}, "spans": {}}
-
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        # Batch 2's snapshot arrives first, then batch 0's: the batch-2
-        # value must survive.
-        telemetry.merge_snapshot(gauge_snap(22.0), order=2)
-        telemetry.merge_snapshot(gauge_snap(10.0), order=0)
-        assert telemetry.snapshot()["gauges"]["merge.gauge"] == 22.0
-        # A higher order replaces it.
-        telemetry.merge_snapshot(gauge_snap(33.0), order=3)
-        assert telemetry.snapshot()["gauges"]["merge.gauge"] == 33.0
-        # Orderless merges keep last-write-wins semantics.
-        telemetry.merge_snapshot(gauge_snap(1.0))
-        assert telemetry.snapshot()["gauges"]["merge.gauge"] == 1.0
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-
-
 def test_merge_snapshot_is_noop_while_disabled():
     telemetry.reset()
     telemetry.merge_snapshot({"counters": {"ghost": 1}, "gauges": {},

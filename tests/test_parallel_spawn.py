@@ -54,7 +54,6 @@ def test_spawn_pool_absorbs_exemplars_and_counters(ert_index, read_codes,
     assert snap["exemplars"]["count"] == len(read_codes)
     assert snap["exemplars"]["slowest"], "slowlog lost at the boundary"
     assert snap["histograms"]["read.wall_ms"]["count"] == len(read_codes)
-    assert snap["histograms"]["read.wall_ms"]["exemplars"]
     # Engine counters crossed the boundary too (spot-check one that
     # both kernel backends emit -- the vector walk gathers flat nodes,
     # so `seeding.nodes_visited` is scalar-only).

@@ -125,49 +125,53 @@ def test_seed_reports_truncated_hit_lists(workspace, tmp_path, capsys):
     assert "truncated by --max-hits 1" in err
 
 
-def test_metrics_format_openmetrics_writes_parseable_text(workspace,
-                                                          tmp_path,
-                                                          capsys):
-    """The one OpenMetrics path: ``--metrics-out`` JSON converted by
-    ``report --format openmetrics`` keeps families and exemplars."""
-    from repro.telemetry import parse_openmetrics
+def test_report_has_no_format_option(workspace, tmp_path, capsys):
+    """``report`` renders the profile table, its one job: the removed
+    ``--format`` -- even with its old default value -- is an argparse
+    error, not a silently ignored flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--metrics", str(tmp_path / "m.json"),
+              "--format", "profile"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("content", [None, '{"counters": ', "[1, 2]"],
+                         ids=["missing", "truncated", "non-object"])
+def test_report_unreadable_snapshot_is_one_line_exit_2(tmp_path, capsys,
+                                                       content):
+    metrics = tmp_path / "metrics.json"
+    if content is not None:
+        metrics.write_text(content)
+    assert main(["report", "--metrics", str(metrics)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ert-repro report: ")
+    assert captured.err.count("\n") == 1
+    assert str(metrics) in captured.err
+
+
+@pytest.mark.parametrize("kernels", ["scalar", "vector"])
+@pytest.mark.parametrize("command", ["seed", "align"])
+def test_pooled_snapshot_has_no_gauges_and_no_bucket_exemplars(
+        workspace, tmp_path, command, kernels):
+    """Gauges are an in-process (model-run) kind: no pool worker sets
+    one, which is why ``merge_snapshot`` needs no cross-worker gauge
+    order.  Histograms carry buckets only -- no per-bucket exemplars, no
+    stored percentiles."""
     _root, reads, index = workspace
     metrics = tmp_path / "metrics.json"
-    assert main(["seed", "--index", str(index), "--reads", str(reads),
-                 "--min-seed-len", "12", "--out", str(tmp_path / "s.tsv"),
+    assert main([command, "--index", str(index), "--reads", str(reads),
+                 "--min-seed-len", "12", "--out", str(tmp_path / "out"),
+                 "--workers", "2", "--batch-size", "4",
+                 "--kernels", kernels,
                  "--metrics-out", str(metrics)]) == 0
-    capsys.readouterr()
-    assert main(["report", "--metrics", str(metrics),
-                 "--format", "openmetrics"]) == 0
-    text = capsys.readouterr().out
-    assert text.endswith("# EOF\n")
-    doc = parse_openmetrics(text)
-    families = doc["families"]
-    assert "ert_seeding_reads" in families
-    hist = families["ert_read_wall_ms"]
-    buckets = [s for s in hist["samples"]
-               if s["name"] == "ert_read_wall_ms_bucket"]
-    assert any(s["exemplar"] is not None for s in buckets), \
-        "no read exemplar survived into the exposition"
-
-
-def test_report_format_openmetrics_round_trips(workspace, tmp_path,
-                                               capsys):
-    from repro.telemetry import parse_openmetrics
-
-    _root, reads, index = workspace
-    metrics = tmp_path / "metrics.json"
-    assert main(["seed", "--index", str(index), "--reads", str(reads),
-                 "--min-seed-len", "12", "--out", str(tmp_path / "s.tsv"),
-                 "--metrics-out", str(metrics)]) == 0
-    capsys.readouterr()
-    assert main(["report", "--metrics", str(metrics),
-                 "--format", "openmetrics"]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith("# EOF\n")
-    assert "ert_seeding_reads_total" in out
-    parse_openmetrics(out)
+    snap = json.loads(metrics.read_text())
+    assert snap["gauges"] == {}
+    assert snap["histograms"]["read.wall_ms"]["count"] == 10
+    for name, hist in snap["histograms"].items():
+        assert sorted(hist) == ["count", "counts", "edges", "max", "min",
+                                "total"], name
 
 
 def test_slowlog_flag_writes_exemplar_jsonl(workspace, tmp_path):
