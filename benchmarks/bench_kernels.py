@@ -1,8 +1,8 @@
 """Scalar-vs-vector kernel benchmark and the run-ledger gate.
 
 Times the batch engine's two kernel backends (``--kernels scalar`` --
-the per-read oracle -- and ``--kernels vector`` -- the gather-based
-batched ERT walk plus the wavefront Smith-Waterman) on the standard
+the per-read oracle -- and ``--kernels vector`` -- the arena seeding
+engine plus the packed row-scan Smith-Waterman) on the standard
 30 kbp / 500-read workload, asserts byte-identical output, and emits
 ``BENCH_kernels.json`` at the repository root.
 
@@ -15,10 +15,9 @@ reads "scalar -> vector" -- with ``--threshold 0.0`` the CI gate fails
 whenever the vector kernels are not strictly faster than the oracle
 they replace.
 
-Seeding is timed at two batch sizes because the vector walk amortizes
-per-batch setup (code packing, flat-tree gather tables) that the
-scalar loop does not have; the headline speedup compares each
-backend's best configuration.  The alignment leg runs on a read
+Seeding is timed at two batch sizes because the vector path amortizes
+per-batch setup (``begin_batch``'s code packing) over the batch; the
+headline speedup compares each backend's best configuration.  The alignment leg runs on a read
 subset, asserts byte-identical SAM, and -- now that the vector path
 routes CIGAR production through the batched row-scan traceback
 (``batched_sw_traceback``, swept over the (read, window) lanes of a

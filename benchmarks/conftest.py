@@ -11,12 +11,10 @@ written to ``benchmarks/results/<name>.txt`` and echoed in the pytest
 terminal summary so ``pytest benchmarks/ --benchmark-only`` shows them.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro import telemetry
 from repro.accel import asic_config, fpga_config
 from repro.core import ErtConfig, build_ert
 from repro.fmindex import FmdConfig, FmdIndex
@@ -32,34 +30,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def record_result(name: str, table: str) -> None:
-    """Register one reproduced table/figure for reporting.
-
-    When the recording benchmark ran with telemetry enabled (see the
-    ``telemetry_session`` fixture), the current snapshot is attached as a
-    ``results/<name>.telemetry.json`` sidecar, so the benchmark
-    trajectory carries per-stage span timings and counters alongside the
-    headline table.
-    """
+    """Register one reproduced table/figure for reporting."""
     _RESULTS.append((name, table))
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(table + "\n")
-    if telemetry.enabled():
-        snap = telemetry.snapshot()
-        if any(snap.values()):
-            (RESULTS_DIR / f"{name}.telemetry.json").write_text(
-                json.dumps(snap, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.fixture()
-def telemetry_session():
-    """Opt-in per-benchmark telemetry: enables a clean registry for the
-    test body and restores the disabled default afterwards.  Benchmarks
-    that time the *disabled* path must not request this fixture."""
-    telemetry.reset()
-    telemetry.enable()
-    yield telemetry
-    telemetry.disable()
-    telemetry.reset()
 
 
 def pytest_terminal_summary(terminalreporter):

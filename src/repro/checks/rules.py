@@ -911,11 +911,11 @@ class KernelLoopTelemetryRule(Rule):
 
     ERT007 polices functions annotated ``# repro: hot``; the batched
     kernels in :mod:`repro.kernels` are hot by construction -- every
-    loop there sweeps lanes, wave rounds, gathers, or traceback rows,
-    so a telemetry call lexically inside *any* of their loops is a
-    per-element call regardless of annotation.  The kernels count work
-    into :class:`repro.kernels.stats.KernelBatchStats` (plain ndarray
-    adds, unconditional) and flush the registry once per batch under
+    loop there runs per read, per node visit, per lane or per
+    traceback row, so a telemetry call lexically inside *any* of their
+    loops is a per-element call regardless of annotation.  The kernels
+    count work into :class:`repro.kernels.stats.KernelBatchStats`
+    (plain adds, unconditional) and flush the registry once per batch under
     the ``kernels.batch`` span; registry traffic at loop granularity
     would reintroduce exactly the overhead that batch-flush design
     exists to avoid -- and break the <5% vector-telemetry overhead

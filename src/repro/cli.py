@@ -506,6 +506,14 @@ def _cmd_run(args) -> int:
     entry, write, summary = _RUNS[args.command]
     index = load_ert(args.index)
     reads = read_fastq(args.reads)
+    limit = index.config.max_seed_len
+    too_long = next((r for r in reads if r.codes.size > limit), None)
+    if too_long is not None:
+        print(f"ert-repro {args.command}: {args.reads}: read "
+              f"{too_long.name!r} is {too_long.codes.size} bp, over the "
+              f"index's max_seed_len ({limit}); rebuild the index with a "
+              f"larger --max-seed-len", file=sys.stderr)
+        return 2
     active = _telemetry_begin(args)
     results, stats = entry(args, index, reads, _parallel_config(args))
     write(args.out, index.reference, results)
@@ -534,10 +542,11 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     """Replay ``read`` through the engine exactly as the batch scheduler
     would run it and return the captured exemplar record.
 
-    ``kernels="vector"`` drives the batched kernels at batch size 1; the
-    per-read kernel counters are batch-composition invariant, so the
-    replayed record matches what a full vector batch recorded for this
-    read field-for-field.
+    ``kernels="vector"`` drives the arena seeding engine and the packed
+    extension at batch size 1; a read's searches do not depend on its
+    batch mates, so its kernel counters are batch-composition invariant
+    and the replayed record matches what a full vector batch recorded
+    for this read field-for-field.
     """
     from repro.parallel import map_batches, pack_batch
 

@@ -1,8 +1,9 @@
 """Structure-of-arrays form of the ERT radix trees: the flat arena.
 
-The object trees of :mod:`repro.core.builder` are linked Python objects;
-a batched walk cannot fancy-index into them.  The arena is the same
-forest as parallel numpy arrays, one row per node:
+The object trees of :mod:`repro.core.builder` are linked Python objects,
+made one decode at a time.  The arena is the same forest as parallel
+numpy arrays, one row per node, which a walk can index by node id
+without making an object (:mod:`repro.kernels.walk`):
 
 * ``kind``: DIVERGE / UNIFORM / LEAF discriminant;
 * ``count``: occurrences below the node (LEP + min-hit checks);
@@ -19,8 +20,7 @@ forest as parallel numpy arrays, one row per node:
   scalar cursor's recursive DFS.
 
 Second-level jump tables (§III-E) are translated into dense ``(n_tables,
-4^x)`` arrays so the batched walk resolves the x-character jump for a
-whole lane set with one gather.
+4^x)`` arrays so a walk resolves the x-character jump with one lookup.
 
 The arena is part of the index payload.  It is compiled from node
 objects in exactly one place, :func:`flat_trees` on a *built* index --

@@ -192,13 +192,6 @@ class KmerReuseDriver:
         stats.forward_seconds = phases.stats["forward"].total_s
         stats.sort_seconds = phases.stats["sort"].total_s
         stats.backward_seconds = phases.stats["backward"].total_s
-        telemetry.add_counters({
-            "reuse.reads": stats.reads,
-            "reuse.tasks": stats.tasks,
-            "reuse.unique_kmers": stats.unique_kmers,
-            "reuse.cache_hits": stats.cache_hits,
-            "reuse.cache_misses": stats.cache_misses,
-        })
         self.last_stats = stats
         return results
 

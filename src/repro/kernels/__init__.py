@@ -1,19 +1,21 @@
-"""Batch-vectorized seeding and extension kernels (ROADMAP item 1).
+"""The vector backend: arena seeding and batched extension kernels.
 
-The scalar engine (:mod:`repro.core.engine`) resolves one read character
-per Python-level call; these kernels advance a whole batch of reads (or
-extension jobs) per numpy operation instead, in the spirit of EXMA's
-batched multi-read traversal:
+The scalar engine (:mod:`repro.core.engine`) steps a cursor over node
+objects one read character per Python-level call.  The kernels here do
+the same work over flat arrays: seeding as one per-read state machine
+over the arena (the paper's own design, §IV: independent per-read
+contexts, each walking one tree), extension as numpy sweeps over many
+(read, window) lanes at once:
 
-* :mod:`repro.core.arena` -- the structure-of-arrays (gather-friendly)
-  form of the radix trees every kernel here walks: part of the index
-  payload, so a loaded index hands it over as stored
-  (``flat_trees``, re-exported here).
-* :mod:`repro.kernels.walk` -- the lane-masked batched tree walk (one
-  fancy-indexing step advances every live lane by one node run), and
-  the scalar arena cursor for walks that are one dependency chain.
-* :mod:`repro.kernels.seeding` -- the three seeding rounds: rounds 1-2
-  as lane sets, LAST as one chain per read; byte-identical seeds to the
+* :mod:`repro.core.arena` -- the structure-of-arrays form of the radix
+  trees: part of the index payload, so a loaded index hands it over as
+  stored (``flat_trees``, re-exported here).
+* :mod:`repro.kernels.walk` -- the arena cursor (zero-copy
+  ``memoryview`` columns) and the one run-granular walk loop every
+  search is.
+* :mod:`repro.kernels.seeding` -- the arena seeding engine and
+  ``seed_batch``, which runs the three rounds of
+  :mod:`repro.seeding.algorithm` over it; byte-identical seeds to the
   scalar oracle.
 * :mod:`repro.kernels.sw` -- anti-diagonal wavefront banded
   Smith-Waterman over a batch of extension windows.
@@ -23,9 +25,9 @@ batched multi-read traversal:
   per-lane walk-back, over (read, window) lanes packed across the reads
   of a batch, so the SAM paths (CIGAR production) batch too.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
-  sweeps count into plain ndarrays and flush the metrics registry once
-  per batch, so vector mode runs fully observed with the hot loops
-  telemetry-call-free (ERT007/ERT017).
+  kernels count into plain ints and ndarrays and flush the metrics
+  registry once per batch, so vector mode runs fully observed with the
+  hot loops telemetry-call-free (ERT007/ERT017).
 
 The scalar path remains the oracle: the vector path is selected with
 ``REPRO_KERNELS=vector`` (CLI ``--kernels vector``) and must produce

@@ -3,18 +3,19 @@
 The vector path must run fully observed without per-element telemetry:
 rule ERT007 keeps ``telemetry.*`` out of hot functions and ERT017 keeps
 it out of every loop in ``repro.kernels``.  This module is how both stay
-satisfied *by construction* -- the sweep counts into plain ndarrays and
-scalars on a :class:`KernelBatchStats`, and :meth:`KernelBatchStats.flush`
-lands everything in the metrics registry exactly once per batch, inside
-the driver's single ``kernels.batch`` span.
+satisfied *by construction* -- the arena engine counts into plain ints,
+``seed_batch`` stores them per read in the columns of a
+:class:`KernelBatchStats`, and :meth:`KernelBatchStats.flush` lands
+everything in the metrics registry exactly once per batch, inside the
+driver's single ``kernels.batch`` span.
 
 Two families come out of one accumulator set:
 
 * **batch totals** -- ``kernels.walk_steps``, ``kernels.gather_nodes``,
   ``kernels.gather_bytes`` (the paper's DRAM-traffic metric: leaf-pool
   bytes the gathers touch, cross-linkable to ``repro.memsim``),
-  ``kernels.reseed_launches`` / ``kernels.last_launches``, the
-  ``kernels.lane_occupancy`` histogram, plus the scalar-parity families
+  ``kernels.reseed_launches`` / ``kernels.last_launches``, plus the
+  scalar-parity families
   (``seeding.*``, ``seeds.*``, ``seed.length`` / ``seed.hit_count``)
   so a vector run exposes the same aggregate counters a scalar run
   would;
@@ -22,10 +23,9 @@ Two families come out of one accumulator set:
   for one read, which is what the scheduler feeds through the exemplar
   capture hooks so the reservoir/slowlog survive ``--kernels vector``.
 
-Accumulation is unconditional (it is a handful of vector adds per walk
-dispatch and two stores per LAST chain); only the flush consults the
-telemetry flag, so dark runs pay no registry traffic and observed runs
-stay byte-identical to dark ones.
+Accumulation is unconditional (an int add per search, five stores per
+read); only the flush consults the telemetry flag, so dark runs pay no
+registry traffic and observed runs stay byte-identical to dark ones.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.seeding.algorithm import _STAT_COUNTERS
-from repro.telemetry.metrics import DEFAULT_EDGES, FRACTION_EDGES
+from repro.telemetry.metrics import DEFAULT_EDGES
 
 #: The default histogram ladder as an ndarray, for pre-bucketing whole
 #: seed-attribute columns with one ``searchsorted`` per flush.
@@ -86,55 +86,35 @@ class KernelBatchStats:
     batch-level quantities.  Nothing here touches the registry -- see
     :meth:`flush`.
 
-    ``wave_rounds`` / ``occ_live`` / ``occ_slots`` describe the lane
-    sets only, i.e. rounds 1-2 (pivot waves, backward batches, reseed
-    walks).  Round 3 (LAST) is a per-read chain with no lanes to occupy:
-    it writes ``last_launches[i]`` once per read and adds its advances
-    to ``walk_steps[i]``.
+    A read's searches do not depend on its batch mates, so every
+    column is batch-composition invariant.
     """
 
     __slots__ = ("n_reads", "walk_steps", "gather_nodes", "gather_bytes",
-                 "reseed_launches", "last_launches", "short_reads",
-                 "wave_rounds", "occ_live", "occ_slots")
+                 "reseed_launches", "last_launches", "short_reads")
+
+    #: Constant 0: there is no lane set any more.  Only the frozen
+    #: ``benchmarks/pipeline/layers.py`` reads these (its
+    #: ``kernels.seeding.wave_rounds`` / ``.lane_occupancy_mean`` rows
+    #: print 0 until ROADMAP 1(a) drops them).
+    wave_rounds = occ_live = occ_slots = 0
 
     def __init__(self, n_reads: int) -> None:
         self.n_reads = n_reads
-        #: Characters consumed by tree-walk advances, per read (lane
-        #: steps of rounds 1-2 plus the LAST chain's; a read's walks do
-        #: not depend on its batch mates, so the column is
-        #: batch-composition invariant).
+        #: Characters consumed by tree-walk advances, per read.
         self.walk_steps = np.zeros(n_reads, dtype=np.int64)
-        #: Leaf-pool gathers performed (cache preseeds), per read.
+        #: Euler-pool gathers performed (one per located seed), per read.
         self.gather_nodes = np.zeros(n_reads, dtype=np.int64)
         #: Euler-pool bytes those gathers touched, per read (positions
         #: are int64, so bytes = positions * 8).
         self.gather_bytes = np.zeros(n_reads, dtype=np.int64)
         #: Round-2 reseed pivots launched, per read.
         self.reseed_launches = np.zeros(n_reads, dtype=np.int64)
-        #: Round-3 LAST launches made, per read.
+        #: Round-3 LAST walks launched, per read.
         self.last_launches = np.zeros(n_reads, dtype=np.int64)
         #: Reads skipped for length (scalar parity:
         #: ``seeding.short_reads_skipped``).
         self.short_reads = 0
-        #: Batched walk dispatches driven (pivot waves, backward
-        #: batches, reseed walks).
-        self.wave_rounds = 0
-        #: Lane-occupancy accumulators: live lanes stepped vs lane slots
-        #: allocated, summed over every walk round of those dispatches.
-        self.occ_live = 0
-        self.occ_slots = 0
-
-    # -- accumulation (plain array math, never the registry) -----------
-
-    def absorb_walk(self, read_ids: np.ndarray, out: "object") -> None:
-        """Fold one batched walk dispatch in: per-job step counts
-        attributed back to their reads, plus the dispatch's lane
-        occupancy (``out`` is a ``_WalkOut``-shaped object with
-        ``steps``/``occ_live``/``occ_slots``)."""
-        np.add.at(self.walk_steps, read_ids, out.steps)
-        self.occ_live += out.occ_live
-        self.occ_slots += out.occ_slots
-        self.wave_rounds += 1
 
     # -- per-read views ------------------------------------------------
 
@@ -157,15 +137,10 @@ class KernelBatchStats:
         """
         if not telemetry.enabled():
             return
-        counters = {"kernels.batches": 1, "kernels.reads": self.n_reads,
-                    "kernels.wave_rounds": self.wave_rounds}
+        counters = {"kernels.batches": 1, "kernels.reads": self.n_reads}
         for name, attr in PER_READ_COUNTERS:
             counters[name] = int(getattr(self, attr).sum())
         telemetry.add_counters(counters)
-        if self.occ_slots:
-            telemetry.observe("kernels.lane_occupancy",
-                              self.occ_live / self.occ_slots,
-                              edges=FRACTION_EDGES)
         # Scalar-parity families: what the per-read scalar driver
         # (repro.seeding.algorithm.seed_read) would have emitted.
         telemetry.add_counters(

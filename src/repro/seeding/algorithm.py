@@ -22,6 +22,7 @@ between FMD-index and ERT seeding.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,13 @@ def last_round(engine: SeedingEngine, read: np.ndarray,
     return out
 
 
+_NO_SPAN = nullcontext()
+
+
+def _no_span(_name: str) -> "nullcontext[None]":
+    return _NO_SPAN
+
+
 #: How engine work counters surface as telemetry counter names.  Most map
 #: mechanically under ``seeding.``; the gather-limit clip gets the
 #: user-facing name the CLI and docs advertise.
@@ -189,6 +197,28 @@ def _flush_engine_stats(engine: SeedingEngine,
          after[name] - before.get(name, 0) for name in after})
 
 
+def _three_rounds(engine: SeedingEngine, read: np.ndarray,
+                  params: SeedingParams, observed: bool) -> SeedingResult:
+    """The three rounds over one read that is long enough to seed --
+    the one place they are written down.  ``observed`` brackets each
+    round in a telemetry span: the per-read scalar driver asks for it
+    when telemetry is on; :func:`repro.kernels.seeding.seed_batch`,
+    which observes a whole batch under one span, never does."""
+    span = telemetry.span if observed else _no_span
+    result = SeedingResult()
+    with span("smem"):
+        smems = generate_smems(engine, read, params)
+        result.smems = smems_to_seeds(engine, read, smems, params)
+    if params.reseed:
+        with span("reseed"):
+            result.reseed_seeds = reseed_round(engine, read, result.smems,
+                                               params)
+    if params.use_last:
+        with span("last"):
+            result.last_seeds = last_round(engine, read, params)
+    return result
+
+
 def seed_read(engine: SeedingEngine, read: np.ndarray,
               params: "SeedingParams | None" = None) -> SeedingResult:
     """Run all three seeding rounds for one read.
@@ -199,34 +229,17 @@ def seed_read(engine: SeedingEngine, read: np.ndarray,
     particular) reject segments shorter than ``k``.
     """
     params = params or SeedingParams()
-    result = SeedingResult()
     if int(read.size) < max(params.min_seed_len, engine.min_query_len):
         if telemetry.enabled():
             telemetry.count("seeding.reads")
             telemetry.count("seeding.short_reads_skipped")
-        return result
+        return SeedingResult()
     engine.begin_read()
     if not telemetry.enabled():
-        smems = generate_smems(engine, read, params)
-        result.smems = smems_to_seeds(engine, read, smems, params)
-        if params.reseed:
-            result.reseed_seeds = reseed_round(engine, read, result.smems,
-                                               params)
-        if params.use_last:
-            result.last_seeds = last_round(engine, read, params)
-        return result
+        return _three_rounds(engine, read, params, observed=False)
     before = engine.stats.as_dict()
     with telemetry.span("seed"):
-        with telemetry.span("smem"):
-            smems = generate_smems(engine, read, params)
-            result.smems = smems_to_seeds(engine, read, smems, params)
-        if params.reseed:
-            with telemetry.span("reseed"):
-                result.reseed_seeds = reseed_round(engine, read,
-                                                   result.smems, params)
-        if params.use_last:
-            with telemetry.span("last"):
-                result.last_seeds = last_round(engine, read, params)
+        result = _three_rounds(engine, read, params, observed=True)
     _flush_engine_stats(engine, before)
     telemetry.count("seeding.reads")
     all_seeds = result.all_seeds

@@ -11,4 +11,4 @@ def sweep(lanes, stats):
         telemetry.count("kernels.walk_steps", int(lanes.sum()))
         lanes = lanes[lanes > 0] - 1
     for lane in lanes:
-        telemetry.observe("kernels.lane_occupancy", float(lane))
+        telemetry.observe("kernels.wavefront_fill", float(lane))

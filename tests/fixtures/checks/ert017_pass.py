@@ -8,13 +8,13 @@ from repro import telemetry
 def sweep(lanes, stats):
     while lanes.any():
         stats.walk_steps += int(lanes.sum())
-        stats.wave_rounds += 1
+        stats.batches += 1
         lanes = lanes[lanes > 0] - 1
     return stats
 
 
 def flush(stats):
     telemetry.add_counters({"kernels.walk_steps": stats.walk_steps,
-                            "kernels.wave_rounds": stats.wave_rounds})
-    telemetry.observe("kernels.lane_occupancy",
-                      stats.occ_live / stats.occ_slots)
+                            "kernels.batches": stats.batches})
+    telemetry.observe("kernels.wavefront_fill",
+                      stats.fill_live / stats.fill_slots)

@@ -269,11 +269,11 @@ def test_ert_repro_check_subcommand():
 
 
 # ----------------------------------------------------------------------
-# ERT007 over the scalar oracle's hot functions
+# ERT007 over the hot functions of both walkers
 # ----------------------------------------------------------------------
 
-#: Every function the scalar walk, score-only SW and the memsim models
-#: run per character / node / request.  Each carries its own
+#: Every function the scalar walk, the arena walk, score-only SW and the
+#: memsim models run per character / node / request.  Each carries its own
 #: ``# repro: hot``: ERT007 looks at one function at a time.
 HOT_FUNCTIONS = (
     ("core/engine.py", "_walk"),
@@ -285,6 +285,7 @@ HOT_FUNCTIONS = (
     ("core/walker.py", "_settle"),
     ("core/walker.py", "advance"),
     ("core/walker.py", "restore"),
+    ("kernels/walk.py", "walk"),
     ("extend/smith_waterman.py", "banded_smith_waterman"),
     ("extend/smith_waterman.py", "__init__"),
     ("memsim/cache.py", "lookup"),

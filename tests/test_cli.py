@@ -269,6 +269,32 @@ def test_malformed_reads_are_one_line_and_exit_two(workspace, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kernels", ["scalar", "vector"])
+@pytest.mark.parametrize("command", ["seed", "align"])
+def test_read_over_max_seed_len_is_one_line_and_exit_two(
+        workspace, tmp_path, capsys, command, kernels, workers):
+    """A read the index cannot hold (longer than its ``max_seed_len``,
+    100 here) is refused before any batch runs: not a ``ValueError``
+    traceback from the engine, nor a ``BatchTaskError`` chain from a
+    pool worker."""
+    _root, _ref, reads, index = workspace
+    bad = tmp_path / "long.fq"
+    bad.write_text(reads.read_text()
+                   + f"@toolong\n{'ACGT' * 30}\n+\n{'I' * 120}\n")
+    out = tmp_path / "out"
+    assert main([command, "--index", str(index), "--reads", str(bad),
+                 "--kernels", kernels, "--workers", workers,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro {command}: {bad}: ")
+    assert "'toolong' is 120 bp" in captured.err
+    assert "max_seed_len (100)" in captured.err
+    assert not out.exists()
+
+
 def test_sequence_before_first_fasta_header_is_a_typed_error(tmp_path,
                                                              capsys):
     bad = tmp_path / "bad.fa"

@@ -50,16 +50,23 @@ def _seed_key(result, seeds=None):
             for s in (result.all_seeds if seeds is None else seeds)]
 
 
-def _assert_batch_matches_scalar(ert_index, read_list, params):
-    scalar_engine = ErtSeedingEngine(ert_index)
-    vector_engine = ErtSeedingEngine(ert_index)
+def _assert_batch_matches_scalar(index, read_list, params,
+                                 vector_indexes=None, gather_limit=500):
+    """``seed_batch`` over each of ``vector_indexes`` (default: ``index``
+    itself) against the ``seed_read`` oracle over ``index``; returns the
+    oracle's engine and the last vector one for counter comparisons."""
+    scalar_engine = ErtSeedingEngine(index, gather_limit=gather_limit)
     scalar = [seed_read(scalar_engine, r, params) for r in read_list]
-    vector = seed_batch(vector_engine, read_list, params)
-    assert len(scalar) == len(vector)
-    for i, (a, b) in enumerate(zip(scalar, vector)):
-        assert _seed_key(a) == _seed_key(b), f"read {i} diverged"
-    assert (scalar_engine.stats.truncated_hit_lists
-            == vector_engine.stats.truncated_hit_lists)
+    for vector_index in vector_indexes or (index,):
+        vector_engine = ErtSeedingEngine(vector_index,
+                                         gather_limit=gather_limit)
+        vector = seed_batch(vector_engine, read_list, params)
+        assert len(scalar) == len(vector)
+        for i, (a, b) in enumerate(zip(scalar, vector)):
+            assert _seed_key(a) == _seed_key(b), f"read {i} diverged"
+        assert (scalar_engine.stats.truncated_hit_lists
+                == vector_engine.stats.truncated_hit_lists)
+    return scalar_engine, vector_engine
 
 
 def test_seed_batch_matches_scalar_on_fixture_reads(ert_index, read_codes,
@@ -121,6 +128,85 @@ def test_seed_batch_matches_scalar_under_tight_hit_cap(ert_index, reference,
     assert scalar_engine.stats.truncated_hit_lists \
         == vector_engine.stats.truncated_hit_lists
     assert vector_engine.stats.truncated_hit_lists > 0
+
+
+@pytest.fixture(scope="module", params=[
+    (merging, shape) for merging in (False, True)
+    for shape in ((6, 256, 4), (5, 16, 2), (7, 8, 3))],
+    ids=lambda p: f"{'pm' if p[0] else 'plain'}-k{p[1][0]}t{p[1][1]}x{p[1][2]}")
+def index_shape(request, reference):
+    """One index per (prefix merging, (k, table_threshold, table_x)):
+    no jump tables at all, a jump table behind most k-mers, deep trees;
+    built, and the same index re-attached read-only from its buffer
+    (what a pool worker walks)."""
+    from repro.core import ErtConfig, build_ert
+    from repro.core.io import index_from_buffer, index_to_buffer
+
+    merging, (k, threshold, x) = request.param
+    built = build_ert(reference, ErtConfig(
+        k=k, max_seed_len=120, table_threshold=threshold, table_x=x,
+        prefix_merging=merging))
+    return built, index_from_buffer(index_to_buffer(built))
+
+
+@pytest.mark.parametrize("max_mem_intv", [1, 2, 20])
+@pytest.mark.parametrize("min_seed_len", ["k", 12, 19])
+def test_seed_batch_differential(index_shape, reference, min_seed_len,
+                                 max_mem_intv):
+    """The arena engine against the ``TreeCursor`` oracle across index
+    shapes (with and without prefix merging), seed-length floors (``k``
+    puts every MEM that stays inside the index table or a jump-table
+    window on the exact-walk ``locate`` path), LAST selectivity bounds
+    and hit caps, over a built and a read-only attached index."""
+    from repro.seeding import SeedingParams
+
+    built, attached = index_shape
+    if min_seed_len == "k":
+        min_seed_len = built.config.k
+    reads = _fuzz_reads(reference, np.random.default_rng(
+        100 * min_seed_len + max_mem_intv), 45)
+    for caps in ({}, {"max_hits_per_seed": 2}):
+        params = SeedingParams(min_seed_len=min_seed_len,
+                               max_mem_intv=max_mem_intv, **caps)
+        _scalar, vector = _assert_batch_matches_scalar(
+            built, reads, params, index_shape,
+            gather_limit=2 if caps else 500)
+        if caps:
+            assert vector.stats.truncated_hit_lists > 0
+
+
+def test_arena_engine_search_counters_match_scalar(ert_index, reference,
+                                                   read_codes, params):
+    """Without prefix merging the arena engine runs the scalar engine's
+    searches one for one -- same pivots, same pruned backward sweeps,
+    same index-table lookups -- so its search counters are the
+    oracle's, not an unpruned superset."""
+    reads = read_codes + _fuzz_reads(reference, np.random.default_rng(8),
+                                     40)
+    scalar, vector = _assert_batch_matches_scalar(ert_index, reads, params)
+    assert scalar.stats.pruned_backward_searches > 0
+    for name in ("forward_searches", "backward_searches",
+                 "pruned_backward_searches", "truncated_hit_lists",
+                 "index_lookups"):
+        assert (getattr(vector.stats, name)
+                == getattr(scalar.stats, name)), name
+
+
+def test_arena_engine_count_matches_scalar(ert_index, read_codes):
+    """``count`` inside the index table (<= k characters), through a
+    tree, and of a segment that does not occur."""
+    from repro.kernels.seeding import ArenaSeedingEngine
+
+    host = ErtSeedingEngine(ert_index)
+    host.begin_batch(read_codes)
+    arena = ArenaSeedingEngine(host)
+    absent = 0
+    for read in read_codes[:6]:
+        for start, end in ((0, 3), (0, 6), (2, 20), (10, 70), (0, 80)):
+            want = host.count(read, start, end)
+            assert arena.count(read, start, end) == want
+            absent += want == 0
+    assert absent  # reads carry errors: some segments occur nowhere
 
 
 @pytest.fixture(scope="module")

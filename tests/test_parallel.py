@@ -120,9 +120,9 @@ def test_pool_telemetry_matches_serial_counters(ert_index, read_set,
         telemetry.reset()
     # Under the vector backend the batch-shaped quantities legitimately
     # differ: 60 reads are one serial seed_batch but four pooled ones,
-    # so batch/dispatch tallies and the per-batch span counts scale
-    # with the batching while every per-read counter stays invariant.
-    batch_shaped = ({"kernels.batches", "kernels.wave_rounds"}
+    # so the batch tally and the per-batch span counts scale with the
+    # batching while every per-read counter stays invariant.
+    batch_shaped = ({"kernels.batches"}
                     if resolve_kernels() == "vector" else set())
 
     def per_read(counters):
