@@ -16,12 +16,23 @@ Subpackages:
 The most common entry points are re-exported here.
 """
 
-from repro import telemetry
-from repro.core import ErtConfig, ErtSeedingEngine, build_ert, load_ert, save_ert
-from repro.extend import ReadAligner
-from repro.fmindex import FmdConfig, FmdIndex, FmdSeedingEngine
-from repro.seeding import SeedingParams, seed_read
-from repro.sequence import GenomeSimulator, ReadSimulator, Reference
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro import telemetry
+    from repro.core import (
+        ErtConfig,
+        ErtSeedingEngine,
+        build_ert,
+        load_ert,
+        save_ert,
+    )
+    from repro.extend import ReadAligner
+    from repro.fmindex import FmdConfig, FmdIndex, FmdSeedingEngine
+    from repro.seeding import SeedingParams, seed_read
+    from repro.sequence import GenomeSimulator, ReadSimulator, Reference
 
 __version__ = "1.0.0"
 
@@ -42,3 +53,13 @@ __all__ = [
     "seed_read",
     "telemetry",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.telemetry": ("telemetry",),
+    "repro.core": ("ErtConfig", "ErtSeedingEngine", "build_ert", "load_ert",
+                   "save_ert"),
+    "repro.extend": ("ReadAligner",),
+    "repro.fmindex": ("FmdConfig", "FmdIndex", "FmdSeedingEngine"),
+    "repro.seeding": ("SeedingParams", "seed_read"),
+    "repro.sequence": ("GenomeSimulator", "ReadSimulator", "Reference"),
+})

@@ -43,52 +43,31 @@ SEC``; see the failure model in ``docs/performance.md``.  ``--kernels vector`` (
 ``$REPRO_KERNELS``, else scalar) routes seeding through the batched
 numpy kernels (:mod:`repro.kernels`) with byte-identical output.
 
-A malformed index, FASTA or FASTQ file -- and a missing or malformed
-``report --metrics`` / ``explain --slowlog`` file -- ends in one
-``ert-repro <command>: <message>`` line on stderr and exit status 2.
+A malformed, missing or unreadable index, FASTA or FASTQ file, an
+``--out`` that cannot be written (checked before the compute starts), a
+bad ``$REPRO_KERNELS`` -- and a missing or malformed ``report
+--metrics`` / ``explain --slowlog`` file -- ends in one ``ert-repro
+<command>: <message>`` line on stderr and exit status 2.
 
 Every subcommand is a thin shell over the library API, so everything it
 does is equally available programmatically.
+
+Start-up is paid on every invocation, so this module imports only what
+:func:`build_parser` needs; each handler imports what it runs
+(``ert-repro --help`` loads no numpy, a ``seed`` run no extension
+layer, a one-worker run no pool -- ``tests/test_cli.py`` holds the
+list).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
-import json
+import os
 import sys
 
-from repro import logging as repro_logging
-from repro import telemetry
-from repro.core import (
-    ErtConfig,
-    ErtSeedingEngine,
-    build_ert,
-    hit_distribution,
-    index_census,
-    load_ert,
-    save_ert,
-)
-from repro.core.io import IndexFormatError
-from repro.extend import write_sam
 from repro.kernels import KERNEL_CHOICES, resolve_kernels
-from repro.parallel import (
-    ParallelConfig,
-    align_pairs,
-    align_reads,
-    seed_reads,
-)
-from repro.seeding import SeedingParams
-from repro.sequence import (
-    GenomeSimulator,
-    ReadSimulator,
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
-from repro.sequence.alphabet import AlphabetError
-from repro.sequence.io import FastaError
 
 #: Subcommands that live in their own module: ``main`` hands them the
 #: rest of the command line before building this module's parser, so a
@@ -317,7 +296,9 @@ def _add_parallel_args(parser) -> None:
              "scalar")
 
 
-def _parallel_config(args) -> ParallelConfig:
+def _parallel_config(args):
+    from repro.parallel import ParallelConfig
+
     return ParallelConfig(workers=args.workers, batch_size=args.batch_size,
                           retries=args.retries,
                           batch_timeout=args.batch_timeout,
@@ -330,11 +311,15 @@ def _telemetry_begin(args) -> bool:
     true no-op).  ``--trace-out`` additionally starts timeline
     recording, and ``--log-jsonl`` opens the structured-log sink; both
     are independent of the metrics flag."""
+    from repro import telemetry
+
     active = bool(args.profile or args.metrics_out or args.slowlog)
     if active:
         telemetry.reset()
         telemetry.enable()
     if args.log_jsonl:
+        from repro import logging as repro_logging
+
         repro_logging.configure(path=args.log_jsonl)
     if args.trace_out:
         telemetry.start_recording()
@@ -344,6 +329,8 @@ def _telemetry_begin(args) -> bool:
 def _write_slowlog(path, exemplars: dict) -> None:
     """Append the sampled exemplar records as JSONL, slowlog entries
     first (they are what ``explain`` cross-checks against)."""
+    import json
+
     seen = set()
     with open(path, "a") as handle:
         for source in ("slowest", "reservoir"):
@@ -359,12 +346,16 @@ def _write_slowlog(path, exemplars: dict) -> None:
 
 def _telemetry_finish(args, active: bool, title: str,
                       profile_stream=None) -> None:
+    from repro import telemetry
+
     if args.trace_out:
         telemetry.stop_recording()
         telemetry.write_trace(args.trace_out, telemetry.current_trace())
         print(f"wrote timeline trace to {args.trace_out} "
               f"(open at https://ui.perfetto.dev)", file=sys.stderr)
     if args.log_jsonl:
+        from repro import logging as repro_logging
+
         repro_logging.shutdown()
     if not active:
         return
@@ -386,6 +377,8 @@ def _telemetry_finish(args, active: bool, title: str,
 
 
 def _cmd_simulate_genome(args) -> int:
+    from repro.sequence import GenomeSimulator, write_fasta
+
     reference = GenomeSimulator(seed=args.seed).generate(args.length,
                                                          name=args.name)
     write_fasta(args.out, [reference])
@@ -394,6 +387,8 @@ def _cmd_simulate_genome(args) -> int:
 
 
 def _cmd_simulate_reads(args) -> int:
+    from repro.sequence import ReadSimulator, read_fasta, write_fastq
+
     reference = read_fasta(args.reference)[0]
     sim = ReadSimulator(reference, read_length=args.read_length,
                         error_read_fraction=args.error_fraction,
@@ -405,6 +400,9 @@ def _cmd_simulate_reads(args) -> int:
 
 
 def _cmd_build_index(args) -> int:
+    from repro.core import ErtConfig, build_ert, save_ert
+    from repro.sequence import read_fasta
+
     reference = read_fasta(args.reference)[0]
     config = ErtConfig(k=args.k, max_seed_len=args.max_seed_len,
                        table_threshold=args.table_threshold,
@@ -421,6 +419,8 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_index_stats(args) -> int:
+    from repro.core import hit_distribution, index_census, load_ert
+
     index = load_ert(args.index)
     census = index_census(index)
     print(f"reference      : {index.reference.name} "
@@ -443,22 +443,32 @@ def _cmd_index_stats(args) -> int:
 # ----------------------------------------------------------------------
 #
 # One skeleton (`_cmd_run`); a command is its scheduler entry point, its
-# output writer and its summary line.
+# output writer and its summary line.  Each entry imports its own layer,
+# so `seed` never loads the extension code.
 
 
 def _seed_entry(args, index, reads, config):
+    from repro.parallel import seed_reads
+    from repro.seeding import SeedingParams
+
     params = SeedingParams(min_seed_len=args.min_seed_len,
                            max_hits_per_seed=args.max_hits)
     return seed_reads(index, reads, params, config=config)
 
 
 def _align_entry(args, index, reads, config):
+    from repro.parallel import align_reads
+    from repro.seeding import SeedingParams
+
     return align_reads(index, reads,
                        SeedingParams(min_seed_len=args.min_seed_len),
                        config=config)
 
 
 def _align_pe_entry(args, index, reads, config):
+    from repro.parallel import align_pairs
+    from repro.seeding import SeedingParams
+
     if len(reads) % 2:
         raise SystemExit("interleaved FASTQ must hold an even read count")
     return align_pairs(index, reads,
@@ -475,6 +485,12 @@ def _write_tsv(path, _reference, lines) -> None:
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _write_sam(path, reference, records) -> None:
+    from repro.extend import write_sam
+
+    write_sam(path, reference, records)
 
 
 def _seed_summary(args, reads, lines, stats) -> str:
@@ -497,13 +513,36 @@ def _align_pe_summary(args, reads, records, _stats) -> str:
 
 _RUNS = {
     "seed": (_seed_entry, _write_tsv, _seed_summary),
-    "align": (_align_entry, write_sam, _align_summary),
-    "align-pe": (_align_pe_entry, write_sam, _align_pe_summary),
+    "align": (_align_entry, _write_sam, _align_summary),
+    "align-pe": (_align_pe_entry, _write_sam, _align_pe_summary),
 }
 
 
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` that opening ``path`` for writing would,
+    now rather than after the whole run has been computed.  Creates
+    nothing: a run that fails later still leaves no output file."""
+    if path == "-":
+        return
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory,
+                       os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_run(args) -> int:
+    from repro.core import load_ert
+    from repro.sequence import read_fastq
+
     entry, write, summary = _RUNS[args.command]
+    _check_writable(args.out)
     index = load_ert(args.index)
     reads = read_fastq(args.reads)
     limit = index.config.max_seed_len
@@ -527,6 +566,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro import telemetry
+
     try:
         snap = telemetry.load_snapshot(args.metrics)
     except (OSError, ValueError) as exc:
@@ -548,7 +589,10 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     and the replayed record matches what a full vector batch recorded
     for this read field-for-field.
     """
-    from repro.parallel import map_batches, pack_batch
+    from repro import telemetry
+    from repro.core import ErtSeedingEngine, load_ert
+    from repro.parallel import ParallelConfig, map_batches, pack_batch
+    from repro.seeding import SeedingParams
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
@@ -575,6 +619,8 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
 
 
 def _load_slowlog_entry(path, read_id: str, task: str) -> "dict | None":
+    import json
+
     entry = None
     with open(path) as handle:
         for line in handle:
@@ -591,6 +637,10 @@ def _load_slowlog_entry(path, read_id: str, task: str) -> "dict | None":
 
 
 def _cmd_explain(args) -> int:
+    import json
+
+    from repro.sequence import read_fastq
+
     reads = [r for r in read_fastq(args.reads) if r.name == args.read_id]
     if not reads:
         print(f"read {args.read_id!r} not found in {args.reads}",
@@ -654,6 +704,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_compare(args) -> int:
     from repro.analysis import format_table, measure_traffic
+    from repro.seeding import SeedingParams
+    from repro.sequence import read_fasta, read_fastq
 
     reference = read_fasta(args.reference)[0]
     reads = [r.codes for r in read_fastq(args.reads)]
@@ -681,6 +733,7 @@ def _cmd_compare(args) -> int:
 
 
 def _comparison_engines(reference, k):
+    from repro.core import ErtConfig, ErtSeedingEngine, build_ert
     from repro.fmindex import FmdConfig, FmdIndex, FmdSeedingEngine
 
     fmd_index = FmdIndex(reference, FmdConfig.bwa_mem2())
@@ -707,6 +760,18 @@ _COMMANDS = {
 }
 
 
+def _input_errors() -> tuple:
+    """What a bad input file ends in: a malformed index / FASTA / FASTQ,
+    or one that cannot be opened.  ``main``'s ``except`` clause calls
+    this, i.e. only once something was raised, so the modules defining
+    the types are no start-up cost."""
+    from repro.core.io import IndexFormatError
+    from repro.sequence.alphabet import AlphabetError
+    from repro.sequence.io import FastaError
+
+    return (IndexFormatError, FastaError, AlphabetError, OSError)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _DELEGATED:
@@ -714,10 +779,20 @@ def main(argv: "list[str] | None" = None) -> int:
         return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (IndexFormatError, FastaError, AlphabetError) as exc:
-        # Whatever subcommand read the file: one line, no traceback.
+        if hasattr(args, "kernels"):
+            # A bad $REPRO_KERNELS is refused like a bad --kernels.
+            resolve_kernels(args.kernels)
+    except ValueError as exc:
         print(f"ert-repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except _input_errors() as exc:
+        # Whatever subcommand touched the file: one line, no traceback.
+        message = (f"{exc.filename}: {exc.strerror}"
+                   if isinstance(exc, OSError) and exc.filename is not None
+                   else str(exc))
+        print(f"ert-repro {args.command}: {message}", file=sys.stderr)
         return 2
 
 

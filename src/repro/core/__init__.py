@@ -22,14 +22,23 @@
   the archive / shared-buffer formats that hold both.
 """
 
-from repro.core.builder import build_ert
-from repro.core.census import depth_census, hit_distribution, index_census
-from repro.core.config import ErtConfig, LayoutPolicy
-from repro.core.engine import ErtSeedingEngine
-from repro.core.index import EntryKind, ErtIndex
-from repro.core.io import load_ert, save_ert
-from repro.core.reuse import KmerReuseDriver, ReuseStats
-from repro.core.serialize import decode_tree, encode_tree, trees_equal
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.builder import build_ert
+    from repro.core.census import (
+        depth_census,
+        hit_distribution,
+        index_census,
+    )
+    from repro.core.config import ErtConfig, LayoutPolicy
+    from repro.core.engine import ErtSeedingEngine
+    from repro.core.index import EntryKind, ErtIndex
+    from repro.core.io import load_ert, save_ert
+    from repro.core.reuse import KmerReuseDriver, ReuseStats
+    from repro.core.serialize import decode_tree, encode_tree, trees_equal
 
 __all__ = [
     "EntryKind",
@@ -49,3 +58,15 @@ __all__ = [
     "save_ert",
     "trees_equal",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.builder": ("build_ert",),
+    "repro.core.census": ("depth_census", "hit_distribution",
+                          "index_census"),
+    "repro.core.config": ("ErtConfig", "LayoutPolicy"),
+    "repro.core.engine": ("ErtSeedingEngine",),
+    "repro.core.index": ("EntryKind", "ErtIndex"),
+    "repro.core.io": ("load_ert", "save_ert"),
+    "repro.core.reuse": ("KmerReuseDriver", "ReuseStats"),
+    "repro.core.serialize": ("decode_tree", "encode_tree", "trees_equal"),
+})

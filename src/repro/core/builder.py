@@ -27,7 +27,7 @@ from repro.core.config import ErtConfig
 from repro.core.index import EntryKind, ErtIndex, JumpEntry
 from repro.core.layout import LayoutStats, layout_tree
 from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
-from repro.core.walker import TreeCursor
+from repro.core.walker import build_jump_table
 from repro.memsim.trace import AddressSpace
 from repro.sequence.reference import Reference
 
@@ -192,7 +192,7 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
         layout_stats=layout_stats, space=space)
 
     for code in table_codes:
-        tables[code] = _build_jump_table(index, code)
+        tables[code] = build_jump_table(index, code)
     return index
 
 
@@ -238,34 +238,3 @@ def _occurrences_via_fmd(
     return (np.array(starts, dtype=np.int64),
             np.array(ends, dtype=np.int64),
             np.array(sorted_codes, dtype=np.int64), order)
-
-
-def _build_jump_table(index: ErtIndex, code: int) -> "list[JumpEntry]":
-    """Precompute the walk outcome of every x-character suffix (§III-E).
-
-    A loaded index calls this when a walk first reaches the k-mer, maybe
-    with a tracer or reuse cache attached; the precomputation is no
-    modelled access, so both are set aside while its cursors run.
-    """
-    x = index.config.table_x
-    entries = []
-    tracer, reuse_cache = index.tracer, index.reuse_cache
-    index.tracer = index.reuse_cache = None
-    try:
-        for subcode in range(4 ** x):
-            cursor = TreeCursor(index, code, enter_root=False)
-            matched = 0
-            bits = 0
-            for j in range(x):
-                c = (subcode >> (2 * (x - 1 - j))) & 3
-                if not cursor.advance(c):
-                    break
-                if cursor.count_changed:
-                    bits |= 1 << j
-                matched += 1
-            state = cursor.snapshot() if matched == x else None
-            entries.append(JumpEntry(matched=matched, lep_bits=bits,
-                                     state=state, count=cursor.count))
-    finally:
-        index.tracer, index.reuse_cache = tracer, reuse_cache
-    return entries

@@ -42,14 +42,14 @@ from typing import (
 import numpy as np
 
 from repro.core.config import ErtConfig
-from repro.core.layout import LayoutStats, layout_tree
 from repro.core.nodes import Node
-from repro.memsim.cache import CacheModel
 from repro.memsim.trace import AddressSpace, MemoryTracer
 from repro.sequence.reference import Reference
 
 if TYPE_CHECKING:
     from repro.core.arena import FlatTrees
+    from repro.core.layout import LayoutStats
+    from repro.memsim.cache import CacheModel
 
 PHASE_INDEX = "index_lookup"
 PHASE_TABLE = "table_lookup"
@@ -195,6 +195,8 @@ class ErtIndex:
         read -- offsets come out identical, the layout being a pure
         function of the tree shape."""
         if self._layout_stats is None:
+            from repro.core.layout import LayoutStats, layout_tree
+
             stats = LayoutStats()
             for root in self.roots.values():
                 layout_tree(root, self.config, stats)

@@ -38,12 +38,11 @@ import os
 import weakref
 import zipfile
 import zlib
-from typing import Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 import numpy as np
 
 from repro.core.arena import ARENA_COLUMNS, flat_trees
-from repro.core.builder import _build_jump_table
 from repro.core.config import ErtConfig, LayoutPolicy
 from repro.core.index import (
     EntryKind,
@@ -53,13 +52,11 @@ from repro.core.index import (
     StoredTrees,
 )
 from repro.core.nodes import Node
-from repro.core.serialize import (
-    BlobLike,
-    decode_tree,
-    encode_tree,
-    tree_blob_view,
-)
+from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
+
+if TYPE_CHECKING:
+    from repro.core.serialize import BlobLike
 
 FORMAT_VERSION = 2
 
@@ -103,6 +100,8 @@ def _encode_trees(
     Returns ``(codes, bases, sizes, blobs)`` with the trees encoded at
     exactly the offsets the layout assigned.
     """
+    from repro.core.serialize import encode_tree
+
     codes = sorted(index.roots)
     blobs = bytearray(index.trees_region.size)
     bases = np.empty(len(codes), dtype=np.int64)
@@ -242,13 +241,17 @@ def _assemble_index(
     window = dict(zip(codes, zip(bases, stored.sizes.tolist())))
 
     def decode(code: int) -> Node:
+        # The wire format loads with the first tree a scalar cursor asks
+        # for; the batched kernels walk the arena and never do.
+        from repro.core.serialize import decode_tree, tree_blob_view
+
         base, size = window[code]
         return decode_tree(tree_blob_view(stored.blobs, base, size))
 
     def jump_table(code: int) -> "list[JumpEntry]":
         owner = index_ref()
         assert owner is not None  # it is asking
-        return _build_jump_table(owner, code)
+        return build_jump_table(owner, code)
 
     is_table = entry_kind[stored.codes] == EntryKind.TABLE
     index = ErtIndex(

@@ -25,6 +25,7 @@ from repro.core.index import (
     PHASE_ROOT,
     PHASE_TRAVERSAL,
     ErtIndex,
+    JumpEntry,
 )
 from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
 from repro.seeding.engine import EngineStats
@@ -224,3 +225,34 @@ class TreeCursor:
             else:
                 stack.append(node.child)
         return sorted(positions)
+
+
+def build_jump_table(index: ErtIndex, code: int) -> "list[JumpEntry]":
+    """Precompute the walk outcome of every x-character suffix (§III-E).
+
+    A loaded index calls this when a walk first reaches the k-mer, maybe
+    with a tracer or reuse cache attached; the precomputation is no
+    modelled access, so both are set aside while its cursors run.
+    """
+    x = index.config.table_x
+    entries = []
+    tracer, reuse_cache = index.tracer, index.reuse_cache
+    index.tracer = index.reuse_cache = None
+    try:
+        for subcode in range(4 ** x):
+            cursor = TreeCursor(index, code, enter_root=False)
+            matched = 0
+            bits = 0
+            for j in range(x):
+                c = (subcode >> (2 * (x - 1 - j))) & 3
+                if not cursor.advance(c):
+                    break
+                if cursor.count_changed:
+                    bits |= 1 << j
+                matched += 1
+            state = cursor.snapshot() if matched == x else None
+            entries.append(JumpEntry(matched=matched, lep_bits=bits,
+                                     state=state, count=cursor.count))
+    finally:
+        index.tracer, index.reuse_cache = tracer, reuse_cache
+    return entries

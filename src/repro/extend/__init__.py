@@ -13,20 +13,25 @@ package supplies the functional substrate and the lane-level model:
   seed -> chain -> extend pipeline over any seeding engine.
 """
 
-from repro.extend.chaining import Chain, chain_seeds
-from repro.extend.paired import PairedAligner, Placement
-from repro.extend.pipeline import Alignment, ReadAligner
-from repro.extend.sam import SamRecord, sam_header, write_sam
-from repro.extend.seedex import SeedExConfig, SeedExModel
-from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME,
-    AlignmentResult,
-    ScoringScheme,
-    SwWorkspace,
-    banded_edit_distance,
-    banded_smith_waterman,
-)
-from repro.extend.traceback import TracedAlignment, banded_sw_traceback
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.extend.chaining import Chain, chain_seeds
+    from repro.extend.paired import PairedAligner, Placement
+    from repro.extend.pipeline import Alignment, ReadAligner
+    from repro.extend.sam import SamRecord, sam_header, write_sam
+    from repro.extend.seedex import SeedExConfig, SeedExModel
+    from repro.extend.smith_waterman import (
+        DEFAULT_SCHEME,
+        AlignmentResult,
+        ScoringScheme,
+        SwWorkspace,
+        banded_edit_distance,
+        banded_smith_waterman,
+    )
+    from repro.extend.traceback import TracedAlignment, banded_sw_traceback
 
 __all__ = [
     "Alignment",
@@ -49,3 +54,15 @@ __all__ = [
     "sam_header",
     "write_sam",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.extend.chaining": ("Chain", "chain_seeds"),
+    "repro.extend.paired": ("PairedAligner", "Placement"),
+    "repro.extend.pipeline": ("Alignment", "ReadAligner"),
+    "repro.extend.sam": ("SamRecord", "sam_header", "write_sam"),
+    "repro.extend.seedex": ("SeedExConfig", "SeedExModel"),
+    "repro.extend.smith_waterman": (
+        "DEFAULT_SCHEME", "AlignmentResult", "ScoringScheme", "SwWorkspace",
+        "banded_edit_distance", "banded_smith_waterman"),
+    "repro.extend.traceback": ("TracedAlignment", "banded_sw_traceback"),
+})

@@ -22,7 +22,6 @@ from repro.extend.sam import (
     mapq_from_scores,
     unmapped_record,
 )
-from repro.extend.seedex import ExtensionWorkload
 from repro.extend.smith_waterman import (
     DEFAULT_SCHEME,
     ScoringScheme,
@@ -50,6 +49,24 @@ class Alignment:
     @property
     def is_mapped(self) -> bool:
         return self.score > 0
+
+
+@dataclass
+class ExtensionWorkload:
+    """Per-read extension demand measured from the functional pipeline."""
+
+    sw_extensions: int = 0
+    sw_rows_total: int = 0
+    edit_checks: int = 0
+    edit_rows_total: int = 0
+
+    def add_sw(self, query_len: int) -> None:
+        self.sw_extensions += 1
+        self.sw_rows_total += query_len
+
+    def add_edit(self, query_len: int) -> None:
+        self.edit_checks += 1
+        self.edit_rows_total += query_len
 
 
 @dataclass

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.extend.pipeline import ExtensionWorkload
+
 
 @dataclass(frozen=True)
 class SeedExConfig:
@@ -30,24 +32,6 @@ class SeedExConfig:
     def __post_init__(self) -> None:
         if self.lanes < 1 or self.sw_units_per_lane < 1:
             raise ValueError("at least one lane and one SW unit required")
-
-
-@dataclass
-class ExtensionWorkload:
-    """Per-read extension demand measured from the functional pipeline."""
-
-    sw_extensions: int = 0
-    sw_rows_total: int = 0
-    edit_checks: int = 0
-    edit_rows_total: int = 0
-
-    def add_sw(self, query_len: int) -> None:
-        self.sw_extensions += 1
-        self.sw_rows_total += query_len
-
-    def add_edit(self, query_len: int) -> None:
-        self.edit_checks += 1
-        self.edit_rows_total += query_len
 
 
 class SeedExModel:

@@ -17,9 +17,19 @@ Memory traffic is reported through :mod:`repro.memsim` so the paper's
 Fig 12 (requests and bytes per read) can be regenerated.
 """
 
-from repro.fmindex.fmd import BiInterval, FmdConfig, FmdIndex
-from repro.fmindex.engine import FmdSeedingEngine
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# Eager: ``suffix_array`` the function shares its submodule's name, and
+# the import system binds the *module* to that package attribute when
+# the submodule first loads -- unless the load happens here, before
+# this line rebinds it.  (The module needs numpy and nothing else.)
 from repro.fmindex.suffix_array import bwt_from_sa, suffix_array
+
+if TYPE_CHECKING:
+    from repro.fmindex.engine import FmdSeedingEngine
+    from repro.fmindex.fmd import BiInterval, FmdConfig, FmdIndex
 
 __all__ = [
     "BiInterval",
@@ -29,3 +39,8 @@ __all__ = [
     "bwt_from_sa",
     "suffix_array",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.fmindex.engine": ("FmdSeedingEngine",),
+    "repro.fmindex.fmd": ("BiInterval", "FmdConfig", "FmdIndex"),
+})

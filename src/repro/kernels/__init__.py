@@ -38,12 +38,16 @@ byte-identical output; the randomized equivalence suite in
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from repro.core.arena import FlatTrees, flat_trees
-from repro.kernels.seeding import seed_batch, vector_decline_reason
-from repro.kernels.stats import KernelBatchStats, wall_shares
-from repro.kernels.sw import batched_banded_sw
-from repro.kernels.traceback import batched_sw_traceback
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.arena import FlatTrees, flat_trees
+    from repro.kernels.seeding import seed_batch, vector_decline_reason
+    from repro.kernels.stats import KernelBatchStats, wall_shares
+    from repro.kernels.sw import batched_banded_sw
+    from repro.kernels.traceback import batched_sw_traceback
 
 KERNEL_CHOICES = ("scalar", "vector")
 
@@ -55,8 +59,10 @@ def resolve_kernels(value: "str | None" = None) -> str:
     if chosen is None or chosen == "":
         return "scalar"
     if chosen not in KERNEL_CHOICES:
+        source = "kernels selection" if value is not None \
+            else "REPRO_KERNELS value"
         raise ValueError(
-            f"unknown kernels selection {chosen!r}; expected one of "
+            f"unknown {source} {chosen!r}; expected one of "
             f"{'/'.join(KERNEL_CHOICES)}")
     return chosen
 
@@ -73,3 +79,11 @@ __all__ = [
     "KERNEL_CHOICES",
     "resolve_kernels",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.arena": ("FlatTrees", "flat_trees"),
+    "repro.kernels.seeding": ("seed_batch", "vector_decline_reason"),
+    "repro.kernels.stats": ("KernelBatchStats", "wall_shares"),
+    "repro.kernels.sw": ("batched_banded_sw",),
+    "repro.kernels.traceback": ("batched_sw_traceback",),
+})

@@ -15,15 +15,20 @@ those measurements:
   standing in for Ramulator (§V).
 """
 
-from repro.memsim.cache import CacheModel, CacheStats
-from repro.memsim.dram import DramConfig, DramModel
-from repro.memsim.trace import (
-    Access,
-    AddressSpace,
-    MemoryTracer,
-    PhaseStats,
-    Region,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.memsim.cache import CacheModel, CacheStats
+    from repro.memsim.dram import DramConfig, DramModel
+    from repro.memsim.trace import (
+        Access,
+        AddressSpace,
+        MemoryTracer,
+        PhaseStats,
+        Region,
+    )
 
 __all__ = [
     "Access",
@@ -36,3 +41,10 @@ __all__ = [
     "PhaseStats",
     "Region",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.memsim.cache": ("CacheModel", "CacheStats"),
+    "repro.memsim.dram": ("DramConfig", "DramModel"),
+    "repro.memsim.trace": ("Access", "AddressSpace", "MemoryTracer",
+                           "PhaseStats", "Region"),
+})

@@ -15,6 +15,9 @@ Entry points:
   CLI's ``seed`` / ``align`` / ``align-pe`` workloads;
 * :class:`ParallelConfig` / :func:`default_workers` -- ``--workers`` /
   ``--batch-size`` / ``$REPRO_WORKERS`` resolution;
+* :mod:`repro.parallel.pool` -- the worker pool itself (spawn, probe,
+  in-order merge, crash recovery), loaded only when a run asks for more
+  than one worker;
 * :mod:`repro.parallel.faults` -- the typed failure taxonomy
   (:class:`ParallelExecutionError` and friends) and :class:`RetryPolicy`
   behind worker-crash recovery, per-batch timeouts and the serial
@@ -29,26 +32,31 @@ implementation.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
-from repro.parallel.faults import (
-    BatchSerializationError,
-    BatchTaskError,
-    BatchTimeoutError,
-    ParallelExecutionError,
-    PoolUnavailableError,
-    RetryPolicy,
-    WorkerCrashError,
-    default_retries,
-)
-from repro.parallel.scheduler import (
-    ParallelConfig,
-    align_pairs,
-    align_reads,
-    default_workers,
-    map_batches,
-    seed_reads,
-)
-from repro.parallel.shm import SharedIndexBuffer, attach_index
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
+    from repro.parallel.faults import (
+        BatchSerializationError,
+        BatchTaskError,
+        BatchTimeoutError,
+        ParallelExecutionError,
+        PoolUnavailableError,
+        RetryPolicy,
+        WorkerCrashError,
+        default_retries,
+    )
+    from repro.parallel.scheduler import (
+        ParallelConfig,
+        align_pairs,
+        align_reads,
+        default_workers,
+        map_batches,
+        seed_reads,
+    )
+    from repro.parallel.shm import SharedIndexBuffer, attach_index
 
 __all__ = [
     "BatchSerializationError",
@@ -71,3 +79,15 @@ __all__ = [
     "pack_batch",
     "seed_reads",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.parallel.batch": ("ReadBatch", "iter_chunks", "pack_batch"),
+    "repro.parallel.faults": (
+        "BatchSerializationError", "BatchTaskError", "BatchTimeoutError",
+        "ParallelExecutionError", "PoolUnavailableError", "RetryPolicy",
+        "WorkerCrashError", "default_retries"),
+    "repro.parallel.scheduler": (
+        "ParallelConfig", "align_pairs", "align_reads", "default_workers",
+        "map_batches", "seed_reads"),
+    "repro.parallel.shm": ("SharedIndexBuffer", "attach_index"),
+})

@@ -9,11 +9,20 @@ output") becomes a structural property here, and
 :mod:`repro.seeding.verify` checks it against a brute-force oracle.
 """
 
-from repro.seeding.algorithm import SeedingParams, generate_smems, seed_read
-from repro.seeding.engine import EngineStats, ForwardSearch, SeedingEngine
-from repro.seeding.oracle import OracleEngine, oracle_smems
-from repro.seeding.types import Mem, Seed, SeedingResult
-from repro.seeding.verify import assert_equivalent, compare_engines
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.seeding.algorithm import (
+        SeedingParams,
+        generate_smems,
+        seed_read,
+    )
+    from repro.seeding.engine import EngineStats, ForwardSearch, SeedingEngine
+    from repro.seeding.oracle import OracleEngine, oracle_smems
+    from repro.seeding.types import Mem, Seed, SeedingResult
+    from repro.seeding.verify import assert_equivalent, compare_engines
 
 __all__ = [
     "EngineStats",
@@ -30,3 +39,13 @@ __all__ = [
     "oracle_smems",
     "seed_read",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.seeding.algorithm": ("SeedingParams", "generate_smems",
+                                "seed_read"),
+    "repro.seeding.engine": ("EngineStats", "ForwardSearch",
+                             "SeedingEngine"),
+    "repro.seeding.oracle": ("OracleEngine", "oracle_smems"),
+    "repro.seeding.types": ("Mem", "Seed", "SeedingResult"),
+    "repro.seeding.verify": ("assert_equivalent", "compare_engines"),
+})

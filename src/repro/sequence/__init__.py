@@ -11,29 +11,34 @@ This package provides everything the index structures sit on top of:
 * :mod:`repro.sequence.io` -- minimal FASTA/FASTQ reading and writing.
 """
 
-from repro.sequence.alphabet import (
-    BASES,
-    complement_code,
-    decode,
-    encode,
-    revcomp,
-    revcomp_codes,
-)
-from repro.sequence.io import (
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
-from repro.sequence.multi import ContigHit, MultiReference
-from repro.sequence.reference import Reference, Strand
-from repro.sequence.simulate import (
-    GenomeSimulator,
-    PairedReadSimulator,
-    Read,
-    ReadPair,
-    ReadSimulator,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sequence.alphabet import (
+        BASES,
+        complement_code,
+        decode,
+        encode,
+        revcomp,
+        revcomp_codes,
+    )
+    from repro.sequence.io import (
+        Read,
+        read_fasta,
+        read_fastq,
+        write_fasta,
+        write_fastq,
+    )
+    from repro.sequence.multi import ContigHit, MultiReference
+    from repro.sequence.reference import Reference, Strand
+    from repro.sequence.simulate import (
+        GenomeSimulator,
+        PairedReadSimulator,
+        ReadPair,
+        ReadSimulator,
+    )
 
 __all__ = [
     "BASES",
@@ -56,3 +61,14 @@ __all__ = [
     "write_fasta",
     "write_fastq",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sequence.alphabet": ("BASES", "complement_code", "decode",
+                                "encode", "revcomp", "revcomp_codes"),
+    "repro.sequence.io": ("Read", "read_fasta", "read_fastq", "write_fasta",
+                          "write_fastq"),
+    "repro.sequence.multi": ("ContigHit", "MultiReference"),
+    "repro.sequence.reference": ("Reference", "Strand"),
+    "repro.sequence.simulate": ("GenomeSimulator", "PairedReadSimulator",
+                                "ReadPair", "ReadSimulator"),
+})

@@ -1,23 +1,50 @@
-"""Minimal FASTA/FASTQ reading and writing.
+"""Minimal FASTA/FASTQ reading and writing, and the :class:`Read` record.
 
 Only the features the examples and tests need: multi-record FASTA with
 wrapped lines, four-line FASTQ records.  Ambiguous bases are rejected at
 encode time (see :mod:`repro.sequence.alphabet`); callers that must tolerate
 them should pre-filter, matching the paper's host-side handling of
 ambiguous-base reads (§V).
+
+:class:`Read` lives here, next to ``read_fastq``, so parsing reads does
+not load the simulators (:mod:`repro.sequence.simulate` re-exports it).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.sequence.alphabet import encode
-from repro.sequence.reference import Reference
-from repro.sequence.simulate import Read
+import numpy as np
+
+from repro.sequence.alphabet import decode, encode
+from repro.sequence.reference import Reference, Strand
 
 
 class FastaError(ValueError):
     """Raised on malformed FASTA/FASTQ input."""
+
+
+@dataclass(frozen=True)
+class Read:
+    """A sequencing read, parsed from FASTQ or simulated.
+
+    ``origin``/``strand`` record the ground-truth sampling location so that
+    alignment examples can score themselves; real FASTQ reads parsed from
+    disk leave them as ``None``.
+    """
+
+    name: str
+    codes: np.ndarray
+    quality: str = ""
+    origin: "int | None" = None
+    strand: "Strand | None" = None
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
+
+    @property
+    def sequence(self) -> str:
+        return decode(self.codes)
 
 
 def read_fasta(path) -> "list[Reference]":
@@ -94,10 +121,3 @@ def write_fastq(path, reads) -> None:
         for read in reads:
             quality = read.quality or "I" * len(read)
             handle.write(f"@{read.name}\n{read.sequence}\n+\n{quality}\n")
-
-
-def ensure_parent(path) -> Path:
-    """Create the parent directory of ``path`` if needed and return it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path

@@ -27,31 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sequence.alphabet import COMPLEMENT, decode
+from repro.sequence.alphabet import COMPLEMENT
+from repro.sequence.io import Read
 from repro.sequence.reference import Reference, Strand
-
-
-@dataclass(frozen=True)
-class Read:
-    """A simulated sequencing read.
-
-    ``origin``/``strand`` record the ground-truth sampling location so that
-    alignment examples can score themselves; real FASTQ reads parsed from
-    disk leave them as ``None``.
-    """
-
-    name: str
-    codes: np.ndarray
-    quality: str = ""
-    origin: "int | None" = None
-    strand: "Strand | None" = None
-
-    def __len__(self) -> int:
-        return int(self.codes.size)
-
-    @property
-    def sequence(self) -> str:
-        return decode(self.codes)
 
 
 @dataclass

@@ -36,17 +36,13 @@ Typical use::
 from __future__ import annotations
 
 from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro.telemetry.events import TimelineRecorder, trace_document
 from repro.telemetry.exemplars import (
     READ_WALL_MS_EDGES,
     ExemplarCollector,
-)
-from repro.telemetry.export import (
-    load_snapshot,
-    render_profile,
-    write_json,
-    write_trace,
 )
 from repro.telemetry.metrics import (
     DEFAULT_EDGES,
@@ -57,6 +53,21 @@ from repro.telemetry.metrics import (
     sanitize,
 )
 from repro.telemetry.spans import Tracer
+
+if TYPE_CHECKING:
+    from repro.telemetry.export import (
+        load_snapshot,
+        render_profile,
+        write_json,
+        write_trace,
+    )
+
+# The exporters (and the ``json`` they need) load when one is first
+# called: a dark run, and every pool worker, never writes a report.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.telemetry.export": ("load_snapshot", "render_profile",
+                               "write_json", "write_trace"),
+})
 
 __all__ = [
     "DEFAULT_EDGES",

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (the index-once / align-many workflow)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -356,6 +357,249 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert "ERT001" in proc.stdout
     assert "usage: ert-repro ledger" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# The start-up diet: a run imports only what it executes
+# ----------------------------------------------------------------------
+
+#: Nothing under these may load on a one-worker seed / align / align-pe
+#: run (or while the parser is built): models, baselines, the builder
+#: and the simulators, the exporters, the tooling, the pool.
+COLD = (
+    "repro.fmindex", "repro.accel", "repro.analysis", "repro.baselines",
+    "repro.checks", "repro.ledger", "repro.memsim.cache",
+    "repro.memsim.dram", "repro.core.builder", "repro.core.census",
+    "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
+    "repro.seeding.oracle", "repro.seeding.verify", "repro.kernels.sw",
+    "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
+    "multiprocessing", "concurrent.futures",
+)
+POOL = ("repro.parallel.pool", "repro.parallel.shm", "multiprocessing",
+        "concurrent.futures")
+
+#: ``import numpy`` comes first and is not charged: what it loads
+#: differs between the tier-1 Pythons.  The last stdout line is the
+#: list of modules the command itself added to ``sys.modules``.
+_IMPORT_PROBE = """\
+import json, sys
+import numpy
+for name in json.loads(sys.argv[1]):
+    __import__(name)
+before = set(sys.modules)
+import repro.cli
+argv = json.loads(sys.argv[2])
+status = repro.cli.main(argv) if argv else repro.cli.build_parser() and 0
+sys.stdout.flush()
+print(json.dumps([status, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _modules_added_by(argv, preload=()):
+    """Run ``main(argv)`` (or ``build_parser()`` for no argv) in a fresh
+    interpreter; returns what it imported and the process."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_WORKERS", "REPRO_KERNELS")}
+    env["PYTHONPATH"] = os.path.join(repo, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(list(preload)),
+         json.dumps([str(a) for a in argv])],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, added = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0, proc.stderr
+    return added, proc
+
+
+def _under(modules, prefixes):
+    return sorted(m for m in modules for p in prefixes
+                  if m == p or m.startswith(p + "."))
+
+
+@pytest.fixture(scope="module")
+def pairs_fastq(workspace):
+    from repro.sequence import read_fasta
+    from repro.sequence.io import write_fastq
+    from repro.sequence.simulate import PairedReadSimulator
+
+    root, ref, _reads, _index = workspace
+    pairs = PairedReadSimulator(read_fasta(ref)[0], read_length=60,
+                                seed=9).simulate(4)
+    path = root / "diet-pairs.fq"
+    write_fastq(path, [m for p in pairs for m in (p.first, p.second)])
+    return path
+
+
+@pytest.mark.parametrize("command, kernels, also_cold", [
+    (None, None, ("numpy", "repro.core", "repro.sequence", "repro.seeding",
+                  "repro.extend", "repro.parallel", "repro.telemetry",
+                  "repro.logging", "json")),
+    ("seed", "vector", ("repro.extend.pipeline", "repro.extend.paired",
+                        "repro.kernels.traceback")),
+    ("align", "vector", ("repro.extend.paired",)),
+    ("align-pe", "scalar", ()),
+], ids=["parser", "seed", "align", "align-pe"])
+def test_one_worker_run_imports_only_what_it_executes(
+        workspace, pairs_fastq, tmp_path, command, kernels, also_cold):
+    _root, _ref, reads, index = workspace
+    argv = []
+    if command is not None:
+        argv = [command, "--index", index,
+                "--reads", pairs_fastq if command == "align-pe" else reads,
+                "--out", tmp_path / "out", "--kernels", kernels,
+                "--workers", "1"]
+    added, _proc = _modules_added_by(argv)
+    assert _under(added, COLD + also_cold) == []
+    if command is None:
+        # numpy is preloaded by the probe, so check it the other way:
+        # building the parser loads no repro module that needs it.
+        assert {m for m in added if m.startswith("repro")} <= {
+            "repro", "repro._lazy", "repro.cli", "repro.kernels"}
+
+
+def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
+                                                             tmp_path):
+    _root, _ref, reads, index = workspace
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}.sam"
+        added, _proc = _modules_added_by(
+            ["align", "--index", index, "--reads", reads, "--out",
+             outs[workers], "--kernels", "vector", "--workers", workers,
+             "--batch-size", "4"])
+        if workers == "1":
+            assert _under(added, POOL) == []
+        else:
+            assert set(POOL) <= set(added)
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+
+
+def test_observed_run_loads_the_exporters_and_writes_what_an_eager_one_does(
+        workspace, tmp_path):
+    """``--profile --metrics-out --slowlog --trace-out`` is when the
+    exporters load; importing everything up front instead changes no
+    artifact (timings aside)."""
+    _root, _ref, reads, index = workspace
+    runs = {}
+    for label, preload in (("lazy", ()),
+                           ("eager", ("repro.telemetry.export",
+                                      "repro.core.builder",
+                                      "repro.sequence.simulate",
+                                      "repro.parallel.pool",
+                                      "repro.extend.paired",
+                                      "repro.kernels.sw"))):
+        base = tmp_path / label
+        base.mkdir()
+        added, proc = _modules_added_by(
+            ["align", "--index", index, "--reads", reads,
+             "--out", base / "out.sam", "--kernels", "vector",
+             "--workers", "1", "--profile",
+             "--metrics-out", base / "metrics.json",
+             "--slowlog", base / "slow.jsonl",
+             "--trace-out", base / "trace.json"], preload=preload)
+        if label == "lazy":
+            assert "repro.telemetry.export" in added
+            assert _under(added, tuple(set(COLD)
+                                       - {"repro.telemetry.export"})) == []
+        snap = json.loads((base / "metrics.json").read_text())
+        slow = [json.loads(line)
+                for line in (base / "slow.jsonl").read_text().splitlines()]
+        trace = json.loads((base / "trace.json").read_text())
+        runs[label] = {
+            "sam": (base / "out.sam").read_bytes(),
+            "counters": snap["counters"],
+            "histograms": {name: hist["count"]
+                           for name, hist in snap["histograms"].items()},
+            "spans": {path: span["count"]
+                      for path, span in snap["spans"].items()},
+            "reservoir": sorted(
+                (rec["read_id"], sorted(rec["counters"].items()))
+                for rec in slow if rec["source"] == "reservoir"),
+            "trace": sorted({event["name"]
+                             for event in trace["traceEvents"]}),
+            "profile": [line.split()[0] for line in proc.stdout.splitlines()
+                        if line.startswith(("seed", "align", "kernels."))],
+        }
+        assert "== per-stage wall clock ==" in proc.stdout
+    assert runs["lazy"] == runs["eager"]
+
+
+# ----------------------------------------------------------------------
+# Files that cannot be opened: one line, exit 2, nothing written
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["seed", "align"])
+@pytest.mark.parametrize("broken", ["index-missing", "index-unreadable",
+                                    "reads-missing", "out-unwritable"])
+def test_unopenable_file_is_one_line_and_exit_two(workspace, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  command, broken):
+    """Not a ``FileNotFoundError`` traceback -- and an ``--out`` nobody
+    can write is refused before the run is computed, not after."""
+    _root, _ref, reads, index = workspace
+    out = tmp_path / "out"
+    paths = {"--index": index, "--reads": reads, "--out": out}
+    if broken == "index-unreadable":
+        paths["--index"] = tmp_path            # a directory
+    elif broken == "out-unwritable":
+        paths["--out"] = out = tmp_path / "nodir" / "out"
+        import repro.parallel.scheduler as scheduler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+        monkeypatch.setattr(scheduler, "_map_reads", refuse)
+    else:
+        paths["--" + broken.split("-")[0]] = tmp_path / "absent"
+    culprit = paths["--" + broken.split("-")[0]]
+    assert main([command] + [str(x) for kv in paths.items()
+                             for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro {command}: {culprit}: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-index", "simulate-reads"])
+def test_missing_reference_is_one_line_and_exit_two(tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "out"
+    argv = [command, "--reference", str(tmp_path / "absent.fa"),
+            "--out", str(out)]
+    if command == "simulate-reads":
+        argv += ["--count", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"ert-repro {command}: {tmp_path / 'absent.fa'}: "
+                   f"No such file or directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "explain"])
+def test_bad_repro_kernels_is_one_line_and_exit_two(workspace, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command):
+    """Like a bad ``--kernels`` (an argparse error), not a ``ValueError``
+    traceback from ``resolve_kernels`` after the index was loaded."""
+    _root, _ref, reads, index = workspace
+    monkeypatch.setenv("REPRO_KERNELS", "bogus")
+    out = tmp_path / "out"
+    argv = [command, "--index", str(index), "--reads", str(reads)]
+    argv += (["--read-id", "x"] if command == "explain"
+             else ["--out", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ert-repro {command}: unknown REPRO_KERNELS value 'bogus'; "
+        f"expected one of scalar/vector\n")
+    assert not out.exists()
+    # An explicit --kernels wins over the environment, as before.
+    if command != "explain":
+        assert main(argv + ["--kernels", "scalar"]) == 0
 
 
 def test_top_level_help_lists_delegated_subcommands(capsys):

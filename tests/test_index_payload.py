@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import ErtConfig, build_ert, load_ert, save_ert, trees_equal
-from repro.core import io
+from repro.core import serialize
 from repro.core.arena import ARENA_COLUMNS, flat_trees
 from repro.core.builder import rolling_codes
 from repro.core.index import EntryKind
@@ -108,7 +108,7 @@ def test_vector_run_decodes_nothing_scalar_only_what_it_touches(
     def refuse(blob, root_offset=0):
         raise AssertionError("the vector path asked for a node object")
 
-    monkeypatch.setattr(io, "decode_tree", refuse)
+    monkeypatch.setattr(serialize, "decode_tree", refuse)
     lines, _ = seed_reads(load_ert(saved), reads, params,
                           ParallelConfig(workers=1, kernels="vector"))
     assert lines == expected
@@ -119,7 +119,7 @@ def test_vector_run_decodes_nothing_scalar_only_what_it_touches(
         decoded.append(1)
         return decode_tree(blob, root_offset)
 
-    monkeypatch.setattr(io, "decode_tree", counting)
+    monkeypatch.setattr(serialize, "decode_tree", counting)
     loaded = load_ert(saved)
     lines, _ = seed_reads(loaded, reads, params,
                           ParallelConfig(workers=1, kernels="scalar"))
@@ -140,7 +140,7 @@ def test_publish_reframes_without_encoding(built, saved, monkeypatch):
     def refuse(root, blob_size, prefix_merging):
         raise AssertionError("a loaded index re-encoded a tree")
 
-    monkeypatch.setattr(io, "encode_tree", refuse)
+    monkeypatch.setattr(serialize, "encode_tree", refuse)
     loaded = load_ert(saved)
     assert index_to_buffer(loaded) == want
     with SharedIndexBuffer(loaded) as shared:

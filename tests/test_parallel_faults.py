@@ -31,6 +31,7 @@ from repro.parallel import (
     default_retries,
     seed_reads,
 )
+from repro.parallel import pool
 from repro.parallel import scheduler as sched
 from repro.parallel import shm as shm_mod
 from repro.parallel.faults import (
@@ -235,15 +236,15 @@ def test_classify_failure_maps_exception_types():
     from concurrent.futures.process import BrokenProcessPool
     from pickle import PicklingError
 
-    assert isinstance(sched._classify_failure(FuturesTimeoutError(), 3),
+    assert isinstance(pool._classify_failure(FuturesTimeoutError(), 3),
                       BatchTimeoutError)
-    assert isinstance(sched._classify_failure(BrokenProcessPool("x"), 3),
+    assert isinstance(pool._classify_failure(BrokenProcessPool("x"), 3),
                       WorkerCrashError)
-    assert isinstance(sched._classify_failure(PicklingError("x"), 3),
+    assert isinstance(pool._classify_failure(PicklingError("x"), 3),
                       BatchSerializationError)
-    assert isinstance(sched._classify_failure(ValueError("x"), 3),
+    assert isinstance(pool._classify_failure(ValueError("x"), 3),
                       BatchTaskError)
-    assert sched._classify_failure(ValueError("x"), 7).batch_index == 7
+    assert pool._classify_failure(ValueError("x"), 7).batch_index == 7
 
 
 def test_retry_policy_backoff_and_attempts():
