@@ -469,8 +469,6 @@ def _align_pe_entry(args, index, reads, config):
     from repro.parallel import align_pairs
     from repro.seeding import SeedingParams
 
-    if len(reads) % 2:
-        raise SystemExit("interleaved FASTQ must hold an even read count")
     return align_pairs(index, reads,
                        SeedingParams(min_seed_len=args.min_seed_len),
                        insert_mean=args.insert_mean,
@@ -552,6 +550,10 @@ def _cmd_run(args) -> int:
               f"{too_long.name!r} is {too_long.codes.size} bp, over the "
               f"index's max_seed_len ({limit}); rebuild the index with a "
               f"larger --max-seed-len", file=sys.stderr)
+        return 2
+    if args.command == "align-pe" and len(reads) % 2:
+        print(f"ert-repro align-pe: {args.reads}: interleaved FASTQ must "
+              f"hold an even read count, not {len(reads)}", file=sys.stderr)
         return 2
     active = _telemetry_begin(args)
     results, stats = entry(args, index, reads, _parallel_config(args))

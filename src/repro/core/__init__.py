@@ -16,10 +16,12 @@
 * :mod:`repro.core.reuse` -- the §III-C k-mer-reuse batched pipeline.
 * :mod:`repro.core.census` -- hit-distribution and tree-shape statistics
   (paper Figs 8 and the §III-E depth claims).
-* :mod:`repro.core.serialize`, :mod:`repro.core.arena`,
-  :mod:`repro.core.io` -- what an index is stored as: the per-tree wire
-  format, the structure-of-arrays arena the batched kernels walk, and
-  the archive / shared-buffer formats that hold both.
+* :mod:`repro.core.arena`, :mod:`repro.core.io` -- what an index is
+  stored as: the structure-of-arrays arena the batched kernels walk
+  (and node objects are decoded from), and the archive / shared-buffer
+  formats that hold it.  :mod:`repro.core.serialize` is the paper's
+  per-tree wire format, kept as the reference the layout model's node
+  sizes are tested against; nothing stores it or imports it.
 """
 
 from typing import TYPE_CHECKING
@@ -38,7 +40,6 @@ if TYPE_CHECKING:
     from repro.core.index import EntryKind, ErtIndex
     from repro.core.io import load_ert, save_ert
     from repro.core.reuse import KmerReuseDriver, ReuseStats
-    from repro.core.serialize import decode_tree, encode_tree, trees_equal
 
 __all__ = [
     "EntryKind",
@@ -49,14 +50,11 @@ __all__ = [
     "LayoutPolicy",
     "ReuseStats",
     "build_ert",
-    "decode_tree",
     "depth_census",
-    "encode_tree",
     "hit_distribution",
     "index_census",
     "load_ert",
     "save_ert",
-    "trees_equal",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -68,5 +66,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.index": ("EntryKind", "ErtIndex"),
     "repro.core.io": ("load_ert", "save_ert"),
     "repro.core.reuse": ("KmerReuseDriver", "ReuseStats"),
-    "repro.core.serialize": ("decode_tree", "encode_tree", "trees_equal"),
 })

@@ -14,7 +14,7 @@ without making an object (:mod:`repro.kernels.walk`):
 * ``child``: a UNIFORM node's single child;
 * ``leaf_text0``: a LEAF's first occurrence position (matching proceeds
   against the reference text, early path compression §III-A2);
-* ``pos_off``/``pos_len`` into ``pool``: every occurrence position in the
+* ``pos_off`` into ``pool``: the ``count`` occurrence positions of the
   node's subtree, contiguous because the pool is filled in DFS (Euler)
   order.  ``gather(nid)`` is therefore one slice + sort instead of the
   scalar cursor's recursive DFS.
@@ -22,14 +22,18 @@ without making an object (:mod:`repro.kernels.walk`):
 Second-level jump tables (§III-E) are translated into dense ``(n_tables,
 4^x)`` arrays so a walk resolves the x-character jump with one lookup.
 
-The arena is part of the index payload.  It is compiled from node
-objects in exactly one place, :func:`flat_trees` on a *built* index --
-which is what :func:`repro.core.io.save_ert` and
-:func:`repro.core.io.index_to_buffer` call to write its columns next to
-the tree blobs.  On a *loaded* index :func:`flat_trees` wraps the stored
-columns as they lie (read-only views into the shared-memory segment in
-a pool worker, so N workers walk one physical arena) and no node object
-is ever made for the vector path.  It lives in :mod:`repro.core` rather
+The arena is the only form the forest is stored in
+(:mod:`repro.core.io`).  It is compiled from node objects in exactly one
+place, :func:`flat_trees` on a *built* index, and that place fixes every
+column's width (:data:`ARENA_DTYPES`): ``kind`` and ``chars_pool`` are
+uint8, everything that holds a node id, an offset, a count or a text
+position is int32, and a forest that does not fit is an
+:class:`ArenaLimitError`, not a wider column.  A *loaded* index carries
+the stored columns as they lie (read-only views into the shared-memory
+segment in a pool worker, so N workers walk one physical arena); the
+batched kernels walk them and make no node object, and the scalar
+cursor's node objects are decoded from them one k-mer at a time
+(:func:`tree_at`).  The module lives in :mod:`repro.core` rather
 than next to its consumers in :mod:`repro.kernels` because the index
 writers need it and core may not import the kernels (ERT005).
 
@@ -48,12 +52,26 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.core.index import ErtIndex
-from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
+from repro.core.nodes import (
+    DivergeNode,
+    LeafNode,
+    Node,
+    UniformNode,
+    leaf_over,
+)
 from repro.core.walker import WalkState
 
 KIND_DIVERGE = 0
 KIND_UNIFORM = 1
 KIND_LEAF = 2
+
+#: What an int32 column cannot hold: the text length and the sizes of
+#: the node, position and character pools all stay below it.
+ID_LIMIT = 2 ** 31
+
+
+class ArenaLimitError(ValueError):
+    """Raised when a forest does not fit the arena's int32 columns."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,6 @@ class FlatTrees:
     chars_pool: np.ndarray
     leaf_text0: np.ndarray
     pos_off: np.ndarray
-    pos_len: np.ndarray
     pool: np.ndarray
     #: Root node id per k-mer code (-1: no tree).
     roots: np.ndarray
@@ -89,25 +106,55 @@ class FlatTrees:
         """Sorted occurrence positions of the subtree below ``nid``
         (the scalar cursor's ``gather()``, as one slice)."""
         off = int(self.pos_off[nid])
-        return np.sort(self.pool[off:off + int(self.pos_len[nid])])
+        return np.sort(self.pool[off:off + int(self.count[nid])])
 
 
 #: The arena's arrays, in the order both index formats store them.
 ARENA_COLUMNS = tuple(f.name for f in fields(FlatTrees)
                       if f.name not in ("k", "table_x"))
 
+#: The width every column is compiled, stored and walked at: node ids,
+#: offsets, counts and text positions are ``_ID``.
+_ID = np.dtype(np.int32)
+ARENA_DTYPES = {
+    name: np.dtype(np.uint8) if name in ("kind", "chars_pool") else _ID
+    for name in ARENA_COLUMNS}
+
 
 def flat_trees(index: ErtIndex) -> FlatTrees:
-    """The arena of ``index`` (cached on it): the stored columns of a
-    loaded index, the compile of a built one."""
+    """The arena of ``index`` (cached on it).  A loaded index was given
+    its stored columns when it was assembled; a built one compiles
+    here, once."""
     if index.flat is None:
-        if index.stored is not None:
-            index.flat = FlatTrees(k=index.config.k,
-                                   table_x=index.config.table_x,
-                                   **index.stored.arena())
-        else:
-            index.flat = _compile(index)
+        index.flat = _compile(index)
     return index.flat
+
+
+def tree_at(flat: FlatTrees, text: np.ndarray, nid: int) -> Node:
+    """The node objects of the subtree at arena node ``nid``, equal to
+    what the builder made it from (``text`` is the double-strand text:
+    a leaf's prefix characters are read from it, as the builder reads
+    them).  Offsets are not stored: lay the tree out again
+    (:func:`repro.core.layout.layout_tree`) for the ones it was built
+    with."""
+    kind = int(flat.kind[nid])
+    count = int(flat.count[nid])
+    off = int(flat.pos_off[nid])
+    if kind == KIND_LEAF:
+        return leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
+    if kind == KIND_UNIFORM:
+        start = int(flat.chars_off[nid])
+        chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
+        below = tree_at(flat, text, int(flat.child[nid]))
+        return UniformNode(chars, below, count)
+    children = {c: tree_at(flat, text, child)
+                for c, child in enumerate(flat.children[nid].tolist())
+                if child >= 0}
+    # The pool run of a DIVERGE node opens with its own terminations;
+    # its children's runs follow.
+    ended = count - sum(child.count for child in children.values())
+    return DivergeNode(children,
+                       tuple(flat.pool[off:off + ended].tolist()), count)
 
 
 def _settle_nid(kind: "list[int]", chars_len: "list[int]",
@@ -137,7 +184,7 @@ def _compile(index: ErtIndex) -> FlatTrees:
     nid_of: "dict[Node, int]" = {}
 
     n_entries = 4 ** index.config.k
-    roots = np.full(n_entries, -1, dtype=np.int64)
+    roots = np.full(n_entries, -1, dtype=_ID)
     for code in sorted(index.roots):
         roots[code] = len(kind)
         has_table = code in index.tables
@@ -183,13 +230,13 @@ def _compile(index: ErtIndex) -> FlatTrees:
     # Jump tables: dense (n_tables, 4^x) arrays in slot order.
     x = index.config.table_x
     shape = (max(len(index.tables), 1), 4 ** x)
-    table_slot = np.full(n_entries, -1, dtype=np.int64)
-    jt_matched = np.zeros(shape, dtype=np.int64)
-    jt_lep = np.zeros(shape, dtype=np.int64)
-    jt_node = np.full(shape, -1, dtype=np.int64)
-    jt_within = np.zeros(shape, dtype=np.int64)
-    jt_depth = np.zeros(shape, dtype=np.int64)
-    jt_count = np.zeros(shape, dtype=np.int64)
+    table_slot = np.full(n_entries, -1, dtype=_ID)
+    jt_matched = np.zeros(shape, dtype=_ID)
+    jt_lep = np.zeros(shape, dtype=_ID)
+    jt_node = np.full(shape, -1, dtype=_ID)
+    jt_within = np.zeros(shape, dtype=_ID)
+    jt_depth = np.zeros(shape, dtype=_ID)
+    jt_count = np.zeros(shape, dtype=_ID)
     for slot, code in enumerate(sorted(index.tables)):
         table_slot[code] = slot
         for subcode, entry in enumerate(index.tables[code]):
@@ -209,30 +256,24 @@ def _compile(index: ErtIndex) -> FlatTrees:
             jt_depth[slot, subcode] = int(state.depth)
             jt_count[slot, subcode] = int(state.count)
 
-    def column(values: "list[int]") -> np.ndarray:
-        return np.array(values, dtype=np.int64)
-
+    # Every value of a column is a text position or an index into the
+    # node, position or character pool.
+    largest = max(int(index.text.size), len(kind), len(pool),
+                  len(chars_pool))
+    if largest >= ID_LIMIT:
+        raise ArenaLimitError(
+            f"the forest does not fit the arena: its text or one of its "
+            f"node, position and character pools holds {largest:,} "
+            f"entries, and a column addresses fewer than {ID_LIMIT:,}")
+    lists = {"kind": kind, "count": count, "children": children,
+             "child": child, "chars_off": chars_off, "chars_len": chars_len,
+             "chars_pool": chars_pool, "leaf_text0": leaf_text0,
+             "pos_off": pos_off, "pool": pool}
+    arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
+              for name, values in lists.items()}
+    arrays["children"] = arrays["children"].reshape(-1, 4)
     return FlatTrees(
-        k=index.config.k,
-        table_x=x,
-        kind=column(kind),
-        count=column(count),
-        children=column(children).reshape(-1, 4),
-        child=column(child),
-        chars_off=column(chars_off),
-        chars_len=column(chars_len),
-        chars_pool=column(chars_pool),
-        leaf_text0=column(leaf_text0),
-        pos_off=column(pos_off),
-        # Every occurrence below a node is in its subtree's pool run.
-        pos_len=column(count),
-        pool=column(pool),
-        roots=roots,
-        table_slot=table_slot,
-        jt_matched=jt_matched,
-        jt_lep=jt_lep,
-        jt_node=jt_node,
-        jt_within=jt_within,
-        jt_depth=jt_depth,
-        jt_count=jt_count,
-    )
+        k=index.config.k, table_x=x, roots=roots, table_slot=table_slot,
+        jt_matched=jt_matched, jt_lep=jt_lep, jt_node=jt_node,
+        jt_within=jt_within, jt_depth=jt_depth, jt_count=jt_count,
+        **arrays)

@@ -26,7 +26,13 @@ import numpy as np
 from repro.core.config import ErtConfig
 from repro.core.index import EntryKind, ErtIndex, JumpEntry
 from repro.core.layout import LayoutStats, layout_tree
-from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
+from repro.core.nodes import (
+    DivergeNode,
+    LeafNode,
+    Node,
+    UniformNode,
+    leaf_over,
+)
 from repro.core.walker import build_jump_table
 from repro.memsim.trace import AddressSpace
 from repro.sequence.reference import Reference
@@ -45,9 +51,7 @@ def rolling_codes(text: np.ndarray, length: int) -> np.ndarray:
 
 
 def _leaf(text: np.ndarray, positions: np.ndarray) -> LeafNode:
-    pos = tuple(int(p) for p in np.sort(positions))
-    prefix = tuple(int(text[p - 1]) if p > 0 else -1 for p in pos)
-    return LeafNode(pos, prefix)
+    return leaf_over(text, tuple(int(p) for p in np.sort(positions)))
 
 
 def _build_node(text: np.ndarray, positions: np.ndarray, depth: int,

@@ -16,10 +16,10 @@ An :class:`ErtIndex` owns:
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
 A *built* index holds every tree and jump table as objects.  A *loaded*
-one (:mod:`repro.core.io`) holds the payload it was opened from
-(:class:`StoredTrees`) and makes node objects and jump tables per k-mer,
-on first access (:class:`LazyByCode`): the batched kernels walk the
-stored arena (:mod:`repro.core.arena`) and never ask for one.
+one (:mod:`repro.core.io`) holds the stored arena
+(:mod:`repro.core.arena`) and makes node objects and jump tables from it
+per k-mer, on first access (:class:`LazyByCode`): the batched kernels
+walk the arena and never ask for one.
 
 All memory traffic funnels through :meth:`ErtIndex.trace` with the phase
 tags of Fig 13: ``index_lookup``, ``table_lookup``, ``tree_root``,
@@ -120,25 +120,6 @@ class LazyByCode(Mapping[int, _T]):
         return len(self._made)
 
 
-@dataclass(frozen=True)
-class StoredTrees:
-    """The serialized trees a loaded index was opened from.
-
-    ``blobs`` is the trees region (every tree's wire-format blob at its
-    ``bases`` offset, ``sizes`` bytes long, for the k-mers ``codes``);
-    ``arena()`` reads the columns of the flat arena stored next to it
-    (:func:`repro.core.arena.flat_trees` calls it, once).  Keeping them
-    lets :func:`repro.core.io.index_to_buffer` re-frame a loaded index
-    without encoding a tree.
-    """
-
-    codes: np.ndarray
-    bases: np.ndarray
-    sizes: np.ndarray
-    blobs: np.ndarray
-    arena: "Callable[[], Mapping[str, np.ndarray]]"
-
-
 class ErtIndex:
     """Container for an ERT, built (:func:`repro.core.builder.build_ert`)
     or loaded (:mod:`repro.core.io`)."""
@@ -151,8 +132,7 @@ class ErtIndex:
                  prefix_counts: "list[np.ndarray]",
                  trees_bytes: int,
                  layout_stats: "LayoutStats | None" = None,
-                 space: "AddressSpace | None" = None,
-                 stored: "StoredTrees | None" = None) -> None:
+                 space: "AddressSpace | None" = None) -> None:
         self.reference = reference
         self.config = config
         self.text = reference.both_strands
@@ -165,8 +145,8 @@ class ErtIndex:
         self.tables = tables
         self.prefix_counts = prefix_counts
         self._layout_stats = layout_stats
-        self.stored = stored
-        #: Cache slot of :func:`repro.core.arena.flat_trees`.
+        #: The arena: stored columns (loaded) or the cache slot of
+        #: :func:`repro.core.arena.flat_trees` (built).
         self.flat: "FlatTrees | None" = None
         #: Cache slot of :func:`repro.kernels.walk.arena_cursor`.
         self.cursor: "object | None" = None

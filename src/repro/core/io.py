@@ -4,11 +4,10 @@ The paper stresses that ERT construction (~1 h for GRCh38) happens once
 per reference and is amortized over many runs (§III-A3); that only works
 with a persistent format.  Two formats hold one payload
 (:func:`_payload`): the reference (2-bit codes), the four entry-metadata
-arrays, the 1..k prefix-count tables, every radix tree as its
-*serialized blob* (the wire format of :mod:`repro.core.serialize`)
-concatenated exactly as the trees region lays them out with the
-per-k-mer base offsets, and the columns of the flat arena
-(:mod:`repro.core.arena`) compiled from those trees:
+arrays, the 1..k prefix-count tables, each tree's base offset in the
+modelled trees region, and the forest itself, stored once: the columns
+of the flat arena (:mod:`repro.core.arena`), at the widths the arena
+compiles them to:
 
 * the **archive format** (:func:`save_ert` / :func:`load_ert`) -- a
   single ``.npz`` of the payload plus the structural config as JSON;
@@ -23,12 +22,15 @@ per-k-mer base offsets, and the columns of the flat arena
 
 Loading makes no node object.  The batched kernels walk the stored
 arena; the scalar cursor (and ``census``, ``divergence``, ``explain``)
-gets a k-mer's tree decoded from its blob, and its jump table rebuilt,
-the first time it asks for that k-mer
-(:class:`~repro.core.index.LazyByCode`).  The archive loader does not
-even read the arena members until :func:`~repro.core.arena.flat_trees`
-is first called, so a scalar run never holds them.  Every way a file or
-buffer can be cut short or garbled ends in :class:`IndexFormatError`.
+gets a k-mer's tree decoded from the same columns
+(:func:`~repro.core.arena.tree_at`) and laid out again -- the
+layout is a pure function of tree shape, so every node gets the offset
+the builder gave it -- and its jump table rebuilt, the first time it
+asks for that k-mer (:class:`~repro.core.index.LazyByCode`).  The paper
+wire format of :mod:`repro.core.serialize` is stored nowhere: it is the
+reference the layout model's node sizes are tested against.  Every way
+a file or buffer can be cut short or garbled ends in
+:class:`IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -38,30 +40,27 @@ import os
 import weakref
 import zipfile
 import zlib
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from repro.core.arena import ARENA_COLUMNS, flat_trees
-from repro.core.config import ErtConfig, LayoutPolicy
-from repro.core.index import (
-    EntryKind,
-    ErtIndex,
-    JumpEntry,
-    LazyByCode,
-    StoredTrees,
+from repro.core.arena import (
+    ARENA_COLUMNS,
+    ARENA_DTYPES,
+    FlatTrees,
+    flat_trees,
+    tree_at,
 )
+from repro.core.config import ErtConfig, LayoutPolicy
+from repro.core.index import EntryKind, ErtIndex, JumpEntry, LazyByCode
 from repro.core.nodes import Node
 from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
 
-if TYPE_CHECKING:
-    from repro.core.serialize import BlobLike
-
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Frame marker of the flat buffer format (8 bytes, versioned).
-BUFFER_MAGIC = b"ERTBUF02"
+BUFFER_MAGIC = b"ERTBUF03"
 
 #: Every array payload in the flat buffer starts on this alignment so
 #: zero-copy views keep natural numpy alignment (and cache-line tiling).
@@ -70,10 +69,10 @@ BUFFER_ALIGN = 64
 #: Payload names of the arena's columns are the column names behind this.
 ARENA_PREFIX = "arena_"
 
-#: Deflate level of the archive members.  The arena is 4 MB of small
-#: integers at k=6 / 10 kbp: level 1 writes it in 18 ms at 0.42 MB,
-#: numpy's default level 6 in 75 ms at 0.33 MB -- and ``build-index``
-#: pays that on every run.
+#: Deflate level of the archive members.  The arena is 1.7 MB of small
+#: integers at k=6 / 10 kbp: level 1 writes the archive in 21 ms at
+#: 0.35 MB, numpy's default level 6 in 71 ms at 0.30 MB -- and
+#: ``build-index`` pays that on every run.
 ARCHIVE_COMPRESSLEVEL = 1
 
 _REBUILD = "rebuild the index with build-index"
@@ -92,64 +91,18 @@ PathLike = Union[str, "os.PathLike[str]"]
 # ----------------------------------------------------------------------
 
 
-def _encode_trees(
-    index: ErtIndex,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Serialize every tree into the concatenated blobs region.
-
-    Returns ``(codes, bases, sizes, blobs)`` with the trees encoded at
-    exactly the offsets the layout assigned.
-    """
-    from repro.core.serialize import encode_tree
-
-    codes = sorted(index.roots)
-    blobs = bytearray(index.trees_region.size)
-    bases = np.empty(len(codes), dtype=np.int64)
-    sizes = np.empty(len(codes), dtype=np.int64)
-    blob_sizes = _blob_sizes(index)
-    for i, code in enumerate(codes):
-        root = index.roots[code]
-        base = index.tree_base[code]
-        blob_size = blob_sizes[code]
-        encoded = encode_tree(root, blob_size,
-                              index.config.prefix_merging)
-        blobs[base:base + blob_size] = encoded
-        bases[i] = base
-        sizes[i] = blob_size
-    return (np.array(codes, dtype=np.int64), bases, sizes,
-            np.frombuffer(bytes(blobs), dtype=np.uint8))
-
-
-def _blob_sizes(index: ErtIndex) -> "dict[int, int]":
-    """Every tree's blob size: the distance from its base to the next
-    larger base (or the region end), from one sort of the bases."""
-    starts = sorted(set(index.tree_base.values()))
-    end_of = dict(zip(starts, starts[1:] + [index.trees_region.size]))
-    return {code: end_of[base] - base
-            for code, base in index.tree_base.items()}
-
-
 def _payload(index: ErtIndex) -> "dict[str, np.ndarray]":
-    """Every array of both formats, by member name, in stored order.
-
-    A loaded index hands back the serialized trees it was opened from;
-    a built one encodes them here.  The arena comes from
-    :func:`flat_trees` either way (stored columns, or the compile).
-    """
-    stored = index.stored
-    codes, bases, sizes, blobs = (
-        (stored.codes, stored.bases, stored.sizes, stored.blobs)
-        if stored is not None else _encode_trees(index))
+    """Every array of both formats, by member name, in stored order."""
     arrays = {
         "reference": index.reference.codes,
         "entry_kind": index.entry_kind,
         "lep_bits": index.lep_bits,
         "prefix_len": index.prefix_len,
         "kmer_count": index.kmer_count,
-        "tree_codes": codes,
-        "tree_bases": bases,
-        "tree_sizes": sizes,
-        "tree_blobs": blobs,
+        # One per tree, in k-mer order (the arena's non-negative roots).
+        "tree_bases": np.array(
+            [index.tree_base[code] for code in sorted(index.tree_base)],
+            dtype=np.int64),
     }
     for length, counts in enumerate(index.prefix_counts, start=1):
         arrays[f"prefix_counts_{length}"] = counts
@@ -163,6 +116,7 @@ def _meta_dict(index: ErtIndex) -> "dict[str, object]":
     return {
         "format_version": FORMAT_VERSION,
         "reference_name": index.reference.name,
+        "trees_bytes": index.trees_region.size,
         "config": {
             "k": index.config.k,
             "max_seed_len": index.config.max_seed_len,
@@ -208,64 +162,86 @@ def _config_from_meta(meta: "Mapping[str, object]", what: str) -> ErtConfig:
             f"{what}: header carries no usable config ({exc!r})") from exc
 
 
-def _arena_columns(
-    member: "Callable[[str], np.ndarray]",
-) -> "dict[str, np.ndarray]":
-    return {name: member(ARENA_PREFIX + name) for name in ARENA_COLUMNS}
+def _stored_arena(
+    config: ErtConfig, what: str, member: "Callable[[str], np.ndarray]",
+) -> FlatTrees:
+    """The arena columns of a payload, each checked for the dtype it is
+    compiled to and for a shape that agrees with the others: a walk
+    indexes one column with what it read from another."""
+    columns = {name: member(ARENA_PREFIX + name) for name in ARENA_COLUMNS}
+    nodes = columns["kind"].shape[:1]
+    jumps = columns["jt_node"].shape[:1] + (4 ** config.table_x,)
+    shapes = {"children": nodes + (4,),
+              "roots": (config.n_entries,),
+              "table_slot": (config.n_entries,),
+              "chars_pool": (columns["chars_pool"].size,),
+              "pool": (columns["pool"].size,)}
+    for name, column in columns.items():
+        shape = shapes.get(name, jumps if name.startswith("jt_") else nodes)
+        if column.dtype != ARENA_DTYPES[name] or column.shape != shape:
+            raise IndexFormatError(
+                f"{what}: member {ARENA_PREFIX + name!r} is {column.dtype}"
+                f"{list(column.shape)}, expected {ARENA_DTYPES[name]}"
+                f"{list(shape)}; the index is corrupt")
+    return FlatTrees(k=config.k, table_x=config.table_x, **columns)
 
 
 def _assemble_index(
     meta: "Mapping[str, object]", what: str,
     member: "Callable[[str], np.ndarray]",
-    arena: "Callable[[], Mapping[str, np.ndarray]]",
 ) -> ErtIndex:
     """Build an :class:`ErtIndex` over a stored payload.
 
-    ``member(name)`` fetches one array of the payload -- the archive
+    ``member(name)`` fetches one array of the payload: the archive
     loader reads it from the file, the buffer loader hands out a
-    zero-copy view -- for everything but the arena columns; ``arena()``
-    fetches those, when :func:`flat_trees` first runs.  The tree blobs
-    are only ever *read through* (per-tree windows via
-    :func:`tree_blob_view`), never copied.
+    zero-copy view.  The arena columns become the index's arena as they
+    are; node objects are decoded from them per k-mer, when asked for.
     """
     config = _config_from_meta(meta, what)
     reference_name = meta.get("reference_name")
+    trees_bytes = meta.get("trees_bytes")
     if not isinstance(reference_name, str):
         raise IndexFormatError(f"{what}: header names no reference")
+    if not isinstance(trees_bytes, int) or trees_bytes < 0:
+        raise IndexFormatError(f"{what}: header sizes no trees region")
+    flat = _stored_arena(config, what, member)
+    codes = np.flatnonzero(flat.roots >= 0)
+    bases = member("tree_bases")
+    if bases.dtype != np.int64 or bases.shape != codes.shape:
+        raise IndexFormatError(
+            f"{what}: {bases.dtype}{list(bases.shape)} tree bases for "
+            f"{codes.size} trees; the index is corrupt")
     entry_kind = member("entry_kind")
-    stored = StoredTrees(
-        codes=member("tree_codes"), bases=member("tree_bases"),
-        sizes=member("tree_sizes"), blobs=member("tree_blobs"),
-        arena=arena)
-    codes, bases = stored.codes.tolist(), stored.bases.tolist()
-    window = dict(zip(codes, zip(bases, stored.sizes.tolist())))
+    reference = Reference(name=reference_name, codes=member("reference"))
+    text = reference.both_strands
 
     def decode(code: int) -> Node:
-        # The wire format loads with the first tree a scalar cursor asks
-        # for; the batched kernels walk the arena and never do.
-        from repro.core.serialize import decode_tree, tree_blob_view
+        # The layout model loads with the first tree a scalar cursor
+        # asks for; the batched kernels walk the arena and never do.
+        from repro.core.layout import layout_tree
 
-        base, size = window[code]
-        return decode_tree(tree_blob_view(stored.blobs, base, size))
+        root = tree_at(flat, text, int(flat.roots[code]))
+        layout_tree(root, config)
+        return root
 
     def jump_table(code: int) -> "list[JumpEntry]":
         owner = index_ref()
         assert owner is not None  # it is asking
         return build_jump_table(owner, code)
 
-    is_table = entry_kind[stored.codes] == EntryKind.TABLE
     index = ErtIndex(
-        reference=Reference(name=reference_name, codes=member("reference")),
-        config=config, entry_kind=entry_kind,
+        reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=member("lep_bits"), prefix_len=member("prefix_len"),
         kmer_count=member("kmer_count"),
-        roots=LazyByCode(codes, decode),
-        tree_base=dict(zip(codes, bases)),
-        tables=LazyByCode(stored.codes[is_table].tolist(), jump_table),
+        roots=LazyByCode(codes.tolist(), decode),
+        tree_base=dict(zip(codes.tolist(), bases.tolist())),
+        tables=LazyByCode(
+            codes[entry_kind[codes] == EntryKind.TABLE].tolist(),
+            jump_table),
         prefix_counts=[member(f"prefix_counts_{length}")
                        for length in range(1, config.k + 1)],
-        trees_bytes=int((stored.bases + stored.sizes).max(initial=0)),
-        stored=stored)
+        trees_bytes=trees_bytes)
+    index.flat = flat
     # Weak, or index -> tables -> jump_table -> index is a cycle and the
     # cyclic collector finalizes an attached index's shared-memory
     # mapping while the views into it are still alive (BufferError).
@@ -300,42 +276,28 @@ _ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
 
 
 def load_ert(path: PathLike) -> ErtIndex:
-    """Load an ERT index written by :func:`save_ert`.
-
-    The arena members are not read here: the archive stays open behind
-    the returned index until :func:`flat_trees` has read them (or the
-    index is dropped), so a scalar run never holds them.
-    """
+    """Load an ERT index written by :func:`save_ert`.  Every member is
+    read here, once; the file is closed when this returns."""
     what = os.fspath(path)
-    handle = open(path, "rb")
-    try:
-        # Not np.load: it leaves the file open when the zip is unreadable.
-        archive = np.lib.npyio.NpzFile(handle, own_fid=True,
-                                       allow_pickle=False)
-    except _ARCHIVE_ERRORS as exc:
-        handle.close()
-        raise IndexFormatError(
-            f"{what}: not a zip archive ({exc}); the file is truncated, "
-            f"corrupt or no index") from exc
-
-    def member(name: str) -> np.ndarray:
+    with open(path, "rb") as handle:
         try:
-            return archive[name]
+            archive = np.lib.npyio.NpzFile(handle, allow_pickle=False)
         except _ARCHIVE_ERRORS as exc:
             raise IndexFormatError(
-                f"{what}: member {name!r} is missing or unreadable "
-                f"({exc!r}); the file is truncated or corrupt") from exc
+                f"{what}: not a zip archive ({exc}); the file is truncated, "
+                f"corrupt or no index") from exc
 
-    def arena() -> "dict[str, np.ndarray]":
+        def member(name: str) -> np.ndarray:
+            try:
+                return archive[name]
+            except _ARCHIVE_ERRORS as exc:
+                raise IndexFormatError(
+                    f"{what}: member {name!r} is missing or unreadable "
+                    f"({exc!r}); the file is truncated or corrupt") from exc
+
         with archive:
-            return _arena_columns(member)
-
-    try:
-        meta = _parse_meta(member("meta_json").tobytes(), what)
-        return _assemble_index(meta, what, member, arena)
-    except BaseException:
-        archive.close()
-        raise
+            meta = _parse_meta(member("meta_json").tobytes(), what)
+            return _assemble_index(meta, what, member)
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +356,8 @@ def index_to_buffer(index: ErtIndex) -> bytes:
     return bytes(out)
 
 
-def index_from_buffer(buffer: BlobLike) -> ErtIndex:
+def index_from_buffer(
+        buffer: "Union[bytes, bytearray, memoryview]") -> ErtIndex:
     """Open a buffer written by :func:`index_to_buffer` as an index.
 
     Every array -- the arena's columns included -- becomes a
@@ -457,5 +420,4 @@ def index_from_buffer(buffer: BlobLike) -> ErtIndex:
             raise IndexFormatError(
                 f"buffer holds no array {name!r}") from None
 
-    return _assemble_index(meta, "buffer", member,
-                           lambda: _arena_columns(member))
+    return _assemble_index(meta, "buffer", member)

@@ -107,3 +107,10 @@ class LeafNode(Node):
             raise ValueError("one prefix character per occurrence required")
         self.positions = positions
         self.prefix_chars = prefix_chars
+
+
+def leaf_over(text: np.ndarray, positions: "tuple[int, ...]") -> LeafNode:
+    """The leaf over sorted ``positions`` of ``text``, with each
+    occurrence's preceding character read from the text."""
+    return LeafNode(positions, tuple(int(text[p - 1]) if p > 0 else -1
+                                     for p in positions))

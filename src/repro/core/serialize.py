@@ -3,8 +3,11 @@
 :mod:`repro.core.layout` assigns every node a byte offset and size; this
 module actually produces those bytes and parses them back, so the layout
 is not merely a size estimate -- every tree round-trips through its blob
-(tested structurally), and the on-disk index format
-(:mod:`repro.core.io`) stores trees exactly this way.
+(``tests/test_serialize.py``, ``tests/test_layout.py``).  That is its
+whole role: it is the reference the modelled node sizes and memsim
+addresses are held to.  No index format stores these blobs
+(:mod:`repro.core.io` stores the flat arena) and nothing on a run path
+imports this module.
 
 Wire format (little-endian):
 
@@ -33,10 +36,7 @@ Wire format (little-endian):
 
 Decoding is buffer-backed: every parse helper reads through the buffer
 protocol, so a tree can be decoded straight out of ``bytes``, a
-``memoryview`` or a ``uint8`` numpy array without copying the region
-first.  That is what lets :mod:`repro.parallel` attach trees directly
-from a ``multiprocessing.shared_memory`` segment (:func:`tree_blob_view`
-produces the zero-copy window).
+``memoryview`` or a ``uint8`` numpy array.
 """
 
 from __future__ import annotations
@@ -96,25 +96,6 @@ def _pack_bits(flags: "Sequence[bool]") -> bytes:
 def _unpack_bits(blob: BlobLike, offset: int, count: int) -> "list[bool]":
     return [bool(int(blob[offset + i // 8]) >> (i % 8) & 1)
             for i in range(count)]
-
-
-def tree_blob_view(buffer: BlobLike, base: int, size: int) -> memoryview:
-    """Zero-copy window over one tree's serialized blob.
-
-    ``buffer`` may be the whole trees region in any buffer-protocol form
-    (``bytes``, a shared-memory ``memoryview``, a ``uint8`` array); the
-    returned memoryview shares its storage, so :func:`decode_tree` over it
-    never copies the region.  This is the attach path for indexes living
-    in ``multiprocessing.shared_memory`` (see :mod:`repro.core.io`).
-    """
-    view = memoryview(buffer)
-    if view.format != "B":
-        view = view.cast("B")
-    if base < 0 or base + size > view.nbytes:
-        raise SerializeError(
-            f"blob window [{base}, {base + size}) outside buffer of "
-            f"{view.nbytes} bytes")
-    return view[base:base + size]
 
 
 def encode_tree(root: Node, blob_size: int, prefix_merging: bool) -> bytes:
@@ -185,11 +166,7 @@ def _encode_node(node: Node, prefix_merging: bool) -> bytes:
 
 def decode_tree(blob: BlobLike, root_offset: int = 0) -> Node:
     """Parse a tree blob back into node objects (offsets preserved).
-
-    ``blob`` may be any buffer-protocol object; pair with
-    :func:`tree_blob_view` to decode straight out of a shared-memory
-    segment without copying the region.
-    """
+    ``blob`` may be any buffer-protocol object."""
     return _decode_node(blob, root_offset)
 
 

@@ -218,7 +218,7 @@ class ArenaSeedingEngine(SeedingEngine):
         # The node's subtree is one contiguous run of the Euler pool.
         cursor = self.cursor
         off = cursor.pos_off[nid]
-        run = cursor.pool[off:off + cursor.pos_len[nid]]
+        run = cursor.pool[off:off + cursor.count[nid]]
         self.gather_nodes += 1
         self.gather_bytes += run.nbytes
         if not reverse:

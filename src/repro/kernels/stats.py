@@ -13,7 +13,8 @@ Two families come out of one accumulator set:
 
 * **batch totals** -- ``kernels.walk_steps``, ``kernels.gather_nodes``,
   ``kernels.gather_bytes`` (the paper's DRAM-traffic metric: leaf-pool
-  bytes the gathers touch, cross-linkable to ``repro.memsim``),
+  bytes the gathers touch, 4 per position, cross-linkable to
+  ``repro.memsim``),
   ``kernels.reseed_launches`` / ``kernels.last_launches``, plus the
   scalar-parity families
   (``seeding.*``, ``seeds.*``, ``seed.length`` / ``seed.hit_count``)
@@ -106,7 +107,7 @@ class KernelBatchStats:
         #: Euler-pool gathers performed (one per located seed), per read.
         self.gather_nodes = np.zeros(n_reads, dtype=np.int64)
         #: Euler-pool bytes those gathers touched, per read (positions
-        #: are int64, so bytes = positions * 8).
+        #: are int32, so bytes = positions * 4).
         self.gather_bytes = np.zeros(n_reads, dtype=np.int64)
         #: Round-2 reseed pivots launched, per read.
         self.reseed_launches = np.zeros(n_reads, dtype=np.int64)

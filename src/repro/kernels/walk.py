@@ -62,7 +62,7 @@ class ArenaCursor:
                  "jt_matched", "jt_lep", "jt_node", "jt_within", "jt_depth",
                  "jt_count", "kind", "children", "count", "child",
                  "chars_off", "chars_len", "leaf_text0", "pos_off",
-                 "pos_len", "pool", "chars", "text")
+                 "pool", "chars", "text")
 
     def __init__(self, index: ErtIndex, flat: FlatTrees) -> None:
         self.k = flat.k
@@ -93,9 +93,8 @@ class ArenaCursor:
         self.chars_len = memoryview(flat.chars_len)
         self.leaf_text0 = memoryview(flat.leaf_text0)
         self.pos_off = memoryview(flat.pos_off)
-        self.pos_len = memoryview(flat.pos_len)
         self.pool = memoryview(flat.pool)
-        self.chars = flat.chars_pool.astype(np.uint8).tobytes()
+        self.chars = flat.chars_pool.tobytes()
         self.text = index.text.astype(np.uint8).tobytes()
 
 

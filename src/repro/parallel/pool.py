@@ -215,8 +215,8 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
     if task != "seed":
         _extension(task, vector)
     if not vector:
-        # The scalar cursor decodes trees from their stored blobs.
-        import repro.core.serialize  # noqa: F401
+        # The scalar cursor lays out the trees it decodes.
+        import repro.core.layout  # noqa: F401
     policy = config.resolved_policy()
     recorder = telemetry.recorder()
     # Ship the parent's trace epoch through the pool initializer so

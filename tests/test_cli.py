@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -110,13 +111,20 @@ def test_align_pe(workspace, tmp_path):
     assert any(flag & 0x2 for flag in flags)  # some proper pairs
 
 
-def test_align_pe_rejects_odd_count(workspace, tmp_path):
+def test_align_pe_rejects_odd_count(workspace, tmp_path, capsys):
+    """A malformed input like any other: one line, exit 2, and refused
+    before anything is opened -- no output, no ``--log-jsonl`` sink."""
     root, _ref, _reads, index = workspace
     fq = tmp_path / "odd.fq"
     fq.write_text("@r1\nACGTACGTACGT\n+\nIIIIIIIIIIII\n")
-    with pytest.raises(SystemExit):
-        main(["align-pe", "--index", str(index), "--reads", str(fq),
-              "--out", str(tmp_path / "x.sam")])
+    sam, log = tmp_path / "x.sam", tmp_path / "log.jsonl"
+    assert main(["align-pe", "--index", str(index), "--reads", str(fq),
+                 "--out", str(sam), "--log-jsonl", str(log)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ert-repro align-pe: {fq}: ")
+    assert "even read count" in err[0]
+    assert not sam.exists() and not log.exists()
 
 
 def test_compare(workspace, capsys):
@@ -233,19 +241,37 @@ def test_build_index_writes_exactly_the_path_it_reports(workspace, capsys):
                                      "index-stats"])
 def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
                                                       capsys, command):
+    """Cut short, written by an earlier build (no reader is kept for
+    version 2: rebuild), or carrying an arena column of another width."""
     _root, _ref, reads, index = workspace
     raw = index.read_bytes()
-    cut = tmp_path / "cut.npz"
-    cut.write_bytes(raw[:len(raw) // 2])
-    argv = [command, "--index", str(cut)]
-    if command != "index-stats":
-        argv += ["--reads", str(reads), "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"ert-repro {command}: {cut}: ")
-    assert "Traceback" not in captured.err
+    with np.load(index) as archive:
+        members = {name: archive[name] for name in archive.files}
+    meta = json.loads(members["meta_json"].tobytes())
+    assert meta["format_version"] == 3
+    old = np.frombuffer(json.dumps({**meta, "format_version": 2}).encode(),
+                        dtype=np.uint8)
+    damaged = {"cut.npz": None, "v2.npz": {"meta_json": old},
+               "wide.npz": {"arena_count":
+                            members["arena_count"].astype(np.int64)}}
+    for name, changes in damaged.items():
+        bad = tmp_path / name
+        if changes is None:
+            bad.write_bytes(raw[:len(raw) // 2])
+        else:
+            np.savez(bad, **{**members, **changes})
+        argv = [command, "--index", str(bad)]
+        if command != "index-stats":
+            argv += ["--reads", str(reads), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ert-repro {command}: {bad}: ")
+        assert "Traceback" not in captured.err
+        assert ("rebuild the index with build-index" in captured.err) \
+            == (name == "v2.npz")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["seed", "align", "align-pe"])
@@ -372,8 +398,8 @@ COLD = (
     "repro.memsim.dram", "repro.core.builder", "repro.core.census",
     "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
     "repro.seeding.oracle", "repro.seeding.verify", "repro.kernels.sw",
-    "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
-    "multiprocessing", "concurrent.futures",
+    "repro.core.serialize", "repro.telemetry.export", "repro.parallel.pool",
+    "repro.parallel.shm", "multiprocessing", "concurrent.futures",
 )
 POOL = ("repro.parallel.pool", "repro.parallel.shm", "multiprocessing",
         "concurrent.futures")
@@ -436,8 +462,8 @@ def pairs_fastq(workspace):
                   "repro.extend", "repro.parallel", "repro.telemetry",
                   "repro.logging", "json")),
     ("seed", "vector", ("repro.extend.pipeline", "repro.extend.paired",
-                        "repro.kernels.traceback")),
-    ("align", "vector", ("repro.extend.paired",)),
+                        "repro.kernels.traceback", "repro.core.layout")),
+    ("align", "vector", ("repro.extend.paired", "repro.core.layout")),
     ("align-pe", "scalar", ()),
 ], ids=["parser", "seed", "align", "align-pe"])
 def test_one_worker_run_imports_only_what_it_executes(
@@ -473,6 +499,16 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
         else:
             assert set(POOL) <= set(added)
     assert outs["1"].read_bytes() == outs["2"].read_bytes()
+    # A scalar worker lays out the trees it decodes; the parent decodes
+    # none, so the layout model is there only because it was loaded
+    # before the pool existed (a forked worker imports nothing).
+    added, _proc = _modules_added_by(
+        ["align", "--index", index, "--reads", reads, "--out",
+         tmp_path / "scalar.sam", "--kernels", "scalar", "--workers", "2",
+         "--batch-size", "4"])
+    assert "repro.core.layout" in added
+    assert "repro.core.serialize" not in added
+    assert (tmp_path / "scalar.sam").read_bytes() == outs["1"].read_bytes()
 
 
 def test_observed_run_loads_the_exporters_and_writes_what_an_eager_one_does(

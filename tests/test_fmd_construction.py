@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import ErtConfig, ErtSeedingEngine, build_ert, trees_equal
+from repro.core import ErtConfig, ErtSeedingEngine, build_ert
+from repro.core.serialize import trees_equal
 from repro.seeding import SeedingParams, assert_equivalent
 from repro.sequence import GenomeSimulator, ReadSimulator
 

@@ -222,8 +222,7 @@ def test_shared_index_round_trip(reference, prefix_merging):
                                   index.reference.codes)
             assert sorted(attached.roots) == sorted(index.roots)
             for code, tree in index.roots.items():
-                assert trees_equal(attached.roots[code], tree,
-                                   check_prefix=prefix_merging)
+                assert trees_equal(attached.roots[code], tree)
         finally:
             shm = attached._shm
             del attached

@@ -7,16 +7,19 @@ from repro.core import (
     ErtConfig,
     ErtSeedingEngine,
     build_ert,
-    decode_tree,
-    encode_tree,
     load_ert,
     save_ert,
+)
+from repro.core.io import IndexFormatError
+from repro.core.layout import layout_tree, node_size
+from repro.core.nodes import DivergeNode, LeafNode, UniformNode
+from repro.core.serialize import (
+    SerializeError,
+    _decode_node,
+    decode_tree,
+    encode_tree,
     trees_equal,
 )
-from repro.core.io import IndexFormatError, _blob_sizes
-from repro.core.layout import node_size
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode
-from repro.core.serialize import SerializeError, _decode_node
 from repro.seeding import SeedingParams, seed_read
 from repro.sequence import GenomeSimulator, ReadSimulator
 
@@ -34,11 +37,16 @@ def index(ref, request):
                                     prefix_merging=request.param))
 
 
+def _blob_size(index, root):
+    """Laying a tree out again returns its blob size (and reassigns the
+    offsets it already has: the layout is a pure function of shape)."""
+    return layout_tree(root, index.config)
+
+
 def test_every_tree_roundtrips(index):
     pm = index.config.prefix_merging
-    sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob = encode_tree(root, sizes[code], pm)
+        blob = encode_tree(root, _blob_size(index, root), pm)
         back = decode_tree(blob, root.offset)
         assert trees_equal(root, back, check_prefix=pm), code
 
@@ -47,7 +55,7 @@ def test_decoded_sizes_match_size_model(index):
     pm = index.config.prefix_merging
     code = max(index.roots, key=lambda c: index.kmer_count[c])
     root = index.roots[code]
-    blob = encode_tree(root, _blob_sizes(index)[code], pm)
+    blob = encode_tree(root, _blob_size(index, root), pm)
     stack = [decode_tree(blob, root.offset)]
     while stack:
         node = stack.pop()
@@ -60,9 +68,8 @@ def test_prefix_chars_survive_roundtrip(ref):
     index = build_ert(ref, ErtConfig(k=5, max_seed_len=80,
                                      prefix_merging=True))
     checked = 0
-    sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob = encode_tree(root, sizes[code], True)
+        blob = encode_tree(root, _blob_size(index, root), True)
         back = decode_tree(blob, root.offset)
         stack_a, stack_b = [root], [back]
         while stack_a:
@@ -120,36 +127,7 @@ def test_save_load_roundtrip(tmp_path, ref, index):
     assert loaded.tree_base == index.tree_base
     assert set(loaded.tables) == set(index.tables)
     for code, root in index.roots.items():
-        assert trees_equal(root, loaded.roots[code],
-                           check_prefix=index.config.prefix_merging)
-
-
-def test_blob_sizes_keep_file_and_buffer_bytes(tmp_path, index,
-                                               monkeypatch):
-    """The one-sort ``_blob_sizes`` sizes every tree exactly as the
-    per-tree scan over all bases that it replaced, so what
-    ``save_ert`` writes and the shared-memory buffer are unchanged."""
-    from repro.core import io
-
-    def scanned(index):
-        sizes = {}
-        for code, base in index.tree_base.items():
-            larger = [b for b in index.tree_base.values() if b > base]
-            end = min(larger) if larger else index.trees_region.size
-            sizes[code] = end - base
-        return sizes
-
-    assert _blob_sizes(index) == scanned(index)
-    buffer = io.index_to_buffer(index)
-    save_ert(index, tmp_path / "sorted.npz")
-    monkeypatch.setattr(io, "_blob_sizes", scanned)
-    assert io.index_to_buffer(index) == buffer
-    save_ert(index, tmp_path / "scanned.npz")
-    with np.load(tmp_path / "sorted.npz") as new, \
-            np.load(tmp_path / "scanned.npz") as old:
-        assert new.files == old.files
-        for name in old.files:
-            assert new[name].tobytes() == old[name].tobytes(), name
+        assert trees_equal(root, loaded.roots[code])
 
 
 def test_loaded_index_seeds_identically(tmp_path, ref, index):
