@@ -43,7 +43,9 @@ SEC``; see the failure model in ``docs/performance.md``.  ``--kernels vector`` (
 ``$REPRO_KERNELS``, else scalar) routes seeding through the batched
 numpy kernels (:mod:`repro.kernels`) with byte-identical output.
 
-A malformed, missing or unreadable index, FASTA or FASTQ file, an
+A malformed, missing or unreadable index, FASTA or FASTQ file, a FASTA
+of more than one record, an index parameter ``ErtConfig`` rejects
+(``--k``, ``--max-seed-len``, ``--table-threshold``, ``--table-x``), an
 ``--out`` that cannot be written (checked before the compute starts), a
 bad ``$REPRO_KERNELS`` -- and a missing or malformed ``report
 --metrics`` / ``explain --slowlog`` file -- ends in one ``ert-repro
@@ -386,10 +388,44 @@ def _cmd_simulate_genome(args) -> int:
     return 0
 
 
-def _cmd_simulate_reads(args) -> int:
-    from repro.sequence import ReadSimulator, read_fasta, write_fastq
+class _RefusedArgument(Exception):
+    """A value a command refuses before doing any work; ``main`` reports
+    it like a bad input file: one line, exit 2."""
 
-    reference = read_fasta(args.reference)[0]
+
+def _single_reference(path: str):
+    """The one record of the FASTA file at ``path``.  The CLI has no
+    multi-contig coordinates (``MultiReference`` is library-only), so a
+    file of several records is refused rather than cut to its first."""
+    from repro.sequence import read_fasta
+
+    records = read_fasta(path)
+    if len(records) > 1:
+        raise _RefusedArgument(
+            f"{path}: holds {len(records)} FASTA records; the CLI takes a "
+            f"single-sequence reference")
+    return records[0]
+
+
+def _index_config(**flags):
+    """``ErtConfig(**flags)``, every field set by the flag of the same
+    name; a value it rejects is refused naming that flag (``ErtConfig``'s
+    messages open with the field)."""
+    from repro.core import ErtConfig
+
+    try:
+        return ErtConfig(**flags)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        named = (f"--{field.replace('_', '-')} {flags[field]}: "
+                 if field in flags else "")
+        raise _RefusedArgument(f"{named}{exc}") from None
+
+
+def _cmd_simulate_reads(args) -> int:
+    from repro.sequence import ReadSimulator, write_fastq
+
+    reference = _single_reference(args.reference)
     sim = ReadSimulator(reference, read_length=args.read_length,
                         error_read_fraction=args.error_fraction,
                         seed=args.seed)
@@ -400,14 +436,14 @@ def _cmd_simulate_reads(args) -> int:
 
 
 def _cmd_build_index(args) -> int:
-    from repro.core import ErtConfig, build_ert, save_ert
-    from repro.sequence import read_fasta
+    from repro.core import build_ert, save_ert
 
-    reference = read_fasta(args.reference)[0]
-    config = ErtConfig(k=args.k, max_seed_len=args.max_seed_len,
-                       table_threshold=args.table_threshold,
-                       table_x=args.table_x,
-                       prefix_merging=args.prefix_merging)
+    config = _index_config(k=args.k, max_seed_len=args.max_seed_len,
+                           table_threshold=args.table_threshold,
+                           table_x=args.table_x,
+                           prefix_merging=args.prefix_merging)
+    _check_writable(args.out)
+    reference = _single_reference(args.reference)
     index = build_ert(reference, config)
     save_ert(index, args.out)
     sizes = index.index_bytes()
@@ -707,15 +743,16 @@ def _cmd_explain(args) -> int:
 def _cmd_compare(args) -> int:
     from repro.analysis import format_table, measure_traffic
     from repro.seeding import SeedingParams
-    from repro.sequence import read_fasta, read_fastq
+    from repro.sequence import read_fastq
 
-    reference = read_fasta(args.reference)[0]
+    config = _index_config(k=args.k)
+    reference = _single_reference(args.reference)
     reads = [r.codes for r in read_fastq(args.reads)]
     params = SeedingParams(min_seed_len=args.min_seed_len)
     active = _telemetry_begin(args)
     rows = []
     profiles = {}
-    for name, engine, size in _comparison_engines(reference, args.k):
+    for name, engine, size in _comparison_engines(reference, config):
         profile = measure_traffic(engine, reads, params, name=name)
         profiles[name] = profile
         rows.append([name, profile.requests_per_read, profile.kb_per_read,
@@ -734,12 +771,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _comparison_engines(reference, k):
-    from repro.core import ErtConfig, ErtSeedingEngine, build_ert
+def _comparison_engines(reference, config):
+    from repro.core import ErtSeedingEngine, build_ert
     from repro.fmindex import FmdConfig, FmdIndex, FmdSeedingEngine
 
     fmd_index = FmdIndex(reference, FmdConfig.bwa_mem2())
-    ert_index = build_ert(reference, ErtConfig(k=k, max_seed_len=151))
+    ert_index = build_ert(reference, config)
     return [
         ("BWA-MEM2 (FMD)", FmdSeedingEngine(fmd_index),
          fmd_index.index_bytes()["total"]),
@@ -763,15 +800,16 @@ _COMMANDS = {
 
 
 def _input_errors() -> tuple:
-    """What a bad input file ends in: a malformed index / FASTA / FASTQ,
-    or one that cannot be opened.  ``main``'s ``except`` clause calls
-    this, i.e. only once something was raised, so the modules defining
-    the types are no start-up cost."""
+    """What a bad input ends in: a malformed index / FASTA / FASTQ, one
+    that cannot be opened, or a refused argument.  ``main``'s ``except``
+    clause calls this, i.e. only once something was raised, so the
+    modules defining the types are no start-up cost."""
     from repro.core.io import IndexFormatError
     from repro.sequence.alphabet import AlphabetError
     from repro.sequence.io import FastaError
 
-    return (IndexFormatError, FastaError, AlphabetError, OSError)
+    return (IndexFormatError, FastaError, AlphabetError, OSError,
+            _RefusedArgument)
 
 
 def main(argv: "list[str] | None" = None) -> int:

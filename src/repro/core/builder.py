@@ -2,10 +2,26 @@
 
 The paper builds the index by enumerating all 4^k k-mers and growing each
 k-mer's radix tree from a pre-built FMD-index.  Functionally the trees
-depend only on the k-mer's occurrence positions, so this builder takes the
-direct route: a vectorized scan groups every window of the double-strand
-text by k-mer code, and each group is partitioned recursively on successive
-extension characters.  The resulting structure is identical to the paper's:
+depend only on the k-mer's occurrence positions and the text after them,
+so this builder takes the direct route, one suffix sort of the
+double-strand text:
+
+* **sort** -- prefix doubling ranks every suffix by its first
+  ``k + max_ext`` characters (one ``argsort`` of the (rank, rank shifted
+  by h) pairs, packed into an int64 key, per round; ⌈log2(k + max_ext)⌉
+  rounds; the end of the text sorts before ``A``), keeping the int32 rank
+  array of every round;
+* **LCP** -- the longest common prefix of adjacent suffixes, capped at
+  ``k + max_ext``, by binary lifting over those rank levels (one
+  vectorised pass a level, highest first);
+* **group** -- a k-mer's occurrences are a maximal run of adjacent
+  suffixes with LCP >= k (a suffix shorter than k has LCP < k with both
+  neighbours, so it is never in one);
+* **emit** -- one pass per group over plain-``int`` position and LCP
+  lists.  An interval's minimum LCP is where its shared extension ends,
+  and the places it is attained are where the interval splits.
+
+The resulting structure is identical to the paper's:
 
 * merged singleton paths become UNIFORM nodes;
 * a group of size one -- or a group whose members share their entire
@@ -21,18 +37,14 @@ extension characters.  The resulting structure is identical to the paper's:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from repro.core.config import ErtConfig
 from repro.core.index import EntryKind, ErtIndex, JumpEntry
 from repro.core.layout import LayoutStats, layout_tree
-from repro.core.nodes import (
-    DivergeNode,
-    LeafNode,
-    Node,
-    UniformNode,
-    leaf_over,
-)
+from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
 from repro.core.walker import build_jump_table
 from repro.memsim.trace import AddressSpace
 from repro.sequence.reference import Reference
@@ -50,53 +62,133 @@ def rolling_codes(text: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _leaf(text: np.ndarray, positions: np.ndarray) -> LeafNode:
-    return leaf_over(text, tuple(int(p) for p in np.sort(positions)))
+def _prefix_ranks(
+    text: np.ndarray, length: int,
+) -> "tuple[list[np.ndarray], list[int], np.ndarray]":
+    """Rank every suffix of ``text`` by its first 1, 2, 4, ... and finally
+    ``length`` characters (prefix doubling).
 
-
-def _build_node(text: np.ndarray, positions: np.ndarray, depth: int,
-                k: int, cap: int) -> Node:
-    """Subtree over ``positions`` (k-mer starts) at extension ``depth``."""
-    if positions.size == 1 or depth >= cap:
-        return _leaf(text, positions)
-    # Collect the longest shared singleton run starting at `depth`.
-    run = []
-    d = depth
+    Returns the rank level of every round, each int32 of ``n + 1`` entries
+    (equal ranks iff equal prefixes; entry ``n``, the empty suffix, is 0 and
+    every real rank is >= 1, so the end of the text sorts before ``A``),
+    the prefix length each level ranks by, and the suffix order of the
+    last round.  Suffixes that tie on all ``length`` characters come in
+    no particular order.
+    """
     n = int(text.size)
-    while d < cap:
-        ext = positions + k + d
-        if int(ext.max()) >= n:
-            break  # someone's extension string terminates here
-        chars = text[ext]
-        first = int(chars[0])
-        if not (chars == first).all():
-            break  # divergence
-        run.append(first)
-        d += 1
-    if d >= cap:
-        child: Node = _leaf(text, positions)
-    else:
-        child = _build_diverge(text, positions, d, k, cap)
-    if run:
-        return UniformNode(np.array(run, dtype=np.uint8), child,
-                           int(positions.size))
-    return child
+    rank = np.zeros(n + 1, dtype=np.int32)
+    rank[:n] = text
+    rank[:n] += 1
+    levels = [rank]
+    spans = [1]
+    order = np.arange(n)  # replaced by the first round (length >= 2)
+    span = 1
+    while span < length:
+        # Overlapping windows: (first span chars, chars [shift, shift +
+        # span)) spell exactly the first span + shift characters.  The
+        # pair is packed into one int64 key (ranks are <= n).
+        shift = min(span, length - span)
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[:max(n - shift, 0)] += rank[shift:n]
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        rank = np.zeros(n + 1, dtype=np.int32)
+        rank[order] = np.cumsum(new, dtype=np.int32)
+        span += shift
+        levels.append(rank)
+        spans.append(span)
+    return levels, spans, order
 
 
-def _build_diverge(text: np.ndarray, positions: np.ndarray, depth: int,
-                   k: int, cap: int) -> DivergeNode:
-    ext = positions + k + depth
-    alive_mask = ext < text.size
-    ended = tuple(int(p) for p in np.sort(positions[~alive_mask]))
-    alive = positions[alive_mask]
-    children: "dict[int, Node]" = {}
-    if alive.size:
-        chars = text[alive + k + depth]
-        for c in range(4):
-            sub = alive[chars == c]
-            if sub.size:
-                children[c] = _build_node(text, sub, depth + 1, k, cap)
-    return DivergeNode(children, ended, int(positions.size))
+def _pair_lcp(levels: "list[np.ndarray]", spans: "list[int]",
+              a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Longest common prefix of suffixes ``a[i]`` and ``b[i]`` (distinct
+    positions), capped at ``spans[-1]``.
+
+    Binary lifting, highest level first: the top level answers "all
+    ``spans[-1]`` characters equal"; below it the levels are powers of two
+    and the uncapped remainder is below twice the largest of them.  Two
+    distinct suffixes that matched ``lcp`` characters both have at least
+    ``lcp`` of them, so ``a + lcp`` and ``b + lcp`` stay within the
+    ``n + 1`` rank entries.
+    """
+    full = levels[-1][a] == levels[-1][b]
+    lcp = np.where(full, spans[-1], 0).astype(np.int32)
+    for rank, span in zip(levels[-2::-1], spans[-2::-1]):
+        same = rank[a + lcp] == rank[b + lcp]
+        same &= ~full
+        lcp[same] += span
+    return lcp
+
+
+class _NodePass:
+    """The node pass over k-mer groups: every group's members in suffix
+    order and the extension LCP (LCP - k, capped at ``max_ext``) of each
+    member with the one before it, as plain ``int`` lists."""
+
+    def __init__(self, text: np.ndarray, k: int, cap: int,
+                 positions: "list[int]", ext: "list[int]") -> None:
+        self.text = text
+        # Indexing bytes yields an int without a numpy scalar round trip.
+        self.chars = text.tobytes()
+        self.k = k
+        self.cap = cap
+        self.pos = positions
+        self.ext = ext
+
+    def node(self, lo: int, hi: int, depth: int) -> Node:
+        """Subtree over members ``lo:hi``, which share ``depth`` extension
+        characters."""
+        if hi - lo == 1:
+            return self._leaf(lo, hi)
+        # The shared run ends where the interval's minimum LCP says (at
+        # ``max_ext`` at the latest: the LCPs are capped there).
+        m = min(self.ext[lo + 1:hi])
+        child = (self._leaf(lo, hi) if m >= self.cap
+                 else self._diverge(lo, hi, m))
+        if m == depth:
+            return child
+        start = self.pos[lo] + self.k
+        return UniformNode(self.text[start + depth:start + m].copy(), child,
+                           hi - lo)
+
+    def _leaf(self, lo: int, hi: int) -> LeafNode:
+        """The leaf over members ``lo:hi``: what
+        :func:`repro.core.nodes.leaf_over` makes, reading the preceding
+        characters from the bytes copy."""
+        positions = (tuple(sorted(self.pos[lo:hi])) if hi - lo > 1
+                     else (self.pos[lo],))
+        chars = self.chars
+        return LeafNode(positions,
+                        tuple([chars[p - 1] if p else -1 for p in positions]))
+
+    def _diverge(self, lo: int, hi: int, depth: int) -> DivergeNode:
+        """Branch of members ``lo:hi`` after ``depth`` shared characters:
+        the sub-intervals split where the LCP equals ``depth``."""
+        pos = self.pos
+        ext = self.ext
+        ended: "tuple[int, ...]" = ()
+        start = lo
+        # A suffix whose extension ends here is a prefix of the next one,
+        # so it sorts first; distinct positions allow at most one.
+        if pos[lo] + self.k + depth == len(self.chars):
+            ended = (pos[lo],)
+            start += 1
+        children: "dict[int, Node]" = {}
+        while start < hi:
+            try:
+                stop = ext.index(depth, start + 1, hi)
+            except ValueError:
+                stop = hi
+            char = self.chars[pos[start] + self.k + depth]
+            children[char] = self.node(start, stop, depth + 1)
+            start = stop
+        return DivergeNode(children, ended, hi - lo)
 
 
 def _entry_metadata(
@@ -127,6 +219,37 @@ def _entry_metadata(
     return lep_bits, prefix_len, kmer_count, counts_by_len
 
 
+def _kmer_groups(
+    reference: Reference, config: ErtConfig, method: str,
+) -> "tuple[list[int], list[int], _NodePass]":
+    """Every occurring k-mer's code, ascending, the member bounds of its
+    group (group ``i`` is members ``bounds[i]:bounds[i + 1]``) and the
+    node pass over those groups."""
+    text = reference.both_strands
+    k = config.k
+    levels, spans, order = _prefix_ranks(text, config.max_seed_len)
+    if method == "fmd":
+        codes, found = _occurrences_via_fmd(reference, k)
+        sizes = [group.size for group in found]
+        members = np.concatenate(found) if found else order[:0]
+        members = members[np.lexsort((
+            levels[-1][members], np.repeat(np.arange(len(sizes)), sizes)))]
+        bounds = np.cumsum([0] + sizes)
+        lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
+    else:
+        # Suffixes of at least k characters, in suffix order.
+        members = order[order <= text.size - k]
+        lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
+        bounds = np.append(np.flatnonzero(np.concatenate(
+            ([members.size > 0], lcp < k))), members.size)
+        codes = rolling_codes(text, k)[members[bounds[:-1]]].tolist()
+    del levels, order
+    ext = [0]
+    ext += (lcp - k).tolist()
+    return (codes, bounds.tolist(),
+            _NodePass(text, k, config.max_ext, members.tolist(), ext))
+
+
 def build_ert(reference: Reference, config: "ErtConfig | None" = None,
               space: "AddressSpace | None" = None,
               method: str = "scan") -> ErtIndex:
@@ -134,34 +257,25 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
 
     ``method`` selects how k-mer occurrences are enumerated:
 
-    * ``"scan"`` (default) -- a vectorized sliding-window scan of the
-      double-strand text;
+    * ``"scan"`` (default) -- the runs of the suffix sort whose adjacent
+      LCPs reach k;
     * ``"fmd"`` -- the paper's own construction path (§III-A3: "built by
       first enumerating all possible k-mers and then querying a pre-built
       FMD-index"), kept as a structurally independent cross-check: both
       methods must produce identical indexes
       (``tests/test_fmd_construction.py``).
+
+    Either way the groups, ordered by the same suffix ranks, go through
+    the one node pass.
     """
     config = config or ErtConfig()
+    if method not in ("scan", "fmd"):
+        raise ValueError(f"unknown construction method {method!r}")
     text = reference.both_strands
-    k = config.k
-    cap = config.max_ext
 
     lep_bits, prefix_len, kmer_count, counts_by_len = _entry_metadata(
         text, config)
-
-    if method == "fmd":
-        starts, ends, sorted_codes, order = _occurrences_via_fmd(
-            reference, k)
-    elif method == "scan":
-        codes = rolling_codes(text, k)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_codes.size]))
-    else:
-        raise ValueError(f"unknown construction method {method!r}")
+    codes, bounds, node_pass = _kmer_groups(reference, config, method)
 
     entry_kind = np.zeros(config.n_entries, dtype=np.uint8)
     roots: "dict[int, Node]" = {}
@@ -170,21 +284,27 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
     trees_bytes = 0
     table_codes = []
 
-    for lo, hi in zip(starts, ends):
-        code = int(sorted_codes[lo])
-        positions = np.sort(order[lo:hi])
-        root = _build_node(text, positions, 0, k, cap)
-        roots[code] = root
-        if isinstance(root, LeafNode):
-            entry_kind[code] = EntryKind.LEAF
-        elif config.multilevel and positions.size > config.table_threshold:
-            entry_kind[code] = EntryKind.TABLE
-            table_codes.append(code)
-        else:
-            entry_kind[code] = EntryKind.TREE
-        blob = layout_tree(root, config, layout_stats)
-        tree_base[code] = trees_bytes
-        trees_bytes += blob
+    # The forest is acyclic, so the cyclic collector finds nothing in it;
+    # left on, it rescans the growing heap (a third of a 200 kbp build).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for code, lo, hi in zip(codes, bounds, bounds[1:]):
+            root = node_pass.node(lo, hi, 0)
+            roots[code] = root
+            if isinstance(root, LeafNode):
+                entry_kind[code] = EntryKind.LEAF
+            elif config.multilevel and hi - lo > config.table_threshold:
+                entry_kind[code] = EntryKind.TABLE
+                table_codes.append(code)
+            else:
+                entry_kind[code] = EntryKind.TREE
+            blob = layout_tree(root, config, layout_stats)
+            tree_base[code] = trees_bytes
+            trees_bytes += blob
+    finally:
+        if collecting:
+            gc.enable()
 
     # Filled below: a jump table is precomputed by walking the index.
     tables: "dict[int, list[JumpEntry]]" = {code: [] for code in table_codes}
@@ -202,13 +322,13 @@ def build_ert(reference: Reference, config: "ErtConfig | None" = None,
 
 def _occurrences_via_fmd(
     reference: Reference, k: int,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[list[int], list[np.ndarray]]":
     """Enumerate per-k-mer occurrence groups by FMD-index queries.
 
     This mirrors the paper's construction: every possible k-mer is looked
     up in a pre-built FMD-index of the reference; existing ones have
-    their suffix-array interval located.  Returns the same
-    (starts, ends, sorted_codes, order) shape the scan path produces.
+    their suffix-array interval located.  Returns the codes that occur,
+    ascending, and each one's sorted positions.
     """
     from repro.fmindex.fmd import FmdIndex
 
@@ -226,19 +346,4 @@ def _occurrences_via_fmd(
         if positions:
             groups.append(np.array(sorted(positions), dtype=np.int64))
             codes.append(code)
-    starts = []
-    ends = []
-    order_parts = []
-    total = 0
-    sorted_codes = []
-    for code, positions in zip(codes, groups):
-        starts.append(total)
-        total += positions.size
-        ends.append(total)
-        order_parts.append(positions)
-        sorted_codes.extend([code] * positions.size)
-    order = (np.concatenate(order_parts) if order_parts
-             else np.empty(0, dtype=np.int64))
-    return (np.array(starts, dtype=np.int64),
-            np.array(ends, dtype=np.int64),
-            np.array(sorted_codes, dtype=np.int64), order)
+    return codes, groups

@@ -335,6 +335,77 @@ def test_sequence_before_first_fasta_header_is_a_typed_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("build-index", ["--k", "20"], "--k 20: "),
+    ("build-index", ["--k", "1"], "--k 1: "),
+    ("build-index", ["--k", "6", "--max-seed-len", "400"],
+     "--max-seed-len 400: "),
+    ("build-index", ["--k", "6", "--max-seed-len", "6"], "--max-seed-len 6: "),
+    ("build-index", ["--table-x", "0"], "--table-x 0: "),
+    ("build-index", ["--table-threshold", "1"], "--table-threshold 1: "),
+    ("compare", ["--k", "20"], "--k 20: "),
+], ids=["k-20", "k-1", "span-over-255", "span-0", "table-x-0",
+        "table-threshold-1", "compare-k-20"])
+def test_bad_index_parameter_is_one_line_naming_the_flag(
+        workspace, tmp_path, capsys, monkeypatch, command, flags, named):
+    """Not a ``ValueError`` traceback from ``ErtConfig``: refused before
+    the reference is read or anything is built."""
+    _root, ref, reads, _index = workspace
+    import repro.core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the parameters were checked")
+    monkeypatch.setattr(repro.core, "build_ert", refuse)
+    out = tmp_path / "idx.npz"
+    argv = [command, "--reference", str(ref)] + flags
+    argv += (["--out", str(out)] if command == "build-index"
+             else ["--reads", str(reads)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro {command}: {named}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-index", "simulate-reads",
+                                     "compare"])
+def test_multi_record_fasta_is_refused_not_truncated(workspace, tmp_path,
+                                                     capsys, command):
+    """The CLI has no multi-contig coordinates: a second record must not
+    be dropped silently."""
+    _root, _ref, reads, _index = workspace
+    two = tmp_path / "two.fa"
+    two.write_text(">a\n" + "ACGTTGCA" * 4 + "\n>b\nTTTTGGGGCCCCAAAA\n")
+    out = tmp_path / "out"
+    argv = [command, "--reference", str(two)]
+    argv += {"build-index": ["--k", "4", "--out", str(out)],
+             "simulate-reads": ["--count", "3", "--out", str(out)],
+             "compare": ["--k", "4", "--reads", str(reads)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ert-repro {command}: {two}: holds 2 FASTA "
+                            f"records; the CLI takes a single-sequence "
+                            f"reference\n")
+    assert not out.exists()
+
+
+def test_build_index_checks_out_before_building(workspace, tmp_path, capsys,
+                                                monkeypatch):
+    _root, ref, _reads, _index = workspace
+    import repro.core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before --out was checked")
+    monkeypatch.setattr(repro.core, "build_ert", refuse)
+    out = tmp_path / "nodir" / "idx.npz"
+    assert main(["build-index", "--reference", str(ref), "--k", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ert-repro build-index: {out}: No such file or directory\n")
+
+
 #: What a read-driven subcommand shares with the other two; anything
 #: else on it is that command's own I/O.
 SHARED_RUN_OPTIONS = {

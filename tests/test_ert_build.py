@@ -1,14 +1,24 @@
-"""Tests for ERT construction: entry metadata, trees, tables, sizes."""
+"""Tests for ERT construction: entry metadata, trees, tables, sizes, and
+the suffix-sort constructor against the recursive one it replaced."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ErtConfig, EntryKind, build_ert
-from repro.core.builder import rolling_codes
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode
+from repro.core import ErtConfig, EntryKind, LayoutPolicy, build_ert, save_ert
+from repro.core.builder import _entry_metadata, rolling_codes
+from repro.core.index import ErtIndex
+from repro.core.layout import LayoutStats, layout_tree
+from repro.core.nodes import DivergeNode, LeafNode, UniformNode, leaf_over
+from repro.core.serialize import trees_equal
+from repro.core.walker import build_jump_table
 from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import decode
+from repro.sequence.multi import MultiReference
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +207,243 @@ def test_multilevel_off_has_no_tables(ref):
     assert not index.tables
     assert not np.any(index.entry_kind == EntryKind.TABLE)
     assert index.tables_region.size == 0
+
+
+def test_reference_shorter_than_k_builds_an_empty_forest():
+    index = build_ert(Reference("r", np.array([1], dtype=np.uint8)),
+                      ErtConfig(k=4, max_seed_len=10))
+    assert not index.roots
+    assert not np.any(index.entry_kind != EntryKind.EMPTY)
+
+
+# ----------------------------------------------------------------------
+# The oracle: the recursive constructor the suffix-sort pass replaced,
+# kept verbatim, with the build loop around it.
+# ----------------------------------------------------------------------
+
+
+def _leaf(text, positions):
+    return leaf_over(text, tuple(int(p) for p in np.sort(positions)))
+
+
+def _build_node(text, positions, depth, k, cap):
+    """Subtree over ``positions`` (k-mer starts) at extension ``depth``."""
+    if positions.size == 1 or depth >= cap:
+        return _leaf(text, positions)
+    # Collect the longest shared singleton run starting at `depth`.
+    run = []
+    d = depth
+    n = int(text.size)
+    while d < cap:
+        ext = positions + k + d
+        if int(ext.max()) >= n:
+            break  # someone's extension string terminates here
+        chars = text[ext]
+        first = int(chars[0])
+        if not (chars == first).all():
+            break  # divergence
+        run.append(first)
+        d += 1
+    if d >= cap:
+        child = _leaf(text, positions)
+    else:
+        child = _build_diverge(text, positions, d, k, cap)
+    if run:
+        return UniformNode(np.array(run, dtype=np.uint8), child,
+                           int(positions.size))
+    return child
+
+
+def _build_diverge(text, positions, depth, k, cap):
+    ext = positions + k + depth
+    alive_mask = ext < text.size
+    ended = tuple(int(p) for p in np.sort(positions[~alive_mask]))
+    alive = positions[alive_mask]
+    children = {}
+    if alive.size:
+        chars = text[alive + k + depth]
+        for c in range(4):
+            sub = alive[chars == c]
+            if sub.size:
+                children[c] = _build_node(text, sub, depth + 1, k, cap)
+    return DivergeNode(children, ended, int(positions.size))
+
+
+def oracle_build_ert(reference, config):
+    """``build_ert`` before the suffix sort: rolling-code groups, each
+    partitioned recursively; entry kinds, layout and jump tables as in
+    the production builder."""
+    text = reference.both_strands
+    k = config.k
+    cap = config.max_ext
+    lep_bits, prefix_len, kmer_count, counts_by_len = _entry_metadata(
+        text, config)
+    codes = rolling_codes(text, k)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [sorted_codes.size]))
+
+    entry_kind = np.zeros(config.n_entries, dtype=np.uint8)
+    roots = {}
+    tree_base = {}
+    layout_stats = LayoutStats()
+    trees_bytes = 0
+    table_codes = []
+    for lo, hi in zip(starts, ends):
+        code = int(sorted_codes[lo])
+        positions = np.sort(order[lo:hi])
+        root = _build_node(text, positions, 0, k, cap)
+        roots[code] = root
+        if isinstance(root, LeafNode):
+            entry_kind[code] = EntryKind.LEAF
+        elif config.multilevel and positions.size > config.table_threshold:
+            entry_kind[code] = EntryKind.TABLE
+            table_codes.append(code)
+        else:
+            entry_kind[code] = EntryKind.TREE
+        blob = layout_tree(root, config, layout_stats)
+        tree_base[code] = trees_bytes
+        trees_bytes += blob
+
+    tables = {code: [] for code in table_codes}
+    index = ErtIndex(
+        reference=reference, config=config, entry_kind=entry_kind,
+        lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
+        roots=roots, tree_base=tree_base, tables=tables,
+        prefix_counts=counts_by_len, trees_bytes=trees_bytes,
+        layout_stats=layout_stats)
+    for code in table_codes:
+        tables[code] = build_jump_table(index, code)
+    return index
+
+
+def _assert_same_build(got, want):
+    assert list(got.roots) == list(want.roots)
+    for code, root in want.roots.items():
+        assert trees_equal(got.roots[code], root, check_prefix=True), code
+    assert np.array_equal(got.entry_kind, want.entry_kind)
+    assert got.tree_base == want.tree_base
+    assert got.trees_region.size == want.trees_region.size
+    assert got.index_bytes() == want.index_bytes()
+
+
+# Adversarial texts, each a list of 2-bit codes (the reference strand;
+# the index is built over it and its reverse complement).
+_BASES = st.integers(0, 3)
+
+
+@st.composite
+def _homopolymer(draw, k, span):
+    text = [draw(_BASES)] * draw(st.integers(3, 80))
+    for i in draw(st.lists(st.integers(0, len(text) - 1), max_size=3)):
+        text[i] = draw(_BASES)
+    return text
+
+
+@st.composite
+def _tandem_repeat(draw, k, span):
+    unit = draw(st.lists(_BASES, min_size=1, max_size=6))
+    return (unit * draw(st.integers(3, 20))
+            + draw(st.lists(_BASES, max_size=3)))
+
+
+@st.composite
+def _two_letters(draw, k, span):
+    # (0, 3) and (1, 2) are closed under reverse complement.
+    pair = draw(st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]))
+    return draw(st.lists(st.sampled_from(pair), min_size=3, max_size=80))
+
+
+@st.composite
+def _mutated_blocks(draw, k, span):
+    block = draw(st.lists(_BASES, min_size=4, max_size=25))
+    text = []
+    for _ in range(draw(st.integers(2, 4))):
+        copy = list(block)
+        for i in draw(st.lists(st.integers(0, len(block) - 1), max_size=2)):
+            copy[i] = draw(_BASES)
+        text += copy + draw(st.lists(_BASES, max_size=3))
+    return text
+
+
+@st.composite
+def _shorter_than_span(draw, k, span):
+    return draw(st.lists(_BASES, min_size=3, max_size=max(3, span - 1)))
+
+
+@st.composite
+def _ends_in_a_repeat(draw, k, span):
+    """``B + middle + revcomp(B)``: the double-strand text ends in
+    ``revcomp(B)``, which also occurs mid-text, so an extension that
+    reaches the end sits beside ones that continue (``ended``)."""
+    block = draw(st.lists(_BASES, min_size=k, max_size=k + 8))
+    middle = draw(st.lists(_BASES, max_size=10))
+    return block + middle + [3 - c for c in reversed(block)]
+
+
+@st.composite
+def _repeat_at_the_cap(draw, k, span):
+    """Two copies of a block ``k + max_ext`` +- 1 long: shared runs that
+    stop one short of, exactly at, or beyond ``max_ext``."""
+    length = span + draw(st.integers(-1, 1))
+    block = draw(st.lists(_BASES, min_size=length, max_size=length))
+    return (block + draw(st.lists(_BASES, min_size=1, max_size=4)) + block
+            + draw(st.lists(_BASES, max_size=2)))
+
+
+_KINDS = [_homopolymer, _tandem_repeat, _two_letters, _mutated_blocks,
+          _shorter_than_span, _ends_in_a_repeat, _repeat_at_the_cap]
+
+
+@st.composite
+def _adversarial_builds(draw):
+    k = draw(st.integers(2, 6))
+    config = ErtConfig(k=k, max_seed_len=k + draw(st.integers(1, 10)),
+                       table_threshold=draw(st.integers(2, 8)),
+                       table_x=draw(st.integers(1, 2)),
+                       prefix_merging=draw(st.booleans()))
+    text = draw(draw(st.sampled_from(_KINDS))(k, config.max_seed_len))
+    return Reference("adversarial", np.array(text, dtype=np.uint8)), config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_adversarial_builds())
+def test_suffix_sort_build_equals_the_recursive_oracle(case):
+    reference, config = case
+    _assert_same_build(build_ert(reference, config),
+                       oracle_build_ert(reference, config))
+
+
+def _read_archive(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+@pytest.mark.parametrize("prefix_merging", [False, True],
+                         ids=["plain", "merged"])
+@pytest.mark.parametrize("layout", list(LayoutPolicy),
+                         ids=lambda layout: layout.value)
+@pytest.mark.parametrize("reference, config", [
+    (GenomeSimulator(seed=2021).generate(10_000),
+     ErtConfig(k=6, table_threshold=24, table_x=2)),
+    (MultiReference([GenomeSimulator(seed=40 + i).generate(
+        600 + 300 * i, name=f"chr{i + 1}") for i in range(3)]).concatenated,
+     ErtConfig(k=4, max_seed_len=60, table_threshold=8, table_x=2)),
+], ids=["10kbp-k6", "multi-contig-k4"])
+def test_saved_index_equals_the_oracle_member_for_member(
+        tmp_path, reference, config, layout, prefix_merging):
+    config = dataclasses.replace(config, layout=layout,
+                                 prefix_merging=prefix_merging)
+    built = build_ert(reference, config)
+    assert (built.entry_kind == EntryKind.TABLE).any()
+    save_ert(built, tmp_path / "built.npz")
+    save_ert(oracle_build_ert(reference, config), tmp_path / "oracle.npz")
+    got = _read_archive(tmp_path / "built.npz")
+    want = _read_archive(tmp_path / "oracle.npz")
+    assert sorted(got) == sorted(want)
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype, name
+        assert got[name].shape == value.shape, name
+        assert np.array_equal(got[name], value), name
