@@ -7,8 +7,8 @@
 * :mod:`repro.core.builder` -- index construction (§III-A3).
 * :mod:`repro.core.index` -- the built :class:`ErtIndex`: enumerated index
   table with LEP bits, per-k-mer radix trees, byte-accurate regions.
-* :mod:`repro.core.layout` -- node serialization and the tiled layout
-  (§III-D), plus DFS/BFS alternatives for the ablation bench.
+* :mod:`repro.core.layout` -- node sizes and the tiled layout (§III-D),
+  plus DFS/BFS alternatives for the ablation bench, over the arena.
 * :mod:`repro.core.walker` -- forward walks, leaf gathering, traffic tags.
 * :mod:`repro.core.engine` -- :class:`ErtSeedingEngine` (with the §III-B
   prefix-merged backward sweep and the §III-F pruning inherited from the
@@ -19,9 +19,9 @@
 * :mod:`repro.core.arena`, :mod:`repro.core.io` -- what an index is
   stored as: the structure-of-arrays arena the batched kernels walk
   (and node objects are decoded from), and the archive / shared-buffer
-  formats that hold it.  :mod:`repro.core.serialize` is the paper's
-  per-tree wire format, kept as the reference the layout model's node
-  sizes are tested against; nothing stores it or imports it.
+  formats that hold it.  The paper's per-tree wire format, the
+  reference the layout model's node sizes are tested against, lives
+  with the tests (``tests/serialize.py``); nothing stores it.
 """
 
 from typing import TYPE_CHECKING

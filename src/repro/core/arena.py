@@ -1,9 +1,8 @@
 """Structure-of-arrays form of the ERT radix trees: the flat arena.
 
-The object trees of :mod:`repro.core.builder` are linked Python objects,
-made one decode at a time.  The arena is the same forest as parallel
-numpy arrays, one row per node, which a walk can index by node id
-without making an object (:mod:`repro.kernels.walk`):
+The arena is the forest as parallel numpy arrays, one row per node,
+which a walk can index by node id without making an object
+(:mod:`repro.kernels.walk`):
 
 * ``kind``: DIVERGE / UNIFORM / LEAF discriminant;
 * ``count``: occurrences below the node (LEP + min-hit checks);
@@ -19,23 +18,25 @@ without making an object (:mod:`repro.kernels.walk`):
   order.  ``gather(nid)`` is therefore one slice + sort instead of the
   scalar cursor's recursive DFS.
 
-Second-level jump tables (§III-E) are translated into dense ``(n_tables,
-4^x)`` arrays so a walk resolves the x-character jump with one lookup.
+Nodes are numbered in preorder, children in character order.  Second-
+level jump tables (§III-E) are dense ``(n_tables, 4^x)`` arrays so a walk
+resolves the x-character jump with one lookup; :func:`jump_columns`
+computes them by walking the columns.
 
-The arena is the only form the forest is stored in
-(:mod:`repro.core.io`).  It is compiled from node objects in exactly one
-place, :func:`flat_trees` on a *built* index, and that place fixes every
-column's width (:data:`ARENA_DTYPES`): ``kind`` and ``chars_pool`` are
-uint8, everything that holds a node id, an offset, a count or a text
-position is int32, and a forest that does not fit is an
-:class:`ArenaLimitError`, not a wider column.  A *loaded* index carries
-the stored columns as they lie (read-only views into the shared-memory
-segment in a pool worker, so N workers walk one physical arena); the
-batched kernels walk them and make no node object, and the scalar
-cursor's node objects are decoded from them one k-mer at a time
-(:func:`tree_at`).  The module lives in :mod:`repro.core` rather
-than next to its consumers in :mod:`repro.kernels` because the index
-writers need it and core may not import the kernels (ERT005).
+The arena is the only form the forest is built and stored in.
+:mod:`repro.core.builder` emits the columns straight from the suffix
+sort's LCP intervals, at the widths :data:`ARENA_DTYPES` fixes: ``kind``
+and ``chars_pool`` are uint8, everything that holds a node id, an
+offset, a count or a text position is int32, and a forest that does not
+fit is an :class:`ArenaLimitError` (:func:`check_fits`), not a wider
+column.  A loaded index carries the stored columns as they lie
+(read-only views into the shared-memory segment in a pool worker, so N
+workers walk one physical arena).  The batched kernels walk them and
+make no node object; the scalar cursor's node objects are decoded from
+them one k-mer at a time (:func:`tree_at`).  The module lives in
+:mod:`repro.core` rather than next to its consumers in
+:mod:`repro.kernels` because the builder and the index formats need it
+and core may not import the kernels (ERT005).
 
 States are *eagerly settled*: where the scalar cursor defers a child
 fetch (``pending`` / exhausted uniform run), the flat form lands on the
@@ -48,18 +49,15 @@ when no memory tracer is attached, so the flat walk is free to skip it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.core.index import ErtIndex
-from repro.core.nodes import (
-    DivergeNode,
-    LeafNode,
-    Node,
-    UniformNode,
-    leaf_over,
-)
-from repro.core.walker import WalkState
+from repro.core.nodes import DivergeNode, Node, UniformNode, leaf_over
+
+if TYPE_CHECKING:
+    from repro.core.layout import ForestLayout
 
 KIND_DIVERGE = 0
 KIND_UNIFORM = 1
@@ -122,158 +120,128 @@ ARENA_DTYPES = {
 
 
 def flat_trees(index: ErtIndex) -> FlatTrees:
-    """The arena of ``index`` (cached on it).  A loaded index was given
-    its stored columns when it was assembled; a built one compiles
-    here, once."""
-    if index.flat is None:
-        index.flat = _compile(index)
+    """The arena of ``index``: every built, loaded or attached index is
+    assembled over one (:mod:`repro.core.io`)."""
+    assert index.flat is not None, "an index is assembled over its arena"
     return index.flat
 
 
-def tree_at(flat: FlatTrees, text: np.ndarray, nid: int) -> Node:
-    """The node objects of the subtree at arena node ``nid``, equal to
-    what the builder made it from (``text`` is the double-strand text:
-    a leaf's prefix characters are read from it, as the builder reads
-    them).  Offsets are not stored: lay the tree out again
-    (:func:`repro.core.layout.layout_tree`) for the ones it was built
-    with."""
-    kind = int(flat.kind[nid])
-    count = int(flat.count[nid])
-    off = int(flat.pos_off[nid])
-    if kind == KIND_LEAF:
-        return leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
-    if kind == KIND_UNIFORM:
-        start = int(flat.chars_off[nid])
-        chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
-        below = tree_at(flat, text, int(flat.child[nid]))
-        return UniformNode(chars, below, count)
-    children = {c: tree_at(flat, text, child)
-                for c, child in enumerate(flat.children[nid].tolist())
-                if child >= 0}
-    # The pool run of a DIVERGE node opens with its own terminations;
-    # its children's runs follow.
-    ended = count - sum(child.count for child in children.values())
-    return DivergeNode(children,
-                       tuple(flat.pool[off:off + ended].tolist()), count)
-
-
-def _settle_nid(kind: "list[int]", chars_len: "list[int]",
-                child: "list[int]", nid: int, within: int) -> "tuple[int, int]":
-    """Eagerly descend through exhausted uniform runs (see module doc)."""
-    while kind[nid] == KIND_UNIFORM and within == chars_len[nid]:
-        nid = child[nid]
-        within = 0
-    return nid, within
-
-
-def _compile(index: ErtIndex) -> FlatTrees:
-    """Number every node in preorder (children in character order, so
-    the pool fills in the scalar DFS's order) and emit one row each."""
-    kind: "list[int]" = []
-    count: "list[int]" = []
-    children: "list[int]" = []  # four slots per node
-    child: "list[int]" = []
-    chars_off: "list[int]" = []
-    chars_len: "list[int]" = []
-    chars_pool: "list[int]" = []
-    leaf_text0: "list[int]" = []
-    pos_off: "list[int]" = []
-    pool: "list[int]" = []
-    # Jump entries name nodes of their tree; keyed by the node objects
-    # themselves (identity hash), for TABLE trees only.
-    nid_of: "dict[Node, int]" = {}
-
-    n_entries = 4 ** index.config.k
-    roots = np.full(n_entries, -1, dtype=_ID)
-    for code in sorted(index.roots):
-        roots[code] = len(kind)
-        has_table = code in index.tables
-        # (node, slot of `children` that names it; -1 for a root or a
-        # uniform node's child, which is simply the next id).
-        stack: "list[tuple[Node, int]]" = [(index.roots[code], -1)]
-        while stack:
-            node, slot = stack.pop()
-            nid = len(kind)
-            if slot >= 0:
-                children[slot] = nid
-            if has_table:
-                nid_of[node] = nid
-            count.append(int(node.count))
-            pos_off.append(len(pool))
-            children.extend((-1, -1, -1, -1))
-            if isinstance(node, LeafNode):
-                kind.append(KIND_LEAF)
-                child.append(-1)
-                chars_off.append(0)
-                chars_len.append(0)
-                leaf_text0.append(int(node.positions[0]))
-                pool.extend(node.positions)
-            elif isinstance(node, UniformNode):
-                kind.append(KIND_UNIFORM)
-                child.append(nid + 1)
-                chars_off.append(len(chars_pool))
-                chars_len.append(int(node.chars.size))
-                chars_pool.extend(node.chars.tolist())
-                leaf_text0.append(-1)
-                stack.append((node.child, -1))
-            else:
-                assert isinstance(node, DivergeNode)
-                kind.append(KIND_DIVERGE)
-                child.append(-1)
-                chars_off.append(0)
-                chars_len.append(0)
-                leaf_text0.append(-1)
-                pool.extend(node.ended)
-                for c in sorted(node.children, reverse=True):
-                    stack.append((node.children[c], 4 * nid + c))
-
-    # Jump tables: dense (n_tables, 4^x) arrays in slot order.
-    x = index.config.table_x
-    shape = (max(len(index.tables), 1), 4 ** x)
-    table_slot = np.full(n_entries, -1, dtype=_ID)
-    jt_matched = np.zeros(shape, dtype=_ID)
-    jt_lep = np.zeros(shape, dtype=_ID)
-    jt_node = np.full(shape, -1, dtype=_ID)
-    jt_within = np.zeros(shape, dtype=_ID)
-    jt_depth = np.zeros(shape, dtype=_ID)
-    jt_count = np.zeros(shape, dtype=_ID)
-    for slot, code in enumerate(sorted(index.tables)):
-        table_slot[code] = slot
-        for subcode, entry in enumerate(index.tables[code]):
-            jt_matched[slot, subcode] = entry.matched
-            jt_lep[slot, subcode] = entry.lep_bits
-            state = entry.state
-            if state is None:
-                continue
-            assert isinstance(state, WalkState)
-            if state.pending is not None:
-                nid, within = nid_of[state.pending], 0
-            else:
-                nid, within = nid_of[state.node], int(state.within)
-            nid, within = _settle_nid(kind, chars_len, child, nid, within)
-            jt_node[slot, subcode] = nid
-            jt_within[slot, subcode] = within
-            jt_depth[slot, subcode] = int(state.depth)
-            jt_count[slot, subcode] = int(state.count)
-
-    # Every value of a column is a text position or an index into the
-    # node, position or character pool.
-    largest = max(int(index.text.size), len(kind), len(pool),
-                  len(chars_pool))
+def check_fits(text_size: int, n_nodes: int, pool_size: int,
+               chars_size: int) -> None:
+    """Refuse a forest whose text or node, position or character pool
+    an int32 column cannot address."""
+    largest = max(text_size, n_nodes, pool_size, chars_size)
     if largest >= ID_LIMIT:
         raise ArenaLimitError(
             f"the forest does not fit the arena: its text or one of its "
             f"node, position and character pools holds {largest:,} "
             f"entries, and a column addresses fewer than {ID_LIMIT:,}")
-    lists = {"kind": kind, "count": count, "children": children,
-             "child": child, "chars_off": chars_off, "chars_len": chars_len,
-             "chars_pool": chars_pool, "leaf_text0": leaf_text0,
-             "pos_off": pos_off, "pool": pool}
-    arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
-              for name, values in lists.items()}
-    arrays["children"] = arrays["children"].reshape(-1, 4)
-    return FlatTrees(
-        k=index.config.k, table_x=x, roots=roots, table_slot=table_slot,
-        jt_matched=jt_matched, jt_lep=jt_lep, jt_node=jt_node,
-        jt_within=jt_within, jt_depth=jt_depth, jt_count=jt_count,
-        **arrays)
+
+
+def tree_at(flat: FlatTrees, text: np.ndarray, nid: int,
+            layout: "ForestLayout | None" = None) -> Node:
+    """The node objects of the subtree at arena node ``nid`` (``text``
+    is the double-strand text: a leaf's prefix characters are read from
+    it).  With ``layout`` (:mod:`repro.core.layout`) every node carries
+    its offset and size in its tree's blob."""
+    kind = int(flat.kind[nid])
+    count = int(flat.count[nid])
+    off = int(flat.pos_off[nid])
+    node: Node
+    if kind == KIND_LEAF:
+        node = leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
+    elif kind == KIND_UNIFORM:
+        start = int(flat.chars_off[nid])
+        chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
+        node = UniformNode(chars, tree_at(flat, text, nid + 1, layout),
+                           count)
+    else:
+        children = {c: tree_at(flat, text, child, layout)
+                    for c, child in enumerate(flat.children[nid].tolist())
+                    if child >= 0}
+        # The pool run of a DIVERGE node opens with its own
+        # terminations; its children's runs follow.
+        ended = count - sum(child.count for child in children.values())
+        node = DivergeNode(children,
+                           tuple(flat.pool[off:off + ended].tolist()), count)
+    if layout is not None:
+        node.offset = int(layout.offset[nid - layout.first])
+        node.nbytes = int(layout.nbytes[nid - layout.first])
+    return node
+
+
+def jump_columns(nodes: "Mapping[str, np.ndarray]", text: np.ndarray,
+                 k: int, x: int, codes: np.ndarray,
+                 n_entries: int) -> "dict[str, np.ndarray]":
+    """The second-level tables of the TABLE k-mers ``codes`` (ascending),
+    walked over the node columns for every x-character suffix at once.
+
+    An entry is what :func:`repro.core.walker.build_jump_table`'s cursor
+    finds -- characters matched, the hit-count change bits -- and, when
+    all x match, its state eagerly settled (module docstring): the node
+    it lands on, characters consumed of that node, depth and count.
+    """
+    kind, count = nodes["kind"], nodes["count"]
+    shape = (max(codes.size, 1), 4 ** x)
+    table_slot = np.full(n_entries, -1, dtype=_ID)
+    table_slot[codes] = np.arange(codes.size)
+    matched = np.zeros(shape, dtype=np.int64)
+    lep = np.zeros(shape, dtype=np.int64)
+    state = np.zeros((4,) + shape, dtype=np.int64)
+    state[0] = -1
+    if codes.size:
+        subcode = np.arange(4 ** x)
+        nid = np.repeat(nodes["roots"][codes].astype(np.int64), 4 ** x)
+        within = np.zeros(nid.size, dtype=np.int64)
+        depth = np.zeros(nid.size, dtype=np.int64)
+        hits = count[nid].astype(np.int64)
+        live = np.ones(nid.size, dtype=bool)
+        lep = lep.reshape(-1)
+        matched = matched.reshape(-1)
+        char = np.tile(subcode, codes.size)
+        for j in range(x):
+            c = (char >> (2 * (x - 1 - j))) & 3
+            nid, within = _settle(nodes, nid, within)
+            walking = np.flatnonzero(live)
+            node_kind = kind[nid[walking]]
+            live[:] = False
+            # LEAF: the text after the first occurrence.
+            at = walking[node_kind == KIND_LEAF]
+            text_pos = nodes["leaf_text0"][nid[at]] + k + depth[at]
+            at, text_pos = at[text_pos < text.size], text_pos[
+                text_pos < text.size]
+            live[at[text[text_pos] == c[at]]] = True
+            # UNIFORM: the run's next character.
+            at = walking[node_kind == KIND_UNIFORM]
+            live[at[nodes["chars_pool"][nodes["chars_off"][nid[at]]
+                                        + within[at]] == c[at]]] = True
+            within[live] += 1
+            # DIVERGE: the branch's count may differ from the node's.
+            at = walking[node_kind == KIND_DIVERGE]
+            child = nodes["children"][nid[at], c[at]]
+            at, child = at[child >= 0], child[child >= 0]
+            live[at] = True
+            within[at] = 0
+            nid[at] = child
+            lep[at[count[child] != hits[at]]] |= 1 << j
+            hits[at] = count[child]
+            depth[live] += 1
+            matched[live] += 1
+        nid, within = _settle(nodes, nid, within)
+        lep, matched = lep.reshape(shape), matched.reshape(shape)
+        for row, values in enumerate((nid, within, depth, hits)):
+            state[row].reshape(-1)[live] = values[live]
+    return {"table_slot": table_slot, "jt_matched": matched.astype(_ID),
+            "jt_lep": lep.astype(_ID), "jt_node": state[0].astype(_ID),
+            "jt_within": state[1].astype(_ID),
+            "jt_depth": state[2].astype(_ID),
+            "jt_count": state[3].astype(_ID)}
+
+
+def _settle(nodes: "Mapping[str, np.ndarray]", nid: np.ndarray,
+            within: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Step off exhausted UNIFORM runs onto their child (never another
+    UNIFORM node: a run is as long as its interval's shared extension)."""
+    done = ((nodes["kind"][nid] == KIND_UNIFORM)
+            & (within == nodes["chars_len"][nid]))
+    return np.where(done, nid + 1, nid), np.where(done, 0, within)

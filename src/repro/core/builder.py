@@ -4,7 +4,8 @@ The paper builds the index by enumerating all 4^k k-mers and growing each
 k-mer's radix tree from a pre-built FMD-index.  Functionally the trees
 depend only on the k-mer's occurrence positions and the text after them,
 so this builder takes the direct route, one suffix sort of the
-double-strand text:
+double-strand text (the paper's FMD route is the test oracle of its
+k-mer groups, ``tests/test_fmd_construction.py``):
 
 * **sort** -- prefix doubling ranks every suffix by its first
   ``k + max_ext`` characters (one ``argsort`` of the (rank, rank shifted
@@ -17,9 +18,17 @@ double-strand text:
 * **group** -- a k-mer's occurrences are a maximal run of adjacent
   suffixes with LCP >= k (a suffix shorter than k has LCP < k with both
   neighbours, so it is never in one);
-* **emit** -- one pass per group over plain-``int`` position and LCP
-  lists.  An interval's minimum LCP is where its shared extension ends,
-  and the places it is attained are where the interval splits.
+* **emit** -- the arena's columns (:mod:`repro.core.arena`), straight
+  from the LCP intervals, with no node object: an interval's minimum LCP
+  is where its shared extension ends and the places it is attained are
+  where it splits, so the interval tree is found by array passes, one
+  per level; every interval is one or two arena rows (a UNIFORM run and
+  the LEAF or DIVERGE below it), numbered in preorder, and the pool is
+  the members in suffix order with each LEAF's run sorted by position;
+* **lay out and assemble** -- jump tables walked over the columns, node
+  sizes and offsets from the columns (:func:`repro.core.layout.forest_layout`),
+  and the index assembled exactly as a loaded one is
+  (:func:`repro.core.io.index_over`).
 
 The resulting structure is identical to the paper's:
 
@@ -37,16 +46,21 @@ The resulting structure is identical to the paper's:
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 
+from repro.core.arena import (
+    ARENA_DTYPES,
+    KIND_DIVERGE,
+    KIND_LEAF,
+    KIND_UNIFORM,
+    FlatTrees,
+    check_fits,
+    jump_columns,
+)
 from repro.core.config import ErtConfig
-from repro.core.index import EntryKind, ErtIndex, JumpEntry
-from repro.core.layout import LayoutStats, layout_tree
-from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
-from repro.core.walker import build_jump_table
-from repro.memsim.trace import AddressSpace
+from repro.core.index import EntryKind, ErtIndex
+from repro.core.io import index_over
+from repro.core.layout import forest_layout
 from repro.sequence.reference import Reference
 
 
@@ -126,71 +140,6 @@ def _pair_lcp(levels: "list[np.ndarray]", spans: "list[int]",
     return lcp
 
 
-class _NodePass:
-    """The node pass over k-mer groups: every group's members in suffix
-    order and the extension LCP (LCP - k, capped at ``max_ext``) of each
-    member with the one before it, as plain ``int`` lists."""
-
-    def __init__(self, text: np.ndarray, k: int, cap: int,
-                 positions: "list[int]", ext: "list[int]") -> None:
-        self.text = text
-        # Indexing bytes yields an int without a numpy scalar round trip.
-        self.chars = text.tobytes()
-        self.k = k
-        self.cap = cap
-        self.pos = positions
-        self.ext = ext
-
-    def node(self, lo: int, hi: int, depth: int) -> Node:
-        """Subtree over members ``lo:hi``, which share ``depth`` extension
-        characters."""
-        if hi - lo == 1:
-            return self._leaf(lo, hi)
-        # The shared run ends where the interval's minimum LCP says (at
-        # ``max_ext`` at the latest: the LCPs are capped there).
-        m = min(self.ext[lo + 1:hi])
-        child = (self._leaf(lo, hi) if m >= self.cap
-                 else self._diverge(lo, hi, m))
-        if m == depth:
-            return child
-        start = self.pos[lo] + self.k
-        return UniformNode(self.text[start + depth:start + m].copy(), child,
-                           hi - lo)
-
-    def _leaf(self, lo: int, hi: int) -> LeafNode:
-        """The leaf over members ``lo:hi``: what
-        :func:`repro.core.nodes.leaf_over` makes, reading the preceding
-        characters from the bytes copy."""
-        positions = (tuple(sorted(self.pos[lo:hi])) if hi - lo > 1
-                     else (self.pos[lo],))
-        chars = self.chars
-        return LeafNode(positions,
-                        tuple([chars[p - 1] if p else -1 for p in positions]))
-
-    def _diverge(self, lo: int, hi: int, depth: int) -> DivergeNode:
-        """Branch of members ``lo:hi`` after ``depth`` shared characters:
-        the sub-intervals split where the LCP equals ``depth``."""
-        pos = self.pos
-        ext = self.ext
-        ended: "tuple[int, ...]" = ()
-        start = lo
-        # A suffix whose extension ends here is a prefix of the next one,
-        # so it sorts first; distinct positions allow at most one.
-        if pos[lo] + self.k + depth == len(self.chars):
-            ended = (pos[lo],)
-            start += 1
-        children: "dict[int, Node]" = {}
-        while start < hi:
-            try:
-                stop = ext.index(depth, start + 1, hi)
-            except ValueError:
-                stop = hi
-            char = self.chars[pos[start] + self.k + depth]
-            children[char] = self.node(start, stop, depth + 1)
-            start = stop
-        return DivergeNode(children, ended, hi - lo)
-
-
 def _entry_metadata(
     text: np.ndarray, config: ErtConfig,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]":
@@ -220,130 +169,220 @@ def _entry_metadata(
 
 
 def _kmer_groups(
-    reference: Reference, config: ErtConfig, method: str,
-) -> "tuple[list[int], list[int], _NodePass]":
-    """Every occurring k-mer's code, ascending, the member bounds of its
-    group (group ``i`` is members ``bounds[i]:bounds[i + 1]``) and the
-    node pass over those groups."""
-    text = reference.both_strands
+    text: np.ndarray, config: ErtConfig,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Every occurring k-mer's code, ascending; the member bounds of its
+    group (group ``i`` is members ``bounds[i]:bounds[i + 1]``); the
+    members, the suffixes of at least k characters in suffix order; and
+    ``ext``, one entry per member plus one: member ``i``'s extension LCP
+    (LCP - k, capped at ``max_ext``) with member ``i - 1``, -1 where a
+    group opens and at the end."""
     k = config.k
     levels, spans, order = _prefix_ranks(text, config.max_seed_len)
-    if method == "fmd":
-        codes, found = _occurrences_via_fmd(reference, k)
-        sizes = [group.size for group in found]
-        members = np.concatenate(found) if found else order[:0]
-        members = members[np.lexsort((
-            levels[-1][members], np.repeat(np.arange(len(sizes)), sizes)))]
-        bounds = np.cumsum([0] + sizes)
-        lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
-    else:
-        # Suffixes of at least k characters, in suffix order.
-        members = order[order <= text.size - k]
-        lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
-        bounds = np.append(np.flatnonzero(np.concatenate(
-            ([members.size > 0], lcp < k))), members.size)
-        codes = rolling_codes(text, k)[members[bounds[:-1]]].tolist()
-    del levels, order
-    ext = [0]
-    ext += (lcp - k).tolist()
-    return (codes, bounds.tolist(),
-            _NodePass(text, k, config.max_ext, members.tolist(), ext))
+    members = order[order <= text.size - k]
+    del order
+    lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
+    del levels
+    opens = np.flatnonzero(np.concatenate(([members.size > 0], lcp < k)))
+    codes = rolling_codes(text, k)[members[opens]]
+    ext = np.full(members.size + 1, -1, dtype=np.int32)
+    np.maximum(lcp - k, -1, out=ext[1:-1])
+    return codes, np.append(opens, members.size), members, ext
 
 
-def build_ert(reference: Reference, config: "ErtConfig | None" = None,
-              space: "AddressSpace | None" = None,
-              method: str = "scan") -> ErtIndex:
-    """Build a complete ERT index for ``reference``.
+def _tree_intervals(
+    text: np.ndarray, k: int, cap: int, bounds: np.ndarray,
+    members: np.ndarray, ext: np.ndarray,
+) -> "dict[str, np.ndarray]":
+    """The LCP-interval tree of every group, one round per level.
 
-    ``method`` selects how k-mer occurrences are enumerated:
-
-    * ``"scan"`` (default) -- the runs of the suffix sort whose adjacent
-      LCPs reach k;
-    * ``"fmd"`` -- the paper's own construction path (§III-A3: "built by
-      first enumerating all possible k-mers and then querying a pre-built
-      FMD-index"), kept as a structurally independent cross-check: both
-      methods must produce identical indexes
-      (``tests/test_fmd_construction.py``).
-
-    Either way the groups, ordered by the same suffix ranks, go through
-    the one node pass.
+    An interval of members at extension ``depth`` is a LEAF if it holds
+    one member or its minimum extension LCP ``m`` reaches ``cap``;
+    otherwise it is a DIVERGE at ``m``, whose child intervals split
+    where the LCP equals ``m`` (a member whose extension ends at ``m``
+    is a prefix of the next one, so it sorts first and becomes the
+    node's ``ended`` hit, not a child).  Either way ``m > depth`` puts a
+    UNIFORM run of ``m - depth`` characters above it.  Returns, per
+    interval (the groups first, in k-mer order): its first member
+    ``lo``, ``size``, ``depth``, ``m``, the interval of the DIVERGE above
+    it (-1 for a root), the character that leads to it, and ``pre``, its
+    place in preorder: by first member, and an interval before the ones
+    inside it, which later rounds make.
     """
-    config = config or ErtConfig()
-    if method not in ("scan", "fmd"):
-        raise ValueError(f"unknown construction method {method!r}")
-    text = reference.both_strands
+    lo, hi = bounds[:-1].astype(np.int32), bounds[1:].astype(np.int32)
+    depth = np.zeros(lo.size, dtype=np.int32)
+    parent = np.full(lo.size, -1, dtype=np.int32)
+    char = np.zeros(lo.size, dtype=np.uint8)
+    # How many intervals found so far open at each member.
+    opened = np.zeros(members.size, dtype=np.int16)
+    rounds = []
+    made = 0
+    while True:
+        m = depth.copy()
+        multi = np.flatnonzero(hi - lo > 1)
+        spans = np.empty(2 * multi.size, dtype=np.int64)
+        spans[0::2] = lo[multi] + 1
+        spans[1::2] = hi[multi]
+        if multi.size:
+            m[multi] = np.minimum.reduceat(ext, spans)[0::2]
+        del spans
+        rounds.append([lo, hi - lo, depth, m, parent, char, opened[lo]])
+        opened[lo] += 1
+        branch = multi[m[multi] < cap]
+        if not branch.size:
+            break
+        ids = (made + branch).astype(np.int32)
+        made += lo.size
+        lo, hi, m = lo[branch], hi[branch], m[branch]
+        # Every member past an interval's first is a candidate split.
+        inner = hi - lo - 1
+        owner = np.repeat(np.arange(branch.size, dtype=np.int32), inner)
+        at = (np.arange(owner.size, dtype=np.int32)
+              + np.repeat(lo + 1 - (np.cumsum(inner, dtype=np.int32)
+                                    - inner), inner))
+        split = ext[at] == m[owner]
+        starts = np.concatenate((lo, at[split]))
+        owner = np.concatenate((np.arange(branch.size, dtype=np.int32),
+                                owner[split]))
+        del at, split
+        by_start = np.argsort(starts, kind="stable")
+        starts, owner = starts[by_start], owner[by_start]
+        del by_start
+        stops = np.empty_like(starts)
+        stops[:-1] = starts[1:]
+        last = np.append(owner[1:] != owner[:-1], True)
+        stops[last] = hi[owner[last]]
+        child = ~((starts == lo[owner])
+                  & (members[starts] + k + m[owner] == text.size))
+        lo, hi, owner = starts[child], stops[child], owner[child]
+        depth = m[owner] + 1
+        parent = ids[owner]
+        char = text[members[lo] + k + depth - 1]
+    tree = {}
+    for i, name in enumerate(("lo", "size", "depth", "m", "parent", "char",
+                              "pre")):
+        tree[name] = np.concatenate([r[i] for r in rounds])
+        for r in rounds:
+            r[i] = None
+    # Intervals opening before a member's come first.
+    before = np.cumsum(opened, dtype=np.int32)
+    before -= opened
+    tree["pre"] = tree["pre"] + before[tree["lo"]]
+    return tree
 
+
+def _emit_nodes(
+    text: np.ndarray, config: ErtConfig, codes: np.ndarray,
+    bounds: np.ndarray, members: np.ndarray, ext: np.ndarray,
+) -> "dict[str, np.ndarray]":
+    """The arena's node columns and ``roots``: one row per node, in
+    preorder with children in character order (an interval's UNIFORM
+    run, then its LEAF or DIVERGE, then the intervals below that).
+    Every column is scattered in by interval; each interval array is
+    dropped once the columns that need it are made."""
+    k, cap = config.k, config.max_ext
+    tree = _tree_intervals(text, k, cap, bounds, members, ext)
+    lo, size, depth, m = (tree.pop(name)
+                          for name in ("lo", "size", "depth", "m"))
+    uniform = m > depth
+    leaf = (size == 1) | (m >= cap)
+    # Each interval's first node (its UNIFORM run, if any) and its LEAF
+    # or DIVERGE node.
+    rows = uniform + np.int32(1)
+    first = np.zeros(lo.size, dtype=np.int32)
+    first[tree["pre"]] = rows
+    first = np.cumsum(first, dtype=np.int32)[tree.pop("pre")] - rows
+    del rows
+    inner = first + uniform
+    n_nodes = lo.size + int(np.count_nonzero(uniform))
+    runs = first[uniform]
+    run_len = (m - depth)[uniform]
+    check_fits(int(text.size), n_nodes, int(members.size),
+               int(run_len.sum(dtype=np.int64)))
+
+    kind = np.full(n_nodes, KIND_DIVERGE, dtype=np.uint8)
+    kind[inner[leaf]] = KIND_LEAF
+    kind[runs] = KIND_UNIFORM
+    child = np.full(n_nodes, -1, dtype=np.int32)
+    child[runs] = runs + 1
+    chars_len = np.zeros(n_nodes, dtype=np.int32)
+    chars_len[runs] = run_len
+    chars_off = np.cumsum(chars_len, dtype=np.int32)
+    chars_off -= chars_len
+    chars_off[kind != KIND_UNIFORM] = 0
+    # A run's characters follow its first member's k-mer at its depth;
+    # the runs lie in the pool in preorder.
+    by_node = np.argsort(runs)
+    at = np.repeat((members[lo[uniform]] + k + depth[uniform]
+                    - chars_off[runs]).astype(np.int32)[by_node],
+                   run_len[by_node])
+    at += np.arange(at.size, dtype=np.int32)
+    chars_pool = text[at]
+    del at, by_node, runs, run_len, depth, m, uniform
+
+    # The pool is the members in suffix order, each LEAF's run sorted by
+    # position (one segmented sort).
+    pool = members.astype(np.int32)
+    runs_lo, runs_size = lo[leaf & (size > 1)], size[leaf & (size > 1)]
+    at = np.arange(int(runs_size.sum()), dtype=np.int32) + np.repeat(
+        runs_lo - (np.cumsum(runs_size, dtype=np.int32) - runs_size),
+        runs_size)
+    segment = np.repeat(np.arange(runs_lo.size, dtype=np.int32), runs_size)
+    pool[at] = pool[at][np.lexsort((pool[at], segment))]
+    del at, segment, runs_lo, runs_size
+    leaf_text0 = np.full(n_nodes, -1, dtype=np.int32)
+    leaf_text0[inner[leaf]] = pool[lo[leaf]]
+    count = np.empty(n_nodes, dtype=np.int32)
+    pos_off = np.empty(n_nodes, dtype=np.int32)
+    for rows_of in (first, inner):
+        count[rows_of] = size
+        pos_off[rows_of] = lo
+    del lo, size, leaf
+    roots = np.full(config.n_entries, -1, dtype=np.int32)
+    roots[codes] = first[:codes.size]
+    # Every other interval hangs off its parent's DIVERGE by a character.
+    parent = tree.pop("parent")
+    below = np.flatnonzero(parent >= 0)
+    children = np.full((n_nodes, 4), -1, dtype=np.int32)
+    children[inner[parent[below]], tree.pop("char")[below]] = first[below]
+    return {"kind": kind, "count": count, "children": children,
+            "child": child, "chars_off": chars_off, "chars_len": chars_len,
+            "chars_pool": chars_pool, "leaf_text0": leaf_text0,
+            "pos_off": pos_off, "pool": pool, "roots": roots}
+
+
+def build_ert(reference: Reference,
+              config: "ErtConfig | None" = None) -> ErtIndex:
+    """Build a complete ERT index for ``reference``: the arena emitted
+    from the suffix sort, laid out, and assembled as a loaded index is
+    (:func:`repro.core.io.index_over`)."""
+    config = config or ErtConfig()
+    text = reference.both_strands
     lep_bits, prefix_len, kmer_count, counts_by_len = _entry_metadata(
         text, config)
-    codes, bounds, node_pass = _kmer_groups(reference, config, method)
+    nodes = {name: column.astype(ARENA_DTYPES[name], copy=False)
+             for name, column in _emit_nodes(
+                 text, config, *_kmer_groups(text, config)).items()}
 
+    codes = np.flatnonzero(nodes["roots"] >= 0)
+    root = nodes["roots"][codes]
     entry_kind = np.zeros(config.n_entries, dtype=np.uint8)
-    roots: "dict[int, Node]" = {}
-    tree_base: "dict[int, int]" = {}
-    layout_stats = LayoutStats()
-    trees_bytes = 0
-    table_codes = []
+    entry_kind[codes] = np.where(nodes["kind"][root] == KIND_LEAF,
+                                 EntryKind.LEAF, EntryKind.TREE)
+    if config.multilevel:
+        entry_kind[codes[(nodes["kind"][root] != KIND_LEAF)
+                         & (nodes["count"][root] > config.table_threshold)]
+                   ] = EntryKind.TABLE
+    nodes.update(jump_columns(
+        nodes, text, config.k, config.table_x,
+        np.flatnonzero(entry_kind == EntryKind.TABLE), config.n_entries))
+    flat = FlatTrees(k=config.k, table_x=config.table_x, **nodes)
+    layout = forest_layout(flat, config)
 
-    # The forest is acyclic, so the cyclic collector finds nothing in it;
-    # left on, it rescans the growing heap (a third of a 200 kbp build).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for code, lo, hi in zip(codes, bounds, bounds[1:]):
-            root = node_pass.node(lo, hi, 0)
-            roots[code] = root
-            if isinstance(root, LeafNode):
-                entry_kind[code] = EntryKind.LEAF
-            elif config.multilevel and hi - lo > config.table_threshold:
-                entry_kind[code] = EntryKind.TABLE
-                table_codes.append(code)
-            else:
-                entry_kind[code] = EntryKind.TREE
-            blob = layout_tree(root, config, layout_stats)
-            tree_base[code] = trees_bytes
-            trees_bytes += blob
-    finally:
-        if collecting:
-            gc.enable()
-
-    # Filled below: a jump table is precomputed by walking the index.
-    tables: "dict[int, list[JumpEntry]]" = {code: [] for code in table_codes}
-    index = ErtIndex(
-        reference=reference, config=config, entry_kind=entry_kind,
-        lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
-        roots=roots, tree_base=tree_base, tables=tables,
-        prefix_counts=counts_by_len, trees_bytes=trees_bytes,
-        layout_stats=layout_stats, space=space)
-
-    for code in table_codes:
-        tables[code] = build_jump_table(index, code)
-    return index
-
-
-def _occurrences_via_fmd(
-    reference: Reference, k: int,
-) -> "tuple[list[int], list[np.ndarray]]":
-    """Enumerate per-k-mer occurrence groups by FMD-index queries.
-
-    This mirrors the paper's construction: every possible k-mer is looked
-    up in a pre-built FMD-index of the reference; existing ones have
-    their suffix-array interval located.  Returns the codes that occur,
-    ascending, and each one's sorted positions.
-    """
-    from repro.fmindex.fmd import FmdIndex
-
-    fmd = FmdIndex(reference)
-    groups = []
-    codes = []
-    n = int(reference.both_strands.size)
-    for code in range(4 ** k):
-        pattern = np.array([(code >> (2 * (k - 1 - j))) & 3
-                            for j in range(k)], dtype=np.uint8)
-        bi = fmd.pattern_interval(pattern)
-        if bi.is_empty:
-            continue
-        positions = [p for p in fmd.locate(bi) if p + k <= n]
-        if positions:
-            groups.append(np.array(sorted(positions), dtype=np.int64))
-            codes.append(code)
-    return codes, groups
+    arrays = {"entry_kind": entry_kind, "lep_bits": lep_bits,
+              "prefix_len": prefix_len, "kmer_count": kmer_count,
+              "tree_bases": layout.tree_bases}
+    for length, counts in enumerate(counts_by_len, start=1):
+        arrays[f"prefix_counts_{length}"] = counts
+    return index_over(reference, config, flat, arrays.__getitem__,
+                      layout.trees_bytes, layout)

@@ -15,8 +15,7 @@ An :class:`ErtIndex` owns:
 * an optional :class:`~repro.memsim.cache.CacheModel` standing in for the
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
-A *built* index holds every tree and jump table as objects.  A *loaded*
-one (:mod:`repro.core.io`) holds the stored arena
+Built, loaded or attached, an index holds the forest as the arena
 (:mod:`repro.core.arena`) and makes node objects and jump tables from it
 per k-mer, on first access (:class:`LazyByCode`): the batched kernels
 walk the arena and never ask for one.
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     TypeVar,
@@ -48,7 +46,7 @@ from repro.sequence.reference import Reference
 
 if TYPE_CHECKING:
     from repro.core.arena import FlatTrees
-    from repro.core.layout import LayoutStats
+    from repro.core.layout import ForestLayout, LayoutStats
     from repro.memsim.cache import CacheModel
 
 PHASE_INDEX = "index_lookup"
@@ -92,32 +90,47 @@ _T = TypeVar("_T")
 
 
 class LazyByCode(Mapping[int, _T]):
-    """Per-k-mer objects of a loaded index, made on first access.
+    """Per-k-mer objects of an index, made on first access.
 
-    ``make(code)`` runs once for each code that is asked for and its
-    result is kept; length, membership and iteration (in the order
-    ``codes`` was given) never call it.
+    ``codes`` (ascending) are the k-mers that have one.  ``make(code)``
+    runs once for each code that is asked for and its result is kept;
+    length, membership and iteration (ascending) never call it and hold
+    no Python object per k-mer.
     """
 
-    def __init__(self, codes: "Iterable[int]",
+    def __init__(self, codes: np.ndarray,
                  make: "Callable[[int], _T]") -> None:
-        self._made: "dict[int, _T | None]" = dict.fromkeys(codes)
+        self.codes = codes
+        self._made: "dict[int, _T]" = {}
         self._make = make
 
+    def rank(self, code: object) -> int:
+        """Where ``code`` is in ``codes`` (KeyError if it is not there)."""
+        if isinstance(code, (int, np.integer)):
+            i = int(np.searchsorted(self.codes, code))
+            if i < self.codes.size and self.codes[i] == code:
+                return i
+        raise KeyError(code)
+
     def __getitem__(self, code: int) -> _T:
-        made = self._made[code]
+        made = self._made.get(code)
         if made is None:
+            self.rank(code)
             made = self._made[code] = self._make(code)
         return made
 
     def __contains__(self, code: object) -> bool:
-        return code in self._made
+        try:
+            self.rank(code)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self) -> "Iterator[int]":
-        return iter(self._made)
+        return iter(self.codes.tolist())
 
     def __len__(self) -> int:
-        return len(self._made)
+        return int(self.codes.size)
 
 
 class ErtIndex:
@@ -127,11 +140,12 @@ class ErtIndex:
     def __init__(self, reference: Reference, config: ErtConfig,
                  entry_kind: np.ndarray, lep_bits: np.ndarray,
                  prefix_len: np.ndarray, kmer_count: np.ndarray,
-                 roots: "Mapping[int, Node]", tree_base: "dict[int, int]",
+                 roots: "LazyByCode[Node]", tree_bases: np.ndarray,
                  tables: "Mapping[int, list[JumpEntry]]",
                  prefix_counts: "list[np.ndarray]",
                  trees_bytes: int,
-                 layout_stats: "LayoutStats | None" = None,
+                 flat: "FlatTrees | None" = None,
+                 layout: "ForestLayout | None" = None,
                  space: "AddressSpace | None" = None) -> None:
         self.reference = reference
         self.config = config
@@ -141,13 +155,18 @@ class ErtIndex:
         self.prefix_len = prefix_len
         self.kmer_count = kmer_count
         self.roots = roots
-        self.tree_base = tree_base
+        #: Where each tree's blob starts in the trees region, one per
+        #: tree in k-mer order (what both index formats store), and the
+        #: same by k-mer code.
+        self.tree_bases = tree_bases
+        self.tree_base: "Mapping[int, int]" = LazyByCode(
+            roots.codes, lambda code: int(tree_bases[roots.rank(code)]))
         self.tables = tables
         self.prefix_counts = prefix_counts
-        self._layout_stats = layout_stats
-        #: The arena: stored columns (loaded) or the cache slot of
-        #: :func:`repro.core.arena.flat_trees` (built).
-        self.flat: "FlatTrees | None" = None
+        #: The arena (:mod:`repro.core.arena`), emitted by the builder or
+        #: stored; every node object is decoded from it.
+        self.flat = flat
+        self._layout = layout
         #: Cache slot of :func:`repro.kernels.walk.arena_cursor`.
         self.cursor: "object | None" = None
         self.tracer: "MemoryTracer | None" = None
@@ -168,20 +187,21 @@ class ErtIndex:
         self._table_slot = {code: i for i, code in enumerate(sorted(tables))}
 
     @property
-    def layout_stats(self) -> LayoutStats:
-        """Tile statistics of the serialized forest.  The builder
-        collects them as it lays the trees out; a loaded index lays its
-        trees out again (decoding every one) the first time this is
-        read -- offsets come out identical, the layout being a pure
-        function of the tree shape."""
-        if self._layout_stats is None:
-            from repro.core.layout import LayoutStats, layout_tree
+    def layout(self) -> ForestLayout:
+        """Every arena node's offset and size in the trees region.  The
+        builder lays the forest out to size it; a loaded index lays it
+        out again, from the columns, the first time this is read."""
+        if self._layout is None:
+            from repro.core.layout import forest_layout
 
-            stats = LayoutStats()
-            for root in self.roots.values():
-                layout_tree(root, self.config, stats)
-            self._layout_stats = stats
-        return self._layout_stats
+            assert self.flat is not None, "no arena to lay out"
+            self._layout = forest_layout(self.flat, self.config)
+        return self._layout
+
+    @property
+    def layout_stats(self) -> LayoutStats:
+        """Tile statistics of the serialized forest."""
+        return self.layout.stats()
 
     # ------------------------------------------------------------------
     # Traffic

@@ -6,8 +6,8 @@ with a persistent format.  Two formats hold one payload
 (:func:`_payload`): the reference (2-bit codes), the four entry-metadata
 arrays, the 1..k prefix-count tables, each tree's base offset in the
 modelled trees region, and the forest itself, stored once: the columns
-of the flat arena (:mod:`repro.core.arena`), at the widths the arena
-compiles them to:
+of the flat arena (:mod:`repro.core.arena`), at the widths the builder
+emits them at:
 
 * the **archive format** (:func:`save_ert` / :func:`load_ert`) -- a
   single ``.npz`` of the payload plus the structural config as JSON;
@@ -20,17 +20,19 @@ compiles them to:
   index to N worker processes through ``multiprocessing.shared_memory``
   without pickling the index per worker.
 
-Loading makes no node object.  The batched kernels walk the stored
-arena; the scalar cursor (and ``census``, ``divergence``, ``explain``)
-gets a k-mer's tree decoded from the same columns
-(:func:`~repro.core.arena.tree_at`) and laid out again -- the
-layout is a pure function of tree shape, so every node gets the offset
-the builder gave it -- and its jump table rebuilt, the first time it
-asks for that k-mer (:class:`~repro.core.index.LazyByCode`).  The paper
-wire format of :mod:`repro.core.serialize` is stored nowhere: it is the
-reference the layout model's node sizes are tested against.  Every way
-a file or buffer can be cut short or garbled ends in
-:class:`IndexFormatError`.
+Loading makes no node object, and a built index is assembled by the
+same code as a loaded or attached one (:func:`index_over`), over the
+arena the builder emitted.  The batched kernels walk the arena; the
+scalar cursor (and ``census``, ``divergence``, ``explain``) gets a
+k-mer's tree decoded from the same columns
+(:func:`~repro.core.arena.tree_at`), laid out from them with a block of
+its neighbours (:func:`~repro.core.layout.forest_layout`: every node
+gets the offset the builder's whole-forest layout gave it), and its
+jump table rebuilt, the first time it asks for that k-mer
+(:class:`~repro.core.index.LazyByCode`).  The paper wire format
+(``tests/serialize.py``) is stored nowhere: it is the reference the
+layout model's node sizes are tested against.  Every way a file or
+buffer can be cut short or garbled ends in :class:`IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 import weakref
 import zipfile
 import zlib
-from typing import Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 import numpy as np
 
@@ -57,7 +59,13 @@ from repro.core.nodes import Node
 from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
 
+if TYPE_CHECKING:
+    from repro.core.layout import ForestLayout
+
 FORMAT_VERSION = 3
+
+#: How many consecutive trees a scalar decode lays out at once.
+_LAYOUT_BLOCK = 256
 
 #: Frame marker of the flat buffer format (8 bytes, versioned).
 BUFFER_MAGIC = b"ERTBUF03"
@@ -99,10 +107,7 @@ def _payload(index: ErtIndex) -> "dict[str, np.ndarray]":
         "lep_bits": index.lep_bits,
         "prefix_len": index.prefix_len,
         "kmer_count": index.kmer_count,
-        # One per tree, in k-mer order (the arena's non-negative roots).
-        "tree_bases": np.array(
-            [index.tree_base[code] for code in sorted(index.tree_base)],
-            dtype=np.int64),
+        "tree_bases": index.tree_bases,
     }
     for length, counts in enumerate(index.prefix_counts, start=1):
         arrays[f"prefix_counts_{length}"] = counts
@@ -194,8 +199,8 @@ def _assemble_index(
 
     ``member(name)`` fetches one array of the payload: the archive
     loader reads it from the file, the buffer loader hands out a
-    zero-copy view.  The arena columns become the index's arena as they
-    are; node objects are decoded from them per k-mer, when asked for.
+    zero-copy view.  Every array is checked here; :func:`index_over`
+    assembles the index.
     """
     config = _config_from_meta(meta, what)
     reference_name = meta.get("reference_name")
@@ -205,24 +210,47 @@ def _assemble_index(
     if not isinstance(trees_bytes, int) or trees_bytes < 0:
         raise IndexFormatError(f"{what}: header sizes no trees region")
     flat = _stored_arena(config, what, member)
-    codes = np.flatnonzero(flat.roots >= 0)
     bases = member("tree_bases")
-    if bases.dtype != np.int64 or bases.shape != codes.shape:
+    trees = int(np.count_nonzero(flat.roots >= 0))
+    if bases.dtype != np.int64 or bases.shape != (trees,):
         raise IndexFormatError(
             f"{what}: {bases.dtype}{list(bases.shape)} tree bases for "
-            f"{codes.size} trees; the index is corrupt")
-    entry_kind = member("entry_kind")
+            f"{trees} trees; the index is corrupt")
     reference = Reference(name=reference_name, codes=member("reference"))
+    return index_over(reference, config, flat, member, trees_bytes)
+
+
+def index_over(
+    reference: Reference, config: ErtConfig, flat: FlatTrees,
+    member: "Callable[[str], np.ndarray]", trees_bytes: int,
+    layout: "ForestLayout | None" = None,
+) -> ErtIndex:
+    """The index over an arena and the payload's other arrays, built,
+    loaded or attached alike.  The arena is the index's as it is; node
+    objects (laid out with the block of trees they are in) and the
+    scalar walk's jump tables are made from it per k-mer, when asked
+    for."""
+    codes = np.flatnonzero(flat.roots >= 0)
+    entry_kind = member("entry_kind")
     text = reference.both_strands
+
+    laid_out: "dict[int, ForestLayout]" = {}
 
     def decode(code: int) -> Node:
         # The layout model loads with the first tree a scalar cursor
         # asks for; the batched kernels walk the arena and never do.
-        from repro.core.layout import layout_tree
+        from repro.core.layout import forest_layout
 
-        root = tree_at(flat, text, int(flat.roots[code]))
-        layout_tree(root, config)
-        return root
+        block = int(codes.searchsorted(code)) // _LAYOUT_BLOCK
+        layout = laid_out.get(block)
+        if layout is None:
+            lo = block * _LAYOUT_BLOCK
+            hi = min(lo + _LAYOUT_BLOCK, codes.size)
+            end = (flat.roots[codes[hi]] if hi < codes.size
+                   else flat.kind.size)
+            layout = laid_out[block] = forest_layout(
+                flat, config, np.append(flat.roots[codes[lo:hi]], end))
+        return tree_at(flat, text, int(flat.roots[code]), layout)
 
     def jump_table(code: int) -> "list[JumpEntry]":
         owner = index_ref()
@@ -233,15 +261,12 @@ def _assemble_index(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=member("lep_bits"), prefix_len=member("prefix_len"),
         kmer_count=member("kmer_count"),
-        roots=LazyByCode(codes.tolist(), decode),
-        tree_base=dict(zip(codes.tolist(), bases.tolist())),
-        tables=LazyByCode(
-            codes[entry_kind[codes] == EntryKind.TABLE].tolist(),
-            jump_table),
+        roots=LazyByCode(codes, decode), tree_bases=member("tree_bases"),
+        tables=LazyByCode(codes[entry_kind[codes] == EntryKind.TABLE],
+                          jump_table),
         prefix_counts=[member(f"prefix_counts_{length}")
                        for length in range(1, config.k + 1)],
-        trees_bytes=trees_bytes)
-    index.flat = flat
+        trees_bytes=trees_bytes, flat=flat, layout=layout)
     # Weak, or index -> tables -> jump_table -> index is a cycle and the
     # cyclic collector finalizes an attached index's shared-memory
     # mapping while the views into it are still alive (BufferError).

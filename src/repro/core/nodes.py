@@ -21,8 +21,9 @@ and honour minimum-hit thresholds:
 EMPTY nodes need no class: a missing child in a ``DivergeNode`` (or a
 mismatch inside a uniform string / leaf comparison) *is* the dead end.
 
-``offset``/``nbytes`` are assigned by :mod:`repro.core.layout` when the
-tree is serialized.
+``offset``/``nbytes`` are set when a tree is decoded from the arena
+(:func:`repro.core.arena.tree_at`), from the layout of its columns
+(:mod:`repro.core.layout`).
 """
 
 from __future__ import annotations

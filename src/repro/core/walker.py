@@ -60,6 +60,7 @@ class TreeCursor:
         self._last_line = -1
         self._last_ref_line = -1
         root = index.roots[code]
+        self._base = index.tree_base[code]
         self.node: Node = root
         self.within = 0
         self.pending: "Node | None" = None
@@ -92,7 +93,7 @@ class TreeCursor:
         the line most recently touched."""
         if self.stats is not None:
             self.stats.nodes_visited += 1
-        base = self.index.tree_base[self.code] + node.offset
+        base = self._base + node.offset
         first = base // LINE
         last = (base + max(node.nbytes, 1) - 1) // LINE
         for line in range(first, last + 1):

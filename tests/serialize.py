@@ -1,13 +1,13 @@
 """Binary node encoding: the serialized form the size model describes.
 
-:mod:`repro.core.layout` assigns every node a byte offset and size; this
-module actually produces those bytes and parses them back, so the layout
-is not merely a size estimate -- every tree round-trips through its blob
-(``tests/test_serialize.py``, ``tests/test_layout.py``).  That is its
-whole role: it is the reference the modelled node sizes and memsim
-addresses are held to.  No index format stores these blobs
-(:mod:`repro.core.io` stores the flat arena) and nothing on a run path
-imports this module.
+:mod:`repro.core.layout` gives every arena node a byte offset and size;
+this module actually produces those bytes and parses them back, so the
+layout is not merely a size estimate -- every tree round-trips through
+its blob (``tests/test_serialize.py``).  That is its whole role: it is
+the reference the modelled node sizes (:func:`repro.core.layout.node_size`)
+and memsim addresses are held to, and the home of :func:`trees_equal`.
+No index format stores these blobs (:mod:`repro.core.io` stores the flat
+arena).
 
 Wire format (little-endian):
 
@@ -44,10 +44,10 @@ from __future__ import annotations
 import struct
 from typing import Sequence, Union
 
+import numpy as np
+
 from repro.core.layout import node_size
 from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
-
-import numpy as np
 
 KIND_DIVERGE = 0
 KIND_UNIFORM = 1
@@ -61,6 +61,21 @@ _U32 = struct.Struct("<I")
 
 class SerializeError(ValueError):
     """Raised when a tree cannot be encoded or a blob cannot be parsed."""
+
+
+def size_of(node: Node, prefix_merging: bool) -> int:
+    """The size model's bytes for one node object (a type that is no
+    node kind is a TypeError)."""
+    if isinstance(node, DivergeNode):
+        args = (KIND_DIVERGE, node.count, len(node.children),
+                len(node.ended), 0)
+    elif isinstance(node, UniformNode):
+        args = (KIND_UNIFORM, node.count, 1, 0, int(node.chars.size))
+    elif isinstance(node, LeafNode):
+        args = (KIND_LEAF, node.count, 0, 0, 0)
+    else:
+        raise TypeError(f"unknown node type {type(node)!r}")
+    return int(node_size(*args, prefix_merging))
 
 
 def _pack_u24(buf: bytearray, offset: int, value: int) -> None:
@@ -107,7 +122,7 @@ def encode_tree(root: Node, blob_size: int, prefix_merging: bool) -> bytes:
         if node.offset < 0:
             raise SerializeError("node has no layout offset; lay out first")
         encoded = _encode_node(node, prefix_merging)
-        expected = node_size(node, prefix_merging)
+        expected = size_of(node, prefix_merging)
         if len(encoded) != expected:
             raise SerializeError(
                 f"{node.kind} node encoded to {len(encoded)} bytes, size "

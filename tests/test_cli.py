@@ -469,8 +469,8 @@ COLD = (
     "repro.memsim.dram", "repro.core.builder", "repro.core.census",
     "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
     "repro.seeding.oracle", "repro.seeding.verify", "repro.kernels.sw",
-    "repro.core.serialize", "repro.telemetry.export", "repro.parallel.pool",
-    "repro.parallel.shm", "multiprocessing", "concurrent.futures",
+    "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
+    "multiprocessing", "concurrent.futures",
 )
 POOL = ("repro.parallel.pool", "repro.parallel.shm", "multiprocessing",
         "concurrent.futures")
@@ -570,15 +570,15 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
         else:
             assert set(POOL) <= set(added)
     assert outs["1"].read_bytes() == outs["2"].read_bytes()
-    # A scalar worker lays out the trees it decodes; the parent decodes
-    # none, so the layout model is there only because it was loaded
-    # before the pool existed (a forked worker imports nothing).
+    # A scalar worker lays the forest out to place the trees it decodes;
+    # the parent decodes none, so the layout model is there only because
+    # it was loaded before the pool existed (a forked worker imports
+    # nothing).
     added, _proc = _modules_added_by(
         ["align", "--index", index, "--reads", reads, "--out",
          tmp_path / "scalar.sam", "--kernels", "scalar", "--workers", "2",
          "--batch-size", "4"])
     assert "repro.core.layout" in added
-    assert "repro.core.serialize" not in added
     assert (tmp_path / "scalar.sam").read_bytes() == outs["1"].read_bytes()
 
 

@@ -1,7 +1,9 @@
 """Tests for ERT construction: entry metadata, trees, tables, sizes, and
-the suffix-sort constructor against the recursive one it replaced."""
+the column emitter against the recursive object builder, object layout
+and object compile it replaced."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,16 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ErtConfig, EntryKind, LayoutPolicy, build_ert, save_ert
+from repro.core import nodes as node_module
+from repro.core.arena import (
+    ARENA_COLUMNS,
+    ARENA_DTYPES,
+    KIND_DIVERGE,
+    KIND_LEAF,
+    KIND_UNIFORM,
+    FlatTrees,
+)
 from repro.core.builder import _entry_metadata, rolling_codes
-from repro.core.index import ErtIndex
-from repro.core.layout import LayoutStats, layout_tree
+from repro.core.index import ErtIndex, LazyByCode
+from repro.core.layout import TILE, LayoutStats
 from repro.core.nodes import DivergeNode, LeafNode, UniformNode, leaf_over
-from repro.core.serialize import trees_equal
-from repro.core.walker import build_jump_table
+from repro.core.walker import WalkState, build_jump_table
 from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import decode
 from repro.sequence.multi import MultiReference
+from tests.serialize import size_of, trees_equal
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +227,30 @@ def test_reference_shorter_than_k_builds_an_empty_forest():
     assert not np.any(index.entry_kind != EntryKind.EMPTY)
 
 
+def test_build_makes_no_node_object(monkeypatch):
+    """The arena is emitted from the suffix sort: no node object is made
+    (a reference without TABLE k-mers; jump tables are column walks
+    too, but this pins the plain case)."""
+    made = []
+    real = node_module.Node.__init__
+
+    def counting(self, count):
+        made.append(type(self).__name__)
+        real(self, count)
+
+    monkeypatch.setattr(node_module.Node, "__init__", counting)
+    index = build_ert(GenomeSimulator(seed=9).generate(3000),
+                      ErtConfig(k=5, max_seed_len=60))
+    assert not (index.entry_kind == EntryKind.TABLE).any()
+    assert len(index.roots) > 0 and made == []
+    next(iter(index.roots.values()))  # decoding does make them
+    assert made
+
+
 # ----------------------------------------------------------------------
-# The oracle: the recursive constructor the suffix-sort pass replaced,
-# kept verbatim, with the build loop around it.
+# The oracle: the recursive constructor, the object layout and the
+# object compile the column emitter replaced, kept verbatim, with the
+# build loop around them.
 # ----------------------------------------------------------------------
 
 
@@ -269,10 +301,174 @@ def _build_diverge(text, positions, depth, k, cap):
     return DivergeNode(children, ended, int(positions.size))
 
 
+def _dfs_offsets(root):
+    offset = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.offset = offset
+        offset += node.nbytes
+        stack.extend(reversed(node.children_nodes()))
+    return offset
+
+
+def _bfs_offsets(root):
+    offset = 0
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        node.offset = offset
+        offset += node.nbytes
+        queue.extend(node.children_nodes())
+    return offset
+
+
+def _tiled_offsets(root):
+    offset = 0
+    pending = deque([root])
+    placed = set()
+    while pending:
+        start = pending.popleft()
+        if id(start) in placed:  # repro: allow(ERT001)
+            continue
+        offset = (offset + TILE - 1) & ~(TILE - 1)
+        room = TILE
+        local = deque([start])
+        first_in_tile = True
+        while local:
+            node = local.popleft()
+            if id(node) in placed:  # repro: allow(ERT001)
+                continue
+            if node.nbytes <= room or first_in_tile:
+                node.offset = offset
+                offset += node.nbytes
+                room -= node.nbytes
+                placed.add(id(node))  # repro: allow(ERT001)
+                first_in_tile = False
+                local.extend(node.children_nodes())
+                if room <= 0:
+                    break
+            else:
+                pending.append(node)
+        pending.extend(local)
+    return offset
+
+
+def oracle_layout_tree(root, config, stats):
+    """Lay one object tree out; return its blob size (whole tiles)."""
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.nbytes = size_of(node, config.prefix_merging)
+        nodes.append(node)
+        stack.extend(reversed(node.children_nodes()))
+    size = {LayoutPolicy.DFS: _dfs_offsets, LayoutPolicy.BFS: _bfs_offsets,
+            LayoutPolicy.TILED: _tiled_offsets}[config.layout](root)
+    size = (size + TILE - 1) & ~(TILE - 1)
+    stats.total_bytes += size
+    stats.n_nodes += len(nodes)
+    tiles = {}
+    for node in nodes:
+        tiles[node.offset // TILE] = tiles.get(node.offset // TILE, 0) + 1
+    stats.n_tiles += len(tiles)
+    for count in tiles.values():
+        stats.nodes_per_tile[count] = stats.nodes_per_tile.get(count, 0) + 1
+    return size
+
+
+def _settle_nid(kind, chars_len, child, nid, within):
+    while kind[nid] == KIND_UNIFORM and within == chars_len[nid]:
+        nid = child[nid]
+        within = 0
+    return nid, within
+
+
+def oracle_compile(index):
+    """Number every node in preorder (children in character order) and
+    emit one row each; translate the jump tables' walk states."""
+    lists = {name: [] for name in ("kind", "count", "children", "child",
+                                   "chars_off", "chars_len", "chars_pool",
+                                   "leaf_text0", "pos_off", "pool")}
+    kind, children, pool = lists["kind"], lists["children"], lists["pool"]
+    nid_of = {}
+    n_entries = 4 ** index.config.k
+    roots = np.full(n_entries, -1, dtype=np.int32)
+    for code in sorted(index.roots):
+        roots[code] = len(kind)
+        stack = [(index.roots[code], -1)]
+        while stack:
+            node, slot = stack.pop()
+            nid = len(kind)
+            if slot >= 0:
+                children[slot] = nid
+            nid_of[node] = nid
+            lists["count"].append(int(node.count))
+            lists["pos_off"].append(len(pool))
+            children.extend((-1, -1, -1, -1))
+            if isinstance(node, LeafNode):
+                kind.append(KIND_LEAF)
+                lists["child"].append(-1)
+                lists["chars_off"].append(0)
+                lists["chars_len"].append(0)
+                lists["leaf_text0"].append(int(node.positions[0]))
+                pool.extend(node.positions)
+            elif isinstance(node, UniformNode):
+                kind.append(KIND_UNIFORM)
+                lists["child"].append(nid + 1)
+                lists["chars_off"].append(len(lists["chars_pool"]))
+                lists["chars_len"].append(int(node.chars.size))
+                lists["chars_pool"].extend(node.chars.tolist())
+                lists["leaf_text0"].append(-1)
+                stack.append((node.child, -1))
+            else:
+                kind.append(KIND_DIVERGE)
+                lists["child"].append(-1)
+                lists["chars_off"].append(0)
+                lists["chars_len"].append(0)
+                lists["leaf_text0"].append(-1)
+                pool.extend(node.ended)
+                for c in sorted(node.children, reverse=True):
+                    stack.append((node.children[c], 4 * nid + c))
+
+    x = index.config.table_x
+    shape = (max(len(index.tables), 1), 4 ** x)
+    jt = {"table_slot": np.full(n_entries, -1, dtype=np.int32)}
+    for name in ("jt_matched", "jt_lep", "jt_within", "jt_depth",
+                 "jt_count"):
+        jt[name] = np.zeros(shape, dtype=np.int32)
+    jt["jt_node"] = np.full(shape, -1, dtype=np.int32)
+    for slot, code in enumerate(sorted(index.tables)):
+        jt["table_slot"][code] = slot
+        for subcode, entry in enumerate(index.tables[code]):
+            jt["jt_matched"][slot, subcode] = entry.matched
+            jt["jt_lep"][slot, subcode] = entry.lep_bits
+            state = entry.state
+            if state is None:
+                continue
+            assert isinstance(state, WalkState)
+            if state.pending is not None:
+                nid, within = nid_of[state.pending], 0
+            else:
+                nid, within = nid_of[state.node], int(state.within)
+            nid, within = _settle_nid(kind, lists["chars_len"],
+                                      lists["child"], nid, within)
+            jt["jt_node"][slot, subcode] = nid
+            jt["jt_within"][slot, subcode] = within
+            jt["jt_depth"][slot, subcode] = int(state.depth)
+            jt["jt_count"][slot, subcode] = int(state.count)
+    arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
+              for name, values in lists.items()}
+    arrays["children"] = arrays["children"].reshape(-1, 4)
+    return FlatTrees(k=index.config.k, table_x=x, roots=roots, **jt,
+                     **arrays)
+
+
 def oracle_build_ert(reference, config):
-    """``build_ert`` before the suffix sort: rolling-code groups, each
-    partitioned recursively; entry kinds, layout and jump tables as in
-    the production builder."""
+    """``build_ert`` before the suffix sort and the column emitter:
+    rolling-code groups, each partitioned recursively, laid out and
+    compiled as objects.  Returns the index (its arena the compile) and
+    the layout's tile statistics."""
     text = reference.both_strands
     k = config.k
     cap = config.max_ext
@@ -303,7 +499,7 @@ def oracle_build_ert(reference, config):
             table_codes.append(code)
         else:
             entry_kind[code] = EntryKind.TREE
-        blob = layout_tree(root, config, layout_stats)
+        blob = oracle_layout_tree(root, config, layout_stats)
         tree_base[code] = trees_bytes
         trees_bytes += blob
 
@@ -311,22 +507,36 @@ def oracle_build_ert(reference, config):
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
-        roots=roots, tree_base=tree_base, tables=tables,
-        prefix_counts=counts_by_len, trees_bytes=trees_bytes,
-        layout_stats=layout_stats)
+        roots=LazyByCode(np.array(sorted(roots), dtype=np.int64),
+                         roots.__getitem__),
+        tree_bases=np.array([tree_base[code] for code in sorted(tree_base)],
+                            dtype=np.int64),
+        tables=tables, prefix_counts=counts_by_len, trees_bytes=trees_bytes)
     for code in table_codes:
         tables[code] = build_jump_table(index, code)
-    return index
+    index.flat = oracle_compile(index)
+    return index, layout_stats
 
 
-def _assert_same_build(got, want):
+def _assert_same_build(got, want, want_stats):
     assert list(got.roots) == list(want.roots)
     for code, root in want.roots.items():
-        assert trees_equal(got.roots[code], root, check_prefix=True), code
+        ours, theirs = [got.roots[code]], [root]
+        assert trees_equal(ours[0], root, check_prefix=True), code
+        while ours:
+            a, b = ours.pop(), theirs.pop()
+            assert (a.offset, a.nbytes) == (b.offset, b.nbytes), code
+            ours.extend(a.children_nodes())
+            theirs.extend(b.children_nodes())
     assert np.array_equal(got.entry_kind, want.entry_kind)
+    for name in ARENA_COLUMNS:
+        a, b = getattr(got.flat, name), getattr(want.flat, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
     assert got.tree_base == want.tree_base
     assert got.trees_region.size == want.trees_region.size
     assert got.index_bytes() == want.index_bytes()
+    assert got.layout_stats == want_stats
 
 
 # Adversarial texts, each a list of 2-bit codes (the reference strand;
@@ -403,6 +613,7 @@ def _adversarial_builds(draw):
     config = ErtConfig(k=k, max_seed_len=k + draw(st.integers(1, 10)),
                        table_threshold=draw(st.integers(2, 8)),
                        table_x=draw(st.integers(1, 2)),
+                       layout=draw(st.sampled_from(list(LayoutPolicy))),
                        prefix_merging=draw(st.booleans()))
     text = draw(draw(st.sampled_from(_KINDS))(k, config.max_seed_len))
     return Reference("adversarial", np.array(text, dtype=np.uint8)), config
@@ -413,7 +624,7 @@ def _adversarial_builds(draw):
 def test_suffix_sort_build_equals_the_recursive_oracle(case):
     reference, config = case
     _assert_same_build(build_ert(reference, config),
-                       oracle_build_ert(reference, config))
+                       *oracle_build_ert(reference, config))
 
 
 def _read_archive(path):
@@ -438,8 +649,10 @@ def test_saved_index_equals_the_oracle_member_for_member(
                                  prefix_merging=prefix_merging)
     built = build_ert(reference, config)
     assert (built.entry_kind == EntryKind.TABLE).any()
+    oracle, stats = oracle_build_ert(reference, config)
+    _assert_same_build(built, oracle, stats)
     save_ert(built, tmp_path / "built.npz")
-    save_ert(oracle_build_ert(reference, config), tmp_path / "oracle.npz")
+    save_ert(oracle, tmp_path / "oracle.npz")
     got = _read_archive(tmp_path / "built.npz")
     want = _read_archive(tmp_path / "oracle.npz")
     assert sorted(got) == sorted(want)

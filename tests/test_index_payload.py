@@ -20,6 +20,7 @@ from repro.core import (
     save_ert,
 )
 from repro.core import arena, io
+from repro.core import layout as layout_module
 from repro.core.arena import ARENA_COLUMNS, ArenaLimitError, flat_trees
 from repro.core.builder import rolling_codes
 from repro.core.index import EntryKind
@@ -28,13 +29,13 @@ from repro.core.io import (
     index_from_buffer,
     index_to_buffer,
 )
-from repro.core.serialize import trees_equal
 from repro.parallel import ParallelConfig, seed_reads
 from repro.parallel.shm import SharedIndexBuffer, attach_index
 from repro.seeding import SeedingParams
 from repro.sequence import GenomeSimulator, ReadSimulator
 from repro.sequence.alphabet import revcomp_codes
 from repro.sequence.multi import MultiReference
+from tests.serialize import trees_equal
 
 
 def _multi_contig_reference():
@@ -95,6 +96,7 @@ def _assert_same_arena(got, want):
 
 
 def test_stored_arena_equals_the_compile(built, saved):
+    """Loaded and re-framed arenas are the one the builder emitted."""
     compiled = flat_trees(built)
     _assert_same_arena(flat_trees(load_ert(saved)), compiled)
     _assert_same_arena(
@@ -143,20 +145,21 @@ def test_decoded_forest_equals_the_built_one(built, tmp_path, layout):
     _on_attached(index, lambda attached: _assert_same_forest(attached, index))
 
 
-def test_lazy_roots_equal_eager_decode(built, saved, ert_index, tmp_path):
+def test_lazy_roots_equal_eager_decode(built, saved, ert_index, tmp_path,
+                                      monkeypatch):
     """A root decoded on first access is the tree a direct decode of its
     arena node gives, laid out: on the payload fixture and on the
-    suite's shared fixture index."""
-    from repro.core.layout import layout_tree
-
+    suite's shared fixture index, with blocks of trees laid out small
+    enough that many block edges are crossed."""
+    monkeypatch.setattr(io, "_LAYOUT_BLOCK", 7)
     save_ert(ert_index, tmp_path / "fixture.npz")
     for want, path in ((built, saved), (ert_index, tmp_path / "fixture.npz")):
         loaded = load_ert(path)
         flat = flat_trees(loaded)
         assert list(loaded.roots) == np.flatnonzero(flat.roots >= 0).tolist()
         for code in loaded.roots:
-            eager = arena.tree_at(flat, loaded.text, int(flat.roots[code]))
-            layout_tree(eager, loaded.config)
+            eager = arena.tree_at(flat, loaded.text, int(flat.roots[code]),
+                                  loaded.layout)
             assert trees_equal(loaded.roots[code], eager)
         _assert_same_forest(loaded, want)
 
@@ -187,23 +190,24 @@ def test_vector_run_decodes_nothing_scalar_only_what_it_touches(
     expected, _ = seed_reads(built, reads, params,
                              ParallelConfig(workers=1, kernels="scalar"))
 
-    def no_compile(index):
-        raise AssertionError("a loaded index compiled its arena again")
+    def no_layout(flat, config):
+        raise AssertionError("the vector path laid the forest out")
 
-    def no_decode(flat, text, nid):
+    def no_decode(flat, text, nid, layout=None):
         raise AssertionError("the vector path asked for a node object")
 
-    monkeypatch.setattr(arena, "_compile", no_compile)
+    monkeypatch.setattr(layout_module, "forest_layout", no_layout)
     monkeypatch.setattr(io, "tree_at", no_decode)
     lines, _ = seed_reads(load_ert(saved), reads, params,
                           ParallelConfig(workers=1, kernels="vector"))
     assert lines == expected
+    monkeypatch.undo()
 
     decoded = []
 
-    def counting(flat, text, nid):
+    def counting(flat, text, nid, layout=None):
         decoded.append(nid)
-        return arena.tree_at(flat, text, nid)
+        return arena.tree_at(flat, text, nid, layout)
 
     monkeypatch.setattr(io, "tree_at", counting)
     loaded = load_ert(saved)
@@ -223,9 +227,9 @@ def test_publish_reframes_without_encoding(built, saved, monkeypatch):
     want = index_to_buffer(built)
 
     def refuse(*args):
-        raise AssertionError("re-framing compiled or decoded a tree")
+        raise AssertionError("re-framing laid out or decoded a tree")
 
-    monkeypatch.setattr(arena, "_compile", refuse)
+    monkeypatch.setattr(layout_module, "forest_layout", refuse)
     monkeypatch.setattr(io, "tree_at", refuse)
     loaded = load_ert(saved)
     assert index_to_buffer(loaded) == want

@@ -1,12 +1,14 @@
-"""Tests for node serialization and the tiled layout (§III-D)."""
+"""Tests for node sizes and the tiled layout (§III-D)."""
 
 import numpy as np
 import pytest
 
 from repro.core import ErtConfig, LayoutPolicy, build_ert
-from repro.core.layout import LayoutStats, layout_tree, node_size
+from repro.core.arena import KIND_DIVERGE, KIND_LEAF, KIND_UNIFORM
+from repro.core.layout import forest_layout, node_size
 from repro.core.nodes import DivergeNode, LeafNode, UniformNode
 from repro.sequence import GenomeSimulator
+from tests.serialize import size_of
 
 
 def make_leaf(n=1, prefix_merging=False):
@@ -14,16 +16,27 @@ def make_leaf(n=1, prefix_merging=False):
 
 
 def test_node_sizes():
+    """Per node, and as one expression over columns of nodes."""
     leaf = make_leaf(1)
-    assert node_size(leaf, prefix_merging=False) == 3 + 4
-    assert node_size(leaf, prefix_merging=True) == 3 + 4 + 1 + 1
-    leaf3 = make_leaf(3)
-    assert node_size(leaf3, prefix_merging=False) == 3 + 12
+    assert node_size(KIND_LEAF, 1, 0, 0, 0, prefix_merging=False) == 3 + 4
+    assert node_size(KIND_LEAF, 1, 0, 0, 0,
+                     prefix_merging=True) == 3 + 4 + 1 + 1
+    assert node_size(KIND_LEAF, 3, 0, 0, 0, prefix_merging=False) == 3 + 12
+    assert node_size(KIND_UNIFORM, 1, 1, 0, 5,
+                     prefix_merging=False) == 9 + 2
+    assert node_size(KIND_DIVERGE, 3, 2, 1, 0,
+                     prefix_merging=False) == 5 + 8 + 4
+    sizes = node_size(np.array([KIND_LEAF, KIND_UNIFORM, KIND_DIVERGE]),
+                      np.array([3, 1, 3]), np.array([0, 1, 2]),
+                      np.array([0, 0, 1]), np.array([0, 5, 0]),
+                      prefix_merging=True)
+    assert sizes.tolist() == [3 + 12 + 1 + 1, 9 + 2, 5 + 8 + 4]
+    # The objects' sizes (the wire-format encoder's reference) agree.
     uniform = UniformNode(np.array([0, 1, 2, 3, 0], dtype=np.uint8),
-                          make_leaf(), 1)
-    assert node_size(uniform, prefix_merging=False) == 9 + 2
+                          leaf, 1)
     diverge = DivergeNode({0: make_leaf(), 2: make_leaf()}, (5,), 3)
-    assert node_size(diverge, prefix_merging=False) == 5 + 8 + 4
+    assert [size_of(node, False) for node in (make_leaf(3), uniform,
+                                               diverge)] == [15, 11, 17]
 
 
 def _forest(reference, policy):
@@ -62,6 +75,21 @@ def test_blob_contains_all_nodes(reference, policy):
             node = stack.pop()
             assert node.offset + node.nbytes <= index.trees_region.size
             stack.extend(node.children_nodes())
+
+
+@pytest.mark.parametrize("policy", list(LayoutPolicy))
+def test_a_run_of_trees_lays_out_as_in_the_forest(reference, policy):
+    """A scalar decode lays out only a block of consecutive trees; every
+    node gets the offset and size the whole-forest layout gives it."""
+    index = _forest(reference, policy)
+    whole = index.layout
+    bounds = np.append(whole.tree_roots, index.flat.kind.size)
+    for lo, hi in ((0, 1), (3, 40), (bounds.size - 6, bounds.size - 1)):
+        part = forest_layout(index.flat, index.config, bounds[lo:hi + 1])
+        nodes = slice(int(bounds[lo]), int(bounds[hi]))
+        assert part.first == bounds[lo]
+        assert part.offset.tolist() == whole.offset[nodes].tolist()
+        assert part.nbytes.tolist() == whole.nbytes[nodes].tolist()
 
 
 def test_tiled_beats_bfs_on_walk_locality(reference, read_codes=None):
@@ -107,5 +135,7 @@ def test_prefix_merging_increases_leaf_bytes(reference):
 
 
 def test_unknown_node_type_rejected():
+    with pytest.raises(ValueError):
+        node_size(3, 1, 0, 0, 0, prefix_merging=False)
     with pytest.raises(TypeError):
-        node_size(object(), prefix_merging=False)
+        size_of(object(), prefix_merging=False)

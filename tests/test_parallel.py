@@ -16,7 +16,6 @@ import pytest
 from repro import telemetry
 from repro.core import ErtConfig, ErtSeedingEngine, build_ert
 from repro.core.io import index_to_buffer
-from repro.core.serialize import trees_equal
 from repro.kernels import resolve_kernels
 from repro.parallel import (
     ParallelConfig,
@@ -33,6 +32,7 @@ from repro.seeding.algorithm import seed_read
 from repro.seeding.engine import EngineStats
 from repro.sequence import ReadSimulator
 from repro.sequence.simulate import PairedReadSimulator
+from tests.serialize import trees_equal
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 

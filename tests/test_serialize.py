@@ -11,17 +11,17 @@ from repro.core import (
     save_ert,
 )
 from repro.core.io import IndexFormatError
-from repro.core.layout import layout_tree, node_size
 from repro.core.nodes import DivergeNode, LeafNode, UniformNode
-from repro.core.serialize import (
+from repro.seeding import SeedingParams, seed_read
+from repro.sequence import GenomeSimulator, ReadSimulator
+from tests.serialize import (
     SerializeError,
     _decode_node,
     decode_tree,
     encode_tree,
+    size_of,
     trees_equal,
 )
-from repro.seeding import SeedingParams, seed_read
-from repro.sequence import GenomeSimulator, ReadSimulator
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +37,18 @@ def index(ref, request):
                                     prefix_merging=request.param))
 
 
-def _blob_size(index, root):
-    """Laying a tree out again returns its blob size (and reassigns the
-    offsets it already has: the layout is a pure function of shape)."""
-    return layout_tree(root, index.config)
+def _blob_sizes(index):
+    """Every tree's blob size: it runs to the next tree's blob."""
+    ends = list(index.tree_base.values())[1:] + [index.trees_region.size]
+    return {code: end - base
+            for (code, base), end in zip(index.tree_base.items(), ends)}
 
 
 def test_every_tree_roundtrips(index):
     pm = index.config.prefix_merging
+    sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob = encode_tree(root, _blob_size(index, root), pm)
+        blob = encode_tree(root, sizes[code], pm)
         back = decode_tree(blob, root.offset)
         assert trees_equal(root, back, check_prefix=pm), code
 
@@ -55,12 +57,12 @@ def test_decoded_sizes_match_size_model(index):
     pm = index.config.prefix_merging
     code = max(index.roots, key=lambda c: index.kmer_count[c])
     root = index.roots[code]
-    blob = encode_tree(root, _blob_size(index, root), pm)
+    blob = encode_tree(root, _blob_sizes(index)[code], pm)
     stack = [decode_tree(blob, root.offset)]
     while stack:
         node = stack.pop()
         if pm or not isinstance(node, LeafNode):
-            assert node.nbytes == node_size(node, pm)
+            assert node.nbytes == size_of(node, pm)
         stack.extend(node.children_nodes())
 
 
@@ -68,8 +70,9 @@ def test_prefix_chars_survive_roundtrip(ref):
     index = build_ert(ref, ErtConfig(k=5, max_seed_len=80,
                                      prefix_merging=True))
     checked = 0
+    sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob = encode_tree(root, _blob_size(index, root), True)
+        blob = encode_tree(root, sizes[code], True)
         back = decode_tree(blob, root.offset)
         stack_a, stack_b = [root], [back]
         while stack_a:
