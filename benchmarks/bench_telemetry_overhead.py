@@ -80,7 +80,7 @@ def _baseline_seed_read(engine, read, params):
         result.reseed_seeds = reseed_round(engine, read, result.smems,
                                            params)
     if params.use_last:
-        result.last_seeds = last_round(engine, read, params)
+        result.last_seeds = last_round(engine, read, params, smems)
     return result
 
 

@@ -121,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = sub.add_parser("seed", help="seed reads, one TSV line per seed")
     seed.add_argument("--index", required=True)
     seed.add_argument("--reads", required=True)
-    seed.add_argument("--min-seed-len", type=int, default=19)
-    seed.add_argument("--max-hits", type=int, default=500)
+    _add_seeding_args(seed, max_hits=True)
     seed.add_argument("--out", default="-")
     _add_telemetry_args(seed)
     _add_parallel_args(seed)
@@ -130,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     align = sub.add_parser("align", help="align reads to SAM")
     align.add_argument("--index", required=True)
     align.add_argument("--reads", required=True)
-    align.add_argument("--min-seed-len", type=int, default=19)
+    _add_seeding_args(align)
     align.add_argument("--out", required=True)
     _add_telemetry_args(align)
     _add_parallel_args(align)
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     align_pe.add_argument("--index", required=True)
     align_pe.add_argument("--reads", required=True,
                           help="interleaved FASTQ (mate1, mate2, ...)")
-    align_pe.add_argument("--min-seed-len", type=int, default=19)
+    _add_seeding_args(align_pe)
     align_pe.add_argument("--insert-mean", type=int, default=350)
     align_pe.add_argument("--insert-sd", type=int, default=50)
     align_pe.add_argument("--out", required=True)
@@ -171,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "batched vector kernels; defaults to "
                               "whatever the slowlog record says the run "
                               "used (else scalar)")
-    explain.add_argument("--min-seed-len", type=int, default=19)
-    explain.add_argument("--max-hits", type=int, default=500)
+    _add_seeding_args(explain, max_hits=True)
     explain.add_argument(
         "--slowlog", default=None, metavar="FILE",
         help="cross-check the replayed counters against this slowlog's "
@@ -187,13 +185,21 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--reference", required=True)
     compare.add_argument("--reads", required=True)
     compare.add_argument("--k", type=int, default=8)
-    compare.add_argument("--min-seed-len", type=int, default=19)
+    _add_seeding_args(compare)
     _add_telemetry_args(compare)
 
     # Listed for ``ert-repro --help`` only; ``main`` never parses them.
     for name, (_module, summary) in _DELEGATED.items():
         sub.add_parser(name, help=summary, add_help=False)
     return parser
+
+
+def _add_seeding_args(parser, max_hits: bool = False) -> None:
+    parser.add_argument("--min-seed-len",
+                        type=_positive_int("--min-seed-len"), default=19)
+    if max_hits:
+        parser.add_argument("--max-hits", type=_positive_int("--max-hits"),
+                            default=500)
 
 
 def _add_telemetry_args(parser) -> None:
@@ -422,6 +428,15 @@ def _index_config(**flags):
         raise _RefusedArgument(f"{named}{exc}") from None
 
 
+def _check_min_seed_len(args, k: int) -> None:
+    """Refuse a ``--min-seed-len`` below the index's ``k``: the ERT
+    resolves k characters at once, so it cannot count shorter matches."""
+    if args.min_seed_len < k:
+        raise _RefusedArgument(
+            f"--min-seed-len {args.min_seed_len}: below the index's k ({k}); "
+            f"seeds must be at least k long")
+
+
 def _cmd_simulate_reads(args) -> int:
     from repro.sequence import ReadSimulator, write_fastq
 
@@ -578,6 +593,7 @@ def _cmd_run(args) -> int:
     entry, write, summary = _RUNS[args.command]
     _check_writable(args.out)
     index = load_ert(args.index)
+    _check_min_seed_len(args, index.config.k)
     reads = read_fastq(args.reads)
     limit = index.config.max_seed_len
     too_long = next((r for r in reads if r.codes.size > limit), None)
@@ -634,7 +650,9 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
-    engine = ErtSeedingEngine(load_ert(args.index), gather_limit=500)
+    index = load_ert(args.index)
+    _check_min_seed_len(args, index.config.k)
+    engine = ErtSeedingEngine(index, gather_limit=500)
     if args.task == "seed":
         params = SeedingParams(min_seed_len=args.min_seed_len,
                                max_hits_per_seed=args.max_hits)
@@ -746,6 +764,7 @@ def _cmd_compare(args) -> int:
     from repro.sequence import read_fastq
 
     config = _index_config(k=args.k)
+    _check_min_seed_len(args, config.k)
     reference = _single_reference(args.reference)
     reads = [r.codes for r in read_fastq(args.reads)]
     params = SeedingParams(min_seed_len=args.min_seed_len)

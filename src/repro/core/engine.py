@@ -339,10 +339,6 @@ class ErtSeedingEngine(SeedingEngine):
                   max_intv: int) -> "tuple[int, int] | None":
         self._check_read(read)
         k = self.index.config.k
-        if min_len < k:
-            raise ValueError(
-                f"LAST with min_len={min_len} below k={k}: the ERT cannot "
-                f"observe counts for matches shorter than its k-mer")
         n = int(read.size)
         if n - start < k:
             return None

@@ -185,7 +185,8 @@ class KmerReuseDriver:
                         result.reseed_seeds = reseed_round(
                             engine, read, result.smems, params)
                     if params.use_last:
-                        result.last_seeds = last_round(engine, read, params)
+                        result.last_seeds = last_round(engine, read, params,
+                                                       smems)
                     results.append(result)
                     self._mark(f"reconcile:{rid}")
 

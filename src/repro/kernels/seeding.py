@@ -157,12 +157,7 @@ class ArenaSeedingEngine(SeedingEngine):
                   max_intv: int) -> "tuple[int, int] | None":
         if read is not self._read:
             self._load(read)
-        k = self.cursor.k
-        if min_len < k:
-            raise ValueError(
-                f"LAST with min_len={min_len} below k={k}: the ERT cannot "
-                f"observe counts for matches shorter than its k-mer")
-        if self._n - start < k:
+        if self._n - start < self.cursor.k:
             return None
         end, nid, count, steps = walk(
             self.cursor, self._seq, self._codes, start, self._n, 1, None,

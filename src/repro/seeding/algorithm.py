@@ -9,11 +9,24 @@ whose MEMs are provably contained.
 
 Round 2 -- **reseeding**: long, low-occurrence SMEMs are re-seeded from
 their midpoint requiring at least ``occ + 1`` hits, recovering shorter
-matches hidden inside a dominant long match.
+matches hidden inside a dominant long match.  With pruning, the backward
+search from the first LEP ``p1`` runs first and reaches ``lo``; every
+other LEP ``p`` has ``s(p) >= lo`` (``read[s(p):p1]`` is a substring of
+``read[s(p):p]``, so it has at least as many hits), so a LEP with
+``p - lo < min_seed_len`` can only yield a MEM the length filter drops,
+and its search is skipped (``pruned_reseed_searches``).
 
 Round 3 -- **LAST**: a forward-only greedy scan emitting the shortest
 match from each position that is both long (``>= min_seed_len``) and
-selective (``< max_mem_intv`` hits).
+selective (``< max_mem_intv`` hits).  With pruning, round 1's SMEMs
+(all lengths, starts and ends increasing) give ``E(x)``, the end of the
+longest match starting at ``x``: the end of the last SMEM starting at or
+before ``x`` when that end is past ``x``, else ``x``.  A launch with
+``E(x) - x < min_seed_len`` cannot emit, so the scan jumps to the next
+SMEM start; and once a launch with ``E(x) = n`` (the read end) returns
+nothing, every later one does too -- ``count(x+1, L) >= count(x, L+1) >=
+max_mem_intv`` for every ``L`` in ``[min_seed_len, n-x-1]`` -- so the
+round ends (``pruned_last_launches`` counts the launches skipped).
 
 The same function drives any :class:`~repro.seeding.engine.SeedingEngine`,
 which is how the repository realizes the paper's bit-equivalence guarantee
@@ -56,25 +69,6 @@ class SeedingParams:
         return int(self.min_seed_len * self.split_factor + 0.499)
 
 
-def _pivot_mems(engine: SeedingEngine, read: np.ndarray, pivot: int,
-                min_hits: int, prev_pivot: int,
-                use_pruning: bool) -> "tuple[list[Mem], int, bool]":
-    """Forward search from one pivot plus its backward searches.
-
-    Returns the MEMs found and the end of the forward match (the next
-    pivot).  Backward searches run right-to-left over the LEPs; with
-    pruning on, a search reaching ``prev_pivot`` terminates the loop
-    because every remaining MEM is contained in the one just found.
-    """
-    forward = engine.forward_search(read, pivot, min_hits)
-    engine.stats.forward_searches += 1
-    if forward.is_empty:
-        return [], pivot + 1, True
-    mems = engine.backward_sweep(read, forward.leps, min_hits, prev_pivot,
-                                 use_pruning)
-    return mems, forward.end, False
-
-
 def filter_contained(mems: "list[Mem]") -> "list[Mem]":
     """Drop MEMs fully contained in another MEM (SMEM condition)."""
     out = []
@@ -87,35 +81,31 @@ def filter_contained(mems: "list[Mem]") -> "list[Mem]":
 
 
 def generate_smems(engine: SeedingEngine, read: np.ndarray,
-                   params: "SeedingParams | None" = None,
-                   pivot: "int | None" = None,
-                   min_hits: int = 1) -> "list[Mem]":
+                   params: "SeedingParams | None" = None) -> "list[Mem]":
     """Round 1: the SMEM set of ``read`` (all lengths; callers filter).
 
-    With ``pivot`` given, only that single pivot is processed (reseeding
-    uses this).  Otherwise pivots sweep the read: each forward match's end
-    becomes the next pivot (§II-A).
+    Pivots sweep the read: each forward match's end becomes the next
+    pivot (§II-A).  Each pivot's backward searches run right-to-left over
+    its LEPs; with pruning on, a search reaching the previous pivot ends
+    the sweep because every remaining MEM is contained in the one just
+    found (§III-F).
     """
     params = params or SeedingParams()
     mems: "list[Mem]" = []
-    if pivot is not None:
-        found, _, _ = _pivot_mems(engine, read, pivot, min_hits, 0,
-                                  params.use_pruning)
-        return filter_contained(found)
     x = 0
     prev_pivot = 0
     n = int(read.size)
     while x < n:
-        found, nxt, empty = _pivot_mems(engine, read, x, min_hits,
-                                        prev_pivot, params.use_pruning)
-        mems.extend(found)
-        if nxt <= x:
-            raise RuntimeError("engine failed to advance the pivot")
-        # No match can cross a below-threshold character, so an empty
-        # forward search moves the barrier past it; otherwise the barrier
-        # for the next segment's backward searches is this pivot (§III-F).
-        prev_pivot = x + 1 if empty else x
-        x = nxt
+        forward = engine.forward_search(read, x)
+        engine.stats.forward_searches += 1
+        if forward.is_empty:
+            # No match can cross a below-threshold character, so an
+            # empty forward search moves the barrier past it.
+            x = prev_pivot = x + 1
+            continue
+        mems.extend(engine.backward_sweep(read, forward.leps, 1, prev_pivot,
+                                          params.use_pruning))
+        prev_pivot, x = x, forward.end
     return filter_contained(mems)
 
 
@@ -134,6 +124,27 @@ def smems_to_seeds(engine: SeedingEngine, read: np.ndarray,
             if m.length >= params.min_seed_len]
 
 
+def _reseed_mems(engine: SeedingEngine, read: np.ndarray, pivot: int,
+                 min_hits: int, params: SeedingParams) -> "list[Mem]":
+    """One reseed pivot: its forward search and backward sweep, with the
+    LEPs that provably yield only short MEMs left out under pruning (see
+    the module docstring)."""
+    leps = engine.forward_search(read, pivot, min_hits).leps
+    engine.stats.forward_searches += 1
+    if not params.use_pruning or not leps:
+        return filter_contained(engine.backward_sweep(
+            read, leps, min_hits, 0, params.use_pruning))
+    first = leps[0]
+    lo = engine.backward_search(read, first, min_hits)
+    engine.stats.backward_searches += 1
+    keep = tuple(p for p in leps[1:] if p - lo >= params.min_seed_len)
+    engine.stats.pruned_reseed_searches += len(leps) - 1 - len(keep)
+    mems = engine.backward_sweep(read, keep, min_hits, 0, True)
+    if lo < first:
+        mems.append(Mem(lo, first))
+    return filter_contained(mems)
+
+
 def reseed_round(engine: SeedingEngine, read: np.ndarray,
                  smem_seeds: "list[Seed]",
                  params: SeedingParams) -> "list[Seed]":
@@ -144,8 +155,8 @@ def reseed_round(engine: SeedingEngine, read: np.ndarray,
         if (seed.length >= params.split_len
                 and seed.hit_count <= params.split_width):
             mid = (seed.read_start + seed.read_end) // 2
-            extra = generate_smems(engine, read, params, pivot=mid,
-                                   min_hits=seed.hit_count + 1)
+            extra = _reseed_mems(engine, read, mid, seed.hit_count + 1,
+                                 params)
             out.extend(_make_seed(engine, read, mem, params)
                        for mem in extra
                        if mem.length >= params.min_seed_len)
@@ -153,15 +164,32 @@ def reseed_round(engine: SeedingEngine, read: np.ndarray,
 
 
 def last_round(engine: SeedingEngine, read: np.ndarray,
-               params: SeedingParams) -> "list[Seed]":
-    """Round 3: LAST -- greedy forward scan for short selective matches."""
+               params: SeedingParams, smems: "list[Mem]") -> "list[Seed]":
+    """Round 3: LAST -- greedy forward scan for short selective matches.
+    ``smems`` is round 1's SMEM list (all lengths): with pruning it says
+    which launches provably emit nothing (see the module docstring)."""
     out = []
     x = 0
     n = int(read.size)
-    while x + params.min_seed_len <= n:
+    stop = n - params.min_seed_len + 1  # launches start before ``stop``
+    prune = params.use_pruning
+    j = 0  # smems[:j] start at or before x; ``reach`` is then E(x)
+    while x < stop:
+        if prune:
+            while j < len(smems) and smems[j].start <= x:
+                j += 1
+            reach = smems[j - 1].end if j else x
+            if reach - x < params.min_seed_len:
+                nxt = min(smems[j].start if j < len(smems) else stop, stop)
+                engine.stats.pruned_last_launches += nxt - x
+                x = nxt
+                continue
         found = engine.last_seed(read, x, params.min_seed_len,
                                  params.max_mem_intv)
         if found is None:
+            if prune and reach == n:
+                engine.stats.pruned_last_launches += stop - x - 1
+                break
             x += 1
             continue
         end, _count = found
@@ -204,6 +232,11 @@ def _three_rounds(engine: SeedingEngine, read: np.ndarray,
     round in a telemetry span: the per-read scalar driver asks for it
     when telemetry is on; :func:`repro.kernels.seeding.seed_batch`,
     which observes a whole batch under one span, never does."""
+    if params.use_last and params.min_seed_len < engine.min_query_len:
+        raise ValueError(
+            f"LAST with min_seed_len={params.min_seed_len} below the "
+            f"engine's shortest query ({engine.min_query_len}, the ERT's "
+            f"k): it cannot observe counts for shorter matches")
     span = telemetry.span if observed else _no_span
     result = SeedingResult()
     with span("smem"):
@@ -215,7 +248,7 @@ def _three_rounds(engine: SeedingEngine, read: np.ndarray,
                                                params)
     if params.use_last:
         with span("last"):
-            result.last_seeds = last_round(engine, read, params)
+            result.last_seeds = last_round(engine, read, params, smems)
     return result
 
 

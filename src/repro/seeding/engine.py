@@ -57,6 +57,11 @@ class EngineStats:
     forward_searches: int = 0
     backward_searches: int = 0
     pruned_backward_searches: int = 0
+    #: Reseed LEPs and LAST launches pruning skipped because they
+    #: provably emit no seed (rounds 2 and 3, see
+    #: :mod:`repro.seeding.algorithm`).
+    pruned_reseed_searches: int = 0
+    pruned_last_launches: int = 0
     merged_backward_searches: int = 0
     index_lookups: int = 0
     tree_root_fetches: int = 0
@@ -135,7 +140,8 @@ class SeedingEngine(abc.ABC):
         """BWA's third-round query (`bwt_seed_strategy1`): scan forward from
         ``start``; return ``(end, count)`` for the shortest match with
         length >= ``min_len`` and count < ``max_intv``, or ``None`` if the
-        match dies before becoming long and selective enough."""
+        match dies before becoming long and selective enough.  Callers
+        keep ``min_len >= min_query_len`` (the three rounds check it)."""
 
     # -- backward sweep ---------------------------------------------------
 

@@ -183,6 +183,66 @@ def test_retry_flags_validate(workspace, capsys):
         assert flag in capsys.readouterr().err
 
 
+def _seeding_argv(command, workspace, out, log):
+    """A run of ``command`` on the workspace that opens ``out`` and the
+    ``--log-jsonl`` sink ``log`` where the command has them."""
+    from repro.sequence import read_fastq
+
+    _root, ref, reads, index = workspace
+    if command == "compare":
+        return ["compare", "--reference", str(ref), "--reads", str(reads),
+                "--k", "5", "--log-jsonl", str(log)]
+    if command == "explain":
+        return ["explain", "--index", str(index), "--reads", str(reads),
+                "--read-id", read_fastq(reads)[0].name]
+    return [command, "--index", str(index), "--reads", str(reads),
+            "--out", str(out), "--log-jsonl", str(log)]
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "align-pe",
+                                     "explain", "compare"])
+def test_seeding_flags_reject_nonpositive(workspace, tmp_path, capsys,
+                                          command):
+    """``--max-hits -1`` used to clip every hit list and ``--min-seed-len
+    0`` to end in a traceback: both are argparse errors naming the flag."""
+    argv = _seeding_argv(command, workspace, tmp_path / "out",
+                         tmp_path / "log.jsonl")
+    flags = ["--min-seed-len"]
+    if command in ("seed", "explain"):
+        flags.append("--max-hits")
+    for flag in flags:
+        for bad in ("0", "-1", "x"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + [flag, bad])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: {flag} must be" in \
+                capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "align-pe",
+                                     "explain", "compare"])
+def test_min_seed_len_below_k_is_one_line_and_exit_two(workspace, tmp_path,
+                                                        capsys, command):
+    """Below the index's k (5 here) LAST cannot count a match: refused
+    naming the flag and k before telemetry opens -- not a ``ValueError``
+    traceback, and no output or log file."""
+    out, log = tmp_path / "out", tmp_path / "log.jsonl"
+    argv = _seeding_argv(command, workspace, out, log)
+    assert main(argv + ["--min-seed-len", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ert-repro {command}: --min-seed-len 4: below "
+                            f"the index's k (5); seeds must be at least k "
+                            f"long\n")
+    assert not out.exists() and not log.exists()
+    try:
+        assert main(argv + ["--min-seed-len", "5"]) == 0
+    finally:
+        from repro import telemetry
+
+        telemetry.reset()  # explain replays with metrics on
+
+
 def test_repro_workers_garbage_values(workspace, monkeypatch, capsys):
     """Garbage in $REPRO_WORKERS must not break a run: "abc" warns and
     runs serial; "-3" clamps to 1 worker."""

@@ -92,9 +92,21 @@ def test_last_seed_matches_oracle(ert, oracle, read_codes):
                 assert a == b, (start, max_intv)
 
 
-def test_last_seed_rejects_min_len_below_k(ert, read_codes):
-    with pytest.raises(ValueError):
-        ert.last_seed(read_codes[0], 0, ert.index.config.k - 1, 10)
+def test_seeding_rejects_min_seed_len_below_k(ert, read_codes):
+    """LAST cannot count matches shorter than k: both ERT engines refuse
+    ``min_seed_len < k`` up front, even on a read whose every LAST launch
+    pruning would skip."""
+    from repro.kernels import seed_batch
+    from repro.seeding import seed_read
+
+    k = ert.index.config.k
+    noise = np.random.default_rng(5).integers(0, 4, 80).astype(np.uint8)
+    short = SeedingParams(min_seed_len=k - 1)
+    for read in (read_codes[0], noise):
+        with pytest.raises(ValueError, match="below"):
+            seed_read(ert, read, short)
+        with pytest.raises(ValueError, match="below"):
+            seed_batch(ert, [read], short)
 
 
 def test_read_longer_than_max_seed_len_rejected(reference):

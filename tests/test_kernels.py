@@ -185,8 +185,11 @@ def test_arena_engine_search_counters_match_scalar(ert_index, reference,
                                      40)
     scalar, vector = _assert_batch_matches_scalar(ert_index, reads, params)
     assert scalar.stats.pruned_backward_searches > 0
+    assert scalar.stats.pruned_reseed_searches > 0
+    assert scalar.stats.pruned_last_launches > 0
     for name in ("forward_searches", "backward_searches",
-                 "pruned_backward_searches", "truncated_hit_lists",
+                 "pruned_backward_searches", "pruned_reseed_searches",
+                 "pruned_last_launches", "truncated_hit_lists",
                  "index_lookups"):
         assert (getattr(vector.stats, name)
                 == getattr(scalar.stats, name)), name
