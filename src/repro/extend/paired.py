@@ -105,8 +105,7 @@ class PairedAligner:
         # diagonal, so the rescue search runs unbanded (the window is
         # only an insert-size long; this is what BWA's mate-SW does too).
         traced = banded_sw_traceback(query, target, self.aligner.scheme,
-                                     band=2 * int(target.size) + 1,
-                                     workspace=self.aligner._sw_workspace)
+                                     band=2 * int(target.size) + 1)
         if not traced.is_aligned or traced.score < len(read) // 2:
             return None
         # The query handed to the kernel already runs along the forward

@@ -453,8 +453,7 @@ class ReadAligner:
         """
         if self.tb_batch is None:
             return (banded_sw_traceback(reads[i], window, self.scheme,
-                                        self.band,
-                                        workspace=self._sw_workspace)
+                                        self.band)
                     for i, _, window in lanes)
         buckets: "dict[int, list[int]]" = {}
         for slot, (i, _, _) in enumerate(lanes):

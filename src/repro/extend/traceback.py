@@ -2,9 +2,11 @@
 
 The score-only kernel in :mod:`repro.extend.smith_waterman` models the
 hardware cost; alignment *output* needs the operation string.  This
-variant keeps banded pointer matrices for the three affine states and
-walks them back from the best cell, emitting a BWA-style CIGAR with
-soft-clips for the unaligned read ends.
+variant keeps band-relative pointer rows for the three affine states
+(one ``bytearray`` per DP row each) and walks them back from the best
+cell, emitting a BWA-style CIGAR with soft-clips for the unaligned read
+ends.  It is the oracle the batched kernel is checked against, so the
+row loop is the literal per-cell recurrence, on plain Python ints.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.extend.smith_waterman import NEG_INF, ScoringScheme, SwWorkspace
+from repro.extend.smith_waterman import (
+    DEFAULT_SCHEME, NEG_INF, ScoringScheme)
 
 # Traceback codes for the H matrix.
 _STOP, _DIAG, _FROM_E, _FROM_F = 0, 1, 2, 3
@@ -58,38 +61,32 @@ def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
 
 def banded_sw_traceback(query: np.ndarray, target: np.ndarray,
                         scheme: "ScoringScheme | None" = None,
-                        band: int = 41,
-                        workspace: "SwWorkspace | None" = None
-                        ) -> TracedAlignment:
+                        band: int = 41) -> TracedAlignment:
     """Local alignment with CIGAR, banded like the score-only kernel."""
-    scheme = scheme or ScoringScheme()
+    scheme = scheme or DEFAULT_SCHEME
     if band < 1:
         raise ValueError("band must be at least 1")
-    q = np.asarray(query, dtype=np.int16)
-    t = np.asarray(target, dtype=np.int16)
-    m, n = q.size, t.size
+    q = np.asarray(query, dtype=np.int16).tolist()
+    t = np.asarray(target, dtype=np.int16).tolist()
+    m, n = len(q), len(t)
     if m == 0 or n == 0:
         # Same unaligned shape as the best == 0 path below: a full
         # soft-clip, normalized through _merge (so m == 0 yields ()).
         return TracedAlignment(0, 0, 0, 0, 0, _merge([("S", m)]))
+    match, mismatch = scheme.match, scheme.mismatch
+    gap_open, gap_extend = scheme.gap_open, scheme.gap_extend
     half = band // 2
     width = 2 * half + 2
 
-    # Two rotating H/E row pairs from the caller's workspace; refilling
-    # them beats the fresh (n + 1) allocations the per-row loop used to
-    # make (the same reuse the score-only kernel follows).
-    workspace = workspace or SwWorkspace()
-    h_prev, e_prev, h_cur, e_cur = workspace.rows(n)
-    h_prev[:] = 0
-    e_prev[:] = NEG_INF
-    # Pointer matrices, band-relative: column j maps to j - (i - half).
-    h_ptr = np.zeros((m + 1, width), dtype=np.int8)
-    e_open = np.zeros((m + 1, width), dtype=bool)
-    f_open = np.zeros((m + 1, width), dtype=bool)
-
-    def rel(i, j):
-        return j - (i - half)
-
+    # Band-relative rows: row i's column r is j = i - half + r, so row
+    # i - 1 holds the cell above column r at r + 1 and the diagonal
+    # neighbour at r.  Cells a row leaves unfilled keep the out-of-band
+    # values (H = 0, E = -inf) the next row may read at its edges.
+    h_prev = [0] * width
+    e_prev = [NEG_INF] * width
+    h_ptr = [bytearray(width)]
+    e_open = [bytearray(width)]
+    f_open = [bytearray(width)]
     best = 0
     best_i = best_j = 0
     for i in range(1, m + 1):
@@ -97,68 +94,52 @@ def banded_sw_traceback(query: np.ndarray, target: np.ndarray,
         hi = min(n, i + half)
         if lo > hi:
             break
-        # Within the band, rel(i, j) sweeps lo - (i - half) .. hi -
-        # (i - half), always inside [0, width).  E (vertical) and the
-        # diagonal term depend only on the previous row, so both are
-        # one vector op; F (horizontal) chains through the current row
-        # and stays in the scalar loop, on plain Python ints -- the
-        # recurrences and tie-breaks are identical to the per-cell
-        # form, only the arithmetic moved out of numpy scalar indexing.
-        r_lo = rel(i, lo)
-        span = hi - lo + 1
-        open_e = h_prev[lo:hi + 1] + scheme.gap_open
-        extend_e = e_prev[lo:hi + 1] + scheme.gap_extend
-        e_row = np.maximum(open_e, extend_e)
-        e_open[i, r_lo:r_lo + span] = open_e >= extend_e
-        diag_row = h_prev[lo - 1:hi] + np.where(
-            t[lo - 1:hi] == q[i - 1], scheme.match, scheme.mismatch)
-        e_vals = e_row.tolist()
-        diag_vals = diag_row.tolist()
-        h_row = [0] * span
-        ptr_row = [_STOP] * span
-        f_row = [False] * span
+        base = i - half
+        t_off = base - 1
+        q_i = q[i - 1]
+        h_cur = [0] * width
+        e_cur = [NEG_INF] * width
+        ptr_row = bytearray(width)
+        e_open_row = bytearray(width)
+        f_open_row = bytearray(width)
         f = NEG_INF
-        # h_cur[lo - 1] sits outside the band on this row, hence 0.
-        h_left = 0
-        for c in range(span):
-            # F: gap in the target (consume query), horizontal state.
-            open_f = h_left + scheme.gap_open
-            extend_f = f + scheme.gap_extend
-            if open_f >= extend_f:
-                f = open_f
-                f_row[c] = True
+        h = 0  # H left of the band on this row
+        for r in range(lo - base, hi - base + 1):
+            up = r + 1
+            # E: gap in the reference (consume query), from the row above.
+            e = h_prev[up] + gap_open
+            extend = e_prev[up] + gap_extend
+            if e >= extend:
+                e_open_row[r] = 1
             else:
-                f = extend_f
-            e = e_vals[c]
-            diag = diag_vals[c]
-            h = max(0, diag, e, f)
-            h_row[c] = h
-            h_left = h
-            if h == 0:
-                pass
-            elif h == diag:
-                ptr_row[c] = _DIAG
-            elif h == e:
-                ptr_row[c] = _FROM_E
+                e = extend
+            # F: gap in the query (consume target), from the left.
+            extend = f + gap_extend
+            f = h + gap_open
+            if f >= extend:
+                f_open_row[r] = 1
             else:
-                ptr_row[c] = _FROM_F
-            if h > best:
-                best, best_i, best_j = h, i, lo + c
-        f_open[i, r_lo:r_lo + span] = f_row
-        h_ptr[i, r_lo:r_lo + span] = ptr_row
-        h_cur[lo:hi + 1] = h_row
-        e_cur[lo:hi + 1] = e_row
-        # The next row reads at most one cell either side of this row's
-        # filled span (lo' - 1 >= lo - 1 for the diagonal term, hi' <=
-        # hi + 1 for E); pin those to the out-of-band boundary values so
-        # the reused buffers never leak a stale cell into the band.
-        h_cur[lo - 1] = 0
-        e_cur[lo - 1] = NEG_INF
-        if hi < n:
-            h_cur[hi + 1] = 0
-            e_cur[hi + 1] = NEG_INF
-        h_prev, h_cur = h_cur, h_prev
-        e_prev, e_cur = e_cur, e_prev
+                f = extend
+            diag = h_prev[r] + (match if t[t_off + r] == q_i else mismatch)
+            # H = max(0, diag, E, F); the pointer is the first of stop,
+            # diagonal, E, F that attains it.
+            h, ptr = diag, _DIAG
+            if e > h:
+                h, ptr = e, _FROM_E
+            if f > h:
+                h, ptr = f, _FROM_F
+            if h > 0:
+                ptr_row[r] = ptr
+                if h > best:
+                    best, best_i, best_j = h, i, base + r
+            else:
+                h = 0
+            h_cur[r] = h
+            e_cur[r] = e
+        h_ptr.append(ptr_row)
+        e_open.append(e_open_row)
+        f_open.append(f_open_row)
+        h_prev, e_prev = h_cur, e_cur
 
     if best == 0:
         return TracedAlignment(0, 0, 0, 0, 0, _merge([("S", m)]))

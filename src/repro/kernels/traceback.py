@@ -43,9 +43,10 @@ Planes and rows are int16 when every intermediate fits (``m match`` and
 ``width |penalty|`` below 2^14, -2^14 standing in for ``NEG_INF``) and
 int32 otherwise -- computed from ``m`` and the scheme, one code path.
 The row loop costs nearly the same for 3 lanes as for 128 (101 bp reads,
-band 41, sweep + walk-back per lane: 0.61 ms at B = 3, 0.26 ms at B = 8,
-0.070 ms at B = 64, 0.050 ms at B = 128; scalar kernel 2.2 ms), so
-callers pack lanes from *different reads* of a batch into one call
+band 41, 2-vCPU Xeon, sweep + walk-back per lane: 0.71 ms at B = 3,
+0.33 ms at B = 8, 0.113 ms at B = 64, 0.097 ms at B = 128; scalar
+kernel 1.2 ms), so callers pack lanes from *different reads* of a
+batch into one call
 (:meth:`repro.extend.pipeline.ReadAligner.extend_batch`), split evenly
 here into sweeps of at most :data:`MAX_WAVEFRONT_LANES`.
 """
@@ -62,12 +63,14 @@ from repro.extend.smith_waterman import (
 from repro.extend.traceback import (
     _STOP, TracedAlignment, banded_sw_traceback, walk_back)
 
-#: Fewest lanes a sweep is worth.  Measured at m = 101, band = 41
-#: (median of 300 interleaved calls, sweep vs scalar row loop): 1.30 vs
-#: 1.81 ms at B = 1, 1.71 vs 4.34 ms at B = 2, 1.82 vs 6.77 ms at B = 3
-#: -- a sweep of one lane already wins, so no call is declined for its
-#: lane count and nothing here reads this.  It stays a name only because
-#: ``benchmarks/pipeline/layers.py`` imports it; it goes with that
+#: Fewest lanes a sweep is worth.  Measured at m = 101, band = 41,
+#: 142 bp windows (2-vCPU Xeon, medians of 300 interleaved calls, sweep
+#: vs the scalar int-list row loop, two passes): 1.81-1.95 vs 1.15-1.24
+#: ms at B = 1, 2.03-2.11 vs 2.33-2.38 ms at B = 2, 2.12-2.14 vs
+#: 3.46-3.56 ms at B = 3 -- the scalar loop beats a one-lane sweep and
+#: the sweep wins from two lanes on.  Nothing reads this (a one-lane call
+#: still sweeps); it stays a name only because
+#: ``benchmarks/pipeline/layers.py`` imports it, and goes with that
 #: import (ROADMAP 1(a)).
 MIN_WAVEFRONT_LANES = 1
 #: Most lanes one sweep carries, sized by memory: a lane owns a
@@ -110,9 +113,10 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
 
     ``query`` is a ``(B, m)`` block holding lane ``b``'s query in row
     ``b``, or one 1-D query shared by every lane.  Equivalent to
-    ``[banded_sw_traceback(query_b, t, scheme, band, workspace) for
-    query_b, t in lanes]``, computed lane-parallel in evenly split
-    sweeps of at most :data:`MAX_WAVEFRONT_LANES` lanes.
+    ``[banded_sw_traceback(query_b, t, scheme, band) for query_b, t in
+    lanes]``, computed lane-parallel in evenly split sweeps of at most
+    :data:`MAX_WAVEFRONT_LANES` lanes; ``workspace`` holds the sweeps'
+    planes and rows.
     """
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
@@ -133,8 +137,7 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
             # A scheme the row scan cannot carry (a no-op while
             # telemetry is off); empty inputs are not counted.
             telemetry.count("kernels.fallback_scalar.scheme")
-        return [banded_sw_traceback(q[b], t, scheme, band,
-                                    workspace=workspace)
+        return [banded_sw_traceback(q[b], t, scheme, band)
                 for b, t in enumerate(t16)]
     sweeps = -(-B // MAX_WAVEFRONT_LANES)
     out: "list[TracedAlignment]" = []

@@ -14,7 +14,7 @@ from repro.extend.paired import (
 )
 from repro.seeding import SeedingParams
 from repro.sequence import GenomeSimulator, Strand
-from repro.sequence.alphabet import decode, revcomp
+from repro.sequence.alphabet import decode, revcomp, revcomp_codes
 from repro.sequence.simulate import PairedReadSimulator
 
 
@@ -128,6 +128,27 @@ def test_mate_rescue(paired_setup):
         if not rec2.flag & 0x4 and abs(rec2.pos - 1 - pair.second.origin) <= 5:
             rescued_works += 1
     assert rescued_works >= 6
+
+
+def test_rescue_far_off_the_diagonal_is_pinned(paired_setup):
+    """A mate 330 / 248 bp into its 420 bp rescue window, with a
+    substitution, an insertion and a deletion: the unbanded rescue
+    traceback places it at these pinned coordinates and CIGARs."""
+    ref, paired = paired_setup
+
+    def edited(segment):
+        codes = [int(x) for x in segment]
+        codes[17] = (codes[17] + 1) % 4
+        codes[40:40] = [(codes[40] + 2) % 4] * 2
+        del codes[61:64]
+        return np.array(codes, dtype=np.uint8)
+
+    mate = revcomp_codes(edited(ref.codes[1330:1413]))
+    assert paired._rescue(mate, Placement(80, Strand.FORWARD, 1000, "80M")) \
+        == Placement(60, Strand.REVERSE, 1330, "17M1X21M2I19M3D22M")
+    mate = edited(ref.codes[3910:3993])
+    assert paired._rescue(mate, Placement(80, Strand.REVERSE, 4000, "80M")) \
+        == Placement(60, Strand.FORWARD, 3910, "17M1X22M2I19M3D21M")
 
 
 def test_both_unmapped(paired_setup):

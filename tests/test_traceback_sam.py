@@ -13,11 +13,12 @@ from repro.extend.sam import (
     write_sam,
 )
 from repro.extend.smith_waterman import (
+    DEFAULT_SCHEME,
     ScoringScheme,
-    SwWorkspace,
     banded_smith_waterman,
 )
 from repro.extend.traceback import TracedAlignment, banded_sw_traceback
+from repro.kernels.traceback import _plane_dtype, batched_sw_traceback
 from repro.sequence.alphabet import encode
 
 seqs = st.text(alphabet="ACGT", min_size=1, max_size=35)
@@ -35,8 +36,13 @@ def cigar_consumption(cigar):
 
 
 def score_from_cigar(traced, q, t, scheme=None):
-    """Recompute the score by replaying the CIGAR over the sequences."""
+    """Recompute the score by replaying the CIGAR over the sequences.
+
+    A gap run of ``length`` costs ``gap_open`` plus ``length - 1`` times
+    ``max(gap_open, gap_extend)``: when opening is the cheaper step the
+    recurrence closes and reopens the gap inside one run."""
     scheme = scheme or ScoringScheme()
+    step = max(scheme.gap_open, scheme.gap_extend)
     qi, ti = traced.query_start, traced.target_start
     score = 0
     for op, length in traced.cigar:
@@ -48,10 +54,10 @@ def score_from_cigar(traced, q, t, scheme=None):
                 qi += 1
                 ti += 1
         elif op == "I":
-            score += scheme.gap_open + (length - 1) * scheme.gap_extend
+            score += scheme.gap_open + (length - 1) * step
             qi += length
         elif op == "D":
-            score += scheme.gap_open + (length - 1) * scheme.gap_extend
+            score += scheme.gap_open + (length - 1) * step
             ti += length
     return score, qi, ti
 
@@ -136,12 +142,36 @@ def test_unaligned_return_shape_is_unified():
         == TracedAlignment(0, 0, 0, 0, 0, (("S", 4),))
 
 
-def test_workspace_reuse_is_byte_identical():
-    """One shared SwWorkspace across targets of many shapes (including
-    shrinking ones, which leave stale cells in the reused rows) must
-    reproduce the fresh-allocation results exactly."""
+#: Schemes for the band-binding checks: the default, a second
+#: ``gap_open < gap_extend`` one, ``gap_open > gap_extend`` (beyond the
+#: batched kernel's scan, so its scalar fallback) and the scan's edge
+#: ``gap_open == gap_extend``.
+SCHEMES = (DEFAULT_SCHEME,
+           ScoringScheme(match=2, mismatch=-3, gap_open=-5, gap_extend=-2),
+           ScoringScheme(match=1, mismatch=-1, gap_open=-1, gap_extend=-3),
+           ScoringScheme(match=2, mismatch=-4, gap_open=-2, gap_extend=-2))
+
+
+def assert_traceback_agrees(q, t, scheme, band):
+    """``banded_sw_traceback(q, t)`` against the independent per-row
+    score-only kernel, its own CIGAR replayed under ``scheme``, and the
+    batched row-scan kernel wherever that can carry ``scheme``."""
+    traced = banded_sw_traceback(q, t, scheme, band)
+    plain = banded_smith_waterman(q, t, scheme, band)
+    assert (traced.score, traced.query_end, traced.target_end) \
+        == (plain.score, plain.query_end, plain.target_end)
+    assert cigar_consumption(traced.cigar)[0] == len(q)
+    if traced.is_aligned:
+        assert score_from_cigar(traced, q, t, scheme) \
+            == (traced.score, traced.query_end, traced.target_end)
+    if _plane_dtype(len(q), 2 * (band // 2) + 2, scheme) is not None:
+        assert batched_sw_traceback(q, [t], scheme, band) == [traced]
+
+
+def test_traceback_shape_sweep():
+    """Targets that grow and shrink between calls, planted and random,
+    under bands that bind (1, 5) and one that mostly does not (41)."""
     rng = np.random.default_rng(99)
-    shared = SwWorkspace()
     cases = []
     for n in (1, 64, 7, 33, 2, 150, 10):
         q = rng.integers(0, 4, size=int(rng.integers(1, 80))) \
@@ -151,10 +181,46 @@ def test_workspace_reuse_is_byte_identical():
             t[:min(q.size, n)] = q[:min(q.size, n)]
         cases.append((q, t))
     for band in (1, 5, 41):
-        for q, t in cases:
-            want = banded_sw_traceback(q, t, band=band)
-            got = banded_sw_traceback(q, t, band=band, workspace=shared)
-            assert got == want
+        for scheme in SCHEMES:
+            for q, t in cases:
+                assert_traceback_agrees(q, t, scheme, band)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(0, 120), planted=st.booleans(),
+       edits=st.integers(0, 6), scheme=st.sampled_from(SCHEMES),
+       band=st.sampled_from((1, 2, 5, 41, "2n+1")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_traceback_where_the_band_binds(m, planted, edits, scheme, band,
+                                        seed):
+    """Queries of 0-120 bp against targets of 0-180 bp -- random, or a
+    copy of the query with planted substitutions / insertions /
+    deletions between random flanks -- under narrow bands, the default
+    band and the unbanded rescue width, over every scheme shape."""
+    rng = np.random.default_rng(seed)
+    query = [int(x) for x in rng.integers(0, 4, size=m)]
+    if planted:
+        copy = list(query)
+        for _ in range(edits):
+            at = int(rng.integers(0, len(copy) + 1))
+            run = int(rng.integers(1, 9))
+            kind = int(rng.integers(0, 3))
+            if kind == 0 and copy:
+                copy[min(at, len(copy) - 1)] = int(rng.integers(0, 4))
+            elif kind == 1:
+                copy[at:at] = [int(x) for x in rng.integers(0, 4, size=run)]
+            else:
+                del copy[at:at + run]
+        flank = [int(x) for x in rng.integers(0, 4, size=60)]
+        lead, tail = rng.integers(0, 31, size=2)
+        target = (flank[:lead] + copy + flank[30:30 + tail])[:180]
+    else:
+        target = [int(x) for x in
+                  rng.integers(0, 4, size=int(rng.integers(0, 181)))]
+    if band == "2n+1":
+        band = 2 * len(target) + 1
+    assert_traceback_agrees(np.array(query, dtype=np.uint8),
+                            np.array(target, dtype=np.uint8), scheme, band)
 
 
 def test_mapq_model():
