@@ -7,14 +7,16 @@ so this builder takes the direct route, one suffix sort of the
 double-strand text (the paper's FMD route is the test oracle of its
 k-mer groups, ``tests/test_fmd_construction.py``):
 
-* **sort** -- prefix doubling ranks every suffix by its first
-  ``k + max_ext`` characters (one ``argsort`` of the (rank, rank shifted
-  by h) pairs, packed into an int64 key, per round; ⌈log2(k + max_ext)⌉
-  rounds; the end of the text sorts before ``A``), keeping the int32 rank
-  array of every round;
+* **sort** -- the suffix sorter the FMD-index is built with,
+  :func:`repro.fmindex.suffix_array.prefix_ranks`, capped: prefix
+  doubling ranks every suffix by its first ``k + max_ext`` characters
+  (one ``argsort`` of a packed int64 key per round; at most
+  ⌈log2(k + max_ext)⌉ rounds; the end of the text sorts before ``A``),
+  and the builder keeps the int32 rank array of every round;
 * **LCP** -- the longest common prefix of adjacent suffixes, capped at
-  ``k + max_ext``, by binary lifting over those rank levels (one
-  vectorised pass a level, highest first);
+  ``k + max_ext``, by binary lifting over those rank levels
+  (:func:`repro.fmindex.suffix_array.pair_lcp`, one vectorised pass a
+  level, highest first);
 * **group** -- a k-mer's occurrences are a maximal run of adjacent
   suffixes with LCP >= k (a suffix shorter than k has LCP < k with both
   neighbours, so it is never in one);
@@ -61,6 +63,7 @@ from repro.core.config import ErtConfig
 from repro.core.index import EntryKind, ErtIndex
 from repro.core.io import index_over
 from repro.core.layout import forest_layout
+from repro.fmindex.suffix_array import pair_lcp, prefix_ranks
 from repro.sequence.reference import Reference
 
 
@@ -74,70 +77,6 @@ def rolling_codes(text: np.ndarray, length: int) -> np.ndarray:
         out <<= 2
         out |= text[j:n - length + 1 + j]
     return out
-
-
-def _prefix_ranks(
-    text: np.ndarray, length: int,
-) -> "tuple[list[np.ndarray], list[int], np.ndarray]":
-    """Rank every suffix of ``text`` by its first 1, 2, 4, ... and finally
-    ``length`` characters (prefix doubling).
-
-    Returns the rank level of every round, each int32 of ``n + 1`` entries
-    (equal ranks iff equal prefixes; entry ``n``, the empty suffix, is 0 and
-    every real rank is >= 1, so the end of the text sorts before ``A``),
-    the prefix length each level ranks by, and the suffix order of the
-    last round.  Suffixes that tie on all ``length`` characters come in
-    no particular order.
-    """
-    n = int(text.size)
-    rank = np.zeros(n + 1, dtype=np.int32)
-    rank[:n] = text
-    rank[:n] += 1
-    levels = [rank]
-    spans = [1]
-    order = np.arange(n)  # replaced by the first round (length >= 2)
-    span = 1
-    while span < length:
-        # Overlapping windows: (first span chars, chars [shift, shift +
-        # span)) spell exactly the first span + shift characters.  The
-        # pair is packed into one int64 key (ranks are <= n).
-        shift = min(span, length - span)
-        key = rank[:n].astype(np.int64)
-        key *= n + 1
-        key[:max(n - shift, 0)] += rank[shift:n]
-        order = np.argsort(key)
-        key = key[order]
-        new = np.empty(n, dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        del key
-        rank = np.zeros(n + 1, dtype=np.int32)
-        rank[order] = np.cumsum(new, dtype=np.int32)
-        span += shift
-        levels.append(rank)
-        spans.append(span)
-    return levels, spans, order
-
-
-def _pair_lcp(levels: "list[np.ndarray]", spans: "list[int]",
-              a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Longest common prefix of suffixes ``a[i]`` and ``b[i]`` (distinct
-    positions), capped at ``spans[-1]``.
-
-    Binary lifting, highest level first: the top level answers "all
-    ``spans[-1]`` characters equal"; below it the levels are powers of two
-    and the uncapped remainder is below twice the largest of them.  Two
-    distinct suffixes that matched ``lcp`` characters both have at least
-    ``lcp`` of them, so ``a + lcp`` and ``b + lcp`` stay within the
-    ``n + 1`` rank entries.
-    """
-    full = levels[-1][a] == levels[-1][b]
-    lcp = np.where(full, spans[-1], 0).astype(np.int32)
-    for rank, span in zip(levels[-2::-1], spans[-2::-1]):
-        same = rank[a + lcp] == rank[b + lcp]
-        same &= ~full
-        lcp[same] += span
-    return lcp
 
 
 def _entry_metadata(
@@ -178,10 +117,13 @@ def _kmer_groups(
     (LCP - k, capped at ``max_ext``) with member ``i - 1``, -1 where a
     group opens and at the end."""
     k = config.k
-    levels, spans, order = _prefix_ranks(text, config.max_seed_len)
+    levels, spans = [], []
+    for rank, span, order in prefix_ranks(text, config.max_seed_len):
+        levels.append(rank)
+        spans.append(span)
     members = order[order <= text.size - k]
-    del order
-    lcp = _pair_lcp(levels, spans, members[:-1], members[1:])
+    del order, rank
+    lcp = pair_lcp(levels, spans, members[:-1], members[1:])
     del levels
     opens = np.flatnonzero(np.concatenate(([members.size > 0], lcp < k)))
     codes = rolling_codes(text, k)[members[opens]]

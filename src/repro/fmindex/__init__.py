@@ -2,8 +2,9 @@
 
 Implements, from scratch:
 
-* :mod:`repro.fmindex.suffix_array` -- suffix array construction
-  (numpy prefix-doubling) and the Burrows-Wheeler transform;
+* :mod:`repro.fmindex.suffix_array` -- the one suffix sorter (int32
+  packed-key prefix doubling; uncapped here, capped for the ERT builder,
+  :mod:`repro.core.builder`) and the Burrows-Wheeler transform;
 * :mod:`repro.fmindex.fmd` -- the bidirectional FMD-index of Li (2012):
   count table, checkpointed occurrence table with a configurable compression
   layout (BWA-MEM's 128-positions-per-block vs BWA-MEM2's 64), sampled

@@ -127,17 +127,19 @@ class FmdIndex:
             self._c_table[c] = acc
             acc += base_counts[c]
 
-        # Occurrence checkpoints every `occ_positions_per_block` BWT rows.
+        # Occurrence checkpoints every `occ_positions_per_block` BWT rows:
+        # per-block counts of (block, symbol) pairs, the sentinel's
+        # column dropped, summed over the blocks before each row.
         ppb = self.config.occ_positions_per_block
         n_rows = self.n + 1
         self._ppb = ppb
         self.n_blocks = (n_rows + ppb - 1) // ppb
-        cp = np.zeros((self.n_blocks + 1, 4), dtype=np.int64)
-        for b in range(self.n_blocks):
-            block = self.bwt[b * ppb:(b + 1) * ppb]
-            cp[b + 1] = cp[b] + np.bincount(
-                block[block != SENTINEL], minlength=4)
-        self._occ_cp = cp
+        per_block = np.bincount(
+            np.arange(n_rows) // ppb * (SENTINEL + 1) + self.bwt,
+            minlength=self.n_blocks * (SENTINEL + 1),
+        ).reshape(self.n_blocks, SENTINEL + 1)[:, :SENTINEL]
+        self._occ_cp = np.zeros((self.n_blocks + 1, 4), dtype=np.int64)
+        np.cumsum(per_block, axis=0, out=self._occ_cp[1:])
 
         # Byte-accurate region layout for traffic accounting (Fig 1b sizes).
         self.space = space or AddressSpace()
