@@ -254,9 +254,8 @@ def _everything_but(*allowed: str) -> "tuple[str, ...]":
 #: just above that middle -- it reads seeding/core/extend internals but
 #: nothing in the middle may import it back (the scalar oracle must not
 #: depend on its vectorization; callers inject kernel functions
-#: downward, see ReadAligner.sw_batch / tb_batch); parallel
-#: orchestrates the middle
-#: layers and kernels (it is the sole owner of worker pools / shared
+#: downward, see ReadAligner.tb_batch); parallel orchestrates the
+#: middle layers and kernels (it is the sole owner of worker pools / shared
 #: memory, rule ERT008); accel consumes traces from core/seeding;
 #: analysis/baselines/ledger/cli sit on top (ledger reads telemetry
 #: snapshots but nothing below it may import it); checks stands alone so

@@ -4,8 +4,12 @@ The paper's end-to-end number (Table VI) couples the ERT seeding
 accelerator with SeedEx-style seed-extension accelerator lanes.  This
 package supplies the functional substrate and the lane-level model:
 
-* :mod:`repro.extend.smith_waterman` -- banded affine-gap Smith-Waterman
-  and an edit-distance unit (the two compute primitives of a SeedEx lane);
+* :mod:`repro.extend.smith_waterman` -- affine-gap scoring and the
+  banded edit-distance unit, one of the two compute primitives of a
+  SeedEx lane;
+* :mod:`repro.extend.traceback` -- the other, banded Smith-Waterman: the
+  scalar kernel (score, coordinates and CIGAR) every extension runs on
+  unless a batched one is injected;
 * :mod:`repro.extend.chaining` -- BWA-style colinear seed chaining;
 * :mod:`repro.extend.seedex` -- the SeedEx lane throughput/occupancy model
   (3 banded SW units x 41 PEs + 1 edit-distance unit per lane, 8 lanes);
@@ -25,11 +29,9 @@ if TYPE_CHECKING:
     from repro.extend.seedex import SeedExConfig, SeedExModel
     from repro.extend.smith_waterman import (
         DEFAULT_SCHEME,
-        AlignmentResult,
         ScoringScheme,
         SwWorkspace,
         banded_edit_distance,
-        banded_smith_waterman,
     )
     from repro.extend.traceback import TracedAlignment, banded_sw_traceback
 
@@ -37,7 +39,6 @@ __all__ = [
     "Alignment",
     "PairedAligner",
     "Placement",
-    "AlignmentResult",
     "Chain",
     "DEFAULT_SCHEME",
     "ReadAligner",
@@ -48,7 +49,6 @@ __all__ = [
     "SeedExModel",
     "TracedAlignment",
     "banded_edit_distance",
-    "banded_smith_waterman",
     "banded_sw_traceback",
     "chain_seeds",
     "sam_header",
@@ -62,7 +62,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.extend.sam": ("SamRecord", "sam_header", "write_sam"),
     "repro.extend.seedex": ("SeedExConfig", "SeedExModel"),
     "repro.extend.smith_waterman": (
-        "DEFAULT_SCHEME", "AlignmentResult", "ScoringScheme", "SwWorkspace",
-        "banded_edit_distance", "banded_smith_waterman"),
+        "DEFAULT_SCHEME", "ScoringScheme", "SwWorkspace",
+        "banded_edit_distance"),
     "repro.extend.traceback": ("TracedAlignment", "banded_sw_traceback"),
 })

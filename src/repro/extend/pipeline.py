@@ -27,7 +27,6 @@ from repro.extend.smith_waterman import (
     ScoringScheme,
     SwWorkspace,
     banded_edit_distance,
-    banded_smith_waterman,
 )
 from repro.extend.traceback import banded_sw_traceback
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
@@ -96,28 +95,24 @@ class ReadAligner:
         self.band = band
         self.max_chains_extended = max_chains_extended
         self.edit_check_first = edit_check_first
-        #: Optional batched extension kernel with the calling convention
-        #: of :func:`repro.kernels.sw.batched_banded_sw`.  When set,
-        #: :meth:`align` extends all of a read's SW-bound chains in one
-        #: wavefront call instead of one row-wise SW per chain -- same
-        #: scores, same coordinates.  Injected by callers because the
-        #: extend layer sits below ``repro.kernels`` in the import DAG
-        #: (the parallel scheduler does not: its SAM paths never reach
-        #: :meth:`align`).
-        self.sw_batch = sw_batch
-        #: Optional batched *traceback* kernel with the calling
+        #: Optional batched Smith-Waterman kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
-        #: batched_sw_traceback`.  When set, :meth:`extend_batch` (the
-        #: SAM paths and the paired candidate sweep) traces the
-        #: surviving chains of every read of a batch in one kernel
-        #: call per read length instead of one scalar traceback per
-        #: chain -- same records byte for byte.  Injected (by the
-        #: parallel scheduler under ``--kernels vector``) for the same
-        #: layering reason as ``sw_batch``.
-        self.tb_batch = tb_batch
+        #: batched_sw_traceback`.  When set, every extension runs on it:
+        #: :meth:`extend_batch` (the SAM paths and the paired candidate
+        #: sweep) traces the surviving chains of every read of a batch,
+        #: and :meth:`align` the SW-bound chains of its read, in one
+        #: kernel call per read length instead of one scalar traceback
+        #: per chain -- same results.  Injected (by the parallel
+        #: scheduler under ``--kernels vector``) because the extend
+        #: layer sits below ``repro.kernels`` in the import DAG.
+        #: ``sw_batch`` is a second name for it, kept only for
+        #: ``benchmarks/pipeline/layers.py``, which passes both
+        #: (``tb_batch`` wins); it goes when ROADMAP 1(a) re-points that
+        #: file.
+        self.tb_batch = tb_batch if tb_batch is not None else sw_batch
         self._text = reference.both_strands
-        # One workspace per aligner: the SW kernel's row buffers are
-        # reused across every extension instead of allocated per call.
+        # One workspace per aligner: the batched kernel's planes are
+        # reused across every sweep instead of allocated per call.
         self._sw_workspace = SwWorkspace()
         #: Per-read counters of the most recent :meth:`extend_batch`,
         #: one dict per read in read order, populated only while
@@ -140,20 +135,9 @@ class ReadAligner:
             with telemetry.span("chain"):
                 chains = chain_seeds(seeds)
             workload = ExtensionWorkload()
-            best: "Alignment | None" = None
             with telemetry.span("extend"):
-                if self.sw_batch is not None:
-                    best = self._extend_chains_batched(
-                        read, chains[:self.max_chains_extended], name,
-                        workload)
-                else:
-                    for chain in chains[:self.max_chains_extended]:
-                        candidate = self._extend_chain(read, chain, name,
-                                                       workload)
-                        if candidate is None:
-                            continue
-                        if best is None or candidate.score > best.score:
-                            best = candidate
+                best = self._extend_chains(
+                    read, chains[:self.max_chains_extended], name, workload)
             self._record_read_metrics(len(seeds), len(chains),
                                       mapped=best is not None)
         return AlignmentOutcome(alignment=best, n_seeds=len(seeds),
@@ -172,73 +156,31 @@ class ReadAligner:
         telemetry.observe("align.seeds_per_read", n_seeds)
         telemetry.observe("align.chains_per_read", n_chains)
 
-    def _extend_chain(self, read: np.ndarray, chain: Chain, name: str,
-                      workload: ExtensionWorkload) -> "Alignment | None":
-        n = int(read.size)
-        # Window of the double-strand text the whole read would occupy if
-        # the chain's diagonal is right, padded by half a band.
-        ref_begin = chain.ref_start - chain.read_start - self.band // 2
-        ref_begin = max(0, ref_begin)
-        window_len = n + self.band
-        window = self._text[ref_begin:ref_begin + window_len]
-        if window.size < n // 2:
-            return None
-        telemetry.observe("align.window_bp", int(window.size))
-
-        score = None
-        if self.edit_check_first:
-            # The edit-distance unit clears near-perfect candidates fast.
-            workload.add_edit(n)
-            telemetry.count("align.edit_checks")
-            dist = banded_edit_distance(read, window[:n], band=self.band)
-            if dist is not None and dist <= 2:
-                score = (n - dist) * self.scheme.match + dist * \
-                    self.scheme.mismatch
-                end_pos = ref_begin
-        if score is None:
-            workload.add_sw(n)
-            telemetry.count("align.sw_extensions")
-            sw = banded_smith_waterman(read, window, self.scheme, self.band,
-                                       workspace=self._sw_workspace)
-            if not sw.is_aligned:
-                return None
-            score = sw.score
-            end_pos = ref_begin + sw.target_end - sw.query_end
-        hit = self.reference.to_forward(max(0, end_pos), min(
-            n, 2 * len(self.reference) - max(0, end_pos)))
-        if hit is None:
-            return None
-        return Alignment(read_name=name, strand=hit.strand,
-                         position=hit.start, score=int(score),
-                         chain_score=chain.score)
-
-    def _extend_chains_batched(self, read: np.ndarray,
-                               chains: "list[Chain]", name: str,
-                               workload: ExtensionWorkload) \
+    def _extend_chains(self, read: np.ndarray, chains: "list[Chain]",
+                       name: str, workload: ExtensionWorkload) \
             -> "Alignment | None":
-        """All chains of one read through the injected wavefront kernel.
+        """The best-scoring extension of one read's chains.
 
-        Two passes keep this score-identical to the serial loop: the
-        first runs each chain's window setup and edit-distance shortcut
-        in chain order (so workload/telemetry accounting interleaves the
-        same way), queueing the windows that need full SW; one batched
-        call resolves those; the second pass finalizes candidates in
-        chain order, preserving the strict-improvement tie-break.
+        Two passes, both in chain order: the first sets up each chain's
+        window and runs the edit-distance shortcut (so workload and
+        telemetry accounting interleave chain by chain), queueing the
+        windows that need full SW as lanes; :meth:`_trace_lanes` traces
+        those (the CIGAR goes unread); the second pass finalizes the
+        candidates, keeping the strict-improvement tie-break.
         """
         n = int(read.size)
-        entries: "list[list]" = []  # [chain, ref_begin, score, end_pos]
-        pending: "list[int]" = []
-        windows: "list[np.ndarray]" = []
+        entries: "list[tuple[Chain, int, int | None]]" = []
+        lanes: "list[tuple[int, int, np.ndarray]]" = []
         for chain in chains:
-            ref_begin = max(0, chain.ref_start - chain.read_start
-                            - self.band // 2)
-            window = self._text[ref_begin:ref_begin + n + self.band]
-            if window.size < n // 2:
+            placed = self._window(read, chain)
+            if placed is None:
                 continue
+            ref_begin, window = placed
             telemetry.observe("align.window_bp", int(window.size))
             score = None
-            end_pos = None
             if self.edit_check_first:
+                # The edit-distance unit clears near-perfect candidates
+                # fast: an alignment from the window's start, no SW.
                 workload.add_edit(n)
                 telemetry.count("align.edit_checks")
                 dist = banded_edit_distance(read, window[:n],
@@ -246,35 +188,44 @@ class ReadAligner:
                 if dist is not None and dist <= 2:
                     score = (n - dist) * self.scheme.match + dist * \
                         self.scheme.mismatch
-                    end_pos = ref_begin
             if score is None:
                 workload.add_sw(n)
                 telemetry.count("align.sw_extensions")
-                pending.append(len(entries))
-                windows.append(window)
-            entries.append([chain, ref_begin, score, end_pos])
-        if windows:
-            results = self.sw_batch(read, windows, self.scheme, self.band,
-                                    workspace=self._sw_workspace)
-            for slot, sw in zip(pending, results):
-                if sw.is_aligned:
-                    entries[slot][2] = sw.score
-                    entries[slot][3] = (entries[slot][1] + sw.target_end
-                                        - sw.query_end)
+                lanes.append((0, ref_begin, window))
+            entries.append((chain, ref_begin, score))
+        traced = iter(self._trace_lanes([read], lanes))
         best: "Alignment | None" = None
-        for chain, _ref_begin, score, end_pos in entries:
+        for chain, ref_begin, score in entries:
+            end_pos = ref_begin
             if score is None:
-                continue
+                sw = next(traced)
+                if not sw.is_aligned:
+                    continue
+                score = sw.score
+                end_pos += sw.target_end - sw.query_end
             hit = self.reference.to_forward(max(0, end_pos), min(
                 n, 2 * len(self.reference) - max(0, end_pos)))
             if hit is None:
                 continue
-            candidate = Alignment(read_name=name, strand=hit.strand,
-                                  position=hit.start, score=int(score),
-                                  chain_score=chain.score)
-            if best is None or candidate.score > best.score:
-                best = candidate
+            if best is None or score > best.score:
+                best = Alignment(read_name=name, strand=hit.strand,
+                                 position=hit.start, score=int(score),
+                                 chain_score=chain.score)
         return best
+
+    def _window(self, read: np.ndarray, chain: Chain) \
+            -> "tuple[int, np.ndarray] | None":
+        """``(ref_begin, window)``: the stretch of the double-strand text
+        the whole read would occupy if the chain's diagonal is right,
+        padded by half a band; ``None`` when it is too short to bother
+        extending."""
+        n = int(read.size)
+        ref_begin = max(0, chain.ref_start - chain.read_start
+                        - self.band // 2)
+        window = self._text[ref_begin:ref_begin + n + self.band]
+        if window.size < n // 2:
+            return None
+        return ref_begin, window
 
     # ------------------------------------------------------------------
     # SAM emission (traceback path)
@@ -405,21 +356,18 @@ class ReadAligner:
         return candidates
 
     def _prepare_trace(self, read: np.ndarray, chain: Chain):
-        """Window setup + telemetry for one chain's traceback, or
-        ``None`` when the window is too short to bother extending."""
-        n = int(read.size)
-        ref_begin = max(0, chain.ref_start - chain.read_start
-                        - self.band // 2)
-        window = self._text[ref_begin:ref_begin + n + self.band]
-        if window.size < n // 2:
+        """:meth:`_window` + telemetry for one chain's traceback."""
+        placed = self._window(read, chain)
+        if placed is None:
             return None
+        window = placed[1]
         if telemetry.enabled():
             telemetry.observe("align.window_bp", int(window.size))
             telemetry.count("align.sw_extensions")
             stats = self.read_stats[-1]
             stats["sw_extensions"] += 1
             stats["sw_cells"] += int(window.size) * self.band
-        return ref_begin, window
+        return placed
 
     def _finalize_trace(self, traced, ref_begin: int):
         """Map one traced window alignment back to forward-strand SAM

@@ -1,12 +1,14 @@
 """Banded affine Smith-Waterman with full traceback (CIGAR production).
 
-The score-only kernel in :mod:`repro.extend.smith_waterman` models the
-hardware cost; alignment *output* needs the operation string.  This
-variant keeps band-relative pointer rows for the three affine states
-(one ``bytearray`` per DP row each) and walks them back from the best
-cell, emitting a BWA-style CIGAR with soft-clips for the unaligned read
-ends.  It is the oracle the batched kernel is checked against, so the
-row loop is the literal per-cell recurrence, on plain Python ints.
+The scalar one of the two Smith-Waterman kernels: every extension runs
+here or on its batched twin (:mod:`repro.kernels.traceback`), the SAM
+paths for the operation string and :meth:`repro.extend.pipeline.
+ReadAligner.align` for the score and end coordinates alone.  It keeps
+band-relative pointer rows for the three affine states (one
+``bytearray`` per DP row each) and walks them back from the best cell,
+emitting a BWA-style CIGAR with soft-clips for the unaligned read ends.
+It is the oracle the batched kernel is checked against, so the row loop
+is the literal per-cell recurrence, on plain Python ints.
 """
 
 from __future__ import annotations
@@ -59,10 +61,19 @@ def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
     return tuple(merged)
 
 
+# SeedEx SW lane equivalent, run once per extension on the scalar path.
+# repro: hot
 def banded_sw_traceback(query: np.ndarray, target: np.ndarray,
                         scheme: "ScoringScheme | None" = None,
                         band: int = 41) -> TracedAlignment:
-    """Local alignment with CIGAR, banded like the score-only kernel."""
+    """Local alignment of ``query`` vs ``target`` with CIGAR, within a
+    diagonal band.
+
+    Cells with ``|i - j| > band // 2`` are never computed, matching the
+    fixed-width systolic band of a hardware unit (band 41 in SeedEx).
+    The best cell is the first in row-major order that attains the
+    maximum score.
+    """
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
         raise ValueError("band must be at least 1")

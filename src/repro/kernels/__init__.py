@@ -17,13 +17,13 @@ contexts, each walking one tree), extension as numpy sweeps over many
   ``seed_batch``, which runs the three rounds of
   :mod:`repro.seeding.algorithm` over it; byte-identical seeds to the
   scalar oracle.
-* :mod:`repro.kernels.sw` -- anti-diagonal wavefront banded
-  Smith-Waterman over a batch of extension windows.
-* :mod:`repro.kernels.traceback` -- banded Smith-Waterman *with
-  traceback* as a row scan (the band swept row by row, F by one
-  prefix-max scan per row) filling band-relative pointer planes, then a
-  per-lane walk-back, over (read, window) lanes packed across the reads
-  of a batch, so the SAM paths (CIGAR production) batch too.
+* :mod:`repro.kernels.traceback` -- the batched Smith-Waterman kernel:
+  a row scan (the band swept row by row, F by one prefix-max scan per
+  row) filling band-relative pointer planes, then a per-lane walk-back,
+  over (read, window) lanes packed across the reads of a batch.  Every
+  extension batches through it: the SAM paths keep the CIGAR,
+  score-only ``ReadAligner.align`` drops it.  ``batched_banded_sw`` is
+  a second name for it, kept only for ``benchmarks/pipeline/layers.py``.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
   kernels count into plain ints and ndarrays and flush the metrics
   registry once per batch, so vector mode runs fully observed with the
@@ -46,8 +46,8 @@ if TYPE_CHECKING:
     from repro.core.arena import FlatTrees, flat_trees
     from repro.kernels.seeding import seed_batch, vector_decline_reason
     from repro.kernels.stats import KernelBatchStats, wall_shares
-    from repro.kernels.sw import batched_banded_sw
-    from repro.kernels.traceback import batched_sw_traceback
+    from repro.kernels.traceback import (
+        batched_banded_sw, batched_sw_traceback)
 
 KERNEL_CHOICES = ("scalar", "vector")
 
@@ -84,6 +84,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.arena": ("FlatTrees", "flat_trees"),
     "repro.kernels.seeding": ("seed_batch", "vector_decline_reason"),
     "repro.kernels.stats": ("KernelBatchStats", "wall_shares"),
-    "repro.kernels.sw": ("batched_banded_sw",),
-    "repro.kernels.traceback": ("batched_sw_traceback",),
+    "repro.kernels.traceback": ("batched_banded_sw",
+                                "batched_sw_traceback"),
 })

@@ -148,6 +148,12 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     return out
 
 
+#: A second name for :func:`batched_sw_traceback`, kept only because
+#: ``benchmarks/pipeline/layers.py`` imports it; it goes when ROADMAP
+#: 1(a) re-points that file.
+batched_banded_sw = batched_sw_traceback
+
+
 def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
            band: int, workspace: SwWorkspace, dtype
            ) -> "list[TracedAlignment]":

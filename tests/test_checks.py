@@ -272,9 +272,10 @@ def test_ert_repro_check_subcommand():
 # ERT007 over the hot functions of both walkers
 # ----------------------------------------------------------------------
 
-#: Every function the scalar walk, the arena walk, score-only SW and the
-#: memsim models run per character / node / request.  Each carries its own
-#: ``# repro: hot``: ERT007 looks at one function at a time.
+#: Every function the scalar walk, the arena walk, the scalar SW kernel
+#: and the memsim models run per character / node / extension / request.
+#: Each carries its own ``# repro: hot``: ERT007 looks at one function at
+#: a time.
 HOT_FUNCTIONS = (
     ("core/engine.py", "_walk"),
     ("core/engine.py", "_kmer_entry"),
@@ -286,7 +287,7 @@ HOT_FUNCTIONS = (
     ("core/walker.py", "advance"),
     ("core/walker.py", "restore"),
     ("kernels/walk.py", "walk"),
-    ("extend/smith_waterman.py", "banded_smith_waterman"),
+    ("extend/traceback.py", "banded_sw_traceback"),
     ("extend/smith_waterman.py", "__init__"),
     ("memsim/cache.py", "lookup"),
     ("memsim/cache.py", "_locate"),

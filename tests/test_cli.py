@@ -528,7 +528,7 @@ COLD = (
     "repro.checks", "repro.ledger", "repro.memsim.cache",
     "repro.memsim.dram", "repro.core.builder", "repro.core.census",
     "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
-    "repro.seeding.oracle", "repro.seeding.verify", "repro.kernels.sw",
+    "repro.seeding.oracle", "repro.seeding.verify",
     "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
     "multiprocessing", "concurrent.futures",
 )
@@ -654,8 +654,7 @@ def test_observed_run_loads_the_exporters_and_writes_what_an_eager_one_does(
                                       "repro.core.builder",
                                       "repro.sequence.simulate",
                                       "repro.parallel.pool",
-                                      "repro.extend.paired",
-                                      "repro.kernels.sw"))):
+                                      "repro.extend.paired"))):
         base = tmp_path / label
         base.mkdir()
         added, proc = _modules_added_by(

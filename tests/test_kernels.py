@@ -3,7 +3,7 @@
 The batched kernels (:mod:`repro.kernels`) promise byte-identical output
 to the scalar paths at every level: seeds from :func:`seed_batch`, SAM
 records through the scheduler with ``kernels="vector"`` at any worker
-count, and scores/coordinates from the wavefront Smith-Waterman.  These
+count, and alignments from the batched traceback Smith-Waterman.  These
 tests fuzz that promise over adversarial reads (short, homopolymer,
 error-heavy, reverse-complement) and band-edge SW geometries.
 """
@@ -21,7 +21,6 @@ from repro.extend.smith_waterman import (
     DEFAULT_SCHEME,
     ScoringScheme,
     SwWorkspace,
-    banded_smith_waterman,
 )
 from repro.extend.traceback import banded_sw_traceback
 from repro.kernels import (
@@ -609,97 +608,6 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
 
 
 # ----------------------------------------------------------------------
-# Wavefront Smith-Waterman vs the scalar kernel
-# ----------------------------------------------------------------------
-
-
-def _assert_sw_batch_matches(query, targets, scheme, band):
-    workspace = SwWorkspace()
-    batched = batched_banded_sw(query, targets, scheme, band,
-                                workspace=workspace)
-    for target, got in zip(targets, batched):
-        want = banded_smith_waterman(query, target, scheme, band)
-        assert (got.score, got.query_end, got.target_end, got.cells) \
-            == (want.score, want.query_end, want.target_end, want.cells)
-
-
-def test_batched_sw_fuzzed_geometries():
-    rng = np.random.default_rng(5150)
-    for band in (1, 3, 8, 41):
-        for m in (1, 7, 40):
-            query = rng.integers(0, 4, size=m)
-            targets = [
-                rng.integers(0, 4, size=1),
-                rng.integers(0, 4, size=max(1, m // 2)),
-                rng.integers(0, 4, size=m),
-                rng.integers(0, 4, size=m + band),  # band falls off end
-                query.copy(),                       # perfect diagonal
-            ]
-            _assert_sw_batch_matches(query, targets, DEFAULT_SCHEME, band)
-
-
-def test_batched_sw_tie_breaking_on_homopolymers():
-    """All-A query vs all-A targets: every diagonal cell ties at the
-    maximum, so any tie-break drift from the scalar first-occurrence
-    rule shows up immediately."""
-    query = np.zeros(12, dtype=np.uint8)
-    targets = [np.zeros(n, dtype=np.uint8) for n in (3, 12, 20, 40)]
-    _assert_sw_batch_matches(query, targets, DEFAULT_SCHEME, 5)
-
-
-def test_batched_sw_negative_scheme_and_mismatch_only():
-    scheme = ScoringScheme(match=2, mismatch=-3, gap_open=-5,
-                           gap_extend=-1)
-    rng = np.random.default_rng(77)
-    query = rng.integers(0, 4, size=25)
-    mismatch_only = (query[::-1] + 1) % 4  # no exact run anywhere
-    targets = [mismatch_only, rng.integers(0, 4, size=30)]
-    _assert_sw_batch_matches(query, targets, scheme, 9)
-
-
-def test_batched_sw_empty_batch_and_reused_workspace():
-    assert batched_banded_sw(np.zeros(5, dtype=np.uint8), []) == []
-    # A shared workspace across differently-shaped batches must not
-    # leak state between calls.
-    workspace = SwWorkspace()
-    rng = np.random.default_rng(13)
-    query = rng.integers(0, 4, size=18)
-    for _ in range(3):
-        targets = [rng.integers(0, 4, size=int(rng.integers(1, 30)))
-                   for _ in range(4)]
-        batched = batched_banded_sw(query, targets, DEFAULT_SCHEME, 7,
-                                    workspace=workspace)
-        for target, got in zip(targets, batched):
-            want = banded_smith_waterman(query, target, DEFAULT_SCHEME, 7)
-            assert (got.score, got.query_end, got.target_end) \
-                == (want.score, want.query_end, want.target_end)
-
-
-def test_batched_sw_rejects_bad_band():
-    with pytest.raises(ValueError):
-        batched_banded_sw(np.zeros(4, dtype=np.uint8),
-                          [np.zeros(4, dtype=np.uint8)], band=0)
-
-
-def test_batched_sw_equal_score_tie_positions():
-    """Periodic sequences make the maximum recur at the same score --
-    same end row, different end columns (and vice versa).  The scalar
-    rule is strict-improvement row-major first occurrence; the batched
-    cross-diagonal replacement must land on the same cell."""
-    rng = np.random.default_rng(4096)
-    period4 = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 10)
-    for band in (3, 9, 41):
-        for m in (4, 8, 16):
-            queries = [period4[:m], np.zeros(m, dtype=np.uint8)]
-            targets = [period4[:4 * m], np.zeros(30, dtype=np.uint8),
-                       np.tile(period4[:m], 3),
-                       rng.integers(0, 4, size=2 * m + band)]
-            for query in queries:
-                _assert_sw_batch_matches(query, targets, DEFAULT_SCHEME,
-                                         band)
-
-
-# ----------------------------------------------------------------------
 # Batched row-scan traceback vs the scalar kernel
 # ----------------------------------------------------------------------
 
@@ -737,6 +645,7 @@ def test_batched_traceback_fuzzed_geometries():
                 rng.integers(0, 4, size=m + band),  # band off the end
                 planted,                            # perfect embedded
                 noisy,                              # band-edge errors
+                query.copy(),                       # perfect diagonal
             ]
             _assert_tb_batch_matches(query, targets, DEFAULT_SCHEME, band)
 
@@ -756,7 +665,8 @@ def test_batched_traceback_gap_heavy_and_unaligned():
     all_mismatch = ((base + 1) % 4).astype(np.uint8)[::-1].copy()
     targets = [with_del, with_ins, choppy, all_mismatch.astype(np.uint8)]
     for band in (9, 31, 41):
-        for sch in (DEFAULT_SCHEME, scheme):
+        for sch in (DEFAULT_SCHEME, scheme, ScoringScheme(
+                match=2, mismatch=-3, gap_open=-5, gap_extend=-1)):
             _assert_tb_batch_matches(base, targets, sch, band)
     # A deletion as wide as the band, under gaps cheap enough to take
     # it: one row's F run crosses all 41 columns (the scan's last
@@ -772,11 +682,23 @@ def test_batched_traceback_gap_heavy_and_unaligned():
 def test_batched_traceback_homopolymer_ties():
     """All-A vs all-A: every cell of every diagonal ties, so the
     post-sweep argmax tie-break and the walk-back pointer priorities
-    are both pinned against the scalar oracle."""
+    are both pinned against the scalar oracle.  Period-4 sequences make
+    the maximum recur at one score in the same row at other columns
+    (and vice versa)."""
     query = np.zeros(12, dtype=np.uint8)
     targets = [np.zeros(n, dtype=np.uint8) for n in (3, 12, 20, 40)]
     for band in (1, 5, 41):
         _assert_tb_batch_matches(query, targets, DEFAULT_SCHEME, band)
+    rng = np.random.default_rng(4096)
+    period4 = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 10)
+    for band in (3, 9, 41):
+        for m in (4, 8, 16):
+            targets = [period4[:4 * m], np.zeros(30, dtype=np.uint8),
+                       np.tile(period4[:m], 3),
+                       rng.integers(0, 4, size=2 * m + band)]
+            for query in (period4[:m], np.zeros(m, dtype=np.uint8)):
+                _assert_tb_batch_matches(query, targets, DEFAULT_SCHEME,
+                                         band)
 
 
 def test_batched_traceback_empty_inputs_and_fallback():
@@ -1018,11 +940,13 @@ def _outcome_key(outcome):
 
 def test_read_aligner_sw_batch_matches_scalar(ert_index, read_codes,
                                               params):
+    """Score-only :meth:`ReadAligner.align` on the batched traceback
+    kernel equals the scalar one, edit-distance shortcut on."""
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
                          params=params)
     batched = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                          params=params, sw_batch=batched_banded_sw)
+                          params=params, tb_batch=batched_sw_traceback)
     for read in read_codes:
         assert _outcome_key(batched.align(read)) \
             == _outcome_key(scalar.align(read))
@@ -1030,17 +954,49 @@ def test_read_aligner_sw_batch_matches_scalar(ert_index, read_codes,
 
 def test_read_aligner_sw_batch_without_edit_shortcut(ert_index, read_codes,
                                                      params):
-    """edit_check_first=False forces every chain through the wavefront
+    """edit_check_first=False forces every chain through the batched
     kernel, covering the all-SW batch shape."""
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
                          params=params, edit_check_first=False)
     batched = ReadAligner(reference, ErtSeedingEngine(ert_index),
                           params=params, edit_check_first=False,
-                          sw_batch=batched_banded_sw)
+                          tb_batch=batched_sw_traceback)
     for read in read_codes:
         assert _outcome_key(batched.align(read)) \
             == _outcome_key(scalar.align(read))
+
+
+def test_score_only_names_alias_the_traceback_kernel(ert_index, read_codes,
+                                                     params):
+    """``batched_banded_sw`` and ``sw_batch=`` are second names, kept for
+    ``benchmarks/pipeline/layers.py``: ``sw_batch`` alone routes through
+    its kernel, and ``tb_batch`` wins when both are given."""
+    assert batched_banded_sw is batched_sw_traceback
+    calls = {"sw": 0, "tb": 0}
+
+    def counted(name):
+        def kernel(*args, **kwargs):
+            calls[name] += 1
+            return batched_sw_traceback(*args, **kwargs)
+        return kernel
+
+    reference = ert_index.reference
+    scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
+                         params=params, edit_check_first=False)
+    alone = ReadAligner(reference, ErtSeedingEngine(ert_index),
+                        params=params, edit_check_first=False,
+                        sw_batch=counted("sw"))
+    both = ReadAligner(reference, ErtSeedingEngine(ert_index),
+                       params=params, edit_check_first=False,
+                       sw_batch=counted("sw"), tb_batch=counted("tb"))
+    read = read_codes[0]
+    want = _outcome_key(scalar.align(read))
+    assert want[3] > 0  # the read does reach the SW kernel
+    assert _outcome_key(alone.align(read)) == want
+    assert calls == {"sw": 1, "tb": 0}
+    assert _outcome_key(both.align(read)) == want
+    assert calls == {"sw": 1, "tb": 1}
 
 
 def test_align_sam_with_injected_seeding(ert_index, reads, params):

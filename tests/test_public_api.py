@@ -136,13 +136,15 @@ def test_minimal_workflow_through_top_level():
 
 
 def test_examples_run(tmp_path):
-    """The fast examples must execute cleanly end to end."""
+    """The fast examples must execute cleanly end to end
+    (``full_alignment.py`` is the one that drives ``ReadAligner.align``)."""
     import subprocess
     import sys
     from pathlib import Path
 
     examples = Path(__file__).parent.parent / "examples"
-    for script in ("smem_walkthrough.py", "quickstart.py"):
+    for script in ("smem_walkthrough.py", "quickstart.py",
+                   "full_alignment.py"):
         proc = subprocess.run([sys.executable, str(examples / script)],
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]

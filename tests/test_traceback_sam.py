@@ -12,14 +12,11 @@ from repro.extend.sam import (
     sam_header,
     write_sam,
 )
-from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME,
-    ScoringScheme,
-    banded_smith_waterman,
-)
+from repro.extend.smith_waterman import DEFAULT_SCHEME, ScoringScheme
 from repro.extend.traceback import TracedAlignment, banded_sw_traceback
 from repro.kernels.traceback import _plane_dtype, batched_sw_traceback
 from repro.sequence.alphabet import encode
+from tests.sw_oracle import banded_smith_waterman
 
 seqs = st.text(alphabet="ACGT", min_size=1, max_size=35)
 
@@ -154,8 +151,9 @@ SCHEMES = (DEFAULT_SCHEME,
 
 def assert_traceback_agrees(q, t, scheme, band):
     """``banded_sw_traceback(q, t)`` against the independent per-row
-    score-only kernel, its own CIGAR replayed under ``scheme``, and the
-    batched row-scan kernel wherever that can carry ``scheme``."""
+    score-only oracle (``tests/sw_oracle.py``), its own CIGAR replayed
+    under ``scheme``, and the batched row-scan kernel wherever that can
+    carry ``scheme``."""
     traced = banded_sw_traceback(q, t, scheme, band)
     plain = banded_smith_waterman(q, t, scheme, band)
     assert (traced.score, traced.query_end, traced.target_end) \
