@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import ErtSeedingEngine
+from repro.core.arena import arena_cursor
 from repro.core.index import ErtIndex
 from repro.core.walker import TreeCursor
 
@@ -62,7 +62,8 @@ def measure_divergence(index: ErtIndex, reads: "list[np.ndarray]",
     access pattern of forward search); a lane goes inactive when its walk
     dies or its read is exhausted.
     """
-    engine = ErtSeedingEngine(index)
+    kind = arena_cursor(index).kind
+    offset = index.layout.offset
     k = index.config.k
     report = DivergenceReport()
     for base in range(0, len(reads) - warp_size + 1, warp_size):
@@ -86,10 +87,10 @@ def measure_divergence(index: ErtIndex, reads: "list[np.ndarray]",
             lines = set()
             survivors = []
             for cursor, read, pos_box in active:
-                node = cursor.pending if cursor.pending is not None \
+                nid = cursor.pending if cursor.pending >= 0 \
                     else cursor.node
-                kinds.append(node.kind)
-                addr = index.tree_base[cursor.code] + max(node.offset, 0)
+                kinds.append(kind[nid])
+                addr = index.tree_base[cursor.code] + int(offset[nid])
                 lines.add(addr // LINE)
                 pos = pos_box[0]
                 if pos < int(read.size) and cursor.advance(int(read[pos])):

@@ -2,14 +2,13 @@
 
 * :mod:`repro.core.config` -- :class:`ErtConfig`, all structural knobs
   (k-mer length, multi-level tables, layout policy, prefix merging).
-* :mod:`repro.core.nodes` -- the four node kinds of the customized radix
-  tree (UNIFORM / DIVERGE / LEAF, with EMPTY arising as absent branches).
 * :mod:`repro.core.builder` -- index construction (§III-A3).
 * :mod:`repro.core.index` -- the built :class:`ErtIndex`: enumerated index
   table with LEP bits, per-k-mer radix trees, byte-accurate regions.
 * :mod:`repro.core.layout` -- node sizes and the tiled layout (§III-D),
   plus DFS/BFS alternatives for the ablation bench, over the arena.
-* :mod:`repro.core.walker` -- forward walks, leaf gathering, traffic tags.
+* :mod:`repro.core.walker` -- the scalar cursor over arena node ids:
+  forward walks, leaf gathering, traffic tags.
 * :mod:`repro.core.engine` -- :class:`ErtSeedingEngine` (with the §III-B
   prefix-merged backward sweep and the §III-F pruning inherited from the
   canonical algorithm).
@@ -17,9 +16,10 @@
 * :mod:`repro.core.census` -- hit-distribution and tree-shape statistics
   (paper Figs 8 and the §III-E depth claims).
 * :mod:`repro.core.arena`, :mod:`repro.core.io` -- what an index is
-  stored as: the structure-of-arrays arena the batched kernels walk
-  (and node objects are decoded from), and the archive / shared-buffer
-  formats that hold it.  The paper's per-tree wire format, the
+  stored and walked as: the structure-of-arrays arena, one row per node
+  of the customized radix tree (DIVERGE / UNIFORM / LEAF, with EMPTY
+  arising as absent branches), and the archive / shared-buffer formats
+  that hold it.  The paper's per-tree wire format, the
   reference the layout model's node sizes are tested against, lives
   with the tests (``tests/serialize.py``); nothing stores it.
 """

@@ -1,8 +1,9 @@
 """Structure-of-arrays form of the ERT radix trees: the flat arena.
 
 The arena is the forest as parallel numpy arrays, one row per node,
-which a walk can index by node id without making an object
-(:mod:`repro.kernels.walk`):
+which a walk indexes by node id (:class:`ArenaCursor`: the batched
+kernels' :mod:`repro.kernels.walk` and the scalar
+:class:`~repro.core.walker.TreeCursor` both read it):
 
 * ``kind``: DIVERGE / UNIFORM / LEAF discriminant;
 * ``count``: occurrences below the node (LEP + min-hit checks);
@@ -15,15 +16,15 @@ which a walk can index by node id without making an object
   against the reference text, early path compression §III-A2);
 * ``pos_off`` into ``pool``: the ``count`` occurrence positions of the
   node's subtree, contiguous because the pool is filled in DFS (Euler)
-  order.  ``gather(nid)`` is therefore one slice + sort instead of the
-  scalar cursor's recursive DFS.
+  order.  ``gather(nid)`` is therefore one slice + sort; the scalar
+  cursor still visits the subtree, but only to charge its fetches.
 
 Nodes are numbered in preorder, children in character order.  Second-
 level jump tables (§III-E) are dense ``(n_tables, 4^x)`` arrays so a walk
 resolves the x-character jump with one lookup; :func:`jump_columns`
 computes them by walking the columns.
 
-The arena is the only form the forest is built and stored in.
+The arena is the only form the forest is built, stored and walked in.
 :mod:`repro.core.builder` emits the columns straight from the suffix
 sort's LCP intervals, at the widths :data:`ARENA_DTYPES` fixes: ``kind``
 and ``chars_pool`` are uint8, everything that holds a node id, an
@@ -31,12 +32,10 @@ offset, a count or a text position is int32, and a forest that does not
 fit is an :class:`ArenaLimitError` (:func:`check_fits`), not a wider
 column.  A loaded index carries the stored columns as they lie
 (read-only views into the shared-memory segment in a pool worker, so N
-workers walk one physical arena).  The batched kernels walk them and
-make no node object; the scalar cursor's node objects are decoded from
-them one k-mer at a time (:func:`tree_at`).  The module lives in
-:mod:`repro.core` rather than next to its consumers in
-:mod:`repro.kernels` because the builder and the index formats need it
-and core may not import the kernels (ERT005).
+workers walk one physical arena).  No walk makes a node object.  The
+module lives in :mod:`repro.core` rather than next to the batched
+kernels because the builder, the index formats and the scalar cursor
+need it and core may not import the kernels (ERT005).
 
 States are *eagerly settled*: where the scalar cursor defers a child
 fetch (``pending`` / exhausted uniform run), the flat form lands on the
@@ -49,15 +48,11 @@ when no memory tracer is attached, so the flat walk is free to skip it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.index import ErtIndex
-from repro.core.nodes import DivergeNode, Node, UniformNode, leaf_over
-
-if TYPE_CHECKING:
-    from repro.core.layout import ForestLayout
 
 KIND_DIVERGE = 0
 KIND_UNIFORM = 1
@@ -122,7 +117,6 @@ ARENA_DTYPES = {
 def flat_trees(index: ErtIndex) -> FlatTrees:
     """The arena of ``index``: every built, loaded or attached index is
     assembled over one (:mod:`repro.core.io`)."""
-    assert index.flat is not None, "an index is assembled over its arena"
     return index.flat
 
 
@@ -138,36 +132,65 @@ def check_fits(text_size: int, n_nodes: int, pool_size: int,
             f"entries, and a column addresses fewer than {ID_LIMIT:,}")
 
 
-def tree_at(flat: FlatTrees, text: np.ndarray, nid: int,
-            layout: "ForestLayout | None" = None) -> Node:
-    """The node objects of the subtree at arena node ``nid`` (``text``
-    is the double-strand text: a leaf's prefix characters are read from
-    it).  With ``layout`` (:mod:`repro.core.layout`) every node carries
-    its offset and size in its tree's blob."""
-    kind = int(flat.kind[nid])
-    count = int(flat.count[nid])
-    off = int(flat.pos_off[nid])
-    node: Node
-    if kind == KIND_LEAF:
-        node = leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
-    elif kind == KIND_UNIFORM:
-        start = int(flat.chars_off[nid])
-        chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
-        node = UniformNode(chars, tree_at(flat, text, nid + 1, layout),
-                           count)
-    else:
-        children = {c: tree_at(flat, text, child, layout)
-                    for c, child in enumerate(flat.children[nid].tolist())
-                    if child >= 0}
-        # The pool run of a DIVERGE node opens with its own
-        # terminations; its children's runs follow.
-        ended = count - sum(child.count for child in children.values())
-        node = DivergeNode(children,
-                           tuple(flat.pool[off:off + ended].tolist()), count)
-    if layout is not None:
-        node.offset = int(layout.offset[nid - layout.first])
-        node.nbytes = int(layout.nbytes[nid - layout.first])
-    return node
+class ArenaCursor:
+    """Scalar accessors over one index: the first-level table, the jump
+    tables and the arena.
+
+    The integer columns are ``memoryview``s of the index's own arrays --
+    zero-copy, valid on the read-only shm-attached columns of a pool
+    worker, and indexing one yields a Python ``int`` with no numpy
+    scalar in between.  Built once per index (:func:`arena_cursor`),
+    never per batch or per walk.
+    """
+
+    __slots__ = ("k", "x", "prefix_len", "lep_bits", "kmer_count",
+                 "entry_kind", "prefix_counts", "roots", "table_slot",
+                 "jt_matched", "jt_lep", "jt_node", "jt_within", "jt_depth",
+                 "jt_count", "kind", "children", "count", "child",
+                 "chars_off", "chars_len", "leaf_text0", "pos_off",
+                 "pool", "chars", "text")
+
+    def __init__(self, index: ErtIndex) -> None:
+        flat = index.flat
+        self.k = flat.k
+        self.x = flat.table_x
+        self.prefix_len = memoryview(index.prefix_len)
+        self.lep_bits = memoryview(index.lep_bits)
+        self.kmer_count = memoryview(index.kmer_count)
+        self.entry_kind = memoryview(index.entry_kind)
+        #: ``prefix_counts[length - 1][code >> 2 * (k - length)]``.
+        self.prefix_counts = [memoryview(counts)
+                              for counts in index.prefix_counts]
+        self.roots = memoryview(flat.roots)
+        self.table_slot = memoryview(flat.table_slot)
+        #: ``jt_*[slot * 4**x + subcode]``: the ``(n, 4**x)`` tables,
+        #: flattened.
+        self.jt_matched = memoryview(flat.jt_matched.reshape(-1))
+        self.jt_lep = memoryview(flat.jt_lep.reshape(-1))
+        self.jt_node = memoryview(flat.jt_node.reshape(-1))
+        self.jt_within = memoryview(flat.jt_within.reshape(-1))
+        self.jt_depth = memoryview(flat.jt_depth.reshape(-1))
+        self.jt_count = memoryview(flat.jt_count.reshape(-1))
+        self.kind = memoryview(flat.kind)
+        #: ``children[4 * nid + c]``: the ``(n, 4)`` column, flattened.
+        self.children = memoryview(flat.children.reshape(-1))
+        self.count = memoryview(flat.count)
+        self.child = memoryview(flat.child)
+        self.chars_off = memoryview(flat.chars_off)
+        self.chars_len = memoryview(flat.chars_len)
+        self.leaf_text0 = memoryview(flat.leaf_text0)
+        self.pos_off = memoryview(flat.pos_off)
+        self.pool = memoryview(flat.pool)
+        self.chars = flat.chars_pool.tobytes()
+        self.text = index.text.astype(np.uint8).tobytes()
+
+
+def arena_cursor(index: ErtIndex) -> ArenaCursor:
+    """The column accessor of ``index`` (cached on it, like the arena)."""
+    cursor = index.cursor
+    if not isinstance(cursor, ArenaCursor):
+        cursor = index.cursor = ArenaCursor(index)
+    return cursor
 
 
 def jump_columns(nodes: "Mapping[str, np.ndarray]", text: np.ndarray,

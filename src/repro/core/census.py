@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.arena import KIND_DIVERGE, KIND_LEAF, arena_cursor
 from repro.core.index import EntryKind, ErtIndex
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode
 
 
 @dataclass
@@ -86,20 +86,25 @@ class DepthCensus:
 
 
 def depth_census(index: ErtIndex) -> DepthCensus:
-    """Walk every tree and histogram the depth of each leaf."""
+    """Walk every tree and histogram the depth of each leaf (a DIVERGE
+    node some occurrences end at counts as one leaf at its depth)."""
+    arena = arena_cursor(index)
     census = DepthCensus()
-    for root in index.roots.values():
-        stack = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if isinstance(node, LeafNode):
-                census.leaf_depths[depth] = census.leaf_depths.get(depth, 0) + 1
-            elif isinstance(node, UniformNode):
-                stack.append((node.child, depth + int(node.chars.size)))
-            elif isinstance(node, DivergeNode):
-                if node.ended:
-                    census.leaf_depths[depth] = (
-                        census.leaf_depths.get(depth, 0) + 1)
-                for child in node.children_nodes():
+    depths = census.leaf_depths
+    stack = [(root, 0) for root in index.roots.values()]
+    while stack:
+        nid, depth = stack.pop()
+        kind = arena.kind[nid]
+        if kind == KIND_LEAF:
+            depths[depth] = depths.get(depth, 0) + 1
+        elif kind == KIND_DIVERGE:
+            below = 0
+            for child in arena.children[4 * nid:4 * nid + 4]:
+                if child >= 0:
+                    below += arena.count[child]
                     stack.append((child, depth + 1))
+            if below < arena.count[nid]:  # some occurrences end here
+                depths[depth] = depths.get(depth, 0) + 1
+        else:  # UNIFORM: its run, then its one child
+            stack.append((nid + 1, depth + arena.chars_len[nid]))
     return census

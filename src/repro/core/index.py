@@ -16,9 +16,9 @@ An :class:`ErtIndex` owns:
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
 Built, loaded or attached, an index holds the forest as the arena
-(:mod:`repro.core.arena`) and makes node objects and jump tables from it
-per k-mer, on first access (:class:`LazyByCode`): the batched kernels
-walk the arena and never ask for one.
+(:mod:`repro.core.arena`), the one form every walk reads; the scalar
+walk's jump tables are made from it per k-mer, on first access
+(:class:`LazyByCode`).
 
 All memory traffic funnels through :meth:`ErtIndex.trace` with the phase
 tags of Fig 13: ``index_lookup``, ``table_lookup``, ``tree_root``,
@@ -40,7 +40,6 @@ from typing import (
 import numpy as np
 
 from repro.core.config import ErtConfig
-from repro.core.nodes import Node
 from repro.memsim.trace import AddressSpace, MemoryTracer
 from repro.sequence.reference import Reference
 
@@ -140,11 +139,10 @@ class ErtIndex:
     def __init__(self, reference: Reference, config: ErtConfig,
                  entry_kind: np.ndarray, lep_bits: np.ndarray,
                  prefix_len: np.ndarray, kmer_count: np.ndarray,
-                 roots: "LazyByCode[Node]", tree_bases: np.ndarray,
+                 tree_bases: np.ndarray,
                  tables: "Mapping[int, list[JumpEntry]]",
                  prefix_counts: "list[np.ndarray]",
-                 trees_bytes: int,
-                 flat: "FlatTrees | None" = None,
+                 trees_bytes: int, flat: FlatTrees,
                  layout: "ForestLayout | None" = None,
                  space: "AddressSpace | None" = None) -> None:
         self.reference = reference
@@ -154,6 +152,13 @@ class ErtIndex:
         self.lep_bits = lep_bits
         self.prefix_len = prefix_len
         self.kmer_count = kmer_count
+        #: The arena (:mod:`repro.core.arena`), emitted by the builder or
+        #: stored: the forest, in the one form every walk reads.
+        self.flat = flat
+        roots: "LazyByCode[int]" = LazyByCode(
+            np.flatnonzero(flat.roots >= 0),
+            lambda code: int(flat.roots[code]))
+        #: Root node id by k-mer code, for the k-mers that have a tree.
         self.roots = roots
         #: Where each tree's blob starts in the trees region, one per
         #: tree in k-mer order (what both index formats store), and the
@@ -163,11 +168,8 @@ class ErtIndex:
             roots.codes, lambda code: int(tree_bases[roots.rank(code)]))
         self.tables = tables
         self.prefix_counts = prefix_counts
-        #: The arena (:mod:`repro.core.arena`), emitted by the builder or
-        #: stored; every node object is decoded from it.
-        self.flat = flat
         self._layout = layout
-        #: Cache slot of :func:`repro.kernels.walk.arena_cursor`.
+        #: Cache slot of :func:`repro.core.arena.arena_cursor`.
         self.cursor: "object | None" = None
         self.tracer: "MemoryTracer | None" = None
         self.reuse_cache: "CacheModel | None" = None
@@ -194,7 +196,6 @@ class ErtIndex:
         if self._layout is None:
             from repro.core.layout import forest_layout
 
-            assert self.flat is not None, "no arena to lay out"
             self._layout = forest_layout(self.flat, self.config)
         return self._layout
 
@@ -242,11 +243,6 @@ class ErtIndex:
         offset = (slot * (4 ** self.config.table_x) + subcode) * entry_bytes
         self.trace(self.tables_region.base, offset, entry_bytes,
                    PHASE_TABLE, self.tables_region.name)
-
-    def trace_node(self, code: int, node: Node, phase: str) -> None:
-        self.trace(self.trees_region.base,
-                   self.tree_base[code] + node.offset,
-                   max(node.nbytes, 1), phase, self.trees_region.name)
 
     def trace_ref_line(self, text_pos: int, phase: str = PHASE_REF) -> None:
         """One cache line of the 2-bit-packed reference around ``text_pos``."""

@@ -20,16 +20,15 @@ emits them at:
   index to N worker processes through ``multiprocessing.shared_memory``
   without pickling the index per worker.
 
-Loading makes no node object, and a built index is assembled by the
-same code as a loaded or attached one (:func:`index_over`), over the
-arena the builder emitted.  The batched kernels walk the arena; the
-scalar cursor (and ``census``, ``divergence``, ``explain``) gets a
-k-mer's tree decoded from the same columns
-(:func:`~repro.core.arena.tree_at`), laid out from them with a block of
-its neighbours (:func:`~repro.core.layout.forest_layout`: every node
-gets the offset the builder's whole-forest layout gave it), and its
-jump table rebuilt, the first time it asks for that k-mer
-(:class:`~repro.core.index.LazyByCode`).  The paper wire format
+A built index is assembled by the same code as a loaded or attached one
+(:func:`index_over`), over the arena the builder emitted, and every
+walk -- the batched kernels, the scalar cursor, ``census``,
+``divergence``, ``explain`` -- reads those columns as they lie.  The
+scalar cursor's jump table for a TABLE k-mer is rebuilt the first time
+it reaches that k-mer (:class:`~repro.core.index.LazyByCode`), and a
+loaded index lays the forest out
+(:func:`~repro.core.layout.forest_layout`) only when a modelled walk
+first asks where a node lies.  The paper wire format
 (``tests/serialize.py``) is stored nowhere: it is the reference the
 layout model's node sizes are tested against.  Every way a file or
 buffer can be cut short or garbled ends in :class:`IndexFormatError`.
@@ -51,11 +50,9 @@ from repro.core.arena import (
     ARENA_DTYPES,
     FlatTrees,
     flat_trees,
-    tree_at,
 )
 from repro.core.config import ErtConfig, LayoutPolicy
 from repro.core.index import EntryKind, ErtIndex, JumpEntry, LazyByCode
-from repro.core.nodes import Node
 from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
 
@@ -63,9 +60,6 @@ if TYPE_CHECKING:
     from repro.core.layout import ForestLayout
 
 FORMAT_VERSION = 3
-
-#: How many consecutive trees a scalar decode lays out at once.
-_LAYOUT_BLOCK = 256
 
 #: Frame marker of the flat buffer format (8 bytes, versioned).
 BUFFER_MAGIC = b"ERTBUF03"
@@ -226,31 +220,10 @@ def index_over(
     layout: "ForestLayout | None" = None,
 ) -> ErtIndex:
     """The index over an arena and the payload's other arrays, built,
-    loaded or attached alike.  The arena is the index's as it is; node
-    objects (laid out with the block of trees they are in) and the
+    loaded or attached alike.  The arena is the index's as it is; the
     scalar walk's jump tables are made from it per k-mer, when asked
     for."""
-    codes = np.flatnonzero(flat.roots >= 0)
     entry_kind = member("entry_kind")
-    text = reference.both_strands
-
-    laid_out: "dict[int, ForestLayout]" = {}
-
-    def decode(code: int) -> Node:
-        # The layout model loads with the first tree a scalar cursor
-        # asks for; the batched kernels walk the arena and never do.
-        from repro.core.layout import forest_layout
-
-        block = int(codes.searchsorted(code)) // _LAYOUT_BLOCK
-        layout = laid_out.get(block)
-        if layout is None:
-            lo = block * _LAYOUT_BLOCK
-            hi = min(lo + _LAYOUT_BLOCK, codes.size)
-            end = (flat.roots[codes[hi]] if hi < codes.size
-                   else flat.kind.size)
-            layout = laid_out[block] = forest_layout(
-                flat, config, np.append(flat.roots[codes[lo:hi]], end))
-        return tree_at(flat, text, int(flat.roots[code]), layout)
 
     def jump_table(code: int) -> "list[JumpEntry]":
         owner = index_ref()
@@ -260,9 +233,8 @@ def index_over(
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=member("lep_bits"), prefix_len=member("prefix_len"),
-        kmer_count=member("kmer_count"),
-        roots=LazyByCode(codes, decode), tree_bases=member("tree_bases"),
-        tables=LazyByCode(codes[entry_kind[codes] == EntryKind.TABLE],
+        kmer_count=member("kmer_count"), tree_bases=member("tree_bases"),
+        tables=LazyByCode(np.flatnonzero(entry_kind == EntryKind.TABLE),
                           jump_table),
         prefix_counts=[member(f"prefix_counts_{length}")
                        for length in range(1, config.k + 1)],
@@ -387,8 +359,8 @@ def index_from_buffer(
 
     Every array -- the arena's columns included -- becomes a
     **read-only zero-copy view** into ``buffer`` (``np.frombuffer``);
-    nothing is materialized per process but the node objects and jump
-    tables of the k-mers a scalar walk asks for.  The caller owns the
+    nothing is materialized per process but the jump tables of the
+    TABLE k-mers a scalar walk reaches.  The caller owns the
     buffer's lifetime -- for a shared-memory segment, keep the segment
     open for as long as the returned index is in use
     (:func:`repro.parallel.attach_index` pins it for you).

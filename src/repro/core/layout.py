@@ -85,14 +85,11 @@ class ForestLayout:
     tree_roots: np.ndarray
     tree_bases: np.ndarray
     trees_bytes: int
-    #: Node id of ``offset[0]`` (0 when every tree is laid out).
-    first: int = 0
 
     def stats(self) -> LayoutStats:
         """Nodes per tile over the laid-out trees (blobs start on tile
         boundaries, so a node's tile is its address over the tile)."""
-        per_tree = np.diff(np.append(self.tree_roots,
-                                     self.first + self.offset.size))
+        per_tree = np.diff(np.append(self.tree_roots, self.offset.size))
         tiles = (np.repeat(self.tree_bases, per_tree) + self.offset) // TILE
         per_tile = np.bincount(tiles)
         per_tile = per_tile[per_tile > 0]
@@ -103,33 +100,28 @@ class ForestLayout:
                 np.bincount(per_tile).tolist()) if tiles})
 
 
-def forest_layout(flat: FlatTrees, config: ErtConfig,
-                  bounds: "np.ndarray | None" = None) -> ForestLayout:
-    """Lay out trees of ``flat`` under ``config``'s policy, a chunk of
-    whole trees at a time (that bounds every temporary).  ``bounds`` is
-    the root node ids of consecutive trees followed by the node id where
-    the last one ends; every tree by default."""
-    if bounds is None:
-        bounds = np.append(flat.roots[flat.roots >= 0], flat.kind.size)
-    first, end = int(bounds[0]), int(bounds[-1])
-    roots = bounds[:-1] - first
-    nbytes = np.empty(end - first, dtype=np.int32)
-    offset = np.empty(end - first, dtype=np.int32)
+def forest_layout(flat: FlatTrees, config: ErtConfig) -> ForestLayout:
+    """Lay out every tree of ``flat`` under ``config``'s policy, a chunk
+    of whole trees at a time (that bounds every temporary)."""
+    n_nodes = flat.kind.size
+    # Each tree's root node id, then the node id where the last one ends.
+    bounds = np.append(flat.roots[flat.roots >= 0], n_nodes)
+    roots = bounds[:-1]
+    nbytes = np.empty(n_nodes, dtype=np.int32)
+    offset = np.empty(n_nodes, dtype=np.int32)
     size = np.empty(roots.size, dtype=np.int64)
     # Ascending; repeats dropped without np.unique (it imports numpy.ma).
-    cuts = np.searchsorted(roots, np.arange(0, end - first, _CHUNK))
+    cuts = np.searchsorted(roots, np.arange(0, n_nodes, _CHUNK))
     cuts = cuts[np.diff(cuts, prepend=-1) > 0]
     for lo_tree, hi_tree in zip(cuts.tolist(),
                                 np.append(cuts[1:], roots.size).tolist()):
-        lo = int(roots[lo_tree])
-        hi = int(bounds[hi_tree]) - first
-        chunk = _Chunk(flat, first + lo, first + hi,
-                       roots[lo_tree:hi_tree] - lo, config.prefix_merging)
+        lo, hi = int(roots[lo_tree]), int(bounds[hi_tree])
+        chunk = _Chunk(flat, lo, hi, roots[lo_tree:hi_tree] - lo,
+                       config.prefix_merging)
         nbytes[lo:hi] = chunk.nbytes
         offset[lo:hi], size[lo_tree:hi_tree] = chunk.offsets(config.layout)
     size = (size + TILE - 1) & ~(TILE - 1)
-    return ForestLayout(offset=offset, nbytes=nbytes,
-                        tree_roots=bounds[:-1], first=first,
+    return ForestLayout(offset=offset, nbytes=nbytes, tree_roots=roots,
                         tree_bases=np.cumsum(size) - size,
                         trees_bytes=int(size.sum()))
 

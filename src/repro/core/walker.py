@@ -12,14 +12,25 @@ Node fetches are deferred until a character actually requires the node's
 data -- decoding a DIVERGE node yields the chosen child's *address*; the
 child itself is fetched on the next consumed character, exactly like the
 hardware Tree Walker (§IV-B).
+
+The cursor steps over arena node ids (:mod:`repro.core.arena`), reading
+the columns through the index's :class:`~repro.core.arena.ArenaCursor`,
+the same forest the batched kernels walk.  Where a node lies in the
+modelled trees region is read from the index's layout only when a
+tracer or reuse cache is attached to take the fetch, so an unmodelled
+walk never lays the forest out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.arena import (
+    KIND_DIVERGE,
+    KIND_LEAF,
+    KIND_UNIFORM,
+    arena_cursor,
+)
 from repro.core.index import (
     PHASE_GATHER,
     PHASE_ROOT,
@@ -27,7 +38,6 @@ from repro.core.index import (
     ErtIndex,
     JumpEntry,
 )
-from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
 from repro.seeding.engine import EngineStats
 
 LINE = 64
@@ -35,11 +45,12 @@ LINE = 64
 
 @dataclass
 class WalkState:
-    """Snapshot of a cursor (stored in second-level jump entries)."""
+    """Snapshot of a cursor (stored in second-level jump entries): arena
+    node ids, ``pending`` -1 when no child fetch is deferred."""
 
-    node: Node
+    node: int
     within: int
-    pending: "Node | None"
+    pending: int
     depth: int
     count: int
 
@@ -55,17 +66,15 @@ class TreeCursor:
         self.code = code
         self.min_hits = min_hits
         self.stats = stats
-        self._text = index.text
-        self._k = index.config.k
+        self._arena = arena = arena_cursor(index)
         self._last_line = -1
         self._last_ref_line = -1
-        root = index.roots[code]
-        self._base = index.tree_base[code]
-        self.node: Node = root
+        root = arena.roots[code]
+        self.node = root
         self.within = 0
-        self.pending: "Node | None" = None
+        self.pending = -1
         self.depth = 0
-        self.count = root.count
+        self.count = arena.count[root]
         self.count_changed = False
         if enter_root:
             self._enter_root(root)
@@ -75,12 +84,12 @@ class TreeCursor:
     # ------------------------------------------------------------------
 
     # repro: hot -- one call per cursor.
-    def _enter_root(self, root: Node) -> None:
+    def _enter_root(self, root: int) -> None:
         # A unique k-mer's single reference pointer lives inline in the
         # 8-byte index entry (Fig 4, early path compression at the root),
         # so it costs no tree access; everything else fetches the root.
-        inline = isinstance(root, LeafNode) and len(root.positions) == 1
-        if not inline:
+        arena = self._arena
+        if arena.kind[root] != KIND_LEAF or arena.count[root] != 1:
             self._emit_node(root, PHASE_ROOT)
             if self.stats is not None:
                 self.stats.tree_root_fetches += 1
@@ -88,19 +97,23 @@ class TreeCursor:
     # One call per node fetch; counters live in the stats struct the
     # engine passes in, flushed to telemetry per batch.
     # repro: hot
-    def _emit_node(self, node: Node, phase: str) -> None:
+    def _emit_node(self, nid: int, phase: str) -> None:
         """Fetch a node: one access per cache line it spans that is not
         the line most recently touched."""
         if self.stats is not None:
             self.stats.nodes_visited += 1
-        base = self._base + node.offset
+        index = self.index
+        if index.tracer is None and index.reuse_cache is None:
+            return
+        layout = index.layout
+        base = index.tree_base[self.code] + int(layout.offset[nid])
         first = base // LINE
-        last = (base + max(node.nbytes, 1) - 1) // LINE
+        last = (base + int(layout.nbytes[nid]) - 1) // LINE
+        region = index.trees_region
         for line in range(first, last + 1):
             if line == self._last_line:
                 continue
-            self.index.trace(self.index.trees_region.base, line * LINE, LINE,
-                             phase, self.index.trees_region.name)
+            index.trace(region.base, line * LINE, LINE, phase, region.name)
         self._last_line = last
 
     # repro: hot -- one call per character matched against the text.
@@ -119,21 +132,20 @@ class TreeCursor:
     # repro: hot -- called by advance for every character.
     def _settle(self, phase: str) -> None:
         """Descend through nodes whose data is exhausted (deferred fetch)."""
+        arena = self._arena
         while True:
-            node = self.node
-            if self.pending is not None:
-                nxt = self.pending
-                self.pending = None
-                self._emit_node(nxt, phase)
-                self.node = nxt
-                self.within = 0
-            elif (isinstance(node, UniformNode)
-                    and self.within == node.chars.size):
-                self._emit_node(node.child, phase)
-                self.node = node.child
-                self.within = 0
+            nid = self.node
+            if self.pending >= 0:
+                nid = self.pending
+                self.pending = -1
+            elif (arena.kind[nid] == KIND_UNIFORM
+                    and self.within == arena.chars_len[nid]):
+                nid += 1  # preorder: a run's one child follows it
             else:
                 return
+            self._emit_node(nid, phase)
+            self.node = nid
+            self.within = 0
 
     # repro: hot -- one call per read character consumed.
     def advance(self, c: int, phase: str = PHASE_TRAVERSAL) -> bool:
@@ -141,32 +153,38 @@ class TreeCursor:
         end -- mismatch, missing branch, text end, or a branch whose
         occupancy falls below ``min_hits``."""
         self._settle(phase)
-        node = self.node
+        arena = self._arena
+        nid = self.node
         self.count_changed = False
-        if isinstance(node, LeafNode):
-            pos = node.positions[0] + self._k + self.depth
-            if pos >= self._text.size:
+        kind = arena.kind[nid]
+        if kind == KIND_LEAF:
+            text = arena.text
+            pos = arena.leaf_text0[nid] + arena.k + self.depth
+            if pos >= len(text):
                 return False
             self._emit_ref(pos)
-            if int(self._text[pos]) != c:
+            if text[pos] != c:
                 return False
             self.within += 1
             self.depth += 1
             return True
-        if isinstance(node, UniformNode):
-            if int(node.chars[self.within]) != c:
+        if kind == KIND_UNIFORM:
+            if arena.chars[arena.chars_off[nid] + self.within] != c:
                 return False
             self.within += 1
             self.depth += 1
             return True
-        # DivergeNode: decoding selects the child; hit count changes.
-        child = node.children.get(c)
-        if child is None or child.count < self.min_hits:
+        # DIVERGE: decoding selects the child; hit count changes.
+        child = arena.children[4 * nid + c]
+        if child < 0:
+            return False
+        count = arena.count[child]
+        if count < self.min_hits:
             return False
         self.pending = child
         self.within = 0
-        self.count_changed = child.count != self.count
-        self.count = child.count
+        self.count_changed = count != self.count
+        self.count = count
         self.depth += 1
         return True
 
@@ -201,31 +219,30 @@ class TreeCursor:
     # Leaf gathering (depth-first search, §IV-B)
     # ------------------------------------------------------------------
 
-    def _gather_root(self) -> Node:
-        return self.pending if self.pending is not None else self.node
-
     def gather(self) -> "list[int]":
         """All occurrence positions of the currently matched prefix.
 
         Runs the Leaf Gatherer's DFS over the remaining subtree; every
         node visited beyond the already-fetched current node costs memory
-        traffic tagged ``leaf_gather``.
+        traffic tagged ``leaf_gather``.  The positions are the subtree's
+        run of the arena's position pool.
         """
-        root = self._gather_root()
-        positions: "list[int]" = []
+        arena = self._arena
+        root = self.pending if self.pending >= 0 else self.node
         stack = [root]
         while stack:
-            node = stack.pop()
-            if node is not self.node:
-                self._emit_node(node, PHASE_GATHER)
-            if isinstance(node, LeafNode):
-                positions.extend(node.positions)
-            elif isinstance(node, DivergeNode):
-                positions.extend(node.ended)
-                stack.extend(node.children_nodes())
-            else:
-                stack.append(node.child)
-        return sorted(positions)
+            nid = stack.pop()
+            if nid != self.node:
+                self._emit_node(nid, PHASE_GATHER)
+            kind = arena.kind[nid]
+            if kind == KIND_DIVERGE:
+                stack.extend(child for child in
+                             arena.children[4 * nid:4 * nid + 4]
+                             if child >= 0)
+            elif kind == KIND_UNIFORM:
+                stack.append(nid + 1)
+        positions: "list[int]" = self.index.flat.gather(root).tolist()
+        return positions
 
 
 def build_jump_table(index: ErtIndex, code: int) -> "list[JumpEntry]":

@@ -1,17 +1,17 @@
 """The vector backend: arena seeding and batched extension kernels.
 
-The scalar engine (:mod:`repro.core.engine`) steps a cursor over node
-objects one read character per Python-level call.  The kernels here do
-the same work over flat arrays: seeding as one per-read state machine
-over the arena (the paper's own design, §IV: independent per-read
-contexts, each walking one tree), extension as numpy sweeps over many
-(read, window) lanes at once:
+The scalar engine (:mod:`repro.core.engine`) steps a cursor over arena
+node ids one read character per Python-level call.  The kernels here do
+the same work over the same columns: seeding as one per-read state
+machine over the arena (the paper's own design, §IV: independent
+per-read contexts, each walking one tree), extension as numpy sweeps
+over many (read, window) lanes at once:
 
 * :mod:`repro.core.arena` -- the structure-of-arrays form of the radix
   trees: part of the index payload, so a loaded index hands it over as
-  stored (``flat_trees``, re-exported here).
-* :mod:`repro.kernels.walk` -- the arena cursor (zero-copy
-  ``memoryview`` columns) and the one run-granular walk loop every
+  stored (``flat_trees``, re-exported here), with the column accessor
+  (zero-copy ``memoryview`` columns) both walks read it through.
+* :mod:`repro.kernels.walk` -- the one run-granular walk loop every
   search is.
 * :mod:`repro.kernels.seeding` -- the arena seeding engine and
   ``seed_batch``, which runs the three rounds of

@@ -8,7 +8,7 @@ seeds -- by running *the same three rounds* (written down once, in
 whose every search is :func:`repro.kernels.walk.walk` over the arena
 cursor's ``memoryview`` columns; the scalar oracle
 (:class:`~repro.core.engine.ErtSeedingEngine`) steps a
-:class:`~repro.core.walker.TreeCursor` over node objects one character
+:class:`~repro.core.walker.TreeCursor` over the same arena one character
 per call.  Where the two engines differ, the difference is proven
 output-invariant:
 
@@ -44,9 +44,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
+from repro.core.arena import arena_cursor
 from repro.core.engine import ErtSeedingEngine
 from repro.kernels.stats import KernelBatchStats
-from repro.kernels.walk import arena_cursor, walk
+from repro.kernels.walk import walk
 from repro.seeding.algorithm import SeedingParams, _three_rounds, seed_read
 from repro.seeding.engine import ForwardSearch, SeedingEngine
 from repro.seeding.types import SeedingResult

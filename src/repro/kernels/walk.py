@@ -2,10 +2,11 @@
 
 The paper's seeding machine is a set of independent per-read contexts,
 each a small state machine walking one radix tree (§IV).  This module is
-that state machine in software: :class:`ArenaCursor` exposes the index
-table, the jump tables and the arena columns as zero-copy
-``memoryview``s and the reference text and chars pool as ``bytes``;
-:func:`walk` is the single loop every search runs -- forward pivots,
+that state machine in software: over the index's
+:class:`~repro.core.arena.ArenaCursor` (the index table, the jump tables
+and the arena columns as zero-copy ``memoryview``s, the reference text
+and chars pool as ``bytes``), :func:`walk` is the single loop every
+search runs -- forward pivots,
 backward searches (over the reverse complement), exact ``locate`` walks
 and LAST launches differ only in its arguments.
 
@@ -32,78 +33,15 @@ States are eagerly settled (see :mod:`repro.core.arena`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.arena import (
     KIND_DIVERGE,
     KIND_LEAF,
     KIND_UNIFORM,
-    FlatTrees,
-    flat_trees,
+    ArenaCursor,
 )
-from repro.core.index import EntryKind, ErtIndex
+from repro.core.index import EntryKind
 
 _TABLE = int(EntryKind.TABLE)
-
-
-class ArenaCursor:
-    """Scalar accessors over one index: the first-level table, the jump
-    tables and the arena.
-
-    The integer columns are ``memoryview``s of the index's own arrays --
-    zero-copy, valid on the read-only shm-attached columns of a pool
-    worker, and indexing one yields a Python ``int`` with no numpy
-    scalar in between.  Built once per index (:func:`arena_cursor`),
-    never per batch.
-    """
-
-    __slots__ = ("k", "x", "prefix_len", "lep_bits", "kmer_count",
-                 "entry_kind", "prefix_counts", "roots", "table_slot",
-                 "jt_matched", "jt_lep", "jt_node", "jt_within", "jt_depth",
-                 "jt_count", "kind", "children", "count", "child",
-                 "chars_off", "chars_len", "leaf_text0", "pos_off",
-                 "pool", "chars", "text")
-
-    def __init__(self, index: ErtIndex, flat: FlatTrees) -> None:
-        self.k = flat.k
-        self.x = flat.table_x
-        self.prefix_len = memoryview(index.prefix_len)
-        self.lep_bits = memoryview(index.lep_bits)
-        self.kmer_count = memoryview(index.kmer_count)
-        self.entry_kind = memoryview(index.entry_kind)
-        #: ``prefix_counts[length - 1][code >> 2 * (k - length)]``.
-        self.prefix_counts = [memoryview(counts)
-                              for counts in index.prefix_counts]
-        self.roots = memoryview(flat.roots)
-        self.table_slot = memoryview(flat.table_slot)
-        #: ``jt_*[slot * 4**x + subcode]``: the ``(n, 4**x)`` tables,
-        #: flattened.
-        self.jt_matched = memoryview(flat.jt_matched.reshape(-1))
-        self.jt_lep = memoryview(flat.jt_lep.reshape(-1))
-        self.jt_node = memoryview(flat.jt_node.reshape(-1))
-        self.jt_within = memoryview(flat.jt_within.reshape(-1))
-        self.jt_depth = memoryview(flat.jt_depth.reshape(-1))
-        self.jt_count = memoryview(flat.jt_count.reshape(-1))
-        self.kind = memoryview(flat.kind)
-        #: ``children[4 * nid + c]``: the ``(n, 4)`` column, flattened.
-        self.children = memoryview(flat.children.reshape(-1))
-        self.count = memoryview(flat.count)
-        self.child = memoryview(flat.child)
-        self.chars_off = memoryview(flat.chars_off)
-        self.chars_len = memoryview(flat.chars_len)
-        self.leaf_text0 = memoryview(flat.leaf_text0)
-        self.pos_off = memoryview(flat.pos_off)
-        self.pool = memoryview(flat.pool)
-        self.chars = flat.chars_pool.tobytes()
-        self.text = index.text.astype(np.uint8).tobytes()
-
-
-def arena_cursor(index: ErtIndex) -> ArenaCursor:
-    """The scalar cursor of ``index`` (cached on it, like the arena)."""
-    cursor = index.cursor
-    if not isinstance(cursor, ArenaCursor):
-        cursor = index.cursor = ArenaCursor(index, flat_trees(index))
-    return cursor
 
 
 # repro: hot -- one call per search, one iteration per node visit.

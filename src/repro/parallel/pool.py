@@ -214,9 +214,6 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
     vector = options.get("kernels") == "vector"
     if task != "seed":
         _extension(task, vector)
-    if not vector:
-        # The scalar cursor lays out the trees it decodes.
-        import repro.core.layout  # noqa: F401
     policy = config.resolved_policy()
     recorder = telemetry.recorder()
     # Ship the parent's trace epoch through the pool initializer so

@@ -1,8 +1,12 @@
-"""Radix-tree node kinds (paper Fig 4).
+"""The decoded forest: radix-tree node objects (paper Fig 4), for tests.
 
-Three concrete node classes, each storing the number of reference
-occurrences below it (``count``) so walks can report hit-set changes (LEP)
-and honour minimum-hit thresholds:
+The index holds and walks its forest as the arena's columns
+(:mod:`repro.core.arena`) only.  This module decodes a tree of it into
+objects -- the oracle the column builder, the layout model and the wire
+format (``tests/serialize.py``) are checked against -- and holds the
+objects the recursive object builder (``tests/test_ert_build.py``)
+makes.  Three concrete node classes, each storing the number of
+reference occurrences below it (``count``):
 
 * :class:`UniformNode` -- a merged singleton path: every surviving
   occurrence continues with the same character string, matched in one
@@ -21,14 +25,17 @@ and honour minimum-hit thresholds:
 EMPTY nodes need no class: a missing child in a ``DivergeNode`` (or a
 mismatch inside a uniform string / leaf comparison) *is* the dead end.
 
-``offset``/``nbytes`` are set when a tree is decoded from the arena
-(:func:`repro.core.arena.tree_at`), from the layout of its columns
-(:mod:`repro.core.layout`).
+``offset``/``nbytes`` are set when a tree is decoded with a layout
+(:func:`tree_at`, :func:`decoded`), from :mod:`repro.core.layout`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.arena import KIND_LEAF, KIND_UNIFORM, FlatTrees
+from repro.core.index import ErtIndex
+from repro.core.layout import ForestLayout
 
 
 class Node:
@@ -115,3 +122,46 @@ def leaf_over(text: np.ndarray, positions: "tuple[int, ...]") -> LeafNode:
     occurrence's preceding character read from the text."""
     return LeafNode(positions, tuple(int(text[p - 1]) if p > 0 else -1
                                      for p in positions))
+
+
+def tree_at(flat: FlatTrees, text: np.ndarray, nid: int,
+            layout: "ForestLayout | None" = None) -> Node:
+    """The node objects of the subtree at arena node ``nid`` (``text``
+    is the double-strand text: a leaf's prefix characters are read from
+    it).  With ``layout`` every node carries its offset and size in its
+    tree's blob."""
+    kind = int(flat.kind[nid])
+    count = int(flat.count[nid])
+    off = int(flat.pos_off[nid])
+    node: Node
+    if kind == KIND_LEAF:
+        node = leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
+    elif kind == KIND_UNIFORM:
+        start = int(flat.chars_off[nid])
+        chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
+        node = UniformNode(chars, tree_at(flat, text, nid + 1, layout),
+                           count)
+    else:
+        children = {c: tree_at(flat, text, child, layout)
+                    for c, child in enumerate(flat.children[nid].tolist())
+                    if child >= 0}
+        # The pool run of a DIVERGE node opens with its own
+        # terminations; its children's runs follow.
+        ended = count - sum(child.count for child in children.values())
+        node = DivergeNode(children,
+                           tuple(flat.pool[off:off + ended].tolist()), count)
+    if layout is not None:
+        node.offset = int(layout.offset[nid])
+        node.nbytes = int(layout.nbytes[nid])
+    return node
+
+
+def decoded(index: ErtIndex, code: int) -> Node:
+    """The tree of k-mer ``code``, decoded from ``index``'s arena and
+    laid out as the index places it in the trees region."""
+    return tree_at(index.flat, index.text, index.roots[code], index.layout)
+
+
+def forest(index: ErtIndex) -> "dict[int, Node]":
+    """Every tree of ``index`` decoded, by k-mer code (ascending)."""
+    return {code: decoded(index, code) for code in index.roots}

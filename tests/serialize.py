@@ -47,7 +47,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.core.layout import node_size
-from repro.core.nodes import DivergeNode, LeafNode, Node, UniformNode
+from tests.nodes import DivergeNode, LeafNode, Node, UniformNode
 
 KIND_DIVERGE = 0
 KIND_UNIFORM = 1

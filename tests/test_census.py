@@ -1,6 +1,7 @@
 """Tests for index census utilities (Fig 8, §III-A3, §III-E claims)."""
 
 import numpy as np
+import pytest
 
 from repro.core import (
     ErtConfig,
@@ -10,6 +11,7 @@ from repro.core import (
     index_census,
 )
 from repro.sequence import GenomeSimulator, Reference
+from tests.nodes import LeafNode, UniformNode, forest
 
 
 def test_index_census_partitions_entries(ert_index):
@@ -56,3 +58,29 @@ def test_empty_fraction_grows_with_k():
     small = index_census(build_ert(ref, ErtConfig(k=4, max_seed_len=40)))
     large = index_census(build_ert(ref, ErtConfig(k=7, max_seed_len=40)))
     assert large.empty_fraction > small.empty_fraction
+
+
+def _oracle_leaf_depths(index):
+    """The census over the decoded node objects: a DFS that counts each
+    leaf, and each DIVERGE node some occurrences end at, at its depth."""
+    depths = {}
+    for root in forest(index).values():
+        stack = [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if isinstance(node, LeafNode):
+                depths[depth] = depths.get(depth, 0) + 1
+            elif isinstance(node, UniformNode):
+                stack.append((node.child, depth + int(node.chars.size)))
+            else:
+                if node.ended:
+                    depths[depth] = depths.get(depth, 0) + 1
+                stack.extend((child, depth + 1)
+                             for child in node.children_nodes())
+    return depths
+
+
+@pytest.mark.parametrize("fixture", ["ert_index", "ert_pm_index"])
+def test_depth_census_equals_the_decoded_forest_dfs(request, fixture):
+    index = request.getfixturevalue(fixture)
+    assert depth_census(index).leaf_depths == _oracle_leaf_depths(index)

@@ -595,7 +595,7 @@ def pairs_fastq(workspace):
     ("seed", "vector", ("repro.extend.pipeline", "repro.extend.paired",
                         "repro.kernels.traceback", "repro.core.layout")),
     ("align", "vector", ("repro.extend.paired", "repro.core.layout")),
-    ("align-pe", "scalar", ()),
+    ("align-pe", "scalar", ("repro.core.layout",)),
 ], ids=["parser", "seed", "align", "align-pe"])
 def test_one_worker_run_imports_only_what_it_executes(
         workspace, pairs_fastq, tmp_path, command, kernels, also_cold):
@@ -630,15 +630,13 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
         else:
             assert set(POOL) <= set(added)
     assert outs["1"].read_bytes() == outs["2"].read_bytes()
-    # A scalar worker lays the forest out to place the trees it decodes;
-    # the parent decodes none, so the layout model is there only because
-    # it was loaded before the pool existed (a forked worker imports
-    # nothing).
+    # No unmodelled walk asks where a node lies, so neither the parent
+    # nor a scalar worker loads the layout model.
     added, _proc = _modules_added_by(
         ["align", "--index", index, "--reads", reads, "--out",
          tmp_path / "scalar.sam", "--kernels", "scalar", "--workers", "2",
          "--batch-size", "4"])
-    assert "repro.core.layout" in added
+    assert "repro.core.layout" not in added
     assert (tmp_path / "scalar.sam").read_bytes() == outs["1"].read_bytes()
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ErtConfig, EntryKind, LayoutPolicy, build_ert, save_ert
-from repro.core import nodes as node_module
 from repro.core.arena import (
     ARENA_COLUMNS,
     ARENA_DTYPES,
@@ -21,14 +20,21 @@ from repro.core.arena import (
     FlatTrees,
 )
 from repro.core.builder import _entry_metadata, rolling_codes
-from repro.core.index import ErtIndex, LazyByCode
+from repro.core.index import ErtIndex
 from repro.core.layout import TILE, LayoutStats
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode, leaf_over
 from repro.core.walker import WalkState, build_jump_table
 from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import decode
 from repro.sequence.multi import MultiReference
+from tests.nodes import (
+    DivergeNode,
+    LeafNode,
+    UniformNode,
+    decoded,
+    forest,
+    leaf_over,
+)
 from tests.serialize import size_of, trees_equal
 
 
@@ -109,7 +115,7 @@ def test_entry_kinds_consistent(index):
     kinds = index.entry_kind
     counts = index.kmer_count
     assert np.all((kinds == EntryKind.EMPTY) == (counts == 0))
-    for code, root in index.roots.items():
+    for code, root in forest(index).items():
         if kinds[code] == EntryKind.LEAF:
             assert isinstance(root, LeafNode)
         if kinds[code] == EntryKind.TABLE:
@@ -134,7 +140,7 @@ def test_tree_counts_sum(index):
         assert node.count == below
         return below
 
-    for code, root in index.roots.items():
+    for code, root in forest(index).items():
         assert check(root) == int(index.kmer_count[code])
 
 
@@ -162,8 +168,8 @@ def test_tree_paths_spell_reference_substrings(ref, index):
             for c, child in node.children.items():
                 leaf_positions_consistent(child, depth + 1)
 
-    for root in list(index.roots.values())[:200]:
-        leaf_positions_consistent(root, 0)
+    for code in list(index.roots)[:200]:
+        leaf_positions_consistent(decoded(index, code), 0)
 
 
 def test_uniform_nodes_are_singleton_paths(index):
@@ -192,8 +198,8 @@ def test_uniform_nodes_are_singleton_paths(index):
             for child in node.children.values():
                 check(child, depth + 1)
 
-    for root in list(index.roots.values())[:100]:
-        check(root, 0)
+    for code in list(index.roots)[:100]:
+        check(decoded(index, code), 0)
 
 
 def test_index_bytes_structure(index):
@@ -225,26 +231,6 @@ def test_reference_shorter_than_k_builds_an_empty_forest():
                       ErtConfig(k=4, max_seed_len=10))
     assert not index.roots
     assert not np.any(index.entry_kind != EntryKind.EMPTY)
-
-
-def test_build_makes_no_node_object(monkeypatch):
-    """The arena is emitted from the suffix sort: no node object is made
-    (a reference without TABLE k-mers; jump tables are column walks
-    too, but this pins the plain case)."""
-    made = []
-    real = node_module.Node.__init__
-
-    def counting(self, count):
-        made.append(type(self).__name__)
-        real(self, count)
-
-    monkeypatch.setattr(node_module.Node, "__init__", counting)
-    index = build_ert(GenomeSimulator(seed=9).generate(3000),
-                      ErtConfig(k=5, max_seed_len=60))
-    assert not (index.entry_kind == EntryKind.TABLE).any()
-    assert len(index.roots) > 0 and made == []
-    next(iter(index.roots.values()))  # decoding does make them
-    assert made
 
 
 # ----------------------------------------------------------------------
@@ -384,25 +370,25 @@ def _settle_nid(kind, chars_len, child, nid, within):
     return nid, within
 
 
-def oracle_compile(index):
-    """Number every node in preorder (children in character order) and
-    emit one row each; translate the jump tables' walk states."""
+def oracle_compile(roots, config, n_tables):
+    """Number every node of the object trees ``roots`` (by k-mer code)
+    in preorder, children in character order, and emit one row each;
+    the ``n_tables`` jump tables' columns are left for
+    :func:`oracle_jump_tables` to fill."""
     lists = {name: [] for name in ("kind", "count", "children", "child",
                                    "chars_off", "chars_len", "chars_pool",
                                    "leaf_text0", "pos_off", "pool")}
     kind, children, pool = lists["kind"], lists["children"], lists["pool"]
-    nid_of = {}
-    n_entries = 4 ** index.config.k
-    roots = np.full(n_entries, -1, dtype=np.int32)
-    for code in sorted(index.roots):
-        roots[code] = len(kind)
-        stack = [(index.roots[code], -1)]
+    n_entries = 4 ** config.k
+    root_ids = np.full(n_entries, -1, dtype=np.int32)
+    for code in sorted(roots):
+        root_ids[code] = len(kind)
+        stack = [(roots[code], -1)]
         while stack:
             node, slot = stack.pop()
             nid = len(kind)
             if slot >= 0:
                 children[slot] = nid
-            nid_of[node] = nid
             lists["count"].append(int(node.count))
             lists["pos_off"].append(len(pool))
             children.extend((-1, -1, -1, -1))
@@ -431,44 +417,49 @@ def oracle_compile(index):
                 for c in sorted(node.children, reverse=True):
                     stack.append((node.children[c], 4 * nid + c))
 
-    x = index.config.table_x
-    shape = (max(len(index.tables), 1), 4 ** x)
+    shape = (max(n_tables, 1), 4 ** config.table_x)
     jt = {"table_slot": np.full(n_entries, -1, dtype=np.int32)}
     for name in ("jt_matched", "jt_lep", "jt_within", "jt_depth",
                  "jt_count"):
         jt[name] = np.zeros(shape, dtype=np.int32)
     jt["jt_node"] = np.full(shape, -1, dtype=np.int32)
+    arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
+              for name, values in lists.items()}
+    arrays["children"] = arrays["children"].reshape(-1, 4)
+    return FlatTrees(k=config.k, table_x=config.table_x, roots=root_ids,
+                     **jt, **arrays)
+
+
+def oracle_jump_tables(index):
+    """Fill the arena's jump-table columns from the cursor-built tables,
+    each state eagerly settled."""
+    flat = index.flat
     for slot, code in enumerate(sorted(index.tables)):
-        jt["table_slot"][code] = slot
+        flat.table_slot[code] = slot
         for subcode, entry in enumerate(index.tables[code]):
-            jt["jt_matched"][slot, subcode] = entry.matched
-            jt["jt_lep"][slot, subcode] = entry.lep_bits
+            flat.jt_matched[slot, subcode] = entry.matched
+            flat.jt_lep[slot, subcode] = entry.lep_bits
             state = entry.state
             if state is None:
                 continue
             assert isinstance(state, WalkState)
-            if state.pending is not None:
-                nid, within = nid_of[state.pending], 0
+            if state.pending >= 0:
+                nid, within = state.pending, 0
             else:
-                nid, within = nid_of[state.node], int(state.within)
-            nid, within = _settle_nid(kind, lists["chars_len"],
-                                      lists["child"], nid, within)
-            jt["jt_node"][slot, subcode] = nid
-            jt["jt_within"][slot, subcode] = within
-            jt["jt_depth"][slot, subcode] = int(state.depth)
-            jt["jt_count"][slot, subcode] = int(state.count)
-    arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
-              for name, values in lists.items()}
-    arrays["children"] = arrays["children"].reshape(-1, 4)
-    return FlatTrees(k=index.config.k, table_x=x, roots=roots, **jt,
-                     **arrays)
+                nid, within = state.node, state.within
+            nid, within = _settle_nid(flat.kind, flat.chars_len, flat.child,
+                                      nid, within)
+            flat.jt_node[slot, subcode] = nid
+            flat.jt_within[slot, subcode] = within
+            flat.jt_depth[slot, subcode] = state.depth
+            flat.jt_count[slot, subcode] = state.count
 
 
 def oracle_build_ert(reference, config):
     """``build_ert`` before the suffix sort and the column emitter:
     rolling-code groups, each partitioned recursively, laid out and
-    compiled as objects.  Returns the index (its arena the compile) and
-    the layout's tile statistics."""
+    compiled as objects.  Returns the index (its arena the compile), the
+    layout's tile statistics and the object trees by k-mer code."""
     text = reference.both_strands
     k = config.k
     cap = config.max_ext
@@ -507,21 +498,20 @@ def oracle_build_ert(reference, config):
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
-        roots=LazyByCode(np.array(sorted(roots), dtype=np.int64),
-                         roots.__getitem__),
         tree_bases=np.array([tree_base[code] for code in sorted(tree_base)],
                             dtype=np.int64),
-        tables=tables, prefix_counts=counts_by_len, trees_bytes=trees_bytes)
+        tables=tables, prefix_counts=counts_by_len, trees_bytes=trees_bytes,
+        flat=oracle_compile(roots, config, len(table_codes)))
     for code in table_codes:
         tables[code] = build_jump_table(index, code)
-    index.flat = oracle_compile(index)
-    return index, layout_stats
+    oracle_jump_tables(index)
+    return index, layout_stats, roots
 
 
-def _assert_same_build(got, want, want_stats):
-    assert list(got.roots) == list(want.roots)
-    for code, root in want.roots.items():
-        ours, theirs = [got.roots[code]], [root]
+def _assert_same_build(got, want, want_stats, want_roots):
+    assert list(got.roots) == list(want.roots) == sorted(want_roots)
+    for code, root in want_roots.items():
+        ours, theirs = [decoded(got, code)], [root]
         assert trees_equal(ours[0], root, check_prefix=True), code
         while ours:
             a, b = ours.pop(), theirs.pop()
@@ -649,8 +639,8 @@ def test_saved_index_equals_the_oracle_member_for_member(
                                  prefix_merging=prefix_merging)
     built = build_ert(reference, config)
     assert (built.entry_kind == EntryKind.TABLE).any()
-    oracle, stats = oracle_build_ert(reference, config)
-    _assert_same_build(built, oracle, stats)
+    oracle, stats, trees = oracle_build_ert(reference, config)
+    _assert_same_build(built, oracle, stats, trees)
     save_ert(built, tmp_path / "built.npz")
     save_ert(oracle, tmp_path / "oracle.npz")
     got = _read_archive(tmp_path / "built.npz")

@@ -91,6 +91,7 @@ def test_regions_are_disjoint(index):
 def test_entry_kind_matches_roots(index):
     for code, root in index.roots.items():
         assert index.entry_kind[code] != EntryKind.EMPTY
+        assert root == index.flat.roots[code] >= 0
     empties = np.flatnonzero(index.entry_kind == EntryKind.EMPTY)
     for code in empties[:50]:
         assert int(code) not in index.roots

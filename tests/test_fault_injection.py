@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import ErtConfig, ErtSeedingEngine, build_ert
-from repro.core.nodes import LeafNode, UniformNode
+from repro.core.arena import KIND_LEAF, KIND_UNIFORM
 from repro.seeding import OracleEngine, SeedingParams, compare_engines
 from repro.sequence import GenomeSimulator, ReadSimulator
 
@@ -70,16 +70,14 @@ def test_corrupted_leaf_position_detected(setting):
     (and wrong ref-fetch comparisons)."""
     ref, reads, params, oracle = setting
     engine = _fresh_engine(ref)
-    corrupted = 0
-    for root in engine.index.roots.values():
-        stack = [root]
-        while stack and corrupted < 200:
-            node = stack.pop()
-            if isinstance(node, LeafNode) and node.positions[0] > 100:
-                node.positions = tuple(p - 1 for p in node.positions)
-                corrupted += 1
-            stack.extend(node.children_nodes())
-    assert corrupted > 0
+    flat = engine.index.flat
+    leaves = np.flatnonzero((flat.kind == KIND_LEAF)
+                            & (flat.leaf_text0 > 100))[:200]
+    assert leaves.size > 0
+    for nid in leaves:
+        flat.leaf_text0[nid] -= 1
+        off = flat.pos_off[nid]
+        flat.pool[off:off + flat.count[nid]] -= 1
     report = compare_engines(oracle, engine, reads, params)
     assert not report.equivalent
 
@@ -88,15 +86,13 @@ def test_corrupted_uniform_chars_detected(setting):
     """Mutated UNIFORM strings change match lengths."""
     ref, reads, params, oracle = setting
     engine = _fresh_engine(ref)
-    mutated = 0
-    for root in engine.index.roots.values():
-        stack = [root]
-        while stack and mutated < 200:
-            node = stack.pop()
-            if isinstance(node, UniformNode) and node.chars.size >= 2:
-                node.chars = (node.chars + 1) % 4
-                mutated += 1
-            stack.extend(node.children_nodes())
-    assert mutated > 0
+    flat = engine.index.flat
+    runs = np.flatnonzero((flat.kind == KIND_UNIFORM)
+                          & (flat.chars_len >= 2))[:200]
+    assert runs.size > 0
+    for nid in runs:
+        run = slice(flat.chars_off[nid],
+                    flat.chars_off[nid] + flat.chars_len[nid])
+        flat.chars_pool[run] = (flat.chars_pool[run] + 1) % 4
     report = compare_engines(oracle, engine, reads, params)
     assert not report.equivalent

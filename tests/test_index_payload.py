@@ -1,9 +1,10 @@
-"""The version-3 index payload: one stored forest (the arena), node
-objects decoded from it, re-framing without compiling, the member table
-as a contract, and typed errors on hostile input."""
+"""The version-3 index payload: one stored forest (the arena), walked as
+it lies, re-framing without compiling, the member table as a contract,
+and typed errors on hostile input."""
 
 import dataclasses
 import gc
+import hashlib
 import json
 import zipfile
 
@@ -14,27 +15,34 @@ from repro.analysis.datavol import measure_traffic
 from repro.core import (
     ErtConfig,
     ErtSeedingEngine,
+    KmerReuseDriver,
     LayoutPolicy,
     build_ert,
     load_ert,
     save_ert,
 )
-from repro.core import arena, io
+from repro.core import arena
 from repro.core import layout as layout_module
 from repro.core.arena import ARENA_COLUMNS, ArenaLimitError, flat_trees
-from repro.core.builder import rolling_codes
 from repro.core.index import EntryKind
 from repro.core.io import (
     IndexFormatError,
     index_from_buffer,
     index_to_buffer,
 )
-from repro.parallel import ParallelConfig, seed_reads
+from repro.memsim import MemoryTracer
+from repro.parallel import (
+    ParallelConfig,
+    align_pairs,
+    align_reads,
+    seed_reads,
+)
 from repro.parallel.shm import SharedIndexBuffer, attach_index
-from repro.seeding import SeedingParams
+from repro.seeding import SeedingParams, seed_read
 from repro.sequence import GenomeSimulator, ReadSimulator
-from repro.sequence.alphabet import revcomp_codes
 from repro.sequence.multi import MultiReference
+from repro.sequence.simulate import PairedReadSimulator
+from tests.nodes import decoded
 from tests.serialize import trees_equal
 
 
@@ -109,11 +117,9 @@ def _assert_same_forest(got, want):
     assert list(got.roots) == sorted(want.roots)
     assert got.tree_base == want.tree_base
     assert got.index_bytes() == want.index_bytes()
-    for code, root in want.roots.items():
-        lazy = got.roots[code]
-        assert lazy is got.roots[code]  # made once
-        assert trees_equal(lazy, root, check_prefix=True), code
-        ours, theirs = [lazy], [root]
+    for code in want.roots:
+        ours, theirs = [decoded(got, code)], [decoded(want, code)]
+        assert trees_equal(ours[0], theirs[0], check_prefix=True), code
         while ours:
             a, b = ours.pop(), theirs.pop()
             assert (a.offset, a.nbytes) == (b.offset, b.nbytes)
@@ -133,9 +139,10 @@ def _assert_same_forest(got, want):
 @pytest.mark.parametrize("layout", list(LayoutPolicy),
                          ids=lambda layout: layout.value)
 def test_decoded_forest_equals_the_built_one(built, tmp_path, layout):
-    """The oracle's node objects come from the arena now, so pin the
-    decode differentially: multi-contig reference, TABLE k-mers, prefix
-    merging off and on, every layout policy; loaded and shm-attached."""
+    """A loaded or shm-attached index walks the stored arena, laid out
+    again from its columns when a modelled walk asks, so pin both
+    differentially: multi-contig reference, TABLE k-mers, prefix merging
+    off and on, every layout policy."""
     index = build_ert(built.reference,
                       dataclasses.replace(built.config, layout=layout))
     save_ert(index, tmp_path / "index.npz")
@@ -145,28 +152,64 @@ def test_decoded_forest_equals_the_built_one(built, tmp_path, layout):
     _on_attached(index, lambda attached: _assert_same_forest(attached, index))
 
 
-def test_lazy_roots_equal_eager_decode(built, saved, ert_index, tmp_path,
-                                      monkeypatch):
-    """A root decoded on first access is the tree a direct decode of its
-    arena node gives, laid out: on the payload fixture and on the
-    suite's shared fixture index, with blocks of trees laid out small
-    enough that many block edges are crossed."""
-    monkeypatch.setattr(io, "_LAYOUT_BLOCK", 7)
+def test_lazy_roots_equal_eager_decode(built, saved, ert_index, tmp_path):
+    """``roots`` maps every k-mer with a tree, and only those, to the
+    root node id the stored column holds, without a Python object per
+    k-mer until one is asked for; the loaded forest is the built one, on
+    the payload fixture and on the suite's shared fixture index."""
     save_ert(ert_index, tmp_path / "fixture.npz")
     for want, path in ((built, saved), (ert_index, tmp_path / "fixture.npz")):
         loaded = load_ert(path)
-        flat = flat_trees(loaded)
-        assert list(loaded.roots) == np.flatnonzero(flat.roots >= 0).tolist()
-        for code in loaded.roots:
-            eager = arena.tree_at(flat, loaded.text, int(flat.roots[code]),
-                                  loaded.layout)
-            assert trees_equal(loaded.roots[code], eager)
+        column = flat_trees(loaded).roots
+        assert list(loaded.roots) == np.flatnonzero(column >= 0).tolist()
+        assert len(loaded.roots) == np.count_nonzero(column >= 0)
+        assert all(loaded.roots[code] == column[code]
+                   for code in loaded.roots)
+        assert not any(code in loaded.roots
+                       for code in np.flatnonzero(column < 0)[:50].tolist())
         _assert_same_forest(loaded, want)
+
+
+#: sha256 of the modelled request stream, one ``addr size phase`` line
+#: per line fetch in fetch order, by ``(k, prefix_merging)``: per-read
+#: seeding, then one :class:`KmerReuseDriver` batch with its reuse cache.
+#: A change that moves, adds or drops a fetch on purpose updates these
+#: with the traffic tables under ``benchmarks/results/``.
+TRAFFIC_STREAMS = {
+    (4, False): (
+        "8ae03ba83bed11cfd1cba8d3dcf0eb6682e515ec331fdf3c7c04bc313b16e304",
+        "ab3223f2f3d8c4661af9869c5e289bd799073a7c68fa961b38424ef914122955"),
+    (4, True): (
+        "1b27a244e6b68fd7908b0d03cb3be1420e7f38bfca4dc59a3097cefe5f2d9f97",
+        "f466b99e1d2fc843c674c414b7690b5f2f23313bfc913d6b83a92be00cb42581"),
+    (6, False): (
+        "16d957afaa7a1bf8646c8bde694a85476c8997dd455d222107f4a25062e4060b",
+        "18f398493303a185c6896b9721ef94d70658ee5a099fb89072ee4e83f2c849c2"),
+    (6, True): (
+        "e6caed59e4df8d0d0363a8c849ff4766d5b3dd2f24f2f5f3d3d5408561c14bca",
+        "79413bf5d7c1b96c44f4f0cf202437188aae876f7fa2b20c7ccae1d7302dd84f"),
+}
+
+
+def _stream_digest(index, run):
+    tracer = MemoryTracer(keep_trace=True)
+    index.attach_tracer(tracer)
+    try:
+        run(ErtSeedingEngine(index))
+    finally:
+        index.attach_tracer(None)
+    assert tracer.trace
+    digest = hashlib.sha256()
+    for access in tracer.trace:
+        digest.update(f"{access.addr} {access.size} {access.phase}\n"
+                      .encode())
+    return digest.hexdigest()
 
 
 def test_modelled_traffic_is_equal_on_built_loaded_and_attached(built, saved):
     """Memsim addresses are the region base plus the laid-out offset, so
-    a tracer sees the same requests whichever form the index is in."""
+    a tracer sees the same requests whichever form the index is in --
+    and the same stream, fetch for fetch, as the pinned digests."""
     reads = [read.codes for read in ReadSimulator(
         built.reference, read_length=60, seed=43).simulate(8)]
     params = SeedingParams(min_seed_len=10)
@@ -177,60 +220,76 @@ def test_modelled_traffic_is_equal_on_built_loaded_and_attached(built, saved):
         return (profile.requests_per_read, profile.bytes_per_read,
                 profile.by_phase)
 
+    def streams(index):
+        def per_read(engine):
+            for read in reads:
+                seed_read(engine, read, params)
+
+        def reuse(engine):
+            KmerReuseDriver(engine, params,
+                            cache_bytes=8 * 1024).seed_batch(reads)
+
+        return (_stream_digest(index, per_read),
+                _stream_digest(index, reuse))
+
     want = traffic(built)
     assert traffic(load_ert(saved)) == want
     assert _on_attached(built, traffic) == want
+    pinned = TRAFFIC_STREAMS[built.config.k, built.config.prefix_merging]
+    assert streams(built) == pinned
+    assert streams(load_ert(saved)) == pinned
+    assert _on_attached(built, streams) == pinned
 
 
-def test_vector_run_decodes_nothing_scalar_only_what_it_touches(
+#: sha256 of what ``seed`` (TSV lines), ``align`` and ``align-pe``
+#: (SAM lines) return on the payload fixture's reads: one triple for
+#: every fixture, kernel and index form.
+RUN_OUTPUTS = (
+    "96c6904149fb637e3727fead4153bf21e7fa5f9e75cf6e47e165af19cc119cf7",
+    "6830650e62a0eba9e22ed39fe2c65932c7ec562835e67a8eed28d960b0386ea0",
+    "af095705b40f00fe6da45c69751381204f7393e8bbe1c585ecb63ec69ea0b5ed",
+)
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_runs_on_a_loaded_index_never_lay_the_forest_out(
         built, saved, monkeypatch):
+    """Only a modelled walk asks where a node lies: ``seed``, ``align``
+    and ``align-pe`` on a loaded index, scalar and vector, return the
+    pinned outputs while the layout model refuses to run."""
     reference = built.reference
     reads = ReadSimulator(reference, read_length=60, seed=41).simulate(6)
+    pairs = [read for pair in PairedReadSimulator(
+        reference, read_length=60, insert_mean=200, insert_sd=20,
+        seed=42).simulate(3) for read in (pair.first, pair.second)]
     params = SeedingParams(min_seed_len=10)
-    expected, _ = seed_reads(built, reads, params,
-                             ParallelConfig(workers=1, kernels="scalar"))
 
-    def no_layout(flat, config):
-        raise AssertionError("the vector path laid the forest out")
+    def refuse(*args):
+        raise AssertionError("an unmodelled run laid the forest out")
 
-    def no_decode(flat, text, nid, layout=None):
-        raise AssertionError("the vector path asked for a node object")
-
-    monkeypatch.setattr(layout_module, "forest_layout", no_layout)
-    monkeypatch.setattr(io, "tree_at", no_decode)
-    lines, _ = seed_reads(load_ert(saved), reads, params,
-                          ParallelConfig(workers=1, kernels="vector"))
-    assert lines == expected
-    monkeypatch.undo()
-
-    decoded = []
-
-    def counting(flat, text, nid, layout=None):
-        decoded.append(nid)
-        return arena.tree_at(flat, text, nid, layout)
-
-    monkeypatch.setattr(io, "tree_at", counting)
-    loaded = load_ert(saved)
-    lines, _ = seed_reads(loaded, reads, params,
-                          ParallelConfig(workers=1, kernels="scalar"))
-    assert lines == expected
-    k = built.config.k
-    touched = set()
-    for read in reads:
-        for codes in (read.codes, revcomp_codes(read.codes)):
-            touched.update(rolling_codes(codes, k).tolist())
-    assert 0 < len(decoded) <= len(touched & set(loaded.roots))
-    assert len(decoded) == len(set(decoded)) < len(loaded.roots)
+    monkeypatch.setattr(layout_module, "forest_layout", refuse)
+    for kernels in ("scalar", "vector"):
+        loaded = load_ert(saved)
+        config = ParallelConfig(workers=1, kernels=kernels)
+        seeds, _ = seed_reads(loaded, reads, params, config)
+        sam, _ = align_reads(loaded, reads, params, config=config)
+        paired, _ = align_pairs(loaded, pairs, params, config=config)
+        assert (_digest(seeds),
+                _digest(record.to_line() + "\n" for record in sam),
+                _digest(record.to_line() + "\n" for record in paired)) \
+            == RUN_OUTPUTS, kernels
 
 
 def test_publish_reframes_without_encoding(built, saved, monkeypatch):
     want = index_to_buffer(built)
 
     def refuse(*args):
-        raise AssertionError("re-framing laid out or decoded a tree")
+        raise AssertionError("re-framing laid the forest out")
 
     monkeypatch.setattr(layout_module, "forest_layout", refuse)
-    monkeypatch.setattr(io, "tree_at", refuse)
     loaded = load_ert(saved)
     assert index_to_buffer(loaded) == want
     with SharedIndexBuffer(loaded) as shared:

@@ -321,8 +321,8 @@ def test_arena_cursor_over_attached_index_matches_built(ert_index, reference,
     """The scalar cursor reads the read-only columns of an index
     attached from ``index_to_buffer`` (what a pool worker walks) exactly
     as it reads the arena compiled from a built one."""
+    from repro.core.arena import arena_cursor
     from repro.core.io import index_from_buffer, index_to_buffer
-    from repro.kernels.walk import arena_cursor
 
     attached = index_from_buffer(index_to_buffer(ert_index))
     cursor = arena_cursor(attached)

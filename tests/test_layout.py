@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import ErtConfig, LayoutPolicy, build_ert
 from repro.core.arena import KIND_DIVERGE, KIND_LEAF, KIND_UNIFORM
-from repro.core.layout import forest_layout, node_size
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode
+from repro.core.layout import node_size
 from repro.sequence import GenomeSimulator
+from tests.nodes import DivergeNode, LeafNode, UniformNode, decoded, forest
 from tests.serialize import size_of
 
 
@@ -53,7 +53,8 @@ def reference():
 def test_offsets_are_disjoint(reference, policy):
     """No two nodes of a tree may overlap in the serialized blob."""
     index = _forest(reference, policy)
-    for root in list(index.roots.values())[:150]:
+    for code in list(index.roots)[:150]:
+        root = decoded(index, code)
         spans = []
         stack = [root]
         while stack:
@@ -69,27 +70,12 @@ def test_offsets_are_disjoint(reference, policy):
 @pytest.mark.parametrize("policy", list(LayoutPolicy))
 def test_blob_contains_all_nodes(reference, policy):
     index = _forest(reference, policy)
-    for code, root in list(index.roots.items())[:150]:
-        stack = [root]
+    for code in list(index.roots)[:150]:
+        stack = [decoded(index, code)]
         while stack:
             node = stack.pop()
             assert node.offset + node.nbytes <= index.trees_region.size
             stack.extend(node.children_nodes())
-
-
-@pytest.mark.parametrize("policy", list(LayoutPolicy))
-def test_a_run_of_trees_lays_out_as_in_the_forest(reference, policy):
-    """A scalar decode lays out only a block of consecutive trees; every
-    node gets the offset and size the whole-forest layout gives it."""
-    index = _forest(reference, policy)
-    whole = index.layout
-    bounds = np.append(whole.tree_roots, index.flat.kind.size)
-    for lo, hi in ((0, 1), (3, 40), (bounds.size - 6, bounds.size - 1)):
-        part = forest_layout(index.flat, index.config, bounds[lo:hi + 1])
-        nodes = slice(int(bounds[lo]), int(bounds[hi]))
-        assert part.first == bounds[lo]
-        assert part.offset.tolist() == whole.offset[nodes].tolist()
-        assert part.nbytes.tolist() == whole.nbytes[nodes].tolist()
 
 
 def test_tiled_beats_bfs_on_walk_locality(reference, read_codes=None):
@@ -100,9 +86,8 @@ def test_tiled_beats_bfs_on_walk_locality(reference, read_codes=None):
 
     def walk_lines(index):
         total = 0
-        for code, root in index.roots.items():
+        for code, node in forest(index).items():
             lines = set()
-            node = root
             # Follow an arbitrary deep path.
             while True:
                 base = index.tree_base[code] + node.offset

@@ -32,6 +32,7 @@ from repro.seeding.algorithm import seed_read
 from repro.seeding.engine import EngineStats
 from repro.sequence import ReadSimulator
 from repro.sequence.simulate import PairedReadSimulator
+from tests.nodes import decoded, forest
 from tests.serialize import trees_equal
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -221,8 +222,8 @@ def test_shared_index_round_trip(reference, prefix_merging):
             assert np.array_equal(attached.reference.codes,
                                   index.reference.codes)
             assert sorted(attached.roots) == sorted(index.roots)
-            for code, tree in index.roots.items():
-                assert trees_equal(attached.roots[code], tree)
+            for code, tree in forest(index).items():
+                assert trees_equal(decoded(attached, code), tree)
         finally:
             shm = attached._shm
             del attached

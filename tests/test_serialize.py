@@ -11,9 +11,9 @@ from repro.core import (
     save_ert,
 )
 from repro.core.io import IndexFormatError
-from repro.core.nodes import DivergeNode, LeafNode, UniformNode
 from repro.seeding import SeedingParams, seed_read
 from repro.sequence import GenomeSimulator, ReadSimulator
+from tests.nodes import DivergeNode, LeafNode, UniformNode, decoded, forest
 from tests.serialize import (
     SerializeError,
     _decode_node,
@@ -47,7 +47,7 @@ def _blob_sizes(index):
 def test_every_tree_roundtrips(index):
     pm = index.config.prefix_merging
     sizes = _blob_sizes(index)
-    for code, root in index.roots.items():
+    for code, root in forest(index).items():
         blob = encode_tree(root, sizes[code], pm)
         back = decode_tree(blob, root.offset)
         assert trees_equal(root, back, check_prefix=pm), code
@@ -56,7 +56,7 @@ def test_every_tree_roundtrips(index):
 def test_decoded_sizes_match_size_model(index):
     pm = index.config.prefix_merging
     code = max(index.roots, key=lambda c: index.kmer_count[c])
-    root = index.roots[code]
+    root = decoded(index, code)
     blob = encode_tree(root, _blob_sizes(index)[code], pm)
     stack = [decode_tree(blob, root.offset)]
     while stack:
@@ -71,7 +71,7 @@ def test_prefix_chars_survive_roundtrip(ref):
                                      prefix_merging=True))
     checked = 0
     sizes = _blob_sizes(index)
-    for code, root in index.roots.items():
+    for code, root in forest(index).items():
         blob = encode_tree(root, sizes[code], True)
         back = decode_tree(blob, root.offset)
         stack_a, stack_b = [root], [back]
@@ -96,7 +96,7 @@ def test_encode_requires_layout():
 def test_encode_rejects_blob_overflow(index):
     code = next(iter(index.roots))
     with pytest.raises(SerializeError):
-        encode_tree(index.roots[code], 1, index.config.prefix_merging)
+        encode_tree(decoded(index, code), 1, index.config.prefix_merging)
 
 
 def test_decode_rejects_bad_offset():
@@ -129,8 +129,8 @@ def test_save_load_roundtrip(tmp_path, ref, index):
     assert np.array_equal(loaded.kmer_count, index.kmer_count)
     assert loaded.tree_base == index.tree_base
     assert set(loaded.tables) == set(index.tables)
-    for code, root in index.roots.items():
-        assert trees_equal(root, loaded.roots[code])
+    for code, root in forest(index).items():
+        assert trees_equal(root, decoded(loaded, code))
 
 
 def test_loaded_index_seeds_identically(tmp_path, ref, index):
