@@ -23,7 +23,7 @@ from repro.extend.sam import (
     mapq_from_scores,
     unmapped_record,
 )
-from repro.extend.traceback import banded_sw_traceback
+from repro.extend.traceback import banded_sw_traceback, exact_lane
 from repro.seeding.algorithm import SeedingResult
 from repro.sequence.alphabet import decode, revcomp_codes
 from repro.sequence.reference import Strand
@@ -104,8 +104,14 @@ class PairedAligner:
         # The mate may sit anywhere in the window, far from the main
         # diagonal, so the rescue search runs unbanded (the window is
         # only an insert-size long; this is what BWA's mate-SW does too).
-        traced = banded_sw_traceback(query, target, self.aligner.scheme,
-                                     band=2 * int(target.size) + 1)
+        # That band holds every copy of the mate, so its leftmost exact
+        # copy in the window is the answer when there is one.
+        band = 2 * int(target.size) + 1
+        traced = exact_lane(
+            np.asarray(query, dtype=np.uint8).tobytes(),
+            self.aligner.text_bytes, self.aligner.scheme, band, lo,
+            lo + int(target.size)) or banded_sw_traceback(
+                query, target, self.aligner.scheme, band=band)
         if not traced.is_aligned or traced.score < len(read) // 2:
             return None
         # The query handed to the kernel already runs along the forward

@@ -28,7 +28,7 @@ from repro.extend.smith_waterman import (
     SwWorkspace,
     banded_edit_distance,
 )
-from repro.extend.traceback import banded_sw_traceback
+from repro.extend.traceback import banded_sw_traceback, exact_lane
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import SeedingEngine
 from repro.sequence.alphabet import decode
@@ -97,7 +97,8 @@ class ReadAligner:
         self.edit_check_first = edit_check_first
         #: Optional batched Smith-Waterman kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
-        #: batched_sw_traceback`.  When set, every extension runs on it:
+        #: batched_sw_traceback`.  When set, every extension that is not
+        #: an exact lane (:meth:`_trace_lanes`) runs on it:
         #: :meth:`extend_batch` (the SAM paths and the paired candidate
         #: sweep) traces the surviving chains of every read of a batch,
         #: and :meth:`align` the SW-bound chains of its read, in one
@@ -111,6 +112,9 @@ class ReadAligner:
         #: file.
         self.tb_batch = tb_batch if tb_batch is not None else sw_batch
         self._text = reference.both_strands
+        #: The same text as one ``bytes``, which :func:`exact_lane`
+        #: searches in place (here and in mate rescue).
+        self.text_bytes = self._text.tobytes()
         # One workspace per aligner: the batched kernel's planes are
         # reused across every sweep instead of allocated per call.
         self._sw_workspace = SwWorkspace()
@@ -162,7 +166,8 @@ class ReadAligner:
         """The best-scoring extension of one read's chains.
 
         Two passes, both in chain order: the first sets up each chain's
-        window and runs the edit-distance shortcut (so workload and
+        window and runs the edit-distance shortcut on the chain's
+        diagonal, placing a candidate it clears there (so workload and
         telemetry accounting interleave chain by chain), queueing the
         windows that need full SW as lanes; :meth:`_trace_lanes` traces
         those (the CIGAR goes unread); the second pass finalizes the
@@ -178,25 +183,29 @@ class ReadAligner:
             ref_begin, window = placed
             telemetry.observe("align.window_bp", int(window.size))
             score = None
+            # Where the whole read starts in the window if the chain's
+            # diagonal is right.
+            diagonal = max(0, chain.ref_start - chain.read_start
+                           - ref_begin)
             if self.edit_check_first:
                 # The edit-distance unit clears near-perfect candidates
-                # fast: an alignment from the window's start, no SW.
+                # fast: the read against its diagonal, no SW.
                 workload.add_edit(n)
                 telemetry.count("align.edit_checks")
-                dist = banded_edit_distance(read, window[:n],
-                                            band=self.band)
+                dist = banded_edit_distance(
+                    read, window[diagonal:diagonal + n], band=self.band)
                 if dist is not None and dist <= 2:
                     score = (n - dist) * self.scheme.match + dist * \
                         self.scheme.mismatch
             if score is None:
                 workload.add_sw(n)
-                telemetry.count("align.sw_extensions")
                 lanes.append((0, ref_begin, window))
-            entries.append((chain, ref_begin, score))
+                entries.append((chain, ref_begin, None))
+            else:
+                entries.append((chain, ref_begin + diagonal, score))
         traced = iter(self._trace_lanes([read], lanes))
         best: "Alignment | None" = None
-        for chain, ref_begin, score in entries:
-            end_pos = ref_begin
+        for chain, end_pos, score in entries:
             if score is None:
                 sw = next(traced)
                 if not sw.is_aligned:
@@ -337,13 +346,17 @@ class ReadAligner:
                             "seed_hits": sum(s.hit_count
                                              for s in seeds[i]),
                             "chains": len(chains[i]),
-                            "sw_extensions": 0, "sw_cells": 0})
+                            "sw_extensions": 0, "sw_cells": 0,
+                            "exact_lanes": 0})
                     for chain in chains[i][:limit]:
-                        prepared = self._prepare_trace(read, chain)
-                        if prepared is not None:
-                            lanes.append((i, *prepared))
+                        placed = self._window(read, chain)
+                        if placed is not None:
+                            telemetry.observe("align.window_bp",
+                                              int(placed[1].size))
+                            lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
-                        lanes, self._trace_lanes(reads, lanes)):
+                        lanes, self._trace_lanes(reads, lanes,
+                                                 self.read_stats)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
@@ -354,20 +367,6 @@ class ReadAligner:
                         len(read_seeds), len(read_chains), bool(found),
                         limit)
         return candidates
-
-    def _prepare_trace(self, read: np.ndarray, chain: Chain):
-        """:meth:`_window` + telemetry for one chain's traceback."""
-        placed = self._window(read, chain)
-        if placed is None:
-            return None
-        window = placed[1]
-        if telemetry.enabled():
-            telemetry.observe("align.window_bp", int(window.size))
-            telemetry.count("align.sw_extensions")
-            stats = self.read_stats[-1]
-            stats["sw_extensions"] += 1
-            stats["sw_cells"] += int(window.size) * self.band
-        return placed
 
     def _finalize_trace(self, traced, ref_begin: int):
         """Map one traced window alignment back to forward-strand SAM
@@ -388,25 +387,44 @@ class ReadAligner:
         return traced.score, hit.strand, hit.start, cigar_str
 
     def _trace_lanes(self, reads: "list[np.ndarray]",
-                     lanes: "list[tuple[int, int, np.ndarray]]"):
+                     lanes: "list[tuple[int, int, np.ndarray]]",
+                     stats: "list[dict[str, int]] | None" = None):
         """Trace every ``(read index, ref_begin, window)`` lane.
 
-        Without :attr:`tb_batch`, one scalar traceback per lane (the
+        A lane whose read occurs exactly inside its band is answered by
+        :func:`exact_lane` (a ``bytes.find`` over the text, provably the
+        DP's result) and runs no DP.  The rest: without
+        :attr:`tb_batch`, one scalar traceback per lane (the
         byte-identity oracle), produced lazily so the caller finalizes
         each lane as it is traced instead of holding a batch's worth of
         tracebacks.  With it, lanes are bucketed by read length -- a
         sweep needs one query length -- and each bucket goes to the
         kernel as one ``(lanes, m)`` query block, whatever reads its
-        lanes came from.
+        lanes came from.  ``align.sw_extensions`` counts the DP lanes,
+        ``align.exact_lanes`` the others, and so do the ``stats`` rows.
         """
+        queries = [np.asarray(read, dtype=np.uint8).tobytes()
+                   for read in reads]
+        traced = [exact_lane(queries[i], self.text_bytes, self.scheme,
+                             self.band, ref_begin, ref_begin + window.size)
+                  for i, ref_begin, window in lanes]
+        if telemetry.enabled():
+            for (i, _, window), hit in zip(lanes, traced):
+                key = "sw_extensions" if hit is None else "exact_lanes"
+                telemetry.count("align." + key)
+                if stats:
+                    stats[i][key] += 1
+                    if hit is None:
+                        stats[i]["sw_cells"] += int(window.size) * self.band
         if self.tb_batch is None:
-            return (banded_sw_traceback(reads[i], window, self.scheme,
-                                        self.band)
-                    for i, _, window in lanes)
+            return (hit or banded_sw_traceback(reads[i], window,
+                                               self.scheme, self.band)
+                    for (i, _, window), hit in zip(lanes, traced))
         buckets: "dict[int, list[int]]" = {}
-        for slot, (i, _, _) in enumerate(lanes):
-            buckets.setdefault(int(reads[i].size), []).append(slot)
-        traced: "list" = [None] * len(lanes)
+        for slot, hit in enumerate(traced):
+            if hit is None:
+                buckets.setdefault(int(reads[lanes[slot][0]].size),
+                                   []).append(slot)
         for slots in buckets.values():
             block = np.stack([reads[lanes[slot][0]] for slot in slots])
             for slot, result in zip(slots, self.tb_batch(

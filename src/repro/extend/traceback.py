@@ -1,14 +1,16 @@
 """Banded affine Smith-Waterman with full traceback (CIGAR production).
 
-The scalar one of the two Smith-Waterman kernels: every extension runs
-here or on its batched twin (:mod:`repro.kernels.traceback`), the SAM
-paths for the operation string and :meth:`repro.extend.pipeline.
-ReadAligner.align` for the score and end coordinates alone.  It keeps
-band-relative pointer rows for the three affine states (one
-``bytearray`` per DP row each) and walks them back from the best cell,
-emitting a BWA-style CIGAR with soft-clips for the unaligned read ends.
-It is the oracle the batched kernel is checked against, so the row loop
-is the literal per-cell recurrence, on plain Python ints.
+The scalar one of the two Smith-Waterman kernels: every extension whose
+read does not occur exactly inside the band (:func:`exact_lane` answers
+those without a DP) runs here or on its batched twin
+(:mod:`repro.kernels.traceback`), the SAM paths for the operation string
+and :meth:`repro.extend.pipeline.ReadAligner.align` for the score and
+end coordinates alone.  It keeps band-relative pointer rows for the
+three affine states (one ``bytearray`` per DP row each) and walks them
+back from the best cell, emitting a BWA-style CIGAR with soft-clips for
+the unaligned read ends.  It is the oracle the batched kernel is checked
+against, so the row loop is the literal per-cell recurrence, on plain
+Python ints.
 """
 
 from __future__ import annotations
@@ -59,6 +61,35 @@ def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
         else:
             merged.append((op, length))
     return tuple(merged)
+
+
+def exact_lane(query: bytes, target: bytes,
+               scheme: "ScoringScheme | None" = None, band: int = 41,
+               start: int = 0, end: "int | None" = None) \
+        -> "TracedAlignment | None":
+    """:func:`banded_sw_traceback`'s answer for a lane whose query occurs
+    exactly inside the band, found by ``bytes.find``; ``None`` otherwise.
+
+    The lane's target is ``target[start:end]`` (so a caller searches a
+    long text in place); the query is searched for in its first
+    ``min(n, m + band // 2)`` bases.  Under any scheme
+    :class:`ScoringScheme` accepts (match > 0, every penalty < 0),
+    ``H[i][j] <= i * match``, so only row ``m`` can reach ``m * match``,
+    and a path that does is ``m`` diagonal matches: an exact copy at a
+    start ``s <= band // 2``, every cell of which is in band.  On that
+    diagonal E and F are strictly below the diagonal term, so the
+    pointers are all diagonal; row ``m``'s first best cell in row-major
+    order is the leftmost copy's end, and the walk back from it emits
+    ``m`` ``M``s and no soft-clip (docs/algorithms.md, "Exact lanes").
+    """
+    m = len(query)
+    end = len(target) if end is None else end
+    s = target.find(query, start, min(end, start + m + band // 2))
+    if s < 0:
+        return None
+    s -= start
+    return TracedAlignment(m * (scheme or DEFAULT_SCHEME).match, 0, m, s,
+                           s + m, _merge([("M", m)]))
 
 
 # SeedEx SW lane equivalent, run once per extension on the scalar path.

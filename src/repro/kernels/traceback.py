@@ -48,7 +48,9 @@ band 41, 2-vCPU Xeon, sweep + walk-back per lane: 0.71 ms at B = 3,
 kernel 1.2 ms), so callers pack lanes from *different reads* of a
 batch into one call
 (:meth:`repro.extend.pipeline.ReadAligner.extend_batch`), split evenly
-here into sweeps of at most :data:`MAX_WAVEFRONT_LANES`.
+here into sweeps of at most :data:`MAX_WAVEFRONT_LANES`.  A lane whose
+read occurs exactly inside the band never gets here: the caller answers
+it with :func:`repro.extend.traceback.exact_lane`.
 """
 
 from __future__ import annotations

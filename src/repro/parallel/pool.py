@@ -145,6 +145,13 @@ class _PoolManager:
             except (OSError, ValueError, AssertionError):
                 pass
 
+    def close(self) -> None:
+        """Shut down a pool whose every future is done, waiting for it: a
+        pool left to :meth:`kill` races the interpreter's exit hook."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
     def respawn(self) -> None:
         self.kill()
         self.spawn()
@@ -288,6 +295,7 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
                     return
                 for entry in pending:
                     entry.future = manager.submit(entry.batch, entry.index)
+        manager.close()
     finally:
         manager.kill()
 

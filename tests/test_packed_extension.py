@@ -152,9 +152,9 @@ def test_observed_packed_run_is_dark_identical_and_explainable(workspace,
 def test_packed_exemplars_carry_the_scalar_extension_counters(
         ert_index, reads, params, task):
     """Each read's -- or pair's, mates summed -- ``chains`` /
-    ``sw_extensions`` / ``sw_cells`` are the same whether its lanes were
-    traced alone (scalar) or packed with other reads'; 25 reads fit the
-    reservoir, so every one is kept."""
+    ``sw_extensions`` / ``sw_cells`` / ``exact_lanes`` are the same
+    whether its lanes were traced alone (scalar) or packed with other
+    reads'; 25 reads fit the reservoir, so every one is kept."""
     run = align_reads if task == "align" else align_pairs
     reads = reads[:len(reads) - len(reads) % 2]
 
@@ -171,7 +171,8 @@ def test_packed_exemplars_carry_the_scalar_extension_counters(
             telemetry.disable()
             telemetry.reset()
         assert {rec["task"] for rec in kept} == {task}
-        keys = ("seeds", "seed_hits", "chains", "sw_extensions", "sw_cells")
+        keys = ("seeds", "seed_hits", "chains", "sw_extensions", "sw_cells",
+                "exact_lanes")
         return records, {rec["read_id"]: {key: rec["counters"].get(key, 0)
                                           for key in keys}
                          for rec in kept}
@@ -182,6 +183,37 @@ def test_packed_exemplars_carry_the_scalar_extension_counters(
     assert len(scalar) == len(reads) // (2 if task == "align-pe" else 1)
     assert vector == scalar
     assert sum(c["sw_cells"] for c in vector.values()) > 0
+    assert sum(c["exact_lanes"] for c in vector.values()) > 0
+
+
+@pytest.mark.parametrize("tb_batch", [None, batched_sw_traceback])
+def test_exact_lanes_change_no_record_and_count_apart(
+        ert_index, reads, params, monkeypatch, tb_batch):
+    """Lanes answered by ``exact_lane`` leave every record as the DP
+    alone would make it; they count as ``align.exact_lanes``, not
+    ``align.sw_extensions``, and the two add up to the chains
+    extended."""
+    def records(aligner_reads):
+        aligner = PairedAligner(ReadAligner(
+            ert_index.reference, ErtSeedingEngine(ert_index),
+            params=params, tb_batch=tb_batch))
+        names = [f"p{i}" for i in range(len(aligner_reads) // 2)]
+        return aligner.align_pairs(aligner_reads, names,
+                                   [""] * len(aligner_reads))
+
+    codes = [read.codes for read in reads[:len(reads) - len(reads) % 2]]
+    telemetry.enable()
+    fast = records(codes)
+    counters = telemetry.snapshot()["counters"]
+    telemetry.disable()
+    assert counters["align.exact_lanes"] > 0
+    assert counters["align.sw_extensions"] + counters["align.exact_lanes"] \
+        == counters["align.chains_extended"]
+    monkeypatch.setattr("repro.extend.pipeline.exact_lane",
+                        lambda *args, **kwargs: None)
+    monkeypatch.setattr("repro.extend.paired.exact_lane",
+                        lambda *args, **kwargs: None)
+    assert records(codes) == fast
 
 
 def test_scalar_and_vector_profiles_have_the_same_root_spans(workspace):

@@ -151,6 +151,32 @@ def test_rescue_far_off_the_diagonal_is_pinned(paired_setup):
         == Placement(60, Strand.FORWARD, 3910, "17M1X22M2I19M3D21M")
 
 
+def test_rescue_of_an_exact_mate_is_the_dp_answer(paired_setup,
+                                                  monkeypatch):
+    """A mate that occurs exactly in its rescue window, on either strand
+    and far from the window's start, is placed by ``exact_lane`` where
+    the unbanded traceback places it, with the same score and CIGAR.
+    The reference's end bounds the search: a mate whose only copy runs
+    across the strand junction of the both-strand text falls to the
+    DP."""
+    ref, paired = paired_setup
+    n = len(ref)
+    cases = [(revcomp_codes(ref.codes[1330:1413]),
+              Placement(80, Strand.FORWARD, 1000, "80M")),
+             (ref.codes[3910:3993].copy(),
+              Placement(80, Strand.REVERSE, 4000, "80M")),
+             (ref.both_strands[n - 40:n + 40].copy(),
+              Placement(80, Strand.REVERSE, n - 40, "80M"))]
+    fast = [paired._rescue(mate, anchor) for mate, anchor in cases]
+    assert fast[0] == Placement(83, Strand.REVERSE, 1330, "83M")
+    assert fast[1] == Placement(83, Strand.FORWARD, 3910, "83M")
+    assert fast[2].cigar != "80M"
+    monkeypatch.setattr("repro.extend.paired.exact_lane",
+                        lambda *args, **kwargs: None)
+    assert [paired._rescue(mate, anchor) for mate, anchor in cases] \
+        == fast
+
+
 def test_both_unmapped(paired_setup):
     _ref, paired = paired_setup
     rng = np.random.default_rng(139)

@@ -93,6 +93,31 @@ def test_paired_pool_matches_serial_byte_for_byte(ert_index, pair_set,
     assert len(recs0) == len(pair_set)
 
 
+def test_clean_pool_run_joins_its_executor(ert_index, read_set, params,
+                                           monkeypatch):
+    """A run whose every batch succeeded shuts its pool down waiting:
+    the executor's manager thread has ended by the time ``shutdown``
+    returns, so the interpreter's exit hook finds nothing of the pool
+    to race (a ``wait=False`` shutdown returns with it still running)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.parallel.pool as pool_module
+
+    alive = []
+
+    class Recording(ProcessPoolExecutor):
+        def shutdown(self, wait=True, **kwargs):
+            manager = self._executor_manager_thread
+            super().shutdown(wait=wait, **kwargs)
+            alive.append(manager is not None and manager.is_alive())
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", Recording)
+    lines, _ = seed_reads(ert_index, read_set[:16], params,
+                          ParallelConfig(workers=2, batch_size=8))
+    assert lines
+    assert alive == [False]
+
+
 def test_align_pairs_rejects_odd_read_count(ert_index, read_set):
     with pytest.raises(ValueError, match="even"):
         align_pairs(ert_index, read_set[:3])

@@ -73,6 +73,26 @@ def test_alignment_engines_agree(setup):
         assert a.n_seeds == b.n_seeds
 
 
+@pytest.mark.parametrize("substitution", [None, 40])
+def test_edit_unit_clears_on_the_chain_diagonal(setup, substitution):
+    """An exact read, and one with a substitution mid-read, are cleared
+    by the edit-distance unit -- compared on the chain's diagonal, not
+    at the window's start -- with the score and position the traceback
+    alone gives them."""
+    ref, aligner = setup
+    read = ref.codes[2000:2080].copy()
+    if substitution is not None:
+        read[substitution] = (read[substitution] + 1) % 4
+    cleared = aligner.align(read)
+    traced = ReadAligner(ref, aligner.engine, aligner.params,
+                         edit_check_first=False).align(read)
+    assert cleared.workload.edit_checks >= 1
+    assert cleared.workload.sw_extensions < cleared.workload.edit_checks
+    assert cleared.alignment == traced.alignment
+    assert (cleared.alignment.strand, cleared.alignment.position) \
+        == (Strand.FORWARD, 2000)
+
+
 def test_outcome_workload_populated(setup):
     ref, aligner = setup
     reads = ReadSimulator(ref, read_length=80, seed=95).simulate(5)

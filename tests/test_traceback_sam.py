@@ -13,7 +13,8 @@ from repro.extend.sam import (
     write_sam,
 )
 from repro.extend.smith_waterman import DEFAULT_SCHEME, ScoringScheme
-from repro.extend.traceback import TracedAlignment, banded_sw_traceback
+from repro.extend.traceback import (
+    TracedAlignment, banded_sw_traceback, exact_lane)
 from repro.kernels.traceback import _plane_dtype, batched_sw_traceback
 from repro.sequence.alphabet import encode
 from tests.sw_oracle import banded_smith_waterman
@@ -219,6 +220,99 @@ def test_traceback_where_the_band_binds(m, planted, edits, scheme, band,
         band = 2 * len(target) + 1
     assert_traceback_agrees(np.array(query, dtype=np.uint8),
                             np.array(target, dtype=np.uint8), scheme, band)
+
+
+#: The band-binding schemes plus one whose scores need int32 planes.
+EXACT_SCHEMES = SCHEMES + (ScoringScheme(match=200, mismatch=-300,
+                                         gap_open=-500, gap_extend=-100),)
+
+
+def assert_exact_lane_agrees(query, target, scheme, band):
+    """``exact_lane`` is the DP's answer when it answers, and the DP
+    scores below ``m * match`` when it does not -- also when the lane's
+    target is searched in place inside a longer text."""
+    q = np.array(query, dtype=np.uint8)
+    t = np.array(target, dtype=np.uint8)
+    hit = exact_lane(q.tobytes(), t.tobytes(), scheme, band)
+    traced = banded_sw_traceback(q, t, scheme, band)
+    if hit is None:
+        assert traced.score < len(q) * scheme.match
+    else:
+        assert hit == traced
+        assert batched_sw_traceback(q, [t], scheme, band) == [hit]
+    text = bytes([3, 0, 2]) * 7 + t.tobytes() + bytes([1, 2]) * 9
+    assert exact_lane(q.tobytes(), text, scheme, band, 21,
+                      21 + t.size) == hit
+    return hit
+
+
+def test_exact_lane_band_edges_and_leftmost_copy():
+    """Copies planted at offset 0 and ``band // 2`` are answered, one at
+    ``band // 2 + 1`` is not; of two copies the leftmost wins; a target
+    shorter than ``m + band // 2`` and empty inputs agree with the DP."""
+    rng = np.random.default_rng(321)
+    query = rng.integers(0, 4, size=30).tolist()
+    flank = rng.integers(0, 4, size=120).tolist()
+    for scheme in EXACT_SCHEMES:
+        for band in (1, 2, 3, 41):
+            half = band // 2
+            for offset, expected in ((0, True), (half, True),
+                                     (half + 1, False)):
+                target = flank[:offset] + query + flank[60:60 + half]
+                hit = assert_exact_lane_agrees(query, target, scheme, band)
+                assert (hit is not None) == expected
+                if expected:
+                    assert (hit.target_start, hit.cigar) \
+                        == (offset, (("M", 30),))
+            if half >= 1:
+                # A homopolymer run: copies at every offset 0 .. half.
+                run = [2] * 12
+                hit = assert_exact_lane_agrees(run, run + [2] * half + flank,
+                                               scheme, band)
+                assert hit.target_start == 0
+            short = flank[:half] + query[:29]
+            assert assert_exact_lane_agrees(query, short, scheme,
+                                            band) is None
+        for q, t in (([], []), ([], query), (query, [])):
+            assert_exact_lane_agrees(q, t, scheme, 41)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(0, 60),
+       place=st.sampled_from(("start", "edge", "past", "two", "any",
+                              "none")),
+       short=st.booleans(), substitute=st.booleans(),
+       scheme=st.sampled_from(EXACT_SCHEMES),
+       band=st.sampled_from((1, 2, 3, 41, "2n+1")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_lane_is_the_dp_answer(m, place, short, substitute, scheme,
+                                     band, seed):
+    """Random queries planted at the band's edges, twice, anywhere or
+    not at all (with or without a substitution), in targets that may
+    end before ``m + band // 2``, under narrow, default and unbanded
+    rescue bands and every scheme shape."""
+    rng = np.random.default_rng(seed)
+    query = rng.integers(0, 4, size=m).tolist()
+    target = rng.integers(0, 4, size=int(rng.integers(0, m + 60))).tolist()
+    half = len(target) if band == "2n+1" else band // 2
+    copy = list(query)
+    if substitute and copy:
+        at = int(rng.integers(0, m))
+        copy[at] = (copy[at] + 1) % 4
+    offsets = {"start": [0], "edge": [half], "past": [half + 1],
+               "two": sorted({int(x) for x in rng.integers(0, half + 1,
+                                                           size=2)}),
+               "any": [int(rng.integers(0, len(target) + 1))],
+               "none": []}[place]
+    for offset in offsets:
+        target += rng.integers(0, 4, size=max(
+            0, offset + m - len(target))).tolist()
+        target[offset:offset + m] = copy
+    if short:
+        target = target[:int(rng.integers(0, m + half + 1))]
+    if band == "2n+1":
+        band = 2 * len(target) + 1
+    assert_exact_lane_agrees(query, target, scheme, band)
 
 
 def test_mapq_model():
