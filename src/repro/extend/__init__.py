@@ -5,16 +5,18 @@ accelerator with SeedEx-style seed-extension accelerator lanes.  This
 package supplies the functional substrate and the lane-level model:
 
 * :mod:`repro.extend.smith_waterman` -- affine-gap scoring and the
-  banded edit-distance unit, one of the two compute primitives of a
-  SeedEx lane;
-* :mod:`repro.extend.traceback` -- the other, banded Smith-Waterman: the
-  scalar kernel (score, coordinates and CIGAR) every extension runs on
-  unless a batched one is injected;
+  batched kernel's workspace;
+* :mod:`repro.extend.traceback` -- banded Smith-Waterman: the exact-lane
+  shortcut and the scalar kernel (score, coordinates and CIGAR) every
+  other extension runs on unless a batched one is injected;
 * :mod:`repro.extend.chaining` -- BWA-style colinear seed chaining;
 * :mod:`repro.extend.seedex` -- the SeedEx lane throughput/occupancy model
   (3 banded SW units x 41 PEs + 1 edit-distance unit per lane, 8 lanes);
 * :mod:`repro.extend.pipeline` -- :class:`ReadAligner`, the complete
-  seed -> chain -> extend pipeline over any seeding engine.
+  seed -> chain -> extend pipeline over any seeding engine, whose one
+  extension path (``extend_batch``) yields the placements
+  (:class:`Placement`) behind ``align``, the SAM output and the
+  paired-end aligner.
 """
 
 from typing import TYPE_CHECKING
@@ -23,15 +25,14 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.extend.chaining import Chain, chain_seeds
-    from repro.extend.paired import PairedAligner, Placement
-    from repro.extend.pipeline import Alignment, ReadAligner
+    from repro.extend.paired import PairedAligner
+    from repro.extend.pipeline import Alignment, Placement, ReadAligner
     from repro.extend.sam import SamRecord, sam_header, write_sam
     from repro.extend.seedex import SeedExConfig, SeedExModel
     from repro.extend.smith_waterman import (
         DEFAULT_SCHEME,
         ScoringScheme,
         SwWorkspace,
-        banded_edit_distance,
     )
     from repro.extend.traceback import TracedAlignment, banded_sw_traceback
 
@@ -48,7 +49,6 @@ __all__ = [
     "SeedExConfig",
     "SeedExModel",
     "TracedAlignment",
-    "banded_edit_distance",
     "banded_sw_traceback",
     "chain_seeds",
     "sam_header",
@@ -57,12 +57,11 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.extend.chaining": ("Chain", "chain_seeds"),
-    "repro.extend.paired": ("PairedAligner", "Placement"),
-    "repro.extend.pipeline": ("Alignment", "ReadAligner"),
+    "repro.extend.paired": ("PairedAligner",),
+    "repro.extend.pipeline": ("Alignment", "Placement", "ReadAligner"),
     "repro.extend.sam": ("SamRecord", "sam_header", "write_sam"),
     "repro.extend.seedex": ("SeedExConfig", "SeedExModel"),
     "repro.extend.smith_waterman": (
-        "DEFAULT_SCHEME", "ScoringScheme", "SwWorkspace",
-        "banded_edit_distance"),
+        "DEFAULT_SCHEME", "ScoringScheme", "SwWorkspace"),
     "repro.extend.traceback": ("TracedAlignment", "banded_sw_traceback"),
 })

@@ -12,11 +12,11 @@ placement implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from repro.extend.pipeline import ReadAligner
+from repro.extend.pipeline import Placement, ReadAligner
 from repro.extend.sam import (
     SamRecord,
     mapped_record,
@@ -34,16 +34,6 @@ FLAG_MATE_UNMAPPED = 0x8
 FLAG_MATE_REVERSE = 0x20
 FLAG_FIRST = 0x40
 FLAG_SECOND = 0x80
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One candidate placement of one mate."""
-
-    score: int
-    strand: Strand
-    position: int
-    cigar: str
 
 
 class PairedAligner:
@@ -65,8 +55,7 @@ class PairedAligner:
                     ) -> "list[list[Placement]]":
         """Every read's placements, best first, through the aligner's
         one traceback path (both mates of every pair in one batch)."""
-        return [sorted((Placement(*candidate) for candidate in candidates),
-                       key=lambda p: -p.score)
+        return [sorted(candidates, key=lambda p: -p.score)
                 for candidates in self.aligner.extend_batch(
                     reads, seedings, max_chains=self.max_candidates)]
 

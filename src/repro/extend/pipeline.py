@@ -26,7 +26,6 @@ from repro.extend.smith_waterman import (
     DEFAULT_SCHEME,
     ScoringScheme,
     SwWorkspace,
-    banded_edit_distance,
 )
 from repro.extend.traceback import banded_sw_traceback, exact_lane
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
@@ -36,14 +35,29 @@ from repro.sequence.reference import Reference, Strand
 
 
 @dataclass(frozen=True)
+class Placement:
+    """One candidate placement of one read: the score, strand, forward
+    coordinate of the first aligned reference base and CIGAR (soft clips
+    included) of one traced lane."""
+
+    score: int
+    strand: Strand
+    position: int
+    cigar: str
+
+
+@dataclass(frozen=True)
 class Alignment:
-    """A read's final alignment (forward-strand coordinates)."""
+    """A read's final alignment (forward-strand coordinates).
+
+    ``position`` is where the read's first base falls on the forward
+    strand: the placement's position minus its leading soft clip.
+    """
 
     read_name: str
     strand: Strand
     position: int
     score: int
-    chain_score: int
 
     @property
     def is_mapped(self) -> bool:
@@ -52,20 +66,14 @@ class Alignment:
 
 @dataclass
 class ExtensionWorkload:
-    """Per-read extension demand measured from the functional pipeline."""
+    """Per-read extension demand as the SeedEx model (Table VI) sees it:
+    every lane is one edit check, and the lanes that are not exact
+    copies go on to banded SW; rows are lanes x read length."""
 
     sw_extensions: int = 0
     sw_rows_total: int = 0
     edit_checks: int = 0
     edit_rows_total: int = 0
-
-    def add_sw(self, query_len: int) -> None:
-        self.sw_extensions += 1
-        self.sw_rows_total += query_len
-
-    def add_edit(self, query_len: int) -> None:
-        self.edit_checks += 1
-        self.edit_rows_total += query_len
 
 
 @dataclass
@@ -85,7 +93,6 @@ class ReadAligner:
                  params: "SeedingParams | None" = None,
                  scheme: "ScoringScheme | None" = None,
                  band: int = 41, max_chains_extended: int = 8,
-                 edit_check_first: bool = True,
                  sw_batch: "Callable | None" = None,
                  tb_batch: "Callable | None" = None) -> None:
         self.reference = reference
@@ -94,22 +101,19 @@ class ReadAligner:
         self.scheme = scheme or DEFAULT_SCHEME
         self.band = band
         self.max_chains_extended = max_chains_extended
-        self.edit_check_first = edit_check_first
         #: Optional batched Smith-Waterman kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
-        #: batched_sw_traceback`.  When set, every extension that is not
-        #: an exact lane (:meth:`_trace_lanes`) runs on it:
-        #: :meth:`extend_batch` (the SAM paths and the paired candidate
-        #: sweep) traces the surviving chains of every read of a batch,
-        #: and :meth:`align` the SW-bound chains of its read, in one
-        #: kernel call per read length instead of one scalar traceback
-        #: per chain -- same results.  Injected (by the parallel
-        #: scheduler under ``--kernels vector``) because the extend
-        #: layer sits below ``repro.kernels`` in the import DAG.
-        #: ``sw_batch`` is a second name for it, kept only for
-        #: ``benchmarks/pipeline/layers.py``, which passes both
-        #: (``tb_batch`` wins); it goes when ROADMAP 1(a) re-points that
-        #: file.
+        #: batched_sw_traceback`.  When set, every lane of
+        #: :meth:`extend_batch` that is not an exact lane
+        #: (:meth:`_trace_lanes`) runs on it: the surviving chains of
+        #: every read of a batch are traced in one kernel call per read
+        #: length instead of one scalar traceback per chain -- same
+        #: results.  Injected (by the parallel scheduler under
+        #: ``--kernels vector``) because the extend layer sits below
+        #: ``repro.kernels`` in the import DAG.  ``sw_batch`` is a second
+        #: name for it, kept only for ``benchmarks/pipeline/layers.py``,
+        #: which passes both (``tb_batch`` wins); it goes when ROADMAP
+        #: 1(a) re-points that file.
         self.tb_batch = tb_batch if tb_batch is not None else sw_batch
         self._text = reference.both_strands
         #: The same text as one ``bytes``, which :func:`exact_lane`
@@ -119,108 +123,36 @@ class ReadAligner:
         # reused across every sweep instead of allocated per call.
         self._sw_workspace = SwWorkspace()
         #: Per-read counters of the most recent :meth:`extend_batch`,
-        #: one dict per read in read order, populated only while
-        #: telemetry is enabled.  The parallel scheduler folds these
-        #: into the reads' exemplar records.
+        #: one dict per read in read order.  :meth:`align` builds its
+        #: :class:`ExtensionWorkload` from them, and the parallel
+        #: scheduler folds them into the reads' exemplar records.
         self.read_stats: "list[dict[str, int]]" = []
 
     def align(self, read: np.ndarray, name: str = "read",
               seeding: "SeedingResult | None" = None) -> AlignmentOutcome:
-        """Align one read; returns the best-scoring chain extension.
+        """Align one read: the best of its :meth:`extend_batch`
+        placements -- the first of the highest score in chain order, the
+        tie-break :meth:`align_sam_batch` uses -- and the read's
+        extension workload.
 
         ``seeding`` short-circuits the three seeding rounds with a
-        precomputed result (how the batched kernel path feeds a whole
-        batch of reads seeded at once); output is identical either way.
+        precomputed result; output is identical either way.
         """
-        with telemetry.span("align"):
-            result = seeding if seeding is not None \
-                else seed_read(self.engine, read, self.params)
-            seeds = result.all_seeds
-            with telemetry.span("chain"):
-                chains = chain_seeds(seeds)
-            workload = ExtensionWorkload()
-            with telemetry.span("extend"):
-                best = self._extend_chains(
-                    read, chains[:self.max_chains_extended], name, workload)
-            self._record_read_metrics(len(seeds), len(chains),
-                                      mapped=best is not None)
-        return AlignmentOutcome(alignment=best, n_seeds=len(seeds),
-                                n_chains=len(chains), workload=workload)
-
-    def _record_read_metrics(self, n_seeds: int, n_chains: int,
-                             mapped: bool,
-                             limit: "int | None" = None) -> None:
-        if not telemetry.enabled():
-            return
-        telemetry.count("align.reads")
-        telemetry.count("align.reads_mapped", int(mapped))
-        telemetry.count("align.chains", n_chains)
-        telemetry.count("align.chains_extended",
-                        min(n_chains, limit or self.max_chains_extended))
-        telemetry.observe("align.seeds_per_read", n_seeds)
-        telemetry.observe("align.chains_per_read", n_chains)
-
-    def _extend_chains(self, read: np.ndarray, chains: "list[Chain]",
-                       name: str, workload: ExtensionWorkload) \
-            -> "Alignment | None":
-        """The best-scoring extension of one read's chains.
-
-        Two passes, both in chain order: the first sets up each chain's
-        window and runs the edit-distance shortcut on the chain's
-        diagonal, placing a candidate it clears there (so workload and
-        telemetry accounting interleave chain by chain), queueing the
-        windows that need full SW as lanes; :meth:`_trace_lanes` traces
-        those (the CIGAR goes unread); the second pass finalizes the
-        candidates, keeping the strict-improvement tie-break.
-        """
+        placements = self.extend_batch([read], [seeding])[0]
+        row = self.read_stats[0]
         n = int(read.size)
-        entries: "list[tuple[Chain, int, int | None]]" = []
-        lanes: "list[tuple[int, int, np.ndarray]]" = []
-        for chain in chains:
-            placed = self._window(read, chain)
-            if placed is None:
-                continue
-            ref_begin, window = placed
-            telemetry.observe("align.window_bp", int(window.size))
-            score = None
-            # Where the whole read starts in the window if the chain's
-            # diagonal is right.
-            diagonal = max(0, chain.ref_start - chain.read_start
-                           - ref_begin)
-            if self.edit_check_first:
-                # The edit-distance unit clears near-perfect candidates
-                # fast: the read against its diagonal, no SW.
-                workload.add_edit(n)
-                telemetry.count("align.edit_checks")
-                dist = banded_edit_distance(
-                    read, window[diagonal:diagonal + n], band=self.band)
-                if dist is not None and dist <= 2:
-                    score = (n - dist) * self.scheme.match + dist * \
-                        self.scheme.mismatch
-            if score is None:
-                workload.add_sw(n)
-                lanes.append((0, ref_begin, window))
-                entries.append((chain, ref_begin, None))
-            else:
-                entries.append((chain, ref_begin + diagonal, score))
-        traced = iter(self._trace_lanes([read], lanes))
+        lanes = row["sw_extensions"] + row["exact_lanes"]
+        workload = ExtensionWorkload(row["sw_extensions"],
+                                     row["sw_extensions"] * n, lanes,
+                                     lanes * n)
         best: "Alignment | None" = None
-        for chain, end_pos, score in entries:
-            if score is None:
-                sw = next(traced)
-                if not sw.is_aligned:
-                    continue
-                score = sw.score
-                end_pos += sw.target_end - sw.query_end
-            hit = self.reference.to_forward(max(0, end_pos), min(
-                n, 2 * len(self.reference) - max(0, end_pos)))
-            if hit is None:
-                continue
-            if best is None or score > best.score:
-                best = Alignment(read_name=name, strand=hit.strand,
-                                 position=hit.start, score=int(score),
-                                 chain_score=chain.score)
-        return best
+        if placements:
+            top = max(placements, key=lambda p: p.score)
+            clip, _, _ = top.cigar.partition("S")  # the leading clip
+            best = Alignment(name, top.strand, top.position - (
+                int(clip) if clip.isdigit() else 0), top.score)
+        return AlignmentOutcome(alignment=best, n_seeds=row["seeds"],
+                                n_chains=row["chains"], workload=workload)
 
     def _window(self, read: np.ndarray, chain: Chain) \
             -> "tuple[int, np.ndarray] | None":
@@ -268,68 +200,34 @@ class ReadAligner:
             if not candidates:
                 records.append(unmapped_record(name, decode(read), quality))
                 continue
-            candidates.sort(key=lambda c: -c[0])
-            best_score, strand, position, cigar = candidates[0]
-            runner_up = candidates[1][0] if len(candidates) > 1 else 0
-            mapq = mapq_from_scores(best_score, runner_up, int(read.size))
+            candidates.sort(key=lambda c: -c.score)
+            best = candidates[0]
+            runner_up = candidates[1].score if len(candidates) > 1 else 0
+            mapq = mapq_from_scores(best.score, runner_up, int(read.size))
             records.append(mapped_record(
-                name, decode(read), quality, self.reference, strand,
-                position, cigar, best_score, mapq))
-        return records
-
-    def align_sam_multi(self, read: np.ndarray, name: str = "read",
-                        quality: str = "", max_secondary: int = 3,
-                        seeding: "SeedingResult | None" = None
-                        ) -> "list[SamRecord]":
-        """Like :meth:`align_sam` but also emits secondary records
-        (FLAG 0x100) for distinct runner-up placements, as read aligners
-        do for multi-mapping reads in repeats."""
-        from dataclasses import replace as _replace
-        candidates = self.extend_batch([read], [seeding])[0]
-        quality = quality or "I" * int(read.size)
-        if not candidates:
-            return [unmapped_record(name, decode(read), quality)]
-        candidates.sort(key=lambda c: -c[0])
-        best_score = candidates[0][0]
-        runner_up = candidates[1][0] if len(candidates) > 1 else 0
-        records = []
-        seen_positions = set()
-        for rank, (score, strand, position, cigar) in enumerate(candidates):
-            if (strand, position) in seen_positions:
-                continue
-            seen_positions.add((strand, position))
-            if rank == 0:
-                mapq = mapq_from_scores(best_score, runner_up,
-                                        int(read.size))
-                records.append(mapped_record(name, decode(read), quality,
-                                             self.reference, strand,
-                                             position, cigar, score, mapq))
-            elif len(records) <= max_secondary:
-                rec = mapped_record(name, decode(read), quality,
-                                    self.reference, strand, position,
-                                    cigar, score, 0)
-                records.append(_replace(rec, flag=rec.flag | 0x100))
+                name, decode(read), quality, self.reference, best.strand,
+                best.position, best.cigar, best.score, mapq))
         return records
 
     def extend_batch(self, reads: "list[np.ndarray]",
                      seedings: "list | None" = None,
-                     max_chains: "int | None" = None) -> "list[list]":
+                     max_chains: "int | None" = None
+                     ) -> "list[list[Placement]]":
         """Chain, window and trace every read of a batch: the one
-        traceback path behind the SAM and paired-end entry points.
+        extension path behind :meth:`align`, the SAM and the paired-end
+        entry points.
 
-        Returns each read's candidates ``(score, strand, position,
-        cigar)`` in chain order.  The unit of extension work is the
-        *lane* -- one (read, window) pair -- so the windows of all reads
-        are set up first (in read, then chain order: telemetry and
+        Returns each read's placements in chain order and leaves one
+        :attr:`read_stats` row per read.  The unit of extension work is
+        the *lane* -- one (read, window) pair -- so the windows of all
+        reads are set up first (in read, then chain order: telemetry and
         :attr:`read_stats` come out as a read-by-read loop would leave
         them), traced together, and finalized in the same order.
         """
         limit = self.max_chains_extended if max_chains is None \
             else max_chains
-        observed = telemetry.enabled()
-        self.read_stats = []
         lanes: "list[tuple[int, int, np.ndarray]]" = []
-        candidates: "list[list]" = [[] for _ in reads]
+        candidates: "list[list[Placement]]" = [[] for _ in reads]
         with telemetry.span("align"):
             seeds = [(seeding if seeding is not None
                       else seed_read(self.engine, read, self.params)
@@ -338,16 +236,14 @@ class ReadAligner:
                      in zip(reads, seedings or [None] * len(reads))]
             with telemetry.span("chain"):
                 chains = [chain_seeds(read_seeds) for read_seeds in seeds]
+            self.read_stats = [
+                {"seeds": len(read_seeds),
+                 "seed_hits": sum(s.hit_count for s in read_seeds),
+                 "chains": len(read_chains),
+                 "sw_extensions": 0, "sw_cells": 0, "exact_lanes": 0}
+                for read_seeds, read_chains in zip(seeds, chains)]
             with telemetry.span("extend"):
                 for i, read in enumerate(reads):
-                    if observed:
-                        self.read_stats.append({
-                            "seeds": len(seeds[i]),
-                            "seed_hits": sum(s.hit_count
-                                             for s in seeds[i]),
-                            "chains": len(chains[i]),
-                            "sw_extensions": 0, "sw_cells": 0,
-                            "exact_lanes": 0})
                     for chain in chains[i][:limit]:
                         placed = self._window(read, chain)
                         if placed is not None:
@@ -355,20 +251,24 @@ class ReadAligner:
                                               int(placed[1].size))
                             lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
-                        lanes, self._trace_lanes(reads, lanes,
-                                                 self.read_stats)):
+                        lanes, self._trace_lanes(reads, lanes)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
-            if observed:
-                for read_seeds, read_chains, found in zip(seeds, chains,
-                                                          candidates):
-                    self._record_read_metrics(
-                        len(read_seeds), len(read_chains), bool(found),
-                        limit)
+            if telemetry.enabled():
+                for row, found in zip(self.read_stats, candidates):
+                    telemetry.count("align.reads")
+                    telemetry.count("align.reads_mapped", int(bool(found)))
+                    telemetry.count("align.chains", row["chains"])
+                    telemetry.count("align.chains_extended",
+                                    min(row["chains"], limit))
+                    telemetry.observe("align.seeds_per_read", row["seeds"])
+                    telemetry.observe("align.chains_per_read",
+                                      row["chains"])
         return candidates
 
-    def _finalize_trace(self, traced, ref_begin: int):
+    def _finalize_trace(self, traced, ref_begin: int) \
+            -> "Placement | None":
         """Map one traced window alignment back to forward-strand SAM
         coordinates; ``None`` for unaligned or off-reference hits."""
         if not traced.is_aligned:
@@ -384,11 +284,10 @@ class ReadAligner:
             # the reverse-complement half of X: flip the CIGAR.
             cigar = tuple(reversed(cigar))
         cigar_str = "".join(f"{length}{op}" for op, length in cigar)
-        return traced.score, hit.strand, hit.start, cigar_str
+        return Placement(traced.score, hit.strand, hit.start, cigar_str)
 
     def _trace_lanes(self, reads: "list[np.ndarray]",
-                     lanes: "list[tuple[int, int, np.ndarray]]",
-                     stats: "list[dict[str, int]] | None" = None):
+                     lanes: "list[tuple[int, int, np.ndarray]]"):
         """Trace every ``(read index, ref_begin, window)`` lane.
 
         A lane whose read occurs exactly inside its band is answered by
@@ -400,22 +299,24 @@ class ReadAligner:
         tracebacks.  With it, lanes are bucketed by read length -- a
         sweep needs one query length -- and each bucket goes to the
         kernel as one ``(lanes, m)`` query block, whatever reads its
-        lanes came from.  ``align.sw_extensions`` counts the DP lanes,
-        ``align.exact_lanes`` the others, and so do the ``stats`` rows.
+        lanes came from.  The :attr:`read_stats` rows count the DP lanes
+        (``sw_extensions``, with their ``sw_cells``) and the exact ones
+        (``exact_lanes``), and so do the ``align.*`` counters.
         """
         queries = [np.asarray(read, dtype=np.uint8).tobytes()
                    for read in reads]
         traced = [exact_lane(queries[i], self.text_bytes, self.scheme,
                              self.band, ref_begin, ref_begin + window.size)
                   for i, ref_begin, window in lanes]
-        if telemetry.enabled():
-            for (i, _, window), hit in zip(lanes, traced):
-                key = "sw_extensions" if hit is None else "exact_lanes"
+        observed = telemetry.enabled()
+        for (i, _, window), hit in zip(lanes, traced):
+            key = "sw_extensions" if hit is None else "exact_lanes"
+            self.read_stats[i][key] += 1
+            if hit is None:
+                self.read_stats[i]["sw_cells"] += int(window.size) \
+                    * self.band
+            if observed:
                 telemetry.count("align." + key)
-                if stats:
-                    stats[i][key] += 1
-                    if hit is None:
-                        stats[i]["sw_cells"] += int(window.size) * self.band
         if self.tb_batch is None:
             return (hit or banded_sw_traceback(reads[i], window,
                                                self.scheme, self.band)

@@ -4,9 +4,15 @@ The paper pairs the FPGA seeding accelerator with 8 SeedEx lanes, each
 holding 3 banded Smith-Waterman units (41 PEs, band 41) and one
 edit-distance unit.  A systolic banded unit computes one band row per
 cycle, so one extension of a ``q``-base query costs about ``q + band``
-cycles; the edit-distance unit clears near-perfect candidates in a single
-pass at the same rate.  This model turns per-read extension workloads
-into lane cycles and throughput.
+cycles; the edit-distance unit checks every candidate in a single pass
+at the same rate, and only the candidates it cannot clear go on to SW.
+This model turns per-read extension workloads into lane cycles and
+throughput.  The workloads come from the lanes
+:meth:`~repro.extend.pipeline.ReadAligner.extend_batch` runs: every lane
+is one edit check, and the lanes that are not exact copies of the read
+(:func:`~repro.extend.traceback.exact_lane`) are the SW extensions.
+The edit unit itself has no functional counterpart; the exact lane is
+the only check that removes a DP.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Affine-gap scoring, the kernel workspace and banded edit distance.
+"""Affine-gap scoring and the batched kernel's workspace.
 
-A SeedEx lane computes with banded Smith-Waterman units (3 of 41 PEs
-each) plus one edit-distance unit (§VI).  This module holds what the
-extension kernels share -- :class:`ScoringScheme` (BWA-MEM defaults:
-match +1, mismatch -4, gap open -6, gap extend -1) and
-:class:`SwWorkspace` -- and the edit-distance unit itself.  Smith-Waterman
-runs on two kernels, :func:`repro.extend.traceback.banded_sw_traceback`
+This module holds what the extension kernels share --
+:class:`ScoringScheme` (BWA-MEM defaults: match +1, mismatch -4, gap
+open -6, gap extend -1) and :class:`SwWorkspace`.  Smith-Waterman runs
+on two kernels, :func:`repro.extend.traceback.banded_sw_traceback`
 (scalar) and :func:`repro.kernels.traceback.batched_sw_traceback`
-(batched); a score-only caller reads the score and end coordinates of
-their result.
+(batched), after :func:`repro.extend.traceback.exact_lane` has answered
+the lanes whose read occurs exactly in band.  The SeedEx lane's
+edit-distance unit (§VI) exists only in the cycle model
+(:mod:`repro.extend.seedex`).
 """
 
 from __future__ import annotations
@@ -85,38 +85,3 @@ class SwWorkspace:
             self._planes = np.empty(max(need, 4096), dtype=np.int8)
         block = self._planes[:need].reshape(3, planes, rows, cols)
         return block[0], block[1].view(np.bool_), block[2].view(np.bool_)
-
-
-def banded_edit_distance(query: np.ndarray, target: np.ndarray,
-                         band: int = 41) -> "int | None":
-    """Banded Levenshtein distance, or ``None`` when the true distance
-    exceeds what the band can certify (the hardware edit-distance unit's
-    quick-accept path for near-perfect candidates)."""
-    if band < 1:
-        raise ValueError("band must be at least 1")
-    q = np.asarray(query)
-    t = np.asarray(target)
-    m, n = q.size, t.size
-    half = band // 2
-    if abs(m - n) > half:
-        return None
-    inf = 10 ** 9
-    prev = {j: j for j in range(0, min(n, half) + 1)}
-    for i in range(1, m + 1):
-        lo = max(0, i - half)
-        hi = min(n, i + half)
-        cur = {}
-        for j in range(lo, hi + 1):
-            if j == 0:
-                cur[j] = i
-                continue
-            sub = prev.get(j - 1, inf) + (
-                0 if q[i - 1] == t[j - 1] else 1)
-            dele = prev.get(j, inf) + 1
-            ins = cur.get(j - 1, inf) + 1
-            cur[j] = min(sub, dele, ins)
-        prev = cur
-    dist = prev.get(n)
-    if dist is None or dist > half:
-        return None
-    return int(dist)

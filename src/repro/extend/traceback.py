@@ -3,12 +3,11 @@
 The scalar one of the two Smith-Waterman kernels: every extension whose
 read does not occur exactly inside the band (:func:`exact_lane` answers
 those without a DP) runs here or on its batched twin
-(:mod:`repro.kernels.traceback`), the SAM paths for the operation string
-and :meth:`repro.extend.pipeline.ReadAligner.align` for the score and
-end coordinates alone.  It keeps band-relative pointer rows for the
-three affine states (one ``bytearray`` per DP row each) and walks them
-back from the best cell, emitting a BWA-style CIGAR with soft-clips for
-the unaligned read ends.  It is the oracle the batched kernel is checked
+(:mod:`repro.kernels.traceback`), through
+:meth:`repro.extend.pipeline.ReadAligner.extend_batch` or mate rescue.
+It keeps band-relative pointer rows for the three affine states (one
+``bytearray`` per DP row each) and walks them back from the best cell,
+emitting a BWA-style CIGAR with soft-clips for the unaligned read ends.  It is the oracle the batched kernel is checked
 against, so the row loop is the literal per-cell recurrence, on plain
 Python ints.
 """

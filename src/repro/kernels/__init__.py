@@ -21,8 +21,8 @@ over many (read, window) lanes at once:
   a row scan (the band swept row by row, F by one prefix-max scan per
   row) filling band-relative pointer planes, then a per-lane walk-back,
   over (read, window) lanes packed across the reads of a batch.  Every
-  extension batches through it: the SAM paths keep the CIGAR,
-  score-only ``ReadAligner.align`` drops it.  ``batched_banded_sw`` is
+  extension that is not an exact lane batches through it
+  (``ReadAligner.extend_batch``).  ``batched_banded_sw`` is
   a second name for it, kept only for ``benchmarks/pipeline/layers.py``.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
   kernels count into plain ints and ndarrays and flush the metrics

@@ -23,8 +23,7 @@ unhandled worker-crash error unwinds past the owner.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 from repro.core.index import ErtIndex
 from repro.core.io import index_from_buffer, index_to_buffer
@@ -120,18 +119,11 @@ def attach_index(name: str, size: int) -> ErtIndex:
     shm = shared_memory.SharedMemory(name=name)
     try:
         # Attach-only mapping: the parent owns the segment's lifetime.
-        # Under the ``spawn`` start method each worker has its *own*
-        # resource tracker, which would treat the attach as a leak and
-        # unlink the parent's segment at worker exit (bpo-39959) -- so
-        # deregister the mapping there.  Under ``fork`` (the Linux
-        # default) parent and workers share one tracker and the attach
-        # re-register is an idempotent set-add; unregistering here would
-        # instead erase the parent's own registration.
-        if multiprocessing.get_start_method(allow_none=False) != "fork":
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except (AttributeError, KeyError):
-                pass
+        # On POSIX a worker, forked or spawned, inherits the parent's
+        # resource tracker, so the attach's re-register is an idempotent
+        # set-add there; unregistering here would erase the parent's
+        # own registration, and the parent's unlink would then end in a
+        # tracker ``KeyError`` traceback at exit.
         index = index_from_buffer(shm.buf[:size])
     except Exception:
         shm.close()

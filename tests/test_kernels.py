@@ -8,6 +8,8 @@ tests fuzz that promise over adversarial reads (short, homopolymer,
 error-heavy, reverse-complement) and band-edge SW geometries.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import ErtSeedingEngine
-from repro.extend.pipeline import ReadAligner
+from repro.extend.pipeline import Alignment, ExtensionWorkload, ReadAligner
 from repro.extend.paired import PairedAligner
 from repro.extend.smith_waterman import (
     DEFAULT_SCHEME,
@@ -42,6 +44,7 @@ from repro.parallel import (
     seed_reads,
 )
 from repro.seeding.algorithm import seed_read
+from repro.sequence import Strand
 
 
 def _seed_key(result, seeds=None):
@@ -896,8 +899,8 @@ def test_batched_traceback_rejects_bad_band():
 
 
 def test_read_aligner_tb_batch_matches_scalar(ert_index, reads, params):
-    """align_sam / align_sam_multi with the batched traceback injected
-    must emit the scalar records byte for byte."""
+    """align_sam with the batched traceback injected must emit the
+    scalar records byte for byte."""
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
                          params=params)
@@ -906,9 +909,6 @@ def test_read_aligner_tb_batch_matches_scalar(ert_index, reads, params):
     for read in reads:
         assert batched.align_sam(read.codes, read.name, read.quality) \
             == scalar.align_sam(read.codes, read.name, read.quality)
-        assert batched.align_sam_multi(read.codes, read.name,
-                                       read.quality) \
-            == scalar.align_sam_multi(read.codes, read.name, read.quality)
 
 
 def test_paired_aligner_tb_batch_matches_scalar(ert_index, reads, params):
@@ -932,7 +932,7 @@ def test_paired_aligner_tb_batch_matches_scalar(ert_index, reads, params):
 def _outcome_key(outcome):
     aln = outcome.alignment
     return (None if aln is None else
-            (aln.strand, aln.position, aln.score, aln.chain_score),
+            (aln.strand, aln.position, aln.score),
             outcome.n_seeds, outcome.n_chains,
             outcome.workload.sw_extensions, outcome.workload.sw_rows_total,
             outcome.workload.edit_checks, outcome.workload.edit_rows_total)
@@ -940,8 +940,8 @@ def _outcome_key(outcome):
 
 def test_read_aligner_sw_batch_matches_scalar(ert_index, read_codes,
                                               params):
-    """Score-only :meth:`ReadAligner.align` on the batched traceback
-    kernel equals the scalar one, edit-distance shortcut on."""
+    """:meth:`ReadAligner.align` on the batched traceback kernel equals
+    the scalar one, exact lanes included."""
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
                          params=params)
@@ -952,16 +952,45 @@ def test_read_aligner_sw_batch_matches_scalar(ert_index, read_codes,
             == _outcome_key(scalar.align(read))
 
 
-def test_read_aligner_sw_batch_without_edit_shortcut(ert_index, read_codes,
-                                                     params):
-    """edit_check_first=False forces every chain through the batched
-    kernel, covering the all-SW batch shape."""
+@pytest.mark.parametrize("tb_batch", [None, batched_sw_traceback])
+def test_align_is_the_sam_records_placement(ert_index, reads, params,
+                                            tb_batch):
+    """:meth:`ReadAligner.align` is the SAM path's best placement: its
+    strand, unclipped start and score are the record's FLAG, POS minus
+    the CIGAR's leading soft clip and ``AS:i``; its workload counts
+    every lane as an edit check and the DP lanes as SW extensions."""
+    aligner = ReadAligner(ert_index.reference, ErtSeedingEngine(ert_index),
+                          params=params, tb_batch=tb_batch)
+    for read in reads:
+        record = aligner.align_sam(read.codes, read.name, read.quality)
+        outcome = aligner.align(read.codes, read.name)
+        row = aligner.read_stats[0]
+        n = len(read.codes)
+        assert outcome.workload == ExtensionWorkload(
+            row["sw_extensions"], row["sw_extensions"] * n,
+            row["sw_extensions"] + row["exact_lanes"],
+            (row["sw_extensions"] + row["exact_lanes"]) * n)
+        if record.flag & 0x4:
+            assert outcome.alignment is None
+            continue
+        clip = re.match(r"(\d+)S", record.cigar)
+        start = record.pos - 1 - (int(clip.group(1)) if clip else 0)
+        strand = Strand.REVERSE if record.flag & 0x10 else Strand.FORWARD
+        assert outcome.alignment == Alignment(
+            read.name, strand, start, int(record.tags[0][len("AS:i:"):]))
+
+
+def test_read_aligner_sw_batch_without_exact_lanes(ert_index, read_codes,
+                                                   params, monkeypatch):
+    """With ``exact_lane`` finding nothing, every chain goes through the
+    batched kernel, covering the all-SW batch shape."""
+    monkeypatch.setattr("repro.extend.pipeline.exact_lane",
+                        lambda *args, **kwargs: None)
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                         params=params, edit_check_first=False)
+                         params=params)
     batched = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                          params=params, edit_check_first=False,
-                          tb_batch=batched_sw_traceback)
+                          params=params, tb_batch=batched_sw_traceback)
     for read in read_codes:
         assert _outcome_key(batched.align(read)) \
             == _outcome_key(scalar.align(read))
@@ -983,14 +1012,15 @@ def test_score_only_names_alias_the_traceback_kernel(ert_index, read_codes,
 
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                         params=params, edit_check_first=False)
+                         params=params)
     alone = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                        params=params, edit_check_first=False,
-                        sw_batch=counted("sw"))
+                        params=params, sw_batch=counted("sw"))
     both = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                       params=params, edit_check_first=False,
-                       sw_batch=counted("sw"), tb_batch=counted("tb"))
-    read = read_codes[0]
+                       params=params, sw_batch=counted("sw"),
+                       tb_batch=counted("tb"))
+    # The first read that is not an exact copy: it reaches the SW kernel.
+    read = next(read for read in read_codes
+                if scalar.align(read).workload.sw_extensions > 0)
     want = _outcome_key(scalar.align(read))
     assert want[3] > 0  # the read does reach the SW kernel
     assert _outcome_key(alone.align(read)) == want

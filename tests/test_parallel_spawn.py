@@ -10,6 +10,12 @@ byte-identical, per-read exemplars arrive with the right count, and
 worker timeline tracks land in the parent trace.
 """
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import telemetry
@@ -90,3 +96,58 @@ def test_spawn_trace_has_worker_tracks(ert_index, read_codes, params):
     for expected in ("batch", "worker.init", "shm.attach",
                      "parallel.merge"):
         assert expected in names, f"missing {expected} events"
+
+
+#: A clean 2-worker ``align_reads`` run in a fresh interpreter (argv:
+#: start method, JSONL event log); under ``spawn`` the main module must
+#: be import-safe, hence the guard.
+_POOL_RUN = """
+import sys
+
+from repro import logging
+from repro.core import ErtConfig, build_ert
+from repro.parallel import ParallelConfig, align_reads
+from repro.seeding import SeedingParams
+from repro.sequence import GenomeSimulator, ReadSimulator
+
+if __name__ == "__main__":
+    logging.configure(sys.argv[2])
+    ref = GenomeSimulator(seed=5).generate(3000)
+    index = build_ert(ref, ErtConfig(k=5, max_seed_len=100))
+    reads = [r.codes for r in
+             ReadSimulator(ref, read_length=60, seed=6).simulate(16)]
+    records, _ = align_reads(
+        index, reads, SeedingParams(min_seed_len=12),
+        ParallelConfig(workers=2, batch_size=4,
+                       start_method=sys.argv[1]))
+    assert len(records) == 16
+    logging.shutdown()
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "fork"])
+def test_clean_pool_run_is_silent_and_unlinks_its_segment(tmp_path, method):
+    """Workers only attach the index segment: whatever the start method,
+    the parent's resource tracker keeps the parent's registration, so
+    its unlink at the end of the run prints nothing on stderr (no
+    tracker ``KeyError`` traceback) and leaves no segment behind."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("POSIX shared memory is not mounted at /dev/shm")
+    script = tmp_path / "pool_run.py"
+    script.write_text(_POOL_RUN)
+    events = tmp_path / "events.jsonl"
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(script), method, str(events)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    segments = [record["segment"] for record in map(
+        json.loads, events.read_text().splitlines())
+        if record["event"] == "shm.create"]
+    assert segments, "the run published no index segment"
+    for name in segments:
+        assert not os.path.exists(os.path.join("/dev/shm", name))

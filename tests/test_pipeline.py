@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.extend import ReadAligner, SeedExConfig, SeedExModel
+from repro.extend import Alignment, ReadAligner, SeedExConfig, SeedExModel
 from repro.extend.seedex import ExtensionWorkload
+from repro.extend.traceback import banded_sw_traceback
 from repro.seeding import SeedingParams
 from repro.sequence import GenomeSimulator, ReadSimulator, Strand
 
@@ -73,24 +74,35 @@ def test_alignment_engines_agree(setup):
         assert a.n_seeds == b.n_seeds
 
 
-@pytest.mark.parametrize("substitution", [None, 40])
-def test_edit_unit_clears_on_the_chain_diagonal(setup, substitution):
-    """An exact read, and one with a substitution mid-read, are cleared
-    by the edit-distance unit -- compared on the chain's diagonal, not
-    at the window's start -- with the score and position the traceback
-    alone gives them."""
+@pytest.mark.parametrize("substitution", [None, 40, 1])
+def test_exact_read_is_one_exact_lane_substituted_read_is_traced(
+        setup, substitution):
+    """An exact read is one exact lane and runs no SW; with a
+    substitution mid-read it is traced, and its placement is the one the
+    scalar traceback of its window gives.  A substitution next to the
+    read's start is soft-clipped, and the position is still where the
+    read's first base falls."""
     ref, aligner = setup
     read = ref.codes[2000:2080].copy()
     if substitution is not None:
         read[substitution] = (read[substitution] + 1) % 4
-    cleared = aligner.align(read)
-    traced = ReadAligner(ref, aligner.engine, aligner.params,
-                         edit_check_first=False).align(read)
-    assert cleared.workload.edit_checks >= 1
-    assert cleared.workload.sw_extensions < cleared.workload.edit_checks
-    assert cleared.alignment == traced.alignment
-    assert (cleared.alignment.strand, cleared.alignment.position) \
-        == (Strand.FORWARD, 2000)
+    out = aligner.align(read)
+    assert out.workload.edit_checks == 1
+    assert out.workload.edit_rows_total == read.size
+    half = aligner.band // 2
+    traced = banded_sw_traceback(
+        read, ref.codes[2000 - half:2000 + read.size + half + 1],
+        aligner.scheme, aligner.band)
+    assert traced.cigar == {None: (("M", 80),),
+                            40: (("M", 40), ("X", 1), ("M", 39)),
+                            1: (("S", 2), ("M", 78))}[substitution]
+    assert out.alignment == Alignment(
+        "read", Strand.FORWARD, 2000, traced.score)
+    if substitution is None:
+        assert out.workload.sw_extensions == 0
+    else:
+        assert out.workload.sw_extensions == 1
+        assert out.workload.sw_rows_total == read.size
 
 
 def test_outcome_workload_populated(setup):
@@ -119,12 +131,9 @@ def test_random_read_usually_unmapped(setup):
 
 def test_seedex_model_throughput():
     model = SeedExModel(SeedExConfig())
-    workloads = []
-    for _ in range(100):
-        w = ExtensionWorkload()
-        w.add_sw(101)
-        w.add_edit(101)
-        workloads.append(w)
+    workloads = [ExtensionWorkload(sw_extensions=1, sw_rows_total=101,
+                                   edit_checks=1, edit_rows_total=101)
+                 for _ in range(100)]
     tput = model.throughput_reads_per_s(workloads)
     assert tput > 0
     # Doubling the lanes must not reduce throughput.
@@ -144,8 +153,6 @@ def test_seedex_config_validation():
 
 def test_seedex_cycles_monotone_in_rows():
     model = SeedExModel()
-    small = ExtensionWorkload()
-    small.add_sw(50)
-    big = ExtensionWorkload()
-    big.add_sw(150)
+    small = ExtensionWorkload(sw_extensions=1, sw_rows_total=50)
+    big = ExtensionWorkload(sw_extensions=1, sw_rows_total=150)
     assert model.cycles_for(big) > model.cycles_for(small)

@@ -1,15 +1,11 @@
-"""Tests for banded Smith-Waterman and banded edit distance."""
+"""Tests for banded Smith-Waterman."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extend import (
-    ScoringScheme,
-    banded_edit_distance,
-    banded_sw_traceback,
-)
+from repro.extend import ScoringScheme, banded_sw_traceback
 from repro.sequence.alphabet import encode
 
 seqs = st.text(alphabet="ACGT", min_size=1, max_size=40)
@@ -88,45 +84,3 @@ def test_self_alignment_is_full_score(seq):
 @given(seqs, seqs)
 def test_score_bounded_by_shorter_sequence(a, b):
     assert sw(a, b).score <= min(len(a), len(b))
-
-
-def brute_edit(a, b):
-    m, n = len(a), len(b)
-    dp = list(range(n + 1))
-    for i in range(1, m + 1):
-        prev = dp[0]
-        dp[0] = i
-        for j in range(1, n + 1):
-            cur = dp[j]
-            dp[j] = min(prev + (a[i - 1] != b[j - 1]), dp[j] + 1,
-                        dp[j - 1] + 1)
-            prev = cur
-    return dp[n]
-
-
-def test_edit_distance_exact_cases():
-    assert banded_edit_distance(encode("ACGT"), encode("ACGT")) == 0
-    assert banded_edit_distance(encode("ACGT"), encode("ACCT")) == 1
-    assert banded_edit_distance(encode("ACGT"), encode("AGT")) == 1
-
-
-def test_edit_distance_band_overflow_returns_none():
-    assert banded_edit_distance(encode("A" * 30), encode("T" * 30),
-                                band=5) is None
-    assert banded_edit_distance(encode("A" * 30), encode("A"), band=5) is None
-
-
-def test_edit_distance_rejects_bad_band():
-    with pytest.raises(ValueError):
-        banded_edit_distance(encode("A"), encode("A"), band=0)
-
-
-@settings(max_examples=40)
-@given(seqs, seqs)
-def test_edit_distance_matches_brute_force_when_certified(a, b):
-    got = banded_edit_distance(encode(a), encode(b), band=41)
-    expected = brute_edit(a, b)
-    if got is not None:
-        assert got == expected
-    else:
-        assert expected > 20  # only uncertifiable distances are refused

@@ -367,50 +367,3 @@ def test_align_sam_end_to_end(tmp_path):
 def test_sam_header_fields(reference):
     header = sam_header(reference)
     assert f"LN:{len(reference)}" in header[1]
-
-
-def test_secondary_alignments_for_repeat_read():
-    """A read sampled from a planted repeat must yield secondary records
-    at the other copies (FLAG 0x100, MAPQ 0)."""
-    from repro.extend import ReadAligner
-    from repro.fmindex import FmdIndex, FmdSeedingEngine
-    from repro.seeding import SeedingParams
-    from repro.sequence import GenomeSimulator, Reference
-    import numpy as np
-
-    rng = np.random.default_rng(161)
-    unit = rng.integers(0, 4, size=120, dtype=np.uint8)
-    filler = rng.integers(0, 4, size=500, dtype=np.uint8)
-    genome = np.concatenate([unit, filler, unit, filler, unit])
-    ref = Reference(name="rep", codes=genome.astype(np.uint8))
-    aligner = ReadAligner(ref, FmdSeedingEngine(FmdIndex(ref)),
-                          SeedingParams(min_seed_len=12))
-    read = unit[10:90].copy()
-    records = aligner.align_sam_multi(read, "rpt", max_secondary=4)
-    primary = [r for r in records if not r.flag & 0x100]
-    secondary = [r for r in records if r.flag & 0x100]
-    assert len(primary) == 1
-    assert primary[0].mapq == 0  # three identical copies: ambiguous
-    assert len(secondary) >= 1
-    positions = {r.pos for r in records}
-    assert len(positions) == len(records)  # distinct placements
-    for rec in secondary:
-        assert rec.mapq == 0
-
-
-def test_align_sam_multi_unmapped():
-    from repro.extend import ReadAligner
-    from repro.fmindex import FmdIndex, FmdSeedingEngine
-    from repro.seeding import SeedingParams
-    from repro.sequence import GenomeSimulator
-    import numpy as np
-
-    ref = GenomeSimulator(seed=162).generate(2000)
-    aligner = ReadAligner(ref, FmdSeedingEngine(FmdIndex(ref)),
-                          SeedingParams(min_seed_len=12))
-    # A read that cannot seed: homopolymer absent from a random genome
-    # is unlikely, so use pure junk and accept low-score mappings too.
-    junk = np.random.default_rng(163).integers(0, 4, size=60,
-                                               dtype=np.uint8)
-    records = aligner.align_sam_multi(junk, "junk")
-    assert len(records) >= 1
