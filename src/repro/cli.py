@@ -4,7 +4,7 @@
 align many times):
 
 * ``simulate-genome`` / ``simulate-reads`` -- produce FASTA/FASTQ inputs;
-* ``build-index``  -- construct an ERT and persist it (.npz);
+* ``build-index``  -- construct an ERT and save it as one index file;
 * ``index-stats``  -- census of a persisted index (Fig 8 / §III-A3 data);
 * ``seed``         -- three-round seeding, one TSV line per seed;
 * ``align`` / ``align-pe`` -- full pipeline to SAM;
@@ -28,13 +28,13 @@ point, write, print a summary line.  They and ``compare`` take
 input of ``report`` and ``ledger record --metrics``),
 ``--slowlog FILE`` (append the per-read exemplar sample -- reservoir
 plus top-K slowest -- as JSONL), ``--log-jsonl FILE`` (structured
-operational logs: scheduler, fault recovery, shared-memory lifecycle)
+operational logs: scheduler, fault recovery, worker index maps)
 and ``--trace-out FILE`` (record a timeline and write Chrome/Perfetto
 ``trace_event`` JSON -- open it at https://ui.perfetto.dev).
 
 The three run commands take ``--workers N`` and ``--batch-size M``:
 reads stream through the :mod:`repro.parallel` batch scheduler
-(shared-memory index, order-preserving merge), so the output is
+(every worker maps the index file, order-preserving merge), so the output is
 byte-identical at any worker count.  The default worker count comes
 from ``$REPRO_WORKERS`` (else 1).  With workers > 1 they also take
 ``--retries R`` (per-batch retry budget after a worker crash or batch
@@ -53,6 +53,14 @@ bad ``$REPRO_KERNELS`` -- and a missing or malformed ``report
 
 Every subcommand is a thin shell over the library API, so everything it
 does is equally available programmatically.
+
+When :func:`main` runs the process's own command line (no ``argv``:
+``python -m repro.cli``, the ``ert-repro`` script), the process ends
+with the command, so ``seed`` / ``align`` / ``align-pe`` freeze the
+start-up heap (``gc.freeze``) once the index and reads are loaded: the
+run, its forked workers and the interpreter's exit stop re-scanning the
+numpy and repro modules' objects.  A call with an ``argv`` list leaves
+the caller's collector as it found it.
 
 Start-up is paid on every invocation, so this module imports only what
 :func:`build_parser` needs; each handler imports what it runs
@@ -218,7 +226,7 @@ def _add_telemetry_args(parser) -> None:
     parser.add_argument(
         "--log-jsonl", default=None, metavar="FILE",
         help="append structured operational logs (scheduler, fault "
-             "recovery, shared-memory lifecycle) to FILE as JSONL")
+             "recovery, worker index maps) to FILE as JSONL")
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="record a timeline and write Chrome/Perfetto trace_event "
@@ -608,6 +616,10 @@ def _cmd_run(args) -> int:
               f"hold an even read count, not {len(reads)}", file=sys.stderr)
         return 2
     active = _telemetry_begin(args)
+    if args.process_exits:
+        import gc
+
+        gc.freeze()
     results, stats = entry(args, index, reads, _parallel_config(args))
     write(args.out, index.reference, results)
     print(summary(args, reads, results, stats), file=sys.stderr)
@@ -832,11 +844,13 @@ def _input_errors() -> tuple:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    own_command_line = argv is None
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _DELEGATED:
         module = importlib.import_module(_DELEGATED[argv[0]][0])
         return module.main(argv[1:])
     args = build_parser().parse_args(argv)
+    args.process_exits = own_command_line
     try:
         if hasattr(args, "kernels"):
             # A bad $REPRO_KERNELS is refused like a bad --kernels.

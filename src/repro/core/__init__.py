@@ -18,8 +18,8 @@
 * :mod:`repro.core.arena`, :mod:`repro.core.io` -- what an index is
   stored and walked as: the structure-of-arrays arena, one row per node
   of the customized radix tree (DIVERGE / UNIFORM / LEAF, with EMPTY
-  arising as absent branches), and the archive / shared-buffer formats
-  that hold it.  The paper's per-tree wire format, the
+  arising as absent branches), and the frame -- one index file, mapped
+  -- that holds it.  The paper's per-tree wire format, the
   reference the layout model's node sizes are tested against, lives
   with the tests (``tests/serialize.py``); nothing stores it.
 """

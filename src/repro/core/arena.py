@@ -31,8 +31,8 @@ and ``chars_pool`` are uint8, everything that holds a node id, an
 offset, a count or a text position is int32, and a forest that does not
 fit is an :class:`ArenaLimitError` (:func:`check_fits`), not a wider
 column.  A loaded index carries the stored columns as they lie
-(read-only views into the shared-memory segment in a pool worker, so N
-workers walk one physical arena).  No walk makes a node object.  The
+(read-only views into the mapped index file, so N pool workers walk one
+physical arena in the page cache).  No walk makes a node object.  The
 module lives in :mod:`repro.core` rather than next to the batched
 kernels because the builder, the index formats and the scalar cursor
 need it and core may not import the kernels (ERT005).
@@ -137,8 +137,8 @@ class ArenaCursor:
     tables and the arena.
 
     The integer columns are ``memoryview``s of the index's own arrays --
-    zero-copy, valid on the read-only shm-attached columns of a pool
-    worker, and indexing one yields a Python ``int`` with no numpy
+    zero-copy, valid on the read-only mapped columns of a loaded index,
+    and indexing one yields a Python ``int`` with no numpy
     scalar in between.  Built once per index (:func:`arena_cursor`),
     never per batch or per walk.
     """

@@ -45,6 +45,7 @@ from repro.sequence.reference import Reference
 
 if TYPE_CHECKING:
     from repro.core.arena import FlatTrees
+    from repro.core.io import IndexFile
     from repro.core.layout import ForestLayout, LayoutStats
     from repro.memsim.cache import CacheModel
 
@@ -173,6 +174,9 @@ class ErtIndex:
         self.cursor: "object | None" = None
         self.tracer: "MemoryTracer | None" = None
         self.reuse_cache: "CacheModel | None" = None
+        #: The file the index is mapped from (set by
+        #: :func:`repro.core.io.load_ert`); None for one built in memory.
+        self.source: "IndexFile | None" = None
 
         self.space = space or AddressSpace()
         cfg = config

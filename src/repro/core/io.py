@@ -1,26 +1,29 @@
-"""On-disk and in-memory ERT index formats: build once, reuse everywhere.
+"""The ERT index format: build once, map everywhere.
 
 The paper stresses that ERT construction (~1 h for GRCh38) happens once
-per reference and is amortized over many runs (§III-A3); that only works
-with a persistent format.  Two formats hold one payload
-(:func:`_payload`): the reference (2-bit codes), the four entry-metadata
-arrays, the 1..k prefix-count tables, each tree's base offset in the
-modelled trees region, and the forest itself, stored once: the columns
-of the flat arena (:mod:`repro.core.arena`), at the widths the builder
-emits them at:
+per reference and is amortized over many runs (§III-A3), and its seeding
+lanes all read one memory-resident index (§IV): an index is mapped, not
+inflated per process.  One format holds one payload (:func:`_payload`):
+the reference (2-bit codes), the four entry-metadata arrays, the 1..k
+prefix-count tables, each tree's base offset in the modelled trees
+region, and the forest itself, stored once: the columns of the flat
+arena (:mod:`repro.core.arena`), at the widths the builder emits them
+at.  The **frame** (:class:`Frame`) lays that payload out as one
+contiguous run of bytes: magic, a JSON directory (meta, and per array
+its name, dtype, shape, offset and crc32), then every array 64-byte
+aligned.  It lives in two places:
 
-* the **archive format** (:func:`save_ert` / :func:`load_ert`) -- a
-  single ``.npz`` of the payload plus the structural config as JSON;
+* a **file** (:func:`save_ert` / :func:`load_ert`) -- streamed to a
+  sibling temp file and renamed into place; loading maps it read-only
+  (``mmap``), checks every array's crc32, and opens the arrays as
+  zero-copy views, so every process that loads one file shares one copy
+  of it in the page cache (a ``--workers N`` run maps its index file in
+  each worker);
+* a **buffer** (:func:`index_to_buffer` / :func:`index_from_buffer`) --
+  the same bytes in memory, e.g. a ``multiprocessing.shared_memory``
+  segment (:mod:`repro.parallel.shm`).
 
-* the **flat buffer format** (:func:`index_to_buffer` /
-  :func:`index_from_buffer`) -- the same payload framed as one
-  contiguous byte buffer: magic, a JSON directory, then every array
-  64-byte aligned.  Loading from a buffer builds numpy *views* into it
-  (zero copy), which is how :mod:`repro.parallel` attaches one shared
-  index to N worker processes through ``multiprocessing.shared_memory``
-  without pickling the index per worker.
-
-A built index is assembled by the same code as a loaded or attached one
+A built index is assembled by the same code as a loaded one
 (:func:`index_over`), over the arena the builder emitted, and every
 walk -- the batched kernels, the scalar cursor, ``census``,
 ``divergence``, ``explain`` -- reads those columns as they lie.  The
@@ -37,11 +40,19 @@ buffer can be cut short or garbled ends in :class:`IndexFormatError`.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import weakref
-import zipfile
 import zlib
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import (
+    TYPE_CHECKING,
+    BinaryIO,
+    Callable,
+    Mapping,
+    NamedTuple,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -55,27 +66,28 @@ from repro.core.config import ErtConfig, LayoutPolicy
 from repro.core.index import EntryKind, ErtIndex, JumpEntry, LazyByCode
 from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
+from repro.telemetry.spans import Tracer
 
 if TYPE_CHECKING:
     from repro.core.layout import ForestLayout
 
 FORMAT_VERSION = 3
 
-#: Frame marker of the flat buffer format (8 bytes, versioned).
-BUFFER_MAGIC = b"ERTBUF03"
+#: Frame marker (8 bytes, versioned), followed by the little-endian
+#: ``uint64`` length of the JSON directory.
+FRAME_MAGIC = b"ERTBUF03"
+_HEAD = len(FRAME_MAGIC) + 8
 
-#: Every array payload in the flat buffer starts on this alignment so
+#: Every array payload in the frame starts on this alignment so
 #: zero-copy views keep natural numpy alignment (and cache-line tiling).
-BUFFER_ALIGN = 64
+FRAME_ALIGN = 64
 
 #: Payload names of the arena's columns are the column names behind this.
 ARENA_PREFIX = "arena_"
 
-#: Deflate level of the archive members.  The arena is 1.7 MB of small
-#: integers at k=6 / 10 kbp: level 1 writes the archive in 21 ms at
-#: 0.35 MB, numpy's default level 6 in 71 ms at 0.30 MB -- and
-#: ``build-index`` pays that on every run.
-ARCHIVE_COMPRESSLEVEL = 1
+#: What an index file began with before the frame became the one format:
+#: a zip (``.npz``) archive of deflated ``.npy`` members.
+_ZIP_MAGIC = b"PK\x03\x04"
 
 _REBUILD = "rebuild the index with build-index"
 
@@ -84,8 +96,28 @@ class IndexFormatError(ValueError):
     """Raised when an index file or buffer cannot be understood."""
 
 
-#: Anything ``open`` / ``np.load`` accept as a file location.
+#: Anything ``open`` accepts as a file location.
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: ``(st_dev, st_ino, st_size, st_mtime_ns)``: which file a path named
+#: when it was mapped.  A file replaced since (``os.replace``) differs.
+Identity = Tuple[int, int, int, int]
+
+
+class IndexFile(NamedTuple):
+    """The file a loaded index is mapped from (:attr:`ErtIndex.source`)."""
+
+    #: Absolute path, as it was opened.
+    path: str
+    identity: Identity
+    #: Wall time :func:`load_ert` spent checking the arrays' crc32s.
+    crc_ms: float
+
+
+def file_identity(status: os.stat_result) -> Identity:
+    """The :data:`Identity` of the file ``status`` describes."""
+    return (status.st_dev, status.st_ino, status.st_size,
+            status.st_mtime_ns)
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +126,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 def _payload(index: ErtIndex) -> "dict[str, np.ndarray]":
-    """Every array of both formats, by member name, in stored order."""
+    """Every array of the frame, by member name, in stored order."""
     arrays = {
         "reference": index.reference.codes,
         "entry_kind": index.entry_kind,
@@ -129,7 +161,7 @@ def _meta_dict(index: ErtIndex) -> "dict[str, object]":
 
 
 def _parse_meta(raw: bytes, what: str) -> "dict[str, object]":
-    """The JSON header of either format, version-checked."""
+    """The frame's JSON directory, version-checked."""
     try:
         meta = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -191,10 +223,9 @@ def _assemble_index(
 ) -> ErtIndex:
     """Build an :class:`ErtIndex` over a stored payload.
 
-    ``member(name)`` fetches one array of the payload: the archive
-    loader reads it from the file, the buffer loader hands out a
-    zero-copy view.  Every array is checked here; :func:`index_over`
-    assembles the index.
+    ``member(name)`` fetches one array of the frame, a zero-copy view
+    whose crc32 has been checked.  Every array's dtype and shape is
+    checked here; :func:`index_over` assembles the index.
     """
     config = _config_from_meta(meta, what)
     reference_name = meta.get("reference_name")
@@ -247,155 +278,129 @@ def index_over(
 
 
 # ----------------------------------------------------------------------
-# Archive format (.npz)
+# The frame
 # ----------------------------------------------------------------------
 
 
-def save_ert(index: ErtIndex, path: PathLike) -> None:
-    """Write an ERT index to exactly ``path`` (an ``.npz`` archive,
-    whatever the name's suffix)."""
-    arrays = {"meta_json": np.frombuffer(
-        json.dumps(_meta_dict(index)).encode(), dtype=np.uint8)}
-    arrays.update(_payload(index))
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
-                         compresslevel=ARCHIVE_COMPRESSLEVEL) as archive:
-        for name, arr in arrays.items():
-            with archive.open(name + ".npy", "w", force_zip64=True) as out:
-                np.lib.format.write_array(out, arr, allow_pickle=False)
-
-
-#: What reading a damaged archive member can raise: zip framing and CRC
-#: (``BadZipFile``), the deflate stream (``zlib.error``), a member cut
-#: short (``EOFError``), a missing member (``KeyError``) and the ``.npy``
-#: header inside it (``ValueError``).
-_ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
-                   ValueError)
-
-
-def load_ert(path: PathLike) -> ErtIndex:
-    """Load an ERT index written by :func:`save_ert`.  Every member is
-    read here, once; the file is closed when this returns."""
-    what = os.fspath(path)
-    with open(path, "rb") as handle:
-        try:
-            archive = np.lib.npyio.NpzFile(handle, allow_pickle=False)
-        except _ARCHIVE_ERRORS as exc:
-            raise IndexFormatError(
-                f"{what}: not a zip archive ({exc}); the file is truncated, "
-                f"corrupt or no index") from exc
-
-        def member(name: str) -> np.ndarray:
-            try:
-                return archive[name]
-            except _ARCHIVE_ERRORS as exc:
-                raise IndexFormatError(
-                    f"{what}: member {name!r} is missing or unreadable "
-                    f"({exc!r}); the file is truncated or corrupt") from exc
-
-        with archive:
-            meta = _parse_meta(member("meta_json").tobytes(), what)
-            return _assemble_index(meta, what, member)
-
-
-# ----------------------------------------------------------------------
-# Flat buffer format (shared-memory attach)
-# ----------------------------------------------------------------------
-
-
-def _align_up(offset: int, align: int = BUFFER_ALIGN) -> int:
+def _align_up(offset: int, align: int = FRAME_ALIGN) -> int:
     return (offset + align - 1) // align * align
 
 
-def index_to_buffer(index: ErtIndex) -> bytes:
-    """Serialize ``index`` into one contiguous flat buffer.
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """A contiguous array's bytes, as a flat ``uint8`` view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
 
-    Layout: ``BUFFER_MAGIC``, a little-endian ``uint64`` directory
-    length, the UTF-8 JSON directory (meta, total ``nbytes``, plus
-    per-array name, dtype, shape, offset), then each array payload
-    aligned to :data:`BUFFER_ALIGN`.  The buffer is
-    position-independent, so it can be dropped into a
-    ``multiprocessing.shared_memory`` segment and re-opened with
-    :func:`index_from_buffer` as pure views.
+
+class Frame:
+    """A payload laid out as a frame, before it is written.
+
+    The frame is :data:`FRAME_MAGIC`, a little-endian ``uint64``
+    directory length, the UTF-8 JSON directory (meta, total ``nbytes``,
+    and per array its name, dtype, shape, offset and crc32), then each
+    array at its :data:`FRAME_ALIGN`-aligned offset, zero bytes between.
+    It is position-independent.  One writer puts it in a file
+    (:meth:`write`) or a buffer (:meth:`fill`), each array straight
+    from where it lies: no second copy of the payload is made.
     """
-    arrays = _payload(index)
-    directory = _meta_dict(index)
-    # Directory size depends on the offsets, which depend on the
-    # directory size; reserve the directory with placeholder offsets
-    # first, then fill real offsets into the same-sized rendering.
-    specs: "list[dict[str, object]]" = [
-        {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
-         "offset": 2 ** 60} for name, arr in arrays.items()]
-    directory["nbytes"] = 2 ** 60
-    directory["arrays"] = specs
-    header_len = len(json.dumps(directory).encode())
 
-    cursor = len(BUFFER_MAGIC) + 8 + header_len
-    for spec, arr in zip(specs, arrays.values()):
-        spec["offset"] = cursor = _align_up(cursor)
-        cursor += arr.nbytes
-    directory["nbytes"] = cursor
-    header = json.dumps(directory).encode()
-    # Offsets render at fixed width (the placeholder is wider than any
-    # real offset), so the directory can only have shrunk; pad it back.
-    if len(header) > header_len:
-        raise IndexFormatError("buffer directory grew past its reservation")
-    header = header + b" " * (header_len - len(header))
+    def __init__(self, meta: "Mapping[str, object]",
+                 arrays: "Mapping[str, np.ndarray]") -> None:
+        directory = dict(meta)
+        # Directory size depends on the offsets, which depend on the
+        # directory size; reserve the directory with the widest values
+        # first, then fill the real ones into the same-sized rendering.
+        specs: "list[dict[str, object]]" = [
+            {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+             "offset": 2 ** 60, "crc32": 2 ** 32 - 1}
+            for name, arr in arrays.items()]
+        directory["nbytes"] = 2 ** 60
+        directory["arrays"] = specs
+        reserved = len(json.dumps(directory).encode())
 
-    out = bytearray(cursor)
-    out[:len(BUFFER_MAGIC)] = BUFFER_MAGIC
-    out[len(BUFFER_MAGIC):len(BUFFER_MAGIC) + 8] = len(header).to_bytes(
-        8, "little")
-    out[len(BUFFER_MAGIC) + 8:len(BUFFER_MAGIC) + 8 + len(header)] = header
-    for spec, arr in zip(specs, arrays.values()):
-        offset = spec["offset"]
-        assert isinstance(offset, int)
-        out[offset:offset + arr.nbytes] = arr.tobytes()
-    return bytes(out)
+        #: ``(offset, array)`` in stored order.
+        self.arrays: "list[tuple[int, np.ndarray]]" = []
+        cursor = _HEAD + reserved
+        for spec, arr in zip(specs, arrays.values()):
+            spec["offset"] = cursor = _align_up(cursor)
+            spec["crc32"] = zlib.crc32(arr)
+            self.arrays.append((cursor, arr))
+            cursor += arr.nbytes
+        directory["nbytes"] = self.nbytes = cursor
+        header = json.dumps(directory).encode()
+        # The placeholders are as wide as any real value, so the
+        # directory can only have shrunk; pad it back.
+        if len(header) > reserved:
+            raise IndexFormatError(
+                "frame directory grew past its reservation")
+        #: Magic, directory length and directory.
+        self.head = (FRAME_MAGIC + reserved.to_bytes(8, "little")
+                     + header.ljust(reserved))
+
+    @classmethod
+    def of(cls, index: ErtIndex) -> "Frame":
+        return cls(_meta_dict(index), _payload(index))
+
+    def write(self, out: BinaryIO) -> None:
+        """Stream the frame to ``out``."""
+        out.write(self.head)
+        cursor = len(self.head)
+        for offset, arr in self.arrays:
+            out.write(bytes(offset - cursor))
+            out.write(_bytes_of(arr))
+            cursor = offset + arr.nbytes
+
+    def fill(self, buffer: "Union[bytearray, memoryview]") -> None:
+        """Write the frame into the first :attr:`nbytes` of a writable
+        ``buffer``."""
+        out = np.frombuffer(buffer, dtype=np.uint8, count=self.nbytes)
+        cursor = len(self.head)
+        out[:cursor] = np.frombuffer(self.head, dtype=np.uint8)
+        for offset, arr in self.arrays:
+            out[cursor:offset] = 0
+            out[offset:offset + arr.nbytes] = _bytes_of(arr)
+            cursor = offset + arr.nbytes
 
 
-def index_from_buffer(
-        buffer: "Union[bytes, bytearray, memoryview]") -> ErtIndex:
-    """Open a buffer written by :func:`index_to_buffer` as an index.
-
-    Every array -- the arena's columns included -- becomes a
-    **read-only zero-copy view** into ``buffer`` (``np.frombuffer``);
-    nothing is materialized per process but the jump tables of the
-    TABLE k-mers a scalar walk reaches.  The caller owns the
-    buffer's lifetime -- for a shared-memory segment, keep the segment
-    open for as long as the returned index is in use
-    (:func:`repro.parallel.attach_index` pins it for you).
-    """
-    view = memoryview(buffer)
-    if view.format != "B":
-        view = view.cast("B")
-    header_base = len(BUFFER_MAGIC) + 8
-    if view.nbytes < header_base:
-        raise IndexFormatError("buffer too short for an index frame")
-    magic = bytes(view[:len(BUFFER_MAGIC)])
-    if magic != BUFFER_MAGIC:
+def _open_frame(view: memoryview, what: str) \
+        -> "tuple[dict[str, object], dict[str, np.ndarray], float]":
+    """The directory and the arrays of the frame in ``view`` -- read-only
+    zero-copy views, each checked against its crc32 -- and the ms the
+    checks took."""
+    if bytes(view[:len(_ZIP_MAGIC)]) == _ZIP_MAGIC:
         raise IndexFormatError(
-            f"buffer magic {magic!r}, this build reads {BUFFER_MAGIC!r}; "
-            f"not an ERT buffer, or one of another version: {_REBUILD}")
-    header_len = int.from_bytes(bytes(view[len(BUFFER_MAGIC):header_base]),
+            f"{what}: a zip (.npz) archive, the index format of earlier "
+            f"builds; this build maps one frame: {_REBUILD}")
+    if view.nbytes < _HEAD:
+        raise IndexFormatError(
+            f"{what}: {view.nbytes} bytes, too short for an index frame; "
+            f"the file is truncated or no index")
+    magic = bytes(view[:len(FRAME_MAGIC)])
+    if magic != FRAME_MAGIC:
+        raise IndexFormatError(
+            f"{what}: frame magic {magic!r}, this build reads "
+            f"{FRAME_MAGIC!r}; not an ERT index, or one of another "
+            f"version: {_REBUILD}")
+    header_len = int.from_bytes(bytes(view[len(FRAME_MAGIC):_HEAD]),
                                 "little")
-    if header_base + header_len > view.nbytes:
+    if _HEAD + header_len > view.nbytes:
         raise IndexFormatError(
-            f"buffer of {view.nbytes} bytes ends inside its "
+            f"{what}: {view.nbytes} bytes end inside the "
             f"{header_len}-byte directory: truncated")
-    meta = _parse_meta(bytes(view[header_base:header_base + header_len]),
-                       "buffer")
+    meta = _parse_meta(bytes(view[_HEAD:_HEAD + header_len]), what)
     nbytes, specs = meta.get("nbytes"), meta.get("arrays")
     if not isinstance(nbytes, int) or not isinstance(specs, list):
-        raise IndexFormatError("buffer directory lists no arrays")
+        raise IndexFormatError(f"{what}: directory lists no arrays")
     if view.nbytes < nbytes:
         raise IndexFormatError(
-            f"buffer holds {view.nbytes} of its {nbytes} bytes: truncated")
+            f"{what}: holds {view.nbytes} of its {nbytes} bytes: truncated")
 
     arrays: "dict[str, np.ndarray]" = {}
+    crcs: "dict[str, int]" = {}
     payload = view[:nbytes]
     for spec in specs:
         try:
             name = spec["name"]
+            crcs[name] = int(spec["crc32"])
             dtype, shape = np.dtype(spec["dtype"]), tuple(spec["shape"])
             # frombuffer refuses an array that leaves the payload.
             arr = np.frombuffer(
@@ -403,18 +408,118 @@ def index_from_buffer(
                 count=int(np.prod(shape, dtype=np.int64))).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexFormatError(
-                f"buffer directory entry {spec!r} is unusable "
+                f"{what}: directory entry {spec!r} is unusable "
                 f"({exc})") from exc
-        # The buffer may be shared across processes: views stay read-only
+        # A frame may be shared across processes: views stay read-only
         # so no worker can scribble on another worker's index.
         arr.flags.writeable = False
         arrays[name] = arr
+    clock = Tracer()
+    with clock.span("crc32"):
+        for name, arr in arrays.items():
+            if zlib.crc32(arr) != crcs[name]:
+                raise IndexFormatError(
+                    f"{what}: member {name!r} fails its crc32 check; the "
+                    f"index is corrupt")
+    return meta, arrays, clock.stats["crc32"].total_s * 1e3
+
+
+def _open_index(view: memoryview, what: str) -> "tuple[ErtIndex, float]":
+    meta, arrays, crc_ms = _open_frame(view, what)
 
     def member(name: str) -> np.ndarray:
         try:
             return arrays[name]
         except KeyError:
             raise IndexFormatError(
-                f"buffer holds no array {name!r}") from None
+                f"{what}: holds no member {name!r}; the index is "
+                f"truncated or corrupt") from None
 
-    return _assemble_index(meta, "buffer", member)
+    return _assemble_index(meta, what, member), crc_ms
+
+
+# ----------------------------------------------------------------------
+# The frame as a file
+# ----------------------------------------------------------------------
+
+
+def save_ert(index: ErtIndex, path: PathLike) -> None:
+    """Write ``index`` to exactly ``path``, whatever the name's suffix.
+
+    The frame is streamed to a temp file beside ``path`` and renamed
+    over it: a failed write leaves no partial index, and a process that
+    has the old file mapped keeps reading the old file.
+    """
+    frame = Frame.of(index)
+    target = os.fspath(path)
+    temp = os.path.join(os.path.dirname(target),
+                        f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as out:
+            frame.write(out)
+        os.replace(temp, target)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
+def load_ert(path: PathLike, identity: "Identity | None" = None) \
+        -> ErtIndex:
+    """Map an index file written by :func:`save_ert` and open it.
+
+    The file is mapped read-only (``mmap``), every array's crc32 is
+    checked, and every array of the index is a zero-copy view into the
+    mapping, which lives as long as they do; :attr:`ErtIndex.source`
+    records which file it is.  With ``identity``, the file must still be
+    the one that had it (a pool worker mapping its parent's file): one
+    replaced or rewritten since is refused.
+    """
+    what = os.fspath(path)
+    with open(path, "rb") as handle:
+        status = os.fstat(handle.fileno())
+        if identity is not None and file_identity(status) != tuple(identity):
+            raise IndexFormatError(
+                f"{what}: no longer the file the run mapped (replaced or "
+                f"rewritten since)")
+        if status.st_size == 0:
+            raise IndexFormatError(f"{what}: empty file, no index")
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    index, crc_ms = _open_index(memoryview(mapping), what)
+    index.source = IndexFile(os.path.abspath(what), file_identity(status),
+                             crc_ms)
+    return index
+
+
+# ----------------------------------------------------------------------
+# The frame as a buffer
+# ----------------------------------------------------------------------
+
+
+def index_to_buffer(index: ErtIndex) -> bytearray:
+    """The frame of ``index`` in memory: the bytes :func:`save_ert`
+    writes."""
+    frame = Frame.of(index)
+    out = bytearray(frame.nbytes)
+    frame.fill(out)
+    return out
+
+
+def index_from_buffer(
+        buffer: "Union[bytes, bytearray, memoryview]") -> ErtIndex:
+    """Open a frame held in memory as an index.
+
+    Every array -- the arena's columns included -- becomes a
+    **read-only zero-copy view** into ``buffer``, checked against its
+    crc32; nothing is materialized but the jump tables of the TABLE
+    k-mers a scalar walk reaches.  The caller owns the buffer's
+    lifetime -- for a shared-memory segment, keep the segment open for
+    as long as the returned index is in use
+    (:func:`repro.parallel.shm.attach_index` pins it for you).
+    """
+    view = memoryview(buffer)
+    if view.format != "B":
+        view = view.cast("B")
+    return _open_index(view, "buffer")[0]

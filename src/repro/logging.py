@@ -5,7 +5,7 @@ routing events through the stdlib ``logging`` root handlers (whose
 global, import-order-sensitive configuration is exactly what a
 deterministic pipeline must not depend on).  This module is the one
 approved path for library subsystems (the batch scheduler, the
-fault-recovery path, the shared-memory lifecycle) to emit
+fault-recovery path, the workers' index maps) to emit
 machine-readable operational events.
 
 Design points:

@@ -1,12 +1,14 @@
-"""Batch execution layer: shared-memory index, worker-pool pipelines.
+"""Batch execution layer: one mapped index file, worker-pool pipelines.
 
 The paper's throughput comes from 64 seeding lanes sharing one ERT
-(§IV); this package is the host-software analogue.  One process builds
-(or loads) the index, serializes it once into a shared-memory segment
-(:class:`SharedIndexBuffer`), and N worker processes attach it zero-copy
-(:func:`attach_index`).  Reads stream through a bounded, order-preserving
-batch scheduler (:mod:`repro.parallel.scheduler`), so the merged output
-is byte-identical to a serial run, and per-worker engine stats plus
+(§IV); this package is the host-software analogue.  The parent loads
+the index (an index built in memory is saved to a temporary file
+first), and N worker processes map that same file read-only
+(:func:`repro.core.io.load_ert`), so the page cache holds one copy and
+every array is a zero-copy view into it.  Reads stream through a
+bounded, order-preserving batch scheduler
+(:mod:`repro.parallel.scheduler`), so the merged output is
+byte-identical to a serial run, and per-worker engine stats plus
 telemetry snapshots fold back into the parent.
 
 Entry points:
@@ -22,11 +24,14 @@ Entry points:
   (:class:`ParallelExecutionError` and friends) and :class:`RetryPolicy`
   behind worker-crash recovery, per-batch timeouts and the serial
   degradation path (``--retries`` / ``--batch-timeout`` /
-  ``$REPRO_RETRIES``).
+  ``$REPRO_RETRIES``);
+* :class:`SharedIndexBuffer` / :func:`attach_index`
+  (:mod:`repro.parallel.shm`) -- an index frame in a shared-memory
+  segment; no run path uses it (the benchmark's traced replay does).
 
 Checker rule ERT008 keeps this package the *only* place that constructs
 ``ProcessPoolExecutor`` or ``SharedMemory`` objects, so worker lifecycle
-(initialization, telemetry aggregation, segment cleanup) has exactly one
+(initialization, telemetry aggregation, cleanup) has exactly one
 implementation.  See ``docs/performance.md``.
 """
 

@@ -4,11 +4,17 @@ merge, crash recovery.
 :func:`repro.parallel.scheduler.map_batches` imports this module when a
 run asks for more than one worker -- in the parent, before the pool is
 built -- and a one-worker run never does: ``multiprocessing``,
-``concurrent.futures``, the shared-memory owner and the structured
-logger are what a pool needs and nothing a batch executes.  What a
-worker *runs* (``_worker_init``, ``_run_batch``) lives in the scheduler
-module, which the parent has fully imported by then, so a forked worker
-imports nothing.
+``concurrent.futures``, ``tempfile`` and the structured logger are what
+a pool needs and nothing a batch executes.  What a worker *runs*
+(``_worker_init``, ``_run_batch``) lives in the scheduler module, which
+the parent has fully imported by then, so a forked worker imports
+nothing.
+
+Workers get the index as a file to map (:func:`_index_file`): the one
+the parent loaded it from, or, for an index built in memory, a
+temporary one.  Every worker maps that same file, so the page cache
+holds one copy, and no shared-memory segment, ``resource_tracker``
+process or unlink is involved.
 
 Fault model (see :mod:`repro.parallel.faults` and docs/performance.md):
 
@@ -31,15 +37,20 @@ Fault model (see :mod:`repro.parallel.faults` and docs/performance.md):
 from __future__ import annotations
 
 import multiprocessing
+import os
+import tempfile
 import time
 import warnings
 from collections import deque
+from contextlib import ExitStack
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pickle import PicklingError
 from typing import Any, Iterator, Sequence
 
 from repro import telemetry
+from repro.core.index import ErtIndex
+from repro.core.io import Identity, file_identity, save_ert
 from repro.logging import get_logger
 from repro.parallel.batch import ReadBatch
 from repro.parallel.faults import (
@@ -56,6 +67,7 @@ from repro.parallel.scheduler import (
     EngineSpec,
     ParallelConfig,
     _extension,
+    _resolve_engine,
     _run_batch,
     _serial_batches,
     _worker_init,
@@ -64,6 +76,19 @@ from repro.parallel.scheduler import (
 #: Structured operational events (pool lifecycle, faults, degradation);
 #: a no-op unless the run configured `repro.logging` (--log-jsonl).
 _log = get_logger("parallel.scheduler")
+
+
+def _index_file(index: ErtIndex, stack: ExitStack) -> "tuple[str, Identity]":
+    """The file the workers map ``index`` from, and its identity: the
+    file it was loaded from, or, built in memory, a temporary one that
+    ``stack`` removes."""
+    if index.source is not None:
+        return index.source.path, index.source.identity
+    directory = stack.enter_context(
+        tempfile.TemporaryDirectory(prefix="ert-index-"))
+    path = os.path.join(directory, "index.ert")
+    save_ert(index, path)
+    return path, file_identity(os.stat(path))
 
 
 def _worker_ready() -> bool:
@@ -214,7 +239,24 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
              batches: "Sequence[ReadBatch]",
              config: ParallelConfig, workers: int) \
         -> "Iterator[BatchResult]":
-    """The fault-tolerant pool path behind :func:`map_batches`."""
+    """The fault-tolerant pool path behind :func:`map_batches`: the
+    workers map the index file of the spec's engine, and a pool that
+    cannot be built degrades to that engine, in this process."""
+    engine = _resolve_engine(spec)
+    with ExitStack() as stack:
+        path, identity = _index_file(engine.index, stack)
+        yield from _pool_batches(
+            ("file", path, identity, engine.gather_limit),
+            ("local", engine), task, options, batches, config, workers)
+
+
+def _pool_batches(spec: EngineSpec, local: EngineSpec, task: str,
+                  options: "dict[str, Any]",
+                  batches: "Sequence[ReadBatch]",
+                  config: ParallelConfig, workers: int) \
+        -> "Iterator[BatchResult]":
+    """:func:`pool_map` over workers initialized with ``spec``; the
+    degraded path runs on ``local``."""
     # Load, here in the parent, what this task's runners execute and a
     # one-worker run may not have needed yet: a forked worker then finds
     # every module in place and imports nothing.
@@ -233,7 +275,7 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
     try:
         manager.spawn()
     except PoolUnavailableError as exc:
-        yield from _degrade_to_serial(spec, task, options, batches, exc)
+        yield from _degrade_to_serial(local, task, options, batches, exc)
         return
     max_inflight = INFLIGHT_PER_WORKER * workers
     pending: "deque[_PendingBatch]" = deque()
@@ -290,7 +332,7 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
                 except PoolUnavailableError as exc:
                     remaining = [entry.batch for entry in pending] \
                         + list(batches[next_index:])
-                    yield from _degrade_to_serial(spec, task, options,
+                    yield from _degrade_to_serial(local, task, options,
                                                   remaining, exc)
                     return
                 for entry in pending:

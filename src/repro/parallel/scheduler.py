@@ -5,8 +5,9 @@ Execution model (tentpole of the parallel layer):
 
 * the parent packs reads into :class:`~repro.parallel.batch.ReadBatch`
   units and submits them to a ``ProcessPoolExecutor`` whose workers were
-  initialized once with an *engine spec* -- a shared-memory index
-  attachment (``("shm", name, size, gather_limit)``, zero-copy);
+  initialized once with an *engine spec* -- the index file to map
+  (``("file", path, identity, gather_limit)``): every worker maps the
+  file the parent mapped, so the page cache holds one copy, zero-copy;
 * at most :data:`INFLIGHT_PER_WORKER` batches per worker are
   outstanding; results are consumed strictly in submission order, so
   concatenating per-batch payloads reproduces the serial output **byte
@@ -26,10 +27,10 @@ batch *executes* is imported here, at module scope (or, for the layers
 only ``align`` / ``align-pe`` reach, by :func:`_extension`), so under
 ``fork`` the parent has loaded it before a pool exists and no worker
 imports anything.  What only a pool needs -- ``multiprocessing``,
-``concurrent.futures``, the shared-memory owner, the retry policy, the
-recovery loop and its fault model -- is :mod:`repro.parallel.pool`,
-imported in the ``workers > 1`` branch; a one-worker run loads none of
-it.
+``concurrent.futures``, the index file of an index built in memory, the
+retry policy, the recovery loop and its fault model -- is
+:mod:`repro.parallel.pool`, imported in the ``workers > 1`` branch; a
+one-worker run loads none of it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -302,20 +302,26 @@ _WORKER: "dict[str, Any]" = {}
 
 
 def _resolve_engine(spec: EngineSpec) -> ErtSeedingEngine:
-    """The engine a spec names, in this process: a ``shm`` spec attaches
-    the parent-owned segment (in a worker's initializer, and on the
-    degraded in-process path, where the segment is still live); a
-    ``local`` spec carries the engine itself."""
+    """The engine a spec names, in this process: a ``local`` spec
+    carries the engine itself; a ``file`` spec (a worker's initializer)
+    maps the index file, which must still be the file the parent mapped
+    -- one replaced since fails the initializer, and the pool degrades
+    to the parent's own mapping."""
     kind = spec[0]
     if kind == "local":
         return spec[1]
-    if kind == "shm":
-        from repro.parallel.shm import attach_index
+    if kind == "file":
+        from repro.core.io import load_ert
+        from repro.logging import get_logger
 
-        _, name, size, gather_limit = spec
-        with telemetry.recorder().scope("shm.attach", {"segment": name,
-                                                       "bytes": size}):
-            index = attach_index(name, size)
+        _, path, identity, gather_limit = spec
+        with telemetry.recorder().scope("index.map", {"path": path,
+                                                      "bytes": identity[2]}):
+            index = load_ert(path, identity)
+        assert index.source is not None
+        get_logger("parallel.scheduler").info(
+            "index.map", path=path, bytes=identity[2],
+            crc_ms=round(index.source.crc_ms, 3))
         return ErtSeedingEngine(index, gather_limit=gather_limit)
     raise ValueError(f"unknown engine spec kind {kind!r}")
 
@@ -330,7 +336,7 @@ def _worker_init(spec: EngineSpec, task: str, options: "dict[str, Any]",
     # an open parent span (the recovery span during a respawn); a plain
     # reset would refuse and kill the worker in its initializer.  It runs
     # *before* engine construction so timeline capture (restarted on the
-    # parent's epoch just below) can see the shm attach.
+    # parent's epoch just below) can see the index map.
     telemetry.fork_reset()
     if telemetry_on:
         telemetry.enable()
@@ -422,15 +428,16 @@ def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
     submission order with at most :data:`INFLIGHT_PER_WORKER` per worker
     outstanding.
 
-    With one worker (or a ``local`` spec) everything runs in-process over
-    the same batch units -- the serial fast path.  Pool failures are
-    classified, retried and degraded per :mod:`repro.parallel.pool`
+    With one worker everything runs in-process over the same batch units
+    -- the serial fast path.  A pool's workers map the index file of the
+    spec's engine (:func:`repro.parallel.pool.pool_map`).  Pool failures
+    are classified, retried and degraded per :mod:`repro.parallel.pool`
     (imported here, in the parent, before any pool exists); when a
     typed error escapes this generator, every consumed prefix result was
     already byte-exact and no partial batch has been yielded.
     """
     workers = config.resolved_workers()
-    if workers <= 1 or spec[0] == "local":
+    if workers <= 1:
         yield from _serial_batches(spec, task, options, batches)
         return
     from repro.parallel.pool import pool_map
@@ -444,33 +451,23 @@ def _map_reads(engine: ErtSeedingEngine, task: str,
                reads: "Sequence[object]", config: ParallelConfig,
                chunk_size: int) -> "tuple[list[Any], EngineStats]":
     """The body of every entry point: pack ``reads`` into batches of
-    ``chunk_size``, hand the engine to the workers, map, and merge the
-    per-batch results in submission order.
+    ``chunk_size``, map them over ``engine``, and merge the per-batch
+    results in submission order.
 
-    One worker runs on ``engine`` itself.  A pool gets the engine's
-    index through shared memory (published once, attached zero-copy),
-    never once per batch.  Payloads concatenate, stats fold into one
-    :class:`EngineStats`, and worker snapshots merge in submission
-    order.
+    One worker runs on ``engine`` itself; a pool's workers map the file
+    of its index, never once per batch.  Payloads concatenate, stats
+    fold into one :class:`EngineStats`, and worker snapshots merge in
+    submission order.
     """
     batches = [pack_batch(chunk) for chunk in iter_chunks(reads, chunk_size)]
     payload: "list[Any]" = []
     stats = EngineStats()
-    with ExitStack() as stack:
-        spec: EngineSpec
-        if config.resolved_workers() <= 1:
-            spec = ("local", engine)
-        else:
-            from repro.parallel.shm import SharedIndexBuffer
-
-            shared = stack.enter_context(SharedIndexBuffer(engine.index))
-            spec = ("shm", shared.name, shared.size, engine.gather_limit)
-        for items, stat_delta, snap in map_batches(
-                spec, task, options, batches, config):
-            payload.extend(items)
-            stats.add_dict(stat_delta)
-            if snap is not None:
-                telemetry.merge_snapshot(snap)
+    for items, stat_delta, snap in map_batches(
+            ("local", engine), task, options, batches, config):
+        payload.extend(items)
+        stats.add_dict(stat_delta)
+        if snap is not None:
+            telemetry.merge_snapshot(snap)
     return payload, stats
 
 

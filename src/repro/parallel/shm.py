@@ -1,23 +1,25 @@
 """Zero-copy index sharing via ``multiprocessing.shared_memory``.
 
-The parent serializes a built :class:`~repro.core.index.ErtIndex` once
-with :func:`repro.core.io.index_to_buffer` and places the flat payload in
-a POSIX shared-memory segment.  Each worker process then *attaches* the
-segment by name and opens it with :func:`repro.core.io.index_from_buffer`
--- every numpy array of the reconstructed index is a read-only view
-straight into the segment, so N workers share one physical copy of the
-entry table, tree blobs and packed reference (the software analogue of
-the paper's 64 seeding lanes hitting one ERT, §IV).
+No run path uses this module: a ``--workers N`` pool maps the index
+*file* in each worker (:func:`repro.core.io.load_ert`), which shares one
+copy through the page cache with no segment to publish or unlink.  It is
+kept for ``benchmarks/pipeline/layers.py``, whose traced replay times a
+publish and an attach, and goes when that replay is re-pointed.
+
+The owner (:class:`SharedIndexBuffer`) writes an index's frame
+(:class:`repro.core.io.Frame`) straight into a POSIX shared-memory
+segment; :func:`attach_index` opens the segment by name with
+:func:`repro.core.io.index_from_buffer`, every array a read-only view
+straight into it.
 
 Lifecycle contract (enforced mechanically by checker rule ERT008): only
-this package constructs ``SharedMemory`` objects.  The parent owns the
-segment -- it creates, closes and unlinks it; workers attach and merely
-close their mapping when the process exits.  Because a segment outliving
-the run is a system-wide leak (it survives the interpreter), every parent
-path is hardened: construction failures unlink eagerly, context-manager
-exit unlinks even when close fails, and an ``atexit`` guard sweeps any
-segment still registered when the interpreter shuts down -- e.g. when an
-unhandled worker-crash error unwinds past the owner.
+this package constructs ``SharedMemory`` objects.  The owner creates,
+closes and unlinks the segment; an attach merely closes its mapping.
+Because a segment outliving its owner is a system-wide leak (it survives
+the interpreter), every owner path is hardened: construction failures
+unlink eagerly, context-manager exit unlinks even when close fails, and
+an ``atexit`` guard sweeps any segment still registered when the
+interpreter shuts down.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import atexit
 from multiprocessing import shared_memory
 
 from repro.core.index import ErtIndex
-from repro.core.io import index_from_buffer, index_to_buffer
+from repro.core.io import Frame, index_from_buffer
 from repro.logging import get_logger
 
 _log = get_logger("parallel.shm")
@@ -62,11 +64,11 @@ class SharedIndexBuffer:
     """
 
     def __init__(self, index: ErtIndex) -> None:
-        payload = index_to_buffer(index)
+        frame = Frame.of(index)
         self._shm: "shared_memory.SharedMemory | None" = \
-            shared_memory.SharedMemory(create=True, size=len(payload))
+            shared_memory.SharedMemory(create=True, size=frame.nbytes)
         try:
-            self._shm.buf[:len(payload)] = payload
+            frame.fill(self._shm.buf)
         except Exception:
             # The segment exists but holds no usable payload; remove it
             # now or nothing ever will.
@@ -77,9 +79,8 @@ class SharedIndexBuffer:
         #: Segment name workers pass to :func:`attach_index`.
         self.name: str = self._shm.name
         #: Logical payload size (the kernel may round the segment up).
-        self.size: int = len(payload)
+        self.size: int = frame.nbytes
         _LIVE_SEGMENTS[self.name] = self
-        _log.info("shm.create", segment=self.name, size=self.size)
 
     def close(self) -> None:
         """Drop the parent's mapping (the segment itself survives)."""
@@ -93,7 +94,6 @@ class SharedIndexBuffer:
             _LIVE_SEGMENTS.pop(self.name, None)
             shm, self._shm = self._shm, None
             shm.unlink()
-            _log.info("shm.unlink", segment=self.name)
 
     def __enter__(self) -> "SharedIndexBuffer":
         return self

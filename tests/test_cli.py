@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from tests.frames import read_frame, rewrite, save_as_archive
 
 
 @pytest.fixture(scope="module")
@@ -301,25 +302,28 @@ def test_build_index_writes_exactly_the_path_it_reports(workspace, capsys):
                                      "index-stats"])
 def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
                                                       capsys, command):
-    """Cut short, written by an earlier build (no reader is kept for
-    version 2: rebuild), or carrying an arena column of another width."""
+    """Cut short, garbled in place (a crc32 fails), written by an earlier
+    build (no reader is kept for a version-2 frame or for the zip archive
+    every index file was before the frame: rebuild), or carrying an
+    arena column of another width."""
     _root, _ref, reads, index = workspace
     raw = index.read_bytes()
-    with np.load(index) as archive:
-        members = {name: archive[name] for name in archive.files}
-    meta = json.loads(members["meta_json"].tobytes())
-    assert meta["format_version"] == 3
-    old = np.frombuffer(json.dumps({**meta, "format_version": 2}).encode(),
-                        dtype=np.uint8)
-    damaged = {"cut.npz": None, "v2.npz": {"meta_json": old},
-               "wide.npz": {"arena_count":
-                            members["arena_count"].astype(np.int64)}}
-    for name, changes in damaged.items():
+    directory, members = read_frame(index)
+    assert directory["format_version"] == 3
+    middle = len(raw) // 2
+    damaged = {
+        "cut.npz": lambda bad: bad.write_bytes(raw[:middle]),
+        "garbled.npz": lambda bad: bad.write_bytes(
+            raw[:middle] + bytes(64) + raw[middle + 64:]),
+        "v2.npz": lambda bad: rewrite(bad, meta={"format_version": 2}),
+        "archive.npz": lambda bad: save_as_archive(bad, index),
+        "wide.npz": lambda bad: rewrite(
+            bad, arena_count=members["arena_count"].astype(np.int64)),
+    }
+    for name, damage in damaged.items():
         bad = tmp_path / name
-        if changes is None:
-            bad.write_bytes(raw[:len(raw) // 2])
-        else:
-            np.savez(bad, **{**members, **changes})
+        bad.write_bytes(raw)
+        damage(bad)
         argv = [command, "--index", str(bad)]
         if command != "index-stats":
             argv += ["--reads", str(reads), "--out", str(tmp_path / "out")]
@@ -330,7 +334,7 @@ def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
         assert captured.err.startswith(f"ert-repro {command}: {bad}: ")
         assert "Traceback" not in captured.err
         assert ("rebuild the index with build-index" in captured.err) \
-            == (name == "v2.npz")
+            == (name in ("v2.npz", "archive.npz"))
         assert not (tmp_path / "out").exists()
 
 
@@ -532,8 +536,7 @@ COLD = (
     "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
     "multiprocessing", "concurrent.futures",
 )
-POOL = ("repro.parallel.pool", "repro.parallel.shm", "multiprocessing",
-        "concurrent.futures")
+POOL = ("repro.parallel.pool", "multiprocessing", "concurrent.futures")
 
 #: ``import numpy`` comes first and is not charged: what it loads
 #: differs between the tier-1 Pythons.  The last stdout line is the
@@ -629,6 +632,10 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
             assert _under(added, POOL) == []
         else:
             assert set(POOL) <= set(added)
+            # Workers map the index file: no segment, no tracker.
+            assert _under(added, ("repro.parallel.shm",
+                                  "multiprocessing.shared_memory",
+                                  "multiprocessing.resource_tracker")) == []
     assert outs["1"].read_bytes() == outs["2"].read_bytes()
     # No unmodelled walk asks where a node lies, so neither the parent
     # nor a scalar worker loads the layout model.
@@ -638,6 +645,98 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
          "--batch-size", "4"])
     assert "repro.core.layout" not in added
     assert (tmp_path / "scalar.sam").read_bytes() == outs["1"].read_bytes()
+
+
+def _process_group(pgid):
+    """``{pid: command line}`` of every live process in group ``pgid``."""
+    members = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue  # exited meanwhile
+        # Fields after the parenthesised name: state, ppid, pgrp, ...
+        if int(stat.rpartition(")")[2].split()[2]) == pgid:
+            members[int(entry)] = cmdline
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_two_worker_run_maps_the_file_and_leaves_nothing_behind(
+        workspace, tmp_path):
+    """``align --workers 2`` as a process of its own: its process group
+    never holds a ``resource_tracker`` (no shared-memory segment is
+    made), and ``/dev/shm`` and the temp dir end as they began."""
+    _root, _ref, reads, index = workspace
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    segments = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+        else set()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_WORKERS"}
+    env.update(PYTHONPATH=os.path.join(repo, "src"), TMPDIR=str(temp))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "align", "--index", str(index),
+         "--reads", str(reads), "--out", str(tmp_path / "w2.sam"),
+         "--kernels", "vector", "--workers", "2", "--batch-size", "2"],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    seen = {}
+    while proc.poll() is None:
+        seen.update(_process_group(proc.pid))
+    seen.update(_process_group(proc.pid))  # anything outliving the CLI
+    assert proc.wait() == 0, proc.stderr.read()
+    proc.stderr.close()
+    assert len(seen) >= 2, "no worker was ever seen -- test is vacuous"
+    assert not [cmd for cmd in seen.values() if "resource_tracker" in cmd]
+    assert not os.listdir(temp)
+    if os.path.isdir("/dev/shm"):
+        assert set(os.listdir("/dev/shm")) <= segments
+
+
+#: ``main()`` on the process's own command line, as ``python -m
+#: repro.cli`` and the ``ert-repro`` script call it; prints the freeze
+#: count it leaves.
+_OWN_COMMAND_LINE = """\
+import gc, sys
+import repro.cli
+sys.argv = ["ert-repro"] + sys.argv[1:]
+status = repro.cli.main()
+print(status, gc.get_freeze_count())
+"""
+
+
+def test_heap_freeze_is_left_only_by_a_run_that_ends_the_process(
+        workspace, tmp_path, capsys):
+    """A run of the process's own command line freezes the start-up heap
+    for good; ``main(argv)`` called in-process leaves the caller's
+    collector as it found it, frozen objects and all."""
+    import gc
+
+    _root, _ref, reads, index = workspace
+    argv = ["align", "--index", str(index), "--reads", str(reads),
+            "--out", str(tmp_path / "out.sam"), "--workers", "1"]
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _OWN_COMMAND_LINE] + argv,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
+    assert proc.returncode == 0, proc.stderr
+    status, frozen = proc.stdout.split()[-2:]
+    assert status == "0" and int(frozen) > 0
 
 
 def test_observed_run_loads_the_exporters_and_writes_what_an_eager_one_does(

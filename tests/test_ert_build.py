@@ -3,6 +3,7 @@ the column emitter against the recursive object builder, object layout
 and object compile it replaced."""
 
 import dataclasses
+import json
 from collections import deque
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import decode
 from repro.sequence.multi import MultiReference
+from tests.frames import read_frame
 from tests.nodes import (
     DivergeNode,
     LeafNode,
@@ -618,8 +620,9 @@ def test_suffix_sort_build_equals_the_recursive_oracle(case):
 
 
 def _read_archive(path):
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
+    directory, arrays = read_frame(path)
+    return {**arrays, "directory": np.frombuffer(
+        json.dumps(directory).encode(), dtype=np.uint8)}
 
 
 @pytest.mark.parametrize("prefix_merging", [False, True],

@@ -1,12 +1,14 @@
 """The version-3 index payload: one stored forest (the arena), walked as
-it lies, re-framing without compiling, the member table as a contract,
-and typed errors on hostile input."""
+it lies, re-framing without compiling, the frame and its member table
+as a contract, and typed errors on hostile input."""
 
 import dataclasses
 import gc
 import hashlib
 import json
-import zipfile
+import mmap
+import os
+import zlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.core import arena
 from repro.core import layout as layout_module
 from repro.core.arena import ARENA_COLUMNS, ArenaLimitError, flat_trees
 from repro.core.index import EntryKind
+from repro.core import io as index_io
 from repro.core.io import (
     IndexFormatError,
     index_from_buffer,
@@ -42,6 +45,7 @@ from repro.seeding import SeedingParams, seed_read
 from repro.sequence import GenomeSimulator, ReadSimulator
 from repro.sequence.multi import MultiReference
 from repro.sequence.simulate import PairedReadSimulator
+from tests.frames import read_frame, rewrite, save_as_archive
 from tests.nodes import decoded
 from tests.serialize import trees_equal
 
@@ -347,6 +351,8 @@ V3_MEMBERS = {
 
 
 def test_both_formats_carry_exactly_the_member_table(built, saved):
+    """The file and the buffer are one frame, byte for byte: the member
+    table in stored order, every array aligned, and a crc32 per array."""
     want = {}
     for name, spec in V3_MEMBERS.items():
         if name == "prefix_counts_<length>":
@@ -354,26 +360,76 @@ def test_both_formats_carry_exactly_the_member_table(built, saved):
                 want[f"prefix_counts_{length}"] = spec
         else:
             want[name] = spec
-    with np.load(saved) as archive:
-        in_archive = {name: (str(archive[name].dtype), archive[name].ndim)
-                      for name in archive.files if name != "meta_json"}
-        meta = json.loads(archive["meta_json"].tobytes())
     buffer = index_to_buffer(built)
+    assert saved.read_bytes() == buffer
     assert buffer[:8] == b"ERTBUF03"
     directory = json.loads(buffer[16:16 + int.from_bytes(buffer[8:16],
                                                          "little")])
-    in_buffer = {spec["name"]: (str(np.dtype(spec["dtype"])),
-                                len(spec["shape"]))
-                 for spec in directory["arrays"]}
-    assert in_archive == want and in_buffer == want
-    assert list(in_archive) == list(in_buffer)  # one table, one order
-    for header in (meta, directory):
-        assert header["format_version"] == 3
-        assert header["trees_bytes"] == built.index_bytes()["trees"]
+    in_frame = {spec["name"]: (str(np.dtype(spec["dtype"])),
+                               len(spec["shape"]))
+                for spec in directory["arrays"]}
+    assert in_frame == want
+    assert list(in_frame) == list(index_io._payload(built))  # one order
+    assert directory["format_version"] == 3
+    assert directory["trees_bytes"] == built.index_bytes()["trees"]
+    assert directory["nbytes"] == len(buffer)
+    _directory, arrays = read_frame(saved)
+    for spec in directory["arrays"]:
+        assert spec["offset"] % 64 == 0
+        assert spec["crc32"] == zlib.crc32(arrays[spec["name"]])
     wide = {name for name, (dtype, _rank) in want.items()
             if np.dtype(dtype).itemsize > 4}
     assert wide == {"kmer_count", "tree_bases"} | {
         name for name in want if name.startswith("prefix_counts_")}
+
+
+def test_a_loaded_index_is_views_into_one_read_only_mapping(built, saved):
+    """Every array of a loaded index lies in the mapped file, read-only,
+    and the index records which file that is."""
+    loaded = load_ert(saved)
+    status = os.stat(saved)
+    assert loaded.source.path == os.path.abspath(saved)
+    assert loaded.source.identity == (status.st_dev, status.st_ino,
+                                      status.st_size, status.st_mtime_ns)
+    assert loaded.source.crc_ms >= 0
+    assert built.source is None
+    columns = [getattr(loaded.flat, name) for name in ARENA_COLUMNS]
+    columns += [loaded.reference.codes, loaded.entry_kind,
+                loaded.tree_bases, *loaded.prefix_counts]
+
+    def mapped_by(column):
+        base = column
+        while isinstance(base, np.ndarray):
+            base = base.base
+        return base.obj if isinstance(base, memoryview) else base
+
+    mapping = mapped_by(columns[0])
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == status.st_size
+    for column in columns:
+        assert not column.flags.owndata and not column.flags.writeable
+        assert mapped_by(column) is mapping
+
+
+def test_save_replaces_the_file_whole(built, saved, monkeypatch):
+    """``save_ert`` writes a sibling temp file and renames it over the
+    target: a mapped old file stays readable, and a failed write leaves
+    the old file as it was and no temp file behind."""
+    before = saved.read_bytes()
+    mapped = load_ert(saved)
+    save_ert(mapped, saved)
+    assert saved.read_bytes() == before
+    assert os.stat(saved).st_ino != mapped.source.identity[1]
+    assert np.array_equal(flat_trees(mapped).pool, flat_trees(built).pool)
+
+    def fail(self, out):
+        out.write(self.head)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(index_io.Frame, "write", fail)
+    with pytest.raises(OSError, match="No space"):
+        save_ert(built, saved)
+    assert saved.read_bytes() == before
+    assert sorted(os.listdir(saved.parent)) == [saved.name]
 
 
 def test_compile_refuses_a_forest_past_the_column_width(monkeypatch):
@@ -396,34 +452,38 @@ def test_compile_refuses_a_forest_past_the_column_width(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _rewrite(path, meta=None, **members):
-    """Save ``path`` again with header fields and members replaced (a
-    member given as ``None`` is dropped)."""
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    header = json.loads(arrays["meta_json"].tobytes())
-    header.update(meta or {})
-    arrays["meta_json"] = np.frombuffer(json.dumps(header).encode(),
-                                        dtype=np.uint8)
-    arrays.update(members)
-    np.savez(path, **{name: arr for name, arr in arrays.items()
-                      if arr is not None})
-
-
-def test_version_1_is_refused_naming_the_rebuild(built, saved):
+def test_version_1_is_refused_naming_the_rebuild(built, saved, tmp_path):
     """No reader for what earlier builds wrote: version 1 (tree blobs
-    only) and version 2 (blobs next to an int64 arena) archives, and
-    their buffers, all end in the rebuild message."""
+    only) and version 2 (blobs next to an int64 arena) frames, as files
+    and as buffers, and the zip (``.npz``) archive every index file was
+    before the frame, all end in the rebuild message."""
     buffer = index_to_buffer(built)
     for version, magic in ((1, b"ERTBUF01"), (2, b"ERTBUF02")):
-        _rewrite(saved, meta={"format_version": version})
-        with pytest.raises(IndexFormatError, match="rebuild.*build-index"):
-            load_ert(saved)
+        old = tmp_path / f"v{version}.npz"
+        old.write_bytes(saved.read_bytes())
+        rewrite(old, meta={"format_version": version})
+        with pytest.raises(IndexFormatError,
+                           match=f"version {version}.*rebuild.*build-index"):
+            load_ert(old)
         with pytest.raises(IndexFormatError, match="rebuild.*build-index"):
             index_from_buffer(magic + buffer[8:])
+    archive = tmp_path / "archive.npz"
+    save_as_archive(archive, saved)
+    assert archive.read_bytes()[:4] == b"PK\x03\x04"
+    with pytest.raises(IndexFormatError, match="zip.*rebuild.*build-index"):
+        load_ert(archive)
+
+
+def _member_offset(raw, member):
+    directory = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+    return next(spec["offset"] for spec in directory["arrays"]
+                if spec["name"] == member)
 
 
 def test_truncated_and_garbled_archives_are_format_errors(saved, tmp_path):
+    """Every way an index file can be cut short, garbled or be no index
+    at all ends in :class:`IndexFormatError`; a member damaged in place
+    fails its crc32 and is named, and so is a missing one."""
     raw = saved.read_bytes()
     for name, data in (("cut.npz", raw[:len(raw) // 2]),
                        ("stub.npz", raw[:40]),
@@ -438,19 +498,18 @@ def test_truncated_and_garbled_archives_are_format_errors(saved, tmp_path):
         np.save(handle, np.arange(4))
     with pytest.raises(IndexFormatError):
         load_ert(bare)
-    # A member damaged in place, or missing, is found by the load.
-    with zipfile.ZipFile(saved) as archive:
-        for member in ("arena_pool", "tree_bases"):
-            at = archive.getinfo(member + ".npy").header_offset + 120
-            path = tmp_path / (member + ".npz")
-            path.write_bytes(raw[:at] + bytes(60) + raw[at + 60:])
-            with pytest.raises(IndexFormatError, match=member):
-                load_ert(path)
-            gone = tmp_path / (member + "-gone.npz")
-            gone.write_bytes(raw)
-            _rewrite(gone, **{member: None})
-            with pytest.raises(IndexFormatError, match=member):
-                load_ert(gone)
+    for member in ("arena_pool", "tree_bases"):
+        at = _member_offset(raw, member) + 120
+        assert raw[at:at + 60] != bytes(60)
+        path = tmp_path / (member + ".npz")
+        path.write_bytes(raw[:at] + bytes(60) + raw[at + 60:])
+        with pytest.raises(IndexFormatError, match=f"{member}.*crc32"):
+            load_ert(path)
+        gone = tmp_path / (member + "-gone.npz")
+        gone.write_bytes(raw)
+        rewrite(gone, **{member: None})
+        with pytest.raises(IndexFormatError, match=member):
+            load_ert(gone)
 
 
 @pytest.mark.parametrize("member, damage", [
@@ -478,11 +537,11 @@ def test_mismatched_members_are_format_errors(archive_bytes, tmp_path,
     refused when the index is opened, not found by a wrong walk."""
     path = tmp_path / "index.npz"
     path.write_bytes(archive_bytes)
-    with np.load(path) as archive:
-        _rewrite(path, **{member: damage(archive[member])})
+    rewrite(path, **{member: damage(read_frame(path)[1][member])})
     with pytest.raises(IndexFormatError, match="corrupt"):
         load_ert(path)
-    _rewrite(path, meta={"trees_bytes": "many"})
+    path.write_bytes(archive_bytes)
+    rewrite(path, meta={"trees_bytes": "many"})
     with pytest.raises(IndexFormatError):
         load_ert(path)
 

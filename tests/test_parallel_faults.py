@@ -5,7 +5,8 @@ per-batch timeout) leaves the run's output byte-identical to the serial
 path, with the recovery visible as telemetry counters; unrecoverable
 pools degrade to the in-process serial path with a warning instead of
 failing the run; deterministic task failures propagate as typed errors
-on first occurrence; and no shared-memory segment survives any of it.
+on first occurrence; and no shared-memory segment or temporary index
+file survives any of it.
 
 Faults ride into workers through the scheduler's ``options["fault"]``
 hook (see ``_trip_injected_fault``): a ``token`` file created with
@@ -15,11 +16,12 @@ respawns, so the retried batch runs clean.
 
 import glob
 import os
+import tempfile
 
 import pytest
 
 from repro import telemetry
-from repro.core import ErtSeedingEngine
+from repro.core import ErtSeedingEngine, build_ert, load_ert, save_ert
 from repro.parallel import (
     BatchTaskError,
     BatchTimeoutError,
@@ -38,6 +40,7 @@ from repro.parallel.faults import (
     BatchSerializationError,
     PoolUnavailableError,
 )
+from repro.sequence import GenomeSimulator
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -49,12 +52,17 @@ def _shm_segments():
 
 
 @pytest.fixture()
-def shm_leak_check():
-    """Assert the test leaves /dev/shm exactly as it found it."""
+def leak_check(tmp_path_factory, monkeypatch):
+    """Assert the test leaves /dev/shm exactly as it found it, and the
+    temp dir -- where a pool's workers map an index built in memory
+    from -- empty."""
+    temp = tmp_path_factory.mktemp("tempdir")
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     before = _shm_segments()
     yield
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert not os.listdir(temp), f"left in the temp dir: {os.listdir(temp)}"
 
 
 def _run_seed(index, reads, params, config, fault):
@@ -70,7 +78,7 @@ def _run_seed(index, reads, params, config, fault):
 
 
 def test_sigkill_recovery_is_byte_identical(ert_index, reads, params,
-                                            tmp_path, shm_leak_check):
+                                            tmp_path, leak_check):
     # The faulted run below executes with telemetry enabled, which makes
     # the engine ineligible for the vector kernels (it falls back to the
     # scalar walk, whose EngineStats count nodes the gather walk never
@@ -105,7 +113,7 @@ def test_sigkill_recovery_is_byte_identical(ert_index, reads, params,
 
 
 def test_recovery_counters_visible_in_metrics_file(ert_index, reads, params,
-                                                   tmp_path, shm_leak_check):
+                                                   tmp_path, leak_check):
     """The --metrics-out pipeline: counters written by a faulted run
     survive the JSON round trip the CLI uses."""
     token = str(tmp_path / "sigkill.token")
@@ -126,7 +134,7 @@ def test_recovery_counters_visible_in_metrics_file(ert_index, reads, params,
 
 
 def test_batch_timeout_recovery_is_byte_identical(ert_index, reads, params,
-                                                  tmp_path, shm_leak_check):
+                                                  tmp_path, leak_check):
     baseline, _ = seed_reads(ert_index, reads, params,
                              ParallelConfig(workers=1))
     token = str(tmp_path / "hang.token")
@@ -155,7 +163,7 @@ def test_batch_timeout_recovery_is_byte_identical(ert_index, reads, params,
 
 
 def test_worker_crash_with_zero_retries_raises(ert_index, reads, params,
-                                               tmp_path, shm_leak_check):
+                                               tmp_path, leak_check):
     token = str(tmp_path / "sigkill.token")
     with pytest.raises(WorkerCrashError) as info:
         _run_seed(ert_index, reads, params,
@@ -166,7 +174,7 @@ def test_worker_crash_with_zero_retries_raises(ert_index, reads, params,
 
 
 def test_batch_timeout_exhausts_retry_budget(ert_index, reads, params,
-                                             shm_leak_check):
+                                             leak_check):
     # No token: the hang re-fires on every attempt, so the budget runs
     # out and the typed timeout error escapes.
     with pytest.raises(BatchTimeoutError):
@@ -177,7 +185,7 @@ def test_batch_timeout_exhausts_retry_budget(ert_index, reads, params,
 
 
 def test_task_exception_propagates_without_retry(ert_index, reads, params,
-                                                 tmp_path, shm_leak_check):
+                                                 tmp_path, leak_check):
     token = str(tmp_path / "raise.token")
     telemetry.reset()
     telemetry.enable()
@@ -202,7 +210,7 @@ def test_task_exception_propagates_without_retry(ert_index, reads, params,
 
 
 def test_pool_init_failure_falls_back_to_serial(ert_index, reads, params,
-                                                shm_leak_check):
+                                                leak_check):
     # Telemetry is enabled around the degraded run, which pins its
     # engine to the scalar walk (vector kernels are ineligible under
     # telemetry) -- match backends for the stats comparison below.
@@ -224,6 +232,28 @@ def test_pool_init_failure_falls_back_to_serial(ert_index, reads, params,
     assert lines == baseline
     assert stats.as_dict() == base_stats.as_dict()
     assert snap["counters"]["parallel.fallback_serial"] == 1
+
+
+def test_swapped_index_file_degrades_to_the_parents_mapping(
+        ert_index, reads, params, tmp_path, leak_check):
+    """Workers map the file the parent loaded the index from.  One
+    replaced (``os.replace``, here by another genome's index) between
+    the parent's load and the workers' map fails every initializer, and
+    the run degrades to the parent's own mapping, byte for byte."""
+    path = tmp_path / "index.ert"
+    save_ert(ert_index, path)
+    loaded = load_ert(path)
+    config = ParallelConfig(workers=2, batch_size=4, retries=1)
+    baseline, base_stats = seed_reads(
+        loaded, reads, params, ParallelConfig(workers=1,
+                                              kernels=config.kernels))
+    save_ert(build_ert(GenomeSimulator(seed=99).generate(3000),
+                       ert_index.config), path)
+    assert os.stat(path).st_ino != loaded.source.identity[1]
+    with pytest.warns(RuntimeWarning, match="serial"):
+        lines, stats = seed_reads(loaded, reads, params, config)
+    assert lines == baseline
+    assert stats.as_dict() == base_stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +311,13 @@ def test_config_resolves_timeout_into_policy():
 # ----------------------------------------------------------------------
 
 
-def test_segment_registry_tracks_owner_lifetime(ert_index, shm_leak_check):
+def test_segment_registry_tracks_owner_lifetime(ert_index, leak_check):
     with SharedIndexBuffer(ert_index) as shared:
         assert shared.name in shm_mod._LIVE_SEGMENTS
     assert shared.name not in shm_mod._LIVE_SEGMENTS
 
 
-def test_atexit_sweep_unlinks_orphaned_segment(ert_index, shm_leak_check):
+def test_atexit_sweep_unlinks_orphaned_segment(ert_index, leak_check):
     shared = SharedIndexBuffer(ert_index)
     assert shared.name in shm_mod._LIVE_SEGMENTS
     shm_mod._sweep_live_segments()
@@ -296,7 +326,7 @@ def test_atexit_sweep_unlinks_orphaned_segment(ert_index, shm_leak_check):
     shm_mod._sweep_live_segments()
 
 
-def test_attach_failure_closes_mapping(ert_index, shm_leak_check):
+def test_attach_failure_closes_mapping(ert_index, leak_check):
     with SharedIndexBuffer(ert_index) as shared:
         # A truncated view cannot hold the serialized index; the worker-
         # side attach must close its mapping before propagating.
@@ -308,7 +338,7 @@ def test_attach_failure_closes_mapping(ert_index, shm_leak_check):
 
 
 def test_fault_free_pool_leaves_no_segments(ert_index, reads, params,
-                                            shm_leak_check):
+                                            leak_check):
     lines, _ = seed_reads(ert_index, reads, params,
                           ParallelConfig(workers=2, batch_size=8))
     assert lines

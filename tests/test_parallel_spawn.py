@@ -93,14 +93,14 @@ def test_spawn_trace_has_worker_tracks(ert_index, read_codes, params):
     assert len({e["pid"] for e in events}) >= 2, \
         "no spawned-worker track was absorbed into the parent trace"
     names = {e["name"] for e in events}
-    for expected in ("batch", "worker.init", "shm.attach",
+    for expected in ("batch", "worker.init", "index.map",
                      "parallel.merge"):
         assert expected in names, f"missing {expected} events"
 
 
-#: A clean 2-worker ``align_reads`` run in a fresh interpreter (argv:
-#: start method, JSONL event log); under ``spawn`` the main module must
-#: be import-safe, hence the guard.
+#: A clean 2-worker ``align_reads`` run over an index built in memory, in
+#: a fresh interpreter (argv: start method, JSONL event log); under
+#: ``spawn`` the main module must be import-safe, hence the guard.
 _POOL_RUN = """
 import sys
 
@@ -126,28 +126,35 @@ if __name__ == "__main__":
 
 
 @pytest.mark.parametrize("method", ["spawn", "fork"])
-def test_clean_pool_run_is_silent_and_unlinks_its_segment(tmp_path, method):
-    """Workers only attach the index segment: whatever the start method,
-    the parent's resource tracker keeps the parent's registration, so
-    its unlink at the end of the run prints nothing on stderr (no
-    tracker ``KeyError`` traceback) and leaves no segment behind."""
+def test_clean_pool_run_is_silent_and_leaves_no_files(tmp_path, method):
+    """The workers map a temporary file of the index built in memory:
+    whatever the start method, the run prints nothing on stderr (no
+    tracker traceback), creates nothing in ``/dev/shm``, and leaves the
+    temp dir as empty as it found it."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("POSIX shared memory is not mounted at /dev/shm")
     script = tmp_path / "pool_run.py"
     script.write_text(_POOL_RUN)
     events = tmp_path / "events.jsonl"
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    segments = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+        else set()
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, str(script), method, str(events)],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src"),
+             "TMPDIR": str(temp)})
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-    segments = [record["segment"] for record in map(
-        json.loads, events.read_text().splitlines())
-        if record["event"] == "shm.create"]
-    assert segments, "the run published no index segment"
-    for name in segments:
-        assert not os.path.exists(os.path.join("/dev/shm", name))
+    assert not os.listdir(temp)
+    if os.path.isdir("/dev/shm"):
+        assert set(os.listdir("/dev/shm")) <= segments
+    records = [json.loads(line) for line in events.read_text().splitlines()]
+    assert not [r for r in records if r["event"].startswith("shm.")]
+    if method == "fork":
+        # Forked workers inherit the event log: each mapped the file.
+        maps = [r for r in records if r["event"] == "index.map"]
+        assert len(maps) == 2
+        assert all(r["path"].startswith(str(temp)) for r in maps)

@@ -1,5 +1,6 @@
 """End-to-end alignment pipeline tests."""
 
+import numpy as np
 import pytest
 
 from repro.extend import Alignment, ReadAligner, SeedExConfig, SeedExModel
@@ -103,6 +104,46 @@ def test_exact_read_is_one_exact_lane_substituted_read_is_traced(
     else:
         assert out.workload.sw_extensions == 1
         assert out.workload.sw_rows_total == read.size
+
+
+@pytest.fixture(scope="module")
+def gapped():
+    """The benchmark's 10 kbp genome, its aligner, and a 101 bp read
+    across 3000..3104 with 3 bp deleted or 3 bp inserted after 50."""
+    from repro.fmindex import FmdIndex, FmdSeedingEngine
+
+    ref = GenomeSimulator(seed=2021).generate(10_000)
+    aligner = ReadAligner(ref, FmdSeedingEngine(FmdIndex(ref)),
+                          SeedingParams(min_seed_len=12))
+    codes = ref.codes
+    deletion = np.concatenate([codes[3000:3050], codes[3053:3104]])
+    insertion = np.concatenate([codes[3000:3050],
+                                np.array([0, 1, 2], dtype=codes.dtype),
+                                codes[3050:3098]])
+    return aligner, deletion, insertion
+
+
+def _sam_fields(aligner, read):
+    return aligner.align_sam(read, "gapped").to_line().split("\t")
+
+
+def test_insertion_read_is_aligned_through_the_gap(gapped):
+    aligner, _deletion, insertion = gapped
+    fields = _sam_fields(aligner, insertion)
+    assert (fields[3], fields[5]) == ("3001", "50M3I48M")
+    assert "AS:i:90" in fields
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "one-sided band: _window starts band // 2 before the chain's "
+    "diagonal and both kernels centre the band on the window's main "
+    "diagonal, so a deletion leaves the band (50M51S AS:i:50); ROADMAP "
+    "7(a)"))
+def test_deletion_read_is_aligned_through_the_gap(gapped):
+    aligner, deletion, _insertion = gapped
+    fields = _sam_fields(aligner, deletion)
+    assert "D" in fields[5]
+    assert "AS:i:93" in fields
 
 
 def test_outcome_workload_populated(setup):

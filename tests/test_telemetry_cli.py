@@ -2,6 +2,7 @@
 the report subcommand, and output invariance with telemetry disabled."""
 
 import json
+import os
 
 import pytest
 
@@ -203,7 +204,14 @@ def test_log_jsonl_flag_captures_pool_lifecycle(workspace, tmp_path):
     assert not rlog.configured()  # the command shut the sink down
     events = [json.loads(line) for line in log.read_text().splitlines()]
     names = {e["event"] for e in events}
-    assert {"shm.create", "pool.spawn", "shm.unlink"} <= names
+    assert {"pool.spawn", "index.map"} <= names
+    assert not {"shm.create", "shm.unlink"} & names
+    maps = [e for e in events if e["event"] == "index.map"]
+    assert len(maps) == 2  # one per worker
+    for event in maps:
+        assert event["path"] == os.path.abspath(index)
+        assert event["bytes"] == os.path.getsize(index)
+        assert event["crc_ms"] >= 0
     spawn = next(e for e in events if e["event"] == "pool.spawn")
     assert spawn["workers"] == 2
     assert spawn["subsystem"] == "parallel.scheduler"

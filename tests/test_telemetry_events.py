@@ -299,7 +299,7 @@ def test_workers2_trace_has_worker_tracks(ert_index, read_codes, params):
     assert len({e["pid"] for e in events}) >= 2, \
         "no worker track made it into the trace"
     names = {e["name"] for e in events}
-    for expected in ("batch", "worker.init", "shm.attach",
+    for expected in ("batch", "worker.init", "index.map",
                      "parallel.submit", "parallel.merge",
                      "parallel.inflight"):
         assert expected in names, f"missing {expected} events"
