@@ -21,8 +21,14 @@ align many times):
 this module imports neither package.
 
 ``seed``, ``align`` and ``align-pe`` are one run path (:func:`_cmd_run`):
-load the index, parse the reads, call the :mod:`repro.parallel` entry
-point, write, print a summary line.  They and ``compare`` take
+load the index, count the FASTQ's records, then stream -- parse one
+batch of reads at a time, run it through :func:`repro.parallel.map_reads`,
+write each merged batch as it arrives -- and print a summary line (a
+``--reads`` pipe or FIFO, readable only once, is parsed whole first).
+Their ``--out`` appears only when the run succeeds (a sibling
+temporary file is renamed into place); ``-``, a FIFO or a device is
+written as the batches merge, so a run that fails mid-stream has
+written the batches before the defect there.  They and ``compare`` take
 ``--profile`` (print a per-stage wall-clock/counter report),
 ``--metrics-out FILE`` (write the full telemetry snapshot as JSON, the
 input of ``report`` and ``ledger record --metrics``),
@@ -39,17 +45,19 @@ byte-identical at any worker count.  The default worker count comes
 from ``$REPRO_WORKERS`` (else 1).  With workers > 1 they also take
 ``--retries R`` (per-batch retry budget after a worker crash or batch
 timeout; default ``$REPRO_RETRIES``, else 2) and ``--batch-timeout
-SEC``; see the failure model in ``docs/performance.md``.  ``--kernels vector`` (default
-``$REPRO_KERNELS``, else scalar) routes seeding through the batched
-numpy kernels (:mod:`repro.kernels`) with byte-identical output.
+SEC``; see the failure model in ``docs/performance.md``.  ``--kernels``
+(default ``$REPRO_KERNELS``, else vector) picks the batched numpy
+kernels (:mod:`repro.kernels`) or, ``scalar``, the per-read oracle;
+the output is byte-identical.
 
 A malformed, missing or unreadable index, FASTA or FASTQ file, a FASTA
-of more than one record, an index parameter ``ErtConfig`` rejects
-(``--k``, ``--max-seed-len``, ``--table-threshold``, ``--table-x``), an
-``--out`` that cannot be written (checked before the compute starts), a
-bad ``$REPRO_KERNELS`` -- and a missing or malformed ``report
---metrics`` / ``explain --slowlog`` file -- ends in one ``ert-repro
-<command>: <message>`` line on stderr and exit status 2.
+of more than one record, a read longer than the index's
+``max_seed_len``, an index parameter ``ErtConfig`` rejects (``--k``,
+``--max-seed-len``, ``--table-threshold``, ``--table-x``), an ``--out``
+that cannot be written (checked before the compute starts), a bad
+``$REPRO_KERNELS`` -- and a missing or malformed ``report --metrics`` /
+``explain --slowlog`` file -- ends in one ``ert-repro <command>:
+<message>`` line on stderr and exit status 2.
 
 Every subcommand is a thin shell over the library API, so everything it
 does is equally available programmatically.
@@ -57,7 +65,7 @@ does is equally available programmatically.
 When :func:`main` runs the process's own command line (no ``argv``:
 ``python -m repro.cli``, the ``ert-repro`` script), the process ends
 with the command, so ``seed`` / ``align`` / ``align-pe`` freeze the
-start-up heap (``gc.freeze``) once the index and reads are loaded: the
+start-up heap (``gc.freeze``) once the index is loaded: the
 run, its forked workers and the interpreter's exit stop re-scanning the
 numpy and repro modules' objects.  A call with an ``argv`` list leaves
 the caller's collector as it found it.
@@ -72,9 +80,11 @@ list).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import importlib
 import os
+import stat
 import sys
 
 from repro.kernels import KERNEL_CHOICES, resolve_kernels
@@ -177,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay through the scalar engine or the "
                               "batched vector kernels; defaults to "
                               "whatever the slowlog record says the run "
-                              "used (else scalar)")
+                              "used, else $REPRO_KERNELS, else vector")
     _add_seeding_args(explain, max_hits=True)
     explain.add_argument(
         "--slowlog", default=None, metavar="FILE",
@@ -305,11 +315,10 @@ def _add_parallel_args(parser) -> None:
              "respawning the pool (default: wait forever)")
     parser.add_argument(
         "--kernels", choices=KERNEL_CHOICES, default=None,
-        help="seeding/extension kernels: scalar (the per-read oracle) "
-             "or vector (batched numpy walks + row-scan SW "
-             "traceback; byte-identical output).  Default: "
-             "$REPRO_KERNELS, else "
-             "scalar")
+        help="seeding/extension kernels: vector (batched numpy walks + "
+             "row-scan SW traceback) or scalar (the per-read oracle); "
+             "byte-identical output.  Default: $REPRO_KERNELS, else "
+             "vector")
 
 
 def _parallel_config(args):
@@ -390,6 +399,21 @@ def _telemetry_finish(args, active: bool, title: str,
     if args.profile:
         print(telemetry.render_profile(snap, title=title),
               file=profile_stream or sys.stdout)
+
+
+def _telemetry_abort(args, active: bool) -> None:
+    """Close what :func:`_telemetry_begin` opened, writing no artifact:
+    the run failed part-way."""
+    from repro import telemetry
+
+    if args.trace_out:
+        telemetry.stop_recording()
+    if args.log_jsonl:
+        from repro import logging as repro_logging
+
+        repro_logging.shutdown()
+    if active:
+        telemetry.disable()
 
 
 def _cmd_simulate_genome(args) -> int:
@@ -501,128 +525,223 @@ def _cmd_index_stats(args) -> int:
 # The read-driven run: seed / align / align-pe
 # ----------------------------------------------------------------------
 #
-# One skeleton (`_cmd_run`); a command is its scheduler entry point, its
-# output writer and its summary line.  Each entry imports its own layer,
-# so `seed` never loads the extension code.
+# One skeleton (`_cmd_run`); a command is its scheduler task, its output
+# header and body, what its summary counts and its summary line.  The SAM
+# writers import `repro.extend` inside, so `seed` never loads it.
 
 
-def _seed_entry(args, index, reads, config):
-    from repro.parallel import seed_reads
-    from repro.seeding import SeedingParams
-
-    params = SeedingParams(min_seed_len=args.min_seed_len,
-                           max_hits_per_seed=args.max_hits)
-    return seed_reads(index, reads, params, config=config)
+def _write_tsv_header(out, _reference) -> None:
+    out.write("read\tstart\tlength\thit_count\thits\n")
 
 
-def _align_entry(args, index, reads, config):
-    from repro.parallel import align_reads
-    from repro.seeding import SeedingParams
-
-    return align_reads(index, reads,
-                       SeedingParams(min_seed_len=args.min_seed_len),
-                       config=config)
+def _write_lines(out, lines) -> None:
+    out.writelines(lines)
 
 
-def _align_pe_entry(args, index, reads, config):
-    from repro.parallel import align_pairs
-    from repro.seeding import SeedingParams
+def _write_sam_header(out, reference) -> None:
+    from repro.extend.sam import write_sam_header
 
-    return align_pairs(index, reads,
-                       SeedingParams(min_seed_len=args.min_seed_len),
-                       insert_mean=args.insert_mean,
-                       insert_sd=args.insert_sd, config=config)
+    write_sam_header(out, reference)
 
 
-def _write_tsv(path, _reference, lines) -> None:
-    out = sys.stdout if path == "-" else open(path, "w")
-    try:
-        out.write("read\tstart\tlength\thit_count\thits\n")
-        out.writelines(lines)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _write_sam_records(out, records) -> None:
+    from repro.extend.sam import write_sam_records
+
+    write_sam_records(out, records)
 
 
-def _write_sam(path, reference, records) -> None:
-    from repro.extend import write_sam
-
-    write_sam(path, reference, records)
+def _mapped(records) -> int:
+    return sum(1 for rec in records if not rec.flag & 0x4)
 
 
-def _seed_summary(args, reads, lines, stats) -> str:
+def _proper(records) -> int:
+    return sum(1 for rec in records if rec.flag & 0x2)
+
+
+def _seed_summary(args, reads, seeds, stats) -> str:
     truncated = stats.truncated_hit_lists
     clipped = (f" ({truncated} hit lists truncated by "
                f"--max-hits {args.max_hits})" if truncated else "")
-    return f"seeded {len(reads)} reads -> {len(lines)} seeds{clipped}"
+    return f"seeded {reads} reads -> {seeds} seeds{clipped}"
 
 
-def _align_summary(args, reads, records, _stats) -> str:
-    mapped = sum(1 for rec in records if not rec.flag & 0x4)
-    return f"aligned {len(reads)} reads ({mapped} mapped) -> {args.out}"
+def _align_summary(args, reads, mapped, _stats) -> str:
+    return f"aligned {reads} reads ({mapped} mapped) -> {args.out}"
 
 
-def _align_pe_summary(args, reads, records, _stats) -> str:
-    proper = sum(1 for rec in records if rec.flag & 0x2) // 2
-    return (f"aligned {len(reads) // 2} pairs ({proper} proper) -> "
+def _align_pe_summary(args, reads, proper_mates, _stats) -> str:
+    return (f"aligned {reads // 2} pairs ({proper_mates // 2} proper) -> "
             f"{args.out}")
 
 
+#: command -> (header writer, batch writer, per-batch tally, summary).
 _RUNS = {
-    "seed": (_seed_entry, _write_tsv, _seed_summary),
-    "align": (_align_entry, _write_sam, _align_summary),
-    "align-pe": (_align_pe_entry, _write_sam, _align_pe_summary),
+    "seed": (_write_tsv_header, _write_lines, len, _seed_summary),
+    "align": (_write_sam_header, _write_sam_records, _mapped,
+              _align_summary),
+    "align-pe": (_write_sam_header, _write_sam_records, _proper,
+                 _align_pe_summary),
 }
 
 
+def _written_in_place(path: str) -> bool:
+    """Whether output to ``path`` is written straight into it: it exists
+    and is neither a regular file nor a directory -- a FIFO, or a device
+    such as ``/dev/null``, or ``/dev/stdout`` on a pipe or terminal.
+    ``os.stat`` follows the link, so this is decided on what ``path``
+    names now; any other ``--out`` is written to a sibling temporary
+    file."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+
+
 def _check_writable(path: str) -> None:
-    """Raise the ``OSError`` that opening ``path`` for writing would,
-    now rather than after the whole run has been computed.  Creates
+    """Raise the ``OSError`` that writing the output to ``path`` would,
+    now rather than after the run has started: a FIFO or device must be
+    writable; for a file, so must the (symlink-resolved) file if it
+    exists and the directory the temporary file goes to.  Creates
     nothing: a run that fails later still leaves no output file."""
     if path == "-":
         return
-    directory = os.path.dirname(path) or "."
+    if _written_in_place(path):
+        written = [path]
+        directory = None
+    else:
+        target = os.path.realpath(path)
+        directory = os.path.dirname(target)
+        written = [target] if os.path.exists(target) else []
+        written.append(directory)
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(directory):
+    elif directory is not None and not os.path.isdir(directory):
         code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else directory,
-                       os.W_OK):
+    elif not all(os.access(name, os.W_OK) for name in written):
         code = errno.EACCES
     else:
         return
     raise OSError(code, os.strerror(code), path)
 
 
-def _cmd_run(args) -> int:
-    from repro.core import load_ert
-    from repro.sequence import read_fastq
+@contextlib.contextmanager
+def _output(path: str):
+    """The stream a run writes its output to.
 
-    entry, write, summary = _RUNS[args.command]
+    ``-`` is stdout, and a FIFO or device is opened and written in
+    place: a run that fails mid-stream leaves what it wrote there.
+    Anything else gets a sibling temporary file, renamed over the
+    (symlink-resolved) path only when the block exits cleanly, so a
+    failed run leaves neither a partial output nor the temporary file.
+    """
+    if path == "-":
+        yield sys.stdout
+        return
+    if _written_in_place(path):
+        with open(path, "w") as out:
+            yield out
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    out = open(temp, "x")
+    try:
+        with out:
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+class _ReadStream:
+    """The run's reads, refusing the first one longer than the index's
+    ``max_seed_len`` (``limit``) when the stream reaches it; ``count``
+    is how many it has passed on."""
+
+    def __init__(self, reads, limit: int, path: str) -> None:
+        self._reads = reads
+        self._limit = limit
+        self._path = path
+        self.count = 0
+
+    def __iter__(self):
+        limit = self._limit
+        for read in self._reads:
+            if read.codes.size > limit:
+                raise _RefusedArgument(
+                    f"{self._path}: read {read.name!r} is "
+                    f"{read.codes.size} bp, over the index's max_seed_len "
+                    f"({limit}); rebuild the index with a larger "
+                    f"--max-seed-len")
+            self.count += 1
+            yield read
+
+
+def _cmd_run(args) -> int:
+    """``seed`` / ``align`` / ``align-pe``: a pipeline of batches.
+
+    A ``--reads`` that is a regular file has its records counted (on the
+    raw bytes) before any output or telemetry sink opens; then reads are
+    parsed ``--batch-size`` at a time as the scheduler asks for them and
+    each merged batch is written at once, so the process holds one
+    in-flight window, not the read set.  A ``--reads`` that can be read
+    only once (a pipe, ``/dev/stdin``, a FIFO) is parsed whole up front
+    instead.  A bad record found mid-stream ends the run (exit 2) after
+    the batches before it were written -- to the temporary file of a
+    file ``--out``, which is then removed, or in place to ``-``, a FIFO
+    or a device.
+    """
+    from repro.core import load_ert
+    from repro.parallel import map_reads
+    from repro.seeding import SeedingParams
+    from repro.seeding.engine import EngineStats
+    from repro.sequence.io import count_fastq_records, iter_fastq, read_fastq
+
+    write_header, write, tally, summary = _RUNS[args.command]
     _check_writable(args.out)
     index = load_ert(args.index)
     _check_min_seed_len(args, index.config.k)
-    reads = read_fastq(args.reads)
-    limit = index.config.max_seed_len
-    too_long = next((r for r in reads if r.codes.size > limit), None)
-    if too_long is not None:
-        print(f"ert-repro {args.command}: {args.reads}: read "
-              f"{too_long.name!r} is {too_long.codes.size} bp, over the "
-              f"index's max_seed_len ({limit}); rebuild the index with a "
-              f"larger --max-seed-len", file=sys.stderr)
-        return 2
-    if args.command == "align-pe" and len(reads) % 2:
+    if os.path.isfile(args.reads):
+        n_reads = count_fastq_records(args.reads)
+        parsed = iter_fastq(args.reads, args.batch_size)
+    else:
+        parsed = read_fastq(args.reads)
+        n_reads = len(parsed)
+    if args.command == "align-pe" and n_reads % 2:
         print(f"ert-repro align-pe: {args.reads}: interleaved FASTQ must "
-              f"hold an even read count, not {len(reads)}", file=sys.stderr)
+              f"hold an even read count, not {n_reads}", file=sys.stderr)
         return 2
+    reads = _ReadStream(parsed, index.config.max_seed_len, args.reads)
+    params = SeedingParams(min_seed_len=args.min_seed_len)
+    if args.command == "seed":
+        params = SeedingParams(min_seed_len=args.min_seed_len,
+                               max_hits_per_seed=args.max_hits)
+    pairs = ({"insert_mean": args.insert_mean, "insert_sd": args.insert_sd}
+             if args.command == "align-pe" else {})
     active = _telemetry_begin(args)
     if args.process_exits:
         import gc
 
         gc.freeze()
-    results, stats = entry(args, index, reads, _parallel_config(args))
-    write(args.out, index.reference, results)
-    print(summary(args, reads, results, stats), file=sys.stderr)
+    stats = EngineStats()
+    count = 0
+    try:
+        with _output(args.out) as out:
+            write_header(out, index.reference)
+            for payload, stat_delta in map_reads(
+                    index, args.command, reads, params,
+                    _parallel_config(args), **pairs):
+                write(out, payload)
+                count += tally(payload)
+                stats.add_dict(stat_delta)
+    except BaseException:
+        _telemetry_abort(args, active)
+        raise
+    print(summary(args, reads.count, count, stats), file=sys.stderr)
     # With the output on stdout the profile must not corrupt it.
     _telemetry_finish(args, active,
                       title=f"{args.command} profile ({args.reads})",
@@ -714,11 +833,11 @@ def _cmd_explain(args) -> int:
         print(f"read {args.read_id!r} not found in {args.reads}",
               file=sys.stderr)
         return 2
-    # Peek at the slowlog record first: when the run used the vector
-    # kernels the record says so, and the replay must go through the
-    # same path for the counters to be comparable.  Without a slowlog
-    # to consult, fall back to the usual $REPRO_KERNELS resolution so
-    # an explain run in a vector environment replays vector.
+    # Peek at the slowlog record first: the replay must go through the
+    # path the run used for the counters to be comparable, and a record
+    # carries a "kernels" tag only when that was the vector one.
+    # Without a record to consult, fall back to the usual
+    # $REPRO_KERNELS resolution (else vector).
     try:
         recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
                                         args.task)
@@ -727,8 +846,12 @@ def _cmd_explain(args) -> int:
         print(f"ert-repro explain: cannot read --slowlog {args.slowlog}: "
               f"{exc}", file=sys.stderr)
         return 2
-    kernels = (args.kernels or (recorded or {}).get("kernels")
-               or resolve_kernels())
+    if args.kernels:
+        kernels = args.kernels
+    elif recorded is not None:
+        kernels = recorded.get("kernels", "scalar")
+    else:
+        kernels = resolve_kernels()
     rec = _explain_replay(args, reads[0], kernels=kernels)
     if rec is None:
         print("replay recorded no exemplar (telemetry disabled?)",

@@ -73,9 +73,18 @@ def mapq_from_scores(best: int, runner_up: int, read_len: int) -> int:
     return min(60, int(60 * gap / max(read_len, 1)))
 
 
+def write_sam_header(handle, reference: Reference) -> None:
+    """Write the header lines of a SAM file to the open text ``handle``."""
+    handle.writelines([line + "\n" for line in sam_header(reference)])
+
+
+def write_sam_records(handle, records) -> None:
+    """Write one line per record to the open text ``handle``; a streaming
+    writer calls it once per batch after :func:`write_sam_header`."""
+    handle.writelines([record.to_line() + "\n" for record in records])
+
+
 def write_sam(path, reference: Reference, records) -> None:
     with open(path, "w") as handle:
-        for line in sam_header(reference):
-            handle.write(line + "\n")
-        for record in records:
-            handle.write(record.to_line() + "\n")
+        write_sam_header(handle, reference)
+        write_sam_records(handle, records)

@@ -29,10 +29,10 @@ over many (read, window) lanes at once:
   registry once per batch, so vector mode runs fully observed with the
   hot loops telemetry-call-free (ERT007/ERT017).
 
-The scalar path remains the oracle: the vector path is selected with
-``REPRO_KERNELS=vector`` (CLI ``--kernels vector``) and must produce
-byte-identical output; the randomized equivalence suite in
-``tests/test_kernels.py`` enforces this.
+The vector path is the default; the scalar path remains the oracle,
+selected with ``REPRO_KERNELS=scalar`` (CLI ``--kernels scalar``), and
+the two must produce byte-identical output; the randomized equivalence
+suite in ``tests/test_kernels.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ KERNEL_CHOICES = ("scalar", "vector")
 
 def resolve_kernels(value: "str | None" = None) -> str:
     """Normalize a kernel selection: explicit value, else the
-    ``REPRO_KERNELS`` environment variable, else ``scalar``."""
+    ``REPRO_KERNELS`` environment variable, else ``vector``."""
     chosen = value if value is not None else os.environ.get("REPRO_KERNELS")
     if chosen is None or chosen == "":
-        return "scalar"
+        return "vector"
     if chosen not in KERNEL_CHOICES:
         source = "kernels selection" if value is not None \
             else "REPRO_KERNELS value"

@@ -13,8 +13,12 @@ telemetry snapshots fold back into the parent.
 
 Entry points:
 
+* :func:`map_reads` -- the CLI's ``seed`` / ``align`` / ``align-pe``
+  workloads as a generator of per-batch results, over any iterable of
+  reads (a FASTQ stream included): the parent holds the in-flight
+  window of batches, not the read set;
 * :func:`seed_reads` / :func:`align_reads` / :func:`align_pairs` -- the
-  CLI's ``seed`` / ``align`` / ``align-pe`` workloads;
+  same, collected into one list and one ``EngineStats``;
 * :class:`ParallelConfig` / :func:`default_workers` -- ``--workers`` /
   ``--batch-size`` / ``$REPRO_WORKERS`` resolution;
 * :mod:`repro.parallel.pool` -- the worker pool itself (spawn, probe,
@@ -59,6 +63,7 @@ if TYPE_CHECKING:
         align_reads,
         default_workers,
         map_batches,
+        map_reads,
         seed_reads,
     )
     from repro.parallel.shm import SharedIndexBuffer, attach_index
@@ -81,6 +86,7 @@ __all__ = [
     "default_workers",
     "iter_chunks",
     "map_batches",
+    "map_reads",
     "pack_batch",
     "seed_reads",
 ]
@@ -93,6 +99,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "WorkerCrashError", "default_retries"),
     "repro.parallel.scheduler": (
         "ParallelConfig", "align_pairs", "align_reads", "default_workers",
-        "map_batches", "seed_reads"),
+        "map_batches", "map_reads", "seed_reads"),
     "repro.parallel.shm": ("SharedIndexBuffer", "attach_index"),
 })

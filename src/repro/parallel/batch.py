@@ -15,7 +15,8 @@ scheme construction) to batch granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,9 +67,14 @@ def pack_batch(reads: "Sequence[object]") -> ReadBatch:
                      codes=packed, offsets=offsets)
 
 
-def iter_chunks(items: "Sequence[T]", size: int) -> "Iterator[Sequence[T]]":
-    """Yield ``items`` in fixed-size runs (the last may be short)."""
+def iter_chunks(items: "Iterable[T]", size: int) -> "Iterator[list[T]]":
+    """Yield ``items`` in fixed-size runs (the last may be short),
+    pulling each run from the iterable only when it is asked for."""
     if size < 1:
         raise ValueError("batch size must be at least 1")
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
+    source = iter(items)
+    while True:
+        chunk = list(islice(source, size))
+        if not chunk:
+            return
+        yield chunk

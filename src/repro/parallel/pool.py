@@ -10,6 +10,12 @@ a pool needs and nothing a batch executes.  What a worker *runs*
 the parent has fully imported by then, so a forked worker imports
 nothing.
 
+Batches are pulled from the caller's iterable only to keep
+:data:`~repro.parallel.scheduler.INFLIGHT_PER_WORKER` per worker
+outstanding, so the parent holds the in-flight window (plus the result
+its caller is consuming), never the whole input, and a stream of reads
+is parsed as the pool drains it.
+
 Workers get the index as a file to map (:func:`_index_file`): the one
 the parent loaded it from, or, for an index built in memory, a
 temporary one.  Every worker maps that same file, so the page cache
@@ -23,13 +29,14 @@ Fault model (see :mod:`repro.parallel.faults` and docs/performance.md):
   exception raised by the task itself or a pickling failure is
   deterministic and propagates immediately;
 * on a retryable failure the pool is killed, the scheduler backs off
-  exponentially, respawns, and resubmits every unconsumed batch in
+  exponentially, respawns, and resubmits the in-flight window in
   submission order -- the merge point never moves, so output stays
   byte-identical to serial across any number of recoveries;
 * every freshly (re)spawned pool is probed with a no-op task before
   batches flow, so "the pool cannot be built" (e.g. its initializer
   always dies) is detected deterministically; in that case the remaining
-  batches degrade to the in-process serial path with a
+  batches (the in-flight window, then the rest of the iterable)
+  degrade to the in-process serial path with a
   ``RuntimeWarning`` and a ``parallel.fallback_serial`` telemetry
   counter rather than failing the run.
 """
@@ -43,10 +50,11 @@ import time
 import warnings
 from collections import deque
 from contextlib import ExitStack
+from itertools import chain
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pickle import PicklingError
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro import telemetry
 from repro.core.index import ErtIndex
@@ -216,7 +224,7 @@ def _classify_failure(exc: BaseException,
 
 def _degrade_to_serial(spec: EngineSpec, task: str,
                        options: "dict[str, Any]",
-                       batches: "Sequence[ReadBatch]",
+                       batches: "Iterable[ReadBatch]",
                        cause: ParallelExecutionError) \
         -> "Iterator[BatchResult]":
     """Graceful degradation: finish the remaining batches in-process.
@@ -227,16 +235,15 @@ def _degrade_to_serial(spec: EngineSpec, task: str,
     """
     warnings.warn(
         f"worker pool unavailable ({cause}); degrading to in-process "
-        f"serial execution for {len(batches)} remaining batch(es)",
+        f"serial execution for the remaining batches",
         RuntimeWarning, stacklevel=3)
     telemetry.count("parallel.fallback_serial")
-    _log.error("pool.degrade_serial", task=task, reason=str(cause),
-               remaining_batches=len(batches))
+    _log.error("pool.degrade_serial", task=task, reason=str(cause))
     return _serial_batches(spec, task, options, batches)
 
 
 def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
-             batches: "Sequence[ReadBatch]",
+             batches: "Iterable[ReadBatch]",
              config: ParallelConfig, workers: int) \
         -> "Iterator[BatchResult]":
     """The fault-tolerant pool path behind :func:`map_batches`: the
@@ -252,11 +259,18 @@ def pool_map(spec: EngineSpec, task: str, options: "dict[str, Any]",
 
 def _pool_batches(spec: EngineSpec, local: EngineSpec, task: str,
                   options: "dict[str, Any]",
-                  batches: "Sequence[ReadBatch]",
+                  batches: "Iterable[ReadBatch]",
                   config: ParallelConfig, workers: int) \
         -> "Iterator[BatchResult]":
     """:func:`pool_map` over workers initialized with ``spec``; the
-    degraded path runs on ``local``."""
+    degraded path runs on ``local``.
+
+    ``batches`` is pulled only to fill the in-flight window, so what the
+    parent holds is that window, never the whole input.  An exception
+    raised by ``batches`` stops the pulling; it is re-raised once every
+    batch taken before it has been merged, so what a run yields before
+    it fails does not depend on the worker count.
+    """
     # Load, here in the parent, what this task's runners execute and a
     # one-worker run may not have needed yet: a forked worker then finds
     # every module in place and imports nothing.
@@ -279,16 +293,27 @@ def _pool_batches(spec: EngineSpec, local: EngineSpec, task: str,
         return
     max_inflight = INFLIGHT_PER_WORKER * workers
     pending: "deque[_PendingBatch]" = deque()
+    source: "Iterator[ReadBatch] | None" = iter(batches)
+    source_error: "Exception | None" = None
     next_index = 0
     try:
-        while next_index < len(batches) or pending:
-            while next_index < len(batches) and len(pending) < max_inflight:
-                batch = batches[next_index]
+        while True:
+            while source is not None and len(pending) < max_inflight:
+                try:
+                    batch = next(source)
+                except StopIteration:
+                    source = None
+                    break
+                except Exception as exc:
+                    source, source_error = None, exc
+                    break
                 recorder.instant("parallel.submit", {"batch": next_index})
                 pending.append(_PendingBatch(
                     next_index, batch, manager.submit(batch, next_index)))
                 next_index += 1
                 recorder.counter("parallel.inflight", len(pending))
+            if not pending:
+                break
             head = pending[0]
             try:
                 result = head.future.result(timeout=policy.batch_timeout)
@@ -330,14 +355,15 @@ def _pool_batches(spec: EngineSpec, local: EngineSpec, task: str,
                 try:
                     manager.respawn()
                 except PoolUnavailableError as exc:
-                    remaining = [entry.batch for entry in pending] \
-                        + list(batches[next_index:])
+                    remaining = chain([entry.batch for entry in pending],
+                                      source or ())
                     yield from _degrade_to_serial(local, task, options,
                                                   remaining, exc)
-                    return
+                    break
                 for entry in pending:
                     entry.future = manager.submit(entry.batch, entry.index)
         manager.close()
     finally:
         manager.kill()
-
+    if source_error is not None:
+        raise source_error

@@ -4,7 +4,9 @@ fault-tolerant execution.
 Execution model (tentpole of the parallel layer):
 
 * the parent packs reads into :class:`~repro.parallel.batch.ReadBatch`
-  units and submits them to a ``ProcessPoolExecutor`` whose workers were
+  units as it needs them -- the reads may be a stream, pulled one batch
+  at a time -- and submits them to a ``ProcessPoolExecutor`` whose
+  workers were
   initialized once with an *engine spec* -- the index file to map
   (``("file", path, identity, gather_limit)``): every worker maps the
   file the parent mapped, so the page cache holds one copy, zero-copy;
@@ -13,10 +15,11 @@ Execution model (tentpole of the parallel layer):
   concatenating per-batch payloads reproduces the serial output **byte
   for byte** regardless of worker finishing order;
 * every batch returns ``(payload, stats delta, telemetry snapshot)``;
-  the parent folds stats into one :class:`~repro.seeding.engine.
-  EngineStats` and merges worker telemetry into the live registry, so
-  ``--profile`` / ``--metrics-out`` see the same counters as a serial
-  run;
+  the parent merges worker telemetry into the live registry as the
+  batch merges, so ``--profile`` / ``--metrics-out`` see the same
+  counters as a serial run, and :func:`map_reads` hands each payload
+  and stats delta on at once -- the CLI writes it, the list entry
+  points fold stats into one :class:`~repro.seeding.engine.EngineStats`;
 * ``workers <= 1`` short-circuits to an in-process loop over the same
   batches -- no pool, no pickling, live telemetry -- which still gains
   the per-batch pre-encoding and the engine's ``begin_batch`` hoists
@@ -43,8 +46,10 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
+    List,
     Sequence,
     Tuple,
 )
@@ -64,6 +69,11 @@ if TYPE_CHECKING:
     from repro.core.index import ErtIndex
     from repro.extend.sam import SamRecord
     from repro.parallel.faults import RetryPolicy
+
+    #: One batch's merged result as the entry points yield it: the
+    #: payload (TSV lines or SAM records, in input order) and its
+    #: engine-stats delta.
+    ReadsResult = Tuple[List[Any], Dict[str, int]]
 
 #: One batch's wire result: payload, engine-stats delta, telemetry
 #: snapshot delta (None in serial mode, where telemetry records live).
@@ -100,9 +110,10 @@ class ParallelConfig:
     #: slower worker boot, which the fault/exemplar tests exercise.
     start_method: "str | None" = None
     #: Kernel selection ("scalar"/"vector"); None defers to
-    #: ``$REPRO_KERNELS`` (else scalar).  "vector" routes seeding through
+    #: ``$REPRO_KERNELS`` (else vector).  "vector" routes seeding through
     #: the batched kernels (:mod:`repro.kernels`) wherever the engine is
-    #: eligible -- output stays byte-identical at any worker count.
+    #: eligible; "scalar" is the per-read oracle -- output is
+    #: byte-identical either way, at any worker count.
     kernels: "str | None" = None
 
     def resolved_workers(self) -> int:
@@ -428,13 +439,18 @@ def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
     submission order with at most :data:`INFLIGHT_PER_WORKER` per worker
     outstanding.
 
-    With one worker everything runs in-process over the same batch units
+    ``batches`` is pulled lazily: a batch is taken from it only when a
+    worker slot is free (or, with one worker, when the previous result
+    has been consumed), so the caller's iterable may be a stream.  With
+    one worker everything runs in-process over the same batch units
     -- the serial fast path.  A pool's workers map the index file of the
     spec's engine (:func:`repro.parallel.pool.pool_map`).  Pool failures
     are classified, retried and degraded per :mod:`repro.parallel.pool`
     (imported here, in the parent, before any pool exists); when a
     typed error escapes this generator, every consumed prefix result was
-    already byte-exact and no partial batch has been yielded.
+    already byte-exact and no partial batch has been yielded.  An
+    exception raised by ``batches`` itself escapes once every batch
+    taken before it has been yielded, at any worker count.
     """
     workers = config.resolved_workers()
     if workers <= 1:
@@ -442,32 +458,47 @@ def map_batches(spec: EngineSpec, task: str, options: "dict[str, Any]",
         return
     from repro.parallel.pool import pool_map
 
-    yield from pool_map(spec, task, options, list(batches), config,
-                        workers)
+    yield from pool_map(spec, task, options, batches, config, workers)
 
 
 def _map_reads(engine: ErtSeedingEngine, task: str,
-               options: "dict[str, Any]",
-               reads: "Sequence[object]", config: ParallelConfig,
-               chunk_size: int) -> "tuple[list[Any], EngineStats]":
+               options: "dict[str, Any]", reads: "Iterable[object]",
+               config: ParallelConfig,
+               chunk_size: int) -> "Iterator[ReadsResult]":
     """The body of every entry point: pack ``reads`` into batches of
-    ``chunk_size``, map them over ``engine``, and merge the per-batch
-    results in submission order.
+    ``chunk_size`` as the scheduler asks for them, map them over
+    ``engine``, and yield each batch's payload and stats delta in
+    submission order.
 
     One worker runs on ``engine`` itself; a pool's workers map the file
-    of its index, never once per batch.  Payloads concatenate, stats
-    fold into one :class:`EngineStats`, and worker snapshots merge in
-    submission order.
+    of its index, never once per batch.  A worker's telemetry snapshot
+    merges into the live registry as its batch is yielded.  ``align-pe``
+    batches hold whole pairs: a last batch of odd size raises
+    ``ValueError`` when it is packed.
     """
-    batches = [pack_batch(chunk) for chunk in iter_chunks(reads, chunk_size)]
-    payload: "list[Any]" = []
-    stats = EngineStats()
+    def batches() -> "Iterator[ReadBatch]":
+        for chunk in iter_chunks(reads, chunk_size):
+            if task == "align-pe" and len(chunk) % 2:
+                raise ValueError(
+                    "interleaved read set must hold an even count")
+            yield pack_batch(chunk)
+
     for items, stat_delta, snap in map_batches(
-            ("local", engine), task, options, batches, config):
-        payload.extend(items)
-        stats.add_dict(stat_delta)
+            ("local", engine), task, options, batches(), config):
         if snap is not None:
             telemetry.merge_snapshot(snap)
+        yield items, stat_delta
+
+
+def _collect(results: "Iterable[ReadsResult]") \
+        -> "tuple[list[Any], EngineStats]":
+    """Concatenate per-batch payloads and fold their stats into one
+    :class:`EngineStats`: the list form of :func:`map_reads`."""
+    payload: "list[Any]" = []
+    stats = EngineStats()
+    for items, stat_delta in results:
+        payload.extend(items)
+        stats.add_dict(stat_delta)
     return payload, stats
 
 
@@ -476,34 +507,56 @@ def _map_reads(engine: ErtSeedingEngine, task: str,
 # ----------------------------------------------------------------------
 
 
-def seed_reads(index: ErtIndex, reads: "Sequence[object]",
+def map_reads(index: ErtIndex, task: str, reads: "Iterable[object]",
+              params: "SeedingParams | None" = None,
+              config: "ParallelConfig | None" = None, *,
+              gather_limit: int = 500, insert_mean: int = 350,
+              insert_sd: int = 50) -> "Iterator[ReadsResult]":
+    """Run ``task`` (``"seed"``, ``"align"`` or ``"align-pe"``) over
+    ``reads`` and yield one ``(payload, stats delta)`` per batch, in
+    input order: the CLI's TSV lines (one per seed, newline-terminated)
+    or SAM records.
+
+    ``reads`` may be any iterable, a stream included: the scheduler
+    takes a batch from it only when a worker can run it, so the caller
+    holds at most the in-flight window of batches (``config.batch_size``
+    reads each, pairs for ``align-pe``) plus the one it is consuming.
+    ``align-pe`` reads are interleaved mates (mate1, mate2, ...), an
+    even count.
+    """
+    config = config or ParallelConfig()
+    options: "dict[str, Any]" = {"params": params,
+                                 "kernels": config.resolved_kernels()}
+    chunk_size = config.batch_size
+    if task == "align-pe":
+        # Batch at pair granularity so mates never split across workers.
+        options.update(insert_mean=insert_mean, insert_sd=insert_sd)
+        chunk_size *= 2
+    return _map_reads(ErtSeedingEngine(index, gather_limit=gather_limit),
+                      task, options, reads, config, chunk_size)
+
+
+def seed_reads(index: ErtIndex, reads: "Iterable[object]",
                params: "SeedingParams | None" = None,
                config: "ParallelConfig | None" = None,
                gather_limit: int = 500) \
         -> "tuple[list[str], EngineStats]":
     """Seed ``reads`` in batches; returns the CLI's TSV lines (one per
     seed, newline-terminated, in input order) plus aggregated stats."""
-    config = config or ParallelConfig()
-    return _map_reads(
-        ErtSeedingEngine(index, gather_limit=gather_limit), "seed",
-        {"params": params, "kernels": config.resolved_kernels()},
-        reads, config, config.batch_size)
+    return _collect(map_reads(index, "seed", reads, params, config,
+                              gather_limit=gather_limit))
 
 
-def align_reads(index: ErtIndex, reads: "Sequence[object]",
+def align_reads(index: ErtIndex, reads: "Iterable[object]",
                 params: "SeedingParams | None" = None,
                 config: "ParallelConfig | None" = None) \
         -> "tuple[list[SamRecord], EngineStats]":
     """Align ``reads`` to SAM records, byte-identical to the serial
     per-read loop, in input order."""
-    config = config or ParallelConfig()
-    return _map_reads(
-        ErtSeedingEngine(index), "align",
-        {"params": params, "kernels": config.resolved_kernels()},
-        reads, config, config.batch_size)
+    return _collect(map_reads(index, "align", reads, params, config))
 
 
-def align_pairs(index: ErtIndex, reads: "Sequence[object]",
+def align_pairs(index: ErtIndex, reads: "Iterable[object]",
                 params: "SeedingParams | None" = None,
                 insert_mean: int = 350, insert_sd: int = 50,
                 config: "ParallelConfig | None" = None) \
@@ -513,11 +566,6 @@ def align_pairs(index: ErtIndex, reads: "Sequence[object]",
     Batching happens at pair granularity (``batch_size`` pairs per
     batch) so mates never split across workers.
     """
-    if len(reads) % 2:
-        raise ValueError("interleaved read set must hold an even count")
-    config = config or ParallelConfig()
-    return _map_reads(
-        ErtSeedingEngine(index), "align-pe",
-        {"params": params, "kernels": config.resolved_kernels(),
-         "insert_mean": insert_mean, "insert_sd": insert_sd},
-        reads, config, 2 * config.batch_size)
+    return _collect(map_reads(index, "align-pe", reads, params, config,
+                              insert_mean=insert_mean,
+                              insert_sd=insert_sd))

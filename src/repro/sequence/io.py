@@ -8,11 +8,15 @@ ambiguous-base reads (§V).
 
 :class:`Read` lives here, next to ``read_fastq``, so parsing reads does
 not load the simulators (:mod:`repro.sequence.simulate` re-exports it).
+``iter_fastq`` parses a FASTQ file one batch of records at a time: the
+CLI's run path streams reads through it (``read_fastq`` is its list).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -92,27 +96,74 @@ def write_fasta(path, references, width: int = 70) -> None:
 
 def read_fastq(path) -> "list[Read]":
     """Parse a FASTQ file into a list of :class:`Read` records."""
-    reads = []
+    return list(iter_fastq(path))
+
+
+def iter_fastq(path, batch_size: int = 64) -> "Iterator[Read]":
+    """Parse a FASTQ file into :class:`Read` records, reading the lines
+    of ``batch_size`` records at a time, so a caller that consumes the
+    reads as they come holds one batch of them, not the whole file.
+
+    Blank lines are skipped.  A malformed record raises
+    :class:`FastaError` (a non-ACGT base :class:`AlphabetError`) when
+    the parse reaches it, records before it having been yielded, and so
+    does a file whose non-blank lines are not a multiple of 4 -- at its
+    end; :func:`count_fastq_records` finds that before any record is
+    parsed.
+    """
+    if batch_size < 1:
+        raise ValueError("batch size must be at least 1")
+    want = 4 * batch_size
+    number = 0
+    lines: "list[str]" = []
     with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    lines = [line for line in lines if line]
-    if len(lines) % 4 != 0:
-        raise FastaError(f"FASTQ file {path} is not a multiple of 4 lines")
-    for i in range(0, len(lines), 4):
-        header, seq, plus, quality = lines[i:i + 4]
-        if not header.startswith("@"):
-            raise FastaError(f"FASTQ record {i // 4} missing '@' header")
-        name = header[1:].split()
-        if not name:
-            raise FastaError(f"FASTQ record {i // 4} has an empty name")
-        if not plus.startswith("+"):
-            raise FastaError(f"FASTQ record {i // 4} missing '+' separator")
-        if len(seq) != len(quality):
-            raise FastaError(
-                f"FASTQ record {i // 4} sequence/quality length mismatch")
-        reads.append(Read(name=name[0], codes=encode(seq),
-                          quality=quality))
-    return reads
+        while True:
+            raw = list(islice(handle, want))
+            if not raw:
+                break
+            lines += [line.rstrip("\n") for line in raw if line != "\n"]
+            usable = len(lines) - len(lines) % 4
+            for i in range(0, usable, 4):
+                header, seq, plus, quality = lines[i:i + 4]
+                if not header.startswith("@"):
+                    raise FastaError(f"FASTQ record {number} missing '@' "
+                                     f"header")
+                name = header[1:].split()
+                if not name:
+                    raise FastaError(f"FASTQ record {number} has an empty "
+                                     f"name")
+                if not plus.startswith("+"):
+                    raise FastaError(f"FASTQ record {number} missing '+' "
+                                     f"separator")
+                if len(seq) != len(quality):
+                    raise FastaError(f"FASTQ record {number} "
+                                     f"sequence/quality length mismatch")
+                yield Read(name=name[0], codes=encode(seq), quality=quality)
+                number += 1
+            del lines[:usable]
+    if lines:
+        raise _line_count_error(path)
+
+
+def _line_count_error(path) -> FastaError:
+    return FastaError(f"FASTQ file {path} is not a multiple of 4 lines")
+
+
+#: What a blank line is in bytes: text mode reads ``\r\n`` as ``\n``.
+_BLANK = (b"\n", b"\r\n")
+
+
+def count_fastq_records(path) -> int:
+    """The number of records in the FASTQ file at ``path``: its
+    non-blank lines over 4, counted on the raw bytes without decoding a
+    record.  A count that is not a multiple of 4 raises
+    :func:`iter_fastq`'s error, so a caller can refuse the file before
+    it parses or writes anything."""
+    with open(path, "rb") as handle:
+        lines = sum(1 for line in handle if line not in _BLANK)
+    if lines % 4:
+        raise _line_count_error(path)
+    return lines // 4
 
 
 def write_fastq(path, reads) -> None:

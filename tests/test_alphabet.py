@@ -41,6 +41,35 @@ def test_encode_rejects_whitespace():
         encode("AC GT")
 
 
+def _lookup_encode(seq):
+    """The table lookup ``encode`` implements, as numpy indexing: the
+    oracle for its ``bytes.translate`` form."""
+    table = np.full(256, 255, dtype=np.uint8)
+    for code, base in enumerate(BASES):
+        table[ord(base)] = table[ord(base.lower())] = code
+    codes = table[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
+    if codes.max(initial=0) > 3:
+        bad = seq[int(np.argmax(codes > 3))]
+        raise AlphabetError(f"non-ACGT character {bad!r} in sequence")
+    return codes
+
+
+@given(st.text(alphabet="ACGTacgtNn \x00\x7f-", max_size=60))
+def test_encode_is_the_table_lookup(seq):
+    """Same codes (a writable ``uint8`` array), or the same error naming
+    the first bad character, for every ASCII input."""
+    try:
+        expected = _lookup_encode(seq)
+    except AlphabetError as exc:
+        with pytest.raises(AlphabetError) as raised:
+            encode(seq)
+        assert str(raised.value) == str(exc)
+        return
+    codes = encode(seq)
+    assert codes.dtype == np.uint8 and codes.flags.writeable
+    assert codes.tolist() == expected.tolist()
+
+
 def test_decode_rejects_out_of_range():
     with pytest.raises(AlphabetError):
         decode(np.array([0, 4], dtype=np.uint8))

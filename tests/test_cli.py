@@ -366,9 +366,9 @@ def test_malformed_reads_are_one_line_and_exit_two(workspace, tmp_path,
 def test_read_over_max_seed_len_is_one_line_and_exit_two(
         workspace, tmp_path, capsys, command, kernels, workers):
     """A read the index cannot hold (longer than its ``max_seed_len``,
-    100 here) is refused before any batch runs: not a ``ValueError``
-    traceback from the engine, nor a ``BatchTaskError`` chain from a
-    pool worker."""
+    100 here) is refused in the parent when the read stream reaches it,
+    before its batch is submitted: not a ``ValueError`` traceback from
+    the engine, nor a ``BatchTaskError`` chain from a pool worker."""
     _root, _ref, reads, index = workspace
     bad = tmp_path / "long.fq"
     bad.write_text(reads.read_text()
@@ -384,6 +384,198 @@ def test_read_over_max_seed_len_is_one_line_and_exit_two(
     assert "'toolong' is 120 bp" in captured.err
     assert "max_seed_len (100)" in captured.err
     assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# The streaming run path: one batch window in memory, output on success
+# ----------------------------------------------------------------------
+
+#: ``--batch-size`` of the streaming tests: ``stream_fastq``'s 45 reads
+#: are six batches, the last one short.
+STREAM_BATCH = 8
+
+#: One bad record each, appended to ``stream_fastq`` so it lands in the
+#: last batch.
+DEFECTS = {
+    "malformed": "@bad\nACGTACGT\n+\nIIII\n",
+    "too-long": f"@toolong\n{'ACGT' * 30}\n+\n{'I' * 120}\n",
+}
+
+
+@pytest.fixture(scope="module")
+def stream_fastq(workspace):
+    from repro.sequence import ReadSimulator, read_fasta
+    from repro.sequence.io import write_fastq
+
+    root, ref, _reads, _index = workspace
+    reads = ReadSimulator(read_fasta(ref)[0], read_length=60,
+                          seed=21).simulate(45)
+    write_fastq(root / "stream.fq", reads)
+    write_fastq(root / "stream40.fq", reads[:40])
+    return root / "stream.fq"
+
+
+def _seed_argv(index, reads, out, *extra):
+    return ["seed", "--index", str(index), "--reads", str(reads),
+            "--out", str(out), "--batch-size", str(STREAM_BATCH), *extra]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_defect_in_the_last_batch_leaves_no_output(
+        workspace, stream_fastq, tmp_path, capsys, defect, workers):
+    """Found mid-stream, after five batches were written: one line, exit
+    2, and neither the output nor its temporary file left behind."""
+    _root, _ref, _reads, index = workspace
+    bad = tmp_path / "bad.fq"
+    bad.write_text(stream_fastq.read_text() + DEFECTS[defect])
+    assert main(_seed_argv(index, bad, tmp_path / "out.tsv",
+                           "--workers", workers)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"ert-repro seed: ")
+    assert "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == ["bad.fq"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_stdout_gets_every_batch_before_the_defect(
+        workspace, stream_fastq, tmp_path, capsys, defect, workers):
+    """``--out -`` streams: the five batches before the bad record reach
+    stdout, at any worker count, and then the run exits 2."""
+    root, _ref, _reads, index = workspace
+    assert main(_seed_argv(index, root / "stream40.fq", "-")) == 0
+    before = capsys.readouterr().out
+    bad = tmp_path / "bad.fq"
+    bad.write_text(stream_fastq.read_text() + DEFECTS[defect])
+    assert main(_seed_argv(index, bad, "-", "--workers", workers)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == before
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+def test_fifo_and_symlink_outputs(workspace, stream_fastq, tmp_path):
+    """A FIFO is written in place (not replaced by a regular file); a
+    symlink is resolved, so its target is replaced and the link kept."""
+    import stat
+    import threading
+
+    _root, _ref, _reads, index = workspace
+    expected = tmp_path / "plain.tsv"
+    assert main(_seed_argv(index, stream_fastq, expected)) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(_seed_argv(index, stream_fastq, fifo)) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    target = tmp_path / "target.tsv"
+    target.write_text("stale\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    assert main(_seed_argv(index, stream_fastq, link)) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected.read_bytes()
+    assert main(_seed_argv(index, stream_fastq, os.devnull)) == 0
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.tsv",
+                                            "plain.tsv", "target.tsv"]
+    # /dev/stdout on a pipe names the pipe: written in place too.
+    proc = _run_cli(_seed_argv(index, stream_fastq, "/dev/stdout"),
+                    stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.read_bytes()
+
+
+def _run_cli(argv, **streams):
+    """Run the CLI in a child process; ``streams`` are its
+    ``subprocess.run`` stdin/stdout/input arguments."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv], stderr=subprocess.PIPE,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")},
+        **streams)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+def test_reads_from_a_pipe_or_fifo(workspace, stream_fastq, tmp_path,
+                                   capsys):
+    """A ``--reads`` that can be read only once -- ``/dev/stdin`` on a
+    pipe, or a FIFO -- is parsed once, whole: the output and the
+    summary's read count are the regular file's.  (Run in a child with a
+    timeout: a second open of the FIFO would wait for a writer.)"""
+    import threading
+
+    _root, _ref, _reads, index = workspace
+    expected = tmp_path / "plain.tsv"
+    assert main(_seed_argv(index, stream_fastq, expected)) == 0
+    summary = capsys.readouterr().err
+    assert summary.startswith("seeded 45 reads -> ")
+    piped = tmp_path / "piped.tsv"
+    proc = _run_cli(_seed_argv(index, "/dev/stdin", piped),
+                    input=stream_fastq.read_bytes())
+    assert proc.returncode == 0, proc.stderr
+    assert piped.read_bytes() == expected.read_bytes()
+    assert proc.stderr.decode() == summary
+    fifo = tmp_path / "reads.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes(stream_fastq.read_bytes()),
+        daemon=True)
+    writer.start()
+    out = tmp_path / "fifo.tsv"
+    proc = _run_cli(_seed_argv(index, fifo, out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected.read_bytes()
+    assert proc.stderr.decode() == summary
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_live_reads_stay_within_a_batch_window(workspace, tmp_path,
+                                                monkeypatch, workers):
+    """The run holds a few batches of ``Read`` objects, however long the
+    input: the same bound for 5 batches as for 50."""
+    import weakref
+
+    import repro.sequence.io as seqio
+    from repro.sequence import ReadSimulator, read_fasta
+    from repro.sequence.io import write_fastq
+
+    _root, ref, _reads, index = workspace
+    make = seqio.Read
+    live = {"now": 0, "peak": 0}
+
+    def release():
+        live["now"] -= 1
+
+    def counted(**fields):
+        read = make(**fields)
+        live["now"] += 1
+        live["peak"] = max(live["peak"], live["now"])
+        weakref.finalize(read, release)
+        return read
+
+    monkeypatch.setattr(seqio, "Read", counted)
+    simulator = ReadSimulator(read_fasta(ref)[0], read_length=60, seed=22)
+    peaks = []
+    for batches in (5, 50):
+        path = tmp_path / f"{batches}.fq"
+        write_fastq(path, simulator.simulate(batches * STREAM_BATCH))
+        live["peak"] = 0
+        assert main(_seed_argv(index, path, tmp_path / "out.tsv",
+                               "--workers", workers)) == 0
+        peaks.append(live["peak"])
+    assert live["now"] == 0
+    assert peaks[0] >= STREAM_BATCH
+    assert max(peaks) <= 3 * STREAM_BATCH, peaks
 
 
 def test_sequence_before_first_fasta_header_is_a_typed_error(tmp_path,
@@ -591,15 +783,19 @@ def pairs_fastq(workspace):
     return path
 
 
+#: ``kernels=None`` runs without ``--kernels`` (and without
+#: ``$REPRO_KERNELS``): the default, the vector kernels.
 @pytest.mark.parametrize("command, kernels, also_cold", [
     (None, None, ("numpy", "repro.core", "repro.sequence", "repro.seeding",
                   "repro.extend", "repro.parallel", "repro.telemetry",
                   "repro.logging", "json")),
+    ("seed", None, ("repro.extend.pipeline", "repro.extend.paired",
+                    "repro.kernels.traceback", "repro.core.layout")),
     ("seed", "vector", ("repro.extend.pipeline", "repro.extend.paired",
                         "repro.kernels.traceback", "repro.core.layout")),
-    ("align", "vector", ("repro.extend.paired", "repro.core.layout")),
+    ("align", None, ("repro.extend.paired", "repro.core.layout")),
     ("align-pe", "scalar", ("repro.core.layout",)),
-], ids=["parser", "seed", "align", "align-pe"])
+], ids=["parser", "seed", "seed-vector", "align", "align-pe"])
 def test_one_worker_run_imports_only_what_it_executes(
         workspace, pairs_fastq, tmp_path, command, kernels, also_cold):
     _root, _ref, reads, index = workspace
@@ -607,8 +803,9 @@ def test_one_worker_run_imports_only_what_it_executes(
     if command is not None:
         argv = [command, "--index", index,
                 "--reads", pairs_fastq if command == "align-pe" else reads,
-                "--out", tmp_path / "out", "--kernels", kernels,
-                "--workers", "1"]
+                "--out", tmp_path / "out", "--workers", "1"]
+        if kernels is not None:
+            argv += ["--kernels", kernels]
     added, _proc = _modules_added_by(argv)
     assert _under(added, COLD + also_cold) == []
     if command is None:
@@ -645,6 +842,32 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
          "--batch-size", "4"])
     assert "repro.core.layout" not in added
     assert (tmp_path / "scalar.sam").read_bytes() == outs["1"].read_bytes()
+
+
+def test_seed_default_kernels_write_what_both_backends_write(
+        workspace, tmp_path, monkeypatch):
+    """``seed`` with no ``--kernels`` and no ``$REPRO_KERNELS`` (the
+    vector default) writes the scalar oracle's TSV and ``--kernels
+    vector``'s, byte for byte, at any batch size and worker count.
+    (``align`` / ``align-pe`` have the same grid in
+    ``tests/test_packed_extension.py``.)"""
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    _root, _ref, reads, index = workspace
+    out = tmp_path / "out"
+
+    def run(*extra):
+        assert main(["seed", "--index", str(index), "--reads", str(reads),
+                     "--min-seed-len", "12", "--out", str(out),
+                     *extra]) == 0
+        return out.read_bytes()
+
+    oracle = run("--kernels", "scalar", "--workers", "1")
+    for batch_size, workers in (("1", "1"), ("7", "1"), ("64", "1"),
+                                ("7", "2")):
+        for kernels in (("--kernels", "scalar"), ("--kernels", "vector"),
+                        ()):
+            assert run("--batch-size", batch_size, "--workers", workers,
+                       *kernels) == oracle, (batch_size, workers, kernels)
 
 
 def _process_group(pgid):

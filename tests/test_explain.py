@@ -74,6 +74,31 @@ def test_explain_reproduces_align_slowlog_counters(workspace, capsys):
     assert "matches the slowlog record exactly" in out.err
 
 
+def test_explain_replays_an_untagged_record_through_the_scalar_path(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A scalar run's records carry no ``kernels`` tag: with neither
+    ``--kernels`` nor ``$REPRO_KERNELS``, explain replays them through
+    the scalar path, not the vector default."""
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    slowlog = str(tmp_path / "scalar.slowlog.jsonl")
+    assert main(["seed", "--index", workspace["index"],
+                 "--reads", workspace["reads"], "--min-seed-len", "12",
+                 "--out", str(tmp_path / "o.tsv"), "--kernels", "scalar",
+                 "--slowlog", slowlog]) == 0
+    slowest = next(e for e in _slow_entries(slowlog)
+                   if e["source"] == "slowest")
+    assert "kernels" not in slowest
+    capsys.readouterr()
+    code = main(["explain", "--index", workspace["index"],
+                 "--reads", workspace["reads"],
+                 "--read-id", slowest["read_id"], "--min-seed-len", "12",
+                 "--slowlog", slowlog])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "scalar kernels" in out.out
+    assert "matches the slowlog record exactly" in out.err
+
+
 def test_explain_json_output_carries_the_counters(workspace, capsys):
     entry = _slow_entries(workspace["seed_log"])[0]
     code = main(["explain", "--index", workspace["index"],

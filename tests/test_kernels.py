@@ -416,11 +416,13 @@ def test_seed_batch_runs_vector_with_telemetry_live(ert_index, read_codes,
 
 def test_resolve_kernels(monkeypatch):
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    assert resolve_kernels() == "scalar"
-    assert resolve_kernels("vector") == "vector"
-    monkeypatch.setenv("REPRO_KERNELS", "vector")
     assert resolve_kernels() == "vector"
     assert resolve_kernels("scalar") == "scalar"
+    monkeypatch.setenv("REPRO_KERNELS", "scalar")
+    assert resolve_kernels() == "scalar"
+    assert resolve_kernels("vector") == "vector"
+    monkeypatch.setenv("REPRO_KERNELS", "")
+    assert resolve_kernels() == "vector"
     monkeypatch.setenv("REPRO_KERNELS", "simd")
     with pytest.raises(ValueError):
         resolve_kernels()

@@ -108,14 +108,19 @@ def _run(workspace, command, reads, out, *extra):
 @pytest.mark.parametrize("command,reads", [("align", "reads.fq"),
                                            ("align-pe", "pairs.fq")])
 def test_sam_identical_at_any_batch_size_and_worker_count(workspace,
+                                                          monkeypatch,
                                                           command, reads):
+    """``--kernels vector`` and the default (no flag, no
+    ``$REPRO_KERNELS``) both write the scalar oracle's SAM."""
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
     oracle = _run(workspace, command, reads, "scalar.sam",
                   "--kernels", "scalar", "--workers", "1")
     for batch_size, workers in ((1, 1), (7, 1), (64, 1), (7, 3), (64, 3)):
-        assert _run(workspace, command, reads, "vector.sam",
-                    "--kernels", "vector", "--batch-size", str(batch_size),
-                    "--workers", str(workers)) == oracle, \
-            (batch_size, workers)
+        for kernels in (("--kernels", "vector"), ()):
+            assert _run(workspace, command, reads, "vector.sam",
+                        *kernels, "--batch-size", str(batch_size),
+                        "--workers", str(workers)) == oracle, \
+                (batch_size, workers, kernels)
 
 
 def test_observed_packed_run_is_dark_identical_and_explainable(workspace,

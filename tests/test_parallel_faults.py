@@ -67,9 +67,9 @@ def leak_check(tmp_path_factory, monkeypatch):
 
 def _run_seed(index, reads, params, config, fault):
     """``seed_reads`` with a fault injected into the workers."""
-    return sched._map_reads(ErtSeedingEngine(index), "seed",
-                            {"params": params, "fault": fault}, reads,
-                            config, config.batch_size)
+    return sched._collect(sched._map_reads(
+        ErtSeedingEngine(index), "seed", {"params": params, "fault": fault},
+        reads, config, config.batch_size))
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +110,40 @@ def test_sigkill_recovery_is_byte_identical(ert_index, reads, params,
     # True recovery, not the degraded path: the respawned pool finished
     # the run.
     assert "parallel.fallback_serial" not in snap["counters"]
+
+
+def test_sigkill_mid_stream_pulls_no_further_than_the_window(
+        ert_index, reads, params, tmp_path, leak_check):
+    """A generator as the input: a worker SIGKILLed while the stream is
+    still being pulled leaves the output byte-identical, and the pool
+    never holds more than its in-flight window of batches beyond the
+    merge point -- before the crash, during recovery or after."""
+    batch_size = 4
+    config = ParallelConfig(workers=2, batch_size=batch_size, retries=2)
+    window = sched.INFLIGHT_PER_WORKER * 2
+    baseline, _ = seed_reads(ert_index, reads, params,
+                             ParallelConfig(workers=1))
+    token = str(tmp_path / "sigkill.token")
+    pulled = 0
+
+    def stream():
+        nonlocal pulled
+        for read in reads:
+            pulled += 1
+            yield read
+
+    lines, ahead = [], []
+    for merged, (items, _delta) in enumerate(sched._map_reads(
+            ErtSeedingEngine(ert_index), "seed",
+            {"params": params, "fault": {"kind": "sigkill", "token": token}},
+            stream(), config, batch_size), start=1):
+        lines.extend(items)
+        ahead.append(pulled - merged * batch_size)
+    assert os.path.exists(token), "fault never fired -- test is vacuous"
+    assert lines == baseline
+    assert len(ahead) > window, "the input fits in one window -- vacuous"
+    assert ahead[0] < len(reads) - batch_size
+    assert max(ahead) <= (window - 1) * batch_size
 
 
 def test_recovery_counters_visible_in_metrics_file(ert_index, reads, params,
@@ -232,6 +266,28 @@ def test_pool_init_failure_falls_back_to_serial(ert_index, reads, params,
     assert lines == baseline
     assert stats.as_dict() == base_stats.as_dict()
     assert snap["counters"]["parallel.fallback_serial"] == 1
+
+
+def test_failed_respawn_degrades_over_the_window_and_the_rest(
+        ert_index, reads, params, tmp_path, monkeypatch, leak_check):
+    """A worker dies mid-stream and the pool cannot be rebuilt: the run
+    finishes in-process over the batches in flight, then the rest of
+    the generator, byte for byte."""
+    def refuse(manager):
+        manager.kill()
+        raise PoolUnavailableError("injected respawn failure")
+
+    monkeypatch.setattr(pool._PoolManager, "respawn", refuse)
+    baseline, _ = seed_reads(ert_index, reads, params,
+                             ParallelConfig(workers=1))
+    token = str(tmp_path / "sigkill.token")
+    with pytest.warns(RuntimeWarning, match="serial"):
+        lines, _ = _run_seed(
+            ert_index, (read for read in reads), params,
+            ParallelConfig(workers=2, batch_size=4, retries=2),
+            fault={"kind": "sigkill", "token": token})
+    assert os.path.exists(token), "fault never fired -- test is vacuous"
+    assert lines == baseline
 
 
 def test_swapped_index_file_degrades_to_the_parents_mapping(

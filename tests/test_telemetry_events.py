@@ -266,9 +266,9 @@ def _seed_with_trace(ert_index, reads, params, config, fault=None):
         options["fault"] = fault
     epoch = telemetry.start_recording()
     try:
-        lines, _ = sched._map_reads(ErtSeedingEngine(ert_index), "seed",
-                                    options, reads, config,
-                                    config.batch_size)
+        lines, _ = sched._collect(sched._map_reads(
+            ErtSeedingEngine(ert_index), "seed", options, reads, config,
+            config.batch_size))
     finally:
         telemetry.stop_recording()
     doc = trace_document(telemetry.recorder().tracks(), epoch)
