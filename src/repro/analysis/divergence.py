@@ -89,7 +89,7 @@ def measure_divergence(index: ErtIndex, reads: "list[np.ndarray]",
             for cursor, read, pos_box in active:
                 nid = cursor.pending if cursor.pending >= 0 \
                     else cursor.node
-                kinds.append(kind[nid])
+                kinds.append(kind[nid] & 3)  # the bitmap is no kind
                 addr = index.tree_base[cursor.code] + int(offset[nid])
                 lines.add(addr // LINE)
                 pos = pos_box[0]

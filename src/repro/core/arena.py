@@ -3,39 +3,50 @@
 The arena is the forest as parallel numpy arrays, one row per node,
 which a walk indexes by node id (:class:`ArenaCursor`: the batched
 kernels' :mod:`repro.kernels.walk` and the scalar
-:class:`~repro.core.walker.TreeCursor` both read it):
+:class:`~repro.core.walker.TreeCursor` both read it).  Nodes are
+numbered in preorder, children in character order, so a UNIFORM node's
+one child and a DIVERGE node's first child are both ``nid + 1``.  The
+node columns:
 
-* ``kind``: DIVERGE / UNIFORM / LEAF discriminant;
+* ``kind``: the DIVERGE / UNIFORM / LEAF discriminant in bits 0-1; a
+  DIVERGE node's child bitmap (bit ``2 + c`` set when character ``c``
+  has a child) in bits 2-5, the paper's node header (§III).  The byte is
+  1 (UNIFORM), 2 (LEAF) or ``bitmap << 2`` with a non-empty bitmap
+  (DIVERGE), so it is above :data:`KIND_LEAF` exactly when the node
+  branches;
 * ``count``: occurrences below the node (LEP + min-hit checks);
-* ``children``: the four per-character child node ids of a DIVERGE node
-  (-1 for a missing branch == dead end);
-* ``chars_off``/``chars_len`` into ``chars_pool``: a UNIFORM node's
-  merged character run;
-* ``child``: a UNIFORM node's single child;
-* ``leaf_text0``: a LEAF's first occurrence position (matching proceeds
-  against the reference text, early path compression §III-A2);
+* ``off``, by kind: a UNIFORM node's offset into ``chars_pool`` (its
+  merged character run is ``chars_len`` characters there); a DIVERGE
+  node's first slot in ``kids``, the dense pool of every child after
+  the first (``popcount(bitmap) - 1`` slots a node, in character
+  order); a LEAF's first occurrence position (matching proceeds against
+  the reference text, early path compression §III-A2);
 * ``pos_off`` into ``pool``: the ``count`` occurrence positions of the
   node's subtree, contiguous because the pool is filled in DFS (Euler)
   order.  ``gather(nid)`` is therefore one slice + sort; the scalar
-  cursor still visits the subtree, but only to charge its fetches.
+  cursor still visits the subtree, but only to charge its fetches;
+* ``offset``: the node's byte offset in its tree's blob of the modelled
+  trees region (:mod:`repro.core.layout`), laid out once, at build.
 
-Nodes are numbered in preorder, children in character order.  Second-
-level jump tables (§III-E) are dense ``(n_tables, 4^x)`` arrays so a walk
-resolves the x-character jump with one lookup; :func:`jump_columns`
-computes them by walking the columns.
+Child ``c`` of a DIVERGE node is one lookup: :data:`CHILD_RANK` at
+``kind + c`` is its rank among the node's children, -1 for a missing
+branch (a dead end), 0 for ``nid + 1``, ``r`` for ``kids[off + r - 1]``.
+Second-level jump tables (§III-E) are dense ``(n_tables, 4^x)`` arrays
+so a walk resolves the x-character jump with one lookup;
+:func:`jump_columns` computes them by walking the columns.
 
 The arena is the only form the forest is built, stored and walked in.
 :mod:`repro.core.builder` emits the columns straight from the suffix
-sort's LCP intervals, at the widths :data:`ARENA_DTYPES` fixes: ``kind``
-and ``chars_pool`` are uint8, everything that holds a node id, an
-offset, a count or a text position is int32, and a forest that does not
-fit is an :class:`ArenaLimitError` (:func:`check_fits`), not a wider
-column.  A loaded index carries the stored columns as they lie
-(read-only views into the mapped index file, so N pool workers walk one
-physical arena in the page cache).  No walk makes a node object.  The
-module lives in :mod:`repro.core` rather than next to the batched
-kernels because the builder, the index formats and the scalar cursor
-need it and core may not import the kernels (ERT005).
+sort's LCP intervals, at the widths :data:`ARENA_DTYPES` fixes:
+``kind``, ``chars_len`` and ``chars_pool`` are uint8, everything that
+holds a node id, an offset, a count or a text position is int32, and a
+forest that does not fit is an :class:`ArenaLimitError`
+(:func:`check_fits`), not a wider column.  A loaded index carries the
+stored columns as they lie (read-only views into the mapped index file,
+so N pool workers walk one physical arena in the page cache).  No walk
+makes a node object.  The module lives in :mod:`repro.core` rather than
+next to the batched kernels because the builder, the index formats and
+the scalar cursor need it and core may not import the kernels (ERT005).
 
 States are *eagerly settled*: where the scalar cursor defers a child
 fetch (``pending`` / exhausted uniform run), the flat form lands on the
@@ -58,6 +69,27 @@ KIND_DIVERGE = 0
 KIND_UNIFORM = 1
 KIND_LEAF = 2
 
+#: ``CHILD_RANK[kind + c]`` for a DIVERGE node's kind byte (its bitmap
+#: ``b`` shifted up by 2, so the index is ``4 * b + c``): the rank of
+#: child ``c`` among the node's children, -1 when it has none.
+CHILD_RANK = tuple(bin(bitmap & ((1 << c) - 1)).count("1")
+                   if bitmap >> c & 1 else -1
+                   for bitmap in range(16) for c in range(4))
+_CHILD_RANK = np.array(CHILD_RANK, dtype=np.int64)
+
+
+def _fanout(byte: int) -> int:
+    if byte in (KIND_UNIFORM, KIND_LEAF):
+        return 2 - byte
+    if byte & 3 or not 4 <= byte < 64:
+        return -1
+    return bin(byte >> 2).count("1")
+
+
+#: Per kind byte: how many children the node has (DIVERGE: its
+#: bitmap's popcount, UNIFORM: 1, LEAF: 0); -1 for a byte no node has.
+FANOUT = tuple(_fanout(byte) for byte in range(256))
+
 #: What an int32 column cannot hold: the text length and the sizes of
 #: the node, position and character pools all stay below it.
 ID_LIMIT = 2 ** 31
@@ -76,14 +108,13 @@ class FlatTrees:
     table_x: int
     kind: np.ndarray
     count: np.ndarray
-    children: np.ndarray
-    child: np.ndarray
-    chars_off: np.ndarray
+    kids: np.ndarray
+    off: np.ndarray
     chars_len: np.ndarray
     chars_pool: np.ndarray
-    leaf_text0: np.ndarray
     pos_off: np.ndarray
     pool: np.ndarray
+    offset: np.ndarray
     #: Root node id per k-mer code (-1: no tree).
     roots: np.ndarray
     #: Jump-table row per k-mer code (-1: no table), then the tables.
@@ -110,7 +141,8 @@ ARENA_COLUMNS = tuple(f.name for f in fields(FlatTrees)
 #: offsets, counts and text positions are ``_ID``.
 _ID = np.dtype(np.int32)
 ARENA_DTYPES = {
-    name: np.dtype(np.uint8) if name in ("kind", "chars_pool") else _ID
+    name: np.dtype(np.uint8) if name in ("kind", "chars_len", "chars_pool")
+    else _ID
     for name in ARENA_COLUMNS}
 
 
@@ -118,6 +150,19 @@ def flat_trees(index: ErtIndex) -> FlatTrees:
     """The arena of ``index``: every built, loaded or attached index is
     assembled over one (:mod:`repro.core.io`)."""
     return index.flat
+
+
+def children_of(nodes: "Mapping[str, np.ndarray]", nid: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+    """Child ``c[i]`` of node ``nid[i]``, elementwise; -1 where there is
+    none (every UNIFORM and LEAF node, whose kind byte reads as an empty
+    bitmap)."""
+    nid = np.asarray(nid, dtype=np.int64)
+    rank = _CHILD_RANK[nodes["kind"][nid] & 0xFC | c]
+    child = np.where(rank == 0, nid + 1, -1)
+    more = np.flatnonzero(rank > 0)
+    child[more] = nodes["kids"][nodes["off"][nid[more]] + rank[more] - 1]
+    return child
 
 
 def check_fits(text_size: int, n_nodes: int, pool_size: int,
@@ -146,9 +191,8 @@ class ArenaCursor:
     __slots__ = ("k", "x", "prefix_len", "lep_bits", "kmer_count",
                  "entry_kind", "prefix_counts", "roots", "table_slot",
                  "jt_matched", "jt_lep", "jt_node", "jt_within", "jt_depth",
-                 "jt_count", "kind", "children", "count", "child",
-                 "chars_off", "chars_len", "leaf_text0", "pos_off",
-                 "pool", "chars", "text")
+                 "jt_count", "kind", "kids", "off", "count", "chars_len",
+                 "pos_off", "pool", "chars", "text")
 
     def __init__(self, index: ErtIndex) -> None:
         flat = index.flat
@@ -172,17 +216,19 @@ class ArenaCursor:
         self.jt_depth = memoryview(flat.jt_depth.reshape(-1))
         self.jt_count = memoryview(flat.jt_count.reshape(-1))
         self.kind = memoryview(flat.kind)
-        #: ``children[4 * nid + c]``: the ``(n, 4)`` column, flattened.
-        self.children = memoryview(flat.children.reshape(-1))
+        self.kids = memoryview(flat.kids)
+        self.off = memoryview(flat.off)
         self.count = memoryview(flat.count)
-        self.child = memoryview(flat.child)
-        self.chars_off = memoryview(flat.chars_off)
         self.chars_len = memoryview(flat.chars_len)
-        self.leaf_text0 = memoryview(flat.leaf_text0)
         self.pos_off = memoryview(flat.pos_off)
         self.pool = memoryview(flat.pool)
         self.chars = flat.chars_pool.tobytes()
         self.text = index.text.astype(np.uint8).tobytes()
+
+    def children(self, nid: int) -> "list[int]":
+        """The children of DIVERGE node ``nid``, in character order."""
+        off = self.off[nid]
+        return [nid + 1, *self.kids[off:off + FANOUT[self.kind[nid]] - 1]]
 
 
 def arena_cursor(index: ErtIndex) -> ArenaCursor:
@@ -230,18 +276,18 @@ def jump_columns(nodes: "Mapping[str, np.ndarray]", text: np.ndarray,
             live[:] = False
             # LEAF: the text after the first occurrence.
             at = walking[node_kind == KIND_LEAF]
-            text_pos = nodes["leaf_text0"][nid[at]] + k + depth[at]
+            text_pos = nodes["off"][nid[at]] + k + depth[at]
             at, text_pos = at[text_pos < text.size], text_pos[
                 text_pos < text.size]
             live[at[text[text_pos] == c[at]]] = True
             # UNIFORM: the run's next character.
             at = walking[node_kind == KIND_UNIFORM]
-            live[at[nodes["chars_pool"][nodes["chars_off"][nid[at]]
+            live[at[nodes["chars_pool"][nodes["off"][nid[at]]
                                         + within[at]] == c[at]]] = True
             within[live] += 1
             # DIVERGE: the branch's count may differ from the node's.
-            at = walking[node_kind == KIND_DIVERGE]
-            child = nodes["children"][nid[at], c[at]]
+            at = walking[node_kind > KIND_LEAF]
+            child = children_of(nodes, nid[at], c[at])
             at, child = at[child >= 0], child[child >= 0]
             live[at] = True
             within[at] = 0

@@ -25,12 +25,15 @@ k-mer groups, ``tests/test_fmd_construction.py``):
   is where its shared extension ends and the places it is attained are
   where it splits, so the interval tree is found by array passes, one
   per level; every interval is one or two arena rows (a UNIFORM run and
-  the LEAF or DIVERGE below it), numbered in preorder, and the pool is
-  the members in suffix order with each LEAF's run sorted by position;
-* **lay out and assemble** -- jump tables walked over the columns, node
-  sizes and offsets from the columns (:func:`repro.core.layout.forest_layout`),
-  and the index assembled exactly as a loaded one is
-  (:func:`repro.core.io.index_over`).
+  the LEAF or DIVERGE below it), numbered in preorder, so a node's
+  (first) child is the next row and a DIVERGE node stores its child
+  bitmap and the rest of its children in the kids pool; the pool is the
+  members in suffix order with each LEAF's run sorted by position;
+* **lay out and assemble** -- jump tables walked over the columns, the
+  forest laid out once from the columns
+  (:func:`repro.core.layout.forest_layout`) and every node's offset
+  stored as the ``offset`` column, and the index assembled exactly as a
+  loaded one is (:func:`repro.core.io.index_over`).
 
 The resulting structure is identical to the paper's:
 
@@ -42,8 +45,9 @@ The resulting structure is identical to the paper's:
   ``$`` terminations (``ended``) of a DIVERGE node;
 * per-k-mer LEP bits and longest-existing-prefix lengths are computed for
   *all* 4^k entries, EMPTY ones included, from length-1..k occurrence
-  count tables (these tables are retained: they answer the minimum-hit
-  prefix queries reseeding needs).
+  count tables (these tables are retained -- the length-k one as the
+  entry counts -- they answer the minimum-hit prefix queries reseeding
+  needs).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from repro.core.arena import (
     KIND_DIVERGE,
     KIND_LEAF,
     KIND_UNIFORM,
+    ArenaLimitError,
     FlatTrees,
     check_fits,
     jump_columns,
@@ -87,7 +92,7 @@ def _entry_metadata(
     n_entries = config.n_entries
     counts_by_len = [
         np.bincount(rolling_codes(text, length), minlength=4 ** length)
-        .astype(np.int64)
+        .astype(np.int32)
         for length in range(1, k + 1)
     ]
     all_codes = np.arange(n_entries, dtype=np.int64)
@@ -245,18 +250,15 @@ def _emit_nodes(
     kind = np.full(n_nodes, KIND_DIVERGE, dtype=np.uint8)
     kind[inner[leaf]] = KIND_LEAF
     kind[runs] = KIND_UNIFORM
-    child = np.full(n_nodes, -1, dtype=np.int32)
-    child[runs] = runs + 1
     chars_len = np.zeros(n_nodes, dtype=np.int32)
     chars_len[runs] = run_len
-    chars_off = np.cumsum(chars_len, dtype=np.int32)
-    chars_off -= chars_len
-    chars_off[kind != KIND_UNIFORM] = 0
+    off = np.cumsum(chars_len, dtype=np.int32)
+    off -= chars_len
     # A run's characters follow its first member's k-mer at its depth;
     # the runs lie in the pool in preorder.
     by_node = np.argsort(runs)
     at = np.repeat((members[lo[uniform]] + k + depth[uniform]
-                    - chars_off[runs]).astype(np.int32)[by_node],
+                    - off[runs]).astype(np.int32)[by_node],
                    run_len[by_node])
     at += np.arange(at.size, dtype=np.int32)
     chars_pool = text[at]
@@ -272,8 +274,7 @@ def _emit_nodes(
     segment = np.repeat(np.arange(runs_lo.size, dtype=np.int32), runs_size)
     pool[at] = pool[at][np.lexsort((pool[at], segment))]
     del at, segment, runs_lo, runs_size
-    leaf_text0 = np.full(n_nodes, -1, dtype=np.int32)
-    leaf_text0[inner[leaf]] = pool[lo[leaf]]
+    off[inner[leaf]] = pool[lo[leaf]]
     count = np.empty(n_nodes, dtype=np.int32)
     pos_off = np.empty(n_nodes, dtype=np.int32)
     for rows_of in (first, inner):
@@ -282,14 +283,27 @@ def _emit_nodes(
     del lo, size, leaf
     roots = np.full(config.n_entries, -1, dtype=np.int32)
     roots[codes] = first[:codes.size]
-    # Every other interval hangs off its parent's DIVERGE by a character.
+    # Every other interval hangs off its parent's DIVERGE by a character:
+    # the edges in (parent, character) order.  A parent's first child is
+    # the node after it in preorder; the others fill the kids pool.
     parent = tree.pop("parent")
     below = np.flatnonzero(parent >= 0)
-    children = np.full((n_nodes, 4), -1, dtype=np.int32)
-    children[inner[parent[below]], tree.pop("char")[below]] = first[below]
-    return {"kind": kind, "count": count, "children": children,
-            "child": child, "chars_off": chars_off, "chars_len": chars_len,
-            "chars_pool": chars_pool, "leaf_text0": leaf_text0,
+    char = tree.pop("char")[below]
+    parent = inner[parent[below]]
+    by_edge = np.argsort(parent.astype(np.int64) * 4 + char)
+    parent, char, child = parent[by_edge], char[by_edge], first[below][by_edge]
+    del below, by_edge
+    # One run of edges per DIVERGE node, the nodes ascending.
+    starts = np.flatnonzero(np.diff(parent, prepend=-1))
+    diverge = parent[starts]
+    kind[diverge] = np.bitwise_or.reduceat(np.uint8(4) << char, starts)
+    more = np.diff(np.append(starts, parent.size)) - 1
+    off[diverge] = np.cumsum(more, dtype=np.int32) - more
+    later = np.ones(parent.size, dtype=bool)
+    later[starts] = False
+    kids = child[later]
+    return {"kind": kind, "count": count, "kids": kids, "off": off,
+            "chars_len": chars_len, "chars_pool": chars_pool,
             "pos_off": pos_off, "pool": pool, "roots": roots}
 
 
@@ -318,13 +332,18 @@ def build_ert(reference: Reference,
     nodes.update(jump_columns(
         nodes, text, config.k, config.table_x,
         np.flatnonzero(entry_kind == EntryKind.TABLE), config.n_entries))
+    layout = forest_layout(nodes, config)
+    if layout.trees_bytes > np.iinfo(np.int32).max:
+        raise ArenaLimitError(
+            f"the modelled trees region ({layout.trees_bytes:,} B) does "
+            f"not fit the int32 tree bases")
+    nodes["offset"] = layout.offset
     flat = FlatTrees(k=config.k, table_x=config.table_x, **nodes)
-    layout = forest_layout(flat, config)
 
     arrays = {"entry_kind": entry_kind, "lep_bits": lep_bits,
               "prefix_len": prefix_len, "kmer_count": kmer_count,
-              "tree_bases": layout.tree_bases}
-    for length, counts in enumerate(counts_by_len, start=1):
+              "tree_bases": layout.tree_bases.astype(np.int32)}
+    for length, counts in enumerate(counts_by_len[:-1], start=1):
         arrays[f"prefix_counts_{length}"] = counts
     return index_over(reference, config, flat, arrays.__getitem__,
-                      layout.trees_bytes, layout)
+                      layout.trees_bytes)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.arena import KIND_DIVERGE, KIND_LEAF, arena_cursor
+from repro.core.arena import KIND_LEAF, KIND_UNIFORM, arena_cursor
 from repro.core.index import EntryKind, ErtIndex
 
 
@@ -97,14 +97,13 @@ def depth_census(index: ErtIndex) -> DepthCensus:
         kind = arena.kind[nid]
         if kind == KIND_LEAF:
             depths[depth] = depths.get(depth, 0) + 1
-        elif kind == KIND_DIVERGE:
+        elif kind == KIND_UNIFORM:  # its run, then its one child
+            stack.append((nid + 1, depth + arena.chars_len[nid]))
+        else:  # DIVERGE
             below = 0
-            for child in arena.children[4 * nid:4 * nid + 4]:
-                if child >= 0:
-                    below += arena.count[child]
-                    stack.append((child, depth + 1))
+            for child in arena.children(nid):
+                below += arena.count[child]
+                stack.append((child, depth + 1))
             if below < arena.count[nid]:  # some occurrences end here
                 depths[depth] = depths.get(depth, 0) + 1
-        else:  # UNIFORM: its run, then its one child
-            stack.append((nid + 1, depth + arena.chars_len[nid]))
     return census

@@ -9,9 +9,10 @@ An :class:`ErtIndex` owns:
   byte-accurate region so walks can be charged per cache line;
 * the **second-level jump tables** (§III-E) for k-mers above the density
   threshold: precomputed x-character walk states with fan-out 4^x;
-* the **auxiliary prefix-count tables** (counts of every 1..k-1-mer),
-  consulted only when a search carries a minimum-hit threshold
-  (reseeding) and the index entry's change bits are not enough;
+* the **auxiliary prefix-count tables** (counts of every 1..k-1-mer;
+  the length-k table is the entry counts themselves), consulted only
+  when a search carries a minimum-hit threshold (reseeding) and the
+  index entry's change bits are not enough;
 * an optional :class:`~repro.memsim.cache.CacheModel` standing in for the
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
@@ -144,7 +145,6 @@ class ErtIndex:
                  tables: "Mapping[int, list[JumpEntry]]",
                  prefix_counts: "list[np.ndarray]",
                  trees_bytes: int, flat: FlatTrees,
-                 layout: "ForestLayout | None" = None,
                  space: "AddressSpace | None" = None) -> None:
         self.reference = reference
         self.config = config
@@ -169,7 +169,7 @@ class ErtIndex:
             roots.codes, lambda code: int(tree_bases[roots.rank(code)]))
         self.tables = tables
         self.prefix_counts = prefix_counts
-        self._layout = layout
+        self._layout: "ForestLayout | None" = None
         #: Cache slot of :func:`repro.core.arena.arena_cursor`.
         self.cursor: "object | None" = None
         self.tracer: "MemoryTracer | None" = None
@@ -194,13 +194,15 @@ class ErtIndex:
 
     @property
     def layout(self) -> ForestLayout:
-        """Every arena node's offset and size in the trees region.  The
-        builder lays the forest out to size it; a loaded index lays it
-        out again, from the columns, the first time this is read."""
+        """Every arena node's offset and size in the trees region: the
+        offsets the builder stored, the sizes derived from the columns
+        the first time this is read."""
         if self._layout is None:
-            from repro.core.layout import forest_layout
+            from repro.core.layout import stored_layout
 
-            self._layout = forest_layout(self.flat, self.config)
+            self._layout = stored_layout(self.flat, self.config,
+                                         self.tree_bases,
+                                         self.trees_region.size)
         return self._layout
 
     @property

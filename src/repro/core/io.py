@@ -4,14 +4,15 @@ The paper stresses that ERT construction (~1 h for GRCh38) happens once
 per reference and is amortized over many runs (§III-A3), and its seeding
 lanes all read one memory-resident index (§IV): an index is mapped, not
 inflated per process.  One format holds one payload (:func:`_payload`):
-the reference (2-bit codes), the four entry-metadata arrays, the 1..k
-prefix-count tables, each tree's base offset in the modelled trees
-region, and the forest itself, stored once: the columns of the flat
-arena (:mod:`repro.core.arena`), at the widths the builder emits them
-at.  The **frame** (:class:`Frame`) lays that payload out as one
-contiguous run of bytes: magic, a JSON directory (meta, and per array
-its name, dtype, shape, offset and crc32), then every array 64-byte
-aligned.  It lives in two places:
+the reference (2-bit codes), the four entry-metadata arrays, the
+1..k-1 prefix-count tables (the length-k table is ``kmer_count``),
+each tree's base offset in the modelled trees region, and the forest
+itself, stored once: the columns of the flat arena
+(:mod:`repro.core.arena`) -- its layout offsets included -- at the
+widths the builder emits them at.  The **frame** (:class:`Frame`) lays
+that payload out as one contiguous run of bytes: magic, a JSON
+directory (meta, and per array its name, dtype, shape, offset and
+crc32), then every array 64-byte aligned.  It lives in two places:
 
 * a **file** (:func:`save_ert` / :func:`load_ert`) -- streamed to a
   sibling temp file and renamed into place; loading maps it read-only
@@ -28,13 +29,13 @@ A built index is assembled by the same code as a loaded one
 walk -- the batched kernels, the scalar cursor, ``census``,
 ``divergence``, ``explain`` -- reads those columns as they lie.  The
 scalar cursor's jump table for a TABLE k-mer is rebuilt the first time
-it reaches that k-mer (:class:`~repro.core.index.LazyByCode`), and a
-loaded index lays the forest out
-(:func:`~repro.core.layout.forest_layout`) only when a modelled walk
-first asks where a node lies.  The paper wire format
+it reaches that k-mer (:class:`~repro.core.index.LazyByCode`); a
+modelled walk reads where a node lies from the stored ``offset``
+column, and no index lays the forest out again.  The paper wire format
 (``tests/serialize.py``) is stored nowhere: it is the reference the
-layout model's node sizes are tested against.  Every way a file or
-buffer can be cut short or garbled ends in :class:`IndexFormatError`.
+layout model's node sizes and the stored offsets are tested against.
+Every way a file or buffer can be cut short or garbled, and every child
+encoding the walk could not follow, ends in :class:`IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import os
 import weakref
 import zlib
 from typing import (
-    TYPE_CHECKING,
     BinaryIO,
     Callable,
     Mapping,
@@ -59,6 +59,8 @@ import numpy as np
 from repro.core.arena import (
     ARENA_COLUMNS,
     ARENA_DTYPES,
+    FANOUT,
+    KIND_LEAF,
     FlatTrees,
     flat_trees,
 )
@@ -68,14 +70,11 @@ from repro.core.walker import build_jump_table
 from repro.sequence.reference import Reference
 from repro.telemetry.spans import Tracer
 
-if TYPE_CHECKING:
-    from repro.core.layout import ForestLayout
-
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Frame marker (8 bytes, versioned), followed by the little-endian
 #: ``uint64`` length of the JSON directory.
-FRAME_MAGIC = b"ERTBUF03"
+FRAME_MAGIC = b"ERTBUF04"
 _HEAD = len(FRAME_MAGIC) + 8
 
 #: Every array payload in the frame starts on this alignment so
@@ -135,7 +134,7 @@ def _payload(index: ErtIndex) -> "dict[str, np.ndarray]":
         "kmer_count": index.kmer_count,
         "tree_bases": index.tree_bases,
     }
-    for length, counts in enumerate(index.prefix_counts, start=1):
+    for length, counts in enumerate(index.prefix_counts[:-1], start=1):
         arrays[f"prefix_counts_{length}"] = counts
     flat = flat_trees(index)
     for name in ARENA_COLUMNS:
@@ -202,11 +201,10 @@ def _stored_arena(
     columns = {name: member(ARENA_PREFIX + name) for name in ARENA_COLUMNS}
     nodes = columns["kind"].shape[:1]
     jumps = columns["jt_node"].shape[:1] + (4 ** config.table_x,)
-    shapes = {"children": nodes + (4,),
-              "roots": (config.n_entries,),
-              "table_slot": (config.n_entries,),
-              "chars_pool": (columns["chars_pool"].size,),
-              "pool": (columns["pool"].size,)}
+    shapes = {"roots": (config.n_entries,),
+              "table_slot": (config.n_entries,)}
+    for name in ("kids", "chars_pool", "pool"):
+        shapes[name] = (columns[name].size,)
     for name, column in columns.items():
         shape = shapes.get(name, jumps if name.startswith("jt_") else nodes)
         if column.dtype != ARENA_DTYPES[name] or column.shape != shape:
@@ -214,7 +212,57 @@ def _stored_arena(
                 f"{what}: member {ARENA_PREFIX + name!r} is {column.dtype}"
                 f"{list(column.shape)}, expected {ARENA_DTYPES[name]}"
                 f"{list(shape)}; the index is corrupt")
+    _check_children(columns, what)
     return FlatTrees(k=config.k, table_x=config.table_x, **columns)
+
+
+#: Per kind byte: a DIVERGE node's child count, 0 for UNIFORM and LEAF,
+#: :data:`_NO_KIND` for a byte no node has (a ``bytes.translate`` table:
+#: one C pass, where a numpy lookup would widen every byte to an index).
+_NO_KIND = 255
+_CHILDREN = bytes(_NO_KIND if FANOUT[byte] < 0
+                  else FANOUT[byte] if byte > KIND_LEAF else 0
+                  for byte in range(256))
+#: Nodes checked at a time, so the temporaries stay in cache.
+_CHUNK = 1 << 16
+
+
+def _check_children(columns: "Mapping[str, np.ndarray]", what: str) -> None:
+    """The walk takes a node's children from its kind byte, ``nid + 1``
+    and the kids pool without a bounds check, so a stored encoding it
+    cannot follow is refused here, in one pass over the columns."""
+    kind, off, kids = columns["kind"], columns["off"], columns["kids"]
+    pooled, past = 0, False
+    slots = np.empty(min(_CHUNK, kind.size), dtype=np.int32)
+    for lo in range(0, kind.size, _CHUNK):
+        children = np.frombuffer(
+            kind[lo:lo + _CHUNK].tobytes().translate(_CHILDREN),
+            dtype=np.uint8)
+        if children.max() == _NO_KIND:
+            raise IndexFormatError(
+                f"{what}: member 'arena_kind' holds a byte that is no node "
+                f"kind; the index is corrupt")
+        # All but a DIVERGE node's first child lie in the pool.
+        pooled += int(children.sum()) - np.count_nonzero(children)
+        # A DIVERGE node's first slot (0 for the others), then its end.
+        first = np.multiply(off[lo:lo + _CHUNK], children != 0,
+                            out=slots[:children.size])
+        past |= bool(first.min() < 0 or first.max() > kids.size)
+        first += children
+        past |= bool(first.max() > kids.size + 1)
+    if pooled != kids.size:
+        raise IndexFormatError(
+            f"{what}: member 'arena_kids' holds {kids.size} children, the "
+            f"child bitmaps {pooled} after the first ones; the index is "
+            f"corrupt")
+    if past:
+        raise IndexFormatError(
+            f"{what}: member 'arena_off' sends a DIVERGE node's children "
+            f"past 'arena_kids'; the index is corrupt")
+    if kind.size and FANOUT[kind[-1]]:
+        raise IndexFormatError(
+            f"{what}: the last arena node has a child past the arena; the "
+            f"index is corrupt")
 
 
 def _assemble_index(
@@ -237,7 +285,7 @@ def _assemble_index(
     flat = _stored_arena(config, what, member)
     bases = member("tree_bases")
     trees = int(np.count_nonzero(flat.roots >= 0))
-    if bases.dtype != np.int64 or bases.shape != (trees,):
+    if bases.dtype != np.int32 or bases.shape != (trees,):
         raise IndexFormatError(
             f"{what}: {bases.dtype}{list(bases.shape)} tree bases for "
             f"{trees} trees; the index is corrupt")
@@ -248,13 +296,13 @@ def _assemble_index(
 def index_over(
     reference: Reference, config: ErtConfig, flat: FlatTrees,
     member: "Callable[[str], np.ndarray]", trees_bytes: int,
-    layout: "ForestLayout | None" = None,
 ) -> ErtIndex:
     """The index over an arena and the payload's other arrays, built,
     loaded or attached alike.  The arena is the index's as it is; the
     scalar walk's jump tables are made from it per k-mer, when asked
-    for."""
+    for.  The length-k prefix counts are the k-mer counts."""
     entry_kind = member("entry_kind")
+    kmer_count = member("kmer_count")
 
     def jump_table(code: int) -> "list[JumpEntry]":
         owner = index_ref()
@@ -264,12 +312,12 @@ def index_over(
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=member("lep_bits"), prefix_len=member("prefix_len"),
-        kmer_count=member("kmer_count"), tree_bases=member("tree_bases"),
+        kmer_count=kmer_count, tree_bases=member("tree_bases"),
         tables=LazyByCode(np.flatnonzero(entry_kind == EntryKind.TABLE),
                           jump_table),
         prefix_counts=[member(f"prefix_counts_{length}")
-                       for length in range(1, config.k + 1)],
-        trees_bytes=trees_bytes, flat=flat, layout=layout)
+                       for length in range(1, config.k)] + [kmer_count],
+        trees_bytes=trees_bytes, flat=flat)
     # Weak, or index -> tables -> jump_table -> index is a cycle and the
     # cyclic collector finalizes an attached index's shared-memory
     # mapping while the views into it are still alive (BufferError).

@@ -12,7 +12,11 @@ Node byte sizes follow the paper's concrete wire format (the encoder in
   (+ 2-bit prefix characters and a validity bitmap under prefix merging).
 
 Every tree gets its own blob, rounded up to a whole tile so distinct
-trees never share a line, in one of three orders.  ``TILED`` packs each
+trees never share a line, in one of three orders.  The builder lays the
+forest out once (:func:`forest_layout`) and stores every node's offset
+as the arena's ``offset`` column; an index reads it back
+(:func:`stored_layout`) with the sizes derived from the columns, and
+never lays the forest out again.  ``TILED`` packs each
 subtree greedily into 64 B tiles so a root-to-leaf walk touches few
 cache lines (the paper reports ~3 nodes traversed per 64 B, 50 %
 utilization); ``DFS``/``BFS`` are the comparison orders for the ablation
@@ -27,10 +31,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from repro.core.arena import KIND_UNIFORM, FlatTrees
+from repro.core.arena import (
+    FANOUT,
+    KIND_LEAF,
+    KIND_UNIFORM,
+    FlatTrees,
+    children_of,
+)
 from repro.core.config import ErtConfig, LayoutPolicy
 
 TILE = 64
@@ -54,6 +65,21 @@ def node_size(kind: "np.ndarray | int", count: "np.ndarray | int",
     uniform = 9 + (np.asarray(chars_len, dtype=np.int64) + 3) // 4
     # Chosen by kind code: KIND_DIVERGE, KIND_UNIFORM, KIND_LEAF are 0-2.
     return np.choose(kind, (diverge, uniform, leaf))
+
+
+def node_bytes(nodes: "Mapping[str, np.ndarray]", lo: int, hi: int,
+               prefix_merging: bool) -> np.ndarray:
+    """:func:`node_size` of the arena nodes ``lo:hi``, from the columns.
+    A DIVERGE node's children are its bitmap's bits and its ended hits
+    open its pool run, up to its first child's (``nid + 1``)."""
+    kind = nodes["kind"][lo:hi]
+    diverge = np.flatnonzero(kind > KIND_LEAF)
+    pos_off = nodes["pos_off"]
+    ended = np.zeros(kind.size, dtype=np.int64)
+    ended[diverge] = pos_off[lo + 1 + diverge] - pos_off[lo + diverge]
+    return node_size(kind & 3, nodes["count"][lo:hi],
+                     np.asarray(FANOUT)[kind], ended,
+                     nodes["chars_len"][lo:hi], prefix_merging)
 
 
 @dataclass
@@ -100,12 +126,27 @@ class ForestLayout:
                 np.bincount(per_tile).tolist()) if tiles})
 
 
-def forest_layout(flat: FlatTrees, config: ErtConfig) -> ForestLayout:
-    """Lay out every tree of ``flat`` under ``config``'s policy, a chunk
-    of whole trees at a time (that bounds every temporary)."""
-    n_nodes = flat.kind.size
+def stored_layout(flat: FlatTrees, config: ErtConfig,
+                  tree_bases: np.ndarray, trees_bytes: int) -> ForestLayout:
+    """The layout the builder stored: the ``offset`` column as it lies,
+    the node sizes derived from the columns."""
+    return ForestLayout(
+        offset=flat.offset,
+        nbytes=node_bytes(vars(flat), 0, flat.kind.size,
+                          config.prefix_merging),
+        tree_roots=flat.roots[flat.roots >= 0], tree_bases=tree_bases,
+        trees_bytes=trees_bytes)
+
+
+def forest_layout(nodes: "Mapping[str, np.ndarray]",
+                  config: ErtConfig) -> ForestLayout:
+    """Lay out every tree of the arena columns ``nodes`` under
+    ``config``'s policy, a chunk of whole trees at a time (that bounds
+    every temporary).  The builder runs it once and stores the offsets."""
+    n_nodes = nodes["kind"].size
+    roots = nodes["roots"]
     # Each tree's root node id, then the node id where the last one ends.
-    bounds = np.append(flat.roots[flat.roots >= 0], n_nodes)
+    bounds = np.append(roots[roots >= 0], n_nodes)
     roots = bounds[:-1]
     nbytes = np.empty(n_nodes, dtype=np.int32)
     offset = np.empty(n_nodes, dtype=np.int32)
@@ -116,7 +157,7 @@ def forest_layout(flat: FlatTrees, config: ErtConfig) -> ForestLayout:
     for lo_tree, hi_tree in zip(cuts.tolist(),
                                 np.append(cuts[1:], roots.size).tolist()):
         lo, hi = int(roots[lo_tree]), int(bounds[hi_tree])
-        chunk = _Chunk(flat, lo, hi, roots[lo_tree:hi_tree] - lo,
+        chunk = _Chunk(nodes, lo, hi, roots[lo_tree:hi_tree] - lo,
                        config.prefix_merging)
         nbytes[lo:hi] = chunk.nbytes
         offset[lo:hi], size[lo_tree:hi_tree] = chunk.offsets(config.layout)
@@ -127,24 +168,21 @@ def forest_layout(flat: FlatTrees, config: ErtConfig) -> ForestLayout:
 
 
 class _Chunk:
-    """The nodes ``lo:hi`` of ``flat``, whole trees rooted at ``roots``,
-    sized; node ids local to the chunk."""
+    """The nodes ``lo:hi`` of the arena columns ``nodes``, whole trees
+    rooted at ``roots``, sized; node ids local to the chunk."""
 
-    def __init__(self, flat: FlatTrees, lo: int, hi: int, roots: np.ndarray,
-                 prefix_merging: bool) -> None:
-        rows = slice(lo, hi)
+    def __init__(self, nodes: "Mapping[str, np.ndarray]", lo: int, hi: int,
+                 roots: np.ndarray, prefix_merging: bool) -> None:
         self.roots = roots.astype(np.int64)
-        self.branch = flat.children[rows] >= 0
-        self.children = flat.children[rows] - lo
-        # A UNIFORM node's one child is in the ``child`` column.
-        self.uniform = np.flatnonzero(flat.kind[rows] == KIND_UNIFORM)
-        self.below_run = flat.child[rows][self.uniform] - lo
-        count = flat.count[rows]
-        ended = count - np.where(self.branch, flat.count[flat.children[rows]],
-                                 0).sum(axis=1)
-        self.nbytes = node_size(flat.kind[rows], count,
-                                self.branch.sum(axis=1), ended,
-                                flat.chars_len[rows], prefix_merging)
+        nid = np.arange(lo, hi)
+        children = np.stack([children_of(nodes, nid, c) for c in range(4)],
+                            axis=1)
+        self.branch = children >= 0
+        self.children = children - lo
+        # A UNIFORM node's one child follows it in preorder.
+        self.uniform = np.flatnonzero(nodes["kind"][lo:hi] == KIND_UNIFORM)
+        self.below_run = self.uniform + 1
+        self.nbytes = node_bytes(nodes, lo, hi, prefix_merging)
 
     def offsets(self, policy: LayoutPolicy
                 ) -> "tuple[np.ndarray, np.ndarray]":

@@ -16,9 +16,9 @@ hardware Tree Walker (§IV-B).
 The cursor steps over arena node ids (:mod:`repro.core.arena`), reading
 the columns through the index's :class:`~repro.core.arena.ArenaCursor`,
 the same forest the batched kernels walk.  Where a node lies in the
-modelled trees region is read from the index's layout only when a
-tracer or reuse cache is attached to take the fetch, so an unmodelled
-walk never lays the forest out.
+modelled trees region (the offsets the builder stored, the index's
+``layout``) is read only when a tracer or reuse cache is attached to
+take the fetch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.arena import (
-    KIND_DIVERGE,
+    CHILD_RANK,
     KIND_LEAF,
     KIND_UNIFORM,
     arena_cursor,
@@ -159,7 +159,7 @@ class TreeCursor:
         kind = arena.kind[nid]
         if kind == KIND_LEAF:
             text = arena.text
-            pos = arena.leaf_text0[nid] + arena.k + self.depth
+            pos = arena.off[nid] + arena.k + self.depth
             if pos >= len(text):
                 return False
             self._emit_ref(pos)
@@ -169,15 +169,16 @@ class TreeCursor:
             self.depth += 1
             return True
         if kind == KIND_UNIFORM:
-            if arena.chars[arena.chars_off[nid] + self.within] != c:
+            if arena.chars[arena.off[nid] + self.within] != c:
                 return False
             self.within += 1
             self.depth += 1
             return True
         # DIVERGE: decoding selects the child; hit count changes.
-        child = arena.children[4 * nid + c]
-        if child < 0:
+        rank = CHILD_RANK[kind + c]
+        if rank < 0:
             return False
+        child = arena.kids[arena.off[nid] + rank - 1] if rank else nid + 1
         count = arena.count[child]
         if count < self.min_hits:
             return False
@@ -235,10 +236,8 @@ class TreeCursor:
             if nid != self.node:
                 self._emit_node(nid, PHASE_GATHER)
             kind = arena.kind[nid]
-            if kind == KIND_DIVERGE:
-                stack.extend(child for child in
-                             arena.children[4 * nid:4 * nid + 4]
-                             if child >= 0)
+            if kind > KIND_LEAF:  # DIVERGE
+                stack.extend(arena.children(nid))
             elif kind == KIND_UNIFORM:
                 stack.append(nid + 1)
         positions: "list[int]" = self.index.flat.gather(root).tolist()

@@ -34,7 +34,7 @@ States are eagerly settled (see :mod:`repro.core.arena`).
 from __future__ import annotations
 
 from repro.core.arena import (
-    KIND_DIVERGE,
+    CHILD_RANK,
     KIND_LEAF,
     KIND_UNIFORM,
     ArenaCursor,
@@ -129,19 +129,22 @@ def walk(cursor: ArenaCursor, seq: bytes, codes: "memoryview | None",
     first = pos
     if nid >= 0:
         kind = cursor.kind
-        children = cursor.children
+        kids = cursor.kids
+        off = cursor.off
         counts = cursor.count
         chars_len = cursor.chars_len
+        child_rank = CHILD_RANK
         while True:
             if count < max_intv and pos - start >= min_len:
                 break
             if pos >= stop:
                 break
             node_kind = kind[nid]
-            if node_kind == KIND_DIVERGE:
-                ch = children[4 * nid + seq[pos]]
-                if ch < 0:
+            if node_kind > KIND_LEAF:  # DIVERGE, under its child bitmap
+                rank = child_rank[node_kind + seq[pos]]
+                if rank < 0:
                     break
+                ch = kids[off[nid] + rank - 1] if rank else nid + 1
                 have = counts[ch]
                 if have < min_hits:
                     break
@@ -156,13 +159,13 @@ def walk(cursor: ArenaCursor, seq: bytes, codes: "memoryview | None",
                 continue
             if node_kind == KIND_LEAF:
                 ref = cursor.text
-                r0 = cursor.leaf_text0[nid] + k + depth
+                r0 = off[nid] + k + depth
                 need = w = stop - pos
                 if w > len(ref) - r0:  # the text ends first: a dead end
                     w = len(ref) - r0
             else:  # KIND_UNIFORM
                 ref = cursor.chars
-                r0 = cursor.chars_off[nid] + within
+                r0 = off[nid] + within
                 need = w = chars_len[nid] - within
                 if w > stop - pos:
                     need = w = stop - pos
@@ -179,7 +182,7 @@ def walk(cursor: ArenaCursor, seq: bytes, codes: "memoryview | None",
             depth += run
             pos += run
             if node_kind == KIND_UNIFORM and within == chars_len[nid]:
-                nid = cursor.child[nid]
+                nid += 1  # preorder: a run's one child follows it
                 within = 0
             if count < max_intv and pos - start >= min_len:
                 first -= pos - (start + min_len)  # steps count the run

@@ -137,14 +137,18 @@ def tree_at(flat: FlatTrees, text: np.ndarray, nid: int,
     if kind == KIND_LEAF:
         node = leaf_over(text, tuple(flat.pool[off:off + count].tolist()))
     elif kind == KIND_UNIFORM:
-        start = int(flat.chars_off[nid])
+        start = int(flat.off[nid])
         chars = flat.chars_pool[start:start + int(flat.chars_len[nid])]
         node = UniformNode(chars, tree_at(flat, text, nid + 1, layout),
                            count)
     else:
+        # The child bitmap above the kind: the first child follows the
+        # node, the others lie in the kids pool from ``off`` on.
+        chars = [c for c in range(4) if kind >> (2 + c) & 1]
+        start = int(flat.off[nid])
+        ids = [nid + 1] + flat.kids[start:start + len(chars) - 1].tolist()
         children = {c: tree_at(flat, text, child, layout)
-                    for c, child in enumerate(flat.children[nid].tolist())
-                    if child >= 0}
+                    for c, child in zip(chars, ids)}
         # The pool run of a DIVERGE node opens with its own
         # terminations; its children's runs follow.
         ended = count - sum(child.count for child in children.values())

@@ -309,7 +309,7 @@ def test_damaged_index_is_one_line_and_a_nonzero_exit(workspace, tmp_path,
     _root, _ref, reads, index = workspace
     raw = index.read_bytes()
     directory, members = read_frame(index)
-    assert directory["format_version"] == 3
+    assert directory["format_version"] == 4
     middle = len(raw) // 2
     damaged = {
         "cut.npz": lambda bad: bad.write_bytes(raw[:middle]),

@@ -365,22 +365,24 @@ def oracle_layout_tree(root, config, stats):
     return size
 
 
-def _settle_nid(kind, chars_len, child, nid, within):
+def _settle_nid(kind, chars_len, nid, within):
     while kind[nid] == KIND_UNIFORM and within == chars_len[nid]:
-        nid = child[nid]
+        nid += 1
         within = 0
     return nid, within
 
 
 def oracle_compile(roots, config, n_tables):
-    """Number every node of the object trees ``roots`` (by k-mer code)
-    in preorder, children in character order, and emit one row each;
-    the ``n_tables`` jump tables' columns are left for
+    """Number every node of the laid-out object trees ``roots`` (by k-mer
+    code) in preorder, children in character order, and emit one row
+    each: a DIVERGE node's child bitmap in its kind byte, its first child
+    the next row and the others in the kids pool, every node's layout
+    offset; the ``n_tables`` jump tables' columns are left for
     :func:`oracle_jump_tables` to fill."""
-    lists = {name: [] for name in ("kind", "count", "children", "child",
-                                   "chars_off", "chars_len", "chars_pool",
-                                   "leaf_text0", "pos_off", "pool")}
-    kind, children, pool = lists["kind"], lists["children"], lists["pool"]
+    lists = {name: [] for name in ("kind", "count", "kids", "off",
+                                   "chars_len", "chars_pool", "pos_off",
+                                   "pool", "offset")}
+    kind, kids, pool = lists["kind"], lists["kids"], lists["pool"]
     n_entries = 4 ** config.k
     root_ids = np.full(n_entries, -1, dtype=np.int32)
     for code in sorted(roots):
@@ -390,34 +392,32 @@ def oracle_compile(roots, config, n_tables):
             node, slot = stack.pop()
             nid = len(kind)
             if slot >= 0:
-                children[slot] = nid
+                kids[slot] = nid
             lists["count"].append(int(node.count))
             lists["pos_off"].append(len(pool))
-            children.extend((-1, -1, -1, -1))
+            lists["offset"].append(node.offset)
             if isinstance(node, LeafNode):
                 kind.append(KIND_LEAF)
-                lists["child"].append(-1)
-                lists["chars_off"].append(0)
+                lists["off"].append(int(node.positions[0]))
                 lists["chars_len"].append(0)
-                lists["leaf_text0"].append(int(node.positions[0]))
                 pool.extend(node.positions)
             elif isinstance(node, UniformNode):
                 kind.append(KIND_UNIFORM)
-                lists["child"].append(nid + 1)
-                lists["chars_off"].append(len(lists["chars_pool"]))
+                lists["off"].append(len(lists["chars_pool"]))
                 lists["chars_len"].append(int(node.chars.size))
                 lists["chars_pool"].extend(node.chars.tolist())
-                lists["leaf_text0"].append(-1)
                 stack.append((node.child, -1))
             else:
-                kind.append(KIND_DIVERGE)
-                lists["child"].append(-1)
-                lists["chars_off"].append(0)
+                chars = sorted(node.children)
+                kind.append(KIND_DIVERGE | sum(4 << c for c in chars))
+                lists["off"].append(len(kids))
                 lists["chars_len"].append(0)
-                lists["leaf_text0"].append(-1)
                 pool.extend(node.ended)
-                for c in sorted(node.children, reverse=True):
-                    stack.append((node.children[c], 4 * nid + c))
+                kids.extend([-1] * (len(chars) - 1))
+                # The first child is popped next: it is row nid + 1.
+                for i in reversed(range(len(chars))):
+                    stack.append((node.children[chars[i]],
+                                  lists["off"][-1] + i - 1 if i else -1))
 
     shape = (max(n_tables, 1), 4 ** config.table_x)
     jt = {"table_slot": np.full(n_entries, -1, dtype=np.int32)}
@@ -427,7 +427,6 @@ def oracle_compile(roots, config, n_tables):
     jt["jt_node"] = np.full(shape, -1, dtype=np.int32)
     arrays = {name: np.array(values, dtype=ARENA_DTYPES[name])
               for name, values in lists.items()}
-    arrays["children"] = arrays["children"].reshape(-1, 4)
     return FlatTrees(k=config.k, table_x=config.table_x, roots=root_ids,
                      **jt, **arrays)
 
@@ -449,8 +448,8 @@ def oracle_jump_tables(index):
                 nid, within = state.pending, 0
             else:
                 nid, within = state.node, state.within
-            nid, within = _settle_nid(flat.kind, flat.chars_len, flat.child,
-                                      nid, within)
+            nid, within = _settle_nid(flat.kind, flat.chars_len, nid,
+                                      within)
             flat.jt_node[slot, subcode] = nid
             flat.jt_within[slot, subcode] = within
             flat.jt_depth[slot, subcode] = state.depth
@@ -501,7 +500,7 @@ def oracle_build_ert(reference, config):
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
         tree_bases=np.array([tree_base[code] for code in sorted(tree_base)],
-                            dtype=np.int64),
+                            dtype=np.int32),
         tables=tables, prefix_counts=counts_by_len, trees_bytes=trees_bytes,
         flat=oracle_compile(roots, config, len(table_codes)))
     for code in table_codes:

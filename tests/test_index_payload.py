@@ -1,6 +1,7 @@
-"""The version-3 index payload: one stored forest (the arena), walked as
-it lies, re-framing without compiling, the frame and its member table
-as a contract, and typed errors on hostile input."""
+"""The version-4 index payload: one stored forest (the arena, its layout
+offsets included), walked as it lies, re-framing without compiling, the
+frame and its member table as a contract, and typed errors on hostile
+input."""
 
 import dataclasses
 import gc
@@ -47,7 +48,7 @@ from repro.sequence.multi import MultiReference
 from repro.sequence.simulate import PairedReadSimulator
 from tests.frames import read_frame, rewrite, save_as_archive
 from tests.nodes import decoded
-from tests.serialize import trees_equal
+from tests.serialize import decode_tree, encode_tree, trees_equal
 
 
 def _multi_contig_reference():
@@ -156,6 +157,36 @@ def test_decoded_forest_equals_the_built_one(built, tmp_path, layout):
     _on_attached(index, lambda attached: _assert_same_forest(attached, index))
 
 
+@pytest.mark.parametrize("layout", list(LayoutPolicy),
+                         ids=lambda layout: layout.value)
+def test_stored_offsets_are_where_the_wire_format_puts_every_node(
+        built, tmp_path, layout):
+    """The ``offset`` column, built and loaded, is where the paper's wire
+    format (``tests/serialize.py``) puts every node: each tree, encoded
+    at the stored offsets into its blob, parses back from the blob's
+    start to itself, node for node at the stored offsets and sizes."""
+    index = build_ert(built.reference,
+                      dataclasses.replace(built.config, layout=layout))
+    save_ert(index, tmp_path / "index.npz")
+    merged = index.config.prefix_merging
+    ends = list(index.tree_base.values())[1:] + [index.trees_region.size]
+    for form in (index, load_ert(tmp_path / "index.npz")):
+        layout_of = form.layout
+        for (code, base), end in zip(form.tree_base.items(), ends):
+            root = decoded(form, code)
+            back = decode_tree(encode_tree(root, end - base, merged), 0)
+            assert trees_equal(back, root, check_prefix=merged), code
+            placed, stack = [], [back]
+            while stack:  # preorder, children in character order
+                node = stack.pop()
+                placed.append((node.offset, node.nbytes))
+                stack.extend(reversed(node.children_nodes()))
+            nid = form.roots[code]
+            rows = slice(nid, nid + len(placed))
+            assert placed == list(zip(form.flat.offset[rows].tolist(),
+                                      layout_of.nbytes[rows].tolist())), code
+
+
 def test_lazy_roots_equal_eager_decode(built, saved, ert_index, tmp_path):
     """``roots`` maps every k-mer with a tree, and only those, to the
     root node id the stored column holds, without a Python object per
@@ -195,6 +226,24 @@ TRAFFIC_STREAMS = {
 }
 
 
+def _traffic_streams(index):
+    """The stream digests of the pinned reads on ``index``: per-read
+    seeding, then one reuse-cache batch."""
+    reads = [read.codes for read in ReadSimulator(
+        index.reference, read_length=60, seed=43).simulate(8)]
+    params = SeedingParams(min_seed_len=10)
+
+    def per_read(engine):
+        for read in reads:
+            seed_read(engine, read, params)
+
+    def reuse(engine):
+        KmerReuseDriver(engine, params,
+                        cache_bytes=8 * 1024).seed_batch(reads)
+
+    return _stream_digest(index, per_read), _stream_digest(index, reuse)
+
+
 def _stream_digest(index, run):
     tracer = MemoryTracer(keep_trace=True)
     index.attach_tracer(tracer)
@@ -224,25 +273,13 @@ def test_modelled_traffic_is_equal_on_built_loaded_and_attached(built, saved):
         return (profile.requests_per_read, profile.bytes_per_read,
                 profile.by_phase)
 
-    def streams(index):
-        def per_read(engine):
-            for read in reads:
-                seed_read(engine, read, params)
-
-        def reuse(engine):
-            KmerReuseDriver(engine, params,
-                            cache_bytes=8 * 1024).seed_batch(reads)
-
-        return (_stream_digest(index, per_read),
-                _stream_digest(index, reuse))
-
     want = traffic(built)
     assert traffic(load_ert(saved)) == want
     assert _on_attached(built, traffic) == want
     pinned = TRAFFIC_STREAMS[built.config.k, built.config.prefix_merging]
-    assert streams(built) == pinned
-    assert streams(load_ert(saved)) == pinned
-    assert _on_attached(built, streams) == pinned
+    assert _traffic_streams(built) == pinned
+    assert _traffic_streams(load_ert(saved)) == pinned
+    assert _on_attached(built, _traffic_streams) == pinned
 
 
 #: sha256 of what ``seed`` (TSV lines), ``align`` and ``align-pe``
@@ -261,9 +298,10 @@ def _digest(lines):
 
 def test_runs_on_a_loaded_index_never_lay_the_forest_out(
         built, saved, monkeypatch):
-    """Only a modelled walk asks where a node lies: ``seed``, ``align``
-    and ``align-pe`` on a loaded index, scalar and vector, return the
-    pinned outputs while the layout model refuses to run."""
+    """``seed``, ``align`` and ``align-pe`` on a loaded index, scalar
+    and vector, return the pinned outputs, and a modelled walk the
+    pinned request streams, while the layout model refuses to run: a
+    loaded index reads the offsets the builder stored."""
     reference = built.reference
     reads = ReadSimulator(reference, read_length=60, seed=41).simulate(6)
     pairs = [read for pair in PairedReadSimulator(
@@ -285,6 +323,8 @@ def test_runs_on_a_loaded_index_never_lay_the_forest_out(
                 _digest(record.to_line() + "\n" for record in sam),
                 _digest(record.to_line() + "\n" for record in paired)) \
             == RUN_OUTPUTS, kernels
+    assert _traffic_streams(load_ert(saved)) == TRAFFIC_STREAMS[
+        built.config.k, built.config.prefix_merging]
 
 
 def test_publish_reframes_without_encoding(built, saved, monkeypatch):
@@ -319,26 +359,25 @@ def test_publish_reframes_without_encoding(built, saved, monkeypatch):
 # The payload as a contract
 # ----------------------------------------------------------------------
 
-#: Every version-3 member: dtype and rank.  ``prefix_counts_<length>``
-#: stands for one member per length 1..k.
-V3_MEMBERS = {
+#: Every version-4 member: dtype and rank.  ``prefix_counts_<length>``
+#: stands for one member per length 1..k-1 (length k is ``kmer_count``).
+V4_MEMBERS = {
     "reference": ("uint8", 1),
     "entry_kind": ("uint8", 1),
     "lep_bits": ("int32", 1),
     "prefix_len": ("int8", 1),
-    "kmer_count": ("int64", 1),
-    "tree_bases": ("int64", 1),
-    "prefix_counts_<length>": ("int64", 1),
+    "kmer_count": ("int32", 1),
+    "tree_bases": ("int32", 1),
+    "prefix_counts_<length>": ("int32", 1),
     "arena_kind": ("uint8", 1),
     "arena_count": ("int32", 1),
-    "arena_children": ("int32", 2),
-    "arena_child": ("int32", 1),
-    "arena_chars_off": ("int32", 1),
-    "arena_chars_len": ("int32", 1),
+    "arena_kids": ("int32", 1),
+    "arena_off": ("int32", 1),
+    "arena_chars_len": ("uint8", 1),
     "arena_chars_pool": ("uint8", 1),
-    "arena_leaf_text0": ("int32", 1),
     "arena_pos_off": ("int32", 1),
     "arena_pool": ("int32", 1),
+    "arena_offset": ("int32", 1),
     "arena_roots": ("int32", 1),
     "arena_table_slot": ("int32", 1),
     "arena_jt_matched": ("int32", 2),
@@ -354,15 +393,15 @@ def test_both_formats_carry_exactly_the_member_table(built, saved):
     """The file and the buffer are one frame, byte for byte: the member
     table in stored order, every array aligned, and a crc32 per array."""
     want = {}
-    for name, spec in V3_MEMBERS.items():
+    for name, spec in V4_MEMBERS.items():
         if name == "prefix_counts_<length>":
-            for length in range(1, built.config.k + 1):
+            for length in range(1, built.config.k):
                 want[f"prefix_counts_{length}"] = spec
         else:
             want[name] = spec
     buffer = index_to_buffer(built)
     assert saved.read_bytes() == buffer
-    assert buffer[:8] == b"ERTBUF03"
+    assert buffer[:8] == b"ERTBUF04"
     directory = json.loads(buffer[16:16 + int.from_bytes(buffer[8:16],
                                                          "little")])
     in_frame = {spec["name"]: (str(np.dtype(spec["dtype"])),
@@ -370,17 +409,17 @@ def test_both_formats_carry_exactly_the_member_table(built, saved):
                 for spec in directory["arrays"]}
     assert in_frame == want
     assert list(in_frame) == list(index_io._payload(built))  # one order
-    assert directory["format_version"] == 3
+    assert directory["format_version"] == 4
     assert directory["trees_bytes"] == built.index_bytes()["trees"]
     assert directory["nbytes"] == len(buffer)
     _directory, arrays = read_frame(saved)
     for spec in directory["arrays"]:
         assert spec["offset"] % 64 == 0
         assert spec["crc32"] == zlib.crc32(arrays[spec["name"]])
-    wide = {name for name, (dtype, _rank) in want.items()
-            if np.dtype(dtype).itemsize > 4}
-    assert wide == {"kmer_count", "tree_bases"} | {
-        name for name in want if name.startswith("prefix_counts_")}
+    assert all(np.dtype(dtype).itemsize <= 4
+               for dtype, _rank in want.values())
+    loaded = load_ert(saved)
+    assert np.shares_memory(loaded.prefix_counts[-1], loaded.kmer_count)
 
 
 def test_a_loaded_index_is_views_into_one_read_only_mapping(built, saved):
@@ -454,11 +493,13 @@ def test_compile_refuses_a_forest_past_the_column_width(monkeypatch):
 
 def test_version_1_is_refused_naming_the_rebuild(built, saved, tmp_path):
     """No reader for what earlier builds wrote: version 1 (tree blobs
-    only) and version 2 (blobs next to an int64 arena) frames, as files
-    and as buffers, and the zip (``.npz``) archive every index file was
-    before the frame, all end in the rebuild message."""
+    only), version 2 (blobs next to an int64 arena) and version 3 (a
+    four-slot child table, no stored offsets) frames, as files and as
+    buffers, and the zip (``.npz``) archive every index file was before
+    the frame, all end in the rebuild message."""
     buffer = index_to_buffer(built)
-    for version, magic in ((1, b"ERTBUF01"), (2, b"ERTBUF02")):
+    for version, magic in ((1, b"ERTBUF01"), (2, b"ERTBUF02"),
+                           (3, b"ERTBUF03")):
         old = tmp_path / f"v{version}.npz"
         old.write_bytes(saved.read_bytes())
         rewrite(old, meta={"format_version": version})
@@ -516,20 +557,19 @@ def test_truncated_and_garbled_archives_are_format_errors(saved, tmp_path):
     ("arena_kind", lambda a: a.astype(np.int64)),
     ("arena_pool", lambda a: a.astype(np.int64)),
     ("arena_count", lambda a: a[:-1]),
-    ("arena_child", lambda a: a[:-1]),
-    ("arena_chars_off", lambda a: a[:-1]),
+    ("arena_offset", lambda a: a[:-1]),
+    ("arena_off", lambda a: a[:-1]),
     ("arena_chars_len", lambda a: a[:-1]),
-    ("arena_leaf_text0", lambda a: a[:-1]),
     ("arena_pos_off", lambda a: a[:-1]),
-    ("arena_children", lambda a: a[:-1]),
-    ("arena_children", lambda a: a.reshape(-1, 2)),
+    ("arena_kids", lambda a: a[:-1]),
+    ("arena_kids", lambda a: a.reshape(1, -1)),
     ("arena_roots", lambda a: a[:-1]),
     ("arena_table_slot", lambda a: a[:-1]),
     ("arena_jt_node", lambda a: a[:, :-1]),
     ("arena_jt_count", lambda a: a[:-1]),
     ("arena_pool", lambda a: a.reshape(1, -1)),
     ("tree_bases", lambda a: a[:-1]),
-    ("tree_bases", lambda a: a.astype(np.int32)),
+    ("tree_bases", lambda a: a.astype(np.int64)),
 ])
 def test_mismatched_members_are_format_errors(archive_bytes, tmp_path,
                                               member, damage):

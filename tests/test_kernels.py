@@ -329,11 +329,12 @@ def test_arena_cursor_over_attached_index_matches_built(ert_index, reference,
 
     attached = index_from_buffer(index_to_buffer(ert_index))
     cursor = arena_cursor(attached)
-    assert cursor.kind.readonly and cursor.children.readonly
+    assert cursor.kind.readonly and cursor.kids.readonly
     assert arena_cursor(attached) is cursor  # built once per index
     built = arena_cursor(ert_index)
     assert cursor.text == built.text and cursor.chars == built.chars
-    assert cursor.children.tolist() == built.children.tolist()
+    assert cursor.kids.tolist() == built.kids.tolist()
+    assert cursor.off.tolist() == built.off.tolist()
     reads = read_codes + _fuzz_reads(reference, np.random.default_rng(4), 30)
     assert (_seed_in_batches(attached, reads, params, 16)
             == _seed_in_batches(ert_index, reads, params, 16))

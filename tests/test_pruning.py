@@ -7,20 +7,32 @@ oracle.  The property below checks the full three-round output of the
 brute-force, FMD, scalar ERT (with and without prefix merging) and arena
 engines, pruned and unpruned, on references built to break the proofs'
 assumptions: homopolymer runs, tandem repeats of period 2..24 and exact
-high-copy repeats.
+high-copy repeats.  The scalar and arena engines also run on the same
+index saved and mapped back, so the stored columns face them too.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ErtConfig, ErtSeedingEngine, build_ert
+from repro.core import (
+    ErtConfig,
+    ErtSeedingEngine,
+    build_ert,
+    load_ert,
+    save_ert,
+)
+from repro.core.arena import FANOUT, KIND_LEAF, KIND_UNIFORM, arena_cursor
 from repro.fmindex import FmdIndex, FmdSeedingEngine
 from repro.kernels import seed_batch
+from repro.kernels.walk import walk
 from repro.seeding import OracleEngine, SeedingParams, oracle_smems, seed_read
 from repro.seeding.algorithm import generate_smems
-from repro.sequence import Reference
+from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import revcomp_codes
 
 MAX_SEED_LEN = 64
@@ -91,12 +103,16 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
     config = dict(k=k, max_seed_len=MAX_SEED_LEN, table_threshold=8,
                   table_x=2)
     plain = build_ert(ref, ErtConfig(**config))
+    with tempfile.TemporaryDirectory() as scratch:
+        save_ert(plain, os.path.join(scratch, "index"))
+        loaded = load_ert(os.path.join(scratch, "index"))
     engines = {
         "oracle": OracleEngine(ref),
         "fmd": FmdSeedingEngine(FmdIndex(ref)),
         "ert": ErtSeedingEngine(plain),
         "ert-pm": ErtSeedingEngine(build_ert(
             ref, ErtConfig(prefix_merging=True, **config))),
+        "ert-loaded": ErtSeedingEngine(loaded),
     }
     want = None
     for use_pruning in (False, True):
@@ -106,8 +122,9 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
         runs = {name: [seed_read(engine, read, params).key()
                        for read in reads]
                 for name, engine in engines.items()}
-        runs["arena"] = [result.key() for result in seed_batch(
-            ErtSeedingEngine(plain), reads, params)]
+        for name, index in (("arena", plain), ("arena-loaded", loaded)):
+            runs[name] = [result.key() for result in seed_batch(
+                ErtSeedingEngine(index), reads, params)]
         if want is None:
             want = runs["oracle"]
         for name, keys in runs.items():
@@ -118,6 +135,62 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
         smems = oracle_smems(ref, read)
         for engine in engines.values():
             assert generate_smems(engine, read, params) == smems
+
+
+def _settled(cursor):
+    """The node a scalar cursor's next character is decided at."""
+    nid = cursor.pending if cursor.pending >= 0 else cursor.node
+    arena = arena_cursor(cursor.index)
+    if nid == cursor.node and arena.kind[nid] == KIND_UNIFORM \
+            and cursor.within == arena.chars_len[nid]:
+        nid += 1
+    return nid
+
+
+def test_walks_agree_at_one_and_four_way_branches(tmp_path):
+    """Pinned: on the benchmark genome (10 kbp, k = 6) one DIVERGE node
+    has a single child (and an ended hit) and 550 have all four.  From
+    the root through each, every next character, the batched ``walk``
+    and the scalar ``TreeCursor`` over the mapped index agree on where
+    the match ends, the node and count it ends with and its LEPs."""
+    reference = GenomeSimulator(seed=2021).generate(10_000)
+    save_ert(build_ert(reference, ErtConfig(k=6)), tmp_path / "index")
+    index = load_ert(tmp_path / "index")
+    flat, text, k = index.flat, index.text, index.config.k
+    fanout = np.asarray(FANOUT)[flat.kind]
+    branching = (flat.kind > KIND_LEAF) & ((fanout == 1) | (fanout == 4))
+    assert np.bincount(fanout[branching]).tolist() == [0, 1, 0, 0, 550]
+    # Each node's depth below its k-mer (the walk to it is checked).
+    depth = [0] * flat.kind.size
+    for nid, byte in enumerate(flat.kind.tolist()):
+        if byte == KIND_UNIFORM:  # its run, then its child
+            depth[nid + 1] = depth[nid] + int(flat.chars_len[nid])
+        elif byte > KIND_LEAF:
+            first = int(flat.off[nid])
+            for child in [nid + 1] + flat.kids[
+                    first:first + FANOUT[byte] - 1].tolist():
+                depth[child] = depth[nid] + 1
+    scalar = ErtSeedingEngine(index)
+    arena = arena_cursor(index)
+    checked = 0
+    for nid in np.flatnonzero(branching).tolist():
+        start = int(flat.pool[flat.pos_off[nid]])
+        path = text[start:start + k + depth[nid]]
+        code = index.kmer_code(path[:k])
+        assert walk(arena, path.tobytes(), [code], 0, path.size)[:2] \
+            == (path.size, nid)
+        for c in range(4):
+            tail = text[start + k + depth[nid] + 1:][:8]
+            read = np.concatenate((path, [c], tail)).astype(np.uint8)
+            leps = []
+            end, node, count, _steps = walk(
+                arena, read.tobytes(), [code], 0, read.size, 1, leps)
+            want_end, want_leps, cursor = scalar._walk(
+                read, 0, 1, collect_leps=True, use_table=False)
+            assert (end, leps) == (want_end, want_leps), (nid, c)
+            assert (node, count) == (_settled(cursor), cursor.count)
+            checked += 1
+    assert checked == 4 * 551
 
 
 def test_last_ends_the_round_only_at_the_read_end():
