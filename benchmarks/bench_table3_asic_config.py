@@ -50,13 +50,10 @@ def test_table3_asic_configuration(benchmark, ert_index, reads, params,
         ["PE class (per machine)", "count", "busy fraction"], util_rows)
 
     # DRAMPower-style cross-check of the Table III DRAM power row.
-    from repro.memsim.energy import DramEnergyConfig
-    energy_cfg = DramEnergyConfig()
-    accesses = result.dram_page_opens + result.dram_row_hits
-    dynamic_j = (result.dram_page_opens * energy_cfg.activate_nj
-                 + accesses * energy_cfg.read_line_nj) * 1e-9
-    power = (dynamic_j / result.seconds
-             + energy_cfg.background_w_per_channel * asic.dram.channels)
+    from repro.memsim.energy import dram_energy
+    power = dram_energy(result.dram_page_opens, result.dram_row_hits,
+                        asic.dram.channels, result.seconds
+                        ).power_w(result.seconds)
     table += "\n\n" + format_table(
         ["DRAM power model", "W"],
         [["simulated (dynamic + background)", power],

@@ -1,9 +1,10 @@
 """The §I guarantee at benchmark scale: "100% identical output".
 
-Runs the full bit-equivalence verification (oracle == FMD == ERT ==
-ERT-PM == batched ERT-KR) over the benchmark workload and reports the
-verified seed volume -- the reproduction of the paper's "ERT-based
-seeding is bit equivalent and fully verified" statement.
+Runs the bit-equivalence verification (FMD == ERT == ERT-PM == batched
+ERT-KR; the brute-force SMEM oracle is left to the tier-1 tests) over
+the benchmark workload and reports the verified seed volume -- the
+reproduction of the paper's "ERT-based seeding is bit equivalent and
+fully verified" statement.
 """
 
 import pytest

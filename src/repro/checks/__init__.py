@@ -62,7 +62,7 @@ from repro.checks.engine import (
     run_checks,
 )
 from repro.checks.pragmas import FilePragmas, parse_pragmas
-from repro.checks.report import render_json, render_text, report_as_dict
+from repro.checks.report import render_text
 from repro.checks.violations import Violation
 
 # Importing the rule modules registers every built-in rule.
@@ -80,8 +80,6 @@ __all__ = [
     "iter_python_files",
     "parse_pragmas",
     "register",
-    "render_json",
     "render_text",
-    "report_as_dict",
     "run_checks",
 ]

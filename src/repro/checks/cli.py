@@ -11,7 +11,6 @@ packages will not even import.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List
 
@@ -21,7 +20,7 @@ from repro.checks.engine import (
     all_rules,
     run_checks,
 )
-from repro.checks.report import render_json, render_text
+from repro.checks.report import render_text
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
@@ -33,19 +32,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help=f"files or directories to check "
              f"(default: {' '.join(DEFAULT_PATHS)})")
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)")
-    parser.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)")
     parser.add_argument(
         "--exclude", action="append", default=None, metavar="GLOB",
         help=f"extra path patterns to skip (defaults always apply: "
              f"{', '.join(DEFAULT_EXCLUDES)})")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue (respects --rules and "
-             "--format json) and exit")
 
 
 def _selected_rules(args: argparse.Namespace) -> "List[Rule] | None":
@@ -64,42 +56,14 @@ def _selected_rules(args: argparse.Namespace) -> "List[Rule] | None":
     return [rule for rule in rules if rule.id in wanted]
 
 
-def _list_rules(rules: "List[Rule]", fmt: str) -> int:
-    if fmt == "json":
-        catalogue = [{
-            "id": rule.id,
-            "title": rule.title,
-            "rationale": rule.rationale,
-            "scope": list(rule.scope) if rule.scope else None,
-            "exclude_scope": list(rule.exclude_scope),
-            "pragma": f"# repro: allow({rule.id})",
-        } for rule in rules]
-        print(json.dumps(catalogue, indent=2))
-        return 0
-    for rule in rules:
-        scope = ", ".join(rule.scope) if rule.scope else "everywhere"
-        if rule.exclude_scope:
-            scope += f" (except {', '.join(rule.exclude_scope)})"
-        print(f"{rule.id}  {rule.title}")
-        print(f"        scope:  {scope}")
-        print(f"        pragma: # repro: allow({rule.id})")
-        print(f"        why:    {rule.rationale}")
-    return 0
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a configured ``check`` invocation; returns the exit code."""
     rules = _selected_rules(args)
     if rules is None:
         return 2
-    if args.list_rules:
-        return _list_rules(rules, args.format)
     excludes = DEFAULT_EXCLUDES + tuple(args.exclude or ())
     report = run_checks(args.paths, rules=rules, excludes=excludes)
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
+    print(render_text(report))
     return 0 if report.ok else 1
 
 

@@ -139,13 +139,6 @@ class SourceFile:
         parts.append(root)
         return ".".join(reversed(parts))
 
-    # -- suppression -----------------------------------------------------
-
-    def suppressed(self, rule: str, node: ast.AST) -> bool:
-        line = getattr(node, "lineno", 0)
-        end = getattr(node, "end_lineno", None) or line
-        return self.pragmas.allows(rule, line, end)
-
     def violation(self, rule: str, node: ast.AST, message: str) -> Violation:
         line = getattr(node, "lineno", 0)
         return Violation(path=self.path, line=line,

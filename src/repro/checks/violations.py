@@ -19,18 +19,9 @@ class Violation:
     rule: str
     message: str
     #: Last physical line of the offending statement (pragma-suppression
-    #: range; not part of the report schema).
+    #: range; not part of the report).
     end_line: int = 0
 
     def format(self) -> str:
         """The canonical one-line rendering (clickable path:line:col)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def as_dict(self) -> "dict[str, object]":
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }

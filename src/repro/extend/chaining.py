@@ -80,31 +80,17 @@ class Chain:
         return gap <= max_gap and read_gap <= max_gap
 
 
-def _anchors_of(seeds: "list[Seed]") -> "list[Anchor]":
-    anchors = [Anchor(seed.read_start, hit, seed.length)
-               for seed in seeds for hit in seed.hits]
-    anchors.sort(key=lambda a: (a.ref_start, a.read_start))
-    return anchors
-
-
 def chain_seeds(seeds: "list[Seed]", max_gap: int = 100,
                 max_diag_drift: int = 20,
-                max_chains: "int | None" = 50,
-                method: str = "greedy") -> "list[Chain]":
+                max_chains: "int | None" = 50) -> "list[Chain]":
     """Group seed hits into colinear chains, best score first.
 
     Seeds whose hit lists were truncated by the locate limit contribute
     nothing (BWA similarly skips ultra-repetitive seeds before chaining).
-    ``method`` is ``"greedy"`` (append to the first compatible open
-    chain) or ``"dp"`` (BWA-MEM-style best-predecessor scoring, which
-    tolerates spurious anchors better).
     """
-    if method == "dp":
-        return chain_seeds_dp(seeds, max_gap=max_gap,
-                              max_chains=max_chains)
-    if method != "greedy":
-        raise ValueError(f"unknown chaining method {method!r}")
-    anchors = _anchors_of(seeds)
+    anchors = [Anchor(seed.read_start, hit, seed.length)
+               for seed in seeds for hit in seed.hits]
+    anchors.sort(key=lambda a: (a.ref_start, a.read_start))
     chains: "list[Chain]" = []
     for anchor in anchors:
         for chain in chains:
@@ -113,65 +99,6 @@ def chain_seeds(seeds: "list[Seed]", max_gap: int = 100,
                 break
         else:
             chains.append(Chain(anchors=[anchor]))
-    chains.sort(key=lambda c: (-c.score, c.ref_start))
-    if max_chains is not None:
-        chains = chains[:max_chains]
-    return chains
-
-
-def chain_seeds_dp(seeds: "list[Seed]", max_gap: int = 100,
-                   gap_weight: float = 0.5,
-                   max_chains: "int | None" = 50) -> "list[Chain]":
-    """Dynamic-programming chaining (the minimap/BWA-MEM formulation).
-
-    Anchors are sorted by reference position; each anchor's score is its
-    length plus the best predecessor score minus a gap penalty of
-    ``gap_weight * |ref_gap - read_gap|`` (diagonal drift).  Chains are
-    recovered by walking best-predecessor links from unclaimed chain
-    tails in score order -- each anchor belongs to exactly one chain.
-    """
-    anchors = _anchors_of(seeds)
-    n = len(anchors)
-    if n == 0:
-        return []
-    scores = [float(a.length) for a in anchors]
-    parent = [-1] * n
-    longest = max(a.length for a in anchors)
-    for i, anchor in enumerate(anchors):
-        # Predecessors end before this anchor starts, within the window.
-        for j in range(i - 1, -1, -1):
-            prev = anchors[j]
-            if anchor.ref_start - prev.ref_start > max_gap + longest:
-                break  # sorted by ref_start: everything earlier is farther
-            if anchor.ref_start - prev.ref_end > max_gap:
-                continue
-            if prev.ref_end > anchor.ref_start or \
-                    prev.read_end > anchor.read_start:
-                continue
-            ref_gap = anchor.ref_start - prev.ref_end
-            read_gap = anchor.read_start - prev.read_end
-            if read_gap > max_gap:
-                continue
-            penalty = gap_weight * abs(ref_gap - read_gap)
-            candidate = scores[j] + anchor.length - penalty
-            if candidate > scores[i]:
-                scores[i] = candidate
-                parent[i] = j
-    # Extract disjoint chains, best tail first.
-    order = sorted(range(n), key=lambda i: -scores[i])
-    claimed = [False] * n
-    chains = []
-    for tail in order:
-        if claimed[tail]:
-            continue
-        members = []
-        node = tail
-        while node != -1 and not claimed[node]:
-            claimed[node] = True
-            members.append(anchors[node])
-            node = parent[node]
-        members.reverse()
-        chains.append(Chain(anchors=members))
     chains.sort(key=lambda c: (-c.score, c.ref_start))
     if max_chains is not None:
         chains = chains[:max_chains]

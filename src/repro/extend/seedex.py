@@ -46,14 +46,6 @@ class SeedExModel:
     def __init__(self, config: "SeedExConfig | None" = None) -> None:
         self.config = config or SeedExConfig()
 
-    def cycles_for(self, workload: ExtensionWorkload) -> int:
-        """Total busy cycles one lane-unit pool spends on a workload."""
-        cfg = self.config
-        sw = workload.sw_rows_total + workload.sw_extensions * cfg.pipeline_fill
-        edit = (workload.edit_rows_total
-                + workload.edit_checks * cfg.pipeline_fill)
-        return sw + edit
-
     def throughput_reads_per_s(self,
                                workloads: "list[ExtensionWorkload]") -> float:
         """Aggregate extension throughput given per-read workloads.

@@ -46,9 +46,6 @@ class TracedAlignment:
     def is_aligned(self) -> bool:
         return self.score > 0
 
-    def cigar_string(self) -> str:
-        return "".join(f"{length}{op}" for op, length in self.cigar)
-
 
 def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
     merged = []

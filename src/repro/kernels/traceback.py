@@ -59,7 +59,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import telemetry
-from repro.telemetry.metrics import FRACTION_EDGES
 from repro.extend.smith_waterman import (
     DEFAULT_SCHEME, ScoringScheme, SwWorkspace)
 from repro.extend.traceback import (
@@ -164,10 +163,7 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
     B, m = q.shape
     n_arr = np.array([t.size for t in t16], dtype=np.int64)
     n_max = int(n_arr.max())
-    # Fill fraction: real target columns over the (B, n_max) rectangle.
-    telemetry.observe("kernels.wavefront_fill",
-                      float(n_arr.sum()) / (B * n_max),
-                      edges=FRACTION_EDGES)
+    telemetry.count("kernels.sweeps")
     half = band // 2
     width = 2 * half + 2
     w = width - 1                # in-band columns of a row

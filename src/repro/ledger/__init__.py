@@ -3,10 +3,10 @@
 A *ledger* is an append-only JSONL file (``benchmarks/ledger.jsonl`` by
 default) holding one manifest per recorded run: what was run (benchmark
 name, workload parameters, config), where (environment fingerprint --
-python, platform, cpu count), and what came out (flattened numeric
-metrics, optionally derived from a benchmark's JSON output or a
-telemetry snapshot).  ``ert-repro ledger diff`` compares the last two
-runs of each benchmark and flags throughput regressions beyond a
+python, platform, cpu count), and what came out (numeric metrics,
+given on the command line, derived from a telemetry snapshot or passed
+by a benchmark script).  ``ert-repro ledger diff`` compares the last
+two runs of each benchmark and flags throughput regressions beyond a
 threshold with a non-zero exit, which is what makes the ledger a CI
 gate rather than a log.
 
@@ -29,7 +29,6 @@ from repro.ledger.records import (
     append_record,
     build_record,
     env_fingerprint,
-    flatten_metrics,
     last_runs,
     read_ledger,
     snapshot_metrics,
@@ -43,7 +42,6 @@ __all__ = [
     "build_record",
     "diff_records",
     "env_fingerprint",
-    "flatten_metrics",
     "is_throughput_metric",
     "last_runs",
     "read_ledger",

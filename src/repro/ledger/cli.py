@@ -24,7 +24,6 @@ from repro.ledger.records import (
     append_record,
     benchmarks_in,
     build_record,
-    flatten_metrics,
     last_runs,
     read_ledger,
     snapshot_metrics,
@@ -43,17 +42,6 @@ def _metric_pair(text: str) -> "tuple[str, float]":
             f"metric {name!r} needs a numeric value, got {raw!r}")
 
 
-def _workload_pair(text: str) -> "tuple[str, Any]":
-    name, sep, raw = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected KEY=VALUE, got {text!r}")
-    try:
-        return name, json.loads(raw)
-    except json.JSONDecodeError:
-        return name, raw  # bare strings are fine as-is
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``ledger`` arguments."""
     sub = parser.add_subparsers(dest="ledger_command", required=True)
@@ -67,9 +55,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="benchmark name runs are grouped under")
     record.add_argument("--label", default="",
                         help="free-form run label (git sha, 'ci', ...)")
-    record.add_argument("--bench-json", default=None, metavar="FILE",
-                        help="benchmark JSON output; numeric leaves are "
-                             "flattened into dotted metric names")
     record.add_argument("--metrics", default=None, metavar="FILE",
                         help="telemetry snapshot (--metrics-out file); "
                              "root-span times, counters and derived "
@@ -78,10 +63,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         type=_metric_pair, metavar="NAME=VALUE",
                         help="explicit metric (repeatable; overrides "
                              "derived values of the same name)")
-    record.add_argument("--workload", action="append", default=None,
-                        type=_workload_pair, metavar="KEY=VALUE",
-                        help="workload parameter to stamp on the "
-                             "manifest (repeatable)")
 
     diff = sub.add_parser(
         "diff", help="compare the last two runs per benchmark; exit 1 "
@@ -100,19 +81,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 def _cmd_record(args: argparse.Namespace) -> int:
     metrics: "dict[str, float]" = {}
     telemetry_summary: "dict[str, Any] | None" = None
-    if args.bench_json:
-        try:
-            with open(args.bench_json) as handle:
-                bench = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read --bench-json {args.bench_json}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(bench, dict):
-            print(f"--bench-json {args.bench_json}: expected a JSON "
-                  f"object", file=sys.stderr)
-            return 2
-        metrics.update(flatten_metrics(bench))
     if args.metrics:
         from repro.telemetry import load_snapshot
 
@@ -131,13 +99,11 @@ def _cmd_record(args: argparse.Namespace) -> int:
     for name, value in (args.metric or []):
         metrics[name] = value
     if not metrics:
-        print("nothing to record: give --bench-json, --metrics and/or "
-              "--metric", file=sys.stderr)
+        print("nothing to record: give --metrics and/or --metric",
+              file=sys.stderr)
         return 2
-    record = build_record(
-        args.benchmark, metrics, label=args.label,
-        workload=dict(args.workload) if args.workload else None,
-        telemetry=telemetry_summary)
+    record = build_record(args.benchmark, metrics, label=args.label,
+                          telemetry=telemetry_summary)
     append_record(args.ledger, record)
     print(f"recorded {len(metrics)} metric(s) for {args.benchmark!r} "
           f"in {args.ledger}")

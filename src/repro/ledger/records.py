@@ -8,11 +8,7 @@ One *record* per run::
      "workload": {"reads": 2000, ...}, "config": {"workers": 2, ...},
      "metrics": {"seeding.reads_per_sec": 18432.7, ...}}
 
-Metrics are a flat ``name -> number`` mapping; nested benchmark JSON
-(the ``BENCH`` documents the scripts in ``benchmarks/`` emit) is
-flattened with dotted keys, and subtrees a benchmark marked invalid for
-the recording host (``"invalid_on_this_host"``) are skipped rather than
-recorded as misleading numbers.
+Metrics are a flat ``name -> number`` mapping.
 """
 
 from __future__ import annotations
@@ -30,11 +26,6 @@ LEDGER_SCHEMA = 1
 
 DEFAULT_LEDGER_PATH = os.path.join("benchmarks", "ledger.jsonl")
 
-#: Marker value benchmarks place in their JSON (e.g. the pool sweep on a
-#: single-core host) meaning "this subtree is not a valid measurement
-#: here"; flattening skips any subtree containing it.
-INVALID_MARKER = "invalid_on_this_host"
-
 
 def env_fingerprint() -> "dict[str, Any]":
     """Where a run happened: enough to explain a throughput delta that
@@ -51,27 +42,6 @@ def env_fingerprint() -> "dict[str, Any]":
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def flatten_metrics(data: "Mapping[str, Any]",
-                    prefix: str = "") -> "dict[str, float]":
-    """Flatten nested benchmark JSON into dotted numeric leaves.
-
-    Non-numeric leaves are dropped; a mapping that contains
-    :data:`INVALID_MARKER` anywhere among its direct values is skipped
-    wholesale (the benchmark is saying "do not trust these numbers on
-    this host").
-    """
-    out: "dict[str, float]" = {}
-    if any(value == INVALID_MARKER for value in data.values()):
-        return out
-    for key, value in data.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, Mapping):
-            out.update(flatten_metrics(value, prefix=f"{name}."))
-        elif _is_number(value):
-            out[name] = float(value)
-    return out
 
 
 def snapshot_metrics(snapshot: "Mapping[str, Any]") -> "dict[str, float]":

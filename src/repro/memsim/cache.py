@@ -80,31 +80,6 @@ class CacheModel:
             cache_set.popitem(last=False)
         return False
 
-    def contains(self, addr: int) -> bool:
-        """Non-mutating presence probe (no stats, no LRU update)."""
-        set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
-
-    def invalidate(self) -> None:
-        """Drop all contents; stats are preserved."""
-        for cache_set in self._sets:
-            cache_set.clear()
-
-    def publish_metrics(self, prefix: str = "memsim.cache") -> None:
-        """Surface the hit/miss counters as telemetry gauges.
-
-        Gauges, not counters: the stats object is itself cumulative, so
-        publishing is idempotent and can run after every batch.  No-op
-        while telemetry is disabled.
-        """
-        from repro import telemetry
-
-        if not telemetry.enabled():
-            return
-        telemetry.set_gauge(f"{prefix}.hits", self.stats.hits)
-        telemetry.set_gauge(f"{prefix}.misses", self.stats.misses)
-        telemetry.set_gauge(f"{prefix}.hit_rate", self.stats.hit_rate)
-
     def on_access(self, event) -> None:
         """Tracer-sink adapter: feed an :class:`~repro.memsim.trace.Access`."""
         self.lookup(event.addr)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memsim.dram import DramModel
-
 
 @dataclass(frozen=True)
 class DramEnergyConfig:
@@ -49,17 +47,16 @@ class DramEnergyReport:
         return self.total_j / seconds
 
 
-def dram_energy(dram: DramModel, seconds: float,
-                config: "DramEnergyConfig | None" = None
+def dram_energy(page_opens: int, row_hits: int, channels: int,
+                seconds: float, config: "DramEnergyConfig | None" = None
                 ) -> DramEnergyReport:
-    """Energy of everything ``dram`` has served, over ``seconds``."""
+    """Energy of ``page_opens + row_hits`` line reads, ``page_opens`` of
+    them opening a page, on ``channels`` channels over ``seconds``."""
     config = config or DramEnergyConfig()
-    opens = dram.total.page_opens
-    lines = dram.total.accesses
     background = (config.background_w_per_channel
-                  * dram.config.channels * max(seconds, 0.0))
+                  * channels * max(seconds, 0.0))
     return DramEnergyReport(
-        activate_j=opens * config.activate_nj * 1e-9,
-        read_j=lines * config.read_line_nj * 1e-9,
+        activate_j=page_opens * config.activate_nj * 1e-9,
+        read_j=(page_opens + row_hits) * config.read_line_nj * 1e-9,
         background_j=background,
     )

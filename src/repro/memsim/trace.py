@@ -69,11 +69,6 @@ class AddressSpace:
         self._next = (base + size + mask) & ~mask
         return region
 
-    @property
-    def total_size(self) -> int:
-        """Total footprint in bytes (end of the last allocated region)."""
-        return self._next
-
     def find(self, addr: int) -> "Region | None":
         """Return the region containing ``addr`` (linear scan; debug aid)."""
         for region in self.regions.values():

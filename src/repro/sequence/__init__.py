@@ -18,7 +18,6 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.sequence.alphabet import (
         BASES,
-        complement_code,
         decode,
         encode,
         revcomp,
@@ -51,7 +50,6 @@ __all__ = [
     "ReadSimulator",
     "Reference",
     "Strand",
-    "complement_code",
     "decode",
     "encode",
     "read_fasta",
@@ -63,8 +61,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.sequence.alphabet": ("BASES", "complement_code", "decode",
-                                "encode", "revcomp", "revcomp_codes"),
+    "repro.sequence.alphabet": ("BASES", "decode", "encode", "revcomp",
+                                "revcomp_codes"),
     "repro.sequence.io": ("Read", "read_fasta", "read_fastq", "write_fasta",
                           "write_fastq"),
     "repro.sequence.multi": ("ContigHit", "MultiReference"),

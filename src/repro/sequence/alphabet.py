@@ -70,13 +70,6 @@ def decode(codes: np.ndarray) -> str:
     return lut[arr].tobytes().decode("ascii")
 
 
-def complement_code(code: int) -> int:
-    """Return the complement of a single 2-bit base code (``3 - code``)."""
-    if not 0 <= code <= 3:
-        raise AlphabetError(f"code {code} outside 0..3")
-    return 3 - code
-
-
 def revcomp_codes(codes: np.ndarray) -> np.ndarray:
     """Reverse-complement a code array.
 

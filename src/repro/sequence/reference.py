@@ -108,15 +108,3 @@ class Reference:
             off = pos - n
             return ForwardHit(Strand.REVERSE, n - off - length, length)
         return None
-
-    def fetch(self, pos: int, length: int) -> np.ndarray:
-        """Return ``X[pos:pos+length]`` (used by ERT early path compression).
-
-        This is the "reference fetch" the paper counts as a separate DRAM
-        access category (Fig 13): decompressing a compressed leaf requires
-        reading the actual genome sequence at the leaf pointer.
-        """
-        both = self.both_strands
-        if pos < 0 or pos + length > both.size:
-            raise ValueError("fetch outside reference text")
-        return both[pos:pos + length]

@@ -46,7 +46,6 @@ from repro.telemetry.exemplars import (
 )
 from repro.telemetry.metrics import (
     DEFAULT_EDGES,
-    FRACTION_EDGES,
     Histogram,
     MetricsRegistry,
     bucket_percentile,
@@ -72,7 +71,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 __all__ = [
     "DEFAULT_EDGES",
     "ExemplarCollector",
-    "FRACTION_EDGES",
     "Histogram",
     "MetricsRegistry",
     "READ_WALL_MS_EDGES",

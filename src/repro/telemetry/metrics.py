@@ -27,12 +27,6 @@ from bisect import bisect_left
 DEFAULT_EDGES = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
                  10000)
 
-#: Bucket edges for [0, 1] fractions (lane occupancy, wavefront fill):
-#: deciles, with extra resolution near full occupancy where the batched
-#: kernels are expected to live.
-FRACTION_EDGES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
-                  0.99, 1.0)
-
 
 class Counter:
     """A monotonically increasing integer total."""
@@ -131,13 +125,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> "float | None":
-        """Estimated ``q``-quantile (``0 < q <= 1``) via linear
-        interpolation inside the bucket holding the target rank; see
-        :func:`bucket_percentile`."""
-        return bucket_percentile(self.edges, self.counts, self.count,
-                                 self.min, self.max, q)
 
     def merge(self, data: dict) -> None:
         """Fold another histogram's :meth:`as_dict` snapshot into this

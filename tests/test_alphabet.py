@@ -9,7 +9,6 @@ from repro.sequence.alphabet import (
     BASES,
     AlphabetError,
     COMPLEMENT,
-    complement_code,
     decode,
     encode,
     revcomp,
@@ -76,19 +75,7 @@ def test_decode_rejects_out_of_range():
 
 
 def test_complement_pairs():
-    assert complement_code(0) == 3  # A <-> T
-    assert complement_code(1) == 2  # C <-> G
-    assert complement_code(2) == 1
-    assert complement_code(3) == 0
-
-
-def test_complement_code_rejects_invalid():
-    with pytest.raises(AlphabetError):
-        complement_code(4)
-
-
-def test_complement_table_matches_function():
-    assert [complement_code(c) for c in range(4)] == COMPLEMENT.tolist()
+    assert COMPLEMENT.tolist() == [3, 2, 1, 0]  # A <-> T, C <-> G
 
 
 def test_revcomp_known():

@@ -36,23 +36,6 @@ def test_set_associative_respects_ways():
     assert not cache.lookup(0)
 
 
-def test_contains_is_pure():
-    cache = CacheModel(size=64, line_size=64, ways=1)
-    cache.lookup(0)
-    before = (cache.stats.hits, cache.stats.misses)
-    assert cache.contains(0)
-    assert not cache.contains(64)
-    assert (cache.stats.hits, cache.stats.misses) == before
-
-
-def test_invalidate_clears_contents_not_stats():
-    cache = CacheModel(size=64, line_size=64)
-    cache.lookup(0)
-    cache.invalidate()
-    assert not cache.contains(0)
-    assert cache.stats.misses == 1
-
-
 def test_hit_rate():
     cache = CacheModel(size=64, line_size=64)
     assert cache.stats.hit_rate == 0.0
@@ -88,23 +71,3 @@ def test_small_working_set_eventually_all_hits(addrs):
     distinct_lines = {a // 64 for a in addrs}
     assert cache.stats.misses == len(distinct_lines)
 
-
-def test_cache_publish_metrics_gauges():
-    from repro import telemetry
-
-    cache = CacheModel(size=4 * 64, line_size=64)
-    cache.lookup(0)
-    cache.lookup(0)
-    cache.publish_metrics()
-    assert telemetry.registry().is_empty  # disabled -> publish is a no-op
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        cache.publish_metrics()
-        gauges = telemetry.snapshot()["gauges"]
-        assert gauges["memsim.cache.hits"] == 1
-        assert gauges["memsim.cache.misses"] == 1
-        assert gauges["memsim.cache.hit_rate"] == 0.5
-    finally:
-        telemetry.disable()
-        telemetry.reset()

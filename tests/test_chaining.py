@@ -1,7 +1,5 @@
 """Tests for colinear seed chaining."""
 
-import pytest
-
 from repro.extend import chain_seeds
 from repro.extend.chaining import Anchor, Chain
 from repro.seeding import Seed
@@ -67,63 +65,3 @@ def test_chain_properties():
     assert chain.ref_start == 102
     assert chain.read_start == 2
     assert chain.diagonal == 100
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        chain_seeds([seed(0, 10, [100])], method="magic")
-
-
-def test_dp_matches_greedy_on_clean_colinear():
-    seeds = [seed(0, 10, [100]), seed(12, 10, [112]), seed(25, 10, [125])]
-    greedy = chain_seeds(seeds, method="greedy")
-    dp = chain_seeds(seeds, method="dp")
-    assert len(dp) == 1
-    assert dp[0].score == greedy[0].score == 30
-    assert len(dp[0].anchors) == 3
-
-
-def test_dp_empty():
-    assert chain_seeds([], method="dp") == []
-
-
-def test_dp_anchors_are_partitioned():
-    """Every anchor belongs to exactly one DP chain."""
-    seeds = [seed(0, 10, [100, 900]), seed(12, 10, [112, 912]),
-             seed(30, 10, [400])]
-    chains = chain_seeds(seeds, method="dp", max_chains=None)
-    total = sum(len(c.anchors) for c in chains)
-    assert total == 5
-
-
-def test_dp_chain_is_colinear():
-    seeds = [seed(0, 10, [100, 500]), seed(12, 10, [112, 512]),
-             seed(24, 10, [124])]
-    for chain in chain_seeds(seeds, method="dp"):
-        for a, b in zip(chain.anchors, chain.anchors[1:]):
-            assert a.ref_end <= b.ref_start
-            assert a.read_end <= b.read_start
-
-
-def test_dp_tolerates_spurious_anchor():
-    """A noise anchor interleaved on the diagonal must not break the
-    main chain (the greedy chainer can absorb it and stall)."""
-    seeds = [seed(0, 10, [100]), seed(12, 10, [112]),
-             seed(24, 10, [124]),
-             seed(5, 10, [400])]  # spurious hit elsewhere
-    dp = chain_seeds(seeds, method="dp")
-    assert dp[0].score == 30
-
-
-def test_dp_penalizes_diagonal_drift():
-    """Two placements for the second seed: the drift-free one chains."""
-    seeds = [seed(0, 20, [100]), seed(25, 20, [125, 160])]
-    dp = chain_seeds(seeds, method="dp")
-    best = dp[0]
-    assert len(best.anchors) == 2
-    assert best.anchors[1].ref_start == 125
-
-
-def test_import_of_dp_symbol():
-    from repro.extend.chaining import chain_seeds_dp
-    assert chain_seeds_dp([]) == []

@@ -8,7 +8,6 @@ PR-1 ``id(read)`` cache-key bug must trip ERT001.
 """
 
 import ast
-import json
 import os
 import re
 import subprocess
@@ -22,7 +21,7 @@ from repro.checks import (
     check_source,
     iter_python_files,
     parse_pragmas,
-    report_as_dict,
+    render_text,
     run_checks,
 )
 from repro.checks.cli import main as checks_main
@@ -47,9 +46,12 @@ def fixture(name):
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_fail_fixture_trips_its_rule(rule_id):
-    violations, _ = check_file(fixture(f"{rule_id.lower()}_fail.py"))
+    path = fixture(f"{rule_id.lower()}_fail.py")
+    violations, _ = check_file(path)
     assert violations, f"{rule_id} fail fixture produced no violations"
     assert {v.rule for v in violations} == {rule_id}
+    text = render_text(run_checks([path], excludes=()))
+    assert text.endswith(f"[{rule_id} x{len(violations)}]")
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
@@ -171,6 +173,9 @@ def test_iter_python_files_skips_fixture_corpus():
 
 def test_rule_registry_is_complete():
     assert tuple(rule.id for rule in all_rules()) == RULE_IDS
+    by_id = {rule.id: rule for rule in all_rules()}
+    assert by_id["ERT016"].scope == ("repro",)
+    assert by_id["ERT015"].scope == ("repro.parallel",)
 
 
 # ----------------------------------------------------------------------
@@ -197,25 +202,27 @@ def test_reintroducing_engine_id_key_bug_fails_ert001():
 # ----------------------------------------------------------------------
 
 
-def test_json_report_schema():
+def test_text_report_counts():
     report = run_checks([fixture("ert006_fail.py"),
                          fixture("ert006_pass.py")], excludes=())
-    doc = report_as_dict(report)
-    assert doc["version"] == 2
-    assert doc["files_checked"] == 2
-    assert doc["violation_count"] == len(doc["violations"]) == 2
-    assert doc["counts"] == {"ERT006": 2}
-    assert isinstance(doc["suppressed"], int)
-    for violation in doc["violations"]:
-        assert set(violation) == {"rule", "path", "line", "col", "message"}
-        assert violation["rule"] == "ERT006"
-    json.dumps(doc)  # must be serializable as-is
+    assert report.files_checked == 2
+    assert len(report.violations) == 2
+    assert report.counts_by_rule() == {"ERT006": 2}
+    assert report.suppressed == 0
+    lines = render_text(report).splitlines()
+    assert all(" ERT006 " in line for line in lines[:2])
+    assert lines[2] == "2 violation(s) in 2 file(s) [ERT006 x2]"
+    source = "def f(x=[]):  # repro: allow(ERT006)\n    return x\n"
+    report = CheckReport(files_checked=1)
+    report.violations, report.suppressed = check_source("snippet.py", source)
+    assert render_text(report) == ("ok: 1 file(s) clean "
+                                   "(1 suppressed by pragma)")
 
 
 def test_empty_report_is_ok():
     report = CheckReport()
     assert report.ok
-    assert report_as_dict(report)["violation_count"] == 0
+    assert render_text(report) == "ok: 0 file(s) clean"
 
 
 # ----------------------------------------------------------------------
@@ -234,12 +241,6 @@ def test_cli_exit_one_on_violations(capsys):
     assert "ERT006" in out and "violation(s)" in out
 
 
-def test_cli_json_format(capsys):
-    assert checks_main(["--format", "json", fixture("ert006_fail.py")]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["violation_count"] == 2
-
-
 def test_cli_rule_selection(capsys):
     # Only ERT001 requested: the ERT006 fixture comes back clean.
     assert checks_main(["--rules", "ERT001",
@@ -247,13 +248,10 @@ def test_cli_rule_selection(capsys):
     capsys.readouterr()
     assert checks_main(["--rules", "ERT999",
                         fixture("ert006_fail.py")]) == 2
-
-
-def test_cli_list_rules(capsys):
-    assert checks_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in RULE_IDS:
-        assert rule_id in out
+    capsys.readouterr()
+    assert checks_main(["--rules", "ERT005, ERT006",
+                        fixture("ert006_fail.py")]) == 1
+    assert "[ERT006 x2]" in capsys.readouterr().out
 
 
 def test_ert_repro_check_subcommand():
@@ -438,32 +436,6 @@ def test_docs_have_one_section_per_registered_rule():
         headings = re.findall(r"^### (ERT\d{3})\b", handle.read(),
                               flags=re.MULTILINE)
     assert sorted(headings) == [rule.id for rule in all_rules()]
-
-
-# ----------------------------------------------------------------------
-# CLI: --list-rules filtering/json
-# ----------------------------------------------------------------------
-
-
-def test_cli_list_rules_respects_rules_filter(capsys):
-    assert checks_main(["--list-rules", "--rules", "ERT005,ERT016"]) == 0
-    out = capsys.readouterr().out
-    assert "ERT005" in out and "ERT016" in out
-    assert "ERT001" not in out
-    assert "# repro: allow(ERT005)" in out
-
-
-def test_cli_list_rules_json(capsys):
-    assert checks_main(["--list-rules", "--format", "json",
-                        "--rules", "ERT015,ERT016"]) == 0
-    catalogue = json.loads(capsys.readouterr().out)
-    assert [entry["id"] for entry in catalogue] == ["ERT015", "ERT016"]
-    by_id = {entry["id"]: entry for entry in catalogue}
-    assert "kind" not in by_id["ERT016"]
-    assert by_id["ERT016"]["scope"] == ["repro"]
-    assert by_id["ERT015"]["scope"] == ["repro.parallel"]
-    assert by_id["ERT016"]["pragma"] == "# repro: allow(ERT016)"
-    assert by_id["ERT016"]["title"]
 
 
 # ----------------------------------------------------------------------

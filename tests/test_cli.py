@@ -689,13 +689,15 @@ def test_run_subcommand_option_surface_is_pinned(command):
 
 
 def test_cli_import_leaves_checks_and_ledger_unloaded():
+    dirty = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "fixtures", "checks", "ert006_fail.py")
     code = (
         "import sys, repro.cli\n"
         "loaded = [m for m in sys.modules\n"
         "          if m.split('.')[:2] in (['repro', 'checks'],\n"
         "                                  ['repro', 'ledger'])]\n"
         "assert not loaded, loaded\n"
-        "assert repro.cli.main(['check', '--list-rules']) == 0\n"
+        f"assert repro.cli.main(['check', {dirty!r}]) == 1\n"
         "assert 'repro.checks.cli' in sys.modules\n"
         "try:\n"
         "    repro.cli.main(['ledger', '--help'])\n"
@@ -708,7 +710,7 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
         timeout=120,
         env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
     assert proc.returncode == 0, proc.stderr
-    assert "ERT001" in proc.stdout
+    assert "ERT006" in proc.stdout
     assert "usage: ert-repro ledger" in proc.stdout
 
 

@@ -10,6 +10,11 @@ from repro.memsim.energy import (
 )
 
 
+def _energy(dram, seconds):
+    return dram_energy(dram.total.page_opens, dram.total.row_hits,
+                       dram.config.channels, seconds)
+
+
 def _loaded_dram(n_accesses=1000, stride=4096):
     dram = DramModel(DramConfig(channels=2, banks_per_channel=4))
     for i in range(n_accesses):
@@ -18,7 +23,7 @@ def _loaded_dram(n_accesses=1000, stride=4096):
 
 
 def test_energy_components_positive():
-    report = dram_energy(_loaded_dram(), seconds=1e-3)
+    report = _energy(_loaded_dram(), 1e-3)
     assert report.activate_j > 0
     assert report.read_j > 0
     assert report.background_j > 0
@@ -34,8 +39,8 @@ def test_row_hits_cost_less_than_misses():
     for i in range(500):
         streaming.access(i * 64)            # sequential: mostly row hits
         scattered.access(i * 64 * 1024)     # one page open per access
-    e_stream = dram_energy(streaming, seconds=0)
-    e_scatter = dram_energy(scattered, seconds=0)
+    e_stream = _energy(streaming, 0)
+    e_scatter = _energy(scattered, 0)
     assert e_scatter.activate_j > e_stream.activate_j
     assert e_scatter.total_j > e_stream.total_j
 
@@ -49,8 +54,8 @@ def test_power_scaling():
 
 
 def test_background_scales_with_channels_and_time():
-    few = dram_energy(DramModel(DramConfig(channels=2)), seconds=1.0)
-    many = dram_energy(DramModel(DramConfig(channels=8)), seconds=1.0)
+    few = _energy(DramModel(DramConfig(channels=2)), 1.0)
+    many = _energy(DramModel(DramConfig(channels=8)), 1.0)
     assert many.background_j == pytest.approx(4 * few.background_j)
 
 

@@ -1,4 +1,4 @@
-"""The benchmark run-ledger: metric flattening, manifests, the JSONL
+"""The benchmark run-ledger: snapshot metrics, manifests, the JSONL
 file, run-over-run diffing, and the ``ert-repro ledger`` CLI exit
 codes (0 clean / 1 regression / 2 bad invocation)."""
 
@@ -14,7 +14,6 @@ from repro.ledger import (
     build_record,
     diff_records,
     env_fingerprint,
-    flatten_metrics,
     is_throughput_metric,
     last_runs,
     read_ledger,
@@ -22,39 +21,12 @@ from repro.ledger import (
     snapshot_metrics,
 )
 from repro.ledger.cli import main as ledger_main
-from repro.ledger.records import INVALID_MARKER, benchmarks_in
+from repro.ledger.records import benchmarks_in
 
 
 # ----------------------------------------------------------------------
-# Flattening and snapshots
+# Snapshots
 # ----------------------------------------------------------------------
-
-
-def test_flatten_nested_json_to_dotted_numbers():
-    flat = flatten_metrics({
-        "benchmark": "x",                      # non-numeric leaf: dropped
-        "serial": {"seconds": 1.5, "reads_per_sec": 200},
-        "cpu_count": 2,
-        "ok": True,                            # bool is not a metric
-    })
-    assert flat == {"serial.seconds": 1.5,
-                    "serial.reads_per_sec": 200.0,
-                    "cpu_count": 2.0}
-
-
-def test_flatten_skips_invalid_on_this_host_subtrees():
-    flat = flatten_metrics({
-        "workers": {
-            "1": {"reads_per_sec": 100.0},
-            "2": {"skipped": INVALID_MARKER},
-            "4": {"skipped": INVALID_MARKER},
-        },
-    })
-    assert flat == {"workers.1.reads_per_sec": 100.0}
-
-
-def test_flatten_invalid_marker_at_top_level_drops_everything():
-    assert flatten_metrics({"skipped": INVALID_MARKER, "x": 1}) == {}
 
 
 def test_snapshot_metrics_derives_throughput():
@@ -249,12 +221,7 @@ def test_cli_record_with_no_metrics_exits_two(tmp_path, capsys):
     assert "nothing to record" in capsys.readouterr().err
 
 
-def test_cli_record_from_bench_json_and_snapshot(tmp_path, capsys):
-    bench = tmp_path / "BENCH.json"
-    bench.write_text(json.dumps({
-        "serial": {"reads_per_sec": 210.0},
-        "workers": {"2": {"skipped": INVALID_MARKER}},
-    }))
+def test_cli_record_from_snapshot(tmp_path, capsys):
     snap = tmp_path / "metrics.json"
     snap.write_text(json.dumps({
         "spans": {"seed": {"total_s": 2.0}},
@@ -265,19 +232,13 @@ def test_cli_record_from_bench_json_and_snapshot(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.jsonl")
     assert ledger_main(["record", "--ledger", ledger,
                         "--benchmark", "seed", "--label", "ci",
-                        "--bench-json", str(bench),
                         "--metrics", str(snap),
-                        "--metric", "counter.seeding.reads=501",
-                        "--workload", "reads=500",
-                        "--workload", "tag=smoke"]) == 0
+                        "--metric", "counter.seeding.reads=501"]) == 0
     record, = read_ledger(ledger)
     metrics = record["metrics"]
-    assert metrics["serial.reads_per_sec"] == 210.0
     assert metrics["seeding.reads_per_sec"] == 250.0
     assert metrics["counter.seeding.reads"] == 501.0, \
         "--metric must override derived values"
-    assert not any(name.startswith("workers.2") for name in metrics)
-    assert record["workload"] == {"reads": 500, "tag": "smoke"}
     assert record["telemetry"]["spans"]["seed"] == 2.0
 
 
@@ -285,13 +246,13 @@ def test_cli_record_unreadable_inputs_exit_two(tmp_path, capsys):
     ledger = str(tmp_path / "l.jsonl")
     assert ledger_main(["record", "--ledger", ledger,
                         "--benchmark", "b",
-                        "--bench-json", str(tmp_path / "missing.json")
+                        "--metrics", str(tmp_path / "missing.json")
                         ]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert ledger_main(["record", "--ledger", ledger,
                         "--benchmark", "b",
-                        "--bench-json", str(bad)]) == 2
+                        "--metrics", str(bad)]) == 2
     assert not os.path.exists(ledger)
 
 

@@ -137,7 +137,7 @@ def test_observed_packed_run_is_dark_identical_and_explainable(workspace,
     assert snap["counters"]["align.reads"] == 70
     # Two scheduler batches (64 + 6 reads), each a handful of packed
     # sweeps -- not one kernel call per read.
-    assert 2 <= snap["histograms"]["kernels.wavefront_fill"]["count"] < 20
+    assert 2 <= snap["counters"]["kernels.sweeps"] < 20
     assert snap["histograms"]["read.wall_ms"]["count"] == 70
     entry = json.loads(slowlog.read_text().splitlines()[0])
     assert entry["kernels"] == "vector"

@@ -77,10 +77,3 @@ def test_reverse_hit_sequence_consistency():
         hit = ref.to_forward(pos, 3)
         fwd = decode(ref.codes[hit.start:hit.end])
         assert revcomp(fwd) == decode(both[pos:pos + 3])
-
-
-def test_fetch_bounds():
-    ref = Reference.from_string("ACGT")
-    assert decode(ref.fetch(0, 4)) == "ACGT"
-    with pytest.raises(ValueError):
-        ref.fetch(7, 2)
