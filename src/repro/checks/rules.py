@@ -909,10 +909,12 @@ class KernelLoopTelemetryRule(Rule):
     element.
 
     ERT007 polices functions annotated ``# repro: hot``; the batched
-    kernels in :mod:`repro.kernels` are hot by construction -- every
-    loop there runs per read, per node visit, per lane or per
-    traceback row, so a telemetry call lexically inside *any* of their
-    loops is a per-element call regardless of annotation.  The kernels
+    kernels in :mod:`repro.kernels`, the walk (:mod:`repro.core.walk`)
+    and the seeding engine (:mod:`repro.core.engine`) are hot by
+    construction -- every loop there runs per read, per node visit, per
+    lane or per traceback row, so a telemetry call lexically inside
+    *any* of their loops is a per-element call regardless of
+    annotation.  The kernels
     count work into :class:`repro.kernels.stats.KernelBatchStats`
     (plain adds, unconditional) and flush the registry once per batch under
     the ``kernels.batch`` span; registry traffic at loop granularity
@@ -922,12 +924,12 @@ class KernelLoopTelemetryRule(Rule):
     """
 
     id = "ERT017"
-    title = "telemetry call inside a repro.kernels loop"
+    title = "telemetry call inside a kernel, walk or engine loop"
     rationale = ("kernel sweeps accumulate into KernelBatchStats and "
                  "flush once per batch (docs/observability.md); "
                  "per-element registry calls undo the batch-flush "
                  "design")
-    scope = ("repro.kernels",)
+    scope = ("repro.kernels", "repro.core.walk", "repro.core.engine")
 
     def check(self, src: SourceFile) -> "Iterator[Violation]":
         for node in src.walk():

@@ -46,9 +46,9 @@ from ``$REPRO_WORKERS`` (else 1).  With workers > 1 they also take
 ``--retries R`` (per-batch retry budget after a worker crash or batch
 timeout; default ``$REPRO_RETRIES``, else 2) and ``--batch-timeout
 SEC``; see the failure model in ``docs/performance.md``.  ``--kernels``
-(default ``$REPRO_KERNELS``, else vector) picks the batched numpy
-kernels (:mod:`repro.kernels`) or, ``scalar``, the per-read oracle;
-the output is byte-identical.
+(default ``$REPRO_KERNELS``, else vector) picks the traceback kernel:
+the batched one (:mod:`repro.kernels.traceback`) or, ``scalar``, one
+``banded_sw_traceback`` per lane; the output is byte-identical.
 
 A malformed, missing or unreadable index, FASTA or FASTQ file, a FASTA
 of more than one record, a read longer than the index's
@@ -184,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="seed")
     explain.add_argument("--kernels", choices=("scalar", "vector"),
                          default=None,
-                         help="replay through the scalar engine or the "
-                              "batched vector kernels; defaults to "
-                              "whatever the slowlog record says the run "
-                              "used, else $REPRO_KERNELS, else vector")
+                         help="replay with the scalar or the batched "
+                              "traceback kernel; defaults to whatever "
+                              "the slowlog record says the run used, "
+                              "else $REPRO_KERNELS, else vector")
     _add_seeding_args(explain, max_hits=True)
     explain.add_argument(
         "--slowlog", default=None, metavar="FILE",
@@ -315,8 +315,8 @@ def _add_parallel_args(parser) -> None:
              "respawning the pool (default: wait forever)")
     parser.add_argument(
         "--kernels", choices=KERNEL_CHOICES, default=None,
-        help="seeding/extension kernels: vector (batched numpy walks + "
-             "row-scan SW traceback) or scalar (the per-read oracle); "
+        help="traceback kernel: vector (the batched row-scan SW "
+             "traceback) or scalar (one traceback per lane); "
              "byte-identical output.  Default: $REPRO_KERNELS, else "
              "vector")
 
@@ -768,11 +768,12 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     """Replay ``read`` through the engine exactly as the batch scheduler
     would run it and return the captured exemplar record.
 
-    ``kernels="vector"`` drives the arena seeding engine and the packed
-    extension at batch size 1; a read's searches do not depend on its
-    batch mates, so its kernel counters are batch-composition invariant
-    and the replayed record matches what a full vector batch recorded
-    for this read field-for-field.
+    Every replay seeds through :class:`ErtSeedingEngine`; ``kernels``
+    picks only the traceback kernel (``"vector"``: the packed
+    extension, here at batch size 1).  A read's searches do not depend
+    on its batch mates, so its kernel counters are batch-composition
+    invariant and the replayed record matches what a full batch
+    recorded for this read field-for-field.
     """
     from repro import telemetry
     from repro.core import ErtSeedingEngine, load_ert
@@ -833,8 +834,9 @@ def _cmd_explain(args) -> int:
         print(f"read {args.read_id!r} not found in {args.reads}",
               file=sys.stderr)
         return 2
-    # Peek at the slowlog record first: the replay must go through the
-    # path the run used for the counters to be comparable, and a record
+    # Peek at the slowlog record first: seeding is the same on every
+    # path, but the replay must use the traceback kernel the run used
+    # for the extension counters to be comparable, and a record
     # carries a "kernels" tag only when that was the vector one.
     # Without a record to consult, fall back to the usual
     # $REPRO_KERNELS resolution (else vector).

@@ -7,11 +7,11 @@
   table with LEP bits, per-k-mer radix trees, byte-accurate regions.
 * :mod:`repro.core.layout` -- node sizes and the tiled layout (§III-D),
   plus DFS/BFS alternatives for the ablation bench, over the arena.
-* :mod:`repro.core.walker` -- the scalar cursor over arena node ids:
-  forward walks, leaf gathering, traffic tags.
-* :mod:`repro.core.engine` -- :class:`ErtSeedingEngine` (with the §III-B
-  prefix-merged backward sweep and the §III-F pruning inherited from the
-  canonical algorithm).
+* :mod:`repro.core.walk` -- the one walk over the arena (node runs at a
+  time) and the fetch model that charges its modelled traffic.
+* :mod:`repro.core.engine` -- :class:`ErtSeedingEngine`, the one seeding
+  engine (with the §III-B prefix-merged backward sweep and the §III-F
+  pruning inherited from the canonical algorithm).
 * :mod:`repro.core.reuse` -- the §III-C k-mer-reuse batched pipeline.
 * :mod:`repro.core.census` -- hit-distribution and tree-shape statistics
   (paper Figs 8 and the §III-E depth claims).

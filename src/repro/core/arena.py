@@ -1,9 +1,8 @@
 """Structure-of-arrays form of the ERT radix trees: the flat arena.
 
 The arena is the forest as parallel numpy arrays, one row per node,
-which a walk indexes by node id (:class:`ArenaCursor`: the batched
-kernels' :mod:`repro.kernels.walk` and the scalar
-:class:`~repro.core.walker.TreeCursor` both read it).  Nodes are
+which the walk indexes by node id (:class:`ArenaCursor`, read by
+:func:`repro.core.walk.walk`).  Nodes are
 numbered in preorder, children in character order, so a UNIFORM node's
 one child and a DIVERGE node's first child are both ``nid + 1``.  The
 node columns:
@@ -23,8 +22,8 @@ node columns:
   the reference text, early path compression §III-A2);
 * ``pos_off`` into ``pool``: the ``count`` occurrence positions of the
   node's subtree, contiguous because the pool is filled in DFS (Euler)
-  order.  ``gather(nid)`` is therefore one slice + sort; the scalar
-  cursor still visits the subtree, but only to charge its fetches;
+  order, so a gather is one slice + sort (a modelled gather still
+  visits the subtree, but only to charge its fetches);
 * ``offset``: the node's byte offset in its tree's blob of the modelled
   trees region (:mod:`repro.core.layout`), laid out once, at build.
 
@@ -46,14 +45,15 @@ stored columns as they lie (read-only views into the mapped index file,
 so N pool workers walk one physical arena in the page cache).  No walk
 makes a node object.  The module lives in :mod:`repro.core` rather than
 next to the batched kernels because the builder, the index formats and
-the scalar cursor need it and core may not import the kernels (ERT005).
+the walk need it and core may not import the kernels (ERT005).
 
-States are *eagerly settled*: where the scalar cursor defers a child
-fetch (``pending`` / exhausted uniform run), the flat form lands on the
-child immediately.  Settling is a traffic-accounting device only -- it
-never changes match outcomes, counts, or subtree position sets (a uniform
-node's subtree equals its child's) -- and the vector path is only taken
-when no memory tracer is attached, so the flat walk is free to skip it.
+States are *eagerly settled*: a walk that chose a DIVERGE child, or used
+up a UNIFORM run, stands on the child at once, though the hardware
+fetches that child only when the next character needs it.  Settling
+never changes match outcomes, counts, or subtree position sets (a
+uniform node's subtree equals its child's); the walk's fetch model
+(:class:`repro.core.walk.FetchModel`) charges the deferred fetch where
+the hardware makes it.
 """
 
 from __future__ import annotations
@@ -125,12 +125,6 @@ class FlatTrees:
     jt_within: np.ndarray
     jt_depth: np.ndarray
     jt_count: np.ndarray
-
-    def gather(self, nid: int) -> np.ndarray:
-        """Sorted occurrence positions of the subtree below ``nid``
-        (the scalar cursor's ``gather()``, as one slice)."""
-        off = int(self.pos_off[nid])
-        return np.sort(self.pool[off:off + int(self.count[nid])])
 
 
 #: The arena's arrays, in the order both index formats store them.
@@ -245,10 +239,10 @@ def jump_columns(nodes: "Mapping[str, np.ndarray]", text: np.ndarray,
     """The second-level tables of the TABLE k-mers ``codes`` (ascending),
     walked over the node columns for every x-character suffix at once.
 
-    An entry is what :func:`repro.core.walker.build_jump_table`'s cursor
-    finds -- characters matched, the hit-count change bits -- and, when
-    all x match, its state eagerly settled (module docstring): the node
-    it lands on, characters consumed of that node, depth and count.
+    An entry is what a walk of the x characters from the root finds --
+    characters matched, the hit-count change bits -- and, when all x
+    match, its state eagerly settled (module docstring): the node it
+    lands on, characters consumed of that node, depth and count.
     """
     kind, count = nodes["kind"], nodes["count"]
     shape = (max(codes.size, 1), 4 ** x)

@@ -5,29 +5,66 @@ second-level table lookup for dense k-mers, §III-E), then walks the radix
 tree; LEP positions come from the entry's precomputed bits inside the k-mer
 and from DIVERGE transitions in the tree.  Backward search runs the same
 machinery over the reverse-complemented read -- the double-strand text makes
-the structure symmetric (§III-A3).
+the structure symmetric (§III-A3).  Every search is one
+:func:`~repro.core.walk.walk` over the arena.
 
-Hits are gathered *eagerly* at each backward search's dead end, exactly
-like the hardware flow ("if we reach a dead end ... all leaf nodes in the
-downstream sub-tree are gathered"), and cached so that seed emission costs
-no further walks.  With ``prefix_merging`` on, adjacent backward searches
-are resolved in pairs from a single traversal using the per-leaf prefix
-characters (§III-B).
+Hits are gathered *lazily*: a search caches the ``(count, node, strand)``
+it ended in, keyed by the read, and ``locate`` slices the node's run of
+the Euler position pool only for the seeds that are emitted.  A key no
+search cached -- a match that never left the index table or died inside
+a jump-table window -- is located by an exact walk.  With
+``prefix_merging`` on, adjacent backward searches are resolved in pairs
+from a single traversal using the per-leaf prefix characters (§III-B);
+a merged pair's hits are cached as explicit positions.
+
+With a memory tracer or reuse cache attached to the index, the walks
+report to a :class:`~repro.core.walk.FetchModel`, and the engine charges
+a gather where the hardware gathers ("if we reach a dead end ... all
+leaf nodes in the downstream sub-tree are gathered"): at a backward dead
+end, at a LAST hit and at a ``locate`` walk, each only up to
+``gather_limit`` hits; a longer hit list is walked again if located.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.index import EntryKind, ErtIndex
-from repro.core.walker import TreeCursor
+from repro.core.arena import ArenaCursor, arena_cursor
+from repro.core.index import ErtIndex
+from repro.core.walk import FetchModel, walk
 from repro.seeding.engine import ForwardSearch, SeedingEngine
 from repro.seeding.types import Mem
 from repro.sequence.alphabet import COMPLEMENT
 
 
+class _Strands:
+    """One read as the walks read it: both strands as ``bytes`` and
+    their rolling k-mer codes (None for a read shorter than k)."""
+
+    __slots__ = ("key", "n", "seq", "codes", "rc", "rc_codes", "rc_array")
+
+    def __init__(self, key: int, read: np.ndarray, rc: np.ndarray,
+                 codes: "np.ndarray | None",
+                 rc_codes: "np.ndarray | None") -> None:
+        self.key = key
+        self.n = int(read.size)
+        self.seq = np.asarray(read, dtype=np.uint8).tobytes()
+        self.rc = rc.tobytes()
+        self.rc_array = rc
+        self.codes = memoryview(codes) if codes is not None else None
+        self.rc_codes = memoryview(rc_codes) if rc_codes is not None \
+            else None
+
+
 class ErtSeedingEngine(SeedingEngine):
-    """Seeding engine over an :class:`~repro.core.index.ErtIndex`."""
+    """Seeding engine over an :class:`~repro.core.index.ErtIndex`.
+
+    Besides :class:`~repro.seeding.engine.EngineStats` it counts its own
+    work per read in plain ints, reset by :meth:`begin_read`:
+    ``walk_steps`` (characters consumed by tree advances),
+    ``gather_nodes`` / ``gather_bytes`` (position-pool gathers and their
+    bytes), ``reseed_launches`` and ``last_launches``.
+    """
 
     def __init__(self, index: ErtIndex, gather_limit: int = 500) -> None:
         super().__init__()
@@ -38,203 +75,162 @@ class ErtSeedingEngine(SeedingEngine):
         # before any tree traversal, so no primitive accepts a segment
         # shorter than k; seed_read() skips such reads up front.
         self.min_query_len = index.config.k
-        self._rev: "dict[int, np.ndarray]" = {}
-        self._hits: "dict[tuple, tuple[int, tuple[int, ...]]]" = {}
-        # Strong references backing every id() used as a cache key below:
-        # a bare id(read) can be recycled once the array is garbage
-        # collected, silently serving another read's cached revcomp/hits.
-        # Pinning the array for the cache's lifetime makes its id stable.
-        self._pinned: "dict[int, np.ndarray]" = {}
-        # Batch-level revcomp cache filled by begin_batch(); survives
-        # begin_read() so every read of the batch finds its precomputed
-        # reverse complement.
-        self._batch_rev: "dict[int, np.ndarray]" = {}
+        # The index's column accessor, taken when the first read is
+        # loaded (not here, so it reads the columns as they are then).
+        self._cursor: "ArenaCursor | None" = None
+        self._fetch = FetchModel(index, self.stats)
+        k = index.config.k
+        self._weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        # Both strands and rolling codes of each read of the current
+        # batch, from begin_batch(); _batch_pinned holds every read for
+        # as long as these id()-keyed entries live.
+        self._batch: "dict[int, tuple]" = {}
         self._batch_pinned: "dict[int, np.ndarray]" = {}
-        # Rolling k-mer entry codes per batch sequence (forward reads
-        # and their cached reverse complements), also from begin_batch().
-        self._batch_codes: "dict[int, np.ndarray]" = {}
-        # Big-endian 2-bit pack weights for the second-level table
-        # subcode: one dot product instead of a per-character loop.
-        x = index.config.table_x
-        self._subcode_weights = (4 ** np.arange(x - 1, -1, -1)).astype(np.int64)
+        self.begin_read()
 
     # ------------------------------------------------------------------
     # Per-read state
     # ------------------------------------------------------------------
 
     def begin_read(self) -> None:
-        self._rev.clear()
-        self._hits.clear()
-        self._pinned.clear()
+        """Drop the per-read caches (every read's strands and hits) and
+        zero the work counters."""
+        self._rev: "dict[int, _Strands]" = {}
+        # (read id, start, end) -> (count, node, reverse): the node a
+        # search ended in, on the reverse strand or not (node -1: count
+        # only, the hits are walked again if located); or, for a merged
+        # pair (§III-B), (count, hits).
+        self._hits: "dict[tuple[int, int, int], tuple]" = {}
+        # Strong references backing every id() used as a cache key: a
+        # bare id(read) can be recycled once the array is garbage
+        # collected, silently serving another read's strands or hits.
+        self._pinned: "dict[int, np.ndarray]" = {}
+        self._read: "np.ndarray | None" = None
+        self._current: "_Strands | None" = None
+        self.walk_steps = 0
+        self.gather_nodes = 0
+        self.gather_bytes = 0
+        self.reseed_launches = 0
+        self.last_launches = 0
 
     def begin_batch(self, reads: "list[np.ndarray]") -> None:
-        """Precompute every read's reverse complement with one
-        ``COMPLEMENT`` gather over the concatenated batch instead of one
-        per read (the :mod:`repro.parallel` serial fast path)."""
+        """Prepare every read of a batch at once (:meth:`_prepare`)
+        instead of per read."""
         reads = list(reads)
         # ERT001 exception: each id() key's referent is pinned in
         # _batch_pinned for the batch cache's lifetime.
         self._batch_pinned = {id(r): r for r in reads}  # repro: allow(ERT001)
-        self._batch_rev = {}
-        self._batch_codes = {}
+        self._batch = self._prepare(reads)
+
+    def _prepare(self, reads: "list[np.ndarray]") -> "dict[int, tuple]":
+        """``id(read) -> (reverse complement, codes, rc codes)`` for each
+        read: one ``COMPLEMENT`` gather over the concatenated reads, and
+        the rolling k-mer codes of both strands with two matmuls (codes
+        are None for a read shorter than k)."""
+        prepared: "dict[int, tuple]" = {}
         if not reads:
-            return
+            return prepared
         # Reverse the whole complemented buffer once so every per-read
-        # slice below is contiguous and ascending -- negative-stride
-        # views made every downstream indexing op pay a gather, which is
-        # what made this "fast path" lose to the per-read loop.
+        # slice below is contiguous and ascending.  Windows straddling
+        # read boundaries are garbage and excluded by the slicing.
         buf = np.concatenate(reads)
         rev = COMPLEMENT[buf][::-1].copy()
         total = int(rev.size)
-        # Rolling k-mer codes over both strands in two matmuls: every
-        # _kmer_entry() lookup on a batch sequence then reads its packed
-        # entry code from this cache instead of re-packing k characters
-        # in Python.  Windows straddling read boundaries are garbage and
-        # excluded by the per-read slicing below.
         k = self.index.config.k
         fwd_codes = rev_codes = None
         if total >= k:
-            weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
             windows = np.lib.stride_tricks.sliding_window_view
-            fwd_codes = windows(buf, k) @ weights
-            rev_codes = windows(rev, k) @ weights
+            fwd_codes = windows(buf, k) @ self._weights
+            rev_codes = windows(rev, k) @ self._weights
         base = 0
         for read in reads:
             n = int(read.size)
             lo = total - base - n
-            rc = rev[lo:lo + n]
-            self._batch_rev[id(read)] = rc  # repro: allow(ERT001)
+            codes = rc_codes = None
             if n >= k and fwd_codes is not None:
                 span = n - k + 1
-                # ERT001 exception: read is pinned by _batch_pinned and
-                # rc by _batch_rev for this cache's lifetime.
-                self._batch_codes[id(read)] = (  # repro: allow(ERT001)
-                    fwd_codes[base:base + span])
-                self._batch_codes[id(rc)] = (  # repro: allow(ERT001)
-                    rev_codes[lo:lo + span])
+                codes = fwd_codes[base:base + span]
+                rc_codes = rev_codes[lo:lo + span]
+            # ERT001 exception: the caller pins every read for as long
+            # as the returned entries live.
+            prepared[id(read)] = (  # repro: allow(ERT001)
+                rev[lo:lo + n], codes, rc_codes)
             base += n
+        return prepared
 
-    def _key(self, read: np.ndarray) -> int:
-        # ERT001 exception: the very next statement pins `read` in
-        # self._pinned for the cache's lifetime, so this id() cannot be
-        # recycled while _rev/_hits hold entries keyed by it.
+    def _strands(self, read: np.ndarray) -> _Strands:
+        """Load ``read`` (its strands and codes, made once per
+        :meth:`begin_read`)."""
+        if read is self._read:
+            return self._current
+        if self._cursor is None:
+            self._cursor = arena_cursor(self.index)
+        # ERT001 exception: the read is pinned in self._pinned (or, for
+        # a batch read, _batch_pinned) for as long as entries keyed by
+        # this id() live.
         key = id(read)  # repro: allow(ERT001)
-        if key not in self._pinned:
+        strands = self._rev.get(key)
+        if strands is None:
+            self._check_read(read)
             self._pinned[key] = read
-        return key
+            prepared = self._batch.get(key)
+            if prepared is None:
+                prepared = self._prepare([read])[key]
+            strands = _Strands(key, read, *prepared)
+            self._rev[key] = strands
+        self._read, self._current = read, strands
+        return strands
 
     def _revcomp(self, read: np.ndarray) -> np.ndarray:
-        key = self._key(read)
-        cached = self._rev.get(key)
-        if cached is None:
-            cached = self._batch_rev.get(key)
-            if cached is None:
-                cached = COMPLEMENT[read][::-1].copy()
-            self._rev[key] = cached
-        return cached
+        return self._strands(read).rc_array
 
     # ------------------------------------------------------------------
-    # Core walk
+    # Walks and hit lists
     # ------------------------------------------------------------------
 
-    # repro: hot -- called by _walk for every k-mer window.
-    def _kmer_entry(self, seq: np.ndarray, start: int,
-                    min_hits: int) -> "tuple[int, int, list[int]]":
-        """Resolve the k-mer window at ``start``.
-
-        Returns ``(code, matched_len, lep_offsets)`` where ``matched_len``
-        is how many of the window's characters match with at least
-        ``min_hits`` occurrences (capped by the read tail) and
-        ``lep_offsets`` are hit-count-change offsets in ``1..matched_len-1``
-        relative to ``start``.
-        """
-        k = self.index.config.k
-        n = int(seq.size)
-        tail = min(k, n - start)
-        # Full-k windows of a batch sequence hit the rolling-code cache
-        # (begin_batch); _batch_codes keys stay pinned for its lifetime,
-        # so a miss cannot alias a recycled id.
-        cached = (self._batch_codes.get(id(seq))  # repro: allow(ERT001)
-                  if tail == k else None)
-        if cached is not None:
-            code = int(cached[start])
-        else:
-            code = self.index.kmer_code(seq[start:start + tail])
-        self.index.trace_index_entry(code)
-        self.stats.index_lookups += 1
-        if min_hits == 1:
-            matched = min(int(self.index.prefix_len[code]), tail)
-            bits = int(self.index.lep_bits[code])
-            leps = [l for l in range(1, matched) if (bits >> (l - 1)) & 1]
-            return code, matched, leps
-        # Reseeding path: the entry's change bits do not carry counts, so
-        # consult the auxiliary prefix-count tables (see index module).
-        matched = 0
-        leps = []
-        prev = None
-        for length in range(1, tail + 1):
-            count = self.index.prefix_count(seq[start:start + length])
-            if count < min_hits:
-                break
-            if prev is not None and count != prev and length - 1 >= 1:
-                leps.append(length - 1)
-            prev = count
-            matched = length
-        return code, matched, leps
-
-    # repro: hot -- per-character tree walk; counters go into EngineStats.
-    def _walk(self, seq: np.ndarray, start: int, min_hits: int,
-              collect_leps: bool,
-              use_table: bool = True) -> "tuple[int, list[int], TreeCursor | None]":
-        """Longest match of ``seq[start:]``; returns
-        ``(end, leps, cursor)`` with ``cursor`` None when the match never
-        left the k-mer window."""
+    # repro: hot -- one call per search.
+    def _walk(self, seq: bytes, codes: "memoryview | None", start: int,
+              stop: int, min_hits: int = 1,
+              leps: "list[int] | None" = None, jump: bool = False,
+              min_len: int = 0, max_intv: int = 0
+              ) -> "tuple[int, int, int, FetchModel | None]":
+        """One :func:`walk`, through the fetch model when the index has
+        a tracer or reuse cache attached; returns ``(end, node, count,
+        fetch model or None)``."""
         index = self.index
-        k = index.config.k
-        n = int(seq.size)
-        tail = min(k, n - start)
-        code, matched, lep_offsets = self._kmer_entry(seq, start, min_hits)
-        leps = [start + l for l in lep_offsets] if collect_leps else []
-        if matched < tail or tail < k:
-            end = start + matched
-            if collect_leps and end > start and (not leps or leps[-1] != end):
-                leps.append(end)
-            return end, leps, None
+        fetch = (None if index.tracer is None and index.reuse_cache is None
+                 else self._fetch)
+        end, nid, count, steps = walk(self._cursor, seq, codes, start, stop,
+                                      min_hits, leps, jump, min_len,
+                                      max_intv, fetch)
+        self.stats.index_lookups += 1
+        self.walk_steps += steps
+        return end, nid, count, fetch
 
-        cursor = None
-        pos = start + k
-        x = index.config.table_x
-        if (use_table and min_hits == 1
-                and index.entry_kind[code] == EntryKind.TABLE
-                and n - pos >= x):
-            subcode = int(seq[pos:pos + x] @ self._subcode_weights)
-            index.trace_table_entry(code, subcode)
-            entry = index.tables[code][subcode]
-            if collect_leps:
-                leps.extend(pos + j for j in range(entry.matched)
-                            if (entry.lep_bits >> j) & 1)
-            if entry.matched < x:
-                end = pos + entry.matched
-                if collect_leps and (not leps or leps[-1] != end):
-                    leps.append(end)
-                return end, leps, None
-            cursor = TreeCursor(index, code, min_hits, self.stats,
-                                enter_root=False)
-            cursor.restore(entry.state)
-            pos += x
-        else:
-            cursor = TreeCursor(index, code, min_hits, self.stats)
+    def _charge_gather(self, count: int, nid: int,
+                       fetch: FetchModel) -> int:
+        """A modelled run gathers a search's hits where the hardware
+        does; a list above ``gather_limit`` is left to a later walk
+        (returns -1: only the count is kept)."""
+        if count > self.gather_limit:
+            return -1
+        fetch.gather(nid)
+        return nid
 
-        while pos < n:
-            if not cursor.advance(int(seq[pos])):
-                break
-            if collect_leps and cursor.count_changed:
-                leps.append(pos)
-            pos += 1
-        end = pos
-        if collect_leps and end > start and (not leps or leps[-1] != end):
-            leps.append(end)
-        return end, leps, cursor
+    def _gather(self, nid: int, reverse: bool, length: int) -> "list[int]":
+        """The sorted forward-strand hits of node ``nid``: its subtree is
+        one contiguous run of the Euler pool."""
+        cursor = self._cursor
+        off = cursor.pos_off[nid]
+        run = cursor.pool[off:off + cursor.count[nid]]
+        self.gather_nodes += 1
+        self.gather_bytes += run.nbytes
+        if not reverse:
+            return sorted(run)
+        # An occurrence of the reverse-complemented segment at ``t`` is
+        # an occurrence of the segment itself at ``2N - t - L``.
+        flip = len(cursor.text) - length
+        return [flip - t for t in sorted(run, reverse=True)]
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -242,9 +238,12 @@ class ErtSeedingEngine(SeedingEngine):
 
     def forward_search(self, read: np.ndarray, start: int,
                        min_hits: int = 1) -> ForwardSearch:
-        self._check_read(read)
-        end, leps, _cursor = self._walk(read, start, min_hits,
-                                        collect_leps=True)
+        strands = self._strands(read)
+        if min_hits > 1:  # only reseeding asks for more than one hit
+            self.reseed_launches += 1
+        leps: "list[int]" = []
+        end = self._walk(strands.seq, strands.codes, start, strands.n,
+                         min_hits, leps, min_hits == 1)[0]
         if end <= start:
             return ForwardSearch(start, start, ())
         return ForwardSearch(start, end, tuple(leps))
@@ -252,122 +251,75 @@ class ErtSeedingEngine(SeedingEngine):
     def backward_search(self, read: np.ndarray, end: int,
                         min_hits: int = 1) -> int:
         """Maximal left extension of the segment ending at ``end``: a
-        forward walk of the reverse-complemented read (§III-A3 step 6)."""
-        self._check_read(read)
-        rc = self._revcomp(read)
-        n = int(read.size)
-        q = n - end
-        rc_end, _leps, cursor = self._walk(rc, q, min_hits,
-                                           collect_leps=False)
-        length = rc_end - q
-        s = end - length
-        if cursor is not None and length >= self.index.config.k:
-            self._cache_hits_from_rev_cursor(read, cursor, s, end)
+        forward walk of the reverse-complemented read (§III-A3 step 6),
+        whose node is cached for ``locate``."""
+        strands = self._strands(read)
+        q = strands.n - end
+        rc_end, nid, count, fetch = self._walk(
+            strands.rc, strands.rc_codes, q, strands.n, min_hits, None,
+            min_hits == 1)
+        s = end - (rc_end - q)
+        if nid >= 0:
+            if fetch is not None:
+                nid = self._charge_gather(count, nid, fetch)
+            self._hits[(strands.key, s, end)] = (count, nid, True)
         return s
 
-    def _cache_hits_from_rev_cursor(self, read: np.ndarray,
-                                    cursor: TreeCursor, s: int,
-                                    end: int) -> None:
-        """Eager leaf gathering at a backward dead end, mapped to forward
-        coordinates: an occurrence of the reverse-complemented segment at
-        ``t`` is an occurrence of the segment itself at ``2N - t - L``."""
-        count = cursor.count
-        length = end - s
-        if count > self.gather_limit:
-            self._hits[(self._key(read), s, end)] = (count, ())
-            return
-        two_n = int(self.index.text.size)
-        rev_positions = cursor.gather()
-        hits = tuple(sorted(two_n - t - length for t in rev_positions))
-        self._hits[(self._key(read), s, end)] = (count, hits)
-
     def count(self, read: np.ndarray, start: int, end: int) -> int:
-        self._check_read(read)
-        k = self.index.config.k
-        if end - start <= k:
+        strands = self._strands(read)
+        if end - start <= self.min_query_len:
             return self.index.prefix_count(read[start:end])
-        code, matched, _ = self._kmer_entry(read, start, 1)
-        if matched < k:
-            return 0
-        cursor = TreeCursor(self.index, code, 1, self.stats)
-        for pos in range(start + k, end):
-            if not cursor.advance(int(read[pos])):
-                return 0
-        return cursor.count
+        reached, nid, count, _ = self._walk(strands.seq, strands.codes,
+                                            start, end)
+        return count if reached == end and nid >= 0 else 0
 
     def locate(self, read: np.ndarray, start: int, end: int,
                limit: "int | None" = None) -> "tuple[int, list[int]]":
-        self._check_read(read)
-        cached = self._hits.get((self._key(read), start, end))
+        strands = self._strands(read)
+        cached = self._hits.get((strands.key, start, end))
         if cached is not None:
-            count, hits = cached
+            count = cached[0]
             if limit is not None and count > limit:
                 self.stats.truncated_hit_lists += 1
                 return count, []
-            if hits or count == 0:
-                return count, list(hits)
-        return self._locate_walk(read, start, end, limit)
-
-    def _locate_walk(self, read: np.ndarray, start: int, end: int,
-                     limit: "int | None") -> "tuple[int, list[int]]":
-        k = self.index.config.k
+            if len(cached) == 2:  # a merged pair's explicit hits
+                return count, list(cached[1])
+            if cached[1] >= 0:
+                return count, self._gather(cached[1], cached[2],
+                                           end - start)
+        k = self.min_query_len
         if end - start < k:
             raise ValueError(
                 f"ERT locate needs segments of at least k={k} characters; "
                 f"got [{start}, {end}) -- use min_seed_len >= k")
-        cursor = self._walk_exact(read, start, end)
-        count = cursor.count
+        reached, nid, count, fetch = self._walk(strands.seq, strands.codes,
+                                                start, end)
+        if reached != end or nid < 0:
+            raise RuntimeError(f"segment [{start}, {end}) does not occur")
         if limit is not None and count > limit:
             self.stats.truncated_hit_lists += 1
             return count, []
-        return count, cursor.gather()
-
-    def _walk_exact(self, read: np.ndarray, start: int, end: int) -> TreeCursor:
-        k = self.index.config.k
-        code, matched, _ = self._kmer_entry(read, start, 1)
-        if matched < k:
-            raise RuntimeError(f"segment [{start}, {end}) does not occur")
-        cursor = TreeCursor(self.index, code, 1, self.stats)
-        for pos in range(start + k, end):
-            if not cursor.advance(int(read[pos])):
-                raise RuntimeError(
-                    f"segment [{start}, {end}) does not occur; walk died "
-                    f"at {pos}")
-        return cursor
+        if fetch is not None:
+            fetch.gather(nid)
+        return count, self._gather(nid, False, end - start)
 
     def last_seed(self, read: np.ndarray, start: int, min_len: int,
                   max_intv: int) -> "tuple[int, int] | None":
-        self._check_read(read)
-        k = self.index.config.k
-        n = int(read.size)
-        if n - start < k:
+        strands = self._strands(read)
+        if strands.n - start < self.min_query_len:
             return None
-        code, matched, _ = self._kmer_entry(read, start, 1)
-        if matched < k:
+        end, nid, count, fetch = self._walk(
+            strands.seq, strands.codes, start, strands.n, 1, None, False,
+            min_len, max_intv)
+        if nid < 0:  # the k-mer itself is absent: nothing was launched
             return None
-        cursor = TreeCursor(self.index, code, 1, self.stats)
-        length = k
-        count = int(self.index.kmer_count[code])
-        while True:
-            if length >= min_len and count < max_intv:
-                self._cache_from_forward_cursor(read, cursor, start,
-                                                start + length)
-                return start + length, count
-            if start + length >= n:
-                return None
-            if not cursor.advance(int(read[start + length])):
-                return None
-            count = cursor.count
-            length += 1
-
-    def _cache_from_forward_cursor(self, read: np.ndarray,
-                                   cursor: TreeCursor, start: int,
-                                   end: int) -> None:
-        count = cursor.count
-        if count > self.gather_limit:
-            self._hits[(self._key(read), start, end)] = (count, ())
-            return
-        self._hits[(self._key(read), start, end)] = (count, tuple(cursor.gather()))
+        self.last_launches += 1
+        if count < max_intv and end - start >= min_len:
+            if fetch is not None:
+                nid = self._charge_gather(count, nid, fetch)
+            self._hits[(strands.key, start, end)] = (count, nid, False)
+            return end, count
+        return None
 
     # ------------------------------------------------------------------
     # Prefix-merged backward sweep (§III-B)
@@ -408,23 +360,27 @@ class ErtSeedingEngine(SeedingEngine):
         self.stats.backward_searches += 1
         if s1 < p - 1:
             mems.append(Mem(s1, p - 1))
-        cached = self._hits.get((self._key(read), s1, p - 1))
+        strands = self._strands(read)
+        cached = self._hits.get((strands.key, s1, p - 1))
         s_p = None
-        if cached is not None and cached[1]:
-            count1, hits1 = cached
+        # The hardware has the hits at hand only when it gathered them.
+        if cached is not None and cached[0] <= self.gather_limit:
             length1 = (p - 1) - s1
-            text = self.index.text
+            hits1 = (cached[1] if len(cached) == 2
+                     else self._gather(cached[1], cached[2], length1))
+            text = self._cursor.text
             # Prefix-character check: which occurrences of read[s1:p-1]
             # are followed by read[p-1]?  (Stored per leaf as 2-bit prefix
             # characters of the reverse-complement walk; no extra memory
             # traffic -- the leaves were just gathered.)
-            want = int(read[p - 1])
+            want = strands.seq[p - 1]
             extenders = tuple(h for h in hits1
-                              if h + length1 < text.size
-                              and int(text[h + length1]) == want)
+                              if h + length1 < len(text)
+                              and text[h + length1] == want)
             if len(extenders) >= min_hits:
                 s_p = s1
-                self._hits[(self._key(read), s1, p)] = (len(extenders), extenders)
+                self._hits[(strands.key, s1, p)] = (len(extenders),
+                                                    extenders)
                 self.stats.merged_backward_searches += 1
                 mems.append(Mem(s1, p))
         if s_p is None:

@@ -17,9 +17,8 @@ An :class:`ErtIndex` owns:
   accelerator's k-mer reuse cache -- accesses that hit it cost no traffic.
 
 Built, loaded or attached, an index holds the forest as the arena
-(:mod:`repro.core.arena`), the one form every walk reads; the scalar
-walk's jump tables are made from it per k-mer, on first access
-(:class:`LazyByCode`).
+(:mod:`repro.core.arena`), the one form the walk reads, jump tables
+included.
 
 All memory traffic funnels through :meth:`ErtIndex.trace` with the phase
 tags of Fig 13: ``index_lookup``, ``table_lookup``, ``tree_root``,
@@ -29,7 +28,6 @@ tags of Fig 13: ``index_lookup``, ``table_lookup``, ``tree_root``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -66,25 +64,6 @@ class EntryKind(enum.IntEnum):
     LEAF = 1
     TREE = 2
     TABLE = 3
-
-
-@dataclass
-class JumpEntry:
-    """Second-level table entry: the outcome of walking ``x`` suffix
-    characters from the tree root, precomputed at build time.
-
-    ``matched``: characters of the suffix that exist (0..x).
-    ``lep_bits``: bit ``j`` set iff extending from ``j`` to ``j+1``
-    matched characters changes the hit count (same convention as the
-    first-level LEP bits).
-    ``state``: the walk state after all ``x`` characters, or ``None`` when
-    the suffix dies inside the window.
-    """
-
-    matched: int
-    lep_bits: int
-    state: "object | None"
-    count: int
 
 
 _T = TypeVar("_T")
@@ -142,7 +121,6 @@ class ErtIndex:
                  entry_kind: np.ndarray, lep_bits: np.ndarray,
                  prefix_len: np.ndarray, kmer_count: np.ndarray,
                  tree_bases: np.ndarray,
-                 tables: "Mapping[int, list[JumpEntry]]",
                  prefix_counts: "list[np.ndarray]",
                  trees_bytes: int, flat: FlatTrees,
                  space: "AddressSpace | None" = None) -> None:
@@ -167,7 +145,6 @@ class ErtIndex:
         self.tree_bases = tree_bases
         self.tree_base: "Mapping[int, int]" = LazyByCode(
             roots.codes, lambda code: int(tree_bases[roots.rank(code)]))
-        self.tables = tables
         self.prefix_counts = prefix_counts
         self._layout: "ForestLayout | None" = None
         #: Cache slot of :func:`repro.core.arena.arena_cursor`.
@@ -183,14 +160,15 @@ class ErtIndex:
         self.index_region = self.space.allocate(
             "ert.index_table", cfg.n_entries * cfg.index_entry_bytes)
         self.trees_region = self.space.allocate("ert.trees", trees_bytes)
-        table_bytes = len(tables) * (4 ** cfg.table_x) * cfg.table_entry_bytes
+        # The stored tables keep one row when no k-mer has a table, so
+        # count the TABLE entries, not the rows.
+        n_tables = int(np.count_nonzero(entry_kind == EntryKind.TABLE))
+        table_bytes = n_tables * (4 ** cfg.table_x) * cfg.table_entry_bytes
         self.tables_region = self.space.allocate("ert.tables", table_bytes)
         aux_bytes = sum(4 ** l * 4 for l in range(1, cfg.k))
         self.aux_region = self.space.allocate("ert.prefix_counts", aux_bytes)
         self.ref_region = self.space.allocate(
             "ref.packed", (self.text.size + 3) // 4)
-        # Second-level tables are laid out densely in registration order.
-        self._table_slot = {code: i for i, code in enumerate(sorted(tables))}
 
     @property
     def layout(self) -> ForestLayout:
@@ -244,7 +222,8 @@ class ErtIndex:
                    self.index_region.name)
 
     def trace_table_entry(self, code: int, subcode: int) -> None:
-        slot = self._table_slot[code]
+        # Second-level tables are laid out densely in k-mer order.
+        slot = int(self.flat.table_slot[code])
         entry_bytes = self.config.table_entry_bytes
         offset = (slot * (4 ** self.config.table_x) + subcode) * entry_bytes
         self.trace(self.tables_region.base, offset, entry_bytes,

@@ -26,12 +26,10 @@ crc32), then every array 64-byte aligned.  It lives in two places:
 
 A built index is assembled by the same code as a loaded one
 (:func:`index_over`), over the arena the builder emitted, and every
-walk -- the batched kernels, the scalar cursor, ``census``,
-``divergence``, ``explain`` -- reads those columns as they lie.  The
-scalar cursor's jump table for a TABLE k-mer is rebuilt the first time
-it reaches that k-mer (:class:`~repro.core.index.LazyByCode`); a
-modelled walk reads where a node lies from the stored ``offset``
-column, and no index lays the forest out again.  The paper wire format
+reader -- the walk, ``census``, ``divergence``, ``explain`` -- reads
+those columns as they lie, the stored jump tables included.  A modelled
+walk reads where a node lies from the stored ``offset`` column, and no
+index lays the forest out again.  The paper wire format
 (``tests/serialize.py``) is stored nowhere: it is the reference the
 layout model's node sizes and the stored offsets are tested against.
 Every way a file or buffer can be cut short or garbled, and every child
@@ -43,7 +41,6 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import weakref
 import zlib
 from typing import (
     BinaryIO,
@@ -65,8 +62,7 @@ from repro.core.arena import (
     flat_trees,
 )
 from repro.core.config import ErtConfig, LayoutPolicy
-from repro.core.index import EntryKind, ErtIndex, JumpEntry, LazyByCode
-from repro.core.walker import build_jump_table
+from repro.core.index import ErtIndex
 from repro.sequence.reference import Reference
 from repro.telemetry.spans import Tracer
 
@@ -298,31 +294,17 @@ def index_over(
     member: "Callable[[str], np.ndarray]", trees_bytes: int,
 ) -> ErtIndex:
     """The index over an arena and the payload's other arrays, built,
-    loaded or attached alike.  The arena is the index's as it is; the
-    scalar walk's jump tables are made from it per k-mer, when asked
-    for.  The length-k prefix counts are the k-mer counts."""
-    entry_kind = member("entry_kind")
+    loaded or attached alike.  The arena is the index's as it is.  The
+    length-k prefix counts are the k-mer counts."""
     kmer_count = member("kmer_count")
-
-    def jump_table(code: int) -> "list[JumpEntry]":
-        owner = index_ref()
-        assert owner is not None  # it is asking
-        return build_jump_table(owner, code)
-
-    index = ErtIndex(
-        reference=reference, config=config, entry_kind=entry_kind,
-        lep_bits=member("lep_bits"), prefix_len=member("prefix_len"),
-        kmer_count=kmer_count, tree_bases=member("tree_bases"),
-        tables=LazyByCode(np.flatnonzero(entry_kind == EntryKind.TABLE),
-                          jump_table),
+    return ErtIndex(
+        reference=reference, config=config,
+        entry_kind=member("entry_kind"), lep_bits=member("lep_bits"),
+        prefix_len=member("prefix_len"), kmer_count=kmer_count,
+        tree_bases=member("tree_bases"),
         prefix_counts=[member(f"prefix_counts_{length}")
                        for length in range(1, config.k)] + [kmer_count],
         trees_bytes=trees_bytes, flat=flat)
-    # Weak, or index -> tables -> jump_table -> index is a cycle and the
-    # cyclic collector finalizes an attached index's shared-memory
-    # mapping while the views into it are still alive (BufferError).
-    index_ref = weakref.ref(index)
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -561,8 +543,7 @@ def index_from_buffer(
 
     Every array -- the arena's columns included -- becomes a
     **read-only zero-copy view** into ``buffer``, checked against its
-    crc32; nothing is materialized but the jump tables of the TABLE
-    k-mers a scalar walk reaches.  The caller owns the buffer's
+    crc32; nothing is materialized.  The caller owns the buffer's
     lifetime -- for a shared-memory segment, keep the segment open for
     as long as the returned index is in use
     (:func:`repro.parallel.shm.attach_index` pins it for you).

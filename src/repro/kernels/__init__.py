@@ -1,22 +1,18 @@
-"""The vector backend: arena seeding and batched extension kernels.
+"""The vector backend: batch seeding and batched extension kernels.
 
-The scalar engine (:mod:`repro.core.engine`) steps a cursor over arena
-node ids one read character per Python-level call.  The kernels here do
-the same work over the same columns: seeding as one per-read state
-machine over the arena (the paper's own design, §IV: independent
-per-read contexts, each walking one tree), extension as numpy sweeps
-over many (read, window) lanes at once:
+Seeding and extension run over whole batches of reads: seeding as one
+per-read state machine over the arena (the paper's own design, §IV:
+independent per-read contexts, each walking one tree), extension as
+numpy sweeps over many (read, window) lanes at once:
 
 * :mod:`repro.core.arena` -- the structure-of-arrays form of the radix
   trees: part of the index payload, so a loaded index hands it over as
   stored (``flat_trees``, re-exported here), with the column accessor
-  (zero-copy ``memoryview`` columns) both walks read it through.
-* :mod:`repro.kernels.walk` -- the one run-granular walk loop every
-  search is.
-* :mod:`repro.kernels.seeding` -- the arena seeding engine and
-  ``seed_batch``, which runs the three rounds of
-  :mod:`repro.seeding.algorithm` over it; byte-identical seeds to the
-  scalar oracle.
+  (zero-copy ``memoryview`` columns) the walk reads it through.
+* :mod:`repro.kernels.seeding` -- ``seed_batch``, which runs the three
+  rounds of :mod:`repro.seeding.algorithm` over the one seeding engine
+  (:class:`~repro.core.engine.ErtSeedingEngine`, whose every search is
+  :func:`repro.core.walk.walk`) and observes the batch at once.
 * :mod:`repro.kernels.traceback` -- the batched Smith-Waterman kernel:
   a row scan (the band swept row by row, F by one prefix-max scan per
   row) filling band-relative pointer planes, then a per-lane walk-back,
@@ -26,13 +22,14 @@ over many (read, window) lanes at once:
   a second name for it, kept only for ``benchmarks/pipeline/layers.py``.
 * :mod:`repro.kernels.stats` -- batch-granularity accumulators: the
   kernels count into plain ints and ndarrays and flush the metrics
-  registry once per batch, so vector mode runs fully observed with the
-  hot loops telemetry-call-free (ERT007/ERT017).
+  registry once per batch, so runs are fully observed with the hot
+  loops telemetry-call-free (ERT007/ERT017).
 
-The vector path is the default; the scalar path remains the oracle,
-selected with ``REPRO_KERNELS=scalar`` (CLI ``--kernels scalar``), and
-the two must produce byte-identical output; the randomized equivalence
-suite in ``tests/test_kernels.py`` enforces this.
+``REPRO_KERNELS`` (CLI ``--kernels``) selects the traceback kernel
+only: ``vector`` (the default) packs lanes into the batched kernel,
+``scalar`` runs one ``banded_sw_traceback`` per lane, the oracle.  The
+two produce byte-identical output; ``tests/test_kernels.py`` enforces
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.core.arena import FlatTrees, flat_trees
-    from repro.kernels.seeding import seed_batch, vector_decline_reason
+    from repro.kernels.seeding import seed_batch
     from repro.kernels.stats import KernelBatchStats, wall_shares
     from repro.kernels.traceback import (
         batched_banded_sw, batched_sw_traceback)
@@ -72,7 +69,6 @@ __all__ = [
     "KernelBatchStats",
     "flat_trees",
     "seed_batch",
-    "vector_decline_reason",
     "wall_shares",
     "batched_banded_sw",
     "batched_sw_traceback",
@@ -82,7 +78,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.arena": ("FlatTrees", "flat_trees"),
-    "repro.kernels.seeding": ("seed_batch", "vector_decline_reason"),
+    "repro.kernels.seeding": ("seed_batch",),
     "repro.kernels.stats": ("KernelBatchStats", "wall_shares"),
     "repro.kernels.traceback": ("batched_banded_sw",
                                 "batched_sw_traceback"),

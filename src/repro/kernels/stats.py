@@ -1,9 +1,10 @@
-"""Batch-granularity accumulators for the vector kernels.
+"""Batch-granularity accumulators for batch seeding.
 
-The vector path must run fully observed without per-element telemetry:
-rule ERT007 keeps ``telemetry.*`` out of hot functions and ERT017 keeps
-it out of every loop in ``repro.kernels``.  This module is how both stay
-satisfied *by construction* -- the arena engine counts into plain ints,
+Seeding must run fully observed without per-element telemetry: rule
+ERT007 keeps ``telemetry.*`` out of hot functions and ERT017 keeps it
+out of every loop of the kernels, the walk and the engine.  This module
+is how both stay satisfied *by construction* -- the engine counts into
+plain ints,
 ``seed_batch`` stores them per read in the columns of a
 :class:`KernelBatchStats`, and :meth:`KernelBatchStats.flush` lands
 everything in the metrics registry exactly once per batch, inside the
@@ -16,13 +17,13 @@ Two families come out of one accumulator set:
   bytes the gathers touch, 4 per position, cross-linkable to
   ``repro.memsim``),
   ``kernels.reseed_launches`` / ``kernels.last_launches``, plus the
-  scalar-parity families
+  families ``seed_read`` emits per read
   (``seeding.*``, ``seeds.*``, ``seed.length`` / ``seed.hit_count``)
-  so a vector run exposes the same aggregate counters a scalar run
-  would;
+  so a batch exposes the same aggregate counters as its reads one by
+  one;
 * **per-read columns** -- :meth:`read_counters` slices the same arrays
   for one read, which is what the scheduler feeds through the exemplar
-  capture hooks so the reservoir/slowlog survive ``--kernels vector``.
+  capture hooks (the reservoir and the slowlog).
 
 Accumulation is unconditional (an int add per search, five stores per
 read); only the flush consults the telemetry flag, so dark runs pay no
@@ -113,7 +114,7 @@ class KernelBatchStats:
         self.reseed_launches = np.zeros(n_reads, dtype=np.int64)
         #: Round-3 LAST walks launched, per read.
         self.last_launches = np.zeros(n_reads, dtype=np.int64)
-        #: Reads skipped for length (scalar parity:
+        #: Reads skipped for length (as ``seed_read`` counts them:
         #: ``seeding.short_reads_skipped``).
         self.short_reads = 0
 
@@ -131,10 +132,9 @@ class KernelBatchStats:
               results: "list") -> None:
         """Land the whole batch in the metrics registry (no-op dark).
 
-        Emits the kernel families and the scalar-parity families, so a
-        vector run and a scalar run of the same reads produce identical
-        counter totals (spans aside) and the CI assertions on
-        ``seeding.reads`` hold in either mode.
+        Emits the kernel families and the families ``seed_read`` emits,
+        so a batch and its reads seeded one by one produce identical
+        counter totals (spans aside).
         """
         if not telemetry.enabled():
             return
@@ -142,8 +142,7 @@ class KernelBatchStats:
         for name, attr in PER_READ_COUNTERS:
             counters[name] = int(getattr(self, attr).sum())
         telemetry.add_counters(counters)
-        # Scalar-parity families: what the per-read scalar driver
-        # (repro.seeding.algorithm.seed_read) would have emitted.
+        # What repro.seeding.algorithm.seed_read emits per read.
         telemetry.add_counters(
             {_STAT_COUNTERS.get(name, f"seeding.{name}"):
              engine_stats_after[name] - engine_stats_before.get(name, 0)

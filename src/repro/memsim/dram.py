@@ -148,10 +148,3 @@ class DramModel:
             label = telemetry.sanitize(phase) or "untagged"
             telemetry.set_gauge(f"{prefix}.page_opens.{label}",
                                 stats.page_opens)
-
-    def reset_stats(self) -> None:
-        """Clear counters and row-buffer state."""
-        self.by_phase.clear()
-        self.total = PageStats()
-        self._open_rows.clear()
-        self._channel_free = [0] * self.config.channels

@@ -69,13 +69,6 @@ class AddressSpace:
         self._next = (base + size + mask) & ~mask
         return region
 
-    def find(self, addr: int) -> "Region | None":
-        """Return the region containing ``addr`` (linear scan; debug aid)."""
-        for region in self.regions.values():
-            if region.base <= addr < region.end:
-                return region
-        return None
-
 
 @dataclass(frozen=True)
 class Access:
@@ -153,13 +146,3 @@ class MemoryTracer:
     @property
     def total_bytes(self) -> int:
         return sum(stats.bytes for stats in self.by_phase.values())
-
-    def reset(self) -> None:
-        """Clear counters and the retained trace (sinks are untouched)."""
-        self.trace.clear()
-        self.by_phase.clear()
-
-    def snapshot(self) -> "dict[str, PhaseStats]":
-        """Copy of the per-phase counters (for before/after deltas)."""
-        return {phase: PhaseStats(stats.requests, stats.bytes)
-                for phase, stats in self.by_phase.items()}

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -54,15 +53,13 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro import telemetry
 from repro.core.engine import ErtSeedingEngine
 from repro.kernels import resolve_kernels
-from repro.kernels.seeding import seed_batch, vector_decline_reason
+from repro.kernels.seeding import seed_batch
 from repro.kernels.stats import KernelBatchStats, wall_shares
 from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
-from repro.seeding.algorithm import SeedingParams, seed_read
+from repro.seeding.algorithm import SeedingParams
 from repro.seeding.engine import EngineStats
 
 if TYPE_CHECKING:
@@ -109,10 +106,10 @@ class ParallelConfig:
     #: merged telemetry are identical either way -- spawn just pays a
     #: slower worker boot, which the fault/exemplar tests exercise.
     start_method: "str | None" = None
-    #: Kernel selection ("scalar"/"vector"); None defers to
-    #: ``$REPRO_KERNELS`` (else vector).  "vector" routes seeding through
-    #: the batched kernels (:mod:`repro.kernels`) wherever the engine is
-    #: eligible; "scalar" is the per-read oracle -- output is
+    #: Traceback kernel selection ("scalar"/"vector"); None defers to
+    #: ``$REPRO_KERNELS`` (else vector).  "vector" packs extension lanes
+    #: into the batched kernel (:mod:`repro.kernels.traceback`),
+    #: "scalar" runs one ``banded_sw_traceback`` per lane -- output is
     #: byte-identical either way, at any worker count.
     kernels: "str | None" = None
 
@@ -183,13 +180,11 @@ class _BatchRunner:
     payload through the backend-neutral batch entry points, capture the
     reads' exemplars.
 
-    ``kernels`` decides one thing only -- how a batch gets its seeds
-    (one ``seed_batch`` sweep, or the ``seed_read`` oracle read by
-    read).  Everything after seeding is the same code for both backends
-    and runs identically observed or dark, in the serial loop and inside
-    pool workers; the scalar backend stays the byte-identity oracle
-    because it is this runner with the other seeder and ``tb_batch=None``
-    (one ``banded_sw_traceback`` per lane).
+    Every batch is seeded by one ``seed_batch`` sweep.  ``kernels``
+    decides one thing only -- the traceback kernel: the batched one, or
+    ``tb_batch=None`` (one ``banded_sw_traceback`` per lane, the
+    oracle).  The rest runs identically observed or dark, in the serial
+    loop and inside pool workers.
     """
 
     def __init__(self, engine: ErtSeedingEngine, task: str,
@@ -213,7 +208,13 @@ class _BatchRunner:
         self.engine.begin_batch(reads)
         names: "Sequence[str]" = batch.names
         probe = telemetry.read_probe()
-        seeded, seed_ms, seed_counters, kernels = self._seed(reads, probe)
+        stats = KernelBatchStats(len(reads))
+        seeded = seed_batch(self.engine, reads, self.params, stats=stats)
+        # The sweep cannot probe per read (its hot loops are
+        # telemetry-call-free by construction): the per-read columns of
+        # its KernelBatchStats are the seeding counter rows, and their
+        # walk_steps apportion its wall time.
+        seed_ms = wall_shares(telemetry.probe_ms(probe), stats.walk_steps)
         payload: "list[Any]"
         if self.task == "seed":
             payload = [_seed_line(name, seed)
@@ -250,58 +251,16 @@ class _BatchRunner:
                 row = extension[i] if extension else {
                     "seeds": len(seeds),
                     "seed_hits": sum(s.hit_count for s in seeds)}
-                for key, value in {**row, **seed_counters(i)}.items():
+                for key, value in {**row,
+                                   **stats.read_counters(i)}.items():
                     counters[key] = counters.get(key, 0) + value
             return counters
 
         telemetry.record_reads(
             probe, list(names),
             shares.reshape(-1, group).sum(axis=1).tolist(), make_counters,
-            task=self.task, kernels=kernels)
+            task=self.task, kernels="vector" if self.vector else None)
         return payload
-
-    def _seed(self, reads: "list[Any]", probe: "int | None") -> Tuple[
-            "list[Any]", Any, "Callable[[int], dict[str, int]]",
-            "str | None"]:
-        """Seed the batch: the results, each read's seeding wall ms and
-        counter row (meaningful only under a live ``probe``), and the
-        backend tag ``ert-repro explain`` replays an exemplar through.
-
-        The vector sweep cannot probe per read (its hot loops are
-        telemetry-call-free by construction): it counts per-read work
-        into a :class:`~repro.kernels.stats.KernelBatchStats`, whose
-        columns are the counter rows and whose ``walk_steps`` apportion
-        the sweep's wall time.  The scalar oracle is measured read by
-        read: probe readings and engine-counter deltas.  This is the one
-        place in ``repro.parallel`` that decides -- and counts -- a
-        decline of the vector kernels.
-        """
-        engine = self.engine
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                stats = KernelBatchStats(len(reads))
-                results = seed_batch(engine, reads, self.params,
-                                     stats=stats)
-                return (results,
-                        wall_shares(telemetry.probe_ms(probe),
-                                    stats.walk_steps),
-                        stats.read_counters, "vector")
-            telemetry.count("kernels.fallback_scalar." + reason)
-        results = []
-        marks = [0.0]
-        snaps = [engine.stats.as_dict()]
-        for read in reads:
-            results.append(seed_read(engine, read, self.params))
-            if probe is not None:
-                marks.append(telemetry.probe_ms(probe))
-                snaps.append(engine.stats.as_dict())
-
-        def deltas(i: int) -> "dict[str, int]":
-            return {name: value - snaps[i].get(name, 0)
-                    for name, value in snaps[i + 1].items()}
-
-        return results, np.diff(marks), deltas, None
 
 
 # ----------------------------------------------------------------------

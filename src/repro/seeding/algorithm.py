@@ -229,8 +229,8 @@ def _three_rounds(engine: SeedingEngine, read: np.ndarray,
                   params: SeedingParams, observed: bool) -> SeedingResult:
     """The three rounds over one read that is long enough to seed --
     the one place they are written down.  ``observed`` brackets each
-    round in a telemetry span: the per-read scalar driver asks for it
-    when telemetry is on; :func:`repro.kernels.seeding.seed_batch`,
+    round in a telemetry span: the per-read driver asks for it when
+    telemetry is on; :func:`repro.kernels.seeding.seed_batch`,
     which observes a whole batch under one span, never does."""
     if params.use_last and params.min_seed_len < engine.min_query_len:
         raise ValueError(

@@ -108,9 +108,9 @@ class ExemplarCollector:
 
         ``wall_ms`` overrides the probe-derived wall time -- batch
         drivers pass each read's share of the batch probe.  ``kernels``
-        tags the record with the backend that produced it (``"vector"``);
-        scalar records omit the field, so ``ert-repro explain`` treats a
-        missing tag as scalar."""
+        tags the record with the traceback kernel that produced it
+        (``"vector"``); scalar records omit the field, so ``ert-repro
+        explain`` treats a missing tag as scalar."""
         if wall_ms is None:
             wall_ms = self.elapsed_ms(started_ns)
         rec = {"read_id": str(read_id), "task": task,

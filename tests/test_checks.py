@@ -276,15 +276,14 @@ def test_ert_repro_check_subcommand():
 #: a time.
 HOT_FUNCTIONS = (
     ("core/engine.py", "_walk"),
-    ("core/engine.py", "_kmer_entry"),
-    ("core/walker.py", "__init__"),
-    ("core/walker.py", "_enter_root"),
-    ("core/walker.py", "_emit_node"),
-    ("core/walker.py", "_emit_ref"),
-    ("core/walker.py", "_settle"),
-    ("core/walker.py", "advance"),
-    ("core/walker.py", "restore"),
-    ("kernels/walk.py", "walk"),
+    ("core/walk.py", "walk"),
+    ("core/walk.py", "entry"),
+    ("core/walk.py", "root"),
+    ("core/walk.py", "land"),
+    ("core/walk.py", "step"),
+    ("core/walk.py", "ref"),
+    ("core/walk.py", "gather"),
+    ("core/walk.py", "_fetch"),
     ("extend/traceback.py", "banded_sw_traceback"),
     ("extend/smith_waterman.py", "__init__"),
     ("memsim/cache.py", "lookup"),
@@ -448,6 +447,22 @@ def test_repository_tree_is_clean():
                          os.path.join(REPO, "tests"),
                          os.path.join(REPO, "benchmarks")])
     assert report.ok, "\n".join(v.format() for v in report.violations)
+
+
+def test_ert017_covers_the_walk_and_the_engine():
+    """The walk loop left ``repro.kernels`` for ``repro.core``; ERT017
+    follows it there (and to the engine), and nowhere else in core."""
+    path = fixture("ert017_fail_walk.py")
+    violations, _ = check_file(path)
+    assert violations and {v.rule for v in violations} == {"ERT017"}
+    with open(path) as handle:
+        source = handle.read()
+    for module, rule_fires in (("repro.core.engine", True),
+                               ("repro.core.builder", False)):
+        moved = source.replace("module(repro.core.walk)",
+                               f"module({module})")
+        violations, _ = check_source("moved.py", moved)
+        assert bool(violations) == rule_fires, module
 
 
 def test_ert017_repo_clean_without_pragmas():

@@ -64,14 +64,6 @@ def test_access_latency_queueing():
     assert b == 4 + 20
 
 
-def test_reset_stats():
-    dram = DramModel()
-    dram.access(0, "p")
-    dram.reset_stats()
-    assert dram.total.accesses == 0
-    assert not dram.by_phase
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         DramConfig(channels=0)
@@ -118,8 +110,6 @@ def test_row_conflicts_subdivide_page_opens():
     assert dram.total.page_opens == 2
     assert dram.total.row_conflicts == 1
     assert dram.total.row_hits == 1
-    dram.reset_stats()
-    assert dram.total.row_conflicts == 0
 
 
 def test_dram_publish_metrics_gauges():

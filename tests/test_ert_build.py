@@ -23,11 +23,11 @@ from repro.core.arena import (
 from repro.core.builder import _entry_metadata, rolling_codes
 from repro.core.index import ErtIndex
 from repro.core.layout import TILE, LayoutStats
-from repro.core.walker import WalkState, build_jump_table
 from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import decode
 from repro.sequence.multi import MultiReference
+from tests.cursor import WalkState, build_jump_table
 from tests.frames import read_frame
 from tests.nodes import (
     DivergeNode,
@@ -122,8 +122,10 @@ def test_entry_kinds_consistent(index):
             assert isinstance(root, LeafNode)
         if kinds[code] == EntryKind.TABLE:
             assert counts[code] > index.config.table_threshold
-            assert index.tables[code] is not None
-            assert len(index.tables[code]) == 4 ** index.config.table_x
+            slot = index.flat.table_slot[code]
+            assert slot >= 0
+            assert index.flat.jt_matched[slot].size \
+                == 4 ** index.config.table_x
 
 
 def test_tree_counts_sum(index):
@@ -223,7 +225,7 @@ def test_ert_trades_space_for_bandwidth(ref):
 def test_multilevel_off_has_no_tables(ref):
     index = build_ert(ref, ErtConfig(k=5, max_seed_len=60,
                                      multilevel=False))
-    assert not index.tables
+    assert not np.any(index.flat.table_slot >= 0)
     assert not np.any(index.entry_kind == EntryKind.TABLE)
     assert index.tables_region.size == 0
 
@@ -431,13 +433,13 @@ def oracle_compile(roots, config, n_tables):
                      **jt, **arrays)
 
 
-def oracle_jump_tables(index):
+def oracle_jump_tables(index, tables):
     """Fill the arena's jump-table columns from the cursor-built tables,
     each state eagerly settled."""
     flat = index.flat
-    for slot, code in enumerate(sorted(index.tables)):
+    for slot, code in enumerate(sorted(tables)):
         flat.table_slot[code] = slot
-        for subcode, entry in enumerate(index.tables[code]):
+        for subcode, entry in enumerate(tables[code]):
             flat.jt_matched[slot, subcode] = entry.matched
             flat.jt_lep[slot, subcode] = entry.lep_bits
             state = entry.state
@@ -495,17 +497,15 @@ def oracle_build_ert(reference, config):
         tree_base[code] = trees_bytes
         trees_bytes += blob
 
-    tables = {code: [] for code in table_codes}
     index = ErtIndex(
         reference=reference, config=config, entry_kind=entry_kind,
         lep_bits=lep_bits, prefix_len=prefix_len, kmer_count=kmer_count,
         tree_bases=np.array([tree_base[code] for code in sorted(tree_base)],
                             dtype=np.int32),
-        tables=tables, prefix_counts=counts_by_len, trees_bytes=trees_bytes,
+        prefix_counts=counts_by_len, trees_bytes=trees_bytes,
         flat=oracle_compile(roots, config, len(table_codes)))
-    for code in table_codes:
-        tables[code] = build_jump_table(index, code)
-    oracle_jump_tables(index)
+    oracle_jump_tables(index, {code: build_jump_table(index, code)
+                               for code in table_codes})
     return index, layout_stats, roots
 
 

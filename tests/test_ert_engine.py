@@ -77,8 +77,9 @@ def test_locate_limit_contract(ert, oracle, read_codes):
 
 
 def test_locate_rejects_short_segments(ert, read_codes):
+    ert.begin_read()  # nothing cached: locate has to walk
     with pytest.raises(ValueError):
-        ert._locate_walk(read_codes[0], 0, ert.index.config.k - 1, None)
+        ert.locate(read_codes[0], 0, ert.index.config.k - 1)
 
 
 def test_last_seed_matches_oracle(ert, oracle, read_codes):
@@ -143,10 +144,22 @@ def test_table_and_no_table_agree(reference, read_codes, params):
 
 
 def test_engine_stats_accumulate(ert, read_codes, params):
-    ert.reset_stats()
+    """Search counters accumulate on every run; the traffic counters
+    (nodes visited, leaf and tree-root fetches) only on a modelled one,
+    with a memory tracer attached."""
+    from repro.memsim import MemoryTracer
     from repro.seeding import seed_read
+
+    ert.reset_stats()
     seed_read(ert, read_codes[0], params)
     assert ert.stats.index_lookups > 0
     assert ert.stats.forward_searches > 0
     assert ert.stats.backward_searches > 0
+    assert ert.stats.nodes_visited == 0
+    ert.index.attach_tracer(MemoryTracer())
+    try:
+        seed_read(ert, read_codes[0], params)
+    finally:
+        ert.index.attach_tracer(None)
     assert ert.stats.nodes_visited > 0
+    assert ert.stats.tree_root_fetches > 0

@@ -78,8 +78,10 @@ def test_cache_counts_even_without_tracer(index):
 
 
 def test_table_slots_are_dense(index):
-    slots = sorted(index._table_slot.values())
-    assert slots == list(range(len(index.tables)))
+    table_slot = index.flat.table_slot
+    codes = np.flatnonzero(index.entry_kind == EntryKind.TABLE)
+    assert np.flatnonzero(table_slot >= 0).tolist() == codes.tolist()
+    assert table_slot[codes].tolist() == list(range(codes.size))
 
 
 def test_regions_are_disjoint(index):

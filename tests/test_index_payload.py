@@ -130,11 +130,9 @@ def _assert_same_forest(got, want):
             assert (a.offset, a.nbytes) == (b.offset, b.nbytes)
             ours.extend(a.children_nodes())
             theirs.extend(b.children_nodes())
-    assert set(got.tables) == set(want.tables)
-    for code, entries in want.tables.items():
-        assert [(e.matched, e.lep_bits, e.count)
-                for e in got.tables[code]] \
-            == [(e.matched, e.lep_bits, e.count) for e in entries]
+    for name in ("table_slot", "jt_matched", "jt_lep", "jt_count"):
+        assert np.array_equal(getattr(got.flat, name),
+                              getattr(want.flat, name)), name
     stats = got.layout_stats
     assert (stats.total_bytes, stats.n_nodes, stats.n_tiles) == (
         want.layout_stats.total_bytes, want.layout_stats.n_nodes,

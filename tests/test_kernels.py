@@ -31,7 +31,6 @@ from repro.kernels import (
     batched_sw_traceback,
     resolve_kernels,
     seed_batch,
-    vector_decline_reason,
 )
 from repro.kernels.traceback import MAX_WAVEFRONT_LANES, _plane_dtype
 from repro.memsim.trace import MemoryTracer
@@ -45,6 +44,7 @@ from repro.parallel import (
 )
 from repro.seeding.algorithm import seed_read
 from repro.sequence import Strand
+from tests.cursor import CursorSeedingEngine
 
 
 def _seed_key(result, seeds=None):
@@ -55,9 +55,10 @@ def _seed_key(result, seeds=None):
 def _assert_batch_matches_scalar(index, read_list, params,
                                  vector_indexes=None, gather_limit=500):
     """``seed_batch`` over each of ``vector_indexes`` (default: ``index``
-    itself) against the ``seed_read`` oracle over ``index``; returns the
-    oracle's engine and the last vector one for counter comparisons."""
-    scalar_engine = ErtSeedingEngine(index, gather_limit=gather_limit)
+    itself) against ``seed_read`` on the per-character oracle engine
+    over ``index``; returns the oracle's engine and the last batch one
+    for counter comparisons."""
+    scalar_engine = CursorSeedingEngine(index, gather_limit=gather_limit)
     scalar = [seed_read(scalar_engine, r, params) for r in read_list]
     for vector_index in vector_indexes or (index,):
         vector_engine = ErtSeedingEngine(vector_index,
@@ -121,7 +122,7 @@ def test_seed_batch_matches_scalar_under_tight_hit_cap(ert_index, reference,
     reads = _fuzz_reads(reference, rng, 30)
     tight = SeedingParams(min_seed_len=params.min_seed_len,
                           max_hits_per_seed=2)
-    scalar_engine = ErtSeedingEngine(ert_index, gather_limit=2)
+    scalar_engine = CursorSeedingEngine(ert_index, gather_limit=2)
     vector_engine = ErtSeedingEngine(ert_index, gather_limit=2)
     scalar = [seed_read(scalar_engine, r, tight) for r in reads]
     vector = seed_batch(vector_engine, reads, tight)
@@ -155,7 +156,7 @@ def index_shape(request, reference):
 @pytest.mark.parametrize("min_seed_len", ["k", 12, 19])
 def test_seed_batch_differential(index_shape, reference, min_seed_len,
                                  max_mem_intv):
-    """The arena engine against the ``TreeCursor`` oracle across index
+    """The engine against the ``TreeCursor`` oracle across index
     shapes (with and without prefix merging), seed-length floors (``k``
     puts every MEM that stays inside the index table or a jump-table
     window on the exact-walk ``locate`` path), LAST selectivity bounds
@@ -179,10 +180,10 @@ def test_seed_batch_differential(index_shape, reference, min_seed_len,
 
 def test_arena_engine_search_counters_match_scalar(ert_index, reference,
                                                    read_codes, params):
-    """Without prefix merging the arena engine runs the scalar engine's
-    searches one for one -- same pivots, same pruned backward sweeps,
-    same index-table lookups -- so its search counters are the
-    oracle's, not an unpruned superset."""
+    """The engine runs the oracle engine's searches one for one --
+    same pivots, same pruned backward sweeps, same index-table lookups
+    -- so its search counters are the oracle's, not an unpruned
+    superset."""
     reads = read_codes + _fuzz_reads(reference, np.random.default_rng(8),
                                      40)
     scalar, vector = _assert_batch_matches_scalar(ert_index, reads, params)
@@ -200,11 +201,9 @@ def test_arena_engine_search_counters_match_scalar(ert_index, reference,
 def test_arena_engine_count_matches_scalar(ert_index, read_codes):
     """``count`` inside the index table (<= k characters), through a
     tree, and of a segment that does not occur."""
-    from repro.kernels.seeding import ArenaSeedingEngine
-
-    host = ErtSeedingEngine(ert_index)
-    host.begin_batch(read_codes)
-    arena = ArenaSeedingEngine(host)
+    host = CursorSeedingEngine(ert_index)
+    arena = ErtSeedingEngine(ert_index)
+    arena.begin_batch(read_codes)
     absent = 0
     for read in read_codes[:6]:
         for start, end in ((0, 3), (0, 6), (2, 20), (10, 70), (0, 80)):
@@ -244,7 +243,7 @@ def repeat_rich():
 @pytest.mark.parametrize("max_mem_intv", [1, 2, 20])
 def test_last_chain_matches_scalar_on_repeat_rich_reference(
         repeat_rich, max_mem_intv, min_seed_len):
-    """Round 3 alone against the scalar cursor where it is hardest:
+    """Round 3 alone against the oracle cursor where it is hardest:
     launches whose k-mer count starts at or above ``max_mem_intv``, emits
     past ``min_len`` on a DIVERGE count drop and at exactly ``min_len``
     mid-run, reads that end inside a run, one substitution at every
@@ -274,7 +273,7 @@ def test_last_chain_matches_scalar_on_repeat_rich_reference(
         reads.append(mutated)
     params = SeedingParams(min_seed_len=min_seed_len,
                            max_mem_intv=max_mem_intv)
-    scalar_engine = ErtSeedingEngine(index)
+    scalar_engine = CursorSeedingEngine(index)
     vector_engine = ErtSeedingEngine(index)
     scalar = [seed_read(scalar_engine, r, params) for r in reads]
     vector = seed_batch(vector_engine, reads, params)
@@ -321,7 +320,7 @@ def test_seed_batch_is_batch_composition_independent(ert_index, reference,
 
 def test_arena_cursor_over_attached_index_matches_built(ert_index, reference,
                                                         read_codes, params):
-    """The scalar cursor reads the read-only columns of an index
+    """The engine reads the read-only columns of an index
     attached from ``index_to_buffer`` (what a pool worker walks) exactly
     as it reads the arena compiled from a built one."""
     from repro.core.arena import arena_cursor
@@ -340,54 +339,38 @@ def test_arena_cursor_over_attached_index_matches_built(ert_index, reference,
             == _seed_in_batches(ert_index, reads, params, 16))
 
 
-def test_vector_ready_gates(ert_index, ert, fmd):
+def test_seed_batch_under_a_tracer_charges_the_oracle_traffic(
+        ert_index, read_codes, params):
+    """With a memsim tracer attached the batch entry point stays the
+    batch path (one ``kernels.batch`` flush, no fallback) and charges
+    the oracle's per-read traffic, access for access."""
+    def traced(run):
+        tracer = MemoryTracer(keep_trace=True)
+        ert_index.attach_tracer(tracer)
+        try:
+            results = run()
+        finally:
+            ert_index.attach_tracer(None)
+        return results, [(a.addr, a.size, a.phase) for a in tracer.trace]
+
+    oracle = CursorSeedingEngine(ert_index)
+    want, want_trace = traced(lambda: [seed_read(oracle, r, params)
+                                       for r in read_codes])
     engine = ErtSeedingEngine(ert_index)
-    assert vector_decline_reason(engine) is None
-    # Telemetry is deliberately NOT a decline reason any more: the
-    # vector path runs fully observed through batch-flushed
-    # accumulators, so the old telemetry.enabled() escape hatch is gone.
     telemetry.reset()
     telemetry.enable()
     try:
-        assert vector_decline_reason(engine) is None
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    # The remaining gates (per-access instrumentation that needs the
-    # scalar cursor) still decline, each with its fallback-counter label.
-    tracer = MemoryTracer()
-    ert_index.attach_tracer(tracer)
-    try:
-        assert vector_decline_reason(engine) == "tracer"
-    finally:
-        ert_index.attach_tracer(None)
-    assert vector_decline_reason(engine) is None
-    assert vector_decline_reason(fmd) == "engine"
-
-
-def test_seed_batch_falls_back_when_ineligible(ert_index, read_codes,
-                                               params):
-    """An ineligible engine (memsim tracer attached) silently takes the
-    per-read scalar loop and counts the decline; the batch entry point
-    still returns the scalar results."""
-    engine = ErtSeedingEngine(ert_index)
-    oracle = [seed_read(ErtSeedingEngine(ert_index), r, params)
-              for r in read_codes]
-    tracer = MemoryTracer()
-    ert_index.attach_tracer(tracer)
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        results = seed_batch(engine, read_codes, params)
+        got, got_trace = traced(lambda: seed_batch(engine, read_codes,
+                                                   params))
         counters = telemetry.snapshot()["counters"]
     finally:
-        ert_index.attach_tracer(None)
         telemetry.disable()
         telemetry.reset()
-    for a, b in zip(oracle, results):
-        assert _seed_key(a) == _seed_key(b)
-    assert counters["kernels.fallback_scalar.tracer"] == 1
-    assert "kernels.batches" not in counters
+    assert [_seed_key(r) for r in got] == [_seed_key(r) for r in want]
+    assert got_trace == want_trace
+    assert engine.stats.as_dict() == oracle.stats.as_dict()
+    assert counters["kernels.batches"] == 1
+    assert not [name for name in counters if "fallback" in name]
 
 
 def test_seed_batch_runs_vector_with_telemetry_live(ert_index, read_codes,
@@ -396,7 +379,7 @@ def test_seed_batch_runs_vector_with_telemetry_live(ert_index, read_codes,
     path (one kernels.batch flush), and the results still match the
     scalar oracle -- the byte-identity contract holds observed."""
     engine = ErtSeedingEngine(ert_index)
-    oracle = [seed_read(ErtSeedingEngine(ert_index), r, params)
+    oracle = [seed_read(CursorSeedingEngine(ert_index), r, params)
               for r in read_codes]
     telemetry.reset()
     telemetry.enable()
@@ -412,7 +395,7 @@ def test_seed_batch_runs_vector_with_telemetry_live(ert_index, read_codes,
     assert counters["kernels.reads"] == len(read_codes)
     assert counters["kernels.walk_steps"] > 0
     assert counters["seeding.reads"] == len(read_codes)
-    assert "kernels.fallback_scalar.tracer" not in counters
+    assert not [name for name in counters if "fallback" in name]
 
 
 def test_resolve_kernels(monkeypatch):

@@ -4,11 +4,12 @@ Round 1's §III-F rule, round 2's reseed-LEP filter and round 3's LAST
 skips (``repro.seeding.algorithm``) run only under
 ``SeedingParams.use_pruning``; ``use_pruning=False`` is the unpruned
 oracle.  The property below checks the full three-round output of the
-brute-force, FMD, scalar ERT (with and without prefix merging) and arena
-engines, pruned and unpruned, on references built to break the proofs'
+brute-force, FMD, per-character oracle ERT (``tests/cursor.py``) and ERT
+engines (with and without prefix merging), per read and per batch,
+pruned and unpruned, on references built to break the proofs'
 assumptions: homopolymer runs, tandem repeats of period 2..24 and exact
-high-copy repeats.  The scalar and arena engines also run on the same
-index saved and mapped back, so the stored columns face them too.
+high-copy repeats.  The ERT engine also runs on the same index saved and
+mapped back, so the stored columns face it too.
 """
 
 import os
@@ -29,11 +30,12 @@ from repro.core import (
 from repro.core.arena import FANOUT, KIND_LEAF, KIND_UNIFORM, arena_cursor
 from repro.fmindex import FmdIndex, FmdSeedingEngine
 from repro.kernels import seed_batch
-from repro.kernels.walk import walk
+from repro.core.walk import walk
 from repro.seeding import OracleEngine, SeedingParams, oracle_smems, seed_read
 from repro.seeding.algorithm import generate_smems
 from repro.sequence import GenomeSimulator, Reference
 from repro.sequence.alphabet import revcomp_codes
+from tests.cursor import CursorSeedingEngine
 
 MAX_SEED_LEN = 64
 
@@ -106,12 +108,14 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
     with tempfile.TemporaryDirectory() as scratch:
         save_ert(plain, os.path.join(scratch, "index"))
         loaded = load_ert(os.path.join(scratch, "index"))
+    merged = build_ert(ref, ErtConfig(prefix_merging=True, **config))
     engines = {
         "oracle": OracleEngine(ref),
         "fmd": FmdSeedingEngine(FmdIndex(ref)),
+        "cursor": CursorSeedingEngine(plain),
+        "cursor-pm": CursorSeedingEngine(merged),
         "ert": ErtSeedingEngine(plain),
-        "ert-pm": ErtSeedingEngine(build_ert(
-            ref, ErtConfig(prefix_merging=True, **config))),
+        "ert-pm": ErtSeedingEngine(merged),
         "ert-loaded": ErtSeedingEngine(loaded),
     }
     want = None
@@ -122,7 +126,8 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
         runs = {name: [seed_read(engine, read, params).key()
                        for read in reads]
                 for name, engine in engines.items()}
-        for name, index in (("arena", plain), ("arena-loaded", loaded)):
+        for name, index in (("batch", plain), ("batch-pm", merged),
+                            ("batch-loaded", loaded)):
             runs[name] = [result.key() for result in seed_batch(
                 ErtSeedingEngine(index), reads, params)]
         if want is None:
@@ -138,7 +143,7 @@ def test_pruning_is_output_invariant_on_every_engine(kind, k, extra,
 
 
 def _settled(cursor):
-    """The node a scalar cursor's next character is decided at."""
+    """The node an oracle cursor's next character is decided at."""
     nid = cursor.pending if cursor.pending >= 0 else cursor.node
     arena = arena_cursor(cursor.index)
     if nid == cursor.node and arena.kind[nid] == KIND_UNIFORM \
@@ -151,7 +156,7 @@ def test_walks_agree_at_one_and_four_way_branches(tmp_path):
     """Pinned: on the benchmark genome (10 kbp, k = 6) one DIVERGE node
     has a single child (and an ended hit) and 550 have all four.  From
     the root through each, every next character, the batched ``walk``
-    and the scalar ``TreeCursor`` over the mapped index agree on where
+    and the oracle ``TreeCursor`` over the mapped index agree on where
     the match ends, the node and count it ends with and its LEPs."""
     reference = GenomeSimulator(seed=2021).generate(10_000)
     save_ert(build_ert(reference, ErtConfig(k=6)), tmp_path / "index")
@@ -170,7 +175,7 @@ def test_walks_agree_at_one_and_four_way_branches(tmp_path):
             for child in [nid + 1] + flat.kids[
                     first:first + FANOUT[byte] - 1].tolist():
                 depth[child] = depth[nid] + 1
-    scalar = ErtSeedingEngine(index)
+    scalar = CursorSeedingEngine(index)
     arena = arena_cursor(index)
     checked = 0
     for nid in np.flatnonzero(branching).tolist():

@@ -75,7 +75,8 @@ def test_reuse_cache_reduces_backward_traffic(coverage_setup):
         for read in reads:
             seed_read(engine, read, params)
         unbatched = sum(tracer.by_phase[p].bytes for p in phases)
-        tracer.reset()
+        tracer = MemoryTracer()
+        index.attach_tracer(tracer)
         driver = KmerReuseDriver(ErtSeedingEngine(index), params)
         driver.seed_batch(reads)
         batched = sum(tracer.by_phase[p].bytes for p in phases)

@@ -32,13 +32,6 @@ def test_bad_alignment_rejected():
         AddressSpace(alignment=100)
 
 
-def test_find_region():
-    space = AddressSpace()
-    a = space.allocate("a", 100)
-    assert space.find(a.base + 50) is a
-    assert space.find(a.base + 5000) is None
-
-
 def test_tracer_counts_lines():
     tracer = MemoryTracer(line_size=64)
     tracer.access(0, 8, "p")        # 1 line
@@ -81,15 +74,3 @@ def test_tracer_sinks_receive_line_events():
     tracer.sinks.append(Sink())
     tracer.access(70, 128, "p")
     assert received == [64, 128, 192]
-
-
-def test_tracer_reset_and_snapshot():
-    tracer = MemoryTracer(keep_trace=True)
-    tracer.access(0, 8, "p")
-    snap = tracer.snapshot()
-    tracer.access(0, 8, "p")
-    assert snap["p"].requests == 1
-    assert tracer.by_phase["p"].requests == 2
-    tracer.reset()
-    assert tracer.total_requests == 0
-    assert not tracer.trace

@@ -1,14 +1,15 @@
-"""Tests for the tree cursor: counts, gathering, traffic granularity."""
+"""Tests for the oracle tree cursor (``tests/cursor.py``): counts,
+gathering, traffic granularity."""
 
 import numpy as np
 import pytest
 
 from repro.core import ErtConfig, build_ert
-from repro.core.walker import TreeCursor
 from repro.memsim import MemoryTracer
 from repro.seeding.oracle import count_occurrences, find_occurrences
 from repro.sequence import GenomeSimulator
 from repro.sequence.alphabet import decode
+from tests.cursor import TreeCursor
 
 
 @pytest.fixture(scope="module")
