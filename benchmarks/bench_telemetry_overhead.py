@@ -1,8 +1,9 @@
 """Telemetry overhead guard: disabled-mode seeding must stay free.
 
 The telemetry layer promises a no-op fast path: with the module-level
-flag off, `seed_read` takes one flag check per read and every recording
-helper returns immediately.  This benchmark enforces that promise by
+flag off, `seed_read` (`seed_batch` of one read) takes one flag check
+per call, skips the engine-stats snapshots and the flush, and every
+recording helper returns immediately.  This benchmark enforces that promise by
 timing the instrumented driver (telemetry disabled) against a local
 re-implementation of the three seeding rounds that contains *no*
 telemetry calls at all -- the closest thing to the pre-instrumentation

@@ -33,8 +33,9 @@ ERT015    ``repro.parallel``: a function that creates a shm segment
           construction failure; one that attaches closes on failure.
 ERT016    callables crossing a pool boundary must be module-level (no
           lambdas, closures, or bound methods).
-ERT017    no telemetry call inside a loop of ``repro.kernels`` (the
-          vector kernels flush once per batch).
+ERT017    no telemetry call inside a loop of ``repro.kernels``, the
+          seeding driver, the walk or the engine (they flush once per
+          batch).
 ========  ==============================================================
 
 Every rule is a per-file AST check: one pass, no cross-file state.

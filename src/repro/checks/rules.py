@@ -905,31 +905,34 @@ _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
 
 @register
 class KernelLoopTelemetryRule(Rule):
-    """ERT017: the vector kernels flush telemetry per batch, never per
-    element.
+    """ERT017: the seeding driver and the vector kernels flush telemetry
+    per batch, never per element.
 
     ERT007 polices functions annotated ``# repro: hot``; the batched
-    kernels in :mod:`repro.kernels`, the walk (:mod:`repro.core.walk`)
-    and the seeding engine (:mod:`repro.core.engine`) are hot by
+    kernels in :mod:`repro.kernels`, the seeding driver and its
+    accumulators (:mod:`repro.seeding.algorithm`,
+    :mod:`repro.seeding.stats`), the walk (:mod:`repro.core.walk`) and
+    the seeding engine (:mod:`repro.core.engine`) are hot by
     construction -- every loop there runs per read, per node visit, per
     lane or per traceback row, so a telemetry call lexically inside
     *any* of their loops is a per-element call regardless of
-    annotation.  The kernels
-    count work into :class:`repro.kernels.stats.KernelBatchStats`
-    (plain adds, unconditional) and flush the registry once per batch under
-    the ``kernels.batch`` span; registry traffic at loop granularity
+    annotation.  Seeding counts work into
+    :class:`repro.seeding.stats.KernelBatchStats` (plain adds,
+    unconditional) and flushes the registry once per batch under the
+    ``kernels.batch`` span; registry traffic at loop granularity
     would reintroduce exactly the overhead that batch-flush design
     exists to avoid -- and break the <5% vector-telemetry overhead
     budget ``benchmarks/bench_telemetry_overhead.py`` enforces.
     """
 
     id = "ERT017"
-    title = "telemetry call inside a kernel, walk or engine loop"
+    title = "telemetry call inside a seeding, kernel, walk or engine loop"
     rationale = ("kernel sweeps accumulate into KernelBatchStats and "
                  "flush once per batch (docs/observability.md); "
                  "per-element registry calls undo the batch-flush "
                  "design")
-    scope = ("repro.kernels", "repro.core.walk", "repro.core.engine")
+    scope = ("repro.kernels", "repro.seeding.algorithm",
+             "repro.seeding.stats", "repro.core.walk", "repro.core.engine")
 
     def check(self, src: SourceFile) -> "Iterator[Violation]":
         for node in src.walk():

@@ -46,18 +46,18 @@ from ``$REPRO_WORKERS`` (else 1).  With workers > 1 they also take
 ``--retries R`` (per-batch retry budget after a worker crash or batch
 timeout; default ``$REPRO_RETRIES``, else 2) and ``--batch-timeout
 SEC``; see the failure model in ``docs/performance.md``.  ``--kernels``
-(default ``$REPRO_KERNELS``, else vector) picks the traceback kernel:
-the batched one (:mod:`repro.kernels.traceback`) or, ``scalar``, one
-``banded_sw_traceback`` per lane; the output is byte-identical.
+picks the traceback kernel: the batched one
+(:mod:`repro.kernels.traceback`, the default, ``vector``) or, ``scalar``,
+one ``banded_sw_traceback`` per lane; the output is byte-identical.
 
 A malformed, missing or unreadable index, FASTA or FASTQ file, a FASTA
 of more than one record, a read longer than the index's
 ``max_seed_len``, an index parameter ``ErtConfig`` rejects (``--k``,
 ``--max-seed-len``, ``--table-threshold``, ``--table-x``), an ``--out``
-that cannot be written (checked before the compute starts), a bad
-``$REPRO_KERNELS`` -- and a missing or malformed ``report --metrics`` /
-``explain --slowlog`` file -- ends in one ``ert-repro <command>:
-<message>`` line on stderr and exit status 2.
+that cannot be written (checked before the compute starts) -- and a
+missing or malformed ``report --metrics`` / ``explain --slowlog`` file
+-- ends in one ``ert-repro <command>: <message>`` line on stderr and
+exit status 2.
 
 Every subcommand is a thin shell over the library API, so everything it
 does is equally available programmatically.
@@ -87,7 +87,7 @@ import os
 import stat
 import sys
 
-from repro.kernels import KERNEL_CHOICES, resolve_kernels
+from repro.kernels import KERNEL_CHOICES
 
 #: Subcommands that live in their own module: ``main`` hands them the
 #: rest of the command line before building this module's parser, so a
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay with the scalar or the batched "
                               "traceback kernel; defaults to whatever "
                               "the slowlog record says the run used, "
-                              "else $REPRO_KERNELS, else vector")
+                              "else vector")
     _add_seeding_args(explain, max_hits=True)
     explain.add_argument(
         "--slowlog", default=None, metavar="FILE",
@@ -314,11 +314,10 @@ def _add_parallel_args(parser) -> None:
         help="seconds to wait for one batch before killing and "
              "respawning the pool (default: wait forever)")
     parser.add_argument(
-        "--kernels", choices=KERNEL_CHOICES, default=None,
+        "--kernels", choices=KERNEL_CHOICES, default="vector",
         help="traceback kernel: vector (the batched row-scan SW "
-             "traceback) or scalar (one traceback per lane); "
-             "byte-identical output.  Default: $REPRO_KERNELS, else "
-             "vector")
+             "traceback, the default) or scalar (one traceback per "
+             "lane); byte-identical output")
 
 
 def _parallel_config(args):
@@ -838,8 +837,7 @@ def _cmd_explain(args) -> int:
     # path, but the replay must use the traceback kernel the run used
     # for the extension counters to be comparable, and a record
     # carries a "kernels" tag only when that was the vector one.
-    # Without a record to consult, fall back to the usual
-    # $REPRO_KERNELS resolution (else vector).
+    # Without a record to consult, replay the default, vector.
     try:
         recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
                                         args.task)
@@ -853,7 +851,7 @@ def _cmd_explain(args) -> int:
     elif recorded is not None:
         kernels = recorded.get("kernels", "scalar")
     else:
-        kernels = resolve_kernels()
+        kernels = "vector"
     rec = _explain_replay(args, reads[0], kernels=kernels)
     if rec is None:
         print("replay recorded no exemplar (telemetry disabled?)",
@@ -976,13 +974,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     args.process_exits = own_command_line
-    try:
-        if hasattr(args, "kernels"):
-            # A bad $REPRO_KERNELS is refused like a bad --kernels.
-            resolve_kernels(args.kernels)
-    except ValueError as exc:
-        print(f"ert-repro {args.command}: {exc}", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except _input_errors() as exc:

@@ -59,11 +59,10 @@ class _Strands:
 class ErtSeedingEngine(SeedingEngine):
     """Seeding engine over an :class:`~repro.core.index.ErtIndex`.
 
-    Besides :class:`~repro.seeding.engine.EngineStats` it counts its own
-    work per read in plain ints, reset by :meth:`begin_read`:
-    ``walk_steps`` (characters consumed by tree advances),
-    ``gather_nodes`` / ``gather_bytes`` (position-pool gathers and their
-    bytes), ``reseed_launches`` and ``last_launches``.
+    Besides :class:`~repro.seeding.engine.EngineStats` it counts the
+    base class's per-read work counters (``walk_steps``,
+    ``gather_nodes`` / ``gather_bytes``, ``reseed_launches`` and
+    ``last_launches``).
     """
 
     def __init__(self, index: ErtIndex, gather_limit: int = 500) -> None:
@@ -73,7 +72,7 @@ class ErtSeedingEngine(SeedingEngine):
         self.name = "ert-pm" if index.config.prefix_merging else "ert"
         # The ERT walk resolves k characters through the entry table
         # before any tree traversal, so no primitive accepts a segment
-        # shorter than k; seed_read() skips such reads up front.
+        # shorter than k; seed_batch() skips such reads up front.
         self.min_query_len = index.config.k
         # The index's column accessor, taken when the first read is
         # loaded (not here, so it reads the columns as they are then).
@@ -95,6 +94,7 @@ class ErtSeedingEngine(SeedingEngine):
     def begin_read(self) -> None:
         """Drop the per-read caches (every read's strands and hits) and
         zero the work counters."""
+        super().begin_read()
         self._rev: "dict[int, _Strands]" = {}
         # (read id, start, end) -> (count, node, reverse): the node a
         # search ended in, on the reverse strand or not (node -1: count
@@ -107,16 +107,17 @@ class ErtSeedingEngine(SeedingEngine):
         self._pinned: "dict[int, np.ndarray]" = {}
         self._read: "np.ndarray | None" = None
         self._current: "_Strands | None" = None
-        self.walk_steps = 0
-        self.gather_nodes = 0
-        self.gather_bytes = 0
-        self.reseed_launches = 0
-        self.last_launches = 0
 
     def begin_batch(self, reads: "list[np.ndarray]") -> None:
         """Prepare every read of a batch at once (:meth:`_prepare`)
-        instead of per read."""
+        instead of per read; a no-op when every read is already
+        prepared."""
         reads = list(reads)
+        pinned = self._batch_pinned
+        # ERT001 exception: a lookup, checked against the pinned read.
+        if all(pinned.get(id(r)) is r  # repro: allow(ERT001)
+               for r in reads):
+            return
         # ERT001 exception: each id() key's referent is pinned in
         # _batch_pinned for the batch cache's lifetime.
         self._batch_pinned = {id(r): r for r in reads}  # repro: allow(ERT001)

@@ -31,9 +31,7 @@ from repro.memsim.cache import CacheModel
 from repro.seeding.algorithm import (
     SeedingParams,
     filter_contained,
-    last_round,
-    reseed_round,
-    smems_to_seeds,
+    seeds_from_smems,
 )
 from repro.seeding.types import Mem, SeedingResult
 from repro.telemetry.spans import Tracer
@@ -107,7 +105,7 @@ class KmerReuseDriver:
 
     def seed_batch(self, reads: "list[np.ndarray]") -> "list[SeedingResult]":
         """Seed a batch of reads; returns one result per read, identical
-        to what per-read :func:`~repro.seeding.algorithm.seed_read` yields.
+        to what :func:`~repro.seeding.algorithm.seed_batch` yields.
         """
         engine = self.engine
         params = self.params
@@ -178,16 +176,8 @@ class KmerReuseDriver:
             with telemetry.span("reconcile"):
                 results = []
                 for rid, read in enumerate(reads):
-                    result = SeedingResult()
-                    smems = filter_contained(mems[rid])
-                    result.smems = smems_to_seeds(engine, read, smems, params)
-                    if params.reseed:
-                        result.reseed_seeds = reseed_round(
-                            engine, read, result.smems, params)
-                    if params.use_last:
-                        result.last_seeds = last_round(engine, read, params,
-                                                       smems)
-                    results.append(result)
+                    results.append(seeds_from_smems(
+                        engine, read, filter_contained(mems[rid]), params))
                     self._mark(f"reconcile:{rid}")
 
         stats.forward_seconds = phases.stats["forward"].total_s

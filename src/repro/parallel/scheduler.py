@@ -55,12 +55,11 @@ from typing import (
 
 from repro import telemetry
 from repro.core.engine import ErtSeedingEngine
-from repro.kernels import resolve_kernels
-from repro.kernels.seeding import seed_batch
-from repro.kernels.stats import KernelBatchStats, wall_shares
+from repro.kernels import KERNEL_CHOICES
 from repro.parallel.batch import ReadBatch, iter_chunks, pack_batch
-from repro.seeding.algorithm import SeedingParams
+from repro.seeding.algorithm import SeedingParams, seed_batch
 from repro.seeding.engine import EngineStats
+from repro.seeding.stats import KernelBatchStats, wall_shares
 
 if TYPE_CHECKING:
     from repro.core.index import ErtIndex
@@ -106,20 +105,23 @@ class ParallelConfig:
     #: merged telemetry are identical either way -- spawn just pays a
     #: slower worker boot, which the fault/exemplar tests exercise.
     start_method: "str | None" = None
-    #: Traceback kernel selection ("scalar"/"vector"); None defers to
-    #: ``$REPRO_KERNELS`` (else vector).  "vector" packs extension lanes
-    #: into the batched kernel (:mod:`repro.kernels.traceback`),
-    #: "scalar" runs one ``banded_sw_traceback`` per lane -- output is
-    #: byte-identical either way, at any worker count.
-    kernels: "str | None" = None
+    #: Traceback kernel selection, one of ``KERNEL_CHOICES``: "vector"
+    #: packs extension lanes into the batched kernel
+    #: (:mod:`repro.kernels.traceback`), "scalar" runs one
+    #: ``banded_sw_traceback`` per lane -- output is byte-identical
+    #: either way, at any worker count.
+    kernels: str = "vector"
+
+    def __post_init__(self) -> None:
+        if self.kernels not in KERNEL_CHOICES:
+            raise ValueError(
+                f"unknown kernels selection {self.kernels!r}; expected "
+                f"one of {'/'.join(KERNEL_CHOICES)}")
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
         return default_workers()
-
-    def resolved_kernels(self) -> str:
-        return resolve_kernels(self.kernels)
 
     def resolved_policy(self) -> RetryPolicy:
         from repro.parallel.faults import RetryPolicy, default_retries
@@ -205,7 +207,6 @@ class _BatchRunner:
 
     def __call__(self, batch: ReadBatch) -> "list[Any]":
         reads = batch.reads()
-        self.engine.begin_batch(reads)
         names: "Sequence[str]" = batch.names
         probe = telemetry.read_probe()
         stats = KernelBatchStats(len(reads))
@@ -229,7 +230,7 @@ class _BatchRunner:
                                               batch.qualities, seeded)
         if probe is None:
             return payload
-        # Exemplar capture lives here, not in seed_read()/extend_batch():
+        # Exemplar capture lives here, not in seed_batch()/extend_batch():
         # the runner is the one place that knows the read *names*, and it
         # never touches the payload, so output is byte-identical observed
         # or dark.  Seeding wall time comes per read from the seeder; the
@@ -485,7 +486,7 @@ def map_reads(index: ErtIndex, task: str, reads: "Iterable[object]",
     """
     config = config or ParallelConfig()
     options: "dict[str, Any]" = {"params": params,
-                                 "kernels": config.resolved_kernels()}
+                                 "kernels": config.kernels}
     chunk_size = config.batch_size
     if task == "align-pe":
         # Batch at pair granularity so mates never split across workers.

@@ -28,20 +28,21 @@ nothing, every later one does too -- ``count(x+1, L) >= count(x, L+1) >=
 max_mem_intv`` for every ``L`` in ``[min_seed_len, n-x-1]`` -- so the
 round ends (``pruned_last_launches`` counts the launches skipped).
 
-The same function drives any :class:`~repro.seeding.engine.SeedingEngine`,
-which is how the repository realizes the paper's bit-equivalence guarantee
-between FMD-index and ERT seeding.
+One driver, :func:`seed_batch`, runs the rounds over a batch of reads
+for any :class:`~repro.seeding.engine.SeedingEngine` (``seed_read`` is
+its one-read call), which is how the repository realizes the paper's
+bit-equivalence guarantee between FMD-index and ERT seeding.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro.seeding.engine import SeedingEngine
+from repro.seeding.stats import KernelBatchStats
 from repro.seeding.types import Mem, Seed, SeedingResult
 
 
@@ -198,86 +199,87 @@ def last_round(engine: SeedingEngine, read: np.ndarray,
     return out
 
 
-_NO_SPAN = nullcontext()
-
-
-def _no_span(_name: str) -> "nullcontext[None]":
-    return _NO_SPAN
-
-
-#: How engine work counters surface as telemetry counter names.  Most map
-#: mechanically under ``seeding.``; the gather-limit clip gets the
-#: user-facing name the CLI and docs advertise.
-_STAT_COUNTERS = {"truncated_hit_lists": "seeds.truncated"}
-
-
-def _flush_engine_stats(engine: SeedingEngine,
-                        before: "dict[str, int]") -> None:
-    """Publish this read's engine-stat deltas into the metrics registry.
-
-    Hot loops (tree walks, occ lookups) never call telemetry directly --
-    they keep counting into :class:`~repro.seeding.engine.EngineStats` as
-    they always have, and this one flush per read surfaces the deltas.
-    """
-    after = engine.stats.as_dict()
-    telemetry.add_counters(
-        {_STAT_COUNTERS.get(name, f"seeding.{name}"):
-         after[name] - before.get(name, 0) for name in after})
+def seeds_from_smems(engine: SeedingEngine, read: np.ndarray,
+                     smems: "list[Mem]",
+                     params: SeedingParams) -> SeedingResult:
+    """Everything after SMEM generation: round 1's seed emission, then
+    rounds 2 and 3.  :func:`_three_rounds` and the k-mer reuse driver's
+    reconciliation (:mod:`repro.core.reuse`) both end here."""
+    result = SeedingResult()
+    result.smems = smems_to_seeds(engine, read, smems, params)
+    if params.reseed:
+        result.reseed_seeds = reseed_round(engine, read, result.smems,
+                                           params)
+    if params.use_last:
+        result.last_seeds = last_round(engine, read, params, smems)
+    return result
 
 
 def _three_rounds(engine: SeedingEngine, read: np.ndarray,
-                  params: SeedingParams, observed: bool) -> SeedingResult:
+                  params: SeedingParams) -> SeedingResult:
     """The three rounds over one read that is long enough to seed --
-    the one place they are written down.  ``observed`` brackets each
-    round in a telemetry span: the per-read driver asks for it when
-    telemetry is on; :func:`repro.kernels.seeding.seed_batch`,
-    which observes a whole batch under one span, never does."""
+    the one place they are written down."""
     if params.use_last and params.min_seed_len < engine.min_query_len:
         raise ValueError(
             f"LAST with min_seed_len={params.min_seed_len} below the "
             f"engine's shortest query ({engine.min_query_len}, the ERT's "
             f"k): it cannot observe counts for shorter matches")
-    span = telemetry.span if observed else _no_span
-    result = SeedingResult()
-    with span("smem"):
-        smems = generate_smems(engine, read, params)
-        result.smems = smems_to_seeds(engine, read, smems, params)
-    if params.reseed:
-        with span("reseed"):
-            result.reseed_seeds = reseed_round(engine, read, result.smems,
-                                               params)
-    if params.use_last:
-        with span("last"):
-            result.last_seeds = last_round(engine, read, params, smems)
-    return result
+    return seeds_from_smems(engine, read,
+                            generate_smems(engine, read, params), params)
 
 
-def seed_read(engine: SeedingEngine, read: np.ndarray,
-              params: "SeedingParams | None" = None) -> SeedingResult:
-    """Run all three seeding rounds for one read.
+def seed_batch(engine: SeedingEngine, reads: "list[np.ndarray]",
+               params: "SeedingParams | None" = None,
+               stats: "KernelBatchStats | None" = None
+               ) -> "list[SeedingResult]":
+    """All three seeding rounds for a batch of reads, one
+    :class:`SeedingResult` per read in input order: the one seeding
+    driver, for every engine.
 
     Reads shorter than ``max(min_seed_len, engine.min_query_len)`` yield
     an empty result without touching the engine: no seed of the required
     length fits in them, and engine primitives (the ERT walk in
-    particular) reject segments shorter than ``k``.
+    particular) reject segments shorter than ``k``.  A read's searches
+    do not depend on its batch mates, so its result and its work
+    counters are the same in any batch.
+
+    The engine's per-read work counters land in ``stats`` (pass one to
+    keep them: the scheduler derives per-read exemplar counters from
+    them) and flush into the metrics registry once, under a ``seed``
+    span holding one ``kernels.batch`` span; a dark call touches no
+    registry.
     """
     params = params or SeedingParams()
-    if int(read.size) < max(params.min_seed_len, engine.min_query_len):
-        if telemetry.enabled():
-            telemetry.count("seeding.reads")
-            telemetry.count("seeding.short_reads_skipped")
-        return SeedingResult()
-    engine.begin_read()
-    if not telemetry.enabled():
-        return _three_rounds(engine, read, params, observed=False)
-    before = engine.stats.as_dict()
-    with telemetry.span("seed"):
-        result = _three_rounds(engine, read, params, observed=True)
-    _flush_engine_stats(engine, before)
-    telemetry.count("seeding.reads")
-    all_seeds = result.all_seeds
-    telemetry.count("seeds.emitted", len(all_seeds))
-    for seed in all_seeds:
-        telemetry.observe("seed.length", seed.length)
-        telemetry.observe("seed.hit_count", seed.hit_count)
-    return result
+    reads = list(reads)
+    if not reads:
+        return []
+    if stats is None:
+        stats = KernelBatchStats(len(reads))
+    engine.begin_batch(reads)
+    shortest = max(params.min_seed_len, engine.min_query_len)
+    observed = telemetry.enabled()
+    before = engine.stats.as_dict() if observed else {}
+    results = []
+    with telemetry.span("seed"), telemetry.span("kernels.batch"):
+        for i, read in enumerate(reads):
+            if int(read.size) < shortest:
+                stats.short_reads += 1
+                results.append(SeedingResult())
+                continue
+            engine.begin_read()
+            results.append(_three_rounds(engine, read, params))
+            stats.walk_steps[i] = engine.walk_steps
+            stats.gather_nodes[i] = engine.gather_nodes
+            stats.gather_bytes[i] = engine.gather_bytes
+            stats.reseed_launches[i] = engine.reseed_launches
+            stats.last_launches[i] = engine.last_launches
+    if observed:
+        stats.flush(before, engine.stats.as_dict(), results)
+    return results
+
+
+def seed_read(engine: SeedingEngine, read: np.ndarray,
+              params: "SeedingParams | None" = None) -> SeedingResult:
+    """All three seeding rounds for one read: :func:`seed_batch` over
+    ``[read]``."""
+    return seed_batch(engine, [read], params)[0]

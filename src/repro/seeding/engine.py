@@ -98,10 +98,22 @@ class SeedingEngine(abc.ABC):
 
     #: Shortest query the engine's primitives accept.  ERT engines cannot
     #: walk segments shorter than ``k``; :func:`~repro.seeding.algorithm.
-    #: seed_read` skips reads below ``max(min_seed_len, min_query_len)``
+    #: seed_batch` skips reads below ``max(min_seed_len, min_query_len)``
     #: (no seed of the required length fits anyway) instead of letting a
     #: short read reach a primitive that would raise.
     min_query_len: int = 1
+
+    #: Per-read work counters, zeroed by :meth:`begin_read`, which
+    #: ``seed_batch`` stores per read in a
+    #: :class:`~repro.seeding.stats.KernelBatchStats`: characters consumed
+    #: by tree advances, position-pool gathers and their bytes, reseed
+    #: pivots and LAST walks launched.  An engine that does not count one
+    #: reports 0.
+    walk_steps: int = 0
+    gather_nodes: int = 0
+    gather_bytes: int = 0
+    reseed_launches: int = 0
+    last_launches: int = 0
 
     def __init__(self) -> None:
         self.stats = EngineStats()
@@ -173,8 +185,11 @@ class SeedingEngine(abc.ABC):
     # -- bookkeeping ----------------------------------------------------
 
     def begin_read(self) -> None:
-        """Hook invoked once per read before seeding (engines may reset
-        per-read scratch state)."""
+        """Hook invoked once per read before seeding: zeroes the per-read
+        work counters (engines may also reset per-read scratch state;
+        an override calls this)."""
+        self.walk_steps = self.gather_nodes = self.gather_bytes = 0
+        self.reseed_launches = self.last_launches = 0
 
     def begin_batch(self, reads: "list[np.ndarray]") -> None:
         """Hook invoked once per batch before seeding its reads (engines

@@ -1,14 +1,15 @@
-"""Batch-granularity accumulators for batch seeding.
+"""Batch-granularity accumulators for seeding.
 
 Seeding must run fully observed without per-element telemetry: rule
 ERT007 keeps ``telemetry.*`` out of hot functions and ERT017 keeps it
-out of every loop of the kernels, the walk and the engine.  This module
-is how both stay satisfied *by construction* -- the engine counts into
-plain ints,
-``seed_batch`` stores them per read in the columns of a
-:class:`KernelBatchStats`, and :meth:`KernelBatchStats.flush` lands
-everything in the metrics registry exactly once per batch, inside the
-driver's single ``kernels.batch`` span.
+out of every loop of the seeding driver, the kernels, the walk and the
+engine.  This module is how both stay satisfied *by construction* --
+the engine counts into plain ints,
+:func:`~repro.seeding.algorithm.seed_batch` stores them per read in the
+columns of a :class:`KernelBatchStats`, and
+:meth:`KernelBatchStats.flush` lands everything in the metrics registry
+exactly once per call, inside the driver's single ``kernels.batch``
+span.
 
 Two families come out of one accumulator set:
 
@@ -17,16 +18,15 @@ Two families come out of one accumulator set:
   bytes the gathers touch, 4 per position, cross-linkable to
   ``repro.memsim``),
   ``kernels.reseed_launches`` / ``kernels.last_launches``, plus the
-  families ``seed_read`` emits per read
-  (``seeding.*``, ``seeds.*``, ``seed.length`` / ``seed.hit_count``)
-  so a batch exposes the same aggregate counters as its reads one by
-  one;
+  engine-stat deltas and seed families (``seeding.*``, ``seeds.*``,
+  ``seed.length`` / ``seed.hit_count``), so a batch exposes the same
+  aggregate counters as its reads seeded one by one;
 * **per-read columns** -- :meth:`read_counters` slices the same arrays
   for one read, which is what the scheduler feeds through the exemplar
   capture hooks (the reservoir and the slowlog).
 
 Accumulation is unconditional (an int add per search, five stores per
-read); only the flush consults the telemetry flag, so dark runs pay no
+read); the driver flushes only with telemetry on, so dark runs pay no
 registry traffic and observed runs stay byte-identical to dark ones.
 """
 
@@ -35,8 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.seeding.algorithm import _STAT_COUNTERS
 from repro.telemetry.metrics import DEFAULT_EDGES
+
+#: How engine work counters surface as telemetry counter names.  Most map
+#: mechanically under ``seeding.``; the gather-limit clip gets the
+#: user-facing name the CLI and docs advertise.
+_STAT_COUNTERS = {"truncated_hit_lists": "seeds.truncated"}
 
 #: The default histogram ladder as an ndarray, for pre-bucketing whole
 #: seed-attribute columns with one ``searchsorted`` per flush.
@@ -82,7 +86,7 @@ def wall_shares(batch_ms: float, work: "object") -> np.ndarray:
 
 
 class KernelBatchStats:
-    """Plain accumulators for one ``seed_batch`` invocation.
+    """Plain accumulators for one ``seed_batch`` call.
 
     One row per read in the batch (input order); scalars for the
     batch-level quantities.  Nothing here touches the registry -- see
@@ -114,8 +118,7 @@ class KernelBatchStats:
         self.reseed_launches = np.zeros(n_reads, dtype=np.int64)
         #: Round-3 LAST walks launched, per read.
         self.last_launches = np.zeros(n_reads, dtype=np.int64)
-        #: Reads skipped for length (as ``seed_read`` counts them:
-        #: ``seeding.short_reads_skipped``).
+        #: Reads skipped for length (``seeding.short_reads_skipped``).
         self.short_reads = 0
 
     # -- per-read views ------------------------------------------------
@@ -130,19 +133,17 @@ class KernelBatchStats:
     def flush(self, engine_stats_before: "dict[str, int]",
               engine_stats_after: "dict[str, int]",
               results: "list") -> None:
-        """Land the whole batch in the metrics registry (no-op dark).
+        """Land the whole batch in the metrics registry (called only
+        with telemetry on).
 
-        Emits the kernel families and the families ``seed_read`` emits,
-        so a batch and its reads seeded one by one produce identical
-        counter totals (spans aside).
+        Emits the kernel families, the engine-stat deltas and the seed
+        families, so a batch and its reads seeded one by one produce
+        identical counter totals (``kernels.batches`` and spans aside).
         """
-        if not telemetry.enabled():
-            return
         counters = {"kernels.batches": 1, "kernels.reads": self.n_reads}
         for name, attr in PER_READ_COUNTERS:
             counters[name] = int(getattr(self, attr).sum())
         telemetry.add_counters(counters)
-        # What repro.seeding.algorithm.seed_read emits per read.
         telemetry.add_counters(
             {_STAT_COUNTERS.get(name, f"seeding.{name}"):
              engine_stats_after[name] - engine_stats_before.get(name, 0)

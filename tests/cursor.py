@@ -304,7 +304,7 @@ class CursorSeedingEngine(SeedingEngine):
         self.name = "ert-pm" if index.config.prefix_merging else "ert"
         # The ERT walk resolves k characters through the entry table
         # before any tree traversal, so no primitive accepts a segment
-        # shorter than k; seed_read() skips such reads up front.
+        # shorter than k; seed_batch() skips such reads up front.
         self.min_query_len = index.config.k
         self._rev: "dict[int, np.ndarray]" = {}
         self._hits: "dict[tuple, tuple[int, tuple[int, ...]]]" = {}
@@ -329,6 +329,7 @@ class CursorSeedingEngine(SeedingEngine):
     # ------------------------------------------------------------------
 
     def begin_read(self) -> None:
+        super().begin_read()
         self._rev.clear()
         self._hits.clear()
         self._pinned.clear()

@@ -465,11 +465,28 @@ def test_ert017_covers_the_walk_and_the_engine():
         assert bool(violations) == rule_fires, module
 
 
+def test_ert017_covers_the_seeding_driver():
+    """``seed_batch`` and ``KernelBatchStats`` live in
+    ``repro.seeding``; ERT017 covers both of their modules there, and
+    nowhere else in seeding."""
+    path = fixture("ert017_fail_seeding.py")
+    violations, _ = check_file(path)
+    assert violations and {v.rule for v in violations} == {"ERT017"}
+    with open(path) as handle:
+        source = handle.read()
+    for module, rule_fires in (("repro.seeding.stats", True),
+                               ("repro.seeding.verify", False)):
+        moved = source.replace("module(repro.seeding.algorithm)",
+                               f"module({module})")
+        violations, _ = check_source("moved.py", moved)
+        assert bool(violations) == rule_fires, module
+
+
 def test_ert017_repo_clean_without_pragmas():
     """ERT017 (per-element telemetry in kernel loops) holds across the
-    vector kernels with zero suppressions: every sweep counts into
-    :class:`repro.kernels.stats.KernelBatchStats` and flushes once per
-    batch, so neither a fresh in-loop telemetry call nor an
+    seeding driver and the vector kernels with zero suppressions: every
+    sweep counts into :class:`repro.seeding.stats.KernelBatchStats` and
+    flushes once per batch, so neither a fresh in-loop telemetry call nor an
     ``allow(ERT017)`` pragma may land."""
     src = os.path.join(REPO, "src", "repro")
     report = run_checks([src])

@@ -753,8 +753,7 @@ def _modules_added_by(argv, preload=()):
     """Run ``main(argv)`` (or ``build_parser()`` for no argv) in a fresh
     interpreter; returns what it imported and the process."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_WORKERS", "REPRO_KERNELS")}
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_WORKERS"}
     env["PYTHONPATH"] = os.path.join(repo, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(list(preload)),
@@ -785,8 +784,8 @@ def pairs_fastq(workspace):
     return path
 
 
-#: ``kernels=None`` runs without ``--kernels`` (and without
-#: ``$REPRO_KERNELS``): the default, the vector kernels.
+#: ``kernels=None`` runs without ``--kernels``: the default, the vector
+#: kernels.
 @pytest.mark.parametrize("command, kernels, also_cold", [
     (None, None, ("numpy", "repro.core", "repro.sequence", "repro.seeding",
                   "repro.extend", "repro.parallel", "repro.telemetry",
@@ -847,13 +846,12 @@ def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,
 
 
 def test_seed_default_kernels_write_what_both_backends_write(
-        workspace, tmp_path, monkeypatch):
-    """``seed`` with no ``--kernels`` and no ``$REPRO_KERNELS`` (the
-    vector default) writes the scalar oracle's TSV and ``--kernels
-    vector``'s, byte for byte, at any batch size and worker count.
+        workspace, tmp_path):
+    """``seed`` with no ``--kernels`` (the vector default) writes the
+    scalar oracle's TSV and ``--kernels vector``'s, byte for byte, at
+    any batch size and worker count.
     (``align`` / ``align-pe`` have the same grid in
     ``tests/test_packed_extension.py``.)"""
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
     _root, _ref, reads, index = workspace
     out = tmp_path / "out"
 
@@ -1064,30 +1062,6 @@ def test_missing_reference_is_one_line_and_exit_two(tmp_path, capsys,
     assert err == (f"ert-repro {command}: {tmp_path / 'absent.fa'}: "
                    f"No such file or directory\n")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["seed", "align", "explain"])
-def test_bad_repro_kernels_is_one_line_and_exit_two(workspace, tmp_path,
-                                                    capsys, monkeypatch,
-                                                    command):
-    """Like a bad ``--kernels`` (an argparse error), not a ``ValueError``
-    traceback from ``resolve_kernels`` after the index was loaded."""
-    _root, _ref, reads, index = workspace
-    monkeypatch.setenv("REPRO_KERNELS", "bogus")
-    out = tmp_path / "out"
-    argv = [command, "--index", str(index), "--reads", str(reads)]
-    argv += (["--read-id", "x"] if command == "explain"
-             else ["--out", str(out)])
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"ert-repro {command}: unknown REPRO_KERNELS value 'bogus'; "
-        f"expected one of scalar/vector\n")
-    assert not out.exists()
-    # An explicit --kernels wins over the environment, as before.
-    if command != "explain":
-        assert main(argv + ["--kernels", "scalar"]) == 0
 
 
 def test_top_level_help_lists_delegated_subcommands(capsys):

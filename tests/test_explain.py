@@ -75,11 +75,10 @@ def test_explain_reproduces_align_slowlog_counters(workspace, capsys):
 
 
 def test_explain_replays_an_untagged_record_through_the_scalar_path(
-        workspace, tmp_path, capsys, monkeypatch):
-    """A scalar run's records carry no ``kernels`` tag: with neither
-    ``--kernels`` nor ``$REPRO_KERNELS``, explain replays them through
-    the scalar path, not the vector default."""
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        workspace, tmp_path, capsys):
+    """A scalar run's records carry no ``kernels`` tag: without
+    ``--kernels``, explain replays them through the scalar path, not
+    the vector default."""
     slowlog = str(tmp_path / "scalar.slowlog.jsonl")
     assert main(["seed", "--index", workspace["index"],
                  "--reads", workspace["reads"], "--min-seed-len", "12",

@@ -25,11 +25,11 @@ from repro.extend.smith_waterman import (
     SwWorkspace,
 )
 from repro.extend.traceback import banded_sw_traceback
+from repro.fmindex import FmdSeedingEngine
 from repro.kernels import (
     KernelBatchStats,
     batched_banded_sw,
     batched_sw_traceback,
-    resolve_kernels,
     seed_batch,
 )
 from repro.kernels.traceback import MAX_WAVEFRONT_LANES, _plane_dtype
@@ -171,11 +171,75 @@ def test_seed_batch_differential(index_shape, reference, min_seed_len,
     for caps in ({}, {"max_hits_per_seed": 2}):
         params = SeedingParams(min_seed_len=min_seed_len,
                                max_mem_intv=max_mem_intv, **caps)
+        limit = 2 if caps else 500
         _scalar, vector = _assert_batch_matches_scalar(
-            built, reads, params, index_shape,
-            gather_limit=2 if caps else 500)
+            built, reads, params, index_shape, gather_limit=limit)
         if caps:
             assert vector.stats.truncated_hit_lists > 0
+        # One driver for every engine: ``seed_read`` is ``seed_batch``
+        # of one read.
+        for make in (lambda: CursorSeedingEngine(built, gather_limit=limit),
+                     lambda: ErtSeedingEngine(built, gather_limit=limit),
+                     lambda: ErtSeedingEngine(attached,
+                                              gather_limit=limit)):
+            _assert_seed_read_is_seed_batch(make, reads, params)
+
+
+def _assert_seed_read_is_seed_batch(make_engine, reads, params):
+    """``seed_read`` read by read on one engine equals one
+    ``seed_batch`` over the reads on another, in results and in summed
+    :class:`~repro.seeding.engine.EngineStats`."""
+    single, batched = make_engine(), make_engine()
+    one_by_one = [seed_read(single, read, params) for read in reads]
+    at_once = seed_batch(batched, reads, params)
+    assert ([_seed_key(r) for r in one_by_one]
+            == [_seed_key(r) for r in at_once]), single.name
+    assert single.stats.as_dict() == batched.stats.as_dict(), single.name
+
+
+@pytest.mark.parametrize("engine", ["fmd", "ert", "ert-pm", "cursor"])
+def test_observed_seed_read_counts_what_seed_batch_counts(
+        engine, fmd_index, ert_index, ert_pm_index, reference, params):
+    """Every engine seeds through the one driver: N observed
+    ``seed_read`` calls and one observed ``seed_batch`` return the same
+    seeds and engine stats, and land the same ``seeding.*``, ``seeds.*``
+    and ``kernels.*`` counters (``kernels.batches`` aside: one a call)
+    and the same seed histograms."""
+    make = {"fmd": lambda: FmdSeedingEngine(fmd_index),
+            "ert": lambda: ErtSeedingEngine(ert_index),
+            "ert-pm": lambda: ErtSeedingEngine(ert_pm_index),
+            "cursor": lambda: CursorSeedingEngine(ert_index)}[engine]
+    reads = _fuzz_reads(reference, np.random.default_rng(21), 30)
+
+    def observed(run):
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            return [_seed_key(r) for r in run()], telemetry.snapshot()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
+    one_engine, batch_engine = make(), make()
+    one_seeds, singles = observed(
+        lambda: [seed_read(one_engine, read, params) for read in reads])
+    batch_seeds, batch = observed(
+        lambda: seed_batch(batch_engine, reads, params))
+    assert one_seeds == batch_seeds
+    assert one_engine.stats.as_dict() == batch_engine.stats.as_dict()
+    assert singles["counters"].pop("kernels.batches") == len(reads)
+    assert batch["counters"].pop("kernels.batches") == 1
+    assert singles["counters"] == batch["counters"]
+    assert batch["counters"]["seeds.emitted"] > 0
+    assert batch["counters"]["seeding.short_reads_skipped"] > 0
+    # Only the ERT engine counts walk work; the others report zeros,
+    # which the registry skips.
+    assert (("kernels.walk_steps" in batch["counters"])
+            == engine.startswith("ert"))
+    for name in ("seed.length", "seed.hit_count"):
+        assert singles["histograms"][name] == batch["histograms"][name]
+    assert singles["spans"]["seed/kernels.batch"]["count"] == len(reads)
+    assert batch["spans"]["seed/kernels.batch"]["count"] == 1
 
 
 def test_arena_engine_search_counters_match_scalar(ert_index, reference,
@@ -398,18 +462,12 @@ def test_seed_batch_runs_vector_with_telemetry_live(ert_index, read_codes,
     assert not [name for name in counters if "fallback" in name]
 
 
-def test_resolve_kernels(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    assert resolve_kernels() == "vector"
-    assert resolve_kernels("scalar") == "scalar"
-    monkeypatch.setenv("REPRO_KERNELS", "scalar")
-    assert resolve_kernels() == "scalar"
-    assert resolve_kernels("vector") == "vector"
-    monkeypatch.setenv("REPRO_KERNELS", "")
-    assert resolve_kernels() == "vector"
-    monkeypatch.setenv("REPRO_KERNELS", "simd")
-    with pytest.raises(ValueError):
-        resolve_kernels()
+def test_parallel_config_kernels():
+    assert ParallelConfig().kernels == "vector"
+    assert ParallelConfig(kernels="scalar").kernels == "scalar"
+    assert ParallelConfig(kernels="vector").kernels == "vector"
+    with pytest.raises(ValueError, match="simd"):
+        ParallelConfig(kernels="simd")
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +602,7 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
     64) that every read's exemplar is retained.  Zero-valued counters
     are stripped from exemplar records, hence the ``.get(..., 0)``.
     """
-    from repro.kernels.stats import PER_READ_COUNTERS
+    from repro.seeding.stats import PER_READ_COUNTERS
     from repro.sequence.simulate import Read
 
     def seed_observed(engine, batch_reads):

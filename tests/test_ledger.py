@@ -32,12 +32,12 @@ from repro.ledger.records import benchmarks_in
 def test_snapshot_metrics_derives_throughput():
     snap = {
         "spans": {"seed": {"total_s": 2.0, "count": 3},
-                  "seed/smem": {"total_s": 1.0}},
+                  "seed/kernels.batch": {"total_s": 1.0}},
         "counters": {"seeding.reads": 500, "seeding.seeds": 1200},
     }
     out = snapshot_metrics(snap)
     assert out["span.seed.total_s"] == 2.0
-    assert "span.seed/smem.total_s" not in out, "child spans excluded"
+    assert "span.seed/kernels.batch.total_s" not in out, "child spans excluded"
     assert out["counter.seeding.reads"] == 500.0
     assert out["seeding.reads_per_sec"] == 250.0
 

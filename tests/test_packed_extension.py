@@ -108,11 +108,9 @@ def _run(workspace, command, reads, out, *extra):
 @pytest.mark.parametrize("command,reads", [("align", "reads.fq"),
                                            ("align-pe", "pairs.fq")])
 def test_sam_identical_at_any_batch_size_and_worker_count(workspace,
-                                                          monkeypatch,
                                                           command, reads):
-    """``--kernels vector`` and the default (no flag, no
-    ``$REPRO_KERNELS``) both write the scalar oracle's SAM."""
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    """``--kernels vector`` and the default (no flag) both write the
+    scalar oracle's SAM."""
     oracle = _run(workspace, command, reads, "scalar.sam",
                   "--kernels", "scalar", "--workers", "1")
     for batch_size, workers in ((1, 1), (7, 1), (64, 1), (7, 3), (64, 3)):

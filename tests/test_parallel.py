@@ -16,7 +16,6 @@ import pytest
 from repro import telemetry
 from repro.core import ErtConfig, ErtSeedingEngine, build_ert
 from repro.core.io import index_to_buffer
-from repro.kernels import resolve_kernels
 from repro.parallel import (
     ParallelConfig,
     SharedIndexBuffer,
@@ -144,22 +143,16 @@ def test_pool_telemetry_matches_serial_counters(ert_index, read_set,
     finally:
         telemetry.disable()
         telemetry.reset()
-    # Under the vector backend the batch-shaped quantities legitimately
-    # differ: 60 reads are one serial seed_batch but four pooled ones,
-    # so the batch tally and the per-batch span counts scale with the
-    # batching while every per-read counter stays invariant.
-    batch_shaped = ({"kernels.batches"}
-                    if resolve_kernels() == "vector" else set())
-
+    # The batch-shaped quantities legitimately differ: 60 reads are one
+    # serial seed_batch but four pooled ones, so the batch tally and the
+    # per-batch span counts scale with the batching while every
+    # per-read counter stays invariant.
     def per_read(counters):
         return {name: value for name, value in counters.items()
-                if name not in batch_shaped}
+                if name != "kernels.batches"}
 
     assert per_read(merged["counters"]) == per_read(expected["counters"])
     assert sorted(merged["spans"]) == sorted(expected["spans"])
-    if not batch_shaped:
-        for path, stat in expected["spans"].items():
-            assert merged["spans"][path]["count"] == stat["count"]
 
 
 # ----------------------------------------------------------------------

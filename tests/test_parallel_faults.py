@@ -79,12 +79,9 @@ def _run_seed(index, reads, params, config, fault):
 
 def test_sigkill_recovery_is_byte_identical(ert_index, reads, params,
                                             tmp_path, leak_check):
-    # The faulted run below executes with telemetry enabled, which makes
-    # the engine ineligible for the vector kernels (it falls back to the
-    # scalar walk, whose EngineStats count nodes the gather walk never
-    # touches).  Pin the baseline to the same backend so the stats
-    # comparison is backend-for-backend even when $REPRO_KERNELS=vector
-    # drives the rest of this suite.
+    # The faulted run's options name no kernels, i.e. the scalar
+    # traceback; the baseline names the same (seeding is one path
+    # under either).
     baseline, base_stats = seed_reads(
         ert_index, reads, params,
         ParallelConfig(workers=1, kernels="scalar"))

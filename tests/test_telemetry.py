@@ -219,7 +219,7 @@ def test_seeding_disabled_is_noop_and_output_invariant(ert_index,
     assert snap["counters"]["seeding.reads"] == 6
     assert snap["counters"]["seeds.emitted"] == sum(len(s) for s in plain)
     assert snap["spans"]["seed"]["count"] == 6
-    assert snap["spans"]["seed/smem"]["count"] == 6
+    assert snap["spans"]["seed/kernels.batch"]["count"] == 6
     # Engine-stat deltas surface under seeding.*
     assert snap["counters"]["seeding.forward_searches"] > 0
     assert snap["counters"]["seeding.index_lookups"] > 0

@@ -8,7 +8,6 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.kernels import resolve_kernels
 
 
 @pytest.fixture(autouse=True)
@@ -44,14 +43,10 @@ def test_seed_metrics_out_writes_valid_json(workspace, tmp_path):
                  "--metrics-out", str(metrics)]) == 0
     snap = json.loads(metrics.read_text())
     assert snap["counters"]["seeding.reads"] == 10
-    if resolve_kernels() == "vector":
-        # The vector backend sweeps all 10 reads in one batch: one
-        # `seed` root span wrapping one `kernels.batch` span.
-        assert snap["spans"]["seed"]["count"] == 1
-        assert snap["spans"]["seed/kernels.batch"]["count"] == 1
-    else:
-        assert snap["spans"]["seed"]["count"] == 10
-        assert snap["spans"]["seed/smem"]["count"] == 10
+    # All 10 reads are seeded in one batch: one `seed` root span
+    # wrapping one `kernels.batch` span.
+    assert snap["spans"]["seed"]["count"] == 1
+    assert snap["spans"]["seed/kernels.batch"]["count"] == 1
     # The command cleans up after itself: the global flag is off again.
     assert not telemetry.enabled()
 
@@ -64,10 +59,7 @@ def test_align_profile_prints_stage_table(workspace, tmp_path, capsys):
                  "--profile", "--metrics-out", str(metrics)]) == 0
     out = capsys.readouterr().out
     assert "per-stage wall clock" in out
-    stages = (("align", "chain", "extend", "seed", "kernels.batch")
-              if resolve_kernels() == "vector"
-              else ("align", "chain", "extend", "seed", "smem"))
-    for stage in stages:
+    for stage in ("align", "chain", "extend", "seed", "kernels.batch"):
         assert stage in out
     snap = json.loads(metrics.read_text())
     # Per-stage spans nest under align and sum consistently: children's
