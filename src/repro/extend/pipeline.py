@@ -27,7 +27,8 @@ from repro.extend.smith_waterman import (
     ScoringScheme,
     SwWorkspace,
 )
-from repro.extend.traceback import banded_sw_traceback, exact_lane
+from repro.extend.traceback import (
+    LaneScore, banded_sw_traceback, exact_lane)
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import SeedingEngine
 from repro.sequence.alphabet import decode
@@ -38,12 +39,15 @@ from repro.sequence.reference import Reference, Strand
 class Placement:
     """One candidate placement of one read: the score, strand, forward
     coordinate of the first aligned reference base and CIGAR (soft clips
-    included) of one traced lane."""
+    included) of one lane.  A lane that no printed record reads beyond
+    its score is scored, not traced (:meth:`ReadAligner.extend_batch`):
+    its placement has ``position`` and ``cigar`` ``None``, and nothing
+    that formats output accepts it."""
 
     score: int
     strand: Strand
-    position: int
-    cigar: str
+    position: "int | None"
+    cigar: "str | None"
 
 
 @dataclass(frozen=True)
@@ -101,20 +105,23 @@ class ReadAligner:
         self.scheme = scheme or DEFAULT_SCHEME
         self.band = band
         self.max_chains_extended = max_chains_extended
-        #: Optional batched Smith-Waterman kernel with the calling
-        #: convention of :func:`repro.kernels.traceback.
-        #: batched_sw_traceback`.  When set, every lane of
-        #: :meth:`extend_batch` that is not an exact lane
-        #: (:meth:`_trace_lanes`) runs on it: the surviving chains of
-        #: every read of a batch are traced in one kernel call per read
-        #: length instead of one scalar traceback per chain -- same
-        #: results.  Injected (by the parallel scheduler under
-        #: ``--kernels vector``) because the extend layer sits below
-        #: ``repro.kernels`` in the import DAG.  ``sw_batch`` is a second
-        #: name for it, kept only for ``benchmarks/pipeline/layers.py``,
-        #: which passes both (``tb_batch`` wins); it goes when ROADMAP
-        #: 1(a) re-points that file.
-        self.tb_batch = tb_batch if tb_batch is not None else sw_batch
+        #: Optional batched Smith-Waterman kernels, injected (by the
+        #: parallel scheduler under ``--kernels vector``) because the
+        #: extend layer sits below ``repro.kernels`` in the import DAG.
+        #: ``sw_batch`` is score-only, with the calling convention of
+        #: :func:`repro.kernels.traceback.batched_banded_sw`;
+        #: ``tb_batch`` traces, with that of :func:`repro.kernels.
+        #: traceback.batched_sw_traceback`.  Both take the DP lanes of
+        #: every read of a batch in one call per read length
+        #: (:meth:`_trace_lanes`).  With ``sw_batch``, single-end
+        #: extension scores every DP lane on it and traces on
+        #: ``tb_batch`` only the lanes a printed record reads; otherwise,
+        #: and for pairs, every DP lane is traced.  Neither changes a
+        #: result.
+        if sw_batch is not None and tb_batch is None:
+            raise ValueError("sw_batch traces on tb_batch: pass both")
+        self.sw_batch = sw_batch
+        self.tb_batch = tb_batch
         self._text = reference.both_strands
         #: The same text as one ``bytes``, which :func:`exact_lane`
         #: searches in place (here and in mate rescue).
@@ -148,6 +155,8 @@ class ReadAligner:
         best: "Alignment | None" = None
         if placements:
             top = max(placements, key=lambda p: p.score)
+            if top.cigar is None or top.position is None:
+                raise ValueError("the best placement was not traced")
             clip, _, _ = top.cigar.partition("S")  # the leading clip
             best = Alignment(name, top.strand, top.position - (
                 int(clip) if clip.isdigit() else 0), top.score)
@@ -211,9 +220,10 @@ class ReadAligner:
 
     def extend_batch(self, reads: "list[np.ndarray]",
                      seedings: "list | None" = None,
-                     max_chains: "int | None" = None
+                     max_chains: "int | None" = None,
+                     trace_all: bool = False
                      ) -> "list[list[Placement]]":
-        """Chain, window and trace every read of a batch: the one
+        """Chain, window and extend every read of a batch: the one
         extension path behind :meth:`align`, the SAM and the paired-end
         entry points.
 
@@ -222,7 +232,14 @@ class ReadAligner:
         the *lane* -- one (read, window) pair -- so the windows of all
         reads are set up first (in read, then chain order: telemetry and
         :attr:`read_stats` come out as a read-by-read loop would leave
-        them), traced together, and finalized in the same order.
+        them), extended together, and finalized in the same order.
+
+        With :attr:`sw_batch` set, a placement is traced only where a
+        single-end record can read its start or CIGAR: each read's
+        first best placement, and every lane whose survival depends on
+        its start (:meth:`_select_traced`).  The others are score-only.
+        ``trace_all`` traces every lane (pairing reads every
+        candidate's position).
         """
         limit = self.max_chains_extended if max_chains is None \
             else max_chains
@@ -251,7 +268,7 @@ class ReadAligner:
                                               int(placed[1].size))
                             lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
-                        lanes, self._trace_lanes(reads, lanes)):
+                        lanes, self._trace_lanes(reads, lanes, trace_all)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
@@ -269,10 +286,16 @@ class ReadAligner:
 
     def _finalize_trace(self, traced, ref_begin: int) \
             -> "Placement | None":
-        """Map one traced window alignment back to forward-strand SAM
-        coordinates; ``None`` for unaligned or off-reference hits."""
+        """Map one window alignment back to forward-strand SAM
+        coordinates; ``None`` for unaligned or off-reference hits.  A
+        scored lane that was not traced lies on one strand (its window
+        does), so it keeps only that strand and its score."""
         if not traced.is_aligned:
             return None
+        if isinstance(traced, LaneScore):
+            return Placement(traced.score, Strand.FORWARD if ref_begin
+                             < len(self.reference) else Strand.REVERSE,
+                             None, None)
         ref_len = traced.target_end - traced.target_start
         hit = self.reference.to_forward(ref_begin + traced.target_start,
                                         ref_len)
@@ -287,21 +310,27 @@ class ReadAligner:
         return Placement(traced.score, hit.strand, hit.start, cigar_str)
 
     def _trace_lanes(self, reads: "list[np.ndarray]",
-                     lanes: "list[tuple[int, int, np.ndarray]]"):
-        """Trace every ``(read index, ref_begin, window)`` lane.
+                     lanes: "list[tuple[int, int, np.ndarray]]",
+                     trace_all: bool):
+        """Extend every ``(read index, ref_begin, window)`` lane.
 
         A lane whose read occurs exactly inside its band is answered by
         :func:`exact_lane` (a ``bytes.find`` over the text, provably the
-        DP's result) and runs no DP.  The rest: without
-        :attr:`tb_batch`, one scalar traceback per lane (the
-        byte-identity oracle), produced lazily so the caller finalizes
-        each lane as it is traced instead of holding a batch's worth of
-        tracebacks.  With it, lanes are bucketed by read length -- a
-        sweep needs one query length -- and each bucket goes to the
-        kernel as one ``(lanes, m)`` query block, whatever reads its
-        lanes came from.  The :attr:`read_stats` rows count the DP lanes
+        DP's result) and runs no DP.  The rest: without a batched
+        kernel, one scalar traceback per lane (the byte-identity
+        oracle), produced lazily so the caller finalizes each lane as it
+        is traced instead of holding a batch's worth of tracebacks.
+        With :attr:`tb_batch`, the DP lanes go to the batched kernels
+        bucketed by read length -- a sweep needs one query length --
+        each bucket as one ``(lanes, m)`` query block, whatever reads
+        its lanes came from.  With :attr:`sw_batch` (and not
+        ``trace_all``) every DP lane is scored on it and only the lanes
+        :meth:`_select_traced` picks are traced; otherwise every DP lane
+        is traced.  The :attr:`read_stats` rows count the DP lanes once
         (``sw_extensions``, with their ``sw_cells``) and the exact ones
-        (``exact_lanes``), and so do the ``align.*`` counters.
+        (``exact_lanes``), and so do the ``align.*`` counters;
+        ``kernels.traced_lanes`` counts the lanes sent to
+        :attr:`tb_batch`.
         """
         queries = [np.asarray(read, dtype=np.uint8).tobytes()
                    for read in reads]
@@ -321,16 +350,63 @@ class ReadAligner:
             return (hit or banded_sw_traceback(reads[i], window,
                                                self.scheme, self.band)
                     for (i, _, window), hit in zip(lanes, traced))
+        slots = [slot for slot, hit in enumerate(traced) if hit is None]
+        if self.sw_batch is not None and not trace_all:
+            settled = {i for (i, ref_begin, _), hit in zip(lanes, traced)
+                       if hit is not None and self._finalize_trace(
+                           hit, ref_begin) is not None}
+            self._run_buckets(self.sw_batch, reads, lanes, slots, traced)
+            slots = self._select_traced(lanes, traced, slots, settled)
+        telemetry.count("kernels.traced_lanes", len(slots))
+        self._run_buckets(self.tb_batch, reads, lanes, slots, traced)
+        return traced
+
+    def _select_traced(self, lanes: "list[tuple[int, int, np.ndarray]]",
+                       scored: list, slots: "list[int]",
+                       settled: "set[int]") -> "list[int]":
+        """The scored DP lanes (``slots``, in lane order) whose start or
+        CIGAR a single-end record can read (docs/algorithms.md, "Which
+        lanes are traced"):
+
+        * every lane with a positive score whose window straddles the
+          strand seam -- whether :meth:`_finalize_trace` keeps it
+          depends on where it starts, and MAPQ's runner-up on which
+          lanes are kept;
+        * for a read not in ``settled`` (the reads with an exact lane
+          that survives :meth:`_finalize_trace`, which no DP lane can
+          tie), its first highest-scoring positive lane in chain order
+          among the rest: the best placement, by
+          :meth:`align_sam_batch`'s tie-break, unless a seam lane beats
+          or precedes it.
+        """
+        seam = len(self.reference)
+        best: "dict[int, int]" = {}
+        picked: "list[int]" = []
+        for slot in slots:
+            i, ref_begin, window = lanes[slot]
+            score = scored[slot].score
+            if score <= 0:
+                continue
+            if ref_begin < seam < ref_begin + window.size:
+                picked.append(slot)
+            elif i not in settled and (
+                    i not in best or score > scored[best[i]].score):
+                best[i] = slot
+        return sorted(picked + list(best.values()))
+
+    def _run_buckets(self, kernel: Callable, reads: "list[np.ndarray]",
+                     lanes: "list[tuple[int, int, np.ndarray]]",
+                     slots: "list[int]", out: list) -> None:
+        """Run ``kernel`` over the lanes ``slots``, one call per read
+        length, and store lane ``slot``'s result in ``out[slot]``."""
         buckets: "dict[int, list[int]]" = {}
-        for slot, hit in enumerate(traced):
-            if hit is None:
-                buckets.setdefault(int(reads[lanes[slot][0]].size),
-                                   []).append(slot)
-        for slots in buckets.values():
-            block = np.stack([reads[lanes[slot][0]] for slot in slots])
-            for slot, result in zip(slots, self.tb_batch(
-                    block, [lanes[slot][2] for slot in slots],
+        for slot in slots:
+            buckets.setdefault(int(reads[lanes[slot][0]].size),
+                               []).append(slot)
+        for bucket in buckets.values():
+            block = np.stack([reads[lanes[slot][0]] for slot in bucket])
+            for slot, result in zip(bucket, kernel(
+                    block, [lanes[slot][2] for slot in bucket],
                     self.scheme, self.band,
                     workspace=self._sw_workspace)):
-                traced[slot] = result
-        return traced
+                out[slot] = result

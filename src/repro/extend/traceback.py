@@ -47,6 +47,23 @@ class TracedAlignment:
         return self.score > 0
 
 
+@dataclass(frozen=True)
+class LaneScore:
+    """A lane's score and best cell, without the walk that would give
+    its start and CIGAR: what a score-only sweep
+    (:func:`repro.kernels.traceback.batched_banded_sw`) returns.  The
+    fields equal the lane's :class:`TracedAlignment` fields of the same
+    names (all 0 for an unaligned lane)."""
+
+    score: int
+    query_end: int
+    target_end: int
+
+    @property
+    def is_aligned(self) -> bool:
+        return self.score > 0
+
+
 def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
     merged = []
     for op, length in ops:

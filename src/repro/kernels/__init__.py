@@ -13,15 +13,18 @@ as numpy sweeps over many (read, window) lanes at once:
   (zero-copy ``memoryview`` columns) the walk reads it through.
 * :mod:`repro.kernels.traceback` -- the batched Smith-Waterman kernel:
   a row scan (the band swept row by row, F by one prefix-max scan per
-  row) filling band-relative pointer planes, then a per-lane walk-back,
-  over (read, window) lanes packed across the reads of a batch.  Every
-  extension that is not an exact lane batches through it
-  (``ReadAligner.extend_batch``).  ``batched_banded_sw`` is
-  a second name for it, kept only for ``benchmarks/pipeline/layers.py``.
+  row) over (read, window) lanes packed across the reads of a batch,
+  with two entries into the one sweep.  ``batched_sw_traceback`` fills
+  band-relative pointer planes and walks each lane back;
+  ``batched_banded_sw`` writes no pointer plane and returns each lane's
+  score and end cell.  Every extension that is not an exact lane is
+  scored or traced through them (``ReadAligner.extend_batch``):
+  single-end runs score every DP lane and trace only the lanes their
+  records print.
 
 The CLI's ``--kernels`` (``ParallelConfig.kernels``) selects the
-traceback kernel only: ``vector`` (the default) packs lanes into the
-batched kernel, ``scalar`` runs one ``banded_sw_traceback`` per lane,
+extension kernels only: ``vector`` (the default) packs lanes into the
+batched ones, ``scalar`` runs one ``banded_sw_traceback`` per lane,
 the oracle.  The two produce byte-identical output;
 ``tests/test_kernels.py`` enforces it.
 """

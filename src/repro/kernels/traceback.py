@@ -1,11 +1,18 @@
-"""Row-scan banded Smith-Waterman *with traceback* over a batch of lanes.
+"""Row-scan banded Smith-Waterman over a batch of lanes, with or without
+traceback.
 
 A lane is one (query, target window) pair.  :func:`batched_sw_traceback`
 sweeps ``B`` lanes at once -- each with its own query row of a ``(B, m)``
 block, or all sharing one 1-D query (the broadcast case of the same
 code) -- and returns exactly what ``B`` calls to
 :func:`repro.extend.traceback.banded_sw_traceback` would: same scores,
-same coordinates, same CIGAR tuples.
+same coordinates, same CIGAR tuples.  :func:`batched_banded_sw` is the
+score-only entry into the same sweep: it writes no pointer plane, walks
+nothing back and returns each lane's score and end cell
+(:class:`~repro.extend.traceback.LaneScore`), equal to the traceback
+entry's.  Single-end extension scores every lane with it and traces
+only the lanes a printed record reads (docs/algorithms.md, "Which lanes
+are traced").
 
 The sweep runs in the scalar kernel's own geometry, row by row, on
 band-relative rows: row ``i`` holds columns ``j = i - half + r``,
@@ -30,12 +37,12 @@ each lane's alignment is recovered by the *shared* walk-back
 (:func:`repro.extend.traceback.walk_back`): the CIGARs are identical to
 the scalar kernel's by construction, not merely by test.
 
-A row is ~25 numpy calls.  There is no boundary bookkeeping: cells left
-of the matrix (``j <= 0``) and beyond a lane's target are computed
-against a sentinel base that matches nothing, so every term there is
-negative and ``H`` is the 0 the scalar kernel pins, and no cell feeds
-one with a smaller ``j``; the column right of the band is pinned once
-per sweep.  Row ``i - 1`` of the band-relative ``H`` plane *is* the
+A row is 25 numpy calls at band 41 with traceback and 15 without.
+There is no boundary bookkeeping: cells left of the matrix (``j <= 0``)
+and beyond a lane's target are computed against a sentinel base that
+matches nothing, so every term there is negative and ``H`` is the 0 the
+scalar kernel pins, and no cell feeds one with a smaller ``j``; the
+column right of the band is pinned once per sweep.  Row ``i - 1`` of the band-relative ``H`` plane *is* the
 previous row, row ``i`` holds the substitution scores until ``H``
 overwrites them, and the best cell is searched there after the sweep.
 
@@ -62,7 +69,7 @@ from repro import telemetry
 from repro.extend.smith_waterman import (
     DEFAULT_SCHEME, ScoringScheme, SwWorkspace)
 from repro.extend.traceback import (
-    _STOP, TracedAlignment, banded_sw_traceback, walk_back)
+    _STOP, LaneScore, TracedAlignment, banded_sw_traceback, walk_back)
 
 #: Fewest lanes a sweep is worth.  Measured at m = 101, band = 41,
 #: 142 bp windows (2-vCPU Xeon, medians of 300 interleaved calls, sweep
@@ -119,6 +126,24 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
     :data:`MAX_WAVEFRONT_LANES` lanes; ``workspace`` holds the sweeps'
     planes and rows.
     """
+    return _batched(query, targets, scheme, band, workspace, True)
+
+
+def batched_banded_sw(query: np.ndarray, targets: "list[np.ndarray]",
+                      scheme: "ScoringScheme | None" = None,
+                      band: int = 41,
+                      workspace: "SwWorkspace | None" = None
+                      ) -> "list[LaneScore]":
+    """Score-only :func:`batched_sw_traceback`: the same sweep, without
+    the pointer planes and the walk.  Lane ``b``'s :class:`LaneScore`
+    holds the ``score``, ``query_end`` and ``target_end`` that
+    :func:`batched_sw_traceback` returns for it."""
+    return _batched(query, targets, scheme, band, workspace, False)
+
+
+def _batched(query, targets, scheme, band, workspace, trace: bool) -> list:
+    """Both entries: check the inputs, pick the plane dtype (or the
+    scalar kernel) and split the lanes into sweeps."""
     scheme = scheme or DEFAULT_SCHEME
     if band < 1:
         raise ValueError("band must be at least 1")
@@ -138,28 +163,26 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
             # A scheme the row scan cannot carry (a no-op while
             # telemetry is off); empty inputs are not counted.
             telemetry.count("kernels.fallback_scalar.scheme")
-        return [banded_sw_traceback(q[b], t, scheme, band)
-                for b, t in enumerate(t16)]
+        traced = [banded_sw_traceback(q[b], t, scheme, band)
+                  for b, t in enumerate(t16)]
+        return traced if trace else [
+            LaneScore(t.score, t.query_end, t.target_end) for t in traced]
     sweeps = -(-B // MAX_WAVEFRONT_LANES)
-    out: "list[TracedAlignment]" = []
+    out: list = []
     for k in range(sweeps):
         lo, hi = k * B // sweeps, (k + 1) * B // sweeps
         out += _sweep(q[lo:hi], t16[lo:hi], scheme, band, workspace,
-                      dtype)
+                      dtype, trace)
     return out
 
 
-#: A second name for :func:`batched_sw_traceback`, kept only because
-#: ``benchmarks/pipeline/layers.py`` imports it; it goes when ROADMAP
-#: 1(a) re-points that file.
-batched_banded_sw = batched_sw_traceback
-
-
 def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
-           band: int, workspace: SwWorkspace, dtype
-           ) -> "list[TracedAlignment]":
+           band: int, workspace: SwWorkspace, dtype, trace: bool) -> list:
     """One row sweep in ``dtype``: lane ``b`` aligns row ``b`` of the
-    ``(B, m)`` int16 block ``q`` against ``t16[b]``."""
+    ``(B, m)`` int16 block ``q`` against ``t16[b]``.  With ``trace``,
+    each row also writes its pointers and gap-open flags and every lane
+    is walked back into a :class:`TracedAlignment`; without, the lanes
+    come back as :class:`LaneScore`."""
     B, m = q.shape
     n_arr = np.array([t.size for t in t16], dtype=np.int64)
     n_max = int(n_arr.max())
@@ -186,10 +209,12 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
     scan_rows = block[plane + 9 * width:].reshape(2, 2 * w, B)
 
     h_ptr, e_open, f_open = workspace.ptr_planes(m + 1, width, B)
-    # The walk-back provably never reads an unwritten cell (a positive
-    # H/E/F implies an in-band, already-swept source); zeroing h_ptr
-    # turns any future regression into a deterministic early stop.
-    h_ptr[:] = _STOP
+    if trace:
+        # The walk-back provably never reads an unwritten cell (a
+        # positive H/E/F implies an in-band, already-swept source);
+        # zeroing h_ptr turns any future regression into a
+        # deterministic early stop.
+        h_ptr[:] = _STOP
 
     # Substitution scores into rows 1..rows of the H plane: cell (i, r)
     # compares query base i - 1 with target base i - 1 - half + r, a
@@ -239,7 +264,6 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
         np.add(up[1:], open_, out=open_e)
         np.add(e_prev[1:], ext, out=e_row)
         np.maximum(open_e, e_row, out=e_row)
-        np.equal(e_row, open_e, out=e_open[i, :w])
         np.add(up[:w], h_row, out=diag)
         np.maximum(diag, e_row, out=h0)
         np.maximum(h0, 0, out=h0)
@@ -249,17 +273,20 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
             np.maximum(a, shifted, out=o)
         np.add(g_max, f_step, out=f_row)
         np.maximum(h0, f_row, out=h_row)
-        np.add(h_row[:-1], open_, out=h_left[1:])
-        np.equal(f_row, h_left, out=f_open[i, :w])
-        # Pointer: 0 stop, else 1 diag, else 2 from-E, else 3 from-F
-        # = nonzero * (1 + not_diag * (1 + not_e)).
-        np.not_equal(h_row, diag, out=not_diag)
-        np.not_equal(h_row, e_row, out=not_e)
-        np.not_equal(h_row, 0, out=nonzero)
-        np.add(not_e8, 1, out=not_e8)
-        np.multiply(not_e8, not_diag8, out=not_e8)
-        np.add(not_e8, 1, out=not_e8)
-        np.multiply(not_e8, nonzero8, out=h_ptr[i, :w])
+        if trace:
+            # Gap-open flags, then the pointer: 0 stop, else 1 diag,
+            # else 2 from-E, else 3 from-F = nonzero * (1 + not_diag *
+            # (1 + not_e)).
+            np.equal(e_row, open_e, out=e_open[i, :w])
+            np.add(h_row[:-1], open_, out=h_left[1:])
+            np.equal(f_row, h_left, out=f_open[i, :w])
+            np.not_equal(h_row, diag, out=not_diag)
+            np.not_equal(h_row, e_row, out=not_e)
+            np.not_equal(h_row, 0, out=nonzero)
+            np.add(not_e8, 1, out=not_e8)
+            np.multiply(not_e8, not_diag8, out=not_e8)
+            np.add(not_e8, 1, out=not_e8)
+            np.multiply(not_e8, nonzero8, out=h_ptr[i, :w])
         e_prev, e_cur = e_cur, e_prev
 
     # Best cell per lane: first row-major occurrence of the maximum
@@ -279,15 +306,18 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
     best_r = best_rows.argmax(axis=1)
     best = best_rows[lanes, best_r]
 
-    out: "list[TracedAlignment]" = []
-    empty = TracedAlignment(0, 0, 0, 0, 0, (("S", m),))
+    out: list = []
+    empty = TracedAlignment(0, 0, 0, 0, 0, (("S", m),)) if trace \
+        else LaneScore(0, 0, 0)
     for b in range(B):
         score = int(best[b])
         if score <= 0:
             out.append(empty)
             continue
         i = int(best_i[b])
+        j = int(best_r[b]) + i - half
         out.append(walk_back(q[b], t16[b], h_ptr[:, :, b],
                              e_open[:, :, b], f_open[:, :, b], score, i,
-                             int(best_r[b]) + i - half, half, m))
+                             j, half, m) if trace
+                   else LaneScore(score, i, j))
     return out

@@ -160,21 +160,25 @@ def _seed_line(name: str, seed: Any) -> str:
 
 def _extension(task: str, vector: bool) -> "tuple[Any, Any, Any]":
     """What an ``align`` / ``align-pe`` runner is built from: the
-    aligner class, the batched traceback kernel (vector only) and the
-    pair aligner class (``align-pe`` only).  A ``seed`` run never calls
+    aligner class, its batched kernel hooks (vector only: the
+    score-only ``sw_batch`` and the traceback ``tb_batch``) and the pair
+    aligner class (``align-pe`` only).  A ``seed`` run never calls
     this, so it loads no extension layer; the pool path calls it in the
     parent before the pool exists, so a forked worker's own call finds
     every module already loaded."""
     from repro.extend.pipeline import ReadAligner
 
-    tb_batch = paired = None
+    kernels: "dict[str, Any]" = {}
+    paired = None
     if vector:
-        from repro.kernels.traceback import batched_sw_traceback
-        tb_batch = batched_sw_traceback
+        from repro.kernels.traceback import (
+            batched_banded_sw, batched_sw_traceback)
+        kernels = {"sw_batch": batched_banded_sw,
+                   "tb_batch": batched_sw_traceback}
     if task == "align-pe":
         from repro.extend.paired import PairedAligner
         paired = PairedAligner
-    return ReadAligner, tb_batch, paired
+    return ReadAligner, kernels, paired
 
 
 class _BatchRunner:
@@ -183,9 +187,9 @@ class _BatchRunner:
     reads' exemplars.
 
     Every batch is seeded by one ``seed_batch`` sweep.  ``kernels``
-    decides one thing only -- the traceback kernel: the batched one, or
-    ``tb_batch=None`` (one ``banded_sw_traceback`` per lane, the
-    oracle).  The rest runs identically observed or dark, in the serial
+    decides one thing only -- the extension kernels: the batched ones
+    (score every lane, trace the printed ones), or none (one
+    ``banded_sw_traceback`` per lane, the oracle).  The rest runs identically observed or dark, in the serial
     loop and inside pool workers.
     """
 
@@ -197,9 +201,9 @@ class _BatchRunner:
             or SeedingParams()
         self.vector = options.get("kernels") == "vector"
         if task in ("align", "align-pe"):
-            aligner, tb_batch, paired = _extension(task, self.vector)
+            aligner, kernels, paired = _extension(task, self.vector)
             self.aligner = aligner(engine.index.reference, engine,
-                                   params=self.params, tb_batch=tb_batch)
+                                   params=self.params, **kernels)
         if task == "align-pe":
             self.paired = paired(self.aligner,
                                  insert_mean=options["insert_mean"],

@@ -24,7 +24,7 @@ from repro.extend.smith_waterman import (
     ScoringScheme,
     SwWorkspace,
 )
-from repro.extend.traceback import banded_sw_traceback
+from repro.extend.traceback import LaneScore, banded_sw_traceback
 from repro.fmindex import FmdSeedingEngine
 from repro.kernels import (
     KernelBatchStats,
@@ -670,6 +670,10 @@ def _assert_tb_batch_matches(query, targets, scheme, band, workspace=None):
     for lane_query, target, got in zip(queries, targets, batched):
         want = banded_sw_traceback(lane_query, target, scheme, band)
         assert got == want
+    # The score-only entry: each lane's score and end cell, the same.
+    assert batched_banded_sw(query, targets, scheme, band,
+                             workspace=workspace) == [
+        LaneScore(t.score, t.query_end, t.target_end) for t in batched]
 
 
 def test_batched_traceback_fuzzed_geometries():
@@ -929,7 +933,9 @@ def test_batched_traceback_scheme_outside_the_scan():
     finally:
         telemetry.disable()
         telemetry.reset()
-    assert snap["counters"]["kernels.fallback_scalar.scheme"] == 1
+    # One fallback per entry: the helper calls the traceback and the
+    # score-only kernel.
+    assert snap["counters"]["kernels.fallback_scalar.scheme"] == 2
     assert "kernels.sweeps" not in snap["counters"]
 
 
@@ -1037,37 +1043,38 @@ def test_read_aligner_sw_batch_without_exact_lanes(ert_index, read_codes,
             == _outcome_key(scalar.align(read))
 
 
-def test_score_only_names_alias_the_traceback_kernel(ert_index, read_codes,
-                                                     params):
-    """``batched_banded_sw`` and ``sw_batch=`` are second names, kept for
-    ``benchmarks/pipeline/layers.py``: ``sw_batch`` alone routes through
-    its kernel, and ``tb_batch`` wins when both are given."""
-    assert batched_banded_sw is batched_sw_traceback
-    calls = {"sw": 0, "tb": 0}
+def test_sw_batch_scores_every_dp_lane_and_tb_batch_traces_fewer(
+        ert_index, reads, params):
+    """``sw_batch`` is the score-only hook and sees every DP lane once;
+    ``tb_batch`` sees only the lanes a record prints (here fewer than
+    the DP lanes), each of which was scored first; the records equal
+    the scalar oracle's."""
+    seen = {"sw": [], "tb": []}
 
-    def counted(name):
-        def kernel(*args, **kwargs):
-            calls[name] += 1
-            return batched_sw_traceback(*args, **kwargs)
-        return kernel
+    def counted(name, kernel):
+        def hook(block, windows, *args, **kwargs):
+            seen[name] += [(bytes(q), bytes(w))
+                           for q, w in zip(block, windows)]
+            return kernel(block, windows, *args, **kwargs)
+        return hook
 
     reference = ert_index.reference
     scalar = ReadAligner(reference, ErtSeedingEngine(ert_index),
                          params=params)
-    alone = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                        params=params, sw_batch=counted("sw"))
     both = ReadAligner(reference, ErtSeedingEngine(ert_index),
-                       params=params, sw_batch=counted("sw"),
-                       tb_batch=counted("tb"))
-    # The first read that is not an exact copy: it reaches the SW kernel.
-    read = next(read for read in read_codes
-                if scalar.align(read).workload.sw_extensions > 0)
-    want = _outcome_key(scalar.align(read))
-    assert want[3] > 0  # the read does reach the SW kernel
-    assert _outcome_key(alone.align(read)) == want
-    assert calls == {"sw": 1, "tb": 0}
-    assert _outcome_key(both.align(read)) == want
-    assert calls == {"sw": 1, "tb": 1}
+                       params=params,
+                       sw_batch=counted("sw", batched_banded_sw),
+                       tb_batch=counted("tb", batched_sw_traceback))
+    codes = [read.codes for read in reads]
+    names = [read.name for read in reads]
+    qualities = [read.quality for read in reads]
+    assert both.align_sam_batch(codes, names, qualities) \
+        == scalar.align_sam_batch(codes, names, qualities)
+    assert len(seen["sw"]) == sum(row["sw_extensions"]
+                                  for row in scalar.read_stats)
+    assert len(set(seen["sw"])) == len(seen["sw"])
+    assert set(seen["tb"]) <= set(seen["sw"])
+    assert 0 < len(seen["tb"]) < len(seen["sw"])
 
 
 def test_align_sam_with_injected_seeding(ert_index, reads, params):
