@@ -57,8 +57,7 @@ def capture_ert_jobs(index: ErtIndex, reads, params: SeedingParams,
 
 
 def capture_reuse_jobs(index: ErtIndex, reads, params: SeedingParams,
-                       decode_cycles: "dict[str, int]",
-                       cache_bytes: int = 4 * 1024 * 1024
+                       decode_cycles: "dict[str, int]"
                        ) -> "tuple[list[list[Op]], object]":
     """Jobs for the ERT-KR configuration plus the driver's reuse stats.
 
@@ -68,7 +67,7 @@ def capture_reuse_jobs(index: ErtIndex, reads, params: SeedingParams,
     fires synchronously between units.
     """
     engine = ErtSeedingEngine(index)
-    driver = KmerReuseDriver(engine, params, cache_bytes=cache_bytes)
+    driver = KmerReuseDriver(engine, params)
     tracer = MemoryTracer(keep_trace=True)
     index.attach_tracer(tracer)
     jobs = []

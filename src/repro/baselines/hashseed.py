@@ -49,8 +49,7 @@ class HashSeedIndex:
     """Direct-addressed k-mer -> positions table over ``X``."""
 
     def __init__(self, reference: Reference,
-                 config: "HashSeedConfig | None" = None,
-                 space: "AddressSpace | None" = None) -> None:
+                 config: "HashSeedConfig | None" = None) -> None:
         self.reference = reference
         self.config = config or HashSeedConfig()
         self.tracer: "MemoryTracer | None" = None
@@ -68,7 +67,7 @@ class HashSeedIndex:
             self.buckets[int(sorted_codes[lo])] = positions
             total_positions += int(positions.size)
 
-        self.space = space or AddressSpace()
+        self.space = AddressSpace()
         self.header_region = self.space.allocate(
             "hash.headers", 4 ** self.config.k
             * self.config.bucket_header_bytes)

@@ -56,15 +56,12 @@ def module_name_for_path(path: str) -> "str | None":
 class SourceFile:
     """One parsed source file plus the lookup structures rules share."""
 
-    def __init__(self, path: str, source: str,
-                 module: "str | None" = None) -> None:
+    def __init__(self, path: str, source: str) -> None:
         self.path = path
         self.source = source
         self.pragmas: FilePragmas = parse_pragmas(source)
         self.module: "str | None" = (
-            self.pragmas.module_override
-            or module
-            or module_name_for_path(path))
+            self.pragmas.module_override or module_name_for_path(path))
         self.tree: ast.AST = ast.parse(source, filename=path)
         self._parents: "dict[ast.AST, ast.AST]" = {}
         for parent in ast.walk(self.tree):
@@ -219,12 +216,11 @@ class CheckReport:
 
 
 def check_source(path: str, source: str,
-                 rules: "Iterable[Rule] | None" = None,
-                 module: "str | None" = None
+                 rules: "Iterable[Rule] | None" = None
                  ) -> "Tuple[List[Violation], int]":
     """Check one in-memory source; returns (violations, suppressed_count)."""
     try:
-        src = SourceFile(path, source, module=module)
+        src = SourceFile(path, source)
     except SyntaxError as exc:
         return [Violation(path=path, line=exc.lineno or 0,
                           col=(exc.offset or 0) or 1, rule=PARSE_RULE,

@@ -214,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_seeding_args(parser, max_hits: bool = False) -> None:
     parser.add_argument("--min-seed-len",
-                        type=_positive_int("--min-seed-len"), default=19)
+                        type=_bounded("--min-seed-len"), default=19)
     if max_hits:
-        parser.add_argument("--max-hits", type=_positive_int("--max-hits"),
+        parser.add_argument("--max-hits", type=_bounded("--max-hits"),
                             default=500)
 
 
@@ -244,72 +244,45 @@ def _add_telemetry_args(parser) -> None:
              "per-worker tracks at --workers > 1")
 
 
-def _positive_int(label):
-    """Argparse type factory: an int that must be >= 1, with an error
+def _bounded(label, op=">=", bound=1, cast=int):
+    """Argparse type factory: a number (``cast``: ``int`` or ``float``)
+    that must be ``op`` (``">="`` or ``">"``) ``bound``, with an error
     message naming the option (rejected at parse time rather than
     silently clamped deep inside ``ParallelConfig``)."""
+    noun = "an integer" if cast is int else "a number"
+
     def parse(text):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"{label} must be an integer, got {text!r}")
-        if value < 1:
+                f"{label} must be {noun}, got {text!r}")
+        if value < bound or (op == ">" and value == bound):
             raise argparse.ArgumentTypeError(
-                f"{label} must be >= 1, got {value}")
-        return value
-    return parse
-
-
-def _nonnegative_int(label):
-    """Argparse type for an int >= 0 (retry budgets: 0 = fail fast)."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be an integer, got {text!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be >= 0, got {value}")
-        return value
-    return parse
-
-
-def _positive_float(label):
-    """Argparse type for a float that must be > 0 (timeouts)."""
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be a number, got {text!r}")
-        if value <= 0:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be > 0, got {value}")
+                f"{label} must be {op} {bound}, got {value}")
         return value
     return parse
 
 
 def _add_parallel_args(parser) -> None:
     parser.add_argument(
-        "--workers", type=_positive_int("--workers"), default=None,
+        "--workers", type=_bounded("--workers"), default=None,
         metavar="N",
         help="worker processes for the batch scheduler (default: "
              "$REPRO_WORKERS, else 1 = in-process); output is "
              "byte-identical at any count")
     parser.add_argument(
-        "--batch-size", type=_positive_int("--batch-size"), default=64,
+        "--batch-size", type=_bounded("--batch-size"), default=64,
         metavar="M",
         help="reads per scheduler batch (default 64)")
     parser.add_argument(
-        "--retries", type=_nonnegative_int("--retries"), default=None,
+        "--retries", type=_bounded("--retries", ">=", 0), default=None,
         metavar="R",
         help="per-batch retry budget after a worker crash or batch "
              "timeout (default: $REPRO_RETRIES, else 2; 0 = fail on "
              "first fault)")
     parser.add_argument(
-        "--batch-timeout", type=_positive_float("--batch-timeout"),
+        "--batch-timeout", type=_bounded("--batch-timeout", ">", 0, float),
         default=None, metavar="SEC",
         help="seconds to wait for one batch before killing and "
              "respawning the pool (default: wait forever)")
@@ -780,10 +753,11 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
     from repro.seeding import SeedingParams
 
     # Mirror the CLI seeding path: the scheduler builds the engine with
-    # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
+    # its default gather limit and the per-seed hit cap rides in
+    # SeedingParams.
     index = load_ert(args.index)
     _check_min_seed_len(args, index.config.k)
-    engine = ErtSeedingEngine(index, gather_limit=500)
+    engine = ErtSeedingEngine(index)
     if args.task == "seed":
         params = SeedingParams(min_seed_len=args.min_seed_len,
                                max_hits_per_seed=args.max_hits)

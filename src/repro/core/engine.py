@@ -267,9 +267,21 @@ class ErtSeedingEngine(SeedingEngine):
         return s
 
     def count(self, read: np.ndarray, start: int, end: int) -> int:
+        """A segment of at most k characters is answered from the
+        prefix-count tables (the length-k one is the k-mer counts), as
+        the walk's reseed probe reads them; a longer one is walked."""
         strands = self._strands(read)
-        if end - start <= self.min_query_len:
-            return self.index.prefix_count(read[start:end])
+        length = end - start
+        if length <= self.min_query_len:
+            if length < 1:
+                raise ValueError("count needs a non-empty segment")
+            value = 0
+            for c in strands.seq[start:end]:
+                value = (value << 2) | c
+            index = self.index
+            if index.tracer is not None or index.reuse_cache is not None:
+                self._fetch.probe(length, value)
+            return self._cursor.prefix_counts[length - 1][value]
         reached, nid, count, _ = self._walk(strands.seq, strands.codes,
                                             start, end)
         return count if reached == end and nid >= 0 else 0

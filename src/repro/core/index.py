@@ -122,8 +122,7 @@ class ErtIndex:
                  prefix_len: np.ndarray, kmer_count: np.ndarray,
                  tree_bases: np.ndarray,
                  prefix_counts: "list[np.ndarray]",
-                 trees_bytes: int, flat: FlatTrees,
-                 space: "AddressSpace | None" = None) -> None:
+                 trees_bytes: int, flat: FlatTrees) -> None:
         self.reference = reference
         self.config = config
         self.text = reference.both_strands
@@ -155,7 +154,7 @@ class ErtIndex:
         #: :func:`repro.core.io.load_ert`); None for one built in memory.
         self.source: "IndexFile | None" = None
 
-        self.space = space or AddressSpace()
+        self.space = AddressSpace()
         cfg = config
         self.index_region = self.space.allocate(
             "ert.index_table", cfg.n_entries * cfg.index_entry_bytes)
@@ -229,11 +228,11 @@ class ErtIndex:
         self.trace(self.tables_region.base, offset, entry_bytes,
                    PHASE_TABLE, self.tables_region.name)
 
-    def trace_ref_line(self, text_pos: int, phase: str = PHASE_REF) -> None:
+    def trace_ref_line(self, text_pos: int) -> None:
         """One cache line of the 2-bit-packed reference around ``text_pos``."""
         byte = text_pos // 4
         line = byte & ~63
-        self.trace(self.ref_region.base, line, 64, phase,
+        self.trace(self.ref_region.base, line, 64, PHASE_REF,
                    self.ref_region.name)
 
     def trace_prefix_count(self, length: int, code: int) -> None:
@@ -253,22 +252,6 @@ class ErtIndex:
             value = (value << 2) | int(c)
         value <<= 2 * (self.config.k - len(codes))
         return value
-
-    def prefix_count(self, codes: np.ndarray, traced: bool = True) -> int:
-        """Occurrences of a pattern of length 1..k (aux-table query)."""
-        length = len(codes)
-        if not 1 <= length <= self.config.k:
-            raise ValueError("prefix_count handles lengths 1..k only")
-        value = 0
-        for c in codes:
-            value = (value << 2) | int(c)
-        if length == self.config.k:
-            if traced:
-                self.trace_index_entry(value)
-            return int(self.kmer_count[value])
-        if traced:
-            self.trace_prefix_count(length, value)
-        return int(self.prefix_counts[length - 1][value])
 
     def index_bytes(self) -> "dict[str, int]":
         """Byte footprint per component (paper reports table + trees)."""

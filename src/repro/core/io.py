@@ -312,8 +312,8 @@ def index_over(
 # ----------------------------------------------------------------------
 
 
-def _align_up(offset: int, align: int = FRAME_ALIGN) -> int:
-    return (offset + align - 1) // align * align
+def _align_up(offset: int) -> int:
+    return (offset + FRAME_ALIGN - 1) // FRAME_ALIGN * FRAME_ALIGN
 
 
 def _bytes_of(arr: np.ndarray) -> np.ndarray:

@@ -14,6 +14,13 @@ from dataclasses import dataclass, field
 
 from repro.seeding.types import Seed
 
+#: Largest reference or read gap between an anchor and a chain's last.
+MAX_GAP = 100
+#: Largest diagonal difference between an anchor and a chain's last.
+MAX_DIAG_DRIFT = 20
+#: Chains kept per read, best first.
+MAX_CHAINS = 50
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -68,22 +75,20 @@ class Chain:
     def diagonal(self) -> int:
         return self.anchors[0].diagonal
 
-    def can_absorb(self, anchor: Anchor, max_gap: int,
-                   max_diag_drift: int) -> bool:
+    def can_absorb(self, anchor: Anchor) -> bool:
         last = self.anchors[-1]
-        if abs(anchor.diagonal - last.diagonal) > max_diag_drift:
+        if abs(anchor.diagonal - last.diagonal) > MAX_DIAG_DRIFT:
             return False
         if anchor.ref_start < last.ref_start:
             return False
         gap = anchor.ref_start - last.ref_end
         read_gap = anchor.read_start - last.read_end
-        return gap <= max_gap and read_gap <= max_gap
+        return gap <= MAX_GAP and read_gap <= MAX_GAP
 
 
-def chain_seeds(seeds: "list[Seed]", max_gap: int = 100,
-                max_diag_drift: int = 20,
-                max_chains: "int | None" = 50) -> "list[Chain]":
-    """Group seed hits into colinear chains, best score first.
+def chain_seeds(seeds: "list[Seed]") -> "list[Chain]":
+    """Group seed hits into colinear chains, the best :data:`MAX_CHAINS`
+    by score first.
 
     Seeds whose hit lists were truncated by the locate limit contribute
     nothing (BWA similarly skips ultra-repetitive seeds before chaining).
@@ -94,12 +99,10 @@ def chain_seeds(seeds: "list[Seed]", max_gap: int = 100,
     chains: "list[Chain]" = []
     for anchor in anchors:
         for chain in chains:
-            if chain.can_absorb(anchor, max_gap, max_diag_drift):
+            if chain.can_absorb(anchor):
                 chain.anchors.append(anchor)
                 break
         else:
             chains.append(Chain(anchors=[anchor]))
     chains.sort(key=lambda c: (-c.score, c.ref_start))
-    if max_chains is not None:
-        chains = chains[:max_chains]
-    return chains
+    return chains[:MAX_CHAINS]

@@ -3,7 +3,7 @@
 The paper evaluates single-ended reads, but any adoptable aligner built
 on its seeding engine must handle pairs (BWA-MEM's primary mode).  The
 pairing logic is the standard one: both mates produce candidate
-placements; the pair maximizing ``score1 + score2 + proper_bonus`` wins,
+placements; the pair maximizing ``score1 + score2 + PROPER_BONUS`` wins,
 where *proper* means Illumina FR orientation with a template length
 within ``insert_mean +/- 4 * insert_sd``.  A mate with no candidates is
 *rescued* by a banded traceback search in the window the other mate's
@@ -23,6 +23,7 @@ from repro.extend.sam import (
     mapq_from_scores,
     unmapped_record,
 )
+from repro.extend.smith_waterman import DEFAULT_SCHEME
 from repro.extend.traceback import banded_sw_traceback, exact_lane
 from repro.seeding.algorithm import SeedingResult
 from repro.sequence.alphabet import decode, revcomp_codes
@@ -34,19 +35,18 @@ FLAG_MATE_UNMAPPED = 0x8
 FLAG_MATE_REVERSE = 0x20
 FLAG_FIRST = 0x40
 FLAG_SECOND = 0x80
+#: Score added to a proper pair (BWA-MEM's pairing bonus).
+PROPER_BONUS = 15
 
 
 class PairedAligner:
     """Pair-aware alignment over any seeding engine."""
 
     def __init__(self, aligner: ReadAligner, insert_mean: int = 350,
-                 insert_sd: int = 50, proper_bonus: int = 15,
-                 max_candidates: int = 8) -> None:
+                 insert_sd: int = 50) -> None:
         self.aligner = aligner
         self.insert_mean = insert_mean
         self.insert_sd = insert_sd
-        self.proper_bonus = proper_bonus
-        self.max_candidates = max_candidates
 
     # -- candidate generation -------------------------------------------
 
@@ -58,8 +58,7 @@ class PairedAligner:
         every one traced: pairing reads each candidate's position."""
         return [sorted(candidates, key=lambda p: -p.score)
                 for candidates in self.aligner.extend_batch(
-                    reads, seedings, max_chains=self.max_candidates,
-                    trace_all=True)]
+                    reads, seedings, trace_all=True)]
 
     # -- pairing ----------------------------------------------------------
 
@@ -103,9 +102,9 @@ class PairedAligner:
         band = 2 * int(target.size) + 1
         traced = exact_lane(
             np.asarray(query, dtype=np.uint8).tobytes(),
-            self.aligner.text_bytes, self.aligner.scheme, band, lo,
+            self.aligner.text_bytes, DEFAULT_SCHEME, band, lo,
             lo + int(target.size)) or banded_sw_traceback(
-                query, target, self.aligner.scheme, band=band)
+                query, target, DEFAULT_SCHEME, band=band)
         if not traced.is_aligned or traced.score < len(read) // 2:
             return None
         # The query handed to the kernel already runs along the forward
@@ -161,7 +160,7 @@ class PairedAligner:
                 score = a.score + b.score
                 proper = self._is_proper(a, b)
                 if proper:
-                    score += self.proper_bonus
+                    score += PROPER_BONUS
                 if score > best_score:
                     best_score = score
                     best_pair = (a, b, proper)

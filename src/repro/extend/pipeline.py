@@ -22,17 +22,17 @@ from repro.extend.sam import (
     mapq_from_scores,
     unmapped_record,
 )
-from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME,
-    ScoringScheme,
-    SwWorkspace,
-)
+from repro.extend.smith_waterman import BAND, DEFAULT_SCHEME, SwWorkspace
 from repro.extend.traceback import (
     LaneScore, banded_sw_traceback, exact_lane)
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import SeedingEngine
 from repro.sequence.alphabet import decode
 from repro.sequence.reference import Reference, Strand
+
+#: Chains extended per read, best first (BWA-MEM's cap); pairing reads
+#: the same candidates.
+MAX_CHAINS_EXTENDED = 8
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,18 @@ class AlignmentOutcome:
 
 
 class ReadAligner:
-    """Seed-and-extend aligner over any :class:`SeedingEngine`."""
+    """Seed-and-extend aligner over any :class:`SeedingEngine`: the
+    best :data:`MAX_CHAINS_EXTENDED` chains of a read are extended in
+    windows :data:`~repro.extend.smith_waterman.BAND` wider than the
+    read, under :data:`~repro.extend.smith_waterman.DEFAULT_SCHEME`."""
 
     def __init__(self, reference: Reference, engine: SeedingEngine,
                  params: "SeedingParams | None" = None,
-                 scheme: "ScoringScheme | None" = None,
-                 band: int = 41, max_chains_extended: int = 8,
                  sw_batch: "Callable | None" = None,
                  tb_batch: "Callable | None" = None) -> None:
         self.reference = reference
         self.engine = engine
         self.params = params or SeedingParams()
-        self.scheme = scheme or DEFAULT_SCHEME
-        self.band = band
-        self.max_chains_extended = max_chains_extended
         #: Optional batched Smith-Waterman kernels, injected (by the
         #: parallel scheduler under ``--kernels vector``) because the
         #: extend layer sits below ``repro.kernels`` in the import DAG.
@@ -113,7 +111,7 @@ class ReadAligner:
         #: ``tb_batch`` traces, with that of :func:`repro.kernels.
         #: traceback.batched_sw_traceback`.  Both take the DP lanes of
         #: every read of a batch in one call per read length
-        #: (:meth:`_trace_lanes`).  With ``sw_batch``, single-end
+        #: (:meth:`_trace_lanes`), with ``DEFAULT_SCHEME`` and ``BAND``.  With ``sw_batch``, single-end
         #: extension scores every DP lane on it and traces on
         #: ``tb_batch`` only the lanes a printed record reads; otherwise,
         #: and for pairs, every DP lane is traced.  Neither changes a
@@ -170,9 +168,8 @@ class ReadAligner:
         padded by half a band; ``None`` when it is too short to bother
         extending."""
         n = int(read.size)
-        ref_begin = max(0, chain.ref_start - chain.read_start
-                        - self.band // 2)
-        window = self._text[ref_begin:ref_begin + n + self.band]
+        ref_begin = max(0, chain.ref_start - chain.read_start - BAND // 2)
+        window = self._text[ref_begin:ref_begin + n + BAND]
         if window.size < n // 2:
             return None
         return ref_begin, window
@@ -220,7 +217,6 @@ class ReadAligner:
 
     def extend_batch(self, reads: "list[np.ndarray]",
                      seedings: "list | None" = None,
-                     max_chains: "int | None" = None,
                      trace_all: bool = False
                      ) -> "list[list[Placement]]":
         """Chain, window and extend every read of a batch: the one
@@ -241,8 +237,6 @@ class ReadAligner:
         ``trace_all`` traces every lane (pairing reads every
         candidate's position).
         """
-        limit = self.max_chains_extended if max_chains is None \
-            else max_chains
         lanes: "list[tuple[int, int, np.ndarray]]" = []
         candidates: "list[list[Placement]]" = [[] for _ in reads]
         with telemetry.span("align"):
@@ -261,7 +255,7 @@ class ReadAligner:
                 for read_seeds, read_chains in zip(seeds, chains)]
             with telemetry.span("extend"):
                 for i, read in enumerate(reads):
-                    for chain in chains[i][:limit]:
+                    for chain in chains[i][:MAX_CHAINS_EXTENDED]:
                         placed = self._window(read, chain)
                         if placed is not None:
                             telemetry.observe("align.window_bp",
@@ -278,7 +272,7 @@ class ReadAligner:
                     telemetry.count("align.reads_mapped", int(bool(found)))
                     telemetry.count("align.chains", row["chains"])
                     telemetry.count("align.chains_extended",
-                                    min(row["chains"], limit))
+                                    min(row["chains"], MAX_CHAINS_EXTENDED))
                     telemetry.observe("align.seeds_per_read", row["seeds"])
                     telemetry.observe("align.chains_per_read",
                                       row["chains"])
@@ -334,21 +328,20 @@ class ReadAligner:
         """
         queries = [np.asarray(read, dtype=np.uint8).tobytes()
                    for read in reads]
-        traced = [exact_lane(queries[i], self.text_bytes, self.scheme,
-                             self.band, ref_begin, ref_begin + window.size)
+        traced = [exact_lane(queries[i], self.text_bytes, DEFAULT_SCHEME,
+                             BAND, ref_begin, ref_begin + window.size)
                   for i, ref_begin, window in lanes]
         observed = telemetry.enabled()
         for (i, _, window), hit in zip(lanes, traced):
             key = "sw_extensions" if hit is None else "exact_lanes"
             self.read_stats[i][key] += 1
             if hit is None:
-                self.read_stats[i]["sw_cells"] += int(window.size) \
-                    * self.band
+                self.read_stats[i]["sw_cells"] += int(window.size) * BAND
             if observed:
                 telemetry.count("align." + key)
         if self.tb_batch is None:
             return (hit or banded_sw_traceback(reads[i], window,
-                                               self.scheme, self.band)
+                                               DEFAULT_SCHEME, BAND)
                     for (i, _, window), hit in zip(lanes, traced))
         slots = [slot for slot, hit in enumerate(traced) if hit is None]
         if self.sw_batch is not None and not trace_all:
@@ -407,6 +400,5 @@ class ReadAligner:
             block = np.stack([reads[lanes[slot][0]] for slot in bucket])
             for slot, result in zip(bucket, kernel(
                     block, [lanes[slot][2] for slot in bucket],
-                    self.scheme, self.band,
-                    workspace=self._sw_workspace)):
+                    DEFAULT_SCHEME, BAND, workspace=self._sw_workspace)):
                 out[slot] = result

@@ -39,12 +39,11 @@ class SamRecord:
         return "\t".join(fields)
 
 
-def sam_header(reference: Reference,
-               program: str = "repro-ert") -> "list[str]":
+def sam_header(reference: Reference) -> "list[str]":
     return [
         "@HD\tVN:1.6\tSO:unknown",
         f"@SQ\tSN:{reference.name}\tLN:{len(reference)}",
-        f"@PG\tID:{program}\tPN:{program}",
+        "@PG\tID:repro-ert\tPN:repro-ert",
     ]
 
 

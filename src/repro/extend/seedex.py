@@ -31,7 +31,6 @@ class SeedExConfig:
     lanes: int = 8
     sw_units_per_lane: int = 3
     edit_units_per_lane: int = 1
-    band: int = 41
     clock_hz: float = 250e6
     pipeline_fill: int = 20
 

@@ -40,6 +40,9 @@ class ScoringScheme:
 #: hot path (ReadAligner, the Smith-Waterman kernels) reuse this instead of
 #: validating a fresh dataclass per call.
 DEFAULT_SCHEME = ScoringScheme()
+#: The extension band: a SeedEx banded unit is 41 PEs wide (§VI), and
+#: every aligner lane runs at that width.
+BAND = 41
 
 
 class SwWorkspace:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME, NEG_INF, ScoringScheme)
+    BAND, DEFAULT_SCHEME, NEG_INF, ScoringScheme)
 
 # Traceback codes for the H matrix.
 _STOP, _DIAG, _FROM_E, _FROM_F = 0, 1, 2, 3
@@ -77,7 +77,7 @@ def _merge(ops: "list[tuple[str, int]]") -> "tuple[tuple[str, int], ...]":
 
 
 def exact_lane(query: bytes, target: bytes,
-               scheme: "ScoringScheme | None" = None, band: int = 41,
+               scheme: "ScoringScheme | None" = None, band: int = BAND,
                start: int = 0, end: "int | None" = None) \
         -> "TracedAlignment | None":
     """:func:`banded_sw_traceback`'s answer for a lane whose query occurs
@@ -109,7 +109,7 @@ def exact_lane(query: bytes, target: bytes,
 # repro: hot
 def banded_sw_traceback(query: np.ndarray, target: np.ndarray,
                         scheme: "ScoringScheme | None" = None,
-                        band: int = 41) -> TracedAlignment:
+                        band: int = BAND) -> TracedAlignment:
     """Local alignment of ``query`` vs ``target`` with CIGAR, within a
     diagonal band.
 

@@ -100,8 +100,7 @@ class FmdIndex:
     """FMD-index over a reference's double-strand text."""
 
     def __init__(self, reference: Reference,
-                 config: "FmdConfig | None" = None,
-                 space: "AddressSpace | None" = None) -> None:
+                 config: "FmdConfig | None" = None) -> None:
         self.reference = reference
         self.config = config or FmdConfig.bwa_mem2()
         self.tracer: "MemoryTracer | None" = None
@@ -142,7 +141,7 @@ class FmdIndex:
         np.cumsum(per_block, axis=0, out=self._occ_cp[1:])
 
         # Byte-accurate region layout for traffic accounting (Fig 1b sizes).
-        self.space = space or AddressSpace()
+        self.space = AddressSpace()
         self.occ_region = self.space.allocate(
             f"fmd.{self.config.name}.occ",
             self.n_blocks * self.config.occ_block_bytes)

@@ -67,7 +67,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import telemetry
 from repro.extend.smith_waterman import (
-    DEFAULT_SCHEME, ScoringScheme, SwWorkspace)
+    BAND, DEFAULT_SCHEME, ScoringScheme, SwWorkspace)
 from repro.extend.traceback import (
     _STOP, LaneScore, TracedAlignment, banded_sw_traceback, walk_back)
 
@@ -114,7 +114,7 @@ def _plane_dtype(m: int, width: int, scheme: ScoringScheme):
 
 def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
                          scheme: "ScoringScheme | None" = None,
-                         band: int = 41,
+                         band: int = BAND,
                          workspace: "SwWorkspace | None" = None
                          ) -> "list[TracedAlignment]":
     """Banded local alignment with CIGAR, one lane per target.
@@ -131,7 +131,7 @@ def batched_sw_traceback(query: np.ndarray, targets: "list[np.ndarray]",
 
 def batched_banded_sw(query: np.ndarray, targets: "list[np.ndarray]",
                       scheme: "ScoringScheme | None" = None,
-                      band: int = 41,
+                      band: int = BAND,
                       workspace: "SwWorkspace | None" = None
                       ) -> "list[LaneScore]":
     """Score-only :func:`batched_sw_traceback`: the same sweep, without

@@ -127,13 +127,13 @@ def read_ledger(path: str) -> "list[dict[str, Any]]":
     return records
 
 
-def last_runs(records: "Iterable[Mapping[str, Any]]", benchmark: str,
-              n: int = 2) -> "list[dict[str, Any]]":
-    """The last ``n`` records for ``benchmark``, oldest of the window
-    first (so ``[-2]`` vs ``[-1]`` reads previous vs current)."""
+def last_runs(records: "Iterable[Mapping[str, Any]]",
+              benchmark: str) -> "list[dict[str, Any]]":
+    """The last two records for ``benchmark``, oldest first (so ``[-2]``
+    vs ``[-1]`` reads previous vs current)."""
     matching = [dict(rec) for rec in records
                 if rec.get("benchmark") == benchmark]
-    return matching[-n:]
+    return matching[-2:]
 
 
 def benchmarks_in(records: "Iterable[Mapping[str, Any]]") -> "list[str]":

@@ -99,7 +99,6 @@ class ParallelConfig:
     batch_size: int = 64
     retries: "int | None" = None
     batch_timeout: "float | None" = None
-    backoff_s: float = 0.05
     #: Multiprocessing start method for the pool ("fork"/"spawn"/
     #: "forkserver"); None defers to the platform default.  Output and
     #: merged telemetry are identical either way -- spawn just pays a
@@ -129,7 +128,6 @@ class ParallelConfig:
         retries = (self.retries if self.retries is not None
                    else default_retries())
         return RetryPolicy(retries=max(0, retries),
-                           backoff_s=self.backoff_s,
                            batch_timeout=self.batch_timeout)
 
 
@@ -474,7 +472,7 @@ def _collect(results: "Iterable[ReadsResult]") \
 def map_reads(index: ErtIndex, task: str, reads: "Iterable[object]",
               params: "SeedingParams | None" = None,
               config: "ParallelConfig | None" = None, *,
-              gather_limit: int = 500, insert_mean: int = 350,
+              insert_mean: int = 350,
               insert_sd: int = 50) -> "Iterator[ReadsResult]":
     """Run ``task`` (``"seed"``, ``"align"`` or ``"align-pe"``) over
     ``reads`` and yield one ``(payload, stats delta)`` per batch, in
@@ -496,19 +494,17 @@ def map_reads(index: ErtIndex, task: str, reads: "Iterable[object]",
         # Batch at pair granularity so mates never split across workers.
         options.update(insert_mean=insert_mean, insert_sd=insert_sd)
         chunk_size *= 2
-    return _map_reads(ErtSeedingEngine(index, gather_limit=gather_limit),
-                      task, options, reads, config, chunk_size)
+    return _map_reads(ErtSeedingEngine(index), task, options, reads,
+                      config, chunk_size)
 
 
 def seed_reads(index: ErtIndex, reads: "Iterable[object]",
                params: "SeedingParams | None" = None,
-               config: "ParallelConfig | None" = None,
-               gather_limit: int = 500) \
+               config: "ParallelConfig | None" = None) \
         -> "tuple[list[str], EngineStats]":
     """Seed ``reads`` in batches; returns the CLI's TSV lines (one per
     seed, newline-terminated, in input order) plus aggregated stats."""
-    return _collect(map_reads(index, "seed", reads, params, config,
-                              gather_limit=gather_limit))
+    return _collect(map_reads(index, "seed", reads, params, config))
 
 
 def align_reads(index: ErtIndex, reads: "Iterable[object]",

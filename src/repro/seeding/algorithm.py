@@ -45,6 +45,10 @@ from repro.seeding.engine import SeedingEngine
 from repro.seeding.stats import KernelBatchStats
 from repro.seeding.types import Mem, Seed, SeedingResult
 
+#: SMEMs at least ``min_seed_len * SPLIT_FACTOR`` long are reseeded
+#: (BWA-MEM's ``split_factor``).
+SPLIT_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class SeedingParams:
@@ -58,7 +62,6 @@ class SeedingParams:
     min_seed_len: int = 19
     use_pruning: bool = True
     reseed: bool = True
-    split_factor: float = 1.5
     split_width: int = 10
     use_last: bool = True
     max_mem_intv: int = 20
@@ -67,7 +70,7 @@ class SeedingParams:
     @property
     def split_len(self) -> int:
         """SMEMs at least this long are candidates for reseeding."""
-        return int(self.min_seed_len * self.split_factor + 0.499)
+        return int(self.min_seed_len * SPLIT_FACTOR + 0.499)
 
 
 def filter_contained(mems: "list[Mem]") -> "list[Mem]":

@@ -16,6 +16,9 @@ import numpy as np
 from repro.seeding.algorithm import SeedingParams, seed_read
 from repro.seeding.engine import SeedingEngine
 
+#: Divergent reads a comparison reports before it stops.
+MAX_MISMATCHES = 5
+
 
 @dataclass
 class ComparisonReport:
@@ -36,9 +39,10 @@ class ComparisonReport:
 
 def compare_engines(engine_a: SeedingEngine, engine_b: SeedingEngine,
                     reads: "list[np.ndarray]",
-                    params: "SeedingParams | None" = None,
-                    max_mismatches: int = 5) -> ComparisonReport:
-    """Seed every read with both engines and compare canonical outputs."""
+                    params: "SeedingParams | None" = None
+                    ) -> ComparisonReport:
+    """Seed every read with both engines and compare canonical outputs,
+    stopping at the :data:`MAX_MISMATCHES`-th read that differs."""
     params = params or SeedingParams()
     report = ComparisonReport()
     for i, read in enumerate(reads):
@@ -55,7 +59,7 @@ def compare_engines(engine_a: SeedingEngine, engine_b: SeedingEngine,
                 f"{engine_b.name} produced {len(key_b)}; "
                 f"only-{engine_a.name}={sorted(only_a)[:3]}, "
                 f"only-{engine_b.name}={sorted(only_b)[:3]}")
-            if len(report.mismatches) >= max_mismatches:
+            if len(report.mismatches) >= MAX_MISMATCHES:
                 break
     return report
 

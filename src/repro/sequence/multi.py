@@ -78,8 +78,8 @@ class MultiReference:
         return ContigHit(contig=contig.name, strand=hit.strand,
                          start=hit.start - base, length=hit.length)
 
-    def sam_header_lines(self, program: str = "repro-ert") -> "list[str]":
+    def sam_header_lines(self) -> "list[str]":
         lines = ["@HD\tVN:1.6\tSO:unknown"]
         lines.extend(f"@SQ\tSN:{c.name}\tLN:{len(c)}" for c in self.contigs)
-        lines.append(f"@PG\tID:{program}\tPN:{program}")
+        lines.append("@PG\tID:repro-ert\tPN:repro-ert")
         return lines

@@ -251,7 +251,7 @@ def count(name: str, n: int = 1) -> None:
         _registry.counter(name).inc(n)
 
 
-def add_counters(values: "dict[str, int]", prefix: str = "") -> None:
+def add_counters(values: "dict[str, int]") -> None:
     """Bulk-increment counters, skipping zero deltas.  This is the flush
     path for engine/stat structs: hot loops keep counting into plain
     attributes and drivers publish the per-read delta here."""
@@ -259,7 +259,7 @@ def add_counters(values: "dict[str, int]", prefix: str = "") -> None:
         return
     for name, value in values.items():
         if value:
-            _registry.counter(prefix + name).inc(value)
+            _registry.counter(name).inc(value)
 
 
 def set_gauge(name: str, value: float) -> None:
@@ -267,23 +267,19 @@ def set_gauge(name: str, value: float) -> None:
         _registry.gauge(name).set(value)
 
 
-def observe(name: str, value: float,
-            edges: "tuple[float, ...] | None" = None) -> None:
-    """Record ``value`` into histogram ``name`` (bucket edges fixed at
-    first use)."""
+def observe(name: str, value: float) -> None:
+    """Record ``value`` into histogram ``name`` (default bucket edges)."""
     if _enabled:
-        _registry.histogram(name, edges).observe(value)
+        _registry.histogram(name).observe(value)
 
 
 def observe_bucketed(name: str, counts: "list[int]", total: float,
-                     lo: float, hi: float,
-                     edges: "tuple[float, ...] | None" = None) -> None:
+                     lo: float, hi: float) -> None:
     """Fold pre-bucketed observations into histogram ``name`` -- the
     batch-flush fast path for producers that bucket whole accumulator
     columns themselves (see :meth:`Histogram.observe_bucketed`)."""
     if _enabled:
-        _registry.histogram(name, edges).observe_bucketed(counts, total,
-                                                          lo, hi)
+        _registry.histogram(name).observe_bucketed(counts, total, lo, hi)
 
 
 def read_probe() -> "int | None":

@@ -35,15 +35,15 @@ import time
 
 #: Reservoir capacity: enough to see the shape of the population
 #: without the snapshot dominating the wire cost of a batch result.
-DEFAULT_RESERVOIR = 64
+RESERVOIR_SIZE = 64
 
 #: Slowlog capacity: the always-kept worst offenders.
-DEFAULT_TOP_K = 16
+TOP_K = 16
 
 #: Fixed reservoir seed (ERT002: no hidden global RNG state).  One
 #: constant, not configurable per run: sampling must not become an
 #: accidental source of run-to-run diffs.
-DEFAULT_SEED = 0x0E57
+RESERVOIR_SEED = 0x0E57
 
 #: Bucket edges for the ``read.wall_ms`` histogram the collector feeds:
 #: sub-millisecond resolution at the head (a read is typically well
@@ -66,18 +66,11 @@ class ExemplarCollector:
     side of the worker boundary.
     """
 
-    def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR,
-                 top_k: int = DEFAULT_TOP_K,
-                 seed: int = DEFAULT_SEED) -> None:
-        if reservoir_size < 1 or top_k < 1:
-            raise ValueError("reservoir_size and top_k must be >= 1")
-        self.reservoir_size = reservoir_size
-        self.top_k = top_k
-        self.seed = seed
+    def __init__(self) -> None:
         self.count = 0
         self.reservoir: "list[dict]" = []
         self._offered = 0
-        self._rng = random.Random(seed)
+        self._rng = random.Random(RESERVOIR_SEED)
         # Min-heap of (wall_ms, insertion_seq, record): the root is the
         # *fastest* of the kept slow reads, i.e. the eviction candidate.
         self._slow: "list[tuple[float, int, dict]]" = []
@@ -146,7 +139,7 @@ class ExemplarCollector:
         returns its counter dict (zero values are stripped here, like
         :meth:`record`).
         """
-        cap = self.reservoir_size
+        cap = RESERVOIR_SIZE
         for i, read_id in enumerate(read_ids):
             self.count += 1
             self._offered += 1
@@ -154,7 +147,7 @@ class ExemplarCollector:
             if slot >= cap:
                 slot = self._rng.randrange(self._offered)
             wall = wall_ms[i]
-            slow = (len(self._slow) < self.top_k
+            slow = (len(self._slow) < TOP_K
                     or wall > self._slow[0][0])
             if slot >= cap and not slow:
                 self._seq += 1
@@ -173,7 +166,7 @@ class ExemplarCollector:
                     self.reservoir[slot] = rec
             if slow:
                 entry = (wall, self._seq, rec)
-                if len(self._slow) < self.top_k:
+                if len(self._slow) < TOP_K:
                     heapq.heappush(self._slow, entry)
                 else:
                     heapq.heapreplace(self._slow, entry)
@@ -185,17 +178,17 @@ class ExemplarCollector:
         pure function of (seed, offer order) -- deterministic under the
         scheduler's in-order merge."""
         self._offered += 1
-        if len(self.reservoir) < self.reservoir_size:
+        if len(self.reservoir) < RESERVOIR_SIZE:
             self.reservoir.append(rec)
             return
         slot = self._rng.randrange(self._offered)
-        if slot < self.reservoir_size:
+        if slot < RESERVOIR_SIZE:
             self.reservoir[slot] = rec
 
     def _offer_slow(self, rec: dict) -> None:
         entry = (rec["wall_ms"], self._seq, rec)
         self._seq += 1
-        if len(self._slow) < self.top_k:
+        if len(self._slow) < TOP_K:
             heapq.heappush(self._slow, entry)
         elif entry[0] > self._slow[0][0]:
             heapq.heapreplace(self._slow, entry)
@@ -221,7 +214,7 @@ class ExemplarCollector:
         self.count = 0
         self.reservoir = []
         self._offered = 0
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(RESERVOIR_SEED)
         self._slow = []
         self._seq = 0
 

@@ -150,12 +150,12 @@ def render_profile(snapshot: dict, title: "str | None" = None) -> str:
     return "\n".join(parts)
 
 
-def _render_slowlog(exemplars: dict, limit: int = 10) -> str:
-    """Table view of the exemplar slowlog: the top recorded reads by
+def _render_slowlog(exemplars: dict) -> str:
+    """Table view of the exemplar slowlog: the ten top recorded reads by
     wall time, with the counters that explain the cost.  Feed any read
     id shown here to ``ert-repro explain`` for the full breakdown."""
     rows = []
-    for rec in exemplars.get("slowest", [])[:limit]:
+    for rec in exemplars.get("slowest", [])[:10]:
         counters = rec.get("counters", {})
         top = sorted(counters.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
         rows.append([rec["read_id"], rec.get("task", "-"),

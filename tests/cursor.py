@@ -43,6 +43,21 @@ from repro.seeding.types import Mem
 from repro.sequence.alphabet import COMPLEMENT
 
 
+def prefix_count(index: ErtIndex, codes: np.ndarray) -> int:
+    """Occurrences of a pattern of 1..k characters, read from the
+    prefix-count tables (the length-k one is the k-mer counts) and
+    traced as one index entry or one prefix-count entry."""
+    length = len(codes)
+    value = 0
+    for c in codes:
+        value = (value << 2) | int(c)
+    if length == index.config.k:
+        index.trace_index_entry(value)
+    else:
+        index.trace_prefix_count(length, value)
+    return int(index.prefix_counts[length - 1][value])
+
+
 @dataclass
 class JumpEntry:
     """Second-level table entry: the outcome of walking ``x`` suffix
@@ -379,7 +394,7 @@ class CursorSeedingEngine(SeedingEngine):
         leps = []
         prev = None
         for length in range(1, tail + 1):
-            count = self.index.prefix_count(seq[start:start + length])
+            count = prefix_count(self.index, seq[start:start + length])
             if count < min_hits:
                 break
             if prev is not None and count != prev and length - 1 >= 1:
@@ -490,7 +505,7 @@ class CursorSeedingEngine(SeedingEngine):
         self._check_read(read)
         k = self.index.config.k
         if end - start <= k:
-            return self.index.prefix_count(read[start:end])
+            return prefix_count(self.index, read[start:end])
         code, matched, _ = self._kmer_entry(read, start, 1)
         if matched < k:
             return 0

@@ -1,7 +1,7 @@
 """Tests for colinear seed chaining."""
 
 from repro.extend import chain_seeds
-from repro.extend.chaining import Anchor, Chain
+from repro.extend.chaining import MAX_CHAINS, MAX_DIAG_DRIFT, Anchor, Chain
 from repro.seeding import Seed
 
 
@@ -25,16 +25,17 @@ def test_distant_hits_split_chains():
 
 
 def test_diagonal_drift_limit():
-    # Second anchor is colinear-ish but drifted by more than the limit.
-    seeds = [seed(0, 10, [100]), seed(10, 10, [200])]
-    chains = chain_seeds(seeds, max_diag_drift=20)
-    assert len(chains) == 2
+    # A second anchor drifted by more than the limit opens a new chain;
+    # one drifted by exactly the limit joins the first.
+    for drift, n_chains in ((MAX_DIAG_DRIFT + 1, 2), (MAX_DIAG_DRIFT, 1)):
+        seeds = [seed(0, 10, [100]), seed(10, 10, [110 + drift])]
+        assert len(chain_seeds(seeds)) == n_chains, drift
 
 
 def test_small_indel_absorbed():
     # 3 bp drift (a small indel) stays in one chain.
     seeds = [seed(0, 10, [100]), seed(12, 10, [115])]
-    chains = chain_seeds(seeds, max_diag_drift=20)
+    chains = chain_seeds(seeds)
     assert len(chains) == 1
 
 
@@ -55,9 +56,12 @@ def test_truncated_hit_lists_contribute_nothing():
 
 
 def test_max_chains_cap():
-    seeds = [seed(0, 10, [i * 1000 for i in range(30)])]
-    chains = chain_seeds(seeds, max_chains=5)
-    assert len(chains) == 5
+    # Every hit is far from the others: one chain each, MAX_CHAINS kept.
+    seeds = [seed(0, 10, [i * 1000 for i in range(MAX_CHAINS + 10)])]
+    chains = chain_seeds(seeds)
+    assert len(chains) == MAX_CHAINS
+    assert [c.ref_start for c in chains] == [i * 1000
+                                             for i in range(MAX_CHAINS)]
 
 
 def test_chain_properties():

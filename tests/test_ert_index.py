@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import EntryKind, ErtConfig, build_ert
+from repro.core import EntryKind, ErtConfig, ErtSeedingEngine, build_ert
 from repro.memsim import CacheModel, MemoryTracer
 from repro.sequence import GenomeSimulator
 from repro.sequence.alphabet import encode
@@ -26,21 +26,31 @@ def test_kmer_code_packing(index):
 
 
 def test_prefix_count_matches_tables(index):
+    """The engine answers a segment of 1..k characters from the
+    prefix-count tables, charging one table entry when traced."""
     text = index.text
-    for pattern in ("A", "AC", "ACG", "ACGT"):
+    engine = ErtSeedingEngine(index)
+    for pattern in ("A", "AC", "ACG", "ACGT", "ACGTA"):
         codes = encode(pattern)
         # Manual sliding-window count over the double-strand text.
         k = len(codes)
         windows = np.lib.stride_tricks.sliding_window_view(text, k)
         expected = int(np.count_nonzero((windows == codes).all(axis=1)))
-        assert index.prefix_count(codes, traced=False) == expected
+        engine.begin_read()
+        assert engine.count(codes, 0, k) == expected
+        tracer = MemoryTracer()
+        index.attach_tracer(tracer)
+        try:
+            engine.count(codes, 0, k)
+        finally:
+            index.attach_tracer(None)
+        assert tracer.total_requests == 1
 
 
 def test_prefix_count_validates_length(index):
+    engine = ErtSeedingEngine(index)
     with pytest.raises(ValueError):
-        index.prefix_count(encode("ACGTAC"))  # length 6 > k=5
-    with pytest.raises(ValueError):
-        index.prefix_count(encode(""))
+        engine.count(encode("ACGTAC"), 2, 2)
 
 
 def test_trace_goes_through_reuse_cache(index):

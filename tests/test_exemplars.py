@@ -6,7 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import READ_WALL_MS_EDGES, ExemplarCollector
-from repro.telemetry.exemplars import DEFAULT_RESERVOIR, DEFAULT_TOP_K
+from repro.telemetry.exemplars import RESERVOIR_SIZE, TOP_K
 
 
 @pytest.fixture(autouse=True)
@@ -50,7 +50,7 @@ def test_reservoir_is_bounded_and_deterministic():
     for i in range(500):
         a.record(f"read_{i}", a.start())
         b.record(f"read_{i}", b.start())
-    assert len(a.snapshot()["reservoir"]) == DEFAULT_RESERVOIR
+    assert len(a.snapshot()["reservoir"]) == RESERVOIR_SIZE
     # Same seeded RNG, same offer sequence -> same kept read ids.
     assert [r["read_id"] for r in a.snapshot()["reservoir"]] == \
            [r["read_id"] for r in b.snapshot()["reservoir"]]
@@ -79,11 +79,11 @@ def test_slowlog_keeps_the_exact_top_k():
                            "counters": {}} for i in range(200)],
               "reservoir": []})
     slow = c2.snapshot()["slowest"]
-    assert len(slow) == DEFAULT_TOP_K
+    assert len(slow) == TOP_K
     walls = [r["wall_ms"] for r in slow]
     assert walls == sorted(walls, reverse=True)
     expect = sorted((float((i * 37) % 199) for i in range(200)),
-                    reverse=True)[:DEFAULT_TOP_K]
+                    reverse=True)[:TOP_K]
     assert walls == expect
 
 
@@ -95,8 +95,8 @@ def test_merge_accumulates_counts_and_bounds_reservoir():
     merged = a.snapshot()
     assert a.count == 200
     assert merged["count"] == 200
-    assert len(merged["reservoir"]) <= DEFAULT_RESERVOIR
-    assert len(merged["slowest"]) <= DEFAULT_TOP_K
+    assert len(merged["reservoir"]) <= RESERVOIR_SIZE
+    assert len(merged["slowest"]) <= TOP_K
 
 
 def test_merge_order_determinism():
@@ -177,7 +177,8 @@ def test_record_reads_bulk_matches_per_read_capture():
     for i, read_id in enumerate(ids):
         telemetry.exemplars().record(read_id, probe, rows[i], task="seed",
                                      wall_ms=walls[i], kernels="vector")
-        telemetry.observe("read.wall_ms", walls[i], READ_WALL_MS_EDGES)
+        telemetry.registry().histogram(
+            "read.wall_ms", READ_WALL_MS_EDGES).observe(walls[i])
     per_read = telemetry.snapshot()
     telemetry.reset()
     telemetry.enable()

@@ -211,7 +211,7 @@ def test_batch_timeout_exhausts_retry_budget(ert_index, reads, params,
     with pytest.raises(BatchTimeoutError):
         _run_seed(ert_index, reads, params,
                   ParallelConfig(workers=2, batch_size=4, retries=1,
-                                 batch_timeout=0.5, backoff_s=0.01),
+                                 batch_timeout=0.5),
                   fault={"kind": "hang", "seconds": 60.0})
 
 
@@ -352,11 +352,10 @@ def test_default_retries_reads_environment(monkeypatch):
 
 
 def test_config_resolves_timeout_into_policy():
-    policy = ParallelConfig(batch_timeout=1.5, retries=1,
-                            backoff_s=0.2).resolved_policy()
+    policy = ParallelConfig(batch_timeout=1.5, retries=1).resolved_policy()
     assert policy.batch_timeout == 1.5
     assert policy.retries == 1
-    assert policy.backoff_s == pytest.approx(0.2)
+    assert policy.backoff_s == RetryPolicy().backoff_s
 
 
 # ----------------------------------------------------------------------

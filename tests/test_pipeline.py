@@ -5,6 +5,7 @@ import pytest
 
 from repro.extend import Alignment, ReadAligner, SeedExConfig, SeedExModel
 from repro.extend.seedex import ExtensionWorkload
+from repro.extend.smith_waterman import BAND, DEFAULT_SCHEME
 from repro.extend.traceback import banded_sw_traceback
 from repro.seeding import SeedingParams
 from repro.sequence import GenomeSimulator, ReadSimulator, Strand
@@ -90,10 +91,10 @@ def test_exact_read_is_one_exact_lane_substituted_read_is_traced(
     out = aligner.align(read)
     assert out.workload.edit_checks == 1
     assert out.workload.edit_rows_total == read.size
-    half = aligner.band // 2
+    half = BAND // 2
     traced = banded_sw_traceback(
         read, ref.codes[2000 - half:2000 + read.size + half + 1],
-        aligner.scheme, aligner.band)
+        DEFAULT_SCHEME, BAND)
     assert traced.cigar == {None: (("M", 80),),
                             40: (("M", 40), ("X", 1), ("M", 39)),
                             1: (("S", 2), ("M", 78))}[substitution]

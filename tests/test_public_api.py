@@ -148,3 +148,62 @@ def test_examples_run(tmp_path):
         proc = subprocess.run([sys.executable, str(examples / script)],
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_frozen_replay_surface_exists():
+    """``benchmarks/pipeline/layers.py`` replays the CLI through the
+    library and is frozen with the benchmark: every ``repro`` name it
+    imports must exist, and every call it makes to one -- directly, as
+    the first argument of its ``_timed`` wrapper, or as a method of an
+    imported class -- must bind the arguments it passes."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    path = (Path(__file__).parent.parent / "benchmarks" / "pipeline"
+            / "layers.py")
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), \
+                    f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(
+                    module, alias.name)
+    methods: "dict[str, list]" = {}
+    for value in imported.values():
+        if inspect.isclass(value):
+            for name, member in vars(value).items():
+                if inspect.isfunction(member):
+                    methods.setdefault(name, []).append(member)
+
+    def binds(target, n_args, keywords, bound=False):
+        try:
+            inspect.signature(target).bind_partial(
+                *[None] * (n_args + bound), **dict.fromkeys(keywords))
+        except TypeError:
+            return False
+        return True
+
+    checked = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or any(
+                isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            continue
+        args, keywords = node.args, [kw.arg for kw in node.keywords]
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "_timed":
+            func, args = args[0], args[1:]
+        where = f"layers.py:{node.lineno}"
+        if isinstance(func, ast.Name) and func.id in imported:
+            assert binds(imported[func.id], len(args), keywords), where
+            checked += 1
+        elif isinstance(func, ast.Attribute) and func.attr in methods:
+            assert any(binds(method, len(args), keywords, bound=True)
+                       for method in methods[func.attr]), where
+            checked += 1
+    assert checked >= 20

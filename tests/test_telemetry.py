@@ -192,13 +192,14 @@ def test_enabled_helpers_record():
     telemetry.count("c", 2)
     telemetry.add_counters({"c": 1, "zero": 0})
     telemetry.set_gauge("g", 4)
-    telemetry.observe("h", 7, edges=(5, 10))
+    telemetry.observe("h", 7)
     with telemetry.span("s"):
         pass
     snap = telemetry.snapshot()
     assert snap["counters"] == {"c": 3}  # zero deltas are skipped
     assert snap["gauges"] == {"g": 4}
-    assert snap["histograms"]["h"]["counts"] == [0, 1, 0]
+    hist = snap["histograms"]["h"]
+    assert (hist["count"], hist["total"], sum(hist["counts"])) == (1, 7, 1)
     assert snap["spans"]["s"]["count"] == 1
 
 
@@ -248,7 +249,7 @@ def _sample_snapshot():
     telemetry.enable()
     telemetry.count("c", 3)
     telemetry.set_gauge("g", 2.5)
-    telemetry.observe("h", 4, edges=(1, 10))
+    telemetry.observe("h", 4)
     with telemetry.span("stage"):
         with telemetry.span("sub"):
             pass

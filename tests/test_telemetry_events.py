@@ -310,8 +310,7 @@ def test_crash_recovery_trace_shows_respawn(tmp_path, ert_index,
     token = str(tmp_path / "fault.token")
     lines, doc = _seed_with_trace(
         ert_index, read_codes, params,
-        ParallelConfig(workers=2, batch_size=4, retries=2,
-                       backoff_s=0.01),
+        ParallelConfig(workers=2, batch_size=4, retries=2),
         fault={"kind": "sigkill", "token": token})
     assert os.path.exists(token), "fault never fired -- test is vacuous"
     serial_lines, _ = _seed_with_trace(
