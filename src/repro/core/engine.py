@@ -37,6 +37,19 @@ from repro.seeding.types import Mem
 from repro.sequence.alphabet import COMPLEMENT
 
 
+def _kmer_codes(buf: np.ndarray, k: int) -> np.ndarray:
+    """The int64 code of every k-mer of the 2-bit bases ``buf`` (``buf[p
+    + c]`` in bits ``2 (k - 1 - c)`` of code ``p``, as
+    :meth:`~repro.core.index.ErtIndex.kmer_code` packs it): ``k - 1``
+    shifted ORs over the whole buffer, not a ``(windows, k)`` matmul."""
+    span = buf.size - k + 1
+    codes = buf[:span].astype(np.int64)
+    for c in range(1, k):
+        codes <<= 2
+        codes |= buf[c:c + span]
+    return codes
+
+
 class _Strands:
     """One read as the walks read it: both strands as ``bytes`` and
     their rolling k-mer codes (None for a read shorter than k)."""
@@ -78,8 +91,6 @@ class ErtSeedingEngine(SeedingEngine):
         # loaded (not here, so it reads the columns as they are then).
         self._cursor: "ArenaCursor | None" = None
         self._fetch = FetchModel(index, self.stats)
-        k = index.config.k
-        self._weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
         # Both strands and rolling codes of each read of the current
         # batch, from begin_batch(); _batch_pinned holds every read for
         # as long as these id()-keyed entries live.
@@ -126,8 +137,8 @@ class ErtSeedingEngine(SeedingEngine):
     def _prepare(self, reads: "list[np.ndarray]") -> "dict[int, tuple]":
         """``id(read) -> (reverse complement, codes, rc codes)`` for each
         read: one ``COMPLEMENT`` gather over the concatenated reads, and
-        the rolling k-mer codes of both strands with two matmuls (codes
-        are None for a read shorter than k)."""
+        the rolling k-mer codes of both strands with :func:`_kmer_codes`
+        (codes are None for a read shorter than k)."""
         prepared: "dict[int, tuple]" = {}
         if not reads:
             return prepared
@@ -140,9 +151,8 @@ class ErtSeedingEngine(SeedingEngine):
         k = self.index.config.k
         fwd_codes = rev_codes = None
         if total >= k:
-            windows = np.lib.stride_tricks.sliding_window_view
-            fwd_codes = windows(buf, k) @ self._weights
-            rev_codes = windows(rev, k) @ self._weights
+            fwd_codes = _kmer_codes(buf, k)
+            rev_codes = _kmer_codes(rev, k)
         base = 0
         for read in reads:
             n = int(read.size)

@@ -7,8 +7,9 @@ package supplies the functional substrate and the lane-level model:
 * :mod:`repro.extend.smith_waterman` -- affine-gap scoring and the
   batched kernel's workspace;
 * :mod:`repro.extend.traceback` -- banded Smith-Waterman: the exact-lane
-  shortcut and the scalar kernel (score, coordinates and CIGAR) every
-  other extension runs on unless a batched one is injected;
+  shortcut, the scalar kernel (score, coordinates and CIGAR) every
+  other extension runs on unless a batched one is injected, and the
+  certificate that traces an ungapped lane from its score;
 * :mod:`repro.extend.chaining` -- BWA-style colinear seed chaining;
 * :mod:`repro.extend.seedex` -- the SeedEx lane throughput/occupancy model
   (3 banded SW units x 41 PEs + 1 edit-distance unit per lane, 8 lanes);

@@ -54,11 +54,10 @@ class PairedAligner:
                     seedings: "list | None" = None
                     ) -> "list[list[Placement]]":
         """Every read's placements, best first, through the aligner's
-        one extension path (both mates of every pair in one batch),
-        every one traced: pairing reads each candidate's position."""
+        one extension path (both mates of every pair in one batch)."""
         return [sorted(candidates, key=lambda p: -p.score)
-                for candidates in self.aligner.extend_batch(
-                    reads, seedings, trace_all=True)]
+                for candidates in self.aligner.extend_batch(reads,
+                                                            seedings)]
 
     # -- pairing ----------------------------------------------------------
 
@@ -68,8 +67,6 @@ class PairedAligner:
         if a.strand == b.strand:
             return False
         fwd, rev = (a, b) if a.strand is Strand.FORWARD else (b, a)
-        # Pairs trace every candidate (_candidates), so both have one.
-        assert fwd.position is not None and rev.position is not None
         distance = rev.position - fwd.position
         return 0 <= distance <= self.insert_mean + 4 * self.insert_sd
 
@@ -79,7 +76,6 @@ class PairedAligner:
         reference = self.aligner.reference
         n = len(reference)
         window_span = self.insert_mean + 4 * self.insert_sd
-        assert anchor.position is not None  # a traced candidate
         if anchor.strand is Strand.FORWARD:
             lo = anchor.position
             hi = min(n, anchor.position + window_span)

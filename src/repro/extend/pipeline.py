@@ -24,7 +24,7 @@ from repro.extend.sam import (
 )
 from repro.extend.smith_waterman import BAND, DEFAULT_SCHEME, SwWorkspace
 from repro.extend.traceback import (
-    LaneScore, banded_sw_traceback, exact_lane)
+    banded_sw_traceback, diagonal_lanes, exact_lane)
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import SeedingEngine
 from repro.sequence.alphabet import decode
@@ -39,15 +39,12 @@ MAX_CHAINS_EXTENDED = 8
 class Placement:
     """One candidate placement of one read: the score, strand, forward
     coordinate of the first aligned reference base and CIGAR (soft clips
-    included) of one lane.  A lane that no printed record reads beyond
-    its score is scored, not traced (:meth:`ReadAligner.extend_batch`):
-    its placement has ``position`` and ``cigar`` ``None``, and nothing
-    that formats output accepts it."""
+    included) of one lane."""
 
     score: int
     strand: Strand
-    position: "int | None"
-    cigar: "str | None"
+    position: int
+    cigar: str
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,12 @@ class ReadAligner:
         #: ``tb_batch`` traces, with that of :func:`repro.kernels.
         #: traceback.batched_sw_traceback`.  Both take the DP lanes of
         #: every read of a batch in one call per read length
-        #: (:meth:`_trace_lanes`), with ``DEFAULT_SCHEME`` and ``BAND``.  With ``sw_batch``, single-end
-        #: extension scores every DP lane on it and traces on
-        #: ``tb_batch`` only the lanes a printed record reads; otherwise,
-        #: and for pairs, every DP lane is traced.  Neither changes a
-        #: result.
+        #: (:meth:`_trace_lanes`), with ``DEFAULT_SCHEME`` and ``BAND``.
+        #: With ``sw_batch``, extension scores every DP lane on it,
+        #: takes the CIGAR of each lane whose best path is ungapped from
+        #: its score (:func:`~repro.extend.traceback.diagonal_lanes`)
+        #: and traces only the rest on ``tb_batch``; without it, every
+        #: DP lane is traced.  Neither changes a result.
         if sw_batch is not None and tb_batch is None:
             raise ValueError("sw_batch traces on tb_batch: pass both")
         self.sw_batch = sw_batch
@@ -153,8 +151,6 @@ class ReadAligner:
         best: "Alignment | None" = None
         if placements:
             top = max(placements, key=lambda p: p.score)
-            if top.cigar is None or top.position is None:
-                raise ValueError("the best placement was not traced")
             clip, _, _ = top.cigar.partition("S")  # the leading clip
             best = Alignment(name, top.strand, top.position - (
                 int(clip) if clip.isdigit() else 0), top.score)
@@ -216,8 +212,7 @@ class ReadAligner:
         return records
 
     def extend_batch(self, reads: "list[np.ndarray]",
-                     seedings: "list | None" = None,
-                     trace_all: bool = False
+                     seedings: "list | None" = None
                      ) -> "list[list[Placement]]":
         """Chain, window and extend every read of a batch: the one
         extension path behind :meth:`align`, the SAM and the paired-end
@@ -229,13 +224,6 @@ class ReadAligner:
         reads are set up first (in read, then chain order: telemetry and
         :attr:`read_stats` come out as a read-by-read loop would leave
         them), extended together, and finalized in the same order.
-
-        With :attr:`sw_batch` set, a placement is traced only where a
-        single-end record can read its start or CIGAR: each read's
-        first best placement, and every lane whose survival depends on
-        its start (:meth:`_select_traced`).  The others are score-only.
-        ``trace_all`` traces every lane (pairing reads every
-        candidate's position).
         """
         lanes: "list[tuple[int, int, np.ndarray]]" = []
         candidates: "list[list[Placement]]" = [[] for _ in reads]
@@ -262,7 +250,7 @@ class ReadAligner:
                                               int(placed[1].size))
                             lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
-                        lanes, self._trace_lanes(reads, lanes, trace_all)):
+                        lanes, self._trace_lanes(reads, lanes)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
@@ -281,15 +269,9 @@ class ReadAligner:
     def _finalize_trace(self, traced, ref_begin: int) \
             -> "Placement | None":
         """Map one window alignment back to forward-strand SAM
-        coordinates; ``None`` for unaligned or off-reference hits.  A
-        scored lane that was not traced lies on one strand (its window
-        does), so it keeps only that strand and its score."""
+        coordinates; ``None`` for unaligned or off-reference hits."""
         if not traced.is_aligned:
             return None
-        if isinstance(traced, LaneScore):
-            return Placement(traced.score, Strand.FORWARD if ref_begin
-                             < len(self.reference) else Strand.REVERSE,
-                             None, None)
         ref_len = traced.target_end - traced.target_start
         hit = self.reference.to_forward(ref_begin + traced.target_start,
                                         ref_len)
@@ -304,8 +286,7 @@ class ReadAligner:
         return Placement(traced.score, hit.strand, hit.start, cigar_str)
 
     def _trace_lanes(self, reads: "list[np.ndarray]",
-                     lanes: "list[tuple[int, int, np.ndarray]]",
-                     trace_all: bool):
+                     lanes: "list[tuple[int, int, np.ndarray]]"):
         """Extend every ``(read index, ref_begin, window)`` lane.
 
         A lane whose read occurs exactly inside its band is answered by
@@ -317,10 +298,10 @@ class ReadAligner:
         With :attr:`tb_batch`, the DP lanes go to the batched kernels
         bucketed by read length -- a sweep needs one query length --
         each bucket as one ``(lanes, m)`` query block, whatever reads
-        its lanes came from.  With :attr:`sw_batch` (and not
-        ``trace_all``) every DP lane is scored on it and only the lanes
-        :meth:`_select_traced` picks are traced; otherwise every DP lane
-        is traced.  The :attr:`read_stats` rows count the DP lanes once
+        its lanes came from.  With :attr:`sw_batch`, every DP lane is
+        scored on it, and :func:`diagonal_lanes` gives each lane whose
+        best path is ungapped its CIGAR from the score; only the others
+        are traced.  The :attr:`read_stats` rows count the DP lanes once
         (``sw_extensions``, with their ``sw_cells``) and the exact ones
         (``exact_lanes``), and so do the ``align.*`` counters;
         ``kernels.traced_lanes`` counts the lanes sent to
@@ -344,61 +325,35 @@ class ReadAligner:
                                                DEFAULT_SCHEME, BAND)
                     for (i, _, window), hit in zip(lanes, traced))
         slots = [slot for slot, hit in enumerate(traced) if hit is None]
-        if self.sw_batch is not None and not trace_all:
-            settled = {i for (i, ref_begin, _), hit in zip(lanes, traced)
-                       if hit is not None and self._finalize_trace(
-                           hit, ref_begin) is not None}
-            self._run_buckets(self.sw_batch, reads, lanes, slots, traced)
-            slots = self._select_traced(lanes, traced, slots, settled)
+        if self.sw_batch is not None:
+            for bucket, block, windows in self._buckets(reads, lanes,
+                                                        slots):
+                scored = self.sw_batch(block, windows, DEFAULT_SCHEME, BAND,
+                                       workspace=self._sw_workspace)
+                for slot, walked in zip(bucket, diagonal_lanes(
+                        block, windows, scored, DEFAULT_SCHEME)):
+                    traced[slot] = walked
+            slots = [slot for slot in slots if traced[slot] is None]
         telemetry.count("kernels.traced_lanes", len(slots))
-        self._run_buckets(self.tb_batch, reads, lanes, slots, traced)
+        for bucket, block, windows in self._buckets(reads, lanes, slots):
+            for slot, result in zip(bucket, self.tb_batch(
+                    block, windows, DEFAULT_SCHEME, BAND,
+                    workspace=self._sw_workspace)):
+                traced[slot] = result
         return traced
 
-    def _select_traced(self, lanes: "list[tuple[int, int, np.ndarray]]",
-                       scored: list, slots: "list[int]",
-                       settled: "set[int]") -> "list[int]":
-        """The scored DP lanes (``slots``, in lane order) whose start or
-        CIGAR a single-end record can read (docs/algorithms.md, "Which
-        lanes are traced"):
-
-        * every lane with a positive score whose window straddles the
-          strand seam -- whether :meth:`_finalize_trace` keeps it
-          depends on where it starts, and MAPQ's runner-up on which
-          lanes are kept;
-        * for a read not in ``settled`` (the reads with an exact lane
-          that survives :meth:`_finalize_trace`, which no DP lane can
-          tie), its first highest-scoring positive lane in chain order
-          among the rest: the best placement, by
-          :meth:`align_sam_batch`'s tie-break, unless a seam lane beats
-          or precedes it.
-        """
-        seam = len(self.reference)
-        best: "dict[int, int]" = {}
-        picked: "list[int]" = []
-        for slot in slots:
-            i, ref_begin, window = lanes[slot]
-            score = scored[slot].score
-            if score <= 0:
-                continue
-            if ref_begin < seam < ref_begin + window.size:
-                picked.append(slot)
-            elif i not in settled and (
-                    i not in best or score > scored[best[i]].score):
-                best[i] = slot
-        return sorted(picked + list(best.values()))
-
-    def _run_buckets(self, kernel: Callable, reads: "list[np.ndarray]",
-                     lanes: "list[tuple[int, int, np.ndarray]]",
-                     slots: "list[int]", out: list) -> None:
-        """Run ``kernel`` over the lanes ``slots``, one call per read
-        length, and store lane ``slot``'s result in ``out[slot]``."""
+    @staticmethod
+    def _buckets(reads: "list[np.ndarray]",
+                 lanes: "list[tuple[int, int, np.ndarray]]",
+                 slots: "list[int]"):
+        """The lanes ``slots`` grouped by read length: one ``(slots,
+        (lanes, m) query block, windows)`` per length, in order of each
+        length's first lane."""
         buckets: "dict[int, list[int]]" = {}
         for slot in slots:
             buckets.setdefault(int(reads[lanes[slot][0]].size),
                                []).append(slot)
         for bucket in buckets.values():
-            block = np.stack([reads[lanes[slot][0]] for slot in bucket])
-            for slot, result in zip(bucket, kernel(
-                    block, [lanes[slot][2] for slot in bucket],
-                    DEFAULT_SCHEME, BAND, workspace=self._sw_workspace)):
-                out[slot] = result
+            yield (bucket, np.stack([reads[lanes[slot][0]]
+                                     for slot in bucket]),
+                   [lanes[slot][2] for slot in bucket])

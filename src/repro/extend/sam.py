@@ -53,12 +53,8 @@ def unmapped_record(name: str, sequence: str, quality: str = "") -> SamRecord:
 
 
 def mapped_record(name: str, sequence: str, quality: str,
-                  reference: Reference, strand: Strand,
-                  position: "int | None", cigar: "str | None",
-                  score: int, mapq: int) -> SamRecord:
-    if cigar is None or position is None:
-        raise ValueError(f"{name}: a score-only placement has no CIGAR "
-                         f"or position to print")
+                  reference: Reference, strand: Strand, position: int,
+                  cigar: str, score: int, mapq: int) -> SamRecord:
     flag = FLAG_REVERSE if strand is Strand.REVERSE else 0
     seq = revcomp(sequence) if strand is Strand.REVERSE else sequence
     qual = quality[::-1] if strand is Strand.REVERSE else quality

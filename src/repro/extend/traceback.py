@@ -9,7 +9,9 @@ It keeps band-relative pointer rows for the three affine states (one
 ``bytearray`` per DP row each) and walks them back from the best cell,
 emitting a BWA-style CIGAR with soft-clips for the unaligned read ends.  It is the oracle the batched kernel is checked
 against, so the row loop is the literal per-cell recurrence, on plain
-Python ints.
+Python ints.  :func:`diagonal_lanes` is the walk's shortcut: given a
+batched score-only sweep's score and end cell, it returns the same
+alignment for every lane whose best path is ungapped.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.extend.smith_waterman import (
     BAND, DEFAULT_SCHEME, NEG_INF, ScoringScheme)
 
 # Traceback codes for the H matrix.
 _STOP, _DIAG, _FROM_E, _FROM_F = 0, 1, 2, 3
+#: A diagonal run's op, indexed by whether its bases match.
+_RUN_OPS = np.array(["X", "M"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,94 @@ def exact_lane(query: bytes, target: bytes,
     s -= start
     return TracedAlignment(m * (scheme or DEFAULT_SCHEME).match, 0, m, s,
                            s + m, _merge([("M", m)]))
+
+
+def diagonal_lanes(queries: np.ndarray, targets: "list[np.ndarray]",
+                   scored: "list[LaneScore]",
+                   scheme: "ScoringScheme | None" = None) \
+        -> "list[TracedAlignment | None]":
+    """:func:`banded_sw_traceback`'s answer for each scored lane whose
+    best path is ungapped, from its :class:`LaneScore` alone; ``None``
+    for a lane whose best path may hold a gap.
+
+    Lane ``b`` aligns row ``b`` of the ``(B, m)`` block ``queries``
+    against ``targets[b]`` and scored ``scored[b] = (best, i, j)``.  Let
+    ``S_t`` be the score of the ``t`` diagonal cells ending at ``(i,
+    j)``, ``t <= min(i, j)``.  Every ``S_t <= best``, since ``S_t`` is
+    a path into the best cell.  If some ``S_t == best``, take the first
+    such ``t*``: the cell ``t < t*`` steps back then holds ``H = best -
+    S_t > 0``, which its diagonal term attains (and DIAG outranks E and
+    F), and the cell ``t*`` back holds ``H = 0`` (STOP), so the walk
+    back from ``(i, j)`` is ``t*`` diagonal ``M``/``X`` ops from ``(i -
+    t*, j - t*)`` (docs/algorithms.md, "Lanes traced from their
+    score").  An unaligned lane (``best == 0``) gets the kernel's full
+    soft clip.
+
+    Whole-block numpy: one gather each of the lanes' diagonal query and
+    target bases, one compare, one ``cumsum`` and one first-hit
+    ``argmax``; then one run-boundary pass, and Python only to build
+    each lane's CIGAR from its runs.
+    """
+    scheme = scheme or DEFAULT_SCHEME
+    B, m = queries.shape
+    unaligned = TracedAlignment(0, 0, 0, 0, 0, _merge([("S", m)]))
+    if not B or not m:
+        return [unaligned] * B
+    best, i, j = np.array([(s.score, s.query_end, s.target_end)
+                           for s in scored], dtype=np.int64).T
+    rows = np.arange(B)
+    # Column t - 1 of lane b's row holds the bases its walk meets t
+    # cells back, query[i - t] and target[j - t]: one row gather each
+    # from the queries and from the targets, concatenated after m
+    # padding bases and reversed (cells past min(i, j) read a
+    # neighbour's bases or the padding, and are masked).
+    pad = np.zeros(m, dtype=queries.dtype)
+    rev_queries = np.concatenate([pad, queries.ravel()])[::-1]
+    rev_targets = np.concatenate([pad, *targets])[::-1]
+    starts = np.cumsum([0] + [t.size for t in targets[:-1]])
+    same = (sliding_window_view(rev_queries, m)[(B - rows) * m - i]
+            == sliding_window_view(rev_targets, m)[
+                rev_targets.size - m - starts - j])
+    back = np.arange(1, m + 1)
+    hit = ((np.cumsum(np.where(same, scheme.match, scheme.mismatch), axis=1)
+            == best[:, None]) & (back <= np.minimum(i, j)[:, None]))
+    first = hit.argmax(axis=1)
+    length = np.where(hit[rows, first], first + 1, 0)
+    # The M / X runs of each walked lane, from its end cell back: one
+    # opens at t = 0 and wherever ``same`` changes before t*, and each
+    # ends where the next one opens, or at t*.
+    opens = np.empty((B, m), dtype=bool)
+    opens[:, 0] = length > 0
+    opens[:, 1:] = ((same[:, 1:] != same[:, :-1])
+                    & (back[:-1] < length[:, None]))
+    lane, at = np.nonzero(opens)
+    stop = np.empty_like(at)
+    stop[:-1] = at[1:]
+    last = np.ones(at.size, dtype=bool)
+    last[:-1] = lane[1:] != lane[:-1]
+    stop[last] = length[lane[last]]
+    runs = list(zip(_RUN_OPS[same[lane, at].view(np.uint8)].tolist(),
+                    (stop - at).tolist()))
+    bounds = np.cumsum(np.bincount(lane, minlength=B)).tolist()
+    out: "list[TracedAlignment | None]" = []
+    lo = 0
+    for score, t, end, target_end, hi in zip(
+            best.tolist(), length.tolist(), i.tolist(), j.tolist(), bounds):
+        if score <= 0:
+            out.append(unaligned)
+        elif not t:
+            out.append(None)
+        else:
+            cigar = runs[lo:hi]
+            cigar.reverse()
+            if end > t:
+                cigar.insert(0, ("S", end - t))
+            if end < m:
+                cigar.append(("S", m - end))
+            out.append(TracedAlignment(score, end - t, end, target_end - t,
+                                       target_end, tuple(cigar)))
+        lo = hi
+    return out
 
 
 # SeedEx SW lane equivalent, run once per extension on the scalar path.

@@ -19,8 +19,8 @@ as numpy sweeps over many (read, window) lanes at once:
   ``batched_banded_sw`` writes no pointer plane and returns each lane's
   score and end cell.  Every extension that is not an exact lane is
   scored or traced through them (``ReadAligner.extend_batch``):
-  single-end runs score every DP lane and trace only the lanes their
-  records print.
+  every DP lane is scored, and only the lanes whose best path is
+  gapped are traced.
 
 The CLI's ``--kernels`` (``ParallelConfig.kernels``) selects the
 extension kernels only: ``vector`` (the default) packs lanes into the

@@ -10,9 +10,10 @@ same coordinates, same CIGAR tuples.  :func:`batched_banded_sw` is the
 score-only entry into the same sweep: it writes no pointer plane, walks
 nothing back and returns each lane's score and end cell
 (:class:`~repro.extend.traceback.LaneScore`), equal to the traceback
-entry's.  Single-end extension scores every lane with it and traces
-only the lanes a printed record reads (docs/algorithms.md, "Which lanes
-are traced").
+entry's.  Extension scores every lane with it, takes the CIGAR of each
+lane whose best path is ungapped from its score
+(:func:`repro.extend.traceback.diagonal_lanes`) and traces only the
+rest (docs/algorithms.md, "Lanes traced from their score").
 
 The sweep runs in the scalar kernel's own geometry, row by row, on
 band-relative rows: row ``i`` holds columns ``j = i - half + r``,

@@ -186,7 +186,7 @@ class _BatchRunner:
 
     Every batch is seeded by one ``seed_batch`` sweep.  ``kernels``
     decides one thing only -- the extension kernels: the batched ones
-    (score every lane, trace the printed ones), or none (one
+    (score every lane, trace the gapped ones), or none (one
     ``banded_sw_traceback`` per lane, the oracle).  The rest runs identically observed or dark, in the serial
     loop and inside pool workers.
     """

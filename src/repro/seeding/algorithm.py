@@ -250,33 +250,35 @@ def seed_batch(engine: SeedingEngine, reads: "list[np.ndarray]",
     keep them: the scheduler derives per-read exemplar counters from
     them) and flush into the metrics registry once, under a ``seed``
     span holding one ``kernels.batch`` span; a dark call touches no
-    registry.
+    registry, and without ``stats`` builds no counter columns.
     """
     params = params or SeedingParams()
     reads = list(reads)
     if not reads:
         return []
-    if stats is None:
+    observed = telemetry.enabled()
+    if stats is None and observed:
         stats = KernelBatchStats(len(reads))
     engine.begin_batch(reads)
     shortest = max(params.min_seed_len, engine.min_query_len)
-    observed = telemetry.enabled()
     before = engine.stats.as_dict() if observed else {}
     results = []
     with telemetry.span("seed"), telemetry.span("kernels.batch"):
         for i, read in enumerate(reads):
             if int(read.size) < shortest:
-                stats.short_reads += 1
+                if stats is not None:
+                    stats.short_reads += 1
                 results.append(SeedingResult())
                 continue
             engine.begin_read()
             results.append(_three_rounds(engine, read, params))
-            stats.walk_steps[i] = engine.walk_steps
-            stats.gather_nodes[i] = engine.gather_nodes
-            stats.gather_bytes[i] = engine.gather_bytes
-            stats.reseed_launches[i] = engine.reseed_launches
-            stats.last_launches[i] = engine.last_launches
-    if observed:
+            if stats is not None:
+                stats.walk_steps[i] = engine.walk_steps
+                stats.gather_nodes[i] = engine.gather_nodes
+                stats.gather_bytes[i] = engine.gather_bytes
+                stats.reseed_launches[i] = engine.reseed_launches
+                stats.last_launches[i] = engine.last_launches
+    if observed and stats is not None:
         stats.flush(before, engine.stats.as_dict(), results)
     return results
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EntryKind, ErtConfig, ErtSeedingEngine, build_ert
+from repro.core.engine import _kmer_codes
 from repro.memsim import CacheModel, MemoryTracer
 from repro.sequence import GenomeSimulator
 from repro.sequence.alphabet import encode
@@ -23,6 +24,52 @@ def test_kmer_code_packing(index):
     # Short inputs pad with A (zero bits) on the right.
     assert index.kmer_code(encode("C")) == 1 << 8
     assert index.kmer_code(encode("CA")) == 1 << 8
+
+
+def _matmul_codes(buf, k):
+    """The k-mer codes as a ``(windows, k) @ 4^(k-1..0)`` matmul."""
+    weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.lib.stride_tricks.sliding_window_view(buf, k) @ weights
+
+
+@pytest.mark.parametrize("k", range(5, 16))
+def test_kmer_codes_equal_the_matmul_form(k):
+    """The shifted-OR codes equal the matmul form over a batch buffer
+    that mixes reads shorter than k with longer ones, short reads at
+    either edge, and over each read alone."""
+    rng = np.random.default_rng(k)
+    lengths = [k - 1, 1, k, 101, k + 1, 3, 60, k - 2]
+    for order in (lengths, lengths[::-1]):
+        reads = [rng.integers(0, 4, size=n).astype(np.uint8)
+                 for n in order]
+        buf = np.concatenate(reads)
+        got = _kmer_codes(buf, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _matmul_codes(buf, k))
+        for read in reads:
+            if read.size >= k:
+                assert np.array_equal(_kmer_codes(read, k),
+                                      _matmul_codes(read, k))
+
+
+def test_prepared_batch_codes(index):
+    """A prepared batch holds each read's own codes on both strands,
+    whatever its neighbours: None for a read shorter than k."""
+    k = index.config.k
+    rng = np.random.default_rng(5)
+    reads = [rng.integers(0, 4, size=n).astype(np.uint8)
+             for n in (k - 1, 101, k, 2, 40, k + 1)]
+    engine = ErtSeedingEngine(index)
+    prepared = engine._prepare(reads)
+    for read in reads:
+        # ERT001 exception: ``reads`` pins every key's referent.
+        rc, codes, rc_codes = prepared[id(read)]  # repro: allow(ERT001)
+        assert np.array_equal(rc, (3 - read)[::-1])
+        if read.size < k:
+            assert codes is None and rc_codes is None
+        else:
+            assert np.array_equal(codes, _matmul_codes(read, k))
+            assert np.array_equal(rc_codes, _matmul_codes(rc, k))
 
 
 def test_prefix_count_matches_tables(index):
