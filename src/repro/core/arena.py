@@ -186,7 +186,7 @@ class ArenaCursor:
                  "entry_kind", "prefix_counts", "roots", "table_slot",
                  "jt_matched", "jt_lep", "jt_node", "jt_within", "jt_depth",
                  "jt_count", "kind", "kids", "off", "count", "chars_len",
-                 "pos_off", "pool", "chars", "text")
+                 "pos_off", "pool", "chars", "text", "set_bits")
 
     def __init__(self, index: ErtIndex) -> None:
         flat = index.flat
@@ -218,6 +218,11 @@ class ArenaCursor:
         self.pool = memoryview(flat.pool)
         self.chars = flat.chars_pool.tobytes()
         self.text = index.text.astype(np.uint8).tobytes()
+        #: ``bits -> the positions of its set bits``, ascending: the LEP
+        #: offsets a ``lep_bits`` or ``jt_lep`` value encodes, filled by
+        #: :func:`~repro.core.walk.walk` as it meets values (one entry
+        #: per distinct value met).
+        self.set_bits: "dict[int, tuple[int, ...]]" = {}
 
     def children(self, nid: int) -> "list[int]":
         """The children of DIVERGE node ``nid``, in character order."""

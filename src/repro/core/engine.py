@@ -198,25 +198,12 @@ class ErtSeedingEngine(SeedingEngine):
     # ------------------------------------------------------------------
     # Walks and hit lists
     # ------------------------------------------------------------------
-
-    # repro: hot -- one call per search.
-    def _walk(self, seq: bytes, codes: "memoryview | None", start: int,
-              stop: int, min_hits: int = 1,
-              leps: "list[int] | None" = None, jump: bool = False,
-              min_len: int = 0, max_intv: int = 0
-              ) -> "tuple[int, int, int, FetchModel | None]":
-        """One :func:`walk`, through the fetch model when the index has
-        a tracer or reuse cache attached; returns ``(end, node, count,
-        fetch model or None)``."""
-        index = self.index
-        fetch = (None if index.tracer is None and index.reuse_cache is None
-                 else self._fetch)
-        end, nid, count, steps = walk(self._cursor, seq, codes, start, stop,
-                                      min_hits, leps, jump, min_len,
-                                      max_intv, fetch)
-        self.stats.index_lookups += 1
-        self.walk_steps += steps
-        return end, nid, count, fetch
+    #
+    # Each search below is one :func:`walk` called directly: it reads
+    # the current read's strands without a method call, passes the fetch
+    # model only when the index has a tracer or reuse cache attached
+    # (decided per walk), and counts the walk into ``index_lookups``
+    # and ``walk_steps``.
 
     def _charge_gather(self, count: int, nid: int,
                        fetch: FetchModel) -> int:
@@ -228,47 +215,47 @@ class ErtSeedingEngine(SeedingEngine):
         fetch.gather(nid)
         return nid
 
-    def _gather(self, nid: int, reverse: bool, length: int) -> "list[int]":
-        """The sorted forward-strand hits of node ``nid``: its subtree is
-        one contiguous run of the Euler pool."""
-        cursor = self._cursor
-        off = cursor.pos_off[nid]
-        run = cursor.pool[off:off + cursor.count[nid]]
-        self.gather_nodes += 1
-        self.gather_bytes += run.nbytes
-        if not reverse:
-            return sorted(run)
-        # An occurrence of the reverse-complemented segment at ``t`` is
-        # an occurrence of the segment itself at ``2N - t - L``.
-        flip = len(cursor.text) - length
-        return [flip - t for t in sorted(run, reverse=True)]
-
     # ------------------------------------------------------------------
     # Engine interface
     # ------------------------------------------------------------------
 
+    # repro: hot -- one walk per pivot.
     def forward_search(self, read: np.ndarray, start: int,
                        min_hits: int = 1) -> ForwardSearch:
-        strands = self._strands(read)
+        strands = (self._current if read is self._read
+                   else self._strands(read))
         if min_hits > 1:  # only reseeding asks for more than one hit
             self.reseed_launches += 1
+        index = self.index
+        fetch = (None if index.tracer is None and index.reuse_cache is None
+                 else self._fetch)
         leps: "list[int]" = []
-        end = self._walk(strands.seq, strands.codes, start, strands.n,
-                         min_hits, leps, min_hits == 1)[0]
+        end, _, _, steps = walk(
+            self._cursor, strands.seq, strands.codes, start, strands.n,
+            min_hits, leps, min_hits == 1, 0, 0, fetch)
+        self.stats.index_lookups += 1
+        self.walk_steps += steps
         if end <= start:
             return ForwardSearch(start, start, ())
         return ForwardSearch(start, end, tuple(leps))
 
+    # repro: hot -- one walk per backward search.
     def backward_search(self, read: np.ndarray, end: int,
                         min_hits: int = 1) -> int:
         """Maximal left extension of the segment ending at ``end``: a
         forward walk of the reverse-complemented read (§III-A3 step 6),
         whose node is cached for ``locate``."""
-        strands = self._strands(read)
+        strands = (self._current if read is self._read
+                   else self._strands(read))
+        index = self.index
+        fetch = (None if index.tracer is None and index.reuse_cache is None
+                 else self._fetch)
         q = strands.n - end
-        rc_end, nid, count, fetch = self._walk(
-            strands.rc, strands.rc_codes, q, strands.n, min_hits, None,
-            min_hits == 1)
+        rc_end, nid, count, steps = walk(
+            self._cursor, strands.rc, strands.rc_codes, q, strands.n,
+            min_hits, None, min_hits == 1, 0, 0, fetch)
+        self.stats.index_lookups += 1
+        self.walk_steps += steps
         s = end - (rc_end - q)
         if nid >= 0:
             if fetch is not None:
@@ -276,11 +263,15 @@ class ErtSeedingEngine(SeedingEngine):
             self._hits[(strands.key, s, end)] = (count, nid, True)
         return s
 
+    # repro: hot -- one walk per segment longer than k.
     def count(self, read: np.ndarray, start: int, end: int) -> int:
         """A segment of at most k characters is answered from the
         prefix-count tables (the length-k one is the k-mer counts), as
         the walk's reseed probe reads them; a longer one is walked."""
-        strands = self._strands(read)
+        strands = (self._current if read is self._read
+                   else self._strands(read))
+        index = self.index
+        traced = index.tracer is not None or index.reuse_cache is not None
         length = end - start
         if length <= self.min_query_len:
             if length < 1:
@@ -288,18 +279,26 @@ class ErtSeedingEngine(SeedingEngine):
             value = 0
             for c in strands.seq[start:end]:
                 value = (value << 2) | c
-            index = self.index
-            if index.tracer is not None or index.reuse_cache is not None:
+            if traced:
                 self._fetch.probe(length, value)
             return self._cursor.prefix_counts[length - 1][value]
-        reached, nid, count, _ = self._walk(strands.seq, strands.codes,
-                                            start, end)
+        reached, nid, count, steps = walk(
+            self._cursor, strands.seq, strands.codes, start, end, 1, None,
+            False, 0, 0, self._fetch if traced else None)
+        self.stats.index_lookups += 1
+        self.walk_steps += steps
         return count if reached == end and nid >= 0 else 0
 
+    # repro: hot -- one call per emitted seed.
     def locate(self, read: np.ndarray, start: int, end: int,
                limit: "int | None" = None) -> "tuple[int, list[int]]":
-        strands = self._strands(read)
+        """The hits of a segment a search ended on are one slice of the
+        Euler pool at the node it cached (a node's subtree is one
+        contiguous run); any other segment is walked first."""
+        strands = (self._current if read is self._read
+                   else self._strands(read))
         cached = self._hits.get((strands.key, start, end))
+        nid = -1
         if cached is not None:
             count = cached[0]
             if limit is not None and count > limit:
@@ -307,33 +306,57 @@ class ErtSeedingEngine(SeedingEngine):
                 return count, []
             if len(cached) == 2:  # a merged pair's explicit hits
                 return count, list(cached[1])
-            if cached[1] >= 0:
-                return count, self._gather(cached[1], cached[2],
-                                           end - start)
-        k = self.min_query_len
-        if end - start < k:
-            raise ValueError(
-                f"ERT locate needs segments of at least k={k} characters; "
-                f"got [{start}, {end}) -- use min_seed_len >= k")
-        reached, nid, count, fetch = self._walk(strands.seq, strands.codes,
-                                                start, end)
-        if reached != end or nid < 0:
-            raise RuntimeError(f"segment [{start}, {end}) does not occur")
-        if limit is not None and count > limit:
-            self.stats.truncated_hit_lists += 1
-            return count, []
-        if fetch is not None:
-            fetch.gather(nid)
-        return count, self._gather(nid, False, end - start)
+            nid, reverse = cached[1], cached[2]
+        if nid < 0:
+            k = self.min_query_len
+            if end - start < k:
+                raise ValueError(
+                    f"ERT locate needs segments of at least k={k} "
+                    f"characters; got [{start}, {end}) -- use "
+                    f"min_seed_len >= k")
+            index = self.index
+            fetch = (None if index.tracer is None
+                     and index.reuse_cache is None else self._fetch)
+            reached, nid, count, steps = walk(
+                self._cursor, strands.seq, strands.codes, start, end, 1,
+                None, False, 0, 0, fetch)
+            self.stats.index_lookups += 1
+            self.walk_steps += steps
+            if reached != end or nid < 0:
+                raise RuntimeError(f"segment [{start}, {end}) does not occur")
+            if limit is not None and count > limit:
+                self.stats.truncated_hit_lists += 1
+                return count, []
+            if fetch is not None:
+                fetch.gather(nid)
+            reverse = False
+        cursor = self._cursor
+        off = cursor.pos_off[nid]
+        run = cursor.pool[off:off + cursor.count[nid]]
+        self.gather_nodes += 1
+        self.gather_bytes += run.nbytes
+        if not reverse:
+            return count, sorted(run)
+        # An occurrence of the reverse-complemented segment at ``t`` is
+        # an occurrence of the segment itself at ``2N - t - L``.
+        flip = len(cursor.text) - (end - start)
+        return count, [flip - t for t in sorted(run, reverse=True)]
 
+    # repro: hot -- one walk per LAST launch.
     def last_seed(self, read: np.ndarray, start: int, min_len: int,
                   max_intv: int) -> "tuple[int, int] | None":
-        strands = self._strands(read)
+        strands = (self._current if read is self._read
+                   else self._strands(read))
         if strands.n - start < self.min_query_len:
             return None
-        end, nid, count, fetch = self._walk(
-            strands.seq, strands.codes, start, strands.n, 1, None, False,
-            min_len, max_intv)
+        index = self.index
+        fetch = (None if index.tracer is None and index.reuse_cache is None
+                 else self._fetch)
+        end, nid, count, steps = walk(
+            self._cursor, strands.seq, strands.codes, start, strands.n, 1,
+            None, False, min_len, max_intv, fetch)
+        self.stats.index_lookups += 1
+        self.walk_steps += steps
         if nid < 0:  # the k-mer itself is absent: nothing was launched
             return None
         self.last_launches += 1
@@ -351,15 +374,15 @@ class ErtSeedingEngine(SeedingEngine):
     def backward_sweep(self, read: np.ndarray, leps: "tuple[int, ...]",
                        min_hits: int, prev_pivot: int,
                        use_pruning: bool) -> "list[Mem]":
-        if not self.index.config.prefix_merging:
-            return super().backward_sweep(read, leps, min_hits, prev_pivot,
-                                          use_pruning)
+        """The base class's sweep when prefix merging is off (no LEP
+        pair is merged); with it on, adjacent LEPs ``p - 1``, ``p`` are
+        resolved as a pair (:meth:`_merged_pair`)."""
+        merging = self.index.config.prefix_merging
         mems: "list[Mem]" = []
         idx = len(leps) - 1
         while idx >= 0:
             p = leps[idx]
-            pair = idx >= 1 and leps[idx - 1] == p - 1
-            if pair:
+            if merging and idx >= 1 and leps[idx - 1] == p - 1:
                 consumed, s = self._merged_pair(read, p, min_hits, mems)
             else:
                 consumed = 1
@@ -389,8 +412,7 @@ class ErtSeedingEngine(SeedingEngine):
         # The hardware has the hits at hand only when it gathered them.
         if cached is not None and cached[0] <= self.gather_limit:
             length1 = (p - 1) - s1
-            hits1 = (cached[1] if len(cached) == 2
-                     else self._gather(cached[1], cached[2], length1))
+            hits1 = self.locate(read, s1, p - 1)[1]
             text = self._cursor.text
             # Prefix-character check: which occurrences of read[s1:p-1]
             # are followed by read[p-1]?  (Stored per leaf as 2-bit prefix

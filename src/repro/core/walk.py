@@ -213,6 +213,13 @@ class FetchModel:
         return parent
 
 
+def _set_bits(cursor: ArenaCursor, bits: int) -> "tuple[int, ...]":
+    """Fill ``cursor.set_bits[bits]``."""
+    positions = cursor.set_bits[bits] = tuple(
+        t for t in range(bits.bit_length()) if (bits >> t) & 1)
+    return positions
+
+
 # repro: hot -- one call per search, one iteration per node visit.
 def walk(cursor: ArenaCursor, seq: bytes, codes: "Sequence[int] | None",
          start: int, stop: int, min_hits: int = 1,
@@ -259,8 +266,12 @@ def walk(cursor: ArenaCursor, seq: bytes, codes: "Sequence[int] | None",
             matched = tail
         if leps is not None and matched > 1:
             bits = cursor.lep_bits[code]
-            leps.extend(start + l for l in range(1, matched)
-                        if (bits >> (l - 1)) & 1)
+            if bits:  # bit l - 1: an LEP at start + l, for l < matched
+                for t in (cursor.set_bits.get(bits)
+                          or _set_bits(cursor, bits)):
+                    if t >= matched - 1:
+                        break
+                    leps.append(start + 1 + t)
     else:
         # Reseeding: the entry's change bits carry no counts, so consult
         # the prefix-count tables (the length-k one is the k-mer counts).
@@ -292,8 +303,12 @@ def walk(cursor: ArenaCursor, seq: bytes, codes: "Sequence[int] | None",
             landed = cursor.jt_matched[j]
             if leps is not None:
                 bits = cursor.jt_lep[j]
-                leps.extend(pos + t for t in range(landed)
-                            if (bits >> t) & 1)
+                if bits:  # bit t: an LEP at pos + t, for t < landed
+                    for t in (cursor.set_bits.get(bits)
+                              or _set_bits(cursor, bits)):
+                        if t >= landed:
+                            break
+                        leps.append(pos + t)
             pos += landed
             if landed == x:
                 nid = cursor.jt_node[j]

@@ -10,7 +10,7 @@ workload that the SeedEx model (Table VI) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from repro.sequence.reference import Reference, Strand
 MAX_CHAINS_EXTENDED = 8
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """One candidate placement of one read: the score, strand, forward
     coordinate of the first aligned reference base and CIGAR (soft clips
     included) of one lane."""

@@ -16,7 +16,7 @@ alignment for every lane whose best path is ungapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +30,7 @@ _STOP, _DIAG, _FROM_E, _FROM_F = 0, 1, 2, 3
 _RUN_OPS = np.array(["X", "M"], dtype=object)
 
 
-@dataclass(frozen=True)
-class TracedAlignment:
+class TracedAlignment(NamedTuple):
     """A local alignment with its operation string.
 
     ``cigar`` is a list of ``(op, length)`` with ops in ``M=X I D S``
@@ -52,8 +51,7 @@ class TracedAlignment:
         return self.score > 0
 
 
-@dataclass(frozen=True)
-class LaneScore:
+class LaneScore(NamedTuple):
     """A lane's score and best cell, without the walk that would give
     its start and CIGAR: what a score-only sweep
     (:func:`repro.kernels.traceback.batched_banded_sw`) returns.  The
@@ -141,8 +139,7 @@ def diagonal_lanes(queries: np.ndarray, targets: "list[np.ndarray]",
     unaligned = TracedAlignment(0, 0, 0, 0, 0, _merge([("S", m)]))
     if not B or not m:
         return [unaligned] * B
-    best, i, j = np.array([(s.score, s.query_end, s.target_end)
-                           for s in scored], dtype=np.int64).T
+    best, i, j = np.array(scored, dtype=np.int64).reshape(B, 3).T
     rows = np.arange(B)
     # Column t - 1 of lane b's row holds the bases its walk meets t
     # cells back, query[i - t] and target[j - t]: one row gather each

@@ -37,6 +37,7 @@ bit-equivalence guarantee between FMD-index and ERT seeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from repro.seeding.types import Mem, Seed, SeedingResult
 #: SMEMs at least ``min_seed_len * SPLIT_FACTOR`` long are reseeded
 #: (BWA-MEM's ``split_factor``).
 SPLIT_FACTOR = 1.5
+#: :class:`Mem` field keys.
+_START, _END = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,16 @@ class SeedingParams:
 
 
 def filter_contained(mems: "list[Mem]") -> "list[Mem]":
-    """Drop MEMs fully contained in another MEM (SMEM condition)."""
+    """Drop MEMs fully contained in another MEM (SMEM condition).
+
+    Visits the distinct MEMs in ``(start, -end)`` order -- two stable
+    sorts on C-level keys, by end descending and then by start -- so a
+    MEM is contained in an earlier one iff its end is not past theirs."""
+    ordered = sorted(set(mems), key=_END, reverse=True)
+    ordered.sort(key=_START)
     out = []
     max_end = -1
-    for mem in sorted(set(mems), key=lambda m: (m.start, -m.end)):
+    for mem in ordered:
         if mem.end > max_end:
             out.append(mem)
             max_end = mem.end
@@ -102,7 +111,7 @@ def generate_smems(engine: SeedingEngine, read: np.ndarray,
     while x < n:
         forward = engine.forward_search(read, x)
         engine.stats.forward_searches += 1
-        if forward.is_empty:
+        if forward.end <= x:
             # No match can cross a below-threshold character, so an
             # empty forward search moves the barrier past it.
             x = prev_pivot = x + 1
@@ -113,19 +122,17 @@ def generate_smems(engine: SeedingEngine, read: np.ndarray,
     return filter_contained(mems)
 
 
-def _make_seed(engine: SeedingEngine, read: np.ndarray, mem: Mem,
-               params: SeedingParams) -> Seed:
-    count, hits = engine.locate(read, mem.start, mem.end,
-                                params.max_hits_per_seed)
-    return Seed(read_start=mem.start, length=mem.length,
-                hits=tuple(hits), hit_count=count)
-
-
 def smems_to_seeds(engine: SeedingEngine, read: np.ndarray,
                    mems: "list[Mem]", params: SeedingParams) -> "list[Seed]":
-    """Round-1 seed emission: length filter plus hit lookup."""
-    return [_make_seed(engine, read, m, params) for m in mems
-            if m.length >= params.min_seed_len]
+    """Round-1 seed emission: length filter plus hit lookup (one
+    ``locate`` per emitted seed, as in every round)."""
+    out = []
+    for start, end in mems:
+        if end - start >= params.min_seed_len:
+            count, hits = engine.locate(read, start, end,
+                                        params.max_hits_per_seed)
+            out.append(Seed(start, end - start, tuple(hits), count))
+    return out
 
 
 def _reseed_mems(engine: SeedingEngine, read: np.ndarray, pivot: int,
@@ -155,15 +162,16 @@ def reseed_round(engine: SeedingEngine, read: np.ndarray,
     """Round 2: reseed long, low-occurrence SMEMs from their midpoint,
     requiring strictly more hits than the SMEM itself had."""
     out = []
-    for seed in smem_seeds:
-        if (seed.length >= params.split_len
-                and seed.hit_count <= params.split_width):
-            mid = (seed.read_start + seed.read_end) // 2
-            extra = _reseed_mems(engine, read, mid, seed.hit_count + 1,
-                                 params)
-            out.extend(_make_seed(engine, read, mem, params)
-                       for mem in extra
-                       if mem.length >= params.min_seed_len)
+    split_len = params.split_len
+    for read_start, length, _hits, hit_count in smem_seeds:
+        if length >= split_len and hit_count <= params.split_width:
+            mid = read_start + length // 2
+            for start, end in _reseed_mems(engine, read, mid, hit_count + 1,
+                                           params):
+                if end - start >= params.min_seed_len:
+                    count, hits = engine.locate(read, start, end,
+                                                params.max_hits_per_seed)
+                    out.append(Seed(start, end - start, tuple(hits), count))
     return out
 
 
@@ -177,14 +185,15 @@ def last_round(engine: SeedingEngine, read: np.ndarray,
     n = int(read.size)
     stop = n - params.min_seed_len + 1  # launches start before ``stop``
     prune = params.use_pruning
+    n_smems = len(smems)
     j = 0  # smems[:j] start at or before x; ``reach`` is then E(x)
     while x < stop:
         if prune:
-            while j < len(smems) and smems[j].start <= x:
+            while j < n_smems and smems[j].start <= x:
                 j += 1
             reach = smems[j - 1].end if j else x
             if reach - x < params.min_seed_len:
-                nxt = min(smems[j].start if j < len(smems) else stop, stop)
+                nxt = min(smems[j].start if j < n_smems else stop, stop)
                 engine.stats.pruned_last_launches += nxt - x
                 x = nxt
                 continue
@@ -196,8 +205,9 @@ def last_round(engine: SeedingEngine, read: np.ndarray,
                 break
             x += 1
             continue
-        end, _count = found
-        out.append(_make_seed(engine, read, Mem(x, end), params))
+        end = found[0]
+        count, hits = engine.locate(read, x, end, params.max_hits_per_seed)
+        out.append(Seed(x, end - x, tuple(hits), count))
         x = end
     return out
 
@@ -244,42 +254,56 @@ def seed_batch(engine: SeedingEngine, reads: "list[np.ndarray]",
     length fits in them, and engine primitives (the ERT walk in
     particular) reject segments shorter than ``k``.  A read's searches
     do not depend on its batch mates, so its result and its work
-    counters are the same in any batch.
+    counters are the same in any batch.  A batch of two or more reads
+    is prepared at once (:meth:`~repro.seeding.engine.SeedingEngine.
+    begin_batch`); a one-read call (``seed_read``) skips that hook,
+    whose per-read preparation the engine does on first use anyway.
 
     The engine's per-read work counters land in ``stats`` (pass one to
     keep them: the scheduler derives per-read exemplar counters from
     them) and flush into the metrics registry once, under a ``seed``
-    span holding one ``kernels.batch`` span; a dark call touches no
-    registry, and without ``stats`` builds no counter columns.
+    span holding one ``kernels.batch`` span; a dark call opens no span,
+    touches no registry, and without ``stats`` builds no counter
+    columns.
     """
     params = params or SeedingParams()
     reads = list(reads)
     if not reads:
         return []
-    observed = telemetry.enabled()
-    if stats is None and observed:
+    if len(reads) > 1:  # a lone read is prepared on first use anyway
+        engine.begin_batch(reads)
+    if not telemetry.enabled():
+        return _seed_reads(engine, reads, params, stats)
+    if stats is None:
         stats = KernelBatchStats(len(reads))
-    engine.begin_batch(reads)
-    shortest = max(params.min_seed_len, engine.min_query_len)
-    before = engine.stats.as_dict() if observed else {}
-    results = []
+    before = engine.stats.as_dict()
     with telemetry.span("seed"), telemetry.span("kernels.batch"):
-        for i, read in enumerate(reads):
-            if int(read.size) < shortest:
-                if stats is not None:
-                    stats.short_reads += 1
-                results.append(SeedingResult())
-                continue
-            engine.begin_read()
-            results.append(_three_rounds(engine, read, params))
+        results = _seed_reads(engine, reads, params, stats)
+    stats.flush(before, engine.stats.as_dict(), results)
+    return results
+
+
+def _seed_reads(engine: SeedingEngine, reads: "list[np.ndarray]",
+                params: SeedingParams,
+                stats: "KernelBatchStats | None") -> "list[SeedingResult]":
+    """:func:`seed_batch`'s loop: each read's three rounds, and its work
+    counters into ``stats`` when given."""
+    shortest = max(params.min_seed_len, engine.min_query_len)
+    results = []
+    for i, read in enumerate(reads):
+        if int(read.size) < shortest:
             if stats is not None:
-                stats.walk_steps[i] = engine.walk_steps
-                stats.gather_nodes[i] = engine.gather_nodes
-                stats.gather_bytes[i] = engine.gather_bytes
-                stats.reseed_launches[i] = engine.reseed_launches
-                stats.last_launches[i] = engine.last_launches
-    if observed and stats is not None:
-        stats.flush(before, engine.stats.as_dict(), results)
+                stats.short_reads += 1
+            results.append(SeedingResult())
+            continue
+        engine.begin_read()
+        results.append(_three_rounds(engine, read, params))
+        if stats is not None:
+            stats.walk_steps[i] = engine.walk_steps
+            stats.gather_nodes[i] = engine.gather_nodes
+            stats.gather_bytes[i] = engine.gather_bytes
+            stats.reseed_launches[i] = engine.reseed_launches
+            stats.last_launches[i] = engine.last_launches
     return results
 
 

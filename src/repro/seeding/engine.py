@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.seeding.types import Mem
 
 
-@dataclass(frozen=True)
-class ForwardSearch:
+class ForwardSearch(NamedTuple):
     """Result of a forward search from a pivot.
 
     ``end``: exclusive end of the longest match starting at the pivot

@@ -1,20 +1,21 @@
-"""Core value types shared across seeding engines."""
+"""Core value types shared across seeding engines.
+
+The per-search values (:class:`Mem`, :class:`Seed` and
+:class:`~repro.seeding.engine.ForwardSearch`) are ``NamedTuple``\\ s: a
+read makes about twenty of them, and a tuple costs one Python-level call
+to build and none to hash, compare or read.  Equality, hash and order
+are those of the field tuple.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Mem:
-    """A maximal exact match in read coordinates: ``read[start:end]``."""
-
+class _MemFields(NamedTuple):
     start: int
     end: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid MEM interval [{self.start}, {self.end})")
 
     @property
     def length(self) -> int:
@@ -25,8 +26,26 @@ class Mem:
         return self.start <= other.start and other.end <= self.end
 
 
-@dataclass(frozen=True)
-class Seed:
+class Mem(_MemFields):
+    """A maximal exact match in read coordinates: ``read[start:end]``.
+
+    Construction, ``_make`` / ``_replace`` and unpickling all refuse an
+    interval that is not ``0 <= start < end``."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> "Mem":
+        if not 0 <= start < end:
+            raise ValueError(f"invalid MEM interval [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[int]") -> "Mem":
+        return cls(*iterable)
+
+
+class Seed(NamedTuple):
     """A seed in the output format the paper's accelerator emits (§IV-E):
     (seed start position in read, seed length, list of hits in ``X``).
 

@@ -1,6 +1,8 @@
 """Tests for the canonical three-round seeding algorithm."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.seeding import Mem, SeedingParams, generate_smems, seed_read
 from repro.seeding.algorithm import filter_contained
@@ -22,6 +24,23 @@ def test_filter_contained_same_start():
 
 def test_filter_contained_empty():
     assert filter_contained([]) == []
+
+
+def _brute_force_filter(mems):
+    """The SMEM condition by definition: the distinct MEMs not contained
+    in another one, ordered by ``(start, -end)``."""
+    distinct = set(mems)
+    kept = [m for m in distinct
+            if not any(o != m and o.contains(m) for o in distinct)]
+    return sorted(kept, key=lambda m: (m.start, -m.end))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 12)),
+                max_size=14))
+def test_filter_contained_equals_brute_force(spans):
+    mems = [Mem(start, start + length) for start, length in spans]
+    assert filter_contained(mems) == _brute_force_filter(mems)
 
 
 def test_split_len():

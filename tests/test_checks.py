@@ -275,7 +275,11 @@ def test_ert_repro_check_subcommand():
 #: Each carries its own ``# repro: hot``: ERT007 looks at one function at
 #: a time.
 HOT_FUNCTIONS = (
-    ("core/engine.py", "_walk"),
+    ("core/engine.py", "forward_search"),
+    ("core/engine.py", "backward_search"),
+    ("core/engine.py", "count"),
+    ("core/engine.py", "locate"),
+    ("core/engine.py", "last_seed"),
     ("core/walk.py", "walk"),
     ("core/walk.py", "entry"),
     ("core/walk.py", "root"),
