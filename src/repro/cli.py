@@ -67,8 +67,12 @@ When :func:`main` runs the process's own command line (no ``argv``:
 with the command, so ``seed`` / ``align`` / ``align-pe`` freeze the
 start-up heap (``gc.freeze``) once the index is loaded: the
 run, its forked workers and the interpreter's exit stop re-scanning the
-numpy and repro modules' objects.  A call with an ``argv`` list leaves
-the caller's collector as it found it.
+numpy and repro modules' objects.  Cyclic collection is off from
+:func:`main`'s entry until that freeze point (the objects start-up
+makes are frozen there anyway, so collecting them first buys nothing),
+and every other subcommand turns it back on once its arguments are
+parsed.  A call with an ``argv`` list leaves the caller's collector as
+it found it.
 
 Start-up is paid on every invocation, so this module imports only what
 :func:`build_parser` needs; each handler imports what it runs
@@ -82,6 +86,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import importlib
 import os
 import stat
@@ -696,9 +701,8 @@ def _cmd_run(args) -> int:
              if args.command == "align-pe" else {})
     active = _telemetry_begin(args)
     if args.process_exits:
-        import gc
-
         gc.freeze()
+        gc.enable()
     stats = EngineStats()
     count = 0
     try:
@@ -946,8 +950,12 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv and argv[0] in _DELEGATED:
         module = importlib.import_module(_DELEGATED[argv[0]][0])
         return module.main(argv[1:])
+    if own_command_line:
+        gc.disable()
     args = build_parser().parse_args(argv)
     args.process_exits = own_command_line
+    if own_command_line and _COMMANDS[args.command] is not _cmd_run:
+        gc.enable()
     try:
         return _COMMANDS[args.command](args)
     except _input_errors() as exc:

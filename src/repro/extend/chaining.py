@@ -6,11 +6,18 @@ reference position and greedily merged into an existing chain when they
 are colinear with its last anchor within a gap limit; otherwise they open
 a new chain.  Chains are scored by their covered read length and returned
 best-first.
+
+Chaining runs once per read on a handful of anchors, so it is bound by
+interpreter calls, not arithmetic: anchors are plain tuples, each open
+chain keeps its last anchor as ints, and a chain's score and starts are
+computed once, when it is made (docs/performance.md, "Alignment: calls
+per read and start-up collection").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from repro.seeding.types import Seed
 
@@ -21,88 +28,87 @@ MAX_DIAG_DRIFT = 20
 #: Chains kept per read, best first.
 MAX_CHAINS = 50
 
+_new = tuple.__new__
+_REF_START = attrgetter("ref_start")
+_SCORE = attrgetter("score")
 
-@dataclass(frozen=True)
-class Anchor:
+
+class Anchor(NamedTuple):
     """One (read position, reference position, length) seed occurrence."""
 
     read_start: int
     ref_start: int
     length: int
 
-    @property
-    def read_end(self) -> int:
-        return self.read_start + self.length
 
-    @property
-    def ref_end(self) -> int:
-        return self.ref_start + self.length
-
-    @property
-    def diagonal(self) -> int:
-        return self.ref_start - self.read_start
-
-
-@dataclass
 class Chain:
-    """A colinear group of anchors."""
+    """A colinear group of anchors, with its score and starts."""
 
-    anchors: "list[Anchor]" = field(default_factory=list)
+    __slots__ = ("anchors", "score", "ref_start", "read_start", "diagonal")
 
-    @property
-    def score(self) -> int:
-        """Read-bases covered by the chain's anchors (merged intervals)."""
-        spans = sorted((a.read_start, a.read_end) for a in self.anchors)
+    def __init__(self, anchors: "list[Anchor]") -> None:
+        self.anchors = anchors
+        first = anchors[0]
+        self.diagonal = first[1] - first[0]
+        self.ref_start = min(map(itemgetter(1), anchors))
+        # Read-bases covered by the anchors (merged intervals); the
+        # anchors sort by read start first.
+        spans = sorted(anchors)
+        self.read_start = cur_start = cur_end = spans[0][0]
         covered = 0
-        cur_start, cur_end = spans[0]
-        for start, end in spans[1:]:
+        for start, _, length in spans:
+            end = start + length
             if start > cur_end:
                 covered += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        return covered + cur_end - cur_start
+                cur_start = start
+                cur_end = end
+            elif end > cur_end:
+                cur_end = end
+        self.score = covered + cur_end - cur_start
 
-    @property
-    def ref_start(self) -> int:
-        return min(a.ref_start for a in self.anchors)
-
-    @property
-    def read_start(self) -> int:
-        return min(a.read_start for a in self.anchors)
-
-    @property
-    def diagonal(self) -> int:
-        return self.anchors[0].diagonal
-
-    def can_absorb(self, anchor: Anchor) -> bool:
-        last = self.anchors[-1]
-        if abs(anchor.diagonal - last.diagonal) > MAX_DIAG_DRIFT:
-            return False
-        if anchor.ref_start < last.ref_start:
-            return False
-        gap = anchor.ref_start - last.ref_end
-        read_gap = anchor.read_start - last.read_end
-        return gap <= MAX_GAP and read_gap <= MAX_GAP
+    def __repr__(self) -> str:
+        return f"Chain(anchors={self.anchors!r})"
 
 
+# repro: hot -- one call per read, one iteration per anchor and open chain.
 def chain_seeds(seeds: "list[Seed]") -> "list[Chain]":
     """Group seed hits into colinear chains, the best :data:`MAX_CHAINS`
     by score first.
 
+    An anchor joins the first chain, in creation order, whose last
+    anchor it follows within :data:`MAX_GAP` on the read and the
+    reference and :data:`MAX_DIAG_DRIFT` on the diagonal; anchors are
+    taken in ``(ref_start, read_start)`` order, so none starts before
+    the last anchor of any chain on the reference.  Ties in score keep
+    the leftmost chain first, then creation order.
+
     Seeds whose hit lists were truncated by the locate limit contribute
     nothing (BWA similarly skips ultra-repetitive seeds before chaining).
     """
-    anchors = [Anchor(seed.read_start, hit, seed.length)
+    anchors = [_new(Anchor, (seed.read_start, hit, seed.length))
                for seed in seeds for hit in seed.hits]
-    anchors.sort(key=lambda a: (a.ref_start, a.read_start))
-    chains: "list[Chain]" = []
+    anchors.sort(key=itemgetter(1, 0))
+    drift = MAX_DIAG_DRIFT
+    max_gap = MAX_GAP
+    # One [diagonal, ref end, read end, anchors] per open chain: its
+    # last anchor as ints.
+    open_chains: "list[list]" = []
     for anchor in anchors:
-        for chain in chains:
-            if chain.can_absorb(anchor):
-                chain.anchors.append(anchor)
+        read_start, ref_start, length = anchor
+        diagonal = ref_start - read_start
+        for last in open_chains:
+            if (-drift <= diagonal - last[0] <= drift
+                    and ref_start - last[1] <= max_gap
+                    and read_start - last[2] <= max_gap):
+                last[0] = diagonal
+                last[1] = ref_start + length
+                last[2] = read_start + length
+                last[3].append(anchor)
                 break
         else:
-            chains.append(Chain(anchors=[anchor]))
-    chains.sort(key=lambda c: (-c.score, c.ref_start))
+            open_chains.append([diagonal, ref_start + length,
+                                read_start + length, [anchor]])
+    chains = [Chain(last[3]) for last in open_chains]
+    chains.sort(key=_REF_START)
+    chains.sort(key=_SCORE, reverse=True)
     return chains[:MAX_CHAINS]

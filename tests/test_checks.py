@@ -288,6 +288,7 @@ HOT_FUNCTIONS = (
     ("core/walk.py", "ref"),
     ("core/walk.py", "gather"),
     ("core/walk.py", "_fetch"),
+    ("extend/chaining.py", "chain_seeds"),
     ("extend/traceback.py", "banded_sw_traceback"),
     ("extend/smith_waterman.py", "__init__"),
     ("memsim/cache.py", "lookup"),

@@ -923,22 +923,36 @@ def test_two_worker_run_maps_the_file_and_leaves_nothing_behind(
 
 
 #: ``main()`` on the process's own command line, as ``python -m
-#: repro.cli`` and the ``ert-repro`` script call it; prints the freeze
-#: count it leaves.
+#: repro.cli`` and the ``ert-repro`` script call it; prints the exit
+#: status, the freeze count and whether cyclic collection is on.
 _OWN_COMMAND_LINE = """\
 import gc, sys
 import repro.cli
 sys.argv = ["ert-repro"] + sys.argv[1:]
 status = repro.cli.main()
-print(status, gc.get_freeze_count())
+print(status, gc.get_freeze_count(), gc.isenabled())
 """
+
+
+def _own_command_line(argv) -> "tuple[str, int, str]":
+    """``(status, freeze count, collector on)`` after ``main()`` runs
+    ``argv`` as a process's own command line."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _OWN_COMMAND_LINE] + [str(a) for a in argv],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
+    assert proc.returncode == 0, proc.stderr
+    status, frozen, enabled = proc.stdout.split()[-3:]
+    return status, int(frozen), enabled
 
 
 def test_heap_freeze_is_left_only_by_a_run_that_ends_the_process(
         workspace, tmp_path, capsys):
     """A run of the process's own command line freezes the start-up heap
-    for good; ``main(argv)`` called in-process leaves the caller's
-    collector as it found it, frozen objects and all."""
+    for good (``test_collection_is_off_only_until_the_freeze_point``);
+    ``main(argv)`` called in-process leaves the caller's collector as it
+    found it, frozen objects and all."""
     import gc
 
     _root, _ref, reads, index = workspace
@@ -952,14 +966,43 @@ def test_heap_freeze_is_left_only_by_a_run_that_ends_the_process(
     finally:
         gc.unfreeze()
     capsys.readouterr()
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _OWN_COMMAND_LINE] + argv,
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
-    assert proc.returncode == 0, proc.stderr
-    status, frozen = proc.stdout.split()[-2:]
-    assert status == "0" and int(frozen) > 0
+
+
+def test_collection_is_off_only_until_the_freeze_point(workspace, tmp_path):
+    """The process's own command line runs with cyclic collection off
+    from ``main``'s entry to the freeze point, so an ``align`` ends with
+    it on and the start-up heap frozen, and ``build-index``, which has
+    no freeze point, turns it back on once its arguments are parsed."""
+    _root, ref, reads, index = workspace
+    status, frozen, enabled = _own_command_line(
+        ["align", "--index", index, "--reads", reads,
+         "--out", tmp_path / "out.sam", "--workers", "1"])
+    assert (status, enabled) == ("0", "True") and frozen > 0
+    status, frozen, enabled = _own_command_line(
+        ["build-index", "--reference", ref, "--k", "5",
+         "--max-seed-len", "100", "--out", tmp_path / "index.ert"])
+    assert (status, frozen, enabled) == ("0", 0, "True")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_in_process_main_leaves_the_collector_as_it_found_it(
+        workspace, tmp_path, capsys, enabled):
+    import gc
+
+    _root, ref, reads, index = workspace
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in (["align", "--index", str(index), "--reads", str(reads),
+                      "--out", str(tmp_path / "out.sam"), "--workers", "1"],
+                     ["build-index", "--reference", str(ref), "--k", "5",
+                      "--max-seed-len", "100",
+                      "--out", str(tmp_path / "index.ert")]):
+            assert main(argv) == 0
+            assert gc.isenabled() is enabled, argv[0]
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 def test_observed_run_loads_the_exporters_and_writes_what_an_eager_one_does(
