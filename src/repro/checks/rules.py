@@ -238,7 +238,7 @@ _PACKAGES = (
     "repro.sequence", "repro.telemetry", "repro.logging", "repro.memsim",
     "repro.seeding", "repro.core", "repro.fmindex", "repro.extend",
     "repro.kernels", "repro.parallel", "repro.accel", "repro.analysis",
-    "repro.baselines", "repro.checks", "repro.ledger", "repro.cli",
+    "repro.baselines", "repro.checks", "repro.cli",
 )
 
 
@@ -257,9 +257,8 @@ def _everything_but(*allowed: str) -> "tuple[str, ...]":
 #: downward, see ReadAligner.tb_batch); parallel orchestrates the
 #: middle layers and kernels (it is the sole owner of worker pools / shared
 #: memory, rule ERT008); accel consumes traces from core/seeding;
-#: analysis/baselines/ledger/cli sit on top (ledger reads telemetry
-#: snapshots but nothing below it may import it); checks stands alone so
-#: it can lint a tree too broken to import.
+#: analysis/baselines/cli sit on top; checks stands alone so it can lint
+#: a tree too broken to import.
 _LAYERING: "dict[str, tuple[str, ...]]" = {
     "repro.sequence": _everything_but("repro.sequence"),
     "repro.telemetry": _everything_but("repro.telemetry"),
@@ -272,32 +271,29 @@ _LAYERING: "dict[str, tuple[str, ...]]" = {
         + ("repro.telemetry.export",),
     "repro.core": ("repro.accel", "repro.analysis", "repro.baselines",
                    "repro.checks", "repro.cli", "repro.extend",
-                   "repro.kernels", "repro.ledger", "repro.parallel",
+                   "repro.kernels", "repro.parallel",
                    "repro.telemetry.export"),
     "repro.fmindex": ("repro.accel", "repro.analysis", "repro.baselines",
                       "repro.checks", "repro.cli", "repro.core",
-                      "repro.extend", "repro.kernels", "repro.ledger",
-                      "repro.parallel", "repro.telemetry.export"),
+                      "repro.extend", "repro.kernels", "repro.parallel",
+                      "repro.telemetry.export"),
     "repro.extend": ("repro.accel", "repro.analysis", "repro.baselines",
                      "repro.checks", "repro.cli", "repro.kernels",
-                     "repro.ledger", "repro.parallel",
-                     "repro.telemetry.export"),
+                     "repro.parallel", "repro.telemetry.export"),
     "repro.kernels": ("repro.accel", "repro.analysis", "repro.baselines",
                       "repro.checks", "repro.cli", "repro.fmindex",
-                      "repro.ledger", "repro.memsim", "repro.parallel",
+                      "repro.memsim", "repro.parallel",
                       "repro.telemetry.export"),
     "repro.parallel": ("repro.accel", "repro.analysis", "repro.baselines",
-                       "repro.checks", "repro.cli", "repro.ledger",
+                       "repro.checks", "repro.cli",
                        "repro.telemetry.export"),
     "repro.accel": ("repro.analysis", "repro.baselines", "repro.checks",
                     "repro.cli", "repro.extend", "repro.kernels",
-                    "repro.ledger", "repro.parallel"),
+                    "repro.parallel"),
     "repro.baselines": ("repro.accel", "repro.analysis", "repro.checks",
-                        "repro.cli", "repro.kernels", "repro.ledger",
-                        "repro.parallel"),
-    "repro.analysis": ("repro.checks", "repro.cli", "repro.ledger"),
+                        "repro.cli", "repro.kernels", "repro.parallel"),
+    "repro.analysis": ("repro.checks", "repro.cli"),
     "repro.checks": _everything_but("repro.checks"),
-    "repro.ledger": _everything_but("repro.ledger", "repro.telemetry"),
 }
 
 
@@ -625,7 +621,7 @@ _STREAM_WRITES = frozenset({
 #: Modules allowed to talk to the console: the CLI entry points (their
 #: whole job is console I/O).
 _CONSOLE_MODULES = (
-    "repro.cli", "repro.checks.cli", "repro.ledger.cli",
+    "repro.cli", "repro.checks.cli",
 )
 
 

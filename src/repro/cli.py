@@ -12,13 +12,10 @@ align many times):
 * ``explain``      -- replay one read through the serial engine with
   full instrumentation and print its cost attribution;
 * ``check``        -- run the repository's static-analysis rules
-  (:mod:`repro.checks`, see docs/static_analysis.md);
-* ``ledger``       -- record benchmark runs and gate on throughput
-  regressions (:mod:`repro.ledger`, see docs/observability.md).
+  (:mod:`repro.checks`, see docs/static_analysis.md).
 
-``check`` and ``ledger`` are handed, before any parser is built, to the
-``main(argv)`` of :mod:`repro.checks.cli` / :mod:`repro.ledger.cli`;
-this module imports neither package.
+``check`` is handed, before any parser is built, to the ``main(argv)``
+of :mod:`repro.checks.cli`; this module does not import that package.
 
 ``seed``, ``align`` and ``align-pe`` are one run path (:func:`_cmd_run`):
 load the index, count the FASTQ's records, then stream -- parse one
@@ -31,7 +28,7 @@ written as the batches merge, so a run that fails mid-stream has
 written the batches before the defect there.  They and ``compare`` take
 ``--profile`` (print a per-stage wall-clock/counter report),
 ``--metrics-out FILE`` (write the full telemetry snapshot as JSON, the
-input of ``report`` and ``ledger record --metrics``),
+input of ``report``),
 ``--slowlog FILE`` (append the per-read exemplar sample -- reservoir
 plus top-K slowest -- as JSONL), ``--log-jsonl FILE`` (structured
 operational logs: scheduler, fault recovery, worker index maps)
@@ -96,14 +93,11 @@ from repro.kernels import KERNEL_CHOICES
 
 #: Subcommands that live in their own module: ``main`` hands them the
 #: rest of the command line before building this module's parser, so a
-#: read-driven run never imports the linter or the ledger.
+#: read-driven run never imports the linter.
 _DELEGATED = {
     "check": ("repro.checks.cli",
               "run the repo's static-analysis rules (non-zero exit on "
               "violations)"),
-    "ledger": ("repro.ledger.cli",
-               "record benchmark runs and gate on throughput regressions "
-               "(non-zero exit on a regression)"),
 }
 
 

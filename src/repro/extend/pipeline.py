@@ -240,20 +240,22 @@ class ReadAligner:
                  "chains": len(read_chains),
                  "sw_extensions": 0, "sw_cells": 0, "exact_lanes": 0}
                 for read_seeds, read_chains in zip(seeds, chains)]
+            observed = telemetry.enabled()
             with telemetry.span("extend"):
                 for i, read in enumerate(reads):
                     for chain in chains[i][:MAX_CHAINS_EXTENDED]:
                         placed = self._window(read, chain)
                         if placed is not None:
-                            telemetry.observe("align.window_bp",
-                                              int(placed[1].size))
+                            if observed:
+                                telemetry.observe("align.window_bp",
+                                                  int(placed[1].size))
                             lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
                         lanes, self._trace_lanes(reads, lanes)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
-            if telemetry.enabled():
+            if observed:
                 for row, found in zip(self.read_stats, candidates):
                     telemetry.count("align.reads")
                     telemetry.count("align.reads_mapped", int(bool(found)))

@@ -31,6 +31,13 @@ from repro.sequence.alphabet import COMPLEMENT
 from repro.sequence.io import Read
 from repro.sequence.reference import Reference, Strand
 
+#: Tandem-repeat motif lengths, inclusive range.
+TANDEM_MOTIF_LEN = (2, 24)
+#: Length of one segmental duplication.
+SEGDUP_LENGTH = 2000
+#: Point-substitution rate of each planted repeat copy.
+MUTATION_RATE = 0.02
+
 
 @dataclass
 class GenomeSimulator:
@@ -46,17 +53,14 @@ class GenomeSimulator:
     tandem_fraction: float = 0.08
     segdup_fraction: float = 0.07
     element_length: int = 300
-    tandem_motif_len: tuple = (2, 24)
-    segdup_length: int = 2000
-    mutation_rate: float = 0.02
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
     def _mutate(self, codes: np.ndarray) -> np.ndarray:
-        """Apply point substitutions at ``mutation_rate`` to a copy."""
+        """Apply point substitutions at :data:`MUTATION_RATE` to a copy."""
         out = codes.copy()
-        mask = self._rng.random(out.size) < self.mutation_rate
+        mask = self._rng.random(out.size) < MUTATION_RATE
         if mask.any():
             shift = self._rng.integers(1, 4, size=int(mask.sum()), dtype=np.uint8)
             out[mask] = (out[mask] + shift) % 4
@@ -93,7 +97,7 @@ class GenomeSimulator:
         length = genome.size
         budget = int(length * self.tandem_fraction)
         placed = 0
-        lo, hi = self.tandem_motif_len
+        lo, hi = TANDEM_MOTIF_LEN
         while placed < budget:
             motif_len = int(self._rng.integers(lo, hi + 1))
             copies = int(self._rng.integers(5, 40))
@@ -111,7 +115,7 @@ class GenomeSimulator:
 
     def _plant_segdups(self, genome: np.ndarray) -> None:
         length = genome.size
-        dup_len = min(self.segdup_length, max(100, length // 10))
+        dup_len = min(SEGDUP_LENGTH, max(100, length // 10))
         budget = int(length * self.segdup_fraction)
         placed = 0
         while placed + dup_len <= budget:

@@ -28,7 +28,7 @@ from repro.sequence import GenomeSimulator, ReadSimulator
 from tests.test_seeding_calls import _repro_calls
 
 #: Python calls under ``src/repro`` for the 200 reads below.
-RECORDED_CALLS = 6_327
+RECORDED_CALLS = 5_794
 ALLOWANCE = 1.05
 N_READS = 200
 

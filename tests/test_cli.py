@@ -689,6 +689,8 @@ def test_run_subcommand_option_surface_is_pinned(command):
 
 
 def test_cli_import_leaves_checks_and_ledger_unloaded():
+    """``check`` loads its package only when called; ``ledger`` is not
+    a subcommand: an argparse error that loads nothing."""
     dirty = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "fixtures", "checks", "ert006_fail.py")
     code = (
@@ -700,10 +702,12 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
         f"assert repro.cli.main(['check', {dirty!r}]) == 1\n"
         "assert 'repro.checks.cli' in sys.modules\n"
         "try:\n"
-        "    repro.cli.main(['ledger', '--help'])\n"
+        "    repro.cli.main(['ledger', 'diff'])\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0\n"
-        "assert 'repro.ledger.cli' in sys.modules\n")
+        "    assert exc.code == 2\n"
+        "else:\n"
+        "    raise AssertionError('ledger was accepted')\n"
+        "assert not [m for m in sys.modules if m.startswith('repro.ledger')]\n")
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -711,7 +715,7 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
         env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")})
     assert proc.returncode == 0, proc.stderr
     assert "ERT006" in proc.stdout
-    assert "usage: ert-repro ledger" in proc.stdout
+    assert "invalid choice: 'ledger'" in proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -723,7 +727,7 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
 #: and the simulators, the exporters, the tooling, the pool.
 COLD = (
     "repro.fmindex", "repro.accel", "repro.analysis", "repro.baselines",
-    "repro.checks", "repro.ledger", "repro.memsim.cache",
+    "repro.checks", "repro.memsim.cache",
     "repro.memsim.dram", "repro.core.builder", "repro.core.census",
     "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
     "repro.seeding.oracle", "repro.seeding.verify",
@@ -1112,4 +1116,4 @@ def test_top_level_help_lists_delegated_subcommands(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    assert "check " in out and "ledger " in out
+    assert "check " in out
