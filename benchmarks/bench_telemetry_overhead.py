@@ -68,15 +68,12 @@ def _baseline_seed_read(engine, read, params):
     """The three rounds exactly as `seed_read` runs them, minus every
     telemetry touchpoint (no flag check, no spans, no flush)."""
     engine.begin_read()
-    result = SeedingResult()
     smems = generate_smems(engine, read, params)
-    result.smems = smems_to_seeds(engine, read, smems, params)
-    if params.reseed:
-        result.reseed_seeds = reseed_round(engine, read, result.smems,
-                                           params)
-    if params.use_last:
-        result.last_seeds = last_round(engine, read, params, smems)
-    return result
+    seeds = smems_to_seeds(engine, read, smems, params)
+    return SeedingResult._make((
+        seeds,
+        reseed_round(engine, read, seeds, params) if params.reseed else [],
+        last_round(engine, read, params, smems) if params.use_last else []))
 
 
 def _paired(times: "dict[str, list[float]]", mode: str,

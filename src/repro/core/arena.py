@@ -58,8 +58,7 @@ the hardware makes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -99,8 +98,7 @@ class ArenaLimitError(ValueError):
     """Raised when a forest does not fit the arena's int32 columns."""
 
 
-@dataclass(frozen=True)
-class FlatTrees:
+class FlatTrees(NamedTuple):
     """The arena (see module docstring).  Read-only; shared by every
     walk over the same index."""
 
@@ -128,8 +126,8 @@ class FlatTrees:
 
 
 #: The arena's arrays, in the order both index formats store them.
-ARENA_COLUMNS = tuple(f.name for f in fields(FlatTrees)
-                      if f.name not in ("k", "table_x"))
+ARENA_COLUMNS = tuple(name for name in FlatTrees._fields
+                      if name not in ("k", "table_x"))
 
 #: The width every column is compiled, stored and walked at: node ids,
 #: offsets, counts and text positions are ``_ID``.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 
 class LayoutPolicy(enum.Enum):
@@ -20,9 +20,31 @@ class LayoutPolicy(enum.Enum):
     BFS = "bfs"
 
 
-@dataclass(frozen=True)
-class ErtConfig:
-    """All structural knobs of the ERT.
+class _ErtConfigFields(NamedTuple):
+    k: int = 8
+    max_seed_len: int = 151
+    table_threshold: int = 256
+    table_x: int = 4
+    multilevel: bool = True
+    layout: LayoutPolicy = LayoutPolicy.TILED
+    prefix_merging: bool = False
+    index_entry_bytes: int = 8
+    table_entry_bytes: int = 8
+
+    @property
+    def n_entries(self) -> int:
+        """Number of first-level index-table entries (4^k)."""
+        return 4 ** self.k
+
+    @property
+    def max_ext(self) -> int:
+        """Maximum tree depth: characters matchable beyond the k-mer."""
+        return self.max_seed_len - self.k
+
+
+class ErtConfig(_ErtConfigFields):
+    """All structural knobs of the ERT (a read-only ``NamedTuple``;
+    construction, ``_make`` / ``_replace`` and unpickling all check it).
 
     Parameters
     ----------
@@ -53,17 +75,10 @@ class ErtConfig:
         LEP bits + pointer, 8 B in the paper).
     """
 
-    k: int = 8
-    max_seed_len: int = 151
-    table_threshold: int = 256
-    table_x: int = 4
-    multilevel: bool = True
-    layout: LayoutPolicy = LayoutPolicy.TILED
-    prefix_merging: bool = False
-    index_entry_bytes: int = 8
-    table_entry_bytes: int = 8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ErtConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not 2 <= self.k <= 14:
             raise ValueError("k must be in 2..14 (4^k index entries)")
         if self.max_seed_len <= self.k:
@@ -76,13 +91,9 @@ class ErtConfig:
             raise ValueError("table_x must be at least 1")
         if self.table_threshold < 2:
             raise ValueError("table_threshold must be at least 2")
+        return self
 
-    @property
-    def n_entries(self) -> int:
-        """Number of first-level index-table entries (4^k)."""
-        return 4 ** self.k
-
-    @property
-    def max_ext(self) -> int:
-        """Maximum tree depth: characters matchable beyond the k-mer."""
-        return self.max_seed_len - self.k
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[Any]") -> "ErtConfig":
+        return cls(*iterable)

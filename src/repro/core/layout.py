@@ -132,7 +132,7 @@ def stored_layout(flat: FlatTrees, config: ErtConfig,
     the node sizes derived from the columns."""
     return ForestLayout(
         offset=flat.offset,
-        nbytes=node_bytes(vars(flat), 0, flat.kind.size,
+        nbytes=node_bytes(flat._asdict(), 0, flat.kind.size,
                           config.prefix_merging),
         tree_roots=flat.roots[flat.roots >= 0], tree_bases=tree_bases,
         trees_bytes=trees_bytes)

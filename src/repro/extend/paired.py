@@ -12,8 +12,6 @@ placement implies.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.extend.pipeline import Placement, ReadAligner
@@ -186,7 +184,7 @@ class PairedAligner:
             flag = record.flag | FLAG_PAIRED | order_flag
             if mate is None:
                 flag |= FLAG_MATE_UNMAPPED
-            return replace(record, flag=flag)
+            return record._replace(flag=flag)
         runner_up = max((c.score for c in candidates
                          if c is not placement), default=0)
         mapq = mapq_from_scores(placement.score, runner_up, int(read.size))
@@ -201,4 +199,4 @@ class PairedAligner:
             flag |= FLAG_MATE_UNMAPPED
         elif mate.strand is Strand.REVERSE:
             flag |= FLAG_MATE_REVERSE
-        return replace(record, flag=flag)
+        return record._replace(flag=flag)

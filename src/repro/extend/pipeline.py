@@ -9,7 +9,6 @@ workload that the SeedEx model (Table VI) consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,8 +45,7 @@ class Placement(NamedTuple):
     cigar: str
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """A read's final alignment (forward-strand coordinates).
 
     ``position`` is where the read's first base falls on the forward
@@ -64,8 +62,7 @@ class Alignment:
         return self.score > 0
 
 
-@dataclass
-class ExtensionWorkload:
+class ExtensionWorkload(NamedTuple):
     """Per-read extension demand as the SeedEx model (Table VI) sees it:
     every lane is one edit check, and the lanes that are not exact
     copies go on to banded SW; rows are lanes x read length."""
@@ -76,8 +73,7 @@ class ExtensionWorkload:
     edit_rows_total: int = 0
 
 
-@dataclass
-class AlignmentOutcome:
+class AlignmentOutcome(NamedTuple):
     """Alignment plus the measured extension workload for one read."""
 
     alignment: "Alignment | None"

@@ -8,7 +8,7 @@ dominates the runner-up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sequence.reference import Reference, Strand
 from repro.sequence.alphabet import revcomp
@@ -17,8 +17,7 @@ FLAG_UNMAPPED = 0x4
 FLAG_REVERSE = 0x10
 
 
-@dataclass(frozen=True)
-class SamRecord:
+class SamRecord(NamedTuple):
     """One alignment line."""
 
     qname: str

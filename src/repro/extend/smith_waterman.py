@@ -13,32 +13,43 @@ edit-distance unit (§VI) exists only in the cycle model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 NEG_INF = -10 ** 9
 
 
-@dataclass(frozen=True)
-class ScoringScheme:
-    """Affine-gap scoring (BWA-MEM defaults)."""
-
+class _ScoringSchemeFields(NamedTuple):
     match: int = 1
     mismatch: int = -4
     gap_open: int = -6
     gap_extend: int = -1
 
-    def __post_init__(self) -> None:
+
+class ScoringScheme(_ScoringSchemeFields):
+    """Affine-gap scoring (BWA-MEM defaults; a read-only ``NamedTuple``
+    that construction, ``_make`` / ``_replace`` and unpickling check)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ScoringScheme":
+        self = super().__new__(cls, *args, **kwargs)
         if self.match <= 0:
             raise ValueError("match score must be positive")
         if self.mismatch >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
             raise ValueError("penalties must be negative")
+        return self
+
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[Any]") -> "ScoringScheme":
+        return cls(*iterable)
 
 
 #: The BWA-MEM default scheme, constructed once: callers on the per-read
 #: hot path (ReadAligner, the Smith-Waterman kernels) reuse this instead of
-#: validating a fresh dataclass per call.
+#: validating a fresh scheme per call.
 DEFAULT_SCHEME = ScoringScheme()
 #: The extension band: a SeedEx banded unit is 41 PEs wide (§VI), and
 #: every aligner lane runs at that width.

@@ -22,14 +22,13 @@ so correctness tests pay no overhead.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 CACHE_LINE = 64
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A named, contiguous byte range inside an :class:`AddressSpace`."""
 
     name: str
@@ -70,8 +69,7 @@ class AddressSpace:
         return region
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """One cache-line-granularity memory request."""
 
     addr: int
@@ -80,12 +78,14 @@ class Access:
     region: str
 
 
-@dataclass
 class PhaseStats:
     """Request/byte counters for one phase."""
 
-    requests: int = 0
-    bytes: int = 0
+    __slots__ = ("requests", "bytes")
+
+    def __init__(self, requests: int = 0, bytes: int = 0) -> None:
+        self.requests = requests
+        self.bytes = bytes
 
     def add(self, requests: int, nbytes: int) -> None:
         self.requests += requests

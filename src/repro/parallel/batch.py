@@ -14,26 +14,19 @@ scheme construction) to batch granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class ReadBatch:
-    """A fixed-size slice of the input reads, packed for one worker."""
-
+class _ReadBatchFields(NamedTuple):
     names: "tuple[str, ...]"
     qualities: "tuple[str, ...]"
     codes: np.ndarray
     offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.names)
 
     def reads(self) -> "list[np.ndarray]":
         """Per-read views of the packed code array (one object per read,
@@ -41,6 +34,23 @@ class ReadBatch:
         offsets = self.offsets
         return [self.codes[int(offsets[i]):int(offsets[i + 1])]
                 for i in range(len(self.names))]
+
+
+class ReadBatch(_ReadBatchFields):
+    """A fixed-size slice of the input reads, packed for one worker (a
+    read-only ``NamedTuple``).  ``len(batch)`` is its read count, not
+    its field count."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[object]") -> "ReadBatch":
+        # The inherited ``_make`` checks the field count with ``len``.
+        return cls(*iterable)
 
 
 def pack_batch(reads: "Sequence[object]") -> ReadBatch:

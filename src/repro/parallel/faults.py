@@ -25,7 +25,7 @@ through one of these types.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Fallback retry budget when neither ``ParallelConfig.retries`` nor
 #: ``$REPRO_RETRIES`` decides: survive two transient faults per batch.
@@ -92,8 +92,7 @@ class PoolUnavailableError(ParallelExecutionError):
     retryable = False
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Bounds on the scheduler's recovery work.
 
     A batch is attempted at most ``1 + retries`` times; between attempts

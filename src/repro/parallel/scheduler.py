@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -49,6 +48,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Sequence,
     Tuple,
 )
@@ -82,19 +82,7 @@ EngineSpec = Tuple[Any, ...]
 INFLIGHT_PER_WORKER = 2
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs of the batch execution layer.
-
-    ``workers=None`` defers to :func:`default_workers` (the
-    ``REPRO_WORKERS`` environment variable, else 1), which is how the CI
-    matrix drives the whole test suite through the pool without touching
-    every call site.  ``retries=None`` likewise defers to
-    ``$REPRO_RETRIES`` (else :data:`~repro.parallel.faults.
-    DEFAULT_RETRIES`); ``batch_timeout`` is in seconds, ``None`` waits
-    forever.
-    """
-
+class _ParallelConfigFields(NamedTuple):
     workers: "int | None" = None
     batch_size: int = 64
     retries: "int | None" = None
@@ -111,12 +99,6 @@ class ParallelConfig:
     #: either way, at any worker count.
     kernels: str = "vector"
 
-    def __post_init__(self) -> None:
-        if self.kernels not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernels selection {self.kernels!r}; expected "
-                f"one of {'/'.join(KERNEL_CHOICES)}")
-
     def resolved_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
@@ -129,6 +111,35 @@ class ParallelConfig:
                    else default_retries())
         return RetryPolicy(retries=max(0, retries),
                            batch_timeout=self.batch_timeout)
+
+
+class ParallelConfig(_ParallelConfigFields):
+    """Knobs of the batch execution layer.
+
+    ``workers=None`` defers to :func:`default_workers` (the
+    ``REPRO_WORKERS`` environment variable, else 1), which is how the CI
+    matrix drives the whole test suite through the pool without touching
+    every call site.  ``retries=None`` likewise defers to
+    ``$REPRO_RETRIES`` (else :data:`~repro.parallel.faults.
+    DEFAULT_RETRIES`); ``batch_timeout`` is in seconds, ``None`` waits
+    forever.  A read-only ``NamedTuple``: construction, ``_make`` /
+    ``_replace`` and unpickling all check ``kernels``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ParallelConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kernels not in KERNEL_CHOICES:
+            raise ValueError(
+                f"unknown kernels selection {self.kernels!r}; expected "
+                f"one of {'/'.join(KERNEL_CHOICES)}")
+        return self
+
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[Any]") -> "ParallelConfig":
+        return cls(*iterable)
 
 
 def default_workers() -> int:

@@ -36,8 +36,8 @@ bit-equivalence guarantee between FMD-index and ERT seeding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +53,9 @@ SPLIT_FACTOR = 1.5
 _START, _END = itemgetter(0), itemgetter(1)
 
 
-@dataclass(frozen=True)
-class SeedingParams:
-    """Seeding parameters (defaults follow BWA-MEM at human scale).
+class SeedingParams(NamedTuple):
+    """Seeding parameters (defaults follow BWA-MEM at human scale; a
+    read-only ``NamedTuple``).
 
     At the small synthetic-genome scales this reproduction runs, shorter
     ``min_seed_len`` values are common in tests; the defaults mirror the
@@ -218,14 +218,11 @@ def seeds_from_smems(engine: SeedingEngine, read: np.ndarray,
     """Everything after SMEM generation: round 1's seed emission, then
     rounds 2 and 3.  :func:`_three_rounds` and the k-mer reuse driver's
     reconciliation (:mod:`repro.core.reuse`) both end here."""
-    result = SeedingResult()
-    result.smems = smems_to_seeds(engine, read, smems, params)
-    if params.reseed:
-        result.reseed_seeds = reseed_round(engine, read, result.smems,
-                                           params)
-    if params.use_last:
-        result.last_seeds = last_round(engine, read, params, smems)
-    return result
+    seeds = smems_to_seeds(engine, read, smems, params)
+    return SeedingResult._make((
+        seeds,
+        reseed_round(engine, read, seeds, params) if params.reseed else [],
+        last_round(engine, read, params, smems) if params.use_last else []))
 
 
 def _three_rounds(engine: SeedingEngine, read: np.ndarray,

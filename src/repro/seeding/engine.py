@@ -24,7 +24,7 @@ searches must be launched for the SMEM set to be complete (§II-A).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,37 +50,54 @@ class ForwardSearch(NamedTuple):
         return self.end <= self.start
 
 
-@dataclass
 class EngineStats:
-    """Work counters every engine maintains (ablation figures §III-B/F)."""
+    """Work counters every engine maintains (ablation figures §III-B/F).
 
-    forward_searches: int = 0
-    backward_searches: int = 0
-    pruned_backward_searches: int = 0
-    #: Reseed LEPs and LAST launches pruning skipped because they
-    #: provably emit no seed (rounds 2 and 3, see
-    #: :mod:`repro.seeding.algorithm`).
-    pruned_reseed_searches: int = 0
-    pruned_last_launches: int = 0
-    merged_backward_searches: int = 0
-    index_lookups: int = 0
-    tree_root_fetches: int = 0
-    nodes_visited: int = 0
-    leaf_fetches: int = 0
-    occ_queries: int = 0
-    sa_lookups: int = 0
-    #: Hit lists clipped by a locate limit (``max_hits_per_seed``): the
-    #: seed keeps its true count but its positions are dropped.  Surfaced
-    #: as the ``seeds.truncated`` telemetry counter and in the ``seed``
-    #: CLI summary so the clipping is never silent.
-    truncated_hit_lists: int = 0
+    ``pruned_reseed_searches`` / ``pruned_last_launches`` count the
+    reseed LEPs and LAST launches pruning skipped because they provably
+    emit no seed (rounds 2 and 3, see :mod:`repro.seeding.algorithm`).
+    ``truncated_hit_lists`` counts hit lists clipped by a locate limit
+    (``max_hits_per_seed``): the seed keeps its true count but its
+    positions are dropped.  It surfaces as the ``seeds.truncated``
+    telemetry counter and in the ``seed`` CLI summary so the clipping is
+    never silent.
+    """
+
+    __slots__ = ("forward_searches", "backward_searches",
+                 "pruned_backward_searches", "pruned_reseed_searches",
+                 "pruned_last_launches", "merged_backward_searches",
+                 "index_lookups", "tree_root_fetches", "nodes_visited",
+                 "leaf_fetches", "occ_queries", "sa_lookups",
+                 "truncated_hit_lists")
+
+    def __init__(self, forward_searches: int = 0, backward_searches: int = 0,
+                 pruned_backward_searches: int = 0,
+                 pruned_reseed_searches: int = 0,
+                 pruned_last_launches: int = 0,
+                 merged_backward_searches: int = 0, index_lookups: int = 0,
+                 tree_root_fetches: int = 0, nodes_visited: int = 0,
+                 leaf_fetches: int = 0, occ_queries: int = 0,
+                 sa_lookups: int = 0, truncated_hit_lists: int = 0) -> None:
+        self.forward_searches = forward_searches
+        self.backward_searches = backward_searches
+        self.pruned_backward_searches = pruned_backward_searches
+        self.pruned_reseed_searches = pruned_reseed_searches
+        self.pruned_last_launches = pruned_last_launches
+        self.merged_backward_searches = merged_backward_searches
+        self.index_lookups = index_lookups
+        self.tree_root_fetches = tree_root_fetches
+        self.nodes_visited = nodes_visited
+        self.leaf_fetches = leaf_fetches
+        self.occ_queries = occ_queries
+        self.sa_lookups = sa_lookups
+        self.truncated_hit_lists = truncated_hit_lists
 
     def reset(self) -> None:
-        for name in vars(self):
+        for name in self.__slots__:
             setattr(self, name, 0)
 
     def as_dict(self) -> "dict[str, int]":
-        return dict(vars(self))
+        return dict(zip(self.__slots__, _read_stats(self)))
 
     def add_dict(self, values: "dict[str, int]") -> None:
         """Accumulate another stats struct's :meth:`as_dict` into this
@@ -88,6 +105,9 @@ class EngineStats:
         additive, so per-worker totals merge exactly)."""
         for name, value in values.items():
             setattr(self, name, getattr(self, name, 0) + value)
+
+
+_read_stats = attrgetter(*EngineStats.__slots__)
 
 
 class SeedingEngine(abc.ABC):

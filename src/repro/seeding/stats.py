@@ -32,6 +32,8 @@ registry traffic and observed runs stay byte-identical to dark ones.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro import telemetry
@@ -96,8 +98,9 @@ class KernelBatchStats:
     column is batch-composition invariant.
     """
 
-    __slots__ = ("n_reads", "walk_steps", "gather_nodes", "gather_bytes",
-                 "reseed_launches", "last_launches", "short_reads")
+    __slots__ = ("n_reads", "columns", "walk_steps", "gather_nodes",
+                 "gather_bytes", "reseed_launches", "last_launches",
+                 "short_reads")
 
     #: Constant 0: there is no lane set any more.  Only the frozen
     #: ``benchmarks/pipeline/layers.py`` reads these (its
@@ -107,17 +110,22 @@ class KernelBatchStats:
 
     def __init__(self, n_reads: int) -> None:
         self.n_reads = n_reads
+        #: The per-read columns below are the rows of this one array,
+        #: in :data:`PER_READ_COUNTERS` order, so a flush sums them all
+        #: in one reduction.
+        self.columns = np.zeros((len(PER_READ_COUNTERS), n_reads),
+                                dtype=np.int64)
         #: Characters consumed by tree-walk advances, per read.
-        self.walk_steps = np.zeros(n_reads, dtype=np.int64)
+        self.walk_steps = self.columns[0]
         #: Euler-pool gathers performed (one per located seed), per read.
-        self.gather_nodes = np.zeros(n_reads, dtype=np.int64)
+        self.gather_nodes = self.columns[1]
         #: Euler-pool bytes those gathers touched, per read (positions
         #: are int32, so bytes = positions * 4).
-        self.gather_bytes = np.zeros(n_reads, dtype=np.int64)
+        self.gather_bytes = self.columns[2]
         #: Round-2 reseed pivots launched, per read.
-        self.reseed_launches = np.zeros(n_reads, dtype=np.int64)
+        self.reseed_launches = self.columns[3]
         #: Round-3 LAST walks launched, per read.
-        self.last_launches = np.zeros(n_reads, dtype=np.int64)
+        self.last_launches = self.columns[4]
         #: Reads skipped for length (``seeding.short_reads_skipped``).
         self.short_reads = 0
 
@@ -141,8 +149,8 @@ class KernelBatchStats:
         identical counter totals (``kernels.batches`` and spans aside).
         """
         counters = {"kernels.batches": 1, "kernels.reads": self.n_reads}
-        for name, attr in PER_READ_COUNTERS:
-            counters[name] = int(getattr(self, attr).sum())
+        counters.update(zip((name for name, _ in PER_READ_COUNTERS),
+                            self.columns.sum(axis=1).tolist()))
         telemetry.add_counters(counters)
         telemetry.add_counters(
             {_STAT_COUNTERS.get(name, f"seeding.{name}"):
@@ -151,11 +159,16 @@ class KernelBatchStats:
         telemetry.count("seeding.reads", self.n_reads)
         if self.short_reads:
             telemetry.count("seeding.short_reads_skipped", self.short_reads)
-        all_seeds = [seed for result in results
-                     for seed in result.all_seeds]
-        n_seeds = len(all_seeds)
+        # Each read's seeds deduplicated by (start, length), as its
+        # ``all_seeds`` would give them, with no Python call per read.
+        hit_counts: "dict[tuple[int, int, int], int]" = {}
+        for i, result in enumerate(results):
+            for start, length, _, count in chain(
+                    result.smems, result.reseed_seeds, result.last_seeds):
+                hit_counts.setdefault((i, start, length), count)
+        n_seeds = len(hit_counts)
         telemetry.count("seeds.emitted", n_seeds)
-        _observe_column("seed.length", np.fromiter(
-            (seed.length for seed in all_seeds), np.float64, n_seeds))
+        keys = np.array(list(hit_counts), dtype=np.float64).reshape(-1, 3)
+        _observe_column("seed.length", keys[:, 2])
         _observe_column("seed.hit_count", np.fromiter(
-            (seed.hit_count for seed in all_seeds), np.float64, n_seeds))
+            hit_counts.values(), np.float64, n_seeds))

@@ -4,12 +4,12 @@ The per-search values (:class:`Mem`, :class:`Seed` and
 :class:`~repro.seeding.engine.ForwardSearch`) are ``NamedTuple``\\ s: a
 read makes about twenty of them, and a tuple costs one Python-level call
 to build and none to hash, compare or read.  Equality, hash and order
-are those of the field tuple.
+are those of the field tuple.  The per-read :class:`SeedingResult` is a
+``NamedTuple`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 
@@ -69,13 +69,10 @@ class Seed(NamedTuple):
         return Mem(self.read_start, self.read_end)
 
 
-@dataclass
-class SeedingResult:
-    """Everything seeding produces for one read."""
-
-    smems: "list[Seed]" = field(default_factory=list)
-    reseed_seeds: "list[Seed]" = field(default_factory=list)
-    last_seeds: "list[Seed]" = field(default_factory=list)
+class _SeedingResultFields(NamedTuple):
+    smems: "list[Seed]"
+    reseed_seeds: "list[Seed]"
+    last_seeds: "list[Seed]"
 
     @property
     def all_seeds(self) -> "list[Seed]":
@@ -90,3 +87,23 @@ class SeedingResult:
         return tuple(
             (s.read_start, s.length, s.hit_count, s.hits)
             for s in self.all_seeds)
+
+
+class SeedingResult(_SeedingResultFields):
+    """Everything seeding produces for one read: the seeds of each round
+    (``smems``, ``reseed_seeds``, ``last_seeds``), each a list.
+
+    A round left out of the constructor gets a new empty list.  The
+    seeding driver builds each result once from its three lists with
+    ``SeedingResult._make``, which takes them as they are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, smems: "list[Seed] | None" = None,
+                reseed_seeds: "list[Seed] | None" = None,
+                last_seeds: "list[Seed] | None" = None) -> "SeedingResult":
+        return tuple.__new__(cls, (
+            [] if smems is None else smems,
+            [] if reseed_seeds is None else reseed_seeds,
+            [] if last_seeds is None else last_seeds))

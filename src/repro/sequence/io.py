@@ -14,9 +14,8 @@ CLI's run path streams reads through it (``read_fastq`` is its list).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,27 +27,39 @@ class FastaError(ValueError):
     """Raised on malformed FASTA/FASTQ input."""
 
 
-@dataclass(frozen=True)
-class Read:
-    """A sequencing read, parsed from FASTQ or simulated.
-
-    ``origin``/``strand`` record the ground-truth sampling location so that
-    alignment examples can score themselves; real FASTQ reads parsed from
-    disk leave them as ``None``.
-    """
-
+class _ReadFields(NamedTuple):
     name: str
     codes: np.ndarray
     quality: str = ""
     origin: "int | None" = None
     strand: "Strand | None" = None
 
-    def __len__(self) -> int:
-        return int(self.codes.size)
-
     @property
     def sequence(self) -> str:
         return decode(self.codes)
+
+
+class Read(_ReadFields):
+    """A sequencing read, parsed from FASTQ or simulated (a read-only
+    ``NamedTuple``: ``name``, ``codes``, ``quality``, ``origin``,
+    ``strand``).
+
+    ``origin``/``strand`` record the ground-truth sampling location so that
+    alignment examples can score themselves; real FASTQ reads parsed from
+    disk leave them as ``None``.  ``len(read)`` is the read's length, not
+    its field count.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
+
+    @classmethod
+    def _make(  # type: ignore[override]
+            cls, iterable: "Iterable[object]") -> "Read":
+        # The inherited ``_make`` checks the field count with ``len``.
+        return cls(*iterable)
 
 
 def read_fasta(path) -> "list[Reference]":

@@ -14,7 +14,7 @@ to a forward-strand interval via :meth:`Reference.to_forward`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class Strand(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ForwardHit:
+class ForwardHit(NamedTuple):
     """A hit mapped back to forward-strand coordinates."""
 
     strand: Strand
@@ -44,7 +43,6 @@ class ForwardHit:
         return self.start + self.length
 
 
-@dataclass
 class Reference:
     """A named reference genome.
 
@@ -56,18 +54,18 @@ class Reference:
         Forward strand as a ``uint8`` code array (values 0..3).
     """
 
-    name: str
-    codes: np.ndarray
-    _both: np.ndarray = field(init=False, repr=False, default=None)
+    __slots__ = ("name", "codes", "_both")
 
-    def __post_init__(self) -> None:
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
+    def __init__(self, name: str, codes: np.ndarray) -> None:
+        self.name = name
+        self.codes = np.ascontiguousarray(codes, dtype=np.uint8)
         if self.codes.ndim != 1:
             raise ValueError("reference codes must be a 1-D array")
         if self.codes.size == 0:
             raise ValueError("reference must be non-empty")
         if self.codes.max() > 3:
             raise ValueError("reference codes must be in 0..3")
+        self._both: "np.ndarray | None" = None
 
     @classmethod
     def from_string(cls, seq: str, name: str = "ref") -> "Reference":

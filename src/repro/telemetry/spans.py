@@ -23,18 +23,21 @@ when it is on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 
-@dataclass
 class SpanStat:
     """Aggregated timings for one span path."""
 
-    count: int = 0
-    total_s: float = 0.0
-    self_s: float = 0.0
-    min_s: float = 0.0
-    max_s: float = 0.0
+    __slots__ = ("count", "total_s", "self_s", "min_s", "max_s")
+
+    def __init__(self, count: int = 0, total_s: float = 0.0,
+                 self_s: float = 0.0, min_s: float = 0.0,
+                 max_s: float = 0.0) -> None:
+        self.count = count
+        self.total_s = total_s
+        self.self_s = self_s
+        self.min_s = min_s
+        self.max_s = max_s
 
     def add(self, elapsed: float, child_s: float) -> None:
         if self.count == 0 or elapsed < self.min_s:

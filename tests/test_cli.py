@@ -543,27 +543,27 @@ def test_live_reads_stay_within_a_batch_window(workspace, tmp_path,
                                                 monkeypatch, workers):
     """The run holds a few batches of ``Read`` objects, however long the
     input: the same bound for 5 batches as for 50."""
-    import weakref
-
     import repro.sequence.io as seqio
     from repro.sequence import ReadSimulator, read_fasta
     from repro.sequence.io import write_fastq
 
     _root, ref, _reads, index = workspace
-    make = seqio.Read
     live = {"now": 0, "peak": 0}
 
-    def release():
-        live["now"] -= 1
+    class Counted(seqio.Read):
+        """A ``Read`` counted live from its construction to its release
+        (a tuple cannot be weakly referenced, so ``__del__`` counts)."""
 
-    def counted(**fields):
-        read = make(**fields)
-        live["now"] += 1
-        live["peak"] = max(live["peak"], live["now"])
-        weakref.finalize(read, release)
-        return read
+        def __new__(cls, **fields):
+            read = super().__new__(cls, **fields)
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            return read
 
-    monkeypatch.setattr(seqio, "Read", counted)
+        def __del__(self):
+            live["now"] -= 1
+
+    monkeypatch.setattr(seqio, "Read", Counted)
     simulator = ReadSimulator(read_fasta(ref)[0], read_length=60, seed=22)
     peaks = []
     for batches in (5, 50):
@@ -724,7 +724,9 @@ def test_cli_import_leaves_checks_and_ledger_unloaded():
 
 #: Nothing under these may load on a one-worker seed / align / align-pe
 #: run (or while the parser is built): models, baselines, the builder
-#: and the simulators, the exporters, the tooling, the pool.
+#: and the simulators, the exporters, the tooling, the pool, and
+#: ``dataclasses`` (a run's value types are NamedTuples and slotted
+#: classes, so no class is generated while it starts).
 COLD = (
     "repro.fmindex", "repro.accel", "repro.analysis", "repro.baselines",
     "repro.checks", "repro.memsim.cache",
@@ -732,7 +734,7 @@ COLD = (
     "repro.core.reuse", "repro.sequence.simulate", "repro.sequence.multi",
     "repro.seeding.oracle", "repro.seeding.verify",
     "repro.telemetry.export", "repro.parallel.pool", "repro.parallel.shm",
-    "multiprocessing", "concurrent.futures",
+    "multiprocessing", "concurrent.futures", "dataclasses",
 )
 POOL = ("repro.parallel.pool", "multiprocessing", "concurrent.futures")
 

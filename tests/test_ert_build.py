@@ -2,7 +2,6 @@
 the column emitter against the recursive object builder, object layout
 and object compile it replaced."""
 
-import dataclasses
 import json
 from collections import deque
 
@@ -637,8 +636,8 @@ def _read_archive(path):
 ], ids=["10kbp-k6", "multi-contig-k4"])
 def test_saved_index_equals_the_oracle_member_for_member(
         tmp_path, reference, config, layout, prefix_merging):
-    config = dataclasses.replace(config, layout=layout,
-                                 prefix_merging=prefix_merging)
+    config = config._replace(layout=layout,
+                             prefix_merging=prefix_merging)
     built = build_ert(reference, config)
     assert (built.entry_kind == EntryKind.TABLE).any()
     oracle, stats, trees = oracle_build_ert(reference, config)

@@ -3,7 +3,6 @@ offsets included), walked as it lies, re-framing without compiling, the
 frame and its member table as a contract, and typed errors on hostile
 input."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -146,8 +145,7 @@ def test_decoded_forest_equals_the_built_one(built, tmp_path, layout):
     again from its columns when a modelled walk asks, so pin both
     differentially: multi-contig reference, TABLE k-mers, prefix merging
     off and on, every layout policy."""
-    index = build_ert(built.reference,
-                      dataclasses.replace(built.config, layout=layout))
+    index = build_ert(built.reference, built.config._replace(layout=layout))
     save_ert(index, tmp_path / "index.npz")
     loaded = load_ert(tmp_path / "index.npz")
     _assert_same_forest(loaded, index)
@@ -163,8 +161,7 @@ def test_stored_offsets_are_where_the_wire_format_puts_every_node(
     format (``tests/serialize.py``) puts every node: each tree, encoded
     at the stored offsets into its blob, parses back from the blob's
     start to itself, node for node at the stored offsets and sizes."""
-    index = build_ert(built.reference,
-                      dataclasses.replace(built.config, layout=layout))
+    index = build_ert(built.reference, built.config._replace(layout=layout))
     save_ert(index, tmp_path / "index.npz")
     merged = index.config.prefix_merging
     ends = list(index.tree_base.values())[1:] + [index.trees_region.size]

@@ -1,14 +1,33 @@
-"""Unit tests for seeding value types."""
+"""Unit tests for seeding value types, and the contract every value
+type a run builds keeps: the per-search and per-lane NamedTuples, and
+the records, configurations and counters that are NamedTuples and
+slotted classes so that no run generates a class."""
 
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.extend.pipeline import Placement
+from repro.core.arena import ARENA_COLUMNS, FlatTrees
+from repro.core.config import ErtConfig, LayoutPolicy
+from repro.extend.pipeline import (
+    Alignment,
+    AlignmentOutcome,
+    ExtensionWorkload,
+    Placement,
+)
+from repro.extend.sam import SamRecord
+from repro.extend.smith_waterman import ScoringScheme
 from repro.extend.traceback import LaneScore, TracedAlignment
-from repro.seeding import ForwardSearch, Mem, Seed, SeedingResult
-from repro.sequence.reference import Strand
+from repro.memsim.trace import Access, Region
+from repro.parallel.batch import ReadBatch, pack_batch
+from repro.parallel.faults import RetryPolicy
+from repro.parallel.scheduler import ParallelConfig
+from repro.seeding import EngineStats, ForwardSearch, Mem, Seed, SeedingResult
+from repro.seeding.algorithm import SeedingParams
+from repro.sequence.io import Read
+from repro.sequence.reference import ForwardHit, Strand
 
 
 def test_mem_validation():
@@ -59,10 +78,12 @@ def test_result_key_is_canonical():
 
 
 # ----------------------------------------------------------------------
-# The per-search and per-lane values are NamedTuples: what callers rely
-# on from them.
+# The per-search and per-lane values, and a run's records and
+# configurations, are NamedTuples: what callers rely on from them.
 # ----------------------------------------------------------------------
 
+_WORKLOAD = ExtensionWorkload(sw_extensions=1, sw_rows_total=101,
+                              edit_checks=2, edit_rows_total=202)
 VALUES = [
     Mem(start=2, end=9),
     Seed(read_start=4, length=10, hits=(7, 20), hit_count=2),
@@ -72,6 +93,21 @@ VALUES = [
                     target_end=41, cigar=(("S", 4), ("M", 26))),
     Placement(score=12, strand=Strand.REVERSE, position=77,
               cigar="4S26M"),
+    ErtConfig(k=5, max_seed_len=60, layout=LayoutPolicy.DFS),
+    Region(name="trees", base=2048, size=512),
+    Access(addr=2048, size=64, phase="tree_traversal", region="trees"),
+    ForwardHit(strand=Strand.REVERSE, start=10, length=20),
+    SeedingParams(min_seed_len=12, max_hits_per_seed=None),
+    ParallelConfig(workers=2, batch_size=8, kernels="scalar"),
+    RetryPolicy(retries=1, batch_timeout=2.5),
+    SamRecord(qname="r1", flag=16, rname="chr", pos=5, mapq=60,
+              cigar="4S26M", seq="ACGTACGTAC", qual="IIIIIIIIII",
+              tags=("AS:i:26",)),
+    ScoringScheme(match=2, mismatch=-3, gap_open=-5, gap_extend=-2),
+    Alignment(read_name="r1", strand=Strand.FORWARD, position=4, score=30),
+    _WORKLOAD,
+    AlignmentOutcome(alignment=Alignment("r1", Strand.REVERSE, 4, 30),
+                     n_seeds=3, n_chains=2, workload=_WORKLOAD),
 ]
 IDS = [type(value).__name__ for value in VALUES]
 
@@ -120,6 +156,127 @@ def _pickled_mem(start, end):
     data = pickle.dumps(Mem(start, end), protocol=4)
     assert bytes([ord("K"), start, ord("K"), end]) in data
     return data
+
+
+#: One refusal per check a checked configuration makes: its type, valid
+#: keyword arguments, a field and a value the check refuses, and the
+#: start of the message.
+REFUSALS = [
+    (ErtConfig, {}, "k", 1, "k must be in 2..14"),
+    (ErtConfig, {}, "max_seed_len", 8, "max_seed_len must exceed k"),
+    (ErtConfig, {"k": 4}, "max_seed_len", 260, "max_seed_len - k must fit"),
+    (ErtConfig, {}, "table_x", 0, "table_x must be at least 1"),
+    (ErtConfig, {}, "table_threshold", 1,
+     "table_threshold must be at least 2"),
+    (ParallelConfig, {}, "kernels", "simd", "unknown kernels selection"),
+    (ScoringScheme, {}, "match", 0, "match score must be positive"),
+    (ScoringScheme, {}, "gap_open", 1, "penalties must be negative"),
+]
+
+
+@pytest.mark.parametrize("way", ["new", "make", "replace", "unpickle"])
+@pytest.mark.parametrize(
+    "cls, valid, field, bad, message", REFUSALS,
+    ids=[f"{cls.__name__}-{field}" for cls, _, field, _, _ in REFUSALS])
+def test_every_way_to_build_a_checked_config_checks_it(
+        cls, valid, field, bad, message, way):
+    good = cls(**valid)
+    args = tuple(bad if name == field else value
+                 for name, value in zip(cls._fields, good))
+    make = {"new": lambda: cls(*args),
+            "make": lambda: cls._make(args),
+            "replace": lambda: good._replace(**{field: bad}),
+            "unpickle": lambda: pickle.loads(_forged_pickle(cls, args))}
+    with pytest.raises(ValueError, match=message):
+        make[way]()
+
+
+@pytest.mark.parametrize("cls", sorted({cls for cls, *_ in REFUSALS},
+                                       key=lambda cls: cls.__name__))
+def test_a_forged_pickle_is_what_pickle_writes(cls):
+    value = cls()
+    assert _forged_pickle(cls, tuple(value)) == pickle.dumps(value,
+                                                             protocol=2)
+
+
+def _forged_pickle(cls, args):
+    """The protocol-2 pickle of ``cls`` built from ``args``, valid or
+    not: the pickle of its unchecked NamedTuple base built from them,
+    with the class name swapped."""
+    base = cls.__bases__[0]
+    data = pickle.dumps(base._make(args), protocol=2)
+    forged = data.replace(f"\n{base.__qualname__}\n".encode(),
+                          f"\n{cls.__qualname__}\n".encode())
+    assert forged != data
+    return forged
+
+
+# ----------------------------------------------------------------------
+# Read-only records that hold arrays or lists: no hash, and equality is
+# field by field.
+# ----------------------------------------------------------------------
+
+RECORDS = [
+    Read(name="r1", codes=np.array([0, 1, 2, 3], dtype=np.uint8),
+         quality="IIII", origin=7, strand=Strand.FORWARD),
+    pack_batch([np.array([0, 1, 2], dtype=np.uint8),
+                np.array([3, 3], dtype=np.uint8)]),
+    SeedingResult(smems=[Seed(0, 10, (1,), 1)], reseed_seeds=[],
+                  last_seeds=[Seed(5, 12, (2, 9), 2)]),
+    FlatTrees(k=2, table_x=1, **{name: np.arange(3, dtype=np.int32)
+                                 for name in ARENA_COLUMNS}),
+]
+RECORD_IDS = [type(record).__name__ for record in RECORDS]
+
+
+def _assert_same_record(twin, record):
+    assert type(twin) is type(record) and twin._fields == record._fields
+    for mine, theirs in zip(twin, record):
+        if isinstance(theirs, np.ndarray):
+            assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype
+        else:
+            assert mine == theirs
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_record_survives_pickle_and_copy(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        _assert_same_record(twin, record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_record_fields_are_read_only(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 1)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_record_keyword_construction_and_replace(record):
+    kwargs = {name: getattr(record, name) for name in record._fields}
+    _assert_same_record(type(record)(**kwargs), record)
+    _assert_same_record(record._replace(), record)
+
+
+def test_read_and_batch_lengths_count_bases_and_reads():
+    read, batch = RECORDS[0], RECORDS[1]
+    assert isinstance(batch, ReadBatch)
+    assert len(read) == 4 and len(read._replace(name="r2")) == 4
+    assert len(batch) == 2 and [r.tolist() for r in batch.reads()] == [
+        [0, 1, 2], [3, 3]]
+
+
+def test_seeding_result_rounds_default_to_new_lists():
+    first, second = SeedingResult(), SeedingResult()
+    assert first == ([], [], []) and first.smems is not second.smems
+
+
+def test_engine_stats_survive_pickle():
+    stats = EngineStats(3, nodes_visited=5, truncated_hit_lists=1)
+    twin = pickle.loads(pickle.dumps(stats))
+    assert type(twin) is EngineStats
+    assert twin.as_dict() == stats.as_dict()
+    assert twin.as_dict()["forward_searches"] == 3
 
 
 def test_is_aligned_property_survives():
