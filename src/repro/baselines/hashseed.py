@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.builder import rolling_codes
 from repro.memsim.trace import AddressSpace, MemoryTracer
 from repro.seeding.types import Seed, SeedingResult
+from repro.sequence.alphabet import kmer_codes
 from repro.sequence.reference import Reference
 
 PHASE_BUCKET = "hash_bucket"
@@ -54,7 +54,7 @@ class HashSeedIndex:
         self.config = config or HashSeedConfig()
         self.tracer: "MemoryTracer | None" = None
         text = reference.both_strands
-        codes = rolling_codes(text, self.config.k)
+        codes = kmer_codes(text, self.config.k)
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1

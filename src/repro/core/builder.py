@@ -69,19 +69,8 @@ from repro.core.index import EntryKind, ErtIndex
 from repro.core.io import index_over
 from repro.core.layout import forest_layout
 from repro.fmindex.suffix_array import pair_lcp, prefix_ranks
+from repro.sequence.alphabet import kmer_codes
 from repro.sequence.reference import Reference
-
-
-def rolling_codes(text: np.ndarray, length: int) -> np.ndarray:
-    """Big-endian 2-bit codes of every ``length``-window of ``text``."""
-    n = int(text.size)
-    if length > n:
-        return np.empty(0, dtype=np.int64)
-    out = np.zeros(n - length + 1, dtype=np.int64)
-    for j in range(length):
-        out <<= 2
-        out |= text[j:n - length + 1 + j]
-    return out
 
 
 def _entry_metadata(
@@ -91,7 +80,7 @@ def _entry_metadata(
     k = config.k
     n_entries = config.n_entries
     counts_by_len = [
-        np.bincount(rolling_codes(text, length), minlength=4 ** length)
+        np.bincount(kmer_codes(text, length), minlength=4 ** length)
         .astype(np.int32)
         for length in range(1, k + 1)
     ]
@@ -131,7 +120,7 @@ def _kmer_groups(
     lcp = pair_lcp(levels, spans, members[:-1], members[1:])
     del levels
     opens = np.flatnonzero(np.concatenate(([members.size > 0], lcp < k)))
-    codes = rolling_codes(text, k)[members[opens]]
+    codes = kmer_codes(text, k)[members[opens]]
     ext = np.full(members.size + 1, -1, dtype=np.int32)
     np.maximum(lcp - k, -1, out=ext[1:-1])
     return codes, np.append(opens, members.size), members, ext

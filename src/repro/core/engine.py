@@ -34,20 +34,7 @@ from repro.core.index import ErtIndex
 from repro.core.walk import FetchModel, walk
 from repro.seeding.engine import ForwardSearch, SeedingEngine
 from repro.seeding.types import Mem
-from repro.sequence.alphabet import COMPLEMENT
-
-
-def _kmer_codes(buf: np.ndarray, k: int) -> np.ndarray:
-    """The int64 code of every k-mer of the 2-bit bases ``buf`` (``buf[p
-    + c]`` in bits ``2 (k - 1 - c)`` of code ``p``, as
-    :meth:`~repro.core.index.ErtIndex.kmer_code` packs it): ``k - 1``
-    shifted ORs over the whole buffer, not a ``(windows, k)`` matmul."""
-    span = buf.size - k + 1
-    codes = buf[:span].astype(np.int64)
-    for c in range(1, k):
-        codes <<= 2
-        codes |= buf[c:c + span]
-    return codes
+from repro.sequence.alphabet import kmer_codes, revcomp_codes
 
 
 class _Strands:
@@ -136,9 +123,9 @@ class ErtSeedingEngine(SeedingEngine):
 
     def _prepare(self, reads: "list[np.ndarray]") -> "dict[int, tuple]":
         """``id(read) -> (reverse complement, codes, rc codes)`` for each
-        read: one ``COMPLEMENT`` gather over the concatenated reads, and
-        the rolling k-mer codes of both strands with :func:`_kmer_codes`
-        (codes are None for a read shorter than k)."""
+        read: one reverse complement of the concatenated reads, and the
+        rolling k-mer codes of both strands (codes are None for a read
+        shorter than k)."""
         prepared: "dict[int, tuple]" = {}
         if not reads:
             return prepared
@@ -146,19 +133,17 @@ class ErtSeedingEngine(SeedingEngine):
         # slice below is contiguous and ascending.  Windows straddling
         # read boundaries are garbage and excluded by the slicing.
         buf = np.concatenate(reads)
-        rev = COMPLEMENT[buf][::-1].copy()
+        rev = revcomp_codes(buf)
         total = int(rev.size)
         k = self.index.config.k
-        fwd_codes = rev_codes = None
-        if total >= k:
-            fwd_codes = _kmer_codes(buf, k)
-            rev_codes = _kmer_codes(rev, k)
+        fwd_codes = kmer_codes(buf, k)
+        rev_codes = kmer_codes(rev, k)
         base = 0
         for read in reads:
             n = int(read.size)
             lo = total - base - n
             codes = rc_codes = None
-            if n >= k and fwd_codes is not None:
+            if n >= k:
                 span = n - k + 1
                 codes = fwd_codes[base:base + span]
                 rc_codes = rev_codes[lo:lo + span]
@@ -262,32 +247,6 @@ class ErtSeedingEngine(SeedingEngine):
                 nid = self._charge_gather(count, nid, fetch)
             self._hits[(strands.key, s, end)] = (count, nid, True)
         return s
-
-    # repro: hot -- one walk per segment longer than k.
-    def count(self, read: np.ndarray, start: int, end: int) -> int:
-        """A segment of at most k characters is answered from the
-        prefix-count tables (the length-k one is the k-mer counts), as
-        the walk's reseed probe reads them; a longer one is walked."""
-        strands = (self._current if read is self._read
-                   else self._strands(read))
-        index = self.index
-        traced = index.tracer is not None or index.reuse_cache is not None
-        length = end - start
-        if length <= self.min_query_len:
-            if length < 1:
-                raise ValueError("count needs a non-empty segment")
-            value = 0
-            for c in strands.seq[start:end]:
-                value = (value << 2) | c
-            if traced:
-                self._fetch.probe(length, value)
-            return self._cursor.prefix_counts[length - 1][value]
-        reached, nid, count, steps = walk(
-            self._cursor, strands.seq, strands.codes, start, end, 1, None,
-            False, 0, 0, self._fetch if traced else None)
-        self.stats.index_lookups += 1
-        self.walk_steps += steps
-        return count if reached == end and nid >= 0 else 0
 
     # repro: hot -- one call per emitted seed.
     def locate(self, read: np.ndarray, start: int, end: int,

@@ -61,9 +61,6 @@ class FmdSeedingEngine(SeedingEngine):
             s -= 1
         return s
 
-    def count(self, read: np.ndarray, start: int, end: int) -> int:
-        return self.index.count(read[start:end])
-
     def locate(self, read: np.ndarray, start: int, end: int,
                limit: "int | None" = None) -> "tuple[int, list[int]]":
         bi = self.index.pattern_interval(read[start:end])

@@ -253,10 +253,6 @@ class FmdIndex:
             bi = self.backward_extend(bi, int(c))
         return bi
 
-    def count(self, codes: np.ndarray) -> int:
-        """Number of occurrences of a pattern in ``X``."""
-        return max(0, self.pattern_interval(codes).s)
-
     def locate(self, bi: BiInterval, limit: "int | None" = None) -> "list[int]":
         """Text positions (in ``X``) of the pattern with bi-interval ``bi``.
 

@@ -79,7 +79,3 @@ class CacheModel:
         if len(cache_set) > self.ways:
             cache_set.popitem(last=False)
         return False
-
-    def on_access(self, event) -> None:
-        """Tracer-sink adapter: feed an :class:`~repro.memsim.trace.Access`."""
-        self.lookup(event.addr)

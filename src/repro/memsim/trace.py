@@ -12,8 +12,8 @@ The tracer:
 * coalesces each access into the set of cache lines it touches, mirroring
   how the paper counts "memory requests per read" (Fig 12a) and "data
   required per read" in 64 B units (Fig 12b);
-* forwards each line-level request to any attached *sinks* (DRAM model,
-  cache models, the accelerator's trace consumer).
+* forwards each line-level request to any attached *sinks* (the DRAM
+  model).
 
 Tracing is optional: with ``tracer=None`` the engines skip all accounting,
 so correctness tests pay no overhead.

@@ -1,7 +1,7 @@
 """The abstract seeding-engine interface both indexes implement.
 
 The SMEM algorithm (:mod:`repro.seeding.algorithm`) is written once against
-this interface.  An engine must answer five questions about exact matches of
+this interface.  An engine must answer four questions about exact matches of
 a read against the double-strand text ``X``:
 
 * :meth:`SeedingEngine.forward_search` -- from a pivot, how far right does
@@ -9,8 +9,8 @@ a read against the double-strand text ``X``:
   paper's *left extension points*, LEP)?
 * :meth:`SeedingEngine.backward_search` -- given a right endpoint, how far
   left does the match extend?
-* :meth:`SeedingEngine.count` / :meth:`SeedingEngine.locate` -- occurrence
-  count and positions of a read substring.
+* :meth:`SeedingEngine.locate` -- occurrence count and positions of a read
+  substring.
 * :meth:`SeedingEngine.last_seed` -- the forward-only selective-prefix query
   BWA-MEM2's third seeding round (LAST) performs.
 
@@ -152,10 +152,6 @@ class SeedingEngine(abc.ABC):
         """Smallest ``s`` such that ``read[s:end]`` has >= ``min_hits``
         hits.  ``end`` itself is returned when even the single character
         ``read[end-1:end]`` is below the threshold."""
-
-    @abc.abstractmethod
-    def count(self, read: np.ndarray, start: int, end: int) -> int:
-        """Occurrence count of ``read[start:end]`` in ``X``."""
 
     @abc.abstractmethod
     def locate(self, read: np.ndarray, start: int, end: int,

@@ -126,9 +126,6 @@ class OracleEngine(SeedingEngine):
             s -= 1
         return s
 
-    def count(self, read: np.ndarray, start: int, end: int) -> int:
-        return count_occurrences(self.text, self._segment(read, start, end))
-
     def locate(self, read: np.ndarray, start: int, end: int,
                limit: "int | None" = None) -> "tuple[int, list[int]]":
         pattern = self._segment(read, start, end)

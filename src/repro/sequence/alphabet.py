@@ -79,6 +79,24 @@ def revcomp_codes(codes: np.ndarray) -> np.ndarray:
     return COMPLEMENT[np.asarray(codes, dtype=np.uint8)][::-1].copy()
 
 
+def kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """The int64 code of every ``k``-window of ``codes``, big-endian 2-bit
+    (``codes[p + c]`` in bits ``2 (k - 1 - c)`` of code ``p``): ``k - 1``
+    shifted ORs over the whole array, empty when ``k`` exceeds its length.
+
+    >>> kmer_codes(encode("ACGT"), 2).tolist()
+    [1, 6, 11]
+    """
+    span = codes.size - k + 1
+    if span <= 0:
+        return np.empty(0, dtype=np.int64)
+    out = codes[:span].astype(np.int64)
+    for c in range(1, k):
+        out <<= 2
+        out |= codes[c:c + span]
+    return out
+
+
 def revcomp(seq: str) -> str:
     """Reverse-complement a DNA string."""
     return decode(revcomp_codes(encode(seq)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sequence.alphabet import COMPLEMENT
+from repro.sequence.alphabet import revcomp_codes
 from repro.sequence.io import Read
 from repro.sequence.reference import Reference, Strand
 
@@ -255,7 +255,7 @@ class PairedReadSimulator:
         start = int(self._rng.integers(0, n - length + 1))
         fwd = self.reference.codes[start:start + length]
         left = fwd[:rl].copy()
-        right = COMPLEMENT[fwd[length - rl:]][::-1].copy()
+        right = revcomp_codes(fwd[length - rl:])
         if self._rng.random() < 0.5:
             strand = Strand.FORWARD
             first_codes, second_codes = left, right

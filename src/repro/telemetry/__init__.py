@@ -94,7 +94,6 @@ __all__ = [
     "read_probe",
     "record_reads",
     "recorder",
-    "recording",
     "registry",
     "render_profile",
     "reset",
@@ -206,10 +205,6 @@ def start_recording(epoch_ns: "int | None" = None) -> int:
 def stop_recording() -> None:
     """Stop recording; buffered events stay available for export."""
     _recorder.stop()
-
-
-def recording() -> bool:
-    return _recorder.recording
 
 
 def instant(name: str, arg: "object | None" = None) -> None:

@@ -123,10 +123,6 @@ class Tracer:
         return _Span(self, name)
 
     @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    @property
     def is_empty(self) -> bool:
         return not self.stats
 

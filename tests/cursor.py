@@ -501,20 +501,6 @@ class CursorSeedingEngine(SeedingEngine):
         hits = tuple(sorted(two_n - t - length for t in rev_positions))
         self._hits[(self._key(read), s, end)] = (count, hits)
 
-    def count(self, read: np.ndarray, start: int, end: int) -> int:
-        self._check_read(read)
-        k = self.index.config.k
-        if end - start <= k:
-            return prefix_count(self.index, read[start:end])
-        code, matched, _ = self._kmer_entry(read, start, 1)
-        if matched < k:
-            return 0
-        cursor = TreeCursor(self.index, code, 1, self.stats)
-        for pos in range(start + k, end):
-            if not cursor.advance(int(read[pos])):
-                return 0
-        return cursor.count
-
     def locate(self, read: np.ndarray, start: int, end: int,
                limit: "int | None" = None) -> "tuple[int, list[int]]":
         self._check_read(read)

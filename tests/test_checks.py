@@ -277,7 +277,6 @@ def test_ert_repro_check_subcommand():
 HOT_FUNCTIONS = (
     ("core/engine.py", "forward_search"),
     ("core/engine.py", "backward_search"),
-    ("core/engine.py", "count"),
     ("core/engine.py", "locate"),
     ("core/engine.py", "last_seed"),
     ("core/walk.py", "walk"),

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.cli import build_parser, main
 from tests.frames import read_frame, rewrite, save_as_archive
 
@@ -820,6 +821,40 @@ def test_one_worker_run_imports_only_what_it_executes(
         # building the parser loads no repro module that needs it.
         assert {m for m in added if m.startswith("repro")} <= {
             "repro", "repro._lazy", "repro.cli", "repro.kernels"}
+
+
+def test_prefix_merged_index_writes_what_the_plain_index_writes(
+        workspace, pairs_fastq, tmp_path):
+    """``build-index --prefix-merging`` resolves adjacent backward
+    searches in pairs (§III-B); ``seed``, ``align`` and ``align-pe``
+    over it write the plain index's bytes at one and at two workers."""
+    _root, ref, reads, index = workspace
+    merged = tmp_path / "merged.ert"
+    assert main(["build-index", "--reference", str(ref), "--k", "5",
+                 "--max-seed-len", "100", "--prefix-merging",
+                 "--out", str(merged)]) == 0
+    metrics = tmp_path / "metrics.json"
+    for command in ("seed", "align", "align-pe"):
+        fastq = pairs_fastq if command == "align-pe" else reads
+        for workers in ("1", "2"):
+            outs = {}
+            for name, path in (("plain", index), ("merged", merged)):
+                outs[name] = tmp_path / f"{command}-{name}-w{workers}"
+                extra = (["--metrics-out", str(metrics)]
+                         if name == "merged" and command == "seed" else [])
+                try:
+                    assert main([command, "--index", str(path),
+                                 "--reads", str(fastq),
+                                 "--min-seed-len", "12",
+                                 "--workers", workers,
+                                 "--out", str(outs[name]), *extra]) == 0
+                finally:
+                    telemetry.reset()
+            assert outs["plain"].read_bytes() == \
+                outs["merged"].read_bytes(), (command, workers)
+            if command == "seed":
+                counters = json.loads(metrics.read_text())["counters"]
+                assert counters["seeding.merged_backward_searches"] > 0
 
 
 def test_pool_modules_load_in_the_parent_only_at_workers_two(workspace,

@@ -54,4 +54,4 @@ def test_sweep_respects_min_hits():
     forward = engine.forward_search(read, 0, min_hits=3)
     mems = engine.backward_sweep(read, forward.leps, 3, 0, False)
     for mem in mems:
-        assert engine.count(read, mem.start, mem.end) >= 3
+        assert engine.locate(read, mem.start, mem.end)[0] >= 3

@@ -19,12 +19,12 @@ from repro.core.arena import (
     KIND_UNIFORM,
     FlatTrees,
 )
-from repro.core.builder import _entry_metadata, rolling_codes
+from repro.core.builder import _entry_metadata
 from repro.core.index import ErtIndex
 from repro.core.layout import TILE, LayoutStats
 from repro.seeding.oracle import count_occurrences
 from repro.sequence import GenomeSimulator, Reference
-from repro.sequence.alphabet import decode
+from repro.sequence.alphabet import decode, kmer_codes
 from repro.sequence.multi import MultiReference
 from tests.cursor import WalkState, build_jump_table
 from tests.frames import read_frame
@@ -48,16 +48,6 @@ def ref():
 def index(ref):
     return build_ert(ref, ErtConfig(k=5, max_seed_len=60,
                                     table_threshold=16, table_x=2))
-
-
-def test_rolling_codes_known():
-    text = np.array([0, 1, 2, 3], dtype=np.uint8)  # ACGT
-    codes = rolling_codes(text, 2)
-    assert codes.tolist() == [0b0001, 0b0110, 0b1011]
-
-
-def test_rolling_codes_short_text():
-    assert rolling_codes(np.array([1], dtype=np.uint8), 3).size == 0
 
 
 def test_config_validation():
@@ -467,7 +457,7 @@ def oracle_build_ert(reference, config):
     cap = config.max_ext
     lep_bits, prefix_len, kmer_count, counts_by_len = _entry_metadata(
         text, config)
-    codes = rolling_codes(text, k)
+    codes = kmer_codes(text, k)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1

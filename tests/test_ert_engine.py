@@ -43,15 +43,6 @@ def test_backward_search_min_hits_matches_oracle(ert, oracle, read_codes):
                     oracle.backward_search(read, end, min_hits)
 
 
-def test_count_matches_oracle(ert, oracle, read_codes):
-    for read in read_codes[:6]:
-        ert.begin_read()
-        for start, end in [(0, 3), (0, 6), (2, 8), (5, 30), (0, 80),
-                           (40, 55)]:
-            assert ert.count(read, start, end) == \
-                oracle.count(read, start, end), (start, end)
-
-
 def test_locate_matches_oracle(ert, oracle, read_codes, params):
     for read in read_codes[:6]:
         ert.begin_read()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import EntryKind, ErtConfig, ErtSeedingEngine, build_ert
-from repro.core.engine import _kmer_codes
 from repro.memsim import CacheModel, MemoryTracer
 from repro.sequence import GenomeSimulator
-from repro.sequence.alphabet import encode
+from repro.sequence.alphabet import encode, kmer_codes
 
 
 @pytest.fixture(scope="module")
@@ -32,24 +31,28 @@ def _matmul_codes(buf, k):
     return np.lib.stride_tricks.sliding_window_view(buf, k) @ weights
 
 
-@pytest.mark.parametrize("k", range(5, 16))
+@pytest.mark.parametrize("k", range(1, 16))
 def test_kmer_codes_equal_the_matmul_form(k):
     """The shifted-OR codes equal the matmul form over a batch buffer
     that mixes reads shorter than k with longer ones, short reads at
-    either edge, and over each read alone."""
+    either edge, and over each read alone; a read shorter than k has
+    no code."""
     rng = np.random.default_rng(k)
-    lengths = [k - 1, 1, k, 101, k + 1, 3, 60, k - 2]
+    lengths = [max(k - 1, 0), 1, k, 101, k + 1, 3, 60, max(k - 2, 0)]
     for order in (lengths, lengths[::-1]):
         reads = [rng.integers(0, 4, size=n).astype(np.uint8)
                  for n in order]
         buf = np.concatenate(reads)
-        got = _kmer_codes(buf, k)
+        got = kmer_codes(buf, k)
         assert got.dtype == np.int64
         assert np.array_equal(got, _matmul_codes(buf, k))
         for read in reads:
+            got = kmer_codes(read, k)
+            assert got.dtype == np.int64
             if read.size >= k:
-                assert np.array_equal(_kmer_codes(read, k),
-                                      _matmul_codes(read, k))
+                assert np.array_equal(got, _matmul_codes(read, k))
+            else:
+                assert got.size == 0
 
 
 def test_prepared_batch_codes(index):
@@ -73,31 +76,16 @@ def test_prepared_batch_codes(index):
 
 
 def test_prefix_count_matches_tables(index):
-    """The engine answers a segment of 1..k characters from the
-    prefix-count tables, charging one table entry when traced."""
+    """``prefix_counts[l - 1]``, the table the walk's reseed probe
+    reads, holds the sliding-window count of every l-mer of the
+    double-strand text for l = 1..k."""
     text = index.text
-    engine = ErtSeedingEngine(index)
-    for pattern in ("A", "AC", "ACG", "ACGT", "ACGTA"):
-        codes = encode(pattern)
-        # Manual sliding-window count over the double-strand text.
-        k = len(codes)
-        windows = np.lib.stride_tricks.sliding_window_view(text, k)
-        expected = int(np.count_nonzero((windows == codes).all(axis=1)))
-        engine.begin_read()
-        assert engine.count(codes, 0, k) == expected
-        tracer = MemoryTracer()
-        index.attach_tracer(tracer)
-        try:
-            engine.count(codes, 0, k)
-        finally:
-            index.attach_tracer(None)
-        assert tracer.total_requests == 1
-
-
-def test_prefix_count_validates_length(index):
-    engine = ErtSeedingEngine(index)
-    with pytest.raises(ValueError):
-        engine.count(encode("ACGTAC"), 2, 2)
+    k = index.config.k
+    assert len(index.prefix_counts) == k
+    for length in range(1, k + 1):
+        expected = np.bincount(_matmul_codes(text, length),
+                               minlength=4 ** length)
+        assert np.array_equal(index.prefix_counts[length - 1], expected)
 
 
 def test_trace_goes_through_reuse_cache(index):

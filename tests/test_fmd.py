@@ -33,7 +33,7 @@ def test_count_matches_brute_force(small_ref, small_index):
         start = int(rng.integers(0, len(text) - 12))
         length = int(rng.integers(1, 12))
         pattern = text[start:start + length]
-        assert small_index.count(encode(pattern)) == \
+        assert small_index.pattern_interval(encode(pattern)).s == \
             count_occurrences(text, pattern)
 
 
@@ -43,7 +43,7 @@ def test_count_absent_pattern(small_index, small_ref):
     pattern = "ACGT"
     while count_occurrences(text, pattern) > 0:
         pattern += "ACGT"[len(pattern) % 4]
-    assert small_index.count(encode(pattern)) == 0
+    assert small_index.pattern_interval(encode(pattern)).s == 0
 
 
 def test_locate_matches_brute_force(small_ref, small_index):
@@ -123,7 +123,7 @@ def test_traffic_recorded_on_extension(small_ref):
     tracer = MemoryTracer()
     index.attach_tracer(tracer)
     pattern = text_of(small_ref)[100:130]
-    index.count(encode(pattern))
+    index.pattern_interval(encode(pattern))
     assert tracer.by_phase["occ_lookup"].requests > 0
     index.attach_tracer(None)
 
@@ -157,5 +157,5 @@ def test_small_random_genomes_count(seed):
     text = decode(ref.both_strands)
     for start in range(0, 50, 7):
         pattern = text[start:start + 5]
-        assert index.count(encode(pattern)) == \
+        assert index.pattern_interval(encode(pattern)).s == \
             count_occurrences(text, pattern)

@@ -262,21 +262,6 @@ def test_arena_engine_search_counters_match_scalar(ert_index, reference,
                 == getattr(scalar.stats, name)), name
 
 
-def test_arena_engine_count_matches_scalar(ert_index, read_codes):
-    """``count`` inside the index table (<= k characters), through a
-    tree, and of a segment that does not occur."""
-    host = CursorSeedingEngine(ert_index)
-    arena = ErtSeedingEngine(ert_index)
-    arena.begin_batch(read_codes)
-    absent = 0
-    for read in read_codes[:6]:
-        for start, end in ((0, 3), (0, 6), (2, 20), (10, 70), (0, 80)):
-            want = host.count(read, start, end)
-            assert arena.count(read, start, end) == want
-            absent += want == 0
-    assert absent  # reads carry errors: some segments occur nowhere
-
-
 @pytest.fixture(scope="module")
 def repeat_rich():
     """A reference of tandem repeats, homopolymer blocks and diverged

@@ -76,7 +76,7 @@ def test_oracle_engine_min_hits():
     engine = OracleEngine(ref)
     read = encode("ACGACG")
     # "ACG" occurs 3 times on the forward strand; "ACGACG" twice.
-    assert engine.count(read, 0, 3) >= 3
+    assert engine.locate(read, 0, 3)[0] >= 3
     fs1 = engine.forward_search(read, 0, min_hits=1)
     fs3 = engine.forward_search(read, 0, min_hits=3)
     assert fs1.end >= fs3.end
@@ -90,5 +90,5 @@ def test_oracle_engine_last_seed():
     assert found is not None
     end, count = found
     assert end - 0 >= 4
-    assert count == engine.count(read, 0, end)
+    assert count == engine.locate(read, 0, end)[0]
     assert count < 10
