@@ -101,114 +101,144 @@ _DELEGATED = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The ``ert-repro`` parser.  Every subcommand is listed; with
+    ``command`` given, only that subcommand's arguments are added (all
+    of them by default), which is all :func:`main` needs to parse one
+    command line and spares the rest's ``add_argument`` calls."""
     parser = argparse.ArgumentParser(
         prog="ert-repro",
         description="Enumerated Radix Tree seeding (ISCA 2021 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim_g = sub.add_parser("simulate-genome",
-                           help="generate a repeat-rich synthetic genome")
-    sim_g.add_argument("--length", type=int, required=True)
-    sim_g.add_argument("--seed", type=int, default=0)
-    sim_g.add_argument("--name", default="synthetic")
-    sim_g.add_argument("--out", required=True)
-
-    sim_r = sub.add_parser("simulate-reads",
-                           help="sample Illumina-like reads from a FASTA")
-    sim_r.add_argument("--reference", required=True)
-    sim_r.add_argument("--count", type=int, required=True)
-    sim_r.add_argument("--read-length", type=int, default=101)
-    sim_r.add_argument("--error-fraction", type=float, default=0.2)
-    sim_r.add_argument("--seed", type=int, default=0)
-    sim_r.add_argument("--out", required=True)
-
-    build = sub.add_parser("build-index", help="build and persist an ERT")
-    build.add_argument("--reference", required=True)
-    build.add_argument("--k", type=int, default=8)
-    build.add_argument("--max-seed-len", type=int, default=151)
-    build.add_argument("--table-threshold", type=int, default=256)
-    build.add_argument("--table-x", type=int, default=4)
-    build.add_argument("--prefix-merging", action="store_true")
-    build.add_argument("--out", required=True)
-
-    stats = sub.add_parser("index-stats", help="census of a persisted ERT")
-    stats.add_argument("--index", required=True)
-
-    seed = sub.add_parser("seed", help="seed reads, one TSV line per seed")
-    seed.add_argument("--index", required=True)
-    seed.add_argument("--reads", required=True)
-    _add_seeding_args(seed, max_hits=True)
-    seed.add_argument("--out", default="-")
-    _add_telemetry_args(seed)
-    _add_parallel_args(seed)
-
-    align = sub.add_parser("align", help="align reads to SAM")
-    align.add_argument("--index", required=True)
-    align.add_argument("--reads", required=True)
-    _add_seeding_args(align)
-    align.add_argument("--out", required=True)
-    _add_telemetry_args(align)
-    _add_parallel_args(align)
-
-    align_pe = sub.add_parser(
-        "align-pe", help="align interleaved paired-end reads to SAM")
-    align_pe.add_argument("--index", required=True)
-    align_pe.add_argument("--reads", required=True,
-                          help="interleaved FASTQ (mate1, mate2, ...)")
-    _add_seeding_args(align_pe)
-    align_pe.add_argument("--insert-mean", type=int, default=350)
-    align_pe.add_argument("--insert-sd", type=int, default=50)
-    align_pe.add_argument("--out", required=True)
-    _add_telemetry_args(align_pe)
-    _add_parallel_args(align_pe)
-
-    report = sub.add_parser(
-        "report", help="render a saved telemetry snapshot (--metrics-out "
-                       "file) as a per-stage profile")
-    report.add_argument("--metrics", required=True,
-                        help="JSON file written by --metrics-out")
-
-    explain = sub.add_parser(
-        "explain",
-        help="replay one read from a FASTQ through the serial engine "
-             "with full instrumentation and print where its time went")
-    explain.add_argument("--index", required=True)
-    explain.add_argument("--reads", required=True,
-                         help="FASTQ holding the read to replay")
-    explain.add_argument("--read-id", required=True,
-                         help="read name as shown in the slowlog / "
-                              "exemplar tables")
-    explain.add_argument("--task", choices=("seed", "align"),
-                         default="seed")
-    explain.add_argument("--kernels", choices=("scalar", "vector"),
-                         default=None,
-                         help="replay with the scalar or the batched "
-                              "traceback kernel; defaults to whatever "
-                              "the slowlog record says the run used, "
-                              "else vector")
-    _add_seeding_args(explain, max_hits=True)
-    explain.add_argument(
-        "--slowlog", default=None, metavar="FILE",
-        help="cross-check the replayed counters against this slowlog's "
-             "recorded entry for the read (non-zero exit on mismatch)")
-    explain.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the replayed record as JSON instead "
-                              "of tables")
-
-    compare = sub.add_parser(
-        "compare",
-        help="measure FMD vs ERT memory traffic on a read set (Fig 12)")
-    compare.add_argument("--reference", required=True)
-    compare.add_argument("--reads", required=True)
-    compare.add_argument("--k", type=int, default=8)
-    _add_seeding_args(compare)
-    _add_telemetry_args(compare)
-
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=summary)
+        if command is None or command == name:
+            add_arguments(subparser)
     # Listed for ``ert-repro --help`` only; ``main`` never parses them.
     for name, (_module, summary) in _DELEGATED.items():
         sub.add_parser(name, help=summary, add_help=False)
     return parser
+
+
+def _simulate_genome_args(parser) -> None:
+    parser.add_argument("--length", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--name", default="synthetic")
+    parser.add_argument("--out", required=True)
+
+
+def _simulate_reads_args(parser) -> None:
+    parser.add_argument("--reference", required=True)
+    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("--read-length", type=int, default=101)
+    parser.add_argument("--error-fraction", type=float, default=0.2)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True)
+
+
+def _build_index_args(parser) -> None:
+    parser.add_argument("--reference", required=True)
+    parser.add_argument("--k", type=int, default=8)
+    parser.add_argument("--max-seed-len", type=int, default=151)
+    parser.add_argument("--table-threshold", type=int, default=256)
+    parser.add_argument("--table-x", type=int, default=4)
+    parser.add_argument("--prefix-merging", action="store_true")
+    parser.add_argument("--out", required=True)
+
+
+def _index_stats_args(parser) -> None:
+    parser.add_argument("--index", required=True)
+
+
+def _seed_args(parser) -> None:
+    parser.add_argument("--index", required=True)
+    parser.add_argument("--reads", required=True)
+    _add_seeding_args(parser, max_hits=True)
+    parser.add_argument("--out", default="-")
+    _add_telemetry_args(parser)
+    _add_parallel_args(parser)
+
+
+def _align_args(parser) -> None:
+    parser.add_argument("--index", required=True)
+    parser.add_argument("--reads", required=True)
+    _add_seeding_args(parser)
+    parser.add_argument("--out", required=True)
+    _add_telemetry_args(parser)
+    _add_parallel_args(parser)
+
+
+def _align_pe_args(parser) -> None:
+    parser.add_argument("--index", required=True)
+    parser.add_argument("--reads", required=True,
+                        help="interleaved FASTQ (mate1, mate2, ...)")
+    _add_seeding_args(parser)
+    parser.add_argument("--insert-mean", type=int, default=350)
+    parser.add_argument("--insert-sd", type=int, default=50)
+    parser.add_argument("--out", required=True)
+    _add_telemetry_args(parser)
+    _add_parallel_args(parser)
+
+
+def _report_args(parser) -> None:
+    parser.add_argument("--metrics", required=True,
+                        help="JSON file written by --metrics-out")
+
+
+def _explain_args(parser) -> None:
+    parser.add_argument("--index", required=True)
+    parser.add_argument("--reads", required=True,
+                        help="FASTQ holding the read to replay")
+    parser.add_argument("--read-id", required=True,
+                        help="read name as shown in the slowlog / "
+                             "exemplar tables")
+    parser.add_argument("--task", choices=("seed", "align"),
+                        default="seed")
+    parser.add_argument("--kernels", choices=("scalar", "vector"),
+                        default=None,
+                        help="replay with the scalar or the batched "
+                             "traceback kernel; defaults to whatever "
+                             "the slowlog record says the run used, "
+                             "else vector")
+    _add_seeding_args(parser, max_hits=True)
+    parser.add_argument(
+        "--slowlog", default=None, metavar="FILE",
+        help="cross-check the replayed counters against this slowlog's "
+             "recorded entry for the read (non-zero exit on mismatch)")
+    parser.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit the replayed record as JSON instead "
+                             "of tables")
+
+
+def _compare_args(parser) -> None:
+    parser.add_argument("--reference", required=True)
+    parser.add_argument("--reads", required=True)
+    parser.add_argument("--k", type=int, default=8)
+    _add_seeding_args(parser)
+    _add_telemetry_args(parser)
+
+
+#: subcommand -> (``--help`` summary, the function adding its
+#: arguments), in ``ert-repro --help`` order.
+_SUBCOMMANDS = {
+    "simulate-genome": ("generate a repeat-rich synthetic genome",
+                        _simulate_genome_args),
+    "simulate-reads": ("sample Illumina-like reads from a FASTA",
+                       _simulate_reads_args),
+    "build-index": ("build and persist an ERT", _build_index_args),
+    "index-stats": ("census of a persisted ERT", _index_stats_args),
+    "seed": ("seed reads, one TSV line per seed", _seed_args),
+    "align": ("align reads to SAM", _align_args),
+    "align-pe": ("align interleaved paired-end reads to SAM",
+                 _align_pe_args),
+    "report": ("render a saved telemetry snapshot (--metrics-out file) "
+               "as a per-stage profile", _report_args),
+    "explain": ("replay one read from a FASTQ through the serial engine "
+                "with full instrumentation and print where its time went",
+                _explain_args),
+    "compare": ("measure FMD vs ERT memory traffic on a read set (Fig 12)",
+                _compare_args),
+}
 
 
 def _add_seeding_args(parser, max_hits: bool = False) -> None:
@@ -342,6 +372,8 @@ def _write_slowlog(path, exemplars: dict) -> None:
 
 def _telemetry_finish(args, active: bool, title: str,
                       profile_stream=None) -> None:
+    """Write what the telemetry flags asked for, then turn metrics off
+    and empty the registry, so nothing of the run outlives it."""
     from repro import telemetry
 
     if args.trace_out:
@@ -370,11 +402,14 @@ def _telemetry_finish(args, active: bool, title: str,
     if args.profile:
         print(telemetry.render_profile(snap, title=title),
               file=profile_stream or sys.stdout)
+    # The run's metrics are written: a later caller in this process
+    # starts from an empty registry.
+    telemetry.reset()
 
 
 def _telemetry_abort(args, active: bool) -> None:
-    """Close what :func:`_telemetry_begin` opened, writing no artifact:
-    the run failed part-way."""
+    """Close what :func:`_telemetry_begin` opened and empty the
+    registry, writing no artifact: the run failed part-way."""
     from repro import telemetry
 
     if args.trace_out:
@@ -385,6 +420,7 @@ def _telemetry_abort(args, active: bool) -> None:
         repro_logging.shutdown()
     if active:
         telemetry.disable()
+        telemetry.reset()
 
 
 def _cmd_simulate_genome(args) -> int:
@@ -506,7 +542,7 @@ def _write_tsv_header(out, _reference) -> None:
 
 
 def _write_lines(out, lines) -> None:
-    out.writelines(lines)
+    out.write("".join(lines))
 
 
 def _write_sam_header(out, reference) -> None:
@@ -946,7 +982,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return module.main(argv[1:])
     if own_command_line:
         gc.disable()
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     args.process_exits = own_command_line
     if own_command_line and _COMMANDS[args.command] is not _cmd_run:
         gc.enable()

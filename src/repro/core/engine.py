@@ -36,24 +36,30 @@ from repro.seeding.engine import ForwardSearch, SeedingEngine
 from repro.seeding.types import Mem
 from repro.sequence.alphabet import kmer_codes, revcomp_codes
 
+#: Builds a value type without its Python-level ``__new__``: only where
+#: the line before has established what the checking constructor checks.
+_new = tuple.__new__
+
 
 class _Strands:
-    """One read as the walks read it: both strands as ``bytes`` and
-    their rolling k-mer codes (None for a read shorter than k)."""
+    """One read as the walks read it: both strands as ``bytes``, their
+    rolling k-mer codes (None for a read shorter than k) and the reverse
+    complement as an array.  A slotted class: every search reads its
+    fields, and a slot is read faster than a NamedTuple field."""
 
     __slots__ = ("key", "n", "seq", "codes", "rc", "rc_codes", "rc_array")
 
-    def __init__(self, key: int, read: np.ndarray, rc: np.ndarray,
-                 codes: "np.ndarray | None",
-                 rc_codes: "np.ndarray | None") -> None:
+    def __init__(self, key: int, n: int, seq: bytes,
+                 codes: "memoryview | None", rc: bytes,
+                 rc_codes: "memoryview | None",
+                 rc_array: np.ndarray) -> None:
         self.key = key
-        self.n = int(read.size)
-        self.seq = np.asarray(read, dtype=np.uint8).tobytes()
-        self.rc = rc.tobytes()
-        self.rc_array = rc
-        self.codes = memoryview(codes) if codes is not None else None
-        self.rc_codes = memoryview(rc_codes) if rc_codes is not None \
-            else None
+        self.n = n
+        self.seq = seq
+        self.codes = codes
+        self.rc = rc
+        self.rc_codes = rc_codes
+        self.rc_array = rc_array
 
 
 class ErtSeedingEngine(SeedingEngine):
@@ -81,7 +87,7 @@ class ErtSeedingEngine(SeedingEngine):
         # Both strands and rolling codes of each read of the current
         # batch, from begin_batch(); _batch_pinned holds every read for
         # as long as these id()-keyed entries live.
-        self._batch: "dict[int, tuple]" = {}
+        self._batch: "dict[int, _Strands]" = {}
         self._batch_pinned: "dict[int, np.ndarray]" = {}
         self.begin_read()
 
@@ -97,7 +103,7 @@ class ErtSeedingEngine(SeedingEngine):
         # (read id, start, end) -> (count, node, reverse): the node a
         # search ended in, on the reverse strand or not (node -1: count
         # only, the hits are walked again if located); or, for a merged
-        # pair (§III-B), (count, hits).
+        # pair (§III-B), (count, hits, None).
         self._hits: "dict[tuple[int, int, int], tuple]" = {}
         # Strong references backing every id() used as a cache key: a
         # bare id(read) can be recycled once the array is garbage
@@ -121,26 +127,28 @@ class ErtSeedingEngine(SeedingEngine):
         self._batch_pinned = {id(r): r for r in reads}  # repro: allow(ERT001)
         self._batch = self._prepare(reads)
 
-    def _prepare(self, reads: "list[np.ndarray]") -> "dict[int, tuple]":
-        """``id(read) -> (reverse complement, codes, rc codes)`` for each
-        read: one reverse complement of the concatenated reads, and the
-        rolling k-mer codes of both strands (codes are None for a read
-        shorter than k)."""
-        prepared: "dict[int, tuple]" = {}
+    def _prepare(self, reads: "list[np.ndarray]") -> "dict[int, _Strands]":
+        """``id(read) -> _Strands`` for each read: one reverse complement
+        of the concatenated reads, its ``bytes`` and the rolling k-mer
+        codes of both strands, each made once for the whole batch and
+        sliced per read."""
+        prepared: "dict[int, _Strands]" = {}
         if not reads:
             return prepared
         # Reverse the whole complemented buffer once so every per-read
         # slice below is contiguous and ascending.  Windows straddling
         # read boundaries are garbage and excluded by the slicing.
-        buf = np.concatenate(reads)
+        buf = np.concatenate(reads) if len(reads) > 1 else reads[0]
         rev = revcomp_codes(buf)
         total = int(rev.size)
         k = self.index.config.k
-        fwd_codes = kmer_codes(buf, k)
-        rev_codes = kmer_codes(rev, k)
+        seq = np.asarray(buf, dtype=np.uint8).tobytes()
+        rc = rev.tobytes()
+        fwd_codes = memoryview(kmer_codes(buf, k))
+        rev_codes = memoryview(kmer_codes(rev, k))
         base = 0
         for read in reads:
-            n = int(read.size)
+            n = read.size
             lo = total - base - n
             codes = rc_codes = None
             if n >= k:
@@ -149,14 +157,16 @@ class ErtSeedingEngine(SeedingEngine):
                 rc_codes = rev_codes[lo:lo + span]
             # ERT001 exception: the caller pins every read for as long
             # as the returned entries live.
-            prepared[id(read)] = (  # repro: allow(ERT001)
-                rev[lo:lo + n], codes, rc_codes)
+            key = id(read)  # repro: allow(ERT001)
+            prepared[key] = _Strands(key, n, seq[base:base + n], codes,
+                                     rc[lo:lo + n], rc_codes,
+                                     rev[lo:lo + n])
             base += n
         return prepared
 
     def _strands(self, read: np.ndarray) -> _Strands:
         """Load ``read`` (its strands and codes, made once per
-        :meth:`begin_read`)."""
+        :meth:`begin_read`, or once per batch by :meth:`begin_batch`)."""
         if read is self._read:
             return self._current
         if self._cursor is None:
@@ -167,12 +177,15 @@ class ErtSeedingEngine(SeedingEngine):
         key = id(read)  # repro: allow(ERT001)
         strands = self._rev.get(key)
         if strands is None:
-            self._check_read(read)
+            if read.size > self.index.config.max_seed_len:
+                raise ValueError(
+                    f"read of {read.size} bp exceeds the index's "
+                    f"max_seed_len ({self.index.config.max_seed_len}); "
+                    f"rebuild with a larger max_seed_len")
             self._pinned[key] = read
-            prepared = self._batch.get(key)
-            if prepared is None:
-                prepared = self._prepare([read])[key]
-            strands = _Strands(key, read, *prepared)
+            strands = self._batch.get(key)
+            if strands is None:
+                strands = self._prepare([read])[key]
             self._rev[key] = strands
         self._read, self._current = read, strands
         return strands
@@ -221,8 +234,8 @@ class ErtSeedingEngine(SeedingEngine):
         self.stats.index_lookups += 1
         self.walk_steps += steps
         if end <= start:
-            return ForwardSearch(start, start, ())
-        return ForwardSearch(start, end, tuple(leps))
+            return _new(ForwardSearch, (start, start, ()))
+        return _new(ForwardSearch, (start, end, tuple(leps)))
 
     # repro: hot -- one walk per backward search.
     def backward_search(self, read: np.ndarray, end: int,
@@ -257,15 +270,15 @@ class ErtSeedingEngine(SeedingEngine):
         strands = (self._current if read is self._read
                    else self._strands(read))
         cached = self._hits.get((strands.key, start, end))
-        nid = -1
-        if cached is not None:
-            count = cached[0]
+        if cached is None:
+            nid = -1
+        else:
+            count, nid, reverse = cached
             if limit is not None and count > limit:
                 self.stats.truncated_hit_lists += 1
                 return count, []
-            if len(cached) == 2:  # a merged pair's explicit hits
-                return count, list(cached[1])
-            nid, reverse = cached[1], cached[2]
+            if reverse is None:  # a merged pair's explicit hits
+                return count, list(nid)
         if nid < 0:
             k = self.min_query_len
             if end - start < k:
@@ -298,8 +311,8 @@ class ErtSeedingEngine(SeedingEngine):
             return count, sorted(run)
         # An occurrence of the reverse-complemented segment at ``t`` is
         # an occurrence of the segment itself at ``2N - t - L``.
-        flip = len(cursor.text) - (end - start)
-        return count, [flip - t for t in sorted(run, reverse=True)]
+        return count, sorted(map((len(cursor.text) - end + start).__sub__,
+                                 run))
 
     # repro: hot -- one walk per LAST launch.
     def last_seed(self, read: np.ndarray, start: int, min_len: int,
@@ -327,21 +340,69 @@ class ErtSeedingEngine(SeedingEngine):
         return None
 
     # ------------------------------------------------------------------
-    # Prefix-merged backward sweep (§III-B)
+    # Backward sweeps: plain, and prefix-merged (§III-B)
     # ------------------------------------------------------------------
 
+    # repro: hot -- one walk per backward search of a pivot's LEPs.
     def backward_sweep(self, read: np.ndarray, leps: "tuple[int, ...]",
                        min_hits: int, prev_pivot: int,
                        use_pruning: bool) -> "list[Mem]":
-        """The base class's sweep when prefix merging is off (no LEP
-        pair is merged); with it on, adjacent LEPs ``p - 1``, ``p`` are
-        resolved as a pair (:meth:`_merged_pair`)."""
-        merging = self.index.config.prefix_merging
+        """The base class's sweep, each search one :func:`walk` made in
+        the loop as :meth:`backward_search` makes it (no method call
+        per search).  With prefix merging on, adjacent LEPs ``p - 1``,
+        ``p`` are resolved as a pair (:meth:`_merged_sweep`)."""
+        if self.index.config.prefix_merging:
+            return self._merged_sweep(read, leps, min_hits, prev_pivot,
+                                      use_pruning)
+        strands = (self._current if read is self._read
+                   else self._strands(read))
+        index = self.index
+        fetch = (None if index.tracer is None and index.reuse_cache is None
+                 else self._fetch)
+        cursor = self._cursor
+        rc = strands.rc
+        rc_codes = strands.rc_codes
+        n = strands.n
+        key = strands.key
+        cache = self._hits
+        jump = min_hits == 1
+        mems: "list[Mem]" = []
+        idx = steps = 0
+        for idx in range(len(leps) - 1, -1, -1):
+            p = leps[idx]
+            q = n - p
+            rc_end, nid, count, walked = walk(
+                cursor, rc, rc_codes, q, n, min_hits, None, jump, 0, 0,
+                fetch)
+            steps += walked
+            s = p - (rc_end - q)
+            if nid >= 0:
+                if fetch is not None:
+                    nid = self._charge_gather(count, nid, fetch)
+                cache[(key, s, p)] = (count, nid, True)
+            if s < p:  # with s = n - rc_end >= 0: Mem's 0 <= start < end
+                mems.append(_new(Mem, (s, p)))
+            if use_pruning and s <= prev_pivot:
+                self.stats.pruned_backward_searches += idx
+                break
+        searches = len(leps) - idx  # the loop ends at idx 0 or breaks
+        stats = self.stats
+        stats.index_lookups += searches
+        stats.backward_searches += searches
+        self.walk_steps += steps
+        return mems
+
+    def _merged_sweep(self, read: np.ndarray, leps: "tuple[int, ...]",
+                      min_hits: int, prev_pivot: int,
+                      use_pruning: bool) -> "list[Mem]":
+        """The prefix-merged sweep (§III-B): an adjacent LEP pair is
+        resolved by :meth:`_merged_pair`, any other LEP by one
+        :meth:`backward_search`."""
         mems: "list[Mem]" = []
         idx = len(leps) - 1
         while idx >= 0:
             p = leps[idx]
-            if merging and idx >= 1 and leps[idx - 1] == p - 1:
+            if idx >= 1 and leps[idx - 1] == p - 1:
                 consumed, s = self._merged_pair(read, p, min_hits, mems)
             else:
                 consumed = 1
@@ -384,7 +445,7 @@ class ErtSeedingEngine(SeedingEngine):
             if len(extenders) >= min_hits:
                 s_p = s1
                 self._hits[(strands.key, s1, p)] = (len(extenders),
-                                                    extenders)
+                                                    extenders, None)
                 self.stats.merged_backward_searches += 1
                 mems.append(Mem(s1, p))
         if s_p is None:
@@ -395,12 +456,3 @@ class ErtSeedingEngine(SeedingEngine):
             if s_p < p:
                 mems.append(Mem(s_p, p))
         return 2, min(s_p, s1)
-
-    # ------------------------------------------------------------------
-
-    def _check_read(self, read: np.ndarray) -> None:
-        if int(read.size) > self.index.config.max_seed_len:
-            raise ValueError(
-                f"read of {read.size} bp exceeds the index's max_seed_len "
-                f"({self.index.config.max_seed_len}); rebuild with a larger "
-                f"max_seed_len")

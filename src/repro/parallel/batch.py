@@ -31,9 +31,9 @@ class _ReadBatchFields(NamedTuple):
     def reads(self) -> "list[np.ndarray]":
         """Per-read views of the packed code array (one object per read,
         so engines may key per-read caches by identity)."""
-        offsets = self.offsets
-        return [self.codes[int(offsets[i]):int(offsets[i + 1])]
-                for i in range(len(self.names))]
+        codes = self.codes
+        bounds = self.offsets.tolist()
+        return [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class ReadBatch(_ReadBatchFields):
@@ -69,8 +69,7 @@ def pack_batch(reads: "Sequence[object]") -> ReadBatch:
         qualities.append(getattr(read, "quality", ""))
         arrays.append(np.asarray(codes, dtype=np.uint8))
     offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-    for i, arr in enumerate(arrays):
-        offsets[i + 1] = offsets[i] + arr.size
+    np.cumsum([arr.size for arr in arrays], out=offsets[1:])
     packed = (np.concatenate(arrays) if arrays
               else np.zeros(0, dtype=np.uint8))
     return ReadBatch(names=tuple(names), qualities=tuple(qualities),

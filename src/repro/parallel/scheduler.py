@@ -65,6 +65,7 @@ if TYPE_CHECKING:
     from repro.core.index import ErtIndex
     from repro.extend.sam import SamRecord
     from repro.parallel.faults import RetryPolicy
+    from repro.seeding.types import SeedingResult
 
     #: One batch's merged result as the entry points yield it: the
     #: payload (TSV lines or SAM records, in input order) and its
@@ -160,11 +161,14 @@ def default_workers() -> int:
 # ----------------------------------------------------------------------
 
 
-def _seed_line(name: str, seed: Any) -> str:
-    """One seed as the CLI's TSV line."""
-    hits = ",".join(map(str, seed.hits))
-    return (f"{name}\t{seed.read_start}\t{seed.length}"
-            f"\t{seed.hit_count}\t{hits}\n")
+def _tsv_lines(names: "Sequence[str]",
+               seeded: "Sequence[SeedingResult]") -> "list[str]":
+    """The CLI's TSV lines of a batch: one per seed of each read's
+    ``all_seeds``, in read order."""
+    return [f"{name}\t{start}\t{length}\t{count}"
+            f"\t{','.join(map(str, hits))}\n"
+            for name, result in zip(names, seeded)
+            for start, length, hits, count in result.all_seeds]
 
 
 def _extension(task: str, vector: bool) -> "tuple[Any, Any, Any]":
@@ -222,18 +226,21 @@ class _BatchRunner:
         reads = batch.reads()
         names: "Sequence[str]" = batch.names
         probe = telemetry.read_probe()
-        stats = KernelBatchStats(len(reads))
-        seeded = seed_batch(self.engine, reads, self.params, stats=stats)
-        # The sweep cannot probe per read (its hot loops are
-        # telemetry-call-free by construction): the per-read columns of
-        # its KernelBatchStats are the seeding counter rows, and their
-        # walk_steps apportion its wall time.
-        seed_ms = wall_shares(telemetry.probe_ms(probe), stats.walk_steps)
+        if probe is None:  # dark: no exemplar needs the per-read columns
+            seeded = seed_batch(self.engine, reads, self.params)
+        else:
+            stats = KernelBatchStats(len(reads))
+            seeded = seed_batch(self.engine, reads, self.params,
+                                stats=stats)
+            # The sweep cannot probe per read (its hot loops are
+            # telemetry-call-free by construction): the per-read columns
+            # of its KernelBatchStats are the seeding counter rows, and
+            # their walk_steps apportion its wall time.
+            seed_ms = wall_shares(telemetry.probe_ms(probe),
+                                  stats.walk_steps)
         payload: "list[Any]"
         if self.task == "seed":
-            payload = [_seed_line(name, seed)
-                       for name, result in zip(names, seeded)
-                       for seed in result.all_seeds]
+            payload = _tsv_lines(names, seeded)
         elif self.task == "align":
             payload = self.aligner.align_sam_batch(
                 reads, names, batch.qualities, seeded)

@@ -51,6 +51,9 @@ from repro.seeding.types import Mem, Seed, SeedingResult
 SPLIT_FACTOR = 1.5
 #: :class:`Mem` field keys.
 _START, _END = itemgetter(0), itemgetter(1)
+#: Builds a value type without its Python-level ``__new__``: only where
+#: the line before has established what the checking constructor checks.
+_new = tuple.__new__
 
 
 class SeedingParams(NamedTuple):
@@ -82,14 +85,16 @@ def filter_contained(mems: "list[Mem]") -> "list[Mem]":
     Visits the distinct MEMs in ``(start, -end)`` order -- two stable
     sorts on C-level keys, by end descending and then by start -- so a
     MEM is contained in an earlier one iff its end is not past theirs."""
+    if len(mems) < 2:
+        return list(mems)
     ordered = sorted(set(mems), key=_END, reverse=True)
     ordered.sort(key=_START)
     out = []
     max_end = -1
     for mem in ordered:
-        if mem.end > max_end:
+        if mem[1] > max_end:
             out.append(mem)
-            max_end = mem.end
+            max_end = mem[1]
     return out
 
 
@@ -103,22 +108,25 @@ def generate_smems(engine: SeedingEngine, read: np.ndarray,
     the sweep because every remaining MEM is contained in the one just
     found (§III-F).
     """
-    params = params or SeedingParams()
+    use_pruning = (params or SeedingParams()).use_pruning
+    forward_search = engine.forward_search
+    backward_sweep = engine.backward_sweep
     mems: "list[Mem]" = []
     x = 0
     prev_pivot = 0
     n = int(read.size)
+    pivots = 0
     while x < n:
-        forward = engine.forward_search(read, x)
-        engine.stats.forward_searches += 1
-        if forward.end <= x:
+        _, end, leps = forward_search(read, x)
+        pivots += 1
+        if end <= x:
             # No match can cross a below-threshold character, so an
             # empty forward search moves the barrier past it.
             x = prev_pivot = x + 1
             continue
-        mems.extend(engine.backward_sweep(read, forward.leps, 1, prev_pivot,
-                                          params.use_pruning))
-        prev_pivot, x = x, forward.end
+        mems += backward_sweep(read, leps, 1, prev_pivot, use_pruning)
+        prev_pivot, x = x, end
+    engine.stats.forward_searches += pivots
     return filter_contained(mems)
 
 
@@ -127,11 +135,13 @@ def smems_to_seeds(engine: SeedingEngine, read: np.ndarray,
     """Round-1 seed emission: length filter plus hit lookup (one
     ``locate`` per emitted seed, as in every round)."""
     out = []
+    min_len = params.min_seed_len
+    limit = params.max_hits_per_seed
+    locate = engine.locate
     for start, end in mems:
-        if end - start >= params.min_seed_len:
-            count, hits = engine.locate(read, start, end,
-                                        params.max_hits_per_seed)
-            out.append(Seed(start, end - start, tuple(hits), count))
+        if end - start >= min_len:
+            count, hits = locate(read, start, end, limit)
+            out.append(_new(Seed, (start, end - start, tuple(hits), count)))
     return out
 
 
@@ -140,19 +150,21 @@ def _reseed_mems(engine: SeedingEngine, read: np.ndarray, pivot: int,
     """One reseed pivot: its forward search and backward sweep, with the
     LEPs that provably yield only short MEMs left out under pruning (see
     the module docstring)."""
-    leps = engine.forward_search(read, pivot, min_hits).leps
-    engine.stats.forward_searches += 1
+    leps = engine.forward_search(read, pivot, min_hits)[2]
+    stats = engine.stats
+    stats.forward_searches += 1
     if not params.use_pruning or not leps:
         return filter_contained(engine.backward_sweep(
             read, leps, min_hits, 0, params.use_pruning))
     first = leps[0]
     lo = engine.backward_search(read, first, min_hits)
-    engine.stats.backward_searches += 1
-    keep = tuple(p for p in leps[1:] if p - lo >= params.min_seed_len)
-    engine.stats.pruned_reseed_searches += len(leps) - 1 - len(keep)
+    stats.backward_searches += 1
+    min_len = params.min_seed_len
+    keep = tuple([p for p in leps[1:] if p - lo >= min_len])
+    stats.pruned_reseed_searches += len(leps) - 1 - len(keep)
     mems = engine.backward_sweep(read, keep, min_hits, 0, True)
-    if lo < first:
-        mems.append(Mem(lo, first))
+    if lo < first:  # establishes Mem's 0 <= start < end
+        mems.append(_new(Mem, (lo, first)))
     return filter_contained(mems)
 
 
@@ -161,17 +173,14 @@ def reseed_round(engine: SeedingEngine, read: np.ndarray,
                  params: SeedingParams) -> "list[Seed]":
     """Round 2: reseed long, low-occurrence SMEMs from their midpoint,
     requiring strictly more hits than the SMEM itself had."""
-    out = []
+    out: "list[Seed]" = []
     split_len = params.split_len
+    split_width = params.split_width
     for read_start, length, _hits, hit_count in smem_seeds:
-        if length >= split_len and hit_count <= params.split_width:
-            mid = read_start + length // 2
-            for start, end in _reseed_mems(engine, read, mid, hit_count + 1,
-                                           params):
-                if end - start >= params.min_seed_len:
-                    count, hits = engine.locate(read, start, end,
-                                                params.max_hits_per_seed)
-                    out.append(Seed(start, end - start, tuple(hits), count))
+        if length >= split_len and hit_count <= split_width:
+            out += smems_to_seeds(engine, read, _reseed_mems(
+                engine, read, read_start + length // 2, hit_count + 1,
+                params), params)
     return out
 
 
@@ -183,32 +192,44 @@ def last_round(engine: SeedingEngine, read: np.ndarray,
     out = []
     x = 0
     n = int(read.size)
-    stop = n - params.min_seed_len + 1  # launches start before ``stop``
+    min_len = params.min_seed_len
+    max_intv = params.max_mem_intv
+    limit = params.max_hits_per_seed
+    last_seed = engine.last_seed
+    locate = engine.locate
+    stop = n - min_len + 1  # launches start before ``stop``
     prune = params.use_pruning
     n_smems = len(smems)
-    j = 0  # smems[:j] start at or before x; ``reach`` is then E(x)
+    pruned = 0
+    # smems[:j] start at or before x, and ``reach`` is the end of the
+    # last of them (-1 for none): E(x) when past x.  ``nxt`` is the
+    # next SMEM's start (``stop`` after the last).
+    j = 0
+    reach = -1
+    nxt = smems[0][0] if n_smems else stop
     while x < stop:
         if prune:
-            while j < n_smems and smems[j].start <= x:
-                j += 1
-            reach = smems[j - 1].end if j else x
-            if reach - x < params.min_seed_len:
-                nxt = min(smems[j].start if j < n_smems else stop, stop)
-                engine.stats.pruned_last_launches += nxt - x
-                x = nxt
+            if nxt <= x:
+                while j < n_smems and smems[j][0] <= x:
+                    j += 1
+                reach = smems[j - 1][1]
+                nxt = smems[j][0] if j < n_smems else stop
+            if reach - x < min_len:
+                pruned += min(nxt, stop) - x
+                x = min(nxt, stop)
                 continue
-        found = engine.last_seed(read, x, params.min_seed_len,
-                                 params.max_mem_intv)
+        found = last_seed(read, x, min_len, max_intv)
         if found is None:
             if prune and reach == n:
-                engine.stats.pruned_last_launches += stop - x - 1
+                pruned += stop - x - 1
                 break
             x += 1
             continue
         end = found[0]
-        count, hits = engine.locate(read, x, end, params.max_hits_per_seed)
-        out.append(Seed(x, end - x, tuple(hits), count))
+        count, hits = locate(read, x, end, limit)
+        out.append(_new(Seed, (x, end - x, tuple(hits), count)))
         x = end
+    engine.stats.pruned_last_launches += pruned
     return out
 
 
@@ -216,26 +237,13 @@ def seeds_from_smems(engine: SeedingEngine, read: np.ndarray,
                      smems: "list[Mem]",
                      params: SeedingParams) -> SeedingResult:
     """Everything after SMEM generation: round 1's seed emission, then
-    rounds 2 and 3.  :func:`_three_rounds` and the k-mer reuse driver's
+    rounds 2 and 3.  :func:`seed_batch` and the k-mer reuse driver's
     reconciliation (:mod:`repro.core.reuse`) both end here."""
     seeds = smems_to_seeds(engine, read, smems, params)
-    return SeedingResult._make((
+    return _new(SeedingResult, (
         seeds,
         reseed_round(engine, read, seeds, params) if params.reseed else [],
         last_round(engine, read, params, smems) if params.use_last else []))
-
-
-def _three_rounds(engine: SeedingEngine, read: np.ndarray,
-                  params: SeedingParams) -> SeedingResult:
-    """The three rounds over one read that is long enough to seed --
-    the one place they are written down."""
-    if params.use_last and params.min_seed_len < engine.min_query_len:
-        raise ValueError(
-            f"LAST with min_seed_len={params.min_seed_len} below the "
-            f"engine's shortest query ({engine.min_query_len}, the ERT's "
-            f"k): it cannot observe counts for shorter matches")
-    return seeds_from_smems(engine, read,
-                            generate_smems(engine, read, params), params)
 
 
 def seed_batch(engine: SeedingEngine, reads: "list[np.ndarray]",
@@ -286,15 +294,23 @@ def _seed_reads(engine: SeedingEngine, reads: "list[np.ndarray]",
     """:func:`seed_batch`'s loop: each read's three rounds, and its work
     counters into ``stats`` when given."""
     shortest = max(params.min_seed_len, engine.min_query_len)
+    below_k = params.use_last and params.min_seed_len < engine.min_query_len
+    begin_read = engine.begin_read
     results = []
     for i, read in enumerate(reads):
-        if int(read.size) < shortest:
+        if read.size < shortest:
             if stats is not None:
                 stats.short_reads += 1
             results.append(SeedingResult())
             continue
-        engine.begin_read()
-        results.append(_three_rounds(engine, read, params))
+        if below_k:
+            raise ValueError(
+                f"LAST with min_seed_len={params.min_seed_len} below the "
+                f"engine's shortest query ({engine.min_query_len}, the "
+                f"ERT's k): it cannot observe counts for shorter matches")
+        begin_read()
+        results.append(seeds_from_smems(
+            engine, read, generate_smems(engine, read, params), params))
         if stats is not None:
             stats.walk_steps[i] = engine.walk_steps
             stats.gather_nodes[i] = engine.gather_nodes

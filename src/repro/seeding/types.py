@@ -10,6 +10,7 @@ are those of the field tuple.  The per-read :class:`SeedingResult` is a
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -69,6 +70,10 @@ class Seed(NamedTuple):
         return Mem(self.read_start, self.read_end)
 
 
+#: A :class:`Seed`'s ``(read_start, length)``.
+_SPAN = itemgetter(0, 1)
+
+
 class _SeedingResultFields(NamedTuple):
     smems: "list[Seed]"
     reseed_seeds: "list[Seed]"
@@ -76,11 +81,15 @@ class _SeedingResultFields(NamedTuple):
 
     @property
     def all_seeds(self) -> "list[Seed]":
-        """All seeds, deduplicated by (start, length), sorted."""
-        seen = {}
-        for seed in self.smems + self.reseed_seeds + self.last_seeds:
-            seen.setdefault((seed.read_start, seed.length), seed)
-        return [seen[key] for key in sorted(seen)]
+        """All seeds, deduplicated by (start, length), sorted; of seeds
+        sharing a key, the first in round order is kept.
+
+        The seeds enter a dict last first, so an earlier seed overwrites
+        a later one under the same key, and the distinct keys order the
+        seeds before their hits are ever compared."""
+        seeds = self.smems + self.reseed_seeds + self.last_seeds
+        seeds.reverse()
+        return sorted(dict(zip(map(_SPAN, seeds), seeds)).values())
 
     def key(self) -> "tuple":
         """A canonical, comparable summary (for engine equivalence checks)."""

@@ -7,9 +7,11 @@ code lives under ``src/repro`` while
 :meth:`~repro.extend.pipeline.ReadAligner.align_sam_batch` chains,
 extends and formats 200 reads of the pipeline benchmark's ``align``
 read model (10 kbp genome, seed 2021, k = 6), given their seedings and
-the vector kernels, and fails when the count grows more than 5 % past
-the figure recorded here.  A count does not depend on the host's speed,
-so the gate is exact where a timing would be noise.
+the vector kernels, and fails when the count grows more than 3 % past
+the figure recorded here, which one more call a read exceeds.  A count
+does not depend on the host's speed, so the gate is exact where a
+timing would be noise.  On failure it prints the ten functions with the
+most calls.
 
 Comprehension and generator-expression frames are left out, as in the
 seeding guard: Python 3.12 inlines comprehensions (no frame, no event)
@@ -25,11 +27,12 @@ from repro.extend.pipeline import ReadAligner
 from repro.kernels.traceback import batched_banded_sw, batched_sw_traceback
 from repro.seeding.algorithm import SeedingParams, seed_batch
 from repro.sequence import GenomeSimulator, ReadSimulator
-from tests.test_seeding_calls import _repro_calls
+from tests.test_seeding_calls import _repro_calls, over_budget
 
 #: Python calls under ``src/repro`` for the 200 reads below.
 RECORDED_CALLS = 5_794
-ALLOWANCE = 1.05
+#: Under one call a read (3 % of 29 a read).
+ALLOWANCE = 1.03
 N_READS = 200
 
 
@@ -66,7 +69,5 @@ def test_align_sam_batch_calls_per_read(benchmark_model):
     finally:
         if was_enabled:
             telemetry.enable()
-    assert calls <= RECORDED_CALLS * ALLOWANCE, (
-        f"extending {N_READS} reads made {calls} Python calls "
-        f"({calls / N_READS:.1f} per read), over the recorded "
-        f"{RECORDED_CALLS} + {(ALLOWANCE - 1) * 100:.0f} %")
+    assert sum(calls.values()) <= RECORDED_CALLS * ALLOWANCE, over_budget(
+        "extending", calls, RECORDED_CALLS, ALLOWANCE, N_READS)

@@ -279,6 +279,7 @@ HOT_FUNCTIONS = (
     ("core/engine.py", "backward_search"),
     ("core/engine.py", "locate"),
     ("core/engine.py", "last_seed"),
+    ("core/engine.py", "backward_sweep"),
     ("core/walk.py", "walk"),
     ("core/walk.py", "entry"),
     ("core/walk.py", "root"),

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.cli import build_parser, main
 from tests.frames import read_frame, rewrite, save_as_archive
 
@@ -679,6 +678,26 @@ OWN_OPTIONS = {
 }
 
 
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if action.dest == "command").choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_one_subcommand_parser_helps_as_the_full_one(command, monkeypatch):
+    """``main`` builds only the invoked subcommand's arguments: its help
+    and the top-level help read as the full parser's, and no other
+    subcommand gets an argument beyond ``-h``."""
+    monkeypatch.setenv("COLUMNS", "100")
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert _subparsers(one)[command].format_help() == \
+        _subparsers(full)[command].format_help()
+    assert all(len(parser._actions) <= 1
+               for name, parser in _subparsers(one).items()
+               if name != command)
+
+
 @pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
 def test_run_subcommand_option_surface_is_pinned(command):
     """A new knob on the run path has to be added here on purpose."""
@@ -842,14 +861,11 @@ def test_prefix_merged_index_writes_what_the_plain_index_writes(
                 outs[name] = tmp_path / f"{command}-{name}-w{workers}"
                 extra = (["--metrics-out", str(metrics)]
                          if name == "merged" and command == "seed" else [])
-                try:
-                    assert main([command, "--index", str(path),
-                                 "--reads", str(fastq),
-                                 "--min-seed-len", "12",
-                                 "--workers", workers,
-                                 "--out", str(outs[name]), *extra]) == 0
-                finally:
-                    telemetry.reset()
+                assert main([command, "--index", str(path),
+                             "--reads", str(fastq),
+                             "--min-seed-len", "12",
+                             "--workers", workers,
+                             "--out", str(outs[name]), *extra]) == 0
             assert outs["plain"].read_bytes() == \
                 outs["merged"].read_bytes(), (command, workers)
             if command == "seed":

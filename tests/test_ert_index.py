@@ -56,8 +56,8 @@ def test_kmer_codes_equal_the_matmul_form(k):
 
 
 def test_prepared_batch_codes(index):
-    """A prepared batch holds each read's own codes on both strands,
-    whatever its neighbours: None for a read shorter than k."""
+    """A prepared batch holds each read's own strands and codes, whatever
+    its neighbours: codes None for a read shorter than k."""
     k = index.config.k
     rng = np.random.default_rng(5)
     reads = [rng.integers(0, 4, size=n).astype(np.uint8)
@@ -66,7 +66,13 @@ def test_prepared_batch_codes(index):
     prepared = engine._prepare(reads)
     for read in reads:
         # ERT001 exception: ``reads`` pins every key's referent.
-        rc, codes, rc_codes = prepared[id(read)]  # repro: allow(ERT001)
+        strands = prepared[id(read)]  # repro: allow(ERT001)
+        rc, codes, rc_codes = strands.rc_array, strands.codes, \
+            strands.rc_codes
+        assert strands.key == id(read)  # repro: allow(ERT001)
+        assert strands.n == read.size
+        assert strands.seq == read.tobytes()
+        assert strands.rc == rc.tobytes()
         assert np.array_equal(rc, (3 - read)[::-1])
         if read.size < k:
             assert codes is None and rc_codes is None

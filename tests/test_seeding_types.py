@@ -4,11 +4,14 @@ the records, configurations and counters that are NamedTuples and
 slotted classes so that no run generates a class."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.arena import ARENA_COLUMNS, FlatTrees
 from repro.core.config import ErtConfig, LayoutPolicy
 from repro.extend.pipeline import (
@@ -197,6 +200,27 @@ def test_a_forged_pickle_is_what_pickle_writes(cls):
     value = cls()
     assert _forged_pickle(cls, tuple(value)) == pickle.dumps(value,
                                                              protocol=2)
+
+
+def test_every_checked_value_type_has_its_refusals_tested():
+    """The seeding driver and engine build value types with
+    ``tuple.__new__`` where the line before has just established what
+    the checks check; every other caller goes through the checking
+    ``__new__``.  Every NamedTuple under ``repro`` with a ``__new__`` of
+    its own is one of the types whose refusals are tested above -- or
+    ``SeedingResult``, whose ``__new__`` only fills in empty rounds --
+    so a new checked type comes with its refusals."""
+    own_new = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == info.name
+                    and issubclass(obj, tuple) and "__new__" in vars(obj)
+                    and vars(obj)["__new__"].__func__.__code__.co_filename
+                    != "<string>"):  # a generated NamedTuple ``__new__``
+                own_new.add(obj)
+    refused = {Mem} | {cls for cls, *_ in REFUSALS}
+    assert own_new == refused | {SeedingResult}
 
 
 def _forged_pickle(cls, args):

@@ -37,8 +37,8 @@ def _seeding_calls(index, batches, observed: bool) -> int:
         for batch in batches:
             seed_batch(engine, batch, PARAMS)
         engine = ErtSeedingEngine(index)
-        return _repro_calls(
-            lambda: [seed_batch(engine, batch, PARAMS) for batch in batches])
+        return sum(_repro_calls(lambda: [
+            seed_batch(engine, batch, PARAMS) for batch in batches]).values())
     finally:
         telemetry.reset()
         _switch(was_enabled)

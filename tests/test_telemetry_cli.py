@@ -47,8 +47,26 @@ def test_seed_metrics_out_writes_valid_json(workspace, tmp_path):
     # wrapping one `kernels.batch` span.
     assert snap["spans"]["seed"]["count"] == 1
     assert snap["spans"]["seed/kernels.batch"]["count"] == 1
-    # The command cleans up after itself: the global flag is off again.
+    # The command cleans up after itself: the global flag is off again
+    # and the process-wide registry holds nothing of the run.
     assert not telemetry.enabled()
+    assert telemetry.registry().is_empty
+
+
+def test_failed_run_leaves_the_registry_empty(workspace, tmp_path):
+    """A run that fails part-way, after a batch was seeded, writes no
+    snapshot and leaves no counter behind either."""
+    _root, reads, index = workspace
+    bad = tmp_path / "bad.fq"
+    bad.write_text(reads.read_text() + "@bad\nACGT\n+\nII\n")
+    metrics = tmp_path / "metrics.json"
+    assert main(["seed", "--index", str(index), "--reads", str(bad),
+                 "--min-seed-len", "12", "--batch-size", "4",
+                 "--out", str(tmp_path / "s.tsv"),
+                 "--metrics-out", str(metrics)]) == 2
+    assert not metrics.exists()
+    assert not telemetry.enabled()
+    assert telemetry.registry().is_empty
 
 
 def test_align_profile_prints_stage_table(workspace, tmp_path, capsys):
