@@ -196,9 +196,9 @@ def test_vector_telemetry_overhead(ert_index, reads, params):
     """Observed vector batches stay within 5 % of dark vector batches.
 
     Interleaved modes over the full 500-read workload.  One
-    ``seed_batch`` sweep, telemetry off (the accumulators still run --
-    they are unconditional -- but the flush is a no-op) against
-    telemetry on (one registry flush per batch); and one batch through
+    ``seed_batch`` sweep, telemetry off (no accumulator columns are
+    built and nothing is flushed) against telemetry on (per-read
+    columns and one registry flush per batch); and one batch through
     the scheduler's runner (sweep, TSV lines, and -- observed -- the
     accumulator-derived per-read exemplars of ``--slowlog`` in vector
     mode), dark against observed.

@@ -34,8 +34,8 @@ ERT015    ``repro.parallel``: a function that creates a shm segment
 ERT016    callables crossing a pool boundary must be module-level (no
           lambdas, closures, or bound methods).
 ERT017    no telemetry call inside a loop of ``repro.kernels``, the
-          seeding driver, the walk or the engine (they flush once per
-          batch).
+          seeding driver, the walk, the engine or the extension
+          pipeline (they flush once per batch).
 ========  ==============================================================
 
 Every rule is a per-file AST check: one pass, no cross-file state.

@@ -901,34 +901,39 @@ _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
 
 @register
 class KernelLoopTelemetryRule(Rule):
-    """ERT017: the seeding driver and the vector kernels flush telemetry
-    per batch, never per element.
+    """ERT017: the seeding driver, the extension pipeline and the vector
+    kernels flush telemetry per batch, never per element.
 
     ERT007 polices functions annotated ``# repro: hot``; the batched
     kernels in :mod:`repro.kernels`, the seeding driver and its
     accumulators (:mod:`repro.seeding.algorithm`,
-    :mod:`repro.seeding.stats`), the walk (:mod:`repro.core.walk`) and
-    the seeding engine (:mod:`repro.core.engine`) are hot by
-    construction -- every loop there runs per read, per node visit, per
-    lane or per traceback row, so a telemetry call lexically inside
-    *any* of their loops is a per-element call regardless of
-    annotation.  Seeding counts work into
-    :class:`repro.seeding.stats.KernelBatchStats` (plain adds,
-    unconditional) and flushes the registry once per batch under the
-    ``kernels.batch`` span; registry traffic at loop granularity
+    :mod:`repro.seeding.stats`), the walk (:mod:`repro.core.walk`), the
+    seeding engine (:mod:`repro.core.engine`) and the extension
+    (:mod:`repro.extend.pipeline`, :mod:`repro.extend.paired`) are hot
+    by construction -- every loop there runs per read, per chain, per
+    node visit, per lane or per traceback row, so a telemetry call
+    lexically inside *any* of their loops is a per-element call
+    regardless of annotation.  Observed seeding counts work into
+    :class:`repro.seeding.stats.KernelBatchStats` (plain stores; a dark
+    run builds none) and flushes the registry once per batch under the
+    ``kernels.batch`` span; extension keeps its per-read rows in
+    ``ReadAligner.read_stats`` and flushes the ``align.*`` families once
+    per ``extend_batch`` call.  Registry traffic at loop granularity
     would reintroduce exactly the overhead that batch-flush design
     exists to avoid -- and break the <5% vector-telemetry overhead
     budget ``benchmarks/bench_telemetry_overhead.py`` enforces.
     """
 
     id = "ERT017"
-    title = "telemetry call inside a seeding, kernel, walk or engine loop"
+    title = ("telemetry call inside a seeding, kernel, walk, engine or "
+             "extension loop")
     rationale = ("kernel sweeps accumulate into KernelBatchStats and "
                  "flush once per batch (docs/observability.md); "
                  "per-element registry calls undo the batch-flush "
                  "design")
     scope = ("repro.kernels", "repro.seeding.algorithm",
-             "repro.seeding.stats", "repro.core.walk", "repro.core.engine")
+             "repro.seeding.stats", "repro.core.walk", "repro.core.engine",
+             "repro.extend.pipeline", "repro.extend.paired")
 
     def check(self, src: SourceFile) -> "Iterator[Violation]":
         for node in src.walk():

@@ -194,12 +194,6 @@ def _explain_args(parser) -> None:
                              "exemplar tables")
     parser.add_argument("--task", choices=("seed", "align"),
                         default="seed")
-    parser.add_argument("--kernels", choices=("scalar", "vector"),
-                        default=None,
-                        help="replay with the scalar or the batched "
-                             "traceback kernel; defaults to whatever "
-                             "the slowlog record says the run used, "
-                             "else vector")
     _add_seeding_args(parser, max_hits=True)
     parser.add_argument(
         "--slowlog", default=None, metavar="FILE",
@@ -770,16 +764,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
+def _explain_replay(args, read) -> "dict | None":
     """Replay ``read`` through the engine exactly as the batch scheduler
     would run it and return the captured exemplar record.
 
-    Every replay seeds through :class:`ErtSeedingEngine`; ``kernels``
-    picks only the traceback kernel (``"vector"``: the packed
-    extension, here at batch size 1).  A read's searches do not depend
-    on its batch mates, so its kernel counters are batch-composition
-    invariant and the replayed record matches what a full batch
-    recorded for this read field-for-field.
+    Every replay seeds through :class:`ErtSeedingEngine` and extends
+    through the default kernels (the packed extension, here at batch
+    size 1).  A read's searches do not depend on its batch mates, and
+    its extension counters do not depend on the kernels, so the
+    replayed record matches what a full batch recorded for this read,
+    under either ``--kernels``, field-for-field.
     """
     from repro import telemetry
     from repro.core import ErtSeedingEngine, load_ert
@@ -797,15 +791,16 @@ def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
                                max_hits_per_seed=args.max_hits)
     else:
         params = SeedingParams(min_seed_len=args.min_seed_len)
+    config = ParallelConfig(workers=1)
     telemetry.reset()
     telemetry.enable()
     try:
         # A one-read batch through the scheduler's own in-process
-        # runner: the same capture hooks, and (vector) the same packed
-        # extension path, as the run that wrote the record.
+        # runner: the same capture hooks as the run that wrote the
+        # record.
         list(map_batches(("local", engine), args.task,
-                         {"params": params, "kernels": kernels},
-                         [pack_batch([read])], ParallelConfig(workers=1)))
+                         {"params": params, "kernels": config.kernels},
+                         [pack_batch([read])], config))
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -841,11 +836,7 @@ def _cmd_explain(args) -> int:
         print(f"read {args.read_id!r} not found in {args.reads}",
               file=sys.stderr)
         return 2
-    # Peek at the slowlog record first: seeding is the same on every
-    # path, but the replay must use the traceback kernel the run used
-    # for the extension counters to be comparable, and a record
-    # carries a "kernels" tag only when that was the vector one.
-    # Without a record to consult, replay the default, vector.
+    # Read the slowlog before the replay: a bad file exits 2 at once.
     try:
         recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
                                         args.task)
@@ -854,13 +845,7 @@ def _cmd_explain(args) -> int:
         print(f"ert-repro explain: cannot read --slowlog {args.slowlog}: "
               f"{exc}", file=sys.stderr)
         return 2
-    if args.kernels:
-        kernels = args.kernels
-    elif recorded is not None:
-        kernels = recorded.get("kernels", "scalar")
-    else:
-        kernels = "vector"
-    rec = _explain_replay(args, reads[0], kernels=kernels)
+    rec = _explain_replay(args, reads[0])
     if rec is None:
         print("replay recorded no exemplar (telemetry disabled?)",
               file=sys.stderr)
@@ -869,8 +854,7 @@ def _cmd_explain(args) -> int:
         print(json.dumps(rec, sort_keys=True))
     else:
         counters = rec.get("counters", {})
-        mode = rec.get("kernels", "scalar")
-        print(f"read {rec['read_id']} ({rec['task']}, {mode} kernels): "
+        print(f"read {rec['read_id']} ({rec['task']}): "
               f"{rec['wall_ms']:.3f} ms replayed wall time")
         width = max([len(k) for k in counters] or [7])
         for name, value in sorted(counters.items(),

@@ -26,6 +26,7 @@ from repro.extend.traceback import (
     banded_sw_traceback, diagonal_lanes, exact_lane)
 from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import SeedingEngine
+from repro.seeding.stats import observe_column
 from repro.sequence.alphabet import decode
 from repro.sequence.reference import Reference, Strand
 
@@ -236,32 +237,45 @@ class ReadAligner:
                  "chains": len(read_chains),
                  "sw_extensions": 0, "sw_cells": 0, "exact_lanes": 0}
                 for read_seeds, read_chains in zip(seeds, chains)]
-            observed = telemetry.enabled()
             with telemetry.span("extend"):
                 for i, read in enumerate(reads):
                     for chain in chains[i][:MAX_CHAINS_EXTENDED]:
                         placed = self._window(read, chain)
                         if placed is not None:
-                            if observed:
-                                telemetry.observe("align.window_bp",
-                                                  int(placed[1].size))
                             lanes.append((i, *placed))
                 for (i, ref_begin, _), traced in zip(
                         lanes, self._trace_lanes(reads, lanes)):
                     candidate = self._finalize_trace(traced, ref_begin)
                     if candidate is not None:
                         candidates[i].append(candidate)
-            if observed:
-                for row, found in zip(self.read_stats, candidates):
-                    telemetry.count("align.reads")
-                    telemetry.count("align.reads_mapped", int(bool(found)))
-                    telemetry.count("align.chains", row["chains"])
-                    telemetry.count("align.chains_extended",
-                                    min(row["chains"], MAX_CHAINS_EXTENDED))
-                    telemetry.observe("align.seeds_per_read", row["seeds"])
-                    telemetry.observe("align.chains_per_read",
-                                      row["chains"])
+            if reads and telemetry.enabled():
+                self._flush(lanes, candidates)
         return candidates
+
+    def _flush(self, lanes: "list[tuple[int, int, np.ndarray]]",
+               candidates: "list[list[Placement]]") -> None:
+        """Land a batch's ``align.*`` families in the registry (called
+        only with telemetry on) from the :attr:`read_stats` rows, lanes
+        and placements it holds: the totals and buckets of its reads
+        extended one by one."""
+        rows = self.read_stats
+        seeds = np.array([row["seeds"] for row in rows])
+        chains = np.array([row["chains"] for row in rows])
+        sw_extensions = sum(row["sw_extensions"] for row in rows)
+        telemetry.count("align.reads", len(rows))
+        telemetry.count("align.reads_mapped", sum(map(bool, candidates)))
+        telemetry.count("align.chains", int(chains.sum()))
+        telemetry.count("align.chains_extended", int(
+            np.minimum(chains, MAX_CHAINS_EXTENDED).sum()))
+        # Every lane is exact or DP; a kind with no lane gets no key.
+        telemetry.add_counters({"align.sw_extensions": sw_extensions,
+                                "align.exact_lanes":
+                                len(lanes) - sw_extensions})
+        observe_column("align.seeds_per_read", seeds)
+        observe_column("align.chains_per_read", chains)
+        if lanes:
+            observe_column("align.window_bp", np.array(
+                [window.size for _, _, window in lanes]))
 
     def _finalize_trace(self, traced, ref_begin: int) \
             -> "Placement | None":
@@ -300,23 +314,19 @@ class ReadAligner:
         best path is ungapped its CIGAR from the score; only the others
         are traced.  The :attr:`read_stats` rows count the DP lanes once
         (``sw_extensions``, with their ``sw_cells``) and the exact ones
-        (``exact_lanes``), and so do the ``align.*`` counters;
-        ``kernels.traced_lanes`` counts the lanes sent to
-        :attr:`tb_batch`.
+        (``exact_lanes``); ``kernels.traced_lanes`` counts the lanes
+        sent to :attr:`tb_batch`.
         """
         queries = [np.asarray(read, dtype=np.uint8).tobytes()
                    for read in reads]
         traced = [exact_lane(queries[i], self.text_bytes, DEFAULT_SCHEME,
                              BAND, ref_begin, ref_begin + window.size)
                   for i, ref_begin, window in lanes]
-        observed = telemetry.enabled()
         for (i, _, window), hit in zip(lanes, traced):
             key = "sw_extensions" if hit is None else "exact_lanes"
             self.read_stats[i][key] += 1
             if hit is None:
                 self.read_stats[i]["sw_cells"] += int(window.size) * BAND
-            if observed:
-                telemetry.count("align." + key)
         if self.tb_batch is None:
             return (hit or banded_sw_traceback(reads[i], window,
                                                DEFAULT_SCHEME, BAND)

@@ -169,6 +169,7 @@ def _batched(query, targets, scheme, band, workspace, trace: bool) -> list:
         return traced if trace else [
             LaneScore(t.score, t.query_end, t.target_end) for t in traced]
     sweeps = -(-B // MAX_WAVEFRONT_LANES)
+    telemetry.count("kernels.sweeps", sweeps)
     out: list = []
     for k in range(sweeps):
         lo, hi = k * B // sweeps, (k + 1) * B // sweeps
@@ -187,7 +188,6 @@ def _sweep(q: np.ndarray, t16: "list[np.ndarray]", scheme: ScoringScheme,
     B, m = q.shape
     n_arr = np.array([t.size for t in t16], dtype=np.int64)
     n_max = int(n_arr.max())
-    telemetry.count("kernels.sweeps")
     half = band // 2
     width = 2 * half + 2
     w = width - 1                # in-band columns of a row

@@ -212,9 +212,9 @@ class _BatchRunner:
         self.task = task
         self.params: SeedingParams = options.get("params") \
             or SeedingParams()
-        self.vector = options.get("kernels") == "vector"
         if task in ("align", "align-pe"):
-            aligner, kernels, paired = _extension(task, self.vector)
+            aligner, kernels, paired = _extension(
+                task, options.get("kernels") == "vector")
             self.aligner = aligner(engine.index.reference, engine,
                                    params=self.params, **kernels)
         if task == "align-pe":
@@ -280,7 +280,7 @@ class _BatchRunner:
         telemetry.record_reads(
             probe, list(names),
             shares.reshape(-1, group).sum(axis=1).tolist(), make_counters,
-            task=self.task, kernels="vector" if self.vector else None)
+            task=self.task)
         return payload
 
 

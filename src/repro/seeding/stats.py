@@ -25,9 +25,11 @@ Two families come out of one accumulator set:
   for one read, which is what the scheduler feeds through the exemplar
   capture hooks (the reservoir and the slowlog).
 
-Accumulation is unconditional (an int add per search, five stores per
-read); the driver flushes only with telemetry on, so dark runs pay no
-registry traffic and observed runs stay byte-identical to dark ones.
+The five stores per read happen only into a :class:`KernelBatchStats`
+that exists: an observed driver makes one, a dark run builds none (the
+scheduler passes none while ``telemetry.read_probe()`` is ``None``); the
+driver flushes only with telemetry on, so dark runs pay no registry
+traffic and observed runs stay byte-identical to dark ones.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _STAT_COUNTERS = {"truncated_hit_lists": "seeds.truncated"}
 _DEFAULT_EDGES = np.asarray(DEFAULT_EDGES, dtype=np.float64)
 
 
-def _observe_column(name: str, values: "np.ndarray") -> None:
+def observe_column(name: str, values: "np.ndarray") -> None:
     """Land a whole value column in histogram ``name`` at O(buckets)
     cost: bucket it with ``searchsorted`` (identical semantics to the
     registry's per-value ``bisect_left``) and hand the registry plain
@@ -169,6 +171,6 @@ class KernelBatchStats:
         n_seeds = len(hit_counts)
         telemetry.count("seeds.emitted", n_seeds)
         keys = np.array(list(hit_counts), dtype=np.float64).reshape(-1, 3)
-        _observe_column("seed.length", keys[:, 2])
-        _observe_column("seed.hit_count", np.fromiter(
+        observe_column("seed.length", keys[:, 2])
+        observe_column("seed.hit_count", np.fromiter(
             hit_counts.values(), np.float64, n_seeds))

@@ -299,14 +299,11 @@ def probe_ms(token: "int | None") -> float:
 
 def record_reads(token: "int | None", read_ids: "list[str]",
                  wall_ms: "list[float]", make_counters: "object",
-                 task: str = "seed",
-                 kernels: "str | None" = None) -> None:
+                 task: str = "seed") -> None:
     """Close a :func:`read_probe` for a whole batch -- the one exemplar
     capture entry point, called by the scheduler's batch runner: offer
     every read (``wall_ms[i]`` its share of the probe) to the reservoir
     and the slowlog and observe its wall time into ``read.wall_ms``.
-    ``kernels`` tags the records with the backend (``"vector"``) so
-    ``ert-repro explain`` replays them through the same path.
 
     Leaves exactly the state one :meth:`ExemplarCollector.record` per
     read would, but builds a record -- and calls ``make_counters(i)`` --
@@ -314,8 +311,7 @@ def record_reads(token: "int | None", read_ids: "list[str]",
     to the kernel telemetry budget."""
     if token is None or not _enabled:
         return
-    _exemplars.record_batch(read_ids, wall_ms, make_counters,
-                            task=task, kernels=kernels)
+    _exemplars.record_batch(read_ids, wall_ms, make_counters, task=task)
     _registry.histogram("read.wall_ms",
                         READ_WALL_MS_EDGES).observe_many(wall_ms)
 

@@ -94,16 +94,12 @@ class ExemplarCollector:
     def record(self, read_id: str, started_ns: int,
                counters: "dict[str, int] | None" = None,
                task: str = "seed",
-               wall_ms: "float | None" = None,
-               kernels: "str | None" = None) -> dict:
+               wall_ms: "float | None" = None) -> dict:
         """Close the probe opened by :meth:`start` and capture the
         read's record (returned, whether or not it was sampled).
 
         ``wall_ms`` overrides the probe-derived wall time -- batch
-        drivers pass each read's share of the batch probe.  ``kernels``
-        tags the record with the traceback kernel that produced it
-        (``"vector"``); scalar records omit the field, so ``ert-repro
-        explain`` treats a missing tag as scalar."""
+        drivers pass each read's share of the batch probe."""
         if wall_ms is None:
             wall_ms = self.elapsed_ms(started_ns)
         rec = {"read_id": str(read_id), "task": task,
@@ -111,8 +107,6 @@ class ExemplarCollector:
                "counters": {name: value
                             for name, value in (counters or {}).items()
                             if value}}
-        if kernels is not None:
-            rec["kernels"] = kernels
         self.count += 1
         self._offer_reservoir(rec)
         self._offer_slow(rec)
@@ -121,8 +115,7 @@ class ExemplarCollector:
     def record_batch(self, read_ids: "list[str]",
                      wall_ms: "list[float]",
                      make_counters: "object",
-                     task: str = "seed",
-                     kernels: "str | None" = None) -> None:
+                     task: str = "seed") -> None:
         """Offer a whole batch of reads, materializing a record only for
         the reads that are actually kept.
 
@@ -157,8 +150,6 @@ class ExemplarCollector:
                    "counters": {name: value
                                 for name, value in make_counters(i).items()
                                 if value}}
-            if kernels is not None:
-                rec["kernels"] = kernels
             if slot < cap:
                 if slot == len(self.reservoir):
                     self.reservoir.append(rec)

@@ -487,6 +487,21 @@ def test_ert017_covers_the_seeding_driver():
         assert bool(violations) == rule_fires, module
 
 
+def test_ert017_covers_the_extension_pipeline():
+    """``ReadAligner`` and ``PairedAligner`` flush the ``align.*``
+    families once per batch; ERT017 covers both of their modules, and
+    nowhere else in extend."""
+    with open(fixture("ert017_fail_seeding.py")) as handle:
+        source = handle.read()
+    for module, rule_fires in (("repro.extend.pipeline", True),
+                               ("repro.extend.paired", True),
+                               ("repro.extend.sam", False)):
+        moved = source.replace("module(repro.seeding.algorithm)",
+                               f"module({module})")
+        violations, _ = check_source("moved.py", moved)
+        assert bool(violations) == rule_fires, module
+
+
 def test_ert017_repo_clean_without_pragmas():
     """ERT017 (per-element telemetry in kernel loops) holds across the
     seeding driver and the vector kernels with zero suppressions: every

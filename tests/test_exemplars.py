@@ -176,7 +176,7 @@ def test_record_reads_bulk_matches_per_read_capture():
     probe = telemetry.read_probe()
     for i, read_id in enumerate(ids):
         telemetry.exemplars().record(read_id, probe, rows[i], task="seed",
-                                     wall_ms=walls[i], kernels="vector")
+                                     wall_ms=walls[i])
         telemetry.registry().histogram(
             "read.wall_ms", READ_WALL_MS_EDGES).observe(walls[i])
     per_read = telemetry.snapshot()
@@ -184,8 +184,7 @@ def test_record_reads_bulk_matches_per_read_capture():
     telemetry.enable()
     probe = telemetry.read_probe()
     telemetry.record_reads(probe, ids, walls,
-                           lambda i: dict(rows[i]),
-                           task="seed", kernels="vector")
+                           lambda i: dict(rows[i]), task="seed")
     bulk = telemetry.snapshot()
     assert bulk["exemplars"]["reservoir"] == per_read["exemplars"]["reservoir"]
     assert bulk["exemplars"]["slowest"] == per_read["exemplars"]["slowest"]

@@ -74,27 +74,25 @@ def test_explain_reproduces_align_slowlog_counters(workspace, capsys):
     assert "matches the slowlog record exactly" in out.err
 
 
-def test_explain_replays_an_untagged_record_through_the_scalar_path(
-        workspace, tmp_path, capsys):
-    """A scalar run's records carry no ``kernels`` tag: without
-    ``--kernels``, explain replays them through the scalar path, not
-    the vector default."""
+def test_explain_replays_a_scalar_pooled_align_record(workspace, tmp_path,
+                                                      capsys):
+    """A record written by ``align --kernels scalar`` through a pool
+    replays through the default kernels and matches: a read's
+    extension counters do not depend on the kernels."""
     slowlog = str(tmp_path / "scalar.slowlog.jsonl")
-    assert main(["seed", "--index", workspace["index"],
+    assert main(["align", "--index", workspace["index"],
                  "--reads", workspace["reads"], "--min-seed-len", "12",
-                 "--out", str(tmp_path / "o.tsv"), "--kernels", "scalar",
-                 "--slowlog", slowlog]) == 0
+                 "--out", str(tmp_path / "o.sam"), "--kernels", "scalar",
+                 "--workers", "2", "--slowlog", slowlog]) == 0
     slowest = next(e for e in _slow_entries(slowlog)
                    if e["source"] == "slowest")
-    assert "kernels" not in slowest
     capsys.readouterr()
     code = main(["explain", "--index", workspace["index"],
-                 "--reads", workspace["reads"],
+                 "--reads", workspace["reads"], "--task", "align",
                  "--read-id", slowest["read_id"], "--min-seed-len", "12",
                  "--slowlog", slowlog])
     out = capsys.readouterr()
     assert code == 0, out.err
-    assert "scalar kernels" in out.out
     assert "matches the slowlog record exactly" in out.err
 
 

@@ -138,7 +138,6 @@ def test_observed_packed_run_is_dark_identical_and_explainable(workspace,
     assert 2 <= snap["counters"]["kernels.sweeps"] < 20
     assert snap["histograms"]["read.wall_ms"]["count"] == 70
     entry = json.loads(slowlog.read_text().splitlines()[0])
-    assert entry["kernels"] == "vector"
     assert entry["counters"]["sw_cells"] > 0
     capsys.readouterr()
     code = main(["explain", "--index", str(workspace / "idx.npz"),
@@ -148,7 +147,6 @@ def test_observed_packed_run_is_dark_identical_and_explainable(workspace,
     out = capsys.readouterr()
     assert code == 0, out.err
     assert "matches the slowlog record exactly" in out.err
-    assert "vector kernels" in out.out
 
 
 @pytest.mark.parametrize("task", ["align", "align-pe"])

@@ -171,6 +171,72 @@ def test_random_read_usually_unmapped(setup):
     assert unmapped >= 8
 
 
+def _align_families(aligner, batches) -> "tuple[dict, dict]":
+    """The ``align.*`` counters and histograms that ``extend_batch``
+    leaves over ``batches``, with the per-read counts and observations
+    of the same :attr:`read_stats` rows (the emission the batch flush
+    replaced) as the second item."""
+    from repro import telemetry
+    from repro.extend.pipeline import MAX_CHAINS_EXTENDED
+    from repro.telemetry.metrics import MetricsRegistry
+
+    want = MetricsRegistry()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        for batch in batches:
+            candidates = aligner.extend_batch(batch)
+            for row, found in zip(aligner.read_stats, candidates):
+                want.counter("align.reads").inc()
+                want.counter("align.reads_mapped").inc(int(bool(found)))
+                want.counter("align.chains").inc(row["chains"])
+                want.counter("align.chains_extended").inc(
+                    min(row["chains"], MAX_CHAINS_EXTENDED))
+                for key in ("sw_extensions", "exact_lanes"):
+                    if row[key]:
+                        want.counter("align." + key).inc(row[key])
+                want.histogram("align.seeds_per_read").observe(row["seeds"])
+                want.histogram("align.chains_per_read").observe(
+                    row["chains"])
+        got = telemetry.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+    def families(snap):
+        return {kind: {name: value for name, value in snap[kind].items()
+                       if name.startswith("align.")}
+                for kind in ("counters", "histograms")}
+
+    return families(got), families(want.snapshot())
+
+
+def test_align_families_flush_once_a_batch_as_read_by_read(setup):
+    """``extend_batch`` lands the ``align.*`` families once a call: the
+    counters and histograms of one batch equal those of its reads
+    extended one at a time, and equal one count and one observation a
+    read, zero counts included (a random read maps nowhere)."""
+    ref, aligner = setup
+    reads = [r.codes for r in ReadSimulator(
+        ref, read_length=80, error_read_fraction=0.5,
+        substitution_rate=0.03, seed=97).simulate(30)]
+    reads.append(np.random.default_rng(98).integers(0, 4, size=80,
+                                                    dtype=np.uint8))
+    batched, per_read = _align_families(aligner, [reads])
+    assert {"align.sw_extensions", "align.exact_lanes",
+            "align.window_bp"} <= {*batched["counters"],
+                                   *batched["histograms"]}
+    window_bp = batched["histograms"].pop("align.window_bp")
+    assert batched == per_read
+    one_by_one, _ = _align_families(aligner, [[read] for read in reads])
+    assert one_by_one["histograms"].pop("align.window_bp") == window_bp
+    assert one_by_one == batched
+    unmapped, _ = _align_families(aligner, [reads[-1:]])
+    assert unmapped["counters"] == {
+        "align.reads": 1, "align.reads_mapped": 0, "align.chains": 0,
+        "align.chains_extended": 0}
+
+
 def test_seedex_model_throughput():
     model = SeedExModel(SeedExConfig())
     workloads = [ExtensionWorkload(sw_extensions=1, sw_rows_total=101,
